@@ -27,15 +27,20 @@ class FourierTerm:
 
 
 def _solve_lift(lift, dlift, y, L, bound, tol):
-    """Solve lift(x) = y for x (vectorized safeguarded Newton in a bracket)."""
+    """Solve lift(x) = y for x (vectorized safeguarded Newton in a bracket).
+
+    Raises CircleMapError when some x is not within tol after 100 steps.
+    """
     y = np.asarray(y, dtype=float)
     lo = y - bound
     hi = y + bound
     x = y.copy()
-    for _ in range(100):
+    for steps in range(101):
         fx = lift(x) - y
         done = np.abs(fx) < tol
         if np.all(done):
+            return x
+        if steps == 100:
             break
         lo = np.where(fx < 0, np.maximum(lo, x), lo)
         hi = np.where(fx > 0, np.minimum(hi, x), hi)
@@ -48,7 +53,11 @@ def _solve_lift(lift, dlift, y, L, bound, tol):
         bad = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
         x = np.where(done, x, xn)
-    return x
+    first = np.flatnonzero(~done)[0]
+    raise CircleMapError(
+        f"lift inversion did not converge in 100 steps for {np.count_nonzero(~done)} "
+        f"of {np.size(y)} values, e.g. y = {np.ravel(y)[first]:.6g} "
+        f"(residual {np.ravel(fx)[first]:.3g})")
 
 
 @dataclass(frozen=True)

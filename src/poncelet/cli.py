@@ -20,7 +20,7 @@ from .circlemaps import CircleMapError
 from .equiangular import ConstructionError
 from .geometry import GeometryError
 from .render import RenderError, render_svg, sample_points
-from .scene import Scene, SchemaError, load_scene
+from .scene import Scene, SchemaError, load_scene, probe_count
 from .support import SupportError
 
 EXIT_OK = 0
@@ -34,12 +34,7 @@ _PRECONDITION_ERRORS = (ConstructionError, CircleMapError, SupportError,
 
 def _env_probes() -> int | None:
     raw = os.environ.get("PONCELET_PROBES")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError(f"PONCELET_PROBES must be an integer, got {raw!r}")
+    return None if raw is None else probe_count(raw, "PONCELET_PROBES")
 
 
 def _load(path: str) -> Scene:

@@ -22,6 +22,7 @@ import numpy as np
 from .circlemaps import CircleDiffeo, TorsionMap
 from .equiangular import ConstructionError
 from .geometry import polyline_self_intersects
+from .roots import bracketed_roots
 from .support import PlaneCurve, fd_jet
 
 FD_STEP_REL = 1e-4
@@ -85,18 +86,6 @@ def _segment_data(Z: PlaneCurve, alpha: float, ts: np.ndarray):
     return p0, v0, p1, v1, delta, ddelta
 
 
-def _locate_zero(fn, lo: float, hi: float, iters: int = 80) -> float:
-    flo = fn(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if flo * fm <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 class EnvelopeSingularity(ConstructionError):
     def __init__(self, params: list[float]):
         self.params = params
@@ -134,11 +123,10 @@ def envelope_from_vertex(system: VertexStepSystem,
     d = denom(ts)
     sign_flips = np.nonzero(np.sign(d) * np.sign(np.roll(d, -1)) <= 0)[0]
     if len(sign_flips):
-        params = []
-        for i in sign_flips[:8]:
-            lo, hi = ts[i], ts[i] + L / grid
-            params.append(_locate_zero(lambda t: float(denom(t)[0]), lo, hi))
-        raise EnvelopeSingularity(params)
+        # an unconverged bracket still locates the zero within its grid cell
+        lo = ts[sign_flips[:8]]
+        params, _ = bracketed_roots(lambda t, _: denom(t), lo, lo + L / grid)
+        raise EnvelopeSingularity([float(t) for t in params])
 
     def s_fn(ts):
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -292,14 +280,13 @@ def _fixed_point_scan(g: CircleDiffeo, probes: int = 256) -> float | None:
     flips = np.nonzero(np.sign(disp) * np.sign(np.roll(disp, -1)) < 0)[0]
     if len(flips) == 0:
         return None
-    i = int(flips[0])
-    lo, hi = float(xs[i]), float(xs[i]) + L / probes
+    lo = xs[flips[:1]]
 
-    def centered(t):
-        d = (float(g.lift(t)) - t + 0.5 * L) % L - 0.5 * L
-        return d
+    def centered(t, _):
+        return np.mod(g.lift(t) - t + 0.5 * L, L) - 0.5 * L
 
-    return _locate_zero(centered, lo, hi)
+    # as in envelope_from_vertex, the bracket locates the point either way
+    return float(bracketed_roots(centered, lo, lo + L / probes)[0][0])
 
 
 def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) -> VertexClan:

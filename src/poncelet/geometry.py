@@ -62,6 +62,14 @@ def frame(phi: float) -> tuple[Vec2, Vec2]:
     return Vec2(c, s), Vec2(-s, c)
 
 
+def wrap_pi(x: float) -> float:
+    """x reduced to [-pi, pi)."""
+    y = math.fmod(x + math.pi, 2.0 * math.pi)
+    if y < 0:
+        y += 2.0 * math.pi
+    return y - math.pi
+
+
 @dataclass(frozen=True)
 class RationalAngle:
     """Exact rational multiple of pi: value = (num/den)*pi radians."""

@@ -22,7 +22,6 @@ Clan steps: {"rotation_pi": {"num", "den"}} or a Fourier lift {"c", "terms"}.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -33,9 +32,10 @@ from . import circlemaps as cm
 from . import equiangular as eq
 from .envelope import VertexStepSystem, clan_from_vertex, envelope_from_vertex
 from .equiangular import Contact, PonceletPolygon
-from .geometry import RationalAngle, Vec2, polyline_self_intersects
+from .geometry import RationalAngle, Vec2, polyline_self_intersects, wrap_pi
 from .support import PlaneCurve, SupportFunction, curve_from_support
-from .verify import PonceletConfiguration, VerificationReport, verify_pair
+from .verify import (MAX_PROBES, MIN_PROBES, PonceletConfiguration, VerificationReport,
+                     verify_pair)
 from .vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
 
 
@@ -50,12 +50,15 @@ CONSTRUCTIONS = (
 )
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str):
+def _check_keys(doc: dict, allowed: set[str], where: str, required: tuple[str, ...] = ()):
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected an object")
     unknown = set(doc) - allowed
     if unknown:
         raise SchemaError(f"{where}: unknown fields {sorted(unknown)}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise SchemaError(f"{where}: missing fields {missing}")
 
 
 def _angle(doc, where: str) -> RationalAngle:
@@ -79,10 +82,15 @@ def _support(doc, where: str) -> SupportFunction:
 def _fourier(doc, L: float, where: str) -> cm.CircleDiffeo:
     _check_keys(doc, {"c", "terms"}, where)
     for i, t in enumerate(doc.get("terms", [])):
-        _check_keys(t, {"j", "sin", "cos"}, f"{where}.terms[{i}]")
-    terms = tuple(cm.FourierTerm(int(t["j"]), float(t.get("sin", 0.0)), float(t.get("cos", 0.0)))
-                  for t in doc.get("terms", []))
-    return cm.from_fourier(L, float(doc.get("c", 0.0)), terms)
+        _check_keys(t, {"j", "sin", "cos"}, f"{where}.terms[{i}]", ("j",))
+    try:
+        terms = tuple(cm.FourierTerm(int(t["j"]), float(t.get("sin", 0.0)),
+                                     float(t.get("cos", 0.0)))
+                      for t in doc.get("terms", []))
+        c = float(doc.get("c", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: need integer j and numbers c, sin, cos ({exc})") from exc
+    return cm.from_fourier(L, c, terms)
 
 
 def _torsion(doc, L: float, where: str) -> cm.TorsionMap:
@@ -160,13 +168,6 @@ class Scene:
                            tol=tol if tol is not None else opts.tol)
 
 
-def _wrap_pi(x: float) -> float:
-    y = math.fmod(x + math.pi, 2.0 * math.pi)
-    if y < 0:
-        y += 2.0 * math.pi
-    return y - math.pi
-
-
 def _oracle_capable(vertex_curve: PlaneCurve, envelope_support: SupportFunction | None) -> bool:
     if envelope_support is None or envelope_support.sheets != 1:
         return False
@@ -196,36 +197,41 @@ def _pair_configuration(label: str, pair, support: SupportFunction,
 
 
 def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
-    _check_keys(params, {"support", "angle", "branch"}, "parameters")
+    _check_keys(params, {"support", "angle", "branch"}, "parameters", ("support", "angle"))
     support = _support(params["support"], "parameters.support")
     spec = eq.EquiangularSpec(support, _angle(params["angle"], "parameters.angle"),
                               int(params.get("branch", 0)))
     pair = eq.equiangular_pair(spec)
     return _pair_configuration("equiangular-pair", pair, support,
-                               _wrap_pi(pair.angle.radians), None, vopts.expect_interior)
+                               wrap_pi(pair.angle.radians), None, vopts.expect_interior)
 
 
 def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
-    _check_keys(params, {"k", "l", "a"}, "parameters")
-    l = params["l"]
-    _check_keys(l, {"num", "den"}, "parameters.l")
-    pair = eq.equilateral_pair(int(params["k"]),
-                               Fraction(int(l["num"]), int(l["den"])), float(params["a"]))
+    _check_keys(params, {"k", "l", "a"}, "parameters", ("k", "l", "a"))
+    ldoc = params["l"]
+    _check_keys(ldoc, {"num", "den"}, "parameters.l", ("num", "den"))
+    try:
+        k, l, a = (int(params["k"]), Fraction(int(ldoc["num"]), int(ldoc["den"])),
+                   float(params["a"]))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"parameters: need integer k, integer l.num/l.den and a number a "
+                          f"({exc})") from exc
+    pair = eq.equilateral_pair(k, l, a)
     return _pair_configuration("equilateral", pair, pair.envelope_support,
-                               _wrap_pi(pair.angle.radians), pair.side_length,
+                               wrap_pi(pair.angle.radians), pair.side_length,
                                vopts.expect_interior)
 
 
 def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
-    _check_keys(params, {"support", "angles", "branches"}, "parameters")
+    _check_keys(params, {"support", "angles", "branches"}, "parameters", ("support", "angles"))
     support = _support(params["support"], "parameters.support")
     angles = [_angle(a, f"parameters.angles[{i}]") for i, a in enumerate(params["angles"])]
     branches = [int(b) for b in params.get("branches", [0] * len(angles))]
     clan = eq.equiangular_clan(support, angles, branches)
     if clan.degenerate:
-        turns = (_wrap_pi(clan.angles[0].radians),)
+        turns = (wrap_pi(clan.angles[0].radians),)
     else:
-        turns = tuple(_wrap_pi(a.radians) for a in clan.angles)
+        turns = tuple(wrap_pi(a.radians) for a in clan.angles)
     return PonceletConfiguration(
         label="equiangular-clan",
         vertex_curves=clan.vertex_curves,
@@ -240,7 +246,7 @@ def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfi
 
 
 def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
-    _check_keys(params, {"support", "step"}, "parameters")
+    _check_keys(params, {"support", "step"}, "parameters", ("support", "step"))
     support = _support(params["support"], "parameters.support")
     Y = curve_from_support(support, label="K")
     f = _torsion(params["step"], support.domain_length, "parameters.step")
@@ -277,7 +283,7 @@ def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletC
 
 
 def _build_vertex_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
-    _check_keys(params, {"support", "step"}, "parameters")
+    _check_keys(params, {"support", "step"}, "parameters", ("support", "step"))
     support = _support(params["support"], "parameters.support")
     f = _torsion(params["step"], support.domain_length, "parameters.step")
     res = vertex_from_envelope(ContactStepSystem(support, f))
@@ -297,7 +303,7 @@ def _build_vertex_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletC
 
 
 def _build_clan_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
-    _check_keys(params, {"support", "steps"}, "parameters")
+    _check_keys(params, {"support", "steps"}, "parameters", ("support", "steps"))
     support = _support(params["support"], "parameters.support")
     Y = curve_from_support(support, label="K")
     steps = [_diffeo(s, support.domain_length, f"parameters.steps[{i}]")
@@ -316,7 +322,7 @@ def _build_clan_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfi
 
 
 def _build_clan_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
-    _check_keys(params, {"support", "steps"}, "parameters")
+    _check_keys(params, {"support", "steps"}, "parameters", ("support", "steps"))
     support = _support(params["support"], "parameters.support")
     steps = [_diffeo(s, support.domain_length, f"parameters.steps[{i}]")
              for i, s in enumerate(params["steps"])]
@@ -355,24 +361,46 @@ def parse_config(doc: dict) -> tuple[str, dict, RenderOptions, VerifyOptions]:
 
     rdoc = doc.get("render", {})
     _check_keys(rdoc, {"samples", "margin", "polygon_starts"}, "render")
-    ropts = RenderOptions(
-        samples=int(rdoc.get("samples", 1024)),
-        margin=float(rdoc.get("margin", 0.05)),
-        polygon_starts=tuple(float(t) for t in rdoc.get("polygon_starts", [0.0])),
-    )
+    try:
+        ropts = RenderOptions(
+            samples=int(rdoc.get("samples", 1024)),
+            margin=float(rdoc.get("margin", 0.05)),
+            polygon_starts=tuple(float(t) for t in rdoc.get("polygon_starts", [0.0])),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"render: need integer samples and numbers margin, "
+                          f"polygon_starts ({exc})") from exc
     if ropts.samples < 2:
         raise SchemaError("render.samples must be at least 2")
 
     vdoc = doc.get("verify", {})
     _check_keys(vdoc, {"probes", "tol", "expect_interior"}, "verify")
+    try:
+        tol = None if vdoc.get("tol") is None else float(vdoc["tol"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"verify.tol must be a number or null, got {vdoc['tol']!r}") from exc
+    if vdoc.get("expect_interior") not in (None, True, False):
+        raise SchemaError(f"verify.expect_interior must be true, false or null, "
+                          f"got {vdoc['expect_interior']!r}")
     vopts = VerifyOptions(
-        probes=int(vdoc.get("probes", 64)),
-        tol=None if vdoc.get("tol") is None else float(vdoc["tol"]),
+        probes=probe_count(vdoc.get("probes", 64), "verify.probes"),
+        tol=tol,
         expect_interior=vdoc.get("expect_interior"),
     )
-    if vopts.probes < 8:
-        raise SchemaError("verify.probes must be at least 8")
     return kind, params, ropts, vopts
+
+
+def probe_count(raw, where: str) -> int:
+    """A probe count from a document or the environment, within the
+    verifier's bounds."""
+    try:
+        probes = int(raw)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where} must be an integer, got {raw!r}") from exc
+    if not MIN_PROBES <= probes <= MAX_PROBES:
+        raise SchemaError(f"{where} must be between {MIN_PROBES} and {MAX_PROBES}, "
+                          f"got {probes}")
+    return probes
 
 
 def build_scene(doc: dict) -> Scene:

@@ -8,6 +8,14 @@ that tangent line with the vertex curve again. For self-intersecting
 vertex curves, where forward tangent selection is ambiguous, verification
 is restricted to the construction's own parameter sequence; there the
 side's tangency parameter is recovered independently from its normal form.
+
+Envelopes without a support function are checked by recovering each side's
+contact from the envelope's parametrization: every side of every probe's
+polygon that touches such an envelope is solved in lockstep, with one
+batched jet evaluation per solver iteration for all sides together. All
+sign-change brackets, here and in the oracle's circle scans, go through
+the one bracketed solver in poncelet.roots; a bracket that does not
+converge is a report error, never a silent midpoint.
 """
 
 from __future__ import annotations
@@ -20,54 +28,31 @@ import numpy as np
 
 from .circlemaps import circle_distance
 from .equiangular import PonceletPolygon
-from .geometry import Vec2
+from .geometry import Vec2, wrap_pi
+from .roots import bracketed_roots
 from .support import PlaneCurve, SupportFunction
+
+
+# The verifier holds every probe's polygon sides at once, so the probe count
+# sets its memory as well as its time.
+MIN_PROBES = 8
+MAX_PROBES = 1024
 
 
 class OracleError(RuntimeError):
     pass
 
 
-def _refine_root(fn, lo: float, hi: float, iters: int = 60) -> float:
-    """Illinois method on a sign-change bracket."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    side = 0
-    for _ in range(iters):
-        mid = hi - fhi * (hi - lo) / (fhi - flo)
-        if not (lo < mid < hi):
-            mid = 0.5 * (lo + hi)
-        fm = fn(mid)
-        if fm == 0.0 or hi - lo < 1e-15 * max(1.0, abs(hi)):
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-            if side == -1:
-                flo *= 0.5
-            side = -1
-        else:
-            lo, flo = mid, fm
-            if side == 1:
-                fhi *= 0.5
-            side = 1
-    return 0.5 * (lo + hi)
-
-
 def _circle_roots(fn_vec, L: float, grid: int) -> list[float]:
     ts = np.linspace(0.0, L, grid, endpoint=False)
     vals = fn_vec(ts)
-    roots = []
-    for i in range(grid):
-        a, b = vals[i], vals[(i + 1) % grid]
-        lo = ts[i]
-        hi = ts[i] + L / grid
-        if a == 0.0:
-            roots.append(float(lo))
-        elif a * b < 0:
-            roots.append(_refine_root(lambda t: float(fn_vec(np.asarray([t]))[0]), lo, hi))
+    exact = vals == 0.0
+    flips = np.nonzero(~exact & (vals * np.roll(vals, -1) < 0))[0]
+    refined, open_ = bracketed_roots(lambda t, _: fn_vec(t), ts[flips], ts[flips] + L / grid)
+    if open_.any():
+        raise OracleError("root refinement did not converge near t = "
+                          + ", ".join(f"{t:.6f}" for t in refined[open_]))
+    roots = np.concatenate([ts[exact], refined])
     # dedupe near-coincident roots (mod L)
     out: list[float] = []
     for r in sorted(np.mod(roots, L)):
@@ -143,42 +128,67 @@ def _support_point(p: SupportFunction, psi: float) -> tuple[Vec2, Vec2]:
     return Vec2(p0 * c - p1 * s, p0 * s + p1 * c), Vec2(-s, c)
 
 
-def parametric_side_contacts(a: Vec2, b: Vec2, curve: PlaneCurve,
+def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
                              grid_ts: np.ndarray, grid_pts: np.ndarray,
-                             dist_tol: float) -> list[float]:
-    """Parameters where the curve is tangent to the side line through a, b.
+                             dist_tol: float) -> tuple[list[list[float]], np.ndarray]:
+    """Parameters where the curve is tangent to each side line through a[k], b[k].
 
     Tangency means a simple zero of d/dt <X(t) - a, n>, the derivative of
     the signed distance to the line; transversal crossings have no such
-    zero at their distance minimum and drop out automatically.
+    zero at their distance minimum and drop out automatically. Every side
+    is solved in lockstep: its (at most 8) nearest local distance minima on
+    the grid give brackets, those with a sign change are refined together,
+    and refined points farther than dist_tol from their line are dropped.
+    Returns the recovered parameters of each side, nearest minimum first,
+    and the number of each side's brackets that did not converge.
     """
-    d = b - a
-    nrm = d.norm()
-    nx, ny = -d.y / nrm, d.x / nrm
-    signed = (grid_pts[:, 0] - a.x) * nx + (grid_pts[:, 1] - a.y) * ny
-    mag = np.abs(signed)
-    is_min = (mag < np.roll(mag, 1)) & (mag <= np.roll(mag, -1))
-    candidates = sorted(np.nonzero(is_min)[0], key=lambda i: mag[i])[:8]
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    d = np.asarray(b, dtype=float).reshape(-1, 2) - a
+    nrm = np.array([math.hypot(x, y) for x, y in d])   # as Vec2.norm, to the last bit
+    nx, ny = -d[:, 1] / nrm, d[:, 0] / nrm
+    side, cand = _distance_minima(a, nx, ny, grid_pts)
     L = curve.domain_length
     step = L / len(grid_ts)
+    lo, hi = grid_ts[cand] - step, grid_ts[cand] + step
 
-    def ddist(t):
-        v = curve.velocity(float(t))
-        return v.x * nx + v.y * ny
+    def ddist(t, k):
+        vel = curve.jet_many(t)[1]
+        return vel[:, 0] * nx[k] + vel[:, 1] * ny[k]
 
-    def dist(t):
-        x, y = curve.positions([t])[0]
-        return (x - a.x) * nx + (y - a.y) * ny
+    ends = ddist(np.concatenate([lo, hi]), np.concatenate([side, side]))
+    signed = np.nonzero(~(ends[:len(side)] * ends[len(side):] > 0))[0]
+    side, lo, hi = side[signed], lo[signed], hi[signed]
+    roots, open_ = bracketed_roots(lambda t, idx: ddist(t, side[idx]), lo, hi)
+    done = np.nonzero(~open_)[0]
+    pts = curve.positions(roots[done])
+    s = side[done]
+    dist = (pts[:, 0] - a[s, 0]) * nx[s] + (pts[:, 1] - a[s, 1]) * ny[s]
+    out: list[list[float]] = [[] for _ in range(len(a))]
+    for k, t, dk in zip(s, roots[done], dist):
+        if abs(dk) < dist_tol:
+            out[k].append(float(t) % L)
+    return out, np.bincount(side[open_], minlength=len(a))
 
-    out = []
-    for i in candidates:
-        lo, hi = float(grid_ts[i]) - step, float(grid_ts[i]) + step
-        if ddist(lo) * ddist(hi) > 0:
-            continue
-        t_star = _refine_root(ddist, lo, hi)
-        if abs(dist(t_star)) < dist_tol:
-            out.append(t_star % L)
-    return out
+
+_MINIMA_CHUNK = 256   # sides per block: bounds the (sides x grid) arrays
+
+
+def _distance_minima(a: np.ndarray, nx: np.ndarray, ny: np.ndarray,
+                     grid_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(side, grid index) of the 8 smallest local minima of each side line's
+    distance over the grid points, nearest first within a side."""
+    sides, idx = [], []
+    for k0 in range(0, len(a), _MINIMA_CHUNK):
+        k = slice(k0, k0 + _MINIMA_CHUNK)
+        signed = ((grid_pts[None, :, 0] - a[k, 0, None]) * nx[k, None]
+                  + (grid_pts[None, :, 1] - a[k, 1, None]) * ny[k, None])
+        mag = np.abs(signed)
+        is_min = (mag < np.roll(mag, 1, axis=1)) & (mag <= np.roll(mag, -1, axis=1))
+        order = np.argsort(np.where(is_min, mag, np.inf), axis=1, kind="stable")[:, :8]
+        row, slot = np.nonzero(np.take_along_axis(is_min, order, axis=1))
+        sides.append(row + k0)
+        idx.append(order[row, slot])
+    return np.concatenate(sides), np.concatenate(idx)
 
 
 def side_contact_recover(a: Vec2, b: Vec2, p: SupportFunction) -> tuple[float, float]:
@@ -268,13 +278,6 @@ class PonceletConfiguration:
         return self.vertex_curves[0].domain_length
 
 
-def _wrap_pi(x: float) -> float:
-    y = math.fmod(x + math.pi, 2.0 * math.pi)
-    if y < 0:
-        y += 2.0 * math.pi
-    return y - math.pi
-
-
 def _angle_checks(report: VerificationReport, polygon_pts: list[Vec2],
                   expected: list[float] | None):
     if expected is None:
@@ -285,7 +288,7 @@ def _angle_checks(report: VerificationReport, polygon_pts: list[Vec2],
     for i in range(n):
         a, b = dirs[i - 1], dirs[i]
         turn = math.atan2(a.cross(b), a.dot(b))
-        dev = max(dev, abs(_wrap_pi(turn - expected[i % len(expected)])))
+        dev = max(dev, abs(wrap_pi(turn - expected[i % len(expected)])))
     report.max_angle_deviation = max(report.max_angle_deviation or 0.0, dev)
 
 
@@ -296,8 +299,8 @@ def verify_pair(config: PonceletConfiguration, probes: int = 64,
     L = config.domain_length
     if tol is None:
         tol = 1e-7 * L
-    if probes < 8:
-        raise ValueError("need at least 8 probes")
+    if not MIN_PROBES <= probes <= MAX_PROBES:
+        raise ValueError(f"need {MIN_PROBES} to {MAX_PROBES} probes, got {probes}")
     report = VerificationReport(config.label, probes, tol, config.mode)
     starts = (np.linspace(0.0, L, probes, endpoint=False) + 0.05 * L / probes)
 
@@ -389,12 +392,8 @@ def _verify_oracle(config, starts, tol, report):
 def _verify_sequence(config, starts, tol, report):
     L = config.domain_length
     contact_mismatch = 0.0
-    env_grids = {}
-    for i, env in enumerate(config.envelopes):
-        if config.envelope_supports[i] is None:
-            ts = np.linspace(0.0, env.domain_length, 512, endpoint=False)
-            env_grids[i] = (ts, env.positions(ts))
-    for t0 in starts:
+    implicit: dict[int, list] = {}     # envelope index -> [(probe, side, a, b, contact)]
+    for probe, t0 in enumerate(starts):
         poly = config.polygon(float(t0))
         report.closure_error = max(report.closure_error, poly.closure_gap)
         n = len(poly.vertices)
@@ -409,29 +408,13 @@ def _verify_sequence(config, starts, tol, report):
                 u = Vec2(math.cos(contact.parameter), math.sin(contact.parameter))
                 pv = sup.eval(contact.parameter)
                 gap = max(abs(a.dot(u) - pv), abs(b.dot(u) - pv))
+                report.max_tangency_gap = max(report.max_tangency_gap, gap)
                 psi_rec, rec_gap = side_contact_recover(a, b, sup)
                 contact_mismatch = max(contact_mismatch,
                                        float(circle_distance(psi_rec, contact.parameter, L)))
             else:
-                env = config.envelopes[contact.envelope_index]
-                gap = _point_line_distance(contact.point, a, b)
-                tangent = env.velocity(contact.parameter)
-                side = b - a
-                ang = abs(math.asin(max(-1.0, min(1.0,
-                          (tangent.cross(side)) / (tangent.norm() * side.norm())))))
-                gap = max(gap, ang)
-                grid_ts, grid_pts = env_grids[contact.envelope_index]
-                recovered = parametric_side_contacts(a, b, env, grid_ts, grid_pts,
-                                                     dist_tol=max(tol, 1e-8))
-                if recovered:
-                    near = min(circle_distance(t, contact.parameter, env.domain_length)
-                               for t in recovered)
-                    contact_mismatch = max(contact_mismatch, float(near))
-                else:
-                    report.errors.append(
-                        f"no tangency of side {i} recovered on envelope "
-                        f"{contact.envelope_index} near t = {contact.parameter:.6f}")
-            report.max_tangency_gap = max(report.max_tangency_gap, gap)
+                implicit.setdefault(contact.envelope_index, []).append(
+                    (probe, i, a, b, contact))
             report.s_min = min(report.s_min, contact.chord)
             report.s_max = max(report.s_max, contact.chord)
         if config.expected_turns is not None:
@@ -442,6 +425,37 @@ def _verify_sequence(config, starts, tol, report):
             sides = poly.side_lengths()
             spread = max(abs(s - config.expected_side) / config.expected_side for s in sides)
             report.side_length_spread = max(report.side_length_spread or 0.0, spread)
+
+    errors = []                        # ((probe, side), message)
+    for k, sides in implicit.items():
+        env = config.envelopes[k]
+        grid_ts = np.linspace(0.0, env.domain_length, 512, endpoint=False)
+        grid_pts = env.positions(grid_ts)
+        _, _, starts_, ends_, contacts = zip(*sides)
+        recovered, unconverged = parametric_side_contacts(
+            [tuple(v) for v in starts_], [tuple(v) for v in ends_], env, grid_ts, grid_pts,
+            dist_tol=max(tol, 1e-8))
+        tangents = env.jet_many([c.parameter for c in contacts])[1]
+        for (probe, i, a, b, contact), found, stuck, vel in zip(
+                sides, recovered, unconverged, tangents):
+            tangent = Vec2(*vel)
+            side = b - a
+            ang = abs(math.asin(max(-1.0, min(1.0,
+                      (tangent.cross(side)) / (tangent.norm() * side.norm())))))
+            gap = max(_point_line_distance(contact.point, a, b), ang)
+            report.max_tangency_gap = max(report.max_tangency_gap, gap)
+            if stuck:
+                errors.append(((probe, i), f"{stuck} contact bracket(s) of side {i} on "
+                                           f"envelope {k} near t = {contact.parameter:.6f} "
+                                           "did not converge"))
+            if found:
+                near = min(circle_distance(t, contact.parameter, env.domain_length)
+                           for t in found)
+                contact_mismatch = max(contact_mismatch, float(near))
+            else:
+                errors.append(((probe, i), f"no tangency of side {i} recovered on envelope "
+                                           f"{k} near t = {contact.parameter:.6f}"))
+    report.errors.extend(msg for _, msg in sorted(errors, key=lambda e: e[0]))
 
     report.max_step_mismatch = contact_mismatch
     report.checks["contact_recovery"] = contact_mismatch < tol

@@ -125,6 +125,19 @@ class TestLiftMechanics:
         for g in (f.map, h.inverse().compose(h), H):
             assert g.min_derivative(1024) > 0
 
+    def test_inversion_without_a_preimage_raises(self):
+        # an increasing degree-one lift that jumps from pi - 1/4 to pi + 1/4
+        # at x = pi, so y = pi has no preimage
+        def lift(x):
+            r = np.mod(np.asarray(x, dtype=float), TWO_PI)
+            return x - 0.5 * r / TWO_PI + 0.5 * (r >= math.pi)
+
+        jumpy = cm.CircleDiffeo(TWO_PI, lift, displacement_bound=0.5).inverse()
+        x = jumpy.lift(np.array([0.5]))[0]
+        assert lift(x) == pytest.approx(0.5, abs=1e-11)
+        with pytest.raises(cm.CircleMapError, match="did not converge.* 1 of 2 values"):
+            jumpy.lift(np.array([0.5, math.pi]))
+
     def test_non_monotone_lift_rejected(self):
         with pytest.raises(cm.CircleMapError):
             cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 1.5, 0.0),))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +59,17 @@ class TestSchema:
         doc = equilateral_doc()
         doc["verify"]["probes"] = 4
         with pytest.raises(SchemaError):
+            build_scene(doc)
+
+    def test_fourier_term_needs_j(self):
+        doc = {
+            "construction": "clan-from-vertex",
+            "parameters": {"support": {"a": 1.0, "k": 1, "terms": []},
+                           "steps": [{"c": 2.0, "terms": [{"sin": 0.01}]},
+                                     {"rotation_pi": {"num": 2, "den": 3}}]},
+            "render": {}, "verify": {},
+        }
+        with pytest.raises(SchemaError, match=r"steps\[0\]\.terms\[0\]: missing fields"):
             build_scene(doc)
 
     def test_curve_names(self):
@@ -209,13 +221,47 @@ class TestCliProcess:
         assert x0 == pytest.approx(2.2, abs=1e-12)
 
     def test_probe_env_override(self, tmp_path):
-        import os
         env = dict(os.environ, PONCELET_PROBES="8")
         proc = subprocess.run([sys.executable, "-m", "poncelet.cli", "verify",
                                str(CONFIGS / "wankel.json")],
                               capture_output=True, text=True, env=env, cwd=str(REPO))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["probes"] == 8
+
+
+def _with(doc, path, value):
+    *outer, last = path
+    for key in outer:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("env, edit", [
+    ({"PONCELET_PROBES": "3"}, None),
+    ({"PONCELET_PROBES": "100000"}, None),
+    ({}, (("verify", "probes"), "many")),
+    ({}, (("verify", "probes"), 10**9)),
+    ({}, (("parameters",), {})),
+    ({}, (("parameters", "l", "den"), 0)),
+    ({}, (("parameters", "a"), "wide")),
+    ({}, (("render", "samples"), "lots")),
+    ({}, (("verify", "tol"), "tight")),
+    ({}, (("verify", "expect_interior"), "yes")),
+], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
+        "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
+        "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool"])
+def test_malformed_input_exits_two_without_traceback(tmp_path, env, edit):
+    doc = equilateral_doc()
+    if edit is not None:
+        _with(doc, *edit)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "poncelet.cli", "verify", str(path)],
+                          capture_output=True, text=True, cwd=str(REPO),
+                          env=dict(os.environ, **env))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("schema error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_main_entrypoint_in_process(tmp_path, capsys):

@@ -1,19 +1,27 @@
+import dataclasses
+import functools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poncelet import circlemaps as cm
+from poncelet import verify
 from poncelet.circlemaps import circle_distance
 from poncelet.equiangular import EquiangularSpec, equilateral_pair
 from poncelet.geometry import RationalAngle, Vec2
+from poncelet.roots import bracketed_roots
+from poncelet.scene import load_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
 from poncelet.verify import (OracleError, PonceletConfiguration, next_vertex_oracle,
-                             regularity_scan, side_contact_recover, verify_pair)
+                             parametric_side_contacts, regularity_scan, side_contact_recover,
+                             verify_pair)
 from poncelet.vertex import ContactStepSystem, vertex_from_envelope
 
 TWO_PI = 2 * math.pi
+ITERATED_SQUARE = Path(__file__).resolve().parent.parent / "configs" / "iterated_square.json"
 
 
 def spec_circle_pair(a: float, alpha: float):
@@ -92,6 +100,114 @@ class TestSideContactRecovery:
             psi, gap = side_contact_recover(a, b, pair.envelope_support)
             assert gap < 1e-10
             assert circle_distance(psi, contact.parameter, L) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def iterated_square():
+    """The m = 1, n = 4 envelope of p = a + cos(4 phi / 3) on three sheets:
+    non-convex, without a support function."""
+    return load_scene(str(ITERATED_SQUARE)).configuration
+
+
+class TestParametricSideContacts:
+    def grid(self, env):
+        ts = np.linspace(0.0, env.domain_length, 512, endpoint=False)
+        return ts, env.positions(ts)
+
+    def test_bitangent_line_recovers_both_contacts_and_far_line_none(self, iterated_square):
+        env = iterated_square.envelopes[0]
+        # the two rightmost points are mirror images: the line x = max x
+        # touches the envelope at both
+        guess = np.array([15.494, 17.492])
+        tops, open_ = bracketed_roots(lambda t, _: env.jet_many(t)[1][:, 0],
+                                      guess - 0.01, guess + 0.01)
+        assert not open_.any()
+        x_max = float(np.mean(env.positions(tops)[:, 0]))
+        a = np.array([[x_max, -3.0], [x_max + 1.0, -3.0]])
+        b = np.array([[x_max, 3.0], [x_max + 1.0, 3.0]])
+        found, unconverged = parametric_side_contacts(a, b, env, *self.grid(env), 1e-8)
+        assert unconverged.tolist() == [0, 0]
+        assert found[1] == []
+        assert len(found[0]) == 2
+        for t in tops:
+            assert min(circle_distance(f, t, env.domain_length) for f in found[0]) < 1e-9
+
+    def test_sides_are_solved_independently(self, iterated_square):
+        env = iterated_square.envelopes[0]
+        poly = iterated_square.polygon(0.7)
+        n = len(poly.vertices)
+        a = np.array([tuple(poly.vertices[i]) for i in range(n)])
+        b = np.array([tuple(poly.vertices[(i + 1) % n]) for i in range(n)])
+        together, _ = parametric_side_contacts(a, b, env, *self.grid(env), 1e-8)
+        for i in range(n):
+            alone, _ = parametric_side_contacts(a[i:i + 1], b[i:i + 1], env,
+                                                *self.grid(env), 1e-8)
+            assert together[i] == alone[0]
+            assert min(circle_distance(t, poly.contacts[i].parameter, env.domain_length)
+                       for t in alone[0]) < 1e-7
+
+
+def _parallel(curve, eps):
+    """Parallel curve at distance eps, like bumping a support constant."""
+    def offset(ts):
+        vel = curve.jet_many(ts)[1]
+        return eps * np.stack([vel[:, 1], -vel[:, 0]], axis=1) / np.hypot(*vel.T)[:, None]
+
+    def jet_fn(ts):
+        pos, vel, acc = curve.jet_many(ts)
+        return pos + offset(ts), vel, acc
+
+    return dataclasses.replace(curve, jet_fn=jet_fn,
+                               position_fn=lambda ts: curve.positions(ts) + offset(ts))
+
+
+class TestImplicitEnvelopeControls:
+    PROBES = 8
+
+    def expected_errors(self, config):
+        L = config.domain_length
+        starts = np.linspace(0.0, L, self.PROBES, endpoint=False) + 0.05 * L / self.PROBES
+        return [f"no tangency of side {i} recovered on envelope 0 near t = {c.parameter:.6f}"
+                for t0 in starts for i, c in enumerate(config.polygon(float(t0)).contacts)]
+
+    def test_envelope_bump_fails_on_every_side(self, iterated_square):
+        env = iterated_square.envelopes[0]
+        bumped = dataclasses.replace(iterated_square, envelopes=(_parallel(env, 1e-3),))
+        rep = verify_pair(bumped, probes=self.PROBES)
+        assert not rep.passed
+        assert rep.errors == self.expected_errors(iterated_square)
+
+    def test_vertex_shift_fails_on_every_side(self, iterated_square):
+        def shifted(start):
+            poly = iterated_square.polygon(start)
+            return dataclasses.replace(poly, vertices=tuple(
+                Vec2(v.x + 1e-3, v.y) for v in poly.vertices))
+
+        moved = dataclasses.replace(iterated_square, polygon=shifted)
+        rep = verify_pair(moved, probes=self.PROBES)
+        assert not rep.passed
+        assert rep.errors == self.expected_errors(iterated_square)
+
+
+class TestNonConvergence:
+    @pytest.fixture
+    def one_step_solver(self, monkeypatch):
+        monkeypatch.setattr(verify, "bracketed_roots",
+                            functools.partial(bracketed_roots, iters=1))
+
+    def test_unconverged_contact_brackets_are_errors(self, iterated_square, one_step_solver):
+        rep = verify_pair(iterated_square, probes=8)
+        assert not rep.passed
+        stuck = [e for e in rep.errors if "did not converge" in e]
+        assert len(stuck) == 8 * 4          # one per side
+        assert " contact bracket(s) of side 0 on envelope 0 near t = " in stuck[0]
+
+    def test_unconverged_oracle_roots_are_errors(self, one_step_solver):
+        config, _ = wankel_configuration()
+        rep = verify_pair(config, probes=8)
+        assert not rep.passed
+        assert len(rep.errors) == 8         # one per probe start
+        assert all("root refinement did not converge" in e for e in rep.errors)
 
 
 def wankel_configuration(**overrides):
