@@ -256,6 +256,13 @@ class TorsionMap:
     def rotation_angle(self) -> float:
         return self.winding * self.map.circumference / self.period
 
+    def orbit(self, start: float) -> list[float]:
+        """The lifted orbit start, f(start), ..., f^(n-1)(start)."""
+        params = [float(start)]
+        for _ in range(self.period - 1):
+            params.append(float(self.map.lift(params[-1])))
+        return params
+
 
 def make_torsion(h: CircleDiffeo, m: int, n: int, tol: float = 1e-8) -> TorsionMap:
     """f = h^-1 o r_{mL/n} o h, certified as a torsion map of period n."""

@@ -20,7 +20,7 @@ from .circlemaps import CircleMapError
 from .equiangular import ConstructionError
 from .geometry import GeometryError
 from .render import RenderError, render_svg, sample_points
-from .scene import Scene, SchemaError, load_scene, probe_count
+from .scene import Scene, SchemaError, load_scene, probe_count, sample_count
 from .support import SupportError
 
 EXIT_OK = 0
@@ -37,10 +37,6 @@ def _env_probes() -> int | None:
     return None if raw is None else probe_count(raw, "PONCELET_PROBES")
 
 
-def _load(path: str) -> Scene:
-    return load_scene(path)
-
-
 def _scene_summary(scene: Scene) -> dict:
     cfg = scene.configuration
     return {
@@ -53,7 +49,7 @@ def _scene_summary(scene: Scene) -> dict:
 
 
 def cmd_build(args) -> int:
-    scene = _load(args.config)
+    scene = load_scene(args.config)
     doc = {"scene": _scene_summary(scene)}
     status = EXIT_OK
     if not args.skip_verify:
@@ -66,14 +62,14 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scene = _load(args.config)
+    scene = load_scene(args.config)
     report = scene.verify(probes=_env_probes())
     print(json.dumps(report.to_dict(), indent=2, default=float))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def cmd_render(args) -> int:
-    scene = _load(args.config)
+    scene = load_scene(args.config)
     table = scene.curve_table()
     envs = [(n, c) for n, c in sorted(table.items()) if n.startswith("envelope")]
     verts = [(n, c) for n, c in sorted(table.items()) if n.startswith("vertex")]
@@ -89,8 +85,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    scene = _load(args.config)
-    csv = sample_points(scene.curve(args.curve), args.count)
+    count = sample_count(args.count, "--count")
+    scene = load_scene(args.config)
+    csv = sample_points(scene.curve(args.curve), count)
     if args.output == "-":
         sys.stdout.write(csv)
     else:

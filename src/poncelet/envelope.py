@@ -19,14 +19,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circlemaps import CircleDiffeo, TorsionMap
-from .equiangular import ConstructionError
+from .circlemaps import CircleDiffeo, TorsionMap, conjugator_to_rotation, identity
+from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
 from .geometry import polyline_self_intersects
-from .roots import bracketed_roots
-from .support import PlaneCurve, fd_jet
-
-FD_STEP_REL = 1e-4
-GRID = 512
+from .roots import GRID, bracketed_roots
+from .support import FD_STEP_REL, PlaneCurve, fd_jet
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,22 +50,18 @@ class VertexStepSystem:
     def rotation_angle(self) -> float:
         return self.step.rotation_angle
 
-    def polygon_params(self, start: float) -> list[float]:
-        params = [float(start)]
-        for _ in range(self.step.period - 1):
-            params.append(float(self.step.map.lift(params[-1])))
-        return params
+    def conjugator(self) -> CircleDiffeo:
+        """h with h o f = r o h for the rigid rotation r by the rotation angle."""
+        f = self.step
+        if f.map.is_rotation:
+            return identity(f.circumference)
+        return f.conjugating if f.conjugating is not None else conjugator_to_rotation(f)
 
     def conjugated_curve(self) -> PlaneCurve:
         """Z = Y o h^-1 with the step turned into a rigid rotation."""
-        f = self.step
-        if f.map.is_rotation:
+        if self.step.map.is_rotation:
             return self.vertex_curve
-        h = f.conjugating
-        if h is None:
-            from .circlemaps import conjugator_to_rotation
-            h = conjugator_to_rotation(f)
-        hinv = h.inverse()
+        hinv = self.conjugator().inverse()
         Y = self.vertex_curve
         L = Y.domain_length
 
@@ -100,10 +93,20 @@ class EnvelopeResult:
     s: Callable[[np.ndarray], np.ndarray]
     conjugated: PlaneCurve
     rotation_angle: float
+    system: VertexStepSystem
+    conjugator: CircleDiffeo     # contact parameter = conjugator(vertex parameter)
+
+    def polygon(self, start: float = 0.0) -> PonceletPolygon:
+        f = self.system.step
+        params = f.orbit(start)
+        # side i from Y(t_i) to Y(f(t_i)) touches the envelope at h(t_i)
+        pts = self.system.vertex_curve.positions(params + [float(f.map.lift(params[-1]))])
+        psis = self.conjugator.lift(np.asarray(params))
+        return assemble_polygon(pts[:-1], pts[-1], params, self.curve.positions(psis), psis,
+                                self.curve.domain_length)
 
 
-def envelope_from_vertex(system: VertexStepSystem,
-                         grid: int = GRID) -> EnvelopeResult:
+def envelope_from_vertex(system: VertexStepSystem) -> EnvelopeResult:
     """Envelope of the polygon side lines, with the chord parameter s.
 
     The returned curve and s are parametrized by the conjugated parameter;
@@ -119,13 +122,13 @@ def envelope_from_vertex(system: VertexStepSystem,
         _, _, _, _, delta, ddelta = _segment_data(Z, alpha, ts)
         return _dot(ddelta, _J(delta))
 
-    ts = np.linspace(0.0, L, grid, endpoint=False)
+    ts = np.linspace(0.0, L, GRID, endpoint=False)
     d = denom(ts)
     sign_flips = np.nonzero(np.sign(d) * np.sign(np.roll(d, -1)) <= 0)[0]
     if len(sign_flips):
         # an unconverged bracket still locates the zero within its grid cell
         lo = ts[sign_flips[:8]]
-        params, _ = bracketed_roots(lambda t, _: denom(t), lo, lo + L / grid)
+        params, _ = bracketed_roots(lambda t, _: denom(t), lo, lo + L / GRID)
         raise EnvelopeSingularity([float(t) for t in params])
 
     def s_fn(ts):
@@ -139,7 +142,7 @@ def envelope_from_vertex(system: VertexStepSystem,
         return p0 + s_fn(ts)[:, None] * delta
 
     curve = PlaneCurve(L, fd_jet(pos, FD_STEP_REL * L), label="C", position_fn=pos)
-    return EnvelopeResult(curve, s_fn, Z, alpha)
+    return EnvelopeResult(curve, s_fn, Z, alpha, system, system.conjugator())
 
 
 def interior_contact_bound(l) -> float:
@@ -242,31 +245,14 @@ class VertexClan:
     steps: tuple[CircleDiffeo, ...]       # f_1 .. f_n including the closing map
     composites: tuple[CircleDiffeo, ...]  # g_0 = id, g_1, ..., g_{n-1}
 
-    def polygon_params(self, start: float) -> list[float]:
-        return [float(g.lift(start)) for g in self.composites]
-
-    def polygon_vertices(self, start: float) -> np.ndarray:
-        return self.vertex_curve.positions(np.asarray(self.polygon_params(start)))
-
-    def polygon(self, start: float = 0.0):
-        from .equiangular import Contact, PonceletPolygon, _chord_position
-        from .geometry import Vec2
-
-        params = self.polygon_params(start)
-        pts = self.vertex_curve.positions(np.asarray(params))
-        vertices = [Vec2(*xy) for xy in pts]
-        t_close = float(self.steps[-1].lift(params[-1]))
-        closing = self.vertex_curve.positions([t_close])[0]
-        gap = float(np.hypot(*(closing - pts[0])))
-        n = len(vertices)
-        contacts = []
-        for i in range(n):
-            # side i (from g_i to g_{i+1}) touches envelope C_{i+1} at parameter start
-            x = Vec2(*self.envelopes[i].positions([start])[0])
-            contacts.append(Contact(x, start % self.vertex_curve.domain_length,
-                                    _chord_position(vertices[i], vertices[(i + 1) % n], x),
-                                    envelope_index=i))
-        return PonceletPolygon(tuple(vertices), tuple(params), tuple(contacts), gap)
+    def polygon(self, start: float = 0.0) -> PonceletPolygon:
+        params = [float(g.lift(start)) for g in self.composites]
+        pts = self.vertex_curve.positions(params + [float(self.steps[-1].lift(params[-1]))])
+        # side i (from g_i to g_{i+1}) touches envelope C_{i+1} at parameter start
+        n = len(params)
+        contacts = [C.positions([start])[0] for C in self.envelopes]
+        return assemble_polygon(pts[:-1], pts[-1], params, contacts, [start] * n,
+                                self.vertex_curve.domain_length, envelope_index=range(n))
 
 
 def _fixed_point_scan(g: CircleDiffeo, probes: int = 256) -> float | None:
@@ -289,27 +275,35 @@ def _fixed_point_scan(g: CircleDiffeo, probes: int = 256) -> float | None:
     return float(bracketed_roots(centered, lo, lo + L / probes)[0][0])
 
 
+def step_chain(steps: Sequence[CircleDiffeo], L: float
+               ) -> tuple[tuple[CircleDiffeo, ...], tuple[CircleDiffeo, ...]]:
+    """The steps f_1..f_n of a clan and their composites g_0..g_{n-1}.
+
+    g_0 = id and g_i = f_i o g_{i-1}; the closing map f_n = g_{n-1}^-1 is
+    appended to the n-1 given steps, so that g_n = id. Needs n >= 3 and
+    every step on the circle of length L.
+    """
+    steps = list(steps)
+    if len(steps) < 2:
+        raise ConstructionError("need at least two steps (n >= 3)")
+    for f in steps:
+        if not math.isclose(f.circumference, L):
+            raise ConstructionError("step maps must act on the clan's parameter circle")
+    glist = [identity(L)]
+    for f in steps:
+        glist.append(f.compose(glist[-1]))
+    return tuple(steps) + (glist[-1].inverse(),), tuple(glist)
+
+
 def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) -> VertexClan:
     """Clan of envelopes C_1..C_n for steps f_1..f_{n-1} (f_n closes the cycle).
 
     Rejects step systems whose polygons degenerate: every g_j o g_i^-1
     (i < j) must be free of fixed points.
     """
-    from .circlemaps import identity
-
-    steps = list(steps)
-    n = len(steps) + 1
-    if n < 3:
-        raise ConstructionError("need at least two steps (n >= 3)")
     L = vertex_curve.domain_length
-    for f in steps:
-        if not math.isclose(f.circumference, L):
-            raise ConstructionError("step maps must live on the curve's parameter circle")
-
-    glist: list[CircleDiffeo] = [identity(L)]      # g_0, g_1, ..., g_{n-1}
-    for f in steps:
-        glist.append(f.compose(glist[-1]))
-    closing = glist[-1].inverse()                  # f_n
+    steps, glist = step_chain(steps, L)
+    n = len(glist)
 
     for i in range(n):
         for j in range(i + 1, n):
@@ -346,5 +340,4 @@ def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) ->
         pos_i = make_pos(gp, gc)
         envelopes.append(PlaneCurve(L, fd_jet(pos_i, fd), label=f"C{i}", position_fn=pos_i))
 
-    return VertexClan(vertex_curve, tuple(envelopes),
-                      tuple(steps) + (closing,), tuple(glist))
+    return VertexClan(vertex_curve, tuple(envelopes), steps, glist)

@@ -84,9 +84,28 @@ class PonceletPolygon:
         return Vec2(sx / len(self.vertices), sy / len(self.vertices))
 
 
-def _chord_position(a: Vec2, b: Vec2, x: Vec2) -> float:
-    d = b - a
-    return (x - a).dot(d) / d.dot(d)
+def assemble_polygon(vertices, closing, params, contacts, contact_params, L: float,
+                     envelope_index=None) -> PonceletPolygon:
+    """The polygon with vertices (n, 2) at vertex parameters params, whose
+    side i from vertex i to vertex i+1 touches its envelope at contacts[i]
+    with parameter contact_params[i] on the envelope circle of length L.
+
+    closing is where the step after the last vertex lands; its distance to
+    the first vertex is the closure gap. envelope_index[i] names the
+    envelope that side i touches (all 0 when omitted).
+    """
+    v = np.asarray(vertices, dtype=float)
+    x = np.asarray(contacts, dtype=float)
+    d = np.roll(v, -1, axis=0) - v
+    r = x - v
+    chords = (r[:, 0] * d[:, 0] + r[:, 1] * d[:, 1]) / (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    gap = float(np.hypot(*(np.asarray(closing, dtype=float) - v[0])))
+    if envelope_index is None:
+        envelope_index = [0] * len(v)
+    contacts_ = tuple(Contact(Vec2(*xy), float(t) % L, c, int(k)) for xy, t, c, k in zip(
+        x.tolist(), contact_params, chords.tolist(), envelope_index))
+    return PonceletPolygon(tuple(Vec2(*xy) for xy in v.tolist()),
+                           tuple(float(t) for t in params), contacts_, gap)
 
 
 def equiangular_vertex_curve(spec: EquiangularSpec, label: str = "") -> PlaneCurve:
@@ -147,20 +166,12 @@ def _pair_polygon(vertex_curve: PlaneCurve, envelope: PlaneCurve,
                   contact_shift: RationalAngle) -> PonceletPolygon:
     """Polygon by the rigid angle-step recurrence; contact of side j at
     parameter_j + contact_shift."""
-    offsets = [(step * j).radians for j in range(count + 1)]
-    params = [start + o for o in offsets]
+    params = [start + (step * j).radians for j in range(count + 1)]
     pts = vertex_curve.positions(params)
-    vertices = [Vec2(*xy) for xy in pts[:count]]
-    gap = float(np.hypot(*(pts[count] - pts[0])))
     shift = contact_shift.radians
-    contacts = []
-    for j in range(count):
-        psi = params[j] + shift
-        x = envelope.position(psi)
-        nxt = vertices[(j + 1) % count]
-        contacts.append(Contact(x, psi % envelope.domain_length,
-                                _chord_position(vertices[j], nxt, x)))
-    return PonceletPolygon(tuple(vertices), tuple(params[:count]), tuple(contacts), gap)
+    psis = [t + shift for t in params[:count]]
+    return assemble_polygon(pts[:count], pts[count], params[:count],
+                            envelope.positions(psis), psis, envelope.domain_length)
 
 
 @dataclass(frozen=True)
@@ -293,20 +304,16 @@ class EquiangularClan:
                 curve_of.append(nu)
                 acc += self.angles[nu].coeff
             acc -= row_advance
-        params = [start + float(th) * math.pi for th in thetas]
-        vertices = [Vec2(*self.vertex_curves[cv].positions([t])[0])
-                    for cv, t in zip(curve_of, params)]
-        closing = Vec2(*self.vertex_curves[0].positions(
-            [start + float(self.rows * row_advance) * math.pi])[0])
-        gap = (closing - vertices[0]).norm()
-        contacts = []
-        total = len(vertices)
-        for idx in range(total):
-            psi = params[idx] + self.angles[curve_of[idx]].radians
-            x = self.envelope.position(psi)
-            contacts.append(Contact(x, psi % self.envelope.domain_length,
-                                    _chord_position(vertices[idx], vertices[(idx + 1) % total], x)))
-        return PonceletPolygon(tuple(vertices), tuple(params), tuple(contacts), gap)
+        params = np.array([start + float(th) * math.pi for th in thetas])
+        # the closing step lands on the first curve again
+        ts = np.append(params, start + float(self.rows * row_advance) * math.pi)
+        on = np.array(curve_of + [0])
+        pts = np.empty((len(ts), 2))
+        for nu, K in enumerate(self.vertex_curves):
+            pts[on == nu] = K.positions(ts[on == nu])
+        psis = params + np.array([a.radians for a in self.angles])[on[:-1]]
+        return assemble_polygon(pts[:-1], pts[-1], params, self.envelope.positions(psis), psis,
+                                self.envelope.domain_length)
 
 
 def equiangular_clan(envelope: SupportFunction,

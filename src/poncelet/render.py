@@ -12,6 +12,9 @@ import numpy as np
 from .equiangular import PonceletPolygon
 from .support import PlaneCurve
 
+# the most points sampled per curve: 16x the largest count the benchmark asks for
+MAX_SAMPLES = 2 ** 18
+
 ENVELOPE_COLORS = ("red", "orangered", "crimson", "darkred")
 VERTEX_COLORS = ("blue", "darkgreen", "brown", "teal", "purple", "darkorange")
 
@@ -33,6 +36,7 @@ def render_svg(envelopes: list[tuple[str, PlaneCurve]],
     mathematical orientation is preserved on screen)."""
     if not envelopes and not vertex_curves:
         raise RenderError("empty scene")
+    _check_samples(samples)
 
     paths = []
     all_pts = []
@@ -74,6 +78,11 @@ def render_svg(envelopes: list[tuple[str, PlaneCurve]],
     return "\n".join(lines) + "\n"
 
 
+def _check_samples(n: int):
+    if not 2 <= n <= MAX_SAMPLES:
+        raise RenderError(f"need 2 to {MAX_SAMPLES} samples, got {n}")
+
+
 def _closed_samples(curve: PlaneCurve, samples: int) -> np.ndarray:
     pts = curve.sample(samples)
     return np.vstack([pts, pts[:1]])
@@ -88,8 +97,7 @@ def _cycle(colors):
 
 def sample_points(curve: PlaneCurve, n: int) -> str:
     """CSV `t,x,y` at n equispaced parameters, full double precision."""
-    if n < 2:
-        raise RenderError("need at least 2 sample rows")
+    _check_samples(n)
     ts = np.linspace(0.0, curve.domain_length, n, endpoint=False)
     pts = curve.positions(ts)
     rows = ["t,x,y"]

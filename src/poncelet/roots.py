@@ -14,6 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+# points in the sign-change scans over a parameter circle that feed the solver
+GRID = 512
+
 
 def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                     lo, hi, iters: int = 60) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ Clan steps: {"rotation_pi": {"num", "den"}} or a Fourier lift {"c", "terms"}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -31,8 +32,9 @@ import numpy as np
 from . import circlemaps as cm
 from . import equiangular as eq
 from .envelope import VertexStepSystem, clan_from_vertex, envelope_from_vertex
-from .equiangular import Contact, PonceletPolygon
-from .geometry import RationalAngle, Vec2, polyline_self_intersects, wrap_pi
+from .equiangular import PonceletPolygon
+from .geometry import RationalAngle, polyline_self_intersects, wrap_pi
+from .render import MAX_SAMPLES
 from .support import PlaneCurve, SupportFunction, curve_from_support
 from .verify import (MAX_PROBES, MIN_PROBES, PonceletConfiguration, VerificationReport,
                      verify_pair)
@@ -61,44 +63,62 @@ def _check_keys(doc: dict, allowed: set[str], where: str, required: tuple[str, .
         raise SchemaError(f"{where}: missing fields {missing}")
 
 
-def _angle(doc, where: str) -> RationalAngle:
-    _check_keys(doc, {"num", "den"}, where)
+def _number(raw, where: str) -> float:
+    """A finite float from a document value."""
     try:
-        return RationalAngle(int(doc["num"]), int(doc["den"]))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{where}: need integer num/den") from exc
+        x = float(raw)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where} must be a number, got {raw!r}") from exc
+    if not math.isfinite(x):
+        raise SchemaError(f"{where} must be finite, got {raw!r}")
+    return x
+
+
+def _integer(raw, where: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{where} must be an integer, got {raw!r}") from exc
+
+
+def _angle(doc, where: str) -> RationalAngle:
+    _check_keys(doc, {"num", "den"}, where, ("num", "den"))
+    num, den = _integer(doc["num"], f"{where}.num"), _integer(doc["den"], f"{where}.den")
+    if den == 0:
+        raise SchemaError(f"{where}.den must not be zero")
+    return RationalAngle(num, den)
 
 
 def _support(doc, where: str) -> SupportFunction:
     _check_keys(doc, {"a", "k", "terms"}, where)
+    if "a" in doc:
+        _number(doc["a"], f"{where}.a")
     for i, t in enumerate(doc.get("terms", [])):
         _check_keys(t, {"l_num", "l_den", "cos", "sin"}, f"{where}.terms[{i}]")
+        for key in ("cos", "sin"):
+            if key in t:
+                _number(t[key], f"{where}.terms[{i}].{key}")
     try:
         return SupportFunction.from_dict(doc)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, ZeroDivisionError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _fourier(doc, L: float, where: str) -> cm.CircleDiffeo:
     _check_keys(doc, {"c", "terms"}, where)
+    terms = []
     for i, t in enumerate(doc.get("terms", [])):
-        _check_keys(t, {"j", "sin", "cos"}, f"{where}.terms[{i}]", ("j",))
-    try:
-        terms = tuple(cm.FourierTerm(int(t["j"]), float(t.get("sin", 0.0)),
-                                     float(t.get("cos", 0.0)))
-                      for t in doc.get("terms", []))
-        c = float(doc.get("c", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: need integer j and numbers c, sin, cos ({exc})") from exc
-    return cm.from_fourier(L, c, terms)
+        at = f"{where}.terms[{i}]"
+        _check_keys(t, {"j", "sin", "cos"}, at, ("j",))
+        terms.append(cm.FourierTerm(_integer(t["j"], f"{at}.j"),
+                                    _number(t.get("sin", 0.0), f"{at}.sin"),
+                                    _number(t.get("cos", 0.0), f"{at}.cos")))
+    return cm.from_fourier(L, _number(doc.get("c", 0.0), f"{where}.c"), tuple(terms))
 
 
 def _torsion(doc, L: float, where: str) -> cm.TorsionMap:
-    _check_keys(doc, {"m", "n", "h"}, where)
-    try:
-        m, n = int(doc["m"]), int(doc["n"])
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{where}: need integer m, n") from exc
+    _check_keys(doc, {"m", "n", "h"}, where, ("m", "n"))
+    m, n = _integer(doc["m"], f"{where}.m"), _integer(doc["n"], f"{where}.n")
     if "h" in doc:
         h = _fourier(doc["h"], L, f"{where}.h")
     else:
@@ -200,7 +220,7 @@ def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfi
     _check_keys(params, {"support", "angle", "branch"}, "parameters", ("support", "angle"))
     support = _support(params["support"], "parameters.support")
     spec = eq.EquiangularSpec(support, _angle(params["angle"], "parameters.angle"),
-                              int(params.get("branch", 0)))
+                              _integer(params.get("branch", 0), "parameters.branch"))
     pair = eq.equiangular_pair(spec)
     return _pair_configuration("equiangular-pair", pair, support,
                                wrap_pi(pair.angle.radians), None, vopts.expect_interior)
@@ -210,13 +230,11 @@ def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfigurat
     _check_keys(params, {"k", "l", "a"}, "parameters", ("k", "l", "a"))
     ldoc = params["l"]
     _check_keys(ldoc, {"num", "den"}, "parameters.l", ("num", "den"))
-    try:
-        k, l, a = (int(params["k"]), Fraction(int(ldoc["num"]), int(ldoc["den"])),
-                   float(params["a"]))
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"parameters: need integer k, integer l.num/l.den and a number a "
-                          f"({exc})") from exc
-    pair = eq.equilateral_pair(k, l, a)
+    num, den = _integer(ldoc["num"], "parameters.l.num"), _integer(ldoc["den"], "parameters.l.den")
+    if den == 0:
+        raise SchemaError("parameters.l.den must not be zero")
+    pair = eq.equilateral_pair(_integer(params["k"], "parameters.k"), Fraction(num, den),
+                               _number(params["a"], "parameters.a"))
     return _pair_configuration("equilateral", pair, pair.envelope_support,
                                wrap_pi(pair.angle.radians), pair.side_length,
                                vopts.expect_interior)
@@ -226,7 +244,8 @@ def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfi
     _check_keys(params, {"support", "angles", "branches"}, "parameters", ("support", "angles"))
     support = _support(params["support"], "parameters.support")
     angles = [_angle(a, f"parameters.angles[{i}]") for i, a in enumerate(params["angles"])]
-    branches = [int(b) for b in params.get("branches", [0] * len(angles))]
+    branches = [_integer(b, f"parameters.branches[{i}]")
+                for i, b in enumerate(params.get("branches", [0] * len(angles)))]
     clan = eq.equiangular_clan(support, angles, branches)
     if clan.degenerate:
         turns = (wrap_pi(clan.angles[0].radians),)
@@ -250,32 +269,13 @@ def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletC
     support = _support(params["support"], "parameters.support")
     Y = curve_from_support(support, label="K")
     f = _torsion(params["step"], support.domain_length, "parameters.step")
-    system = VertexStepSystem(Y, f)
-    result = envelope_from_vertex(system)
-    h = f.conjugating if not f.map.is_rotation else None
-
-    def polygon(start: float) -> PonceletPolygon:
-        params_ = system.polygon_params(start)
-        pts = Y.positions(np.asarray(params_))
-        vertices = [Vec2(*xy) for xy in pts]
-        closing = Y.positions([float(f.map.lift(params_[-1]))])[0]
-        gap = float(np.hypot(*(closing - pts[0])))
-        contacts = []
-        L = Y.domain_length
-        n = len(vertices)
-        for i, t in enumerate(params_):
-            tc = float(h.lift(t)) if h is not None else t
-            x = Vec2(*result.curve.positions([tc])[0])
-            contacts.append(Contact(x, tc % L, eq._chord_position(
-                vertices[i], vertices[(i + 1) % n], x)))
-        return PonceletPolygon(tuple(vertices), tuple(params_), tuple(contacts), gap)
-
+    result = envelope_from_vertex(VertexStepSystem(Y, f))
     return PonceletConfiguration(
         label="envelope-from-vertex",
         vertex_curves=(Y,),
         envelopes=(result.curve,),
         envelope_supports=(None,),
-        polygon=polygon,
+        polygon=result.polygon,
         count=f.period,
         mode="sequence",
         expect_interior=vopts.expect_interior,
@@ -361,24 +361,19 @@ def parse_config(doc: dict) -> tuple[str, dict, RenderOptions, VerifyOptions]:
 
     rdoc = doc.get("render", {})
     _check_keys(rdoc, {"samples", "margin", "polygon_starts"}, "render")
-    try:
-        ropts = RenderOptions(
-            samples=int(rdoc.get("samples", 1024)),
-            margin=float(rdoc.get("margin", 0.05)),
-            polygon_starts=tuple(float(t) for t in rdoc.get("polygon_starts", [0.0])),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"render: need integer samples and numbers margin, "
-                          f"polygon_starts ({exc})") from exc
-    if ropts.samples < 2:
-        raise SchemaError("render.samples must be at least 2")
+    starts = rdoc.get("polygon_starts", [0.0])
+    if not isinstance(starts, (list, tuple)):
+        raise SchemaError(f"render.polygon_starts must be a list, got {starts!r}")
+    ropts = RenderOptions(
+        samples=sample_count(rdoc.get("samples", 1024), "render.samples"),
+        margin=_number(rdoc.get("margin", 0.05), "render.margin"),
+        polygon_starts=tuple(_number(t, f"render.polygon_starts[{i}]")
+                             for i, t in enumerate(starts)),
+    )
 
     vdoc = doc.get("verify", {})
     _check_keys(vdoc, {"probes", "tol", "expect_interior"}, "verify")
-    try:
-        tol = None if vdoc.get("tol") is None else float(vdoc["tol"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"verify.tol must be a number or null, got {vdoc['tol']!r}") from exc
+    tol = None if vdoc.get("tol") is None else _number(vdoc["tol"], "verify.tol")
     if vdoc.get("expect_interior") not in (None, True, False):
         raise SchemaError(f"verify.expect_interior must be true, false or null, "
                           f"got {vdoc['expect_interior']!r}")
@@ -393,14 +388,20 @@ def parse_config(doc: dict) -> tuple[str, dict, RenderOptions, VerifyOptions]:
 def probe_count(raw, where: str) -> int:
     """A probe count from a document or the environment, within the
     verifier's bounds."""
-    try:
-        probes = int(raw)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where} must be an integer, got {raw!r}") from exc
+    probes = _integer(raw, where)
     if not MIN_PROBES <= probes <= MAX_PROBES:
         raise SchemaError(f"{where} must be between {MIN_PROBES} and {MAX_PROBES}, "
                           f"got {probes}")
     return probes
+
+
+def sample_count(raw, where: str) -> int:
+    """A sample count from a document or the command line, within the
+    renderer's bounds."""
+    samples = _integer(raw, where)
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise SchemaError(f"{where} must be between 2 and {MAX_SAMPLES}, got {samples}")
+    return samples
 
 
 def build_scene(doc: dict) -> Scene:

@@ -165,6 +165,10 @@ class PlaneCurve:
         return self.min_speed(samples) > 0.0
 
 
+# finite-difference step of fd_jet, relative to the parameter circle
+FD_STEP_REL = 1e-4
+
+
 def fd_jet(pos_fn: Callable[[np.ndarray], np.ndarray], step: float) -> JetFn:
     """2-jet from positions via 5-point central differences, O(h^4)."""
 

@@ -29,7 +29,7 @@ import numpy as np
 from .circlemaps import circle_distance
 from .equiangular import PonceletPolygon
 from .geometry import Vec2, wrap_pi
-from .roots import bracketed_roots
+from .roots import GRID, bracketed_roots
 from .support import PlaneCurve, SupportFunction
 
 
@@ -43,12 +43,12 @@ class OracleError(RuntimeError):
     pass
 
 
-def _circle_roots(fn_vec, L: float, grid: int) -> list[float]:
-    ts = np.linspace(0.0, L, grid, endpoint=False)
+def _circle_roots(fn_vec, L: float) -> list[float]:
+    ts = np.linspace(0.0, L, GRID, endpoint=False)
     vals = fn_vec(ts)
     exact = vals == 0.0
     flips = np.nonzero(~exact & (vals * np.roll(vals, -1) < 0))[0]
-    refined, open_ = bracketed_roots(lambda t, _: fn_vec(t), ts[flips], ts[flips] + L / grid)
+    refined, open_ = bracketed_roots(lambda t, _: fn_vec(t), ts[flips], ts[flips] + L / GRID)
     if open_.any():
         raise OracleError("root refinement did not converge near t = "
                           + ", ".join(f"{t:.6f}" for t in refined[open_]))
@@ -63,13 +63,13 @@ def _circle_roots(fn_vec, L: float, grid: int) -> list[float]:
     return out
 
 
-def tangent_parameters(q: Vec2, p: SupportFunction, grid: int = 512) -> list[float]:
+def tangent_parameters(q: Vec2, p: SupportFunction) -> list[float]:
     """All psi in [0, 2*k*pi) whose tangent line passes through q."""
 
     def fn(ts):
         return q.x * np.cos(ts) + q.y * np.sin(ts) - p.eval(ts)
 
-    return _circle_roots(fn, p.domain_length, grid)
+    return _circle_roots(fn, p.domain_length)
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,14 @@ class OracleStep:
     contact: Vec2
 
 
-def next_vertex_oracle(K: PlaneCurve, C: SupportFunction, t1: float,
-                       grid: int = 512) -> OracleStep:
+def next_vertex_oracle(K: PlaneCurve, C: SupportFunction, t1: float) -> OracleStep:
     """Next polygon vertex after K(t1) for the pair (K, C).
 
     Requires K(t1) strictly outside C and a clean two-root intersection of
     the forward tangent with K (convex-type geometry).
     """
     q = K.position(t1)
-    psis = tangent_parameters(q, C, grid)
+    psis = tangent_parameters(q, C)
     if not psis:
         raise OracleError(f"no tangent line through K({t1}): point inside the envelope?")
     forward = []
@@ -110,7 +109,7 @@ def next_vertex_oracle(K: PlaneCurve, C: SupportFunction, t1: float,
         pts = K.positions(ts)
         return pts[:, 0] * upsi.x + pts[:, 1] * upsi.y - pv
 
-    hits = [t for t in _circle_roots(line_fn, K.domain_length, grid)
+    hits = [t for t in _circle_roots(line_fn, K.domain_length)
             if circle_distance(t, t1, K.domain_length) > 1e-6 * K.domain_length]
     if not hits:
         raise OracleError(f"tangent line at psi={psi} meets K only at t1={t1}")
@@ -249,7 +248,9 @@ class VerificationReport:
             "max_step_mismatch": self.max_step_mismatch,
             "oracle_direction": self.oracle_direction,
             "monotone_step": self.monotone_step,
-            "checks": dict(self.checks), "errors": list(self.errors),
+            # numpy comparisons give numpy booleans, which JSON would print as 1.0
+            "checks": {k: bool(v) for k, v in self.checks.items()},
+            "errors": list(self.errors),
             "passed": self.passed,
         }
         return d
@@ -429,7 +430,7 @@ def _verify_sequence(config, starts, tol, report):
     errors = []                        # ((probe, side), message)
     for k, sides in implicit.items():
         env = config.envelopes[k]
-        grid_ts = np.linspace(0.0, env.domain_length, 512, endpoint=False)
+        grid_ts = np.linspace(0.0, env.domain_length, GRID, endpoint=False)
         grid_pts = env.positions(grid_ts)
         _, _, starts_, ends_, contacts = zip(*sides)
         recovered, unconverged = parametric_side_contacts(
@@ -475,8 +476,9 @@ class RegularityScan:
 
 def regularity_scan(curve: PlaneCurve, samples: int = 1024,
                     zero_tol: float = 1e-6) -> RegularityScan:
-    """Minimum |velocity| over samples; local minima are polished and those
-    below zero_tol reported as near-singular parameters."""
+    """Minimum |velocity| over samples; low local minima are refined as
+    zeros of <X', X''> = (1/2) d|X'|^2/dt and those below zero_tol
+    reported as near-singular parameters."""
     if samples < 64:
         raise ValueError("need at least 64 samples")
     L = curve.domain_length
@@ -485,39 +487,20 @@ def regularity_scan(curve: PlaneCurve, samples: int = 1024,
     speed = np.hypot(vel[:, 0], vel[:, 1])
     is_min = (speed < np.roll(speed, 1)) & (speed <= np.roll(speed, -1))
     cut = max(np.median(speed) * 0.25, 10 * zero_tol)
-    near = []
-    for i in np.nonzero(is_min & (speed < cut))[0]:
-        lo = ts[i] - L / samples
-        hi = ts[i] + L / samples
-        t_star, v_star = _golden_min(
-            lambda t: float(np.hypot(*curve.jet_many([t])[1][0])), lo, hi)
-        if v_star < zero_tol:
-            near.append((float(t_star % L), float(v_star)))
-    return RegularityScan(float(np.min(speed)), tuple(near), samples)
+    low = ts[np.nonzero(is_min & (speed < cut))[0]]
 
+    def slope(t, _):
+        _, v, a = curve.jet_many(t)
+        return v[:, 0] * a[:, 0] + v[:, 1] * a[:, 1]
 
-def _golden_min(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        if b - a < 1e-14 * max(1.0, abs(b)):
-            break
-    t = 0.5 * (a + b)
-    return t, fn(t)
-
-
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point sets."""
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return float(max(np.sqrt(d2.min(axis=1)).max(), np.sqrt(d2.min(axis=0)).max()))
+    lo, hi = low - L / samples, low + L / samples
+    ends = slope(np.concatenate([lo, hi]), None)
+    signed = ~(ends[:len(low)] * ends[len(low):] > 0)
+    roots, open_ = bracketed_roots(slope, lo[signed], hi[signed])
+    if open_.any():
+        raise RuntimeError("speed minimum refinement did not converge near t = "
+                           + ", ".join(f"{t:.6f}" for t in roots[open_] % L))
+    vel = curve.jet_many(roots)[1]
+    near = tuple((float(t % L), float(v)) for t, v in zip(roots, np.hypot(vel[:, 0], vel[:, 1]))
+                 if v < zero_tol)
+    return RegularityScan(float(np.min(speed)), near, samples)

@@ -19,11 +19,10 @@ from typing import Sequence
 import numpy as np
 
 from .circlemaps import CircleDiffeo, TorsionMap, identity
-from .equiangular import ConstructionError, Contact, PonceletPolygon, _chord_position
-from .support import PlaneCurve, SupportFunction, curve_from_support, fd_jet
-
-FD_STEP_REL = 1e-4
-GRID = 512
+from .envelope import step_chain
+from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
+from .roots import GRID
+from .support import FD_STEP_REL, PlaneCurve, SupportFunction, curve_from_support, fd_jet
 
 
 @dataclass(frozen=True)
@@ -63,43 +62,24 @@ class VertexResult:
     envelope: PlaneCurve
     curve: PlaneCurve
 
-    def polygon_params(self, start: float) -> list[float]:
-        f = self.system.step
-        params = [float(start)]
-        for _ in range(f.period - 1):
-            params.append(float(f.map.lift(params[-1])))
-        return params
-
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
-        params = self.polygon_params(start)
-        n = len(params)
-        pts = self.curve.positions(np.asarray(params))
-        vertices = [_vec(v) for v in pts]
-        closing = self.curve.positions([float(self.system.step.map.lift(params[-1]))])[0]
-        gap = float(np.hypot(*(closing - pts[0])))
-        contacts = []
-        L = self.envelope.domain_length
-        for j in range(n):
-            psi = params[(j + 1) % n] if j + 1 < n else float(self.system.step.map.lift(params[-1]))
-            x = _vec(self.envelope.positions([psi])[0])
-            contacts.append(Contact(x, psi % L,
-                                    _chord_position(vertices[j], vertices[(j + 1) % n], x)))
-        return PonceletPolygon(tuple(vertices), tuple(params), tuple(contacts), gap)
+        f = self.system.step
+        params = f.orbit(start)
+        ts = params + [float(f.map.lift(params[-1]))]
+        # side j touches the envelope at the contact parameter of vertex j+1
+        pts = self.curve.positions(ts)
+        return assemble_polygon(pts[:-1], pts[-1], params, self.envelope.positions(ts[1:]),
+                                ts[1:], self.envelope.domain_length)
 
 
-def _vec(xy):
-    from .geometry import Vec2
-    return Vec2(float(xy[0]), float(xy[1]))
-
-
-def vertex_from_envelope(system: ContactStepSystem, grid: int = GRID) -> VertexResult:
+def vertex_from_envelope(system: ContactStepSystem) -> VertexResult:
     """Vertex curve K for the pair (K, C); reduces to the equiangular curve
     when the step is a rigid shift."""
     p = system.envelope
     f = system.step.map
     L = p.domain_length
 
-    ts = np.linspace(0.0, L, grid, endpoint=False)
+    ts = np.linspace(0.0, L, GRID, endpoint=False)
     adv = f.lift(ts) - ts
     gaps = _transversality_gaps(adv, ts)
     if gaps:
@@ -124,45 +104,29 @@ class EnvelopeClan:
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         # every vertex curve carries its own g_{i-1} advance: evaluate all at start
-        n = len(self.vertex_curves)
         params = [float(g.lift(start)) for g in self.composites]
-        vertices = [_vec(K.positions([start])[0]) for K in self.vertex_curves]
         # g_n = f_n o g_{n-1} is the identity up to the numeric inversion error
         t_close = float(self.steps[-1].lift(params[-1]))
-        closing = self.vertex_curves[0].positions([t_close])[0]
-        gap = (_vec(closing) - vertices[0]).norm()
-        contacts = []
-        L = self.envelope.domain_length
-        for i in range(n):
-            psi = params[i + 1] if i + 1 < n else float(start)
-            x = _vec(self.envelope.positions([psi])[0])
-            contacts.append(Contact(x, psi % L,
-                                    _chord_position(vertices[i], vertices[(i + 1) % n], x)))
-        return PonceletPolygon(tuple(vertices), tuple(params), tuple(contacts), gap)
+        first = self.vertex_curves[0].positions([start, t_close])
+        pts = [first[0]] + [K.positions([start])[0] for K in self.vertex_curves[1:]]
+        # side i touches the envelope at g_{i+1}(start), the last one at start
+        psis = params[1:] + [float(start)]
+        return assemble_polygon(pts, first[1], params, self.envelope.positions(psis), psis,
+                                self.envelope.domain_length)
 
 
-def clan_from_envelope(envelope: SupportFunction, steps: Sequence[CircleDiffeo],
-                       grid: int = GRID) -> EnvelopeClan:
+def clan_from_envelope(envelope: SupportFunction,
+                       steps: Sequence[CircleDiffeo]) -> EnvelopeClan:
     """Clan (C, K_1, ..., K_n) for steps f_1..f_{n-1}; f_n closes the cycle.
 
     Transversality <u'(g_{i-1}(phi)), u(g_i(phi))> != 0 is required for
     every i; failures are reported with the step index and parameter.
     """
-    steps = list(steps)
-    n = len(steps) + 1
-    if n < 3:
-        raise ConstructionError("need at least two steps (n >= 3)")
     L = envelope.domain_length
-    for f in steps:
-        if not math.isclose(f.circumference, L):
-            raise ConstructionError("step maps must act on the envelope's parameter circle")
+    steps, glist = step_chain(steps, L)
+    n = len(glist)
 
-    glist: list[CircleDiffeo] = [identity(L)]
-    for f in steps:
-        glist.append(f.compose(glist[-1]))
-    closing = glist[-1].inverse()
-
-    ts = np.linspace(0.0, L, grid, endpoint=False)
+    ts = np.linspace(0.0, L, GRID, endpoint=False)
     fd = FD_STEP_REL * L
     curves = []
     for i in range(1, n + 1):
@@ -184,4 +148,4 @@ def clan_from_envelope(envelope: SupportFunction, steps: Sequence[CircleDiffeo],
         curves.append(PlaneCurve(L, fd_jet(pos_i, fd), label=f"K{i}", position_fn=pos_i))
 
     return EnvelopeClan(envelope, curve_from_support(envelope, label="C"),
-                        tuple(curves), tuple(steps) + (closing,), tuple(glist))
+                        tuple(curves), steps, glist)

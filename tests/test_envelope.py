@@ -11,9 +11,14 @@ from poncelet.envelope import (EnvelopeSingularity, VertexStepSystem, clan_from_
 from poncelet.equiangular import ConstructionError
 from poncelet.geometry import polyline_self_intersects
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
-from poncelet.verify import hausdorff_distance
 
 TWO_PI = 2 * math.pi
+
+
+def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two point sets."""
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return float(max(np.sqrt(d2.min(axis=1)).max(), np.sqrt(d2.min(axis=0)).max()))
 
 
 def rot_system(p: SupportFunction, m: int, n: int) -> VertexStepSystem:
@@ -116,6 +121,26 @@ class TestEnvelopeFromVertex:
             envelope_from_vertex(rot_system(p, 1, 3))
         assert len(err.value.params) > 0
 
+    def test_polygon_without_stored_conjugator_touches_every_side(self):
+        # as_torsion stores no conjugator: the polygon maps vertex parameters
+        # to contact parameters through the averaged one of the step itself
+        p = SupportFunction(1.0, (SupportTerm(Fraction(2), 0.05),
+                                  SupportTerm(Fraction(3), -0.03)), 1)
+        Y = curve_from_support(p)
+        h = cm.from_fourier(TWO_PI, 0.7, (cm.FourierTerm(1, 0.04, -0.03),))
+        known = cm.make_torsion(h, 1, 4)
+        bare = cm.as_torsion(known.map, 4, 1)
+        assert bare.conjugating is None and not bare.map.is_rotation
+        poly = envelope_from_vertex(VertexStepSystem(Y, bare)).polygon(0.9)
+        ref = envelope_from_vertex(VertexStepSystem(Y, known)).polygon(0.9)
+        assert poly.vertices == ref.vertices
+        for i, contact in enumerate(poly.contacts):
+            a, b = poly.vertices[i], poly.vertices[(i + 1) % 4]
+            d = b - a
+            assert abs(d.cross(contact.point - a)) / d.norm() < 1e-12
+        assert ([c.chord for c in poly.contacts]
+                == pytest.approx([c.chord for c in ref.contacts], abs=1e-9))
+
     def test_period_two_rejected(self):
         p = cos_support(17.3, 3)
         with pytest.raises(ConstructionError):
@@ -178,7 +203,7 @@ class TestIteratedFamily:
     def test_integer_l_gives_regular_polygon(self):
         p = cos_support(17.3, 3)
         system = rot_system(p, 1, 3)
-        params = system.polygon_params(0.37)
+        params = system.step.orbit(0.37)
         pts = [system.vertex_curve.position(t) for t in params]
         sides = [(pts[(i + 1) % 3] - pts[i]).norm() for i in range(3)]
         assert max(sides) - min(sides) < 1e-12

@@ -236,27 +236,65 @@ def _with(doc, path, value):
     doc[last] = value
 
 
-@pytest.mark.parametrize("env, edit", [
-    ({"PONCELET_PROBES": "3"}, None),
-    ({"PONCELET_PROBES": "100000"}, None),
-    ({}, (("verify", "probes"), "many")),
-    ({}, (("verify", "probes"), 10**9)),
-    ({}, (("parameters",), {})),
-    ({}, (("parameters", "l", "den"), 0)),
-    ({}, (("parameters", "a"), "wide")),
-    ({}, (("render", "samples"), "lots")),
-    ({}, (("verify", "tol"), "tight")),
-    ({}, (("verify", "expect_interior"), "yes")),
+NAN, INF = float("nan"), float("inf")
+
+
+def _support_pair(cos=0.1, sin=0.0, a=9.0) -> dict:
+    return {"support": {"a": a, "k": 1, "terms": [{"l_num": 2, "l_den": 1,
+                                                   "cos": cos, "sin": sin}]},
+            "angle": {"num": 2, "den": 3}}
+
+
+def _vertex_clan(c=2.0, sin=0.01, cos=0.0) -> dict:
+    return {"support": {"a": 1.0, "k": 1, "terms": []},
+            "steps": [{"c": c, "terms": [{"j": 1, "sin": sin, "cos": cos}]},
+                      {"rotation_pi": {"num": 2, "den": 3}}]}
+
+
+def _as(construction, parameters):
+    return [(("construction",), construction), (("parameters",), parameters)]
+
+
+@pytest.mark.parametrize("env, edits, command", [
+    ({"PONCELET_PROBES": "3"}, [], ("verify",)),
+    ({"PONCELET_PROBES": "100000"}, [], ("verify",)),
+    ({}, [(("verify", "probes"), "many")], ("verify",)),
+    ({}, [(("verify", "probes"), 10**9)], ("verify",)),
+    ({}, [(("parameters",), {})], ("verify",)),
+    ({}, [(("parameters", "l", "den"), 0)], ("verify",)),
+    ({}, [(("parameters", "a"), "wide")], ("verify",)),
+    ({}, [(("render", "samples"), "lots")], ("verify",)),
+    ({}, [(("verify", "tol"), "tight")], ("verify",)),
+    ({}, [(("verify", "expect_interior"), "yes")], ("verify",)),
+    ({}, [(("parameters", "a"), NAN)], ("verify",)),
+    ({}, [(("verify", "tol"), NAN)], ("verify",)),
+    ({}, [(("render", "margin"), INF)], ("render",)),
+    ({}, [(("render", "polygon_starts"), [NAN])], ("render",)),
+    ({}, [(("verify", "probes"), INF)], ("verify",)),
+    ({}, _as("equiangular-pair", {**_support_pair(), "angle": {"num": 1, "den": 0}}),
+     ("verify",)),
+    ({}, _as("equiangular-pair", _support_pair(a=-INF)), ("verify",)),
+    ({}, _as("equiangular-pair", _support_pair(cos=NAN)), ("verify",)),
+    ({}, _as("equiangular-pair", _support_pair(sin=INF)), ("verify",)),
+    ({}, _as("clan-from-vertex", _vertex_clan(c=NAN)), ("verify",)),
+    ({}, _as("clan-from-vertex", _vertex_clan(sin=INF)), ("verify",)),
+    ({}, _as("clan-from-vertex", _vertex_clan(cos=-INF)), ("verify",)),
+    ({}, [(("render", "samples"), 10**9)], ("render",)),
+    ({}, [], ("sample", "--curve", "vertex", "-n", str(10**9))),
 ], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
         "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
-        "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool"])
-def test_malformed_input_exits_two_without_traceback(tmp_path, env, edit):
+        "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool",
+        "a-nan", "tol-nan", "margin-infinite", "polygon-start-nan", "probes-infinite",
+        "angle-zero-denominator", "support-a-infinite", "support-cos-nan", "support-sin-infinite", "fourier-c-nan",
+        "fourier-sin-infinite", "fourier-cos-infinite", "samples-above-cap",
+        "sample-count-above-cap"])
+def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, command):
     doc = equilateral_doc()
-    if edit is not None:
-        _with(doc, *edit)
+    for path, value in edits:
+        _with(doc, path, value)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    proc = subprocess.run([sys.executable, "-m", "poncelet.cli", "verify", str(path)],
+    proc = subprocess.run([sys.executable, "-m", "poncelet.cli", *command, str(path)],
                           capture_output=True, text=True, cwd=str(REPO),
                           env=dict(os.environ, **env))
     assert proc.returncode == 2, proc.stderr

@@ -307,6 +307,16 @@ class TestRegularityScan:
         assert len(scan.near_zeros) >= 2
         for _, speed in scan.near_zeros:
             assert speed < 1e-6
+        params = sorted(t for t, _ in scan.near_zeros)
+        assert params == pytest.approx([3 * math.pi / 4, 15 * math.pi / 4], abs=1e-9)
+
+    def test_unconverged_minimum_raises_with_parameter(self, monkeypatch):
+        monkeypatch.setattr(verify, "bracketed_roots", functools.partial(bracketed_roots, iters=1))
+        p = SupportFunction(-2 / 3, (SupportTerm(Fraction(2, 3), 1.0),), 3)
+        from poncelet.equiangular import equiangular_vertex_curve
+        K = equiangular_vertex_curve(EquiangularSpec(p, RationalAngle(1, 2), 4))
+        with pytest.raises(RuntimeError, match=r"did not converge near t = 2\.3\d+, 11\.7\d+$"):
+            regularity_scan(K, samples=2048)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
