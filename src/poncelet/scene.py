@@ -75,6 +75,11 @@ def _number(raw, where: str) -> float:
 
 
 def _integer(raw, where: str) -> int:
+    """An int from a document value: an integral number or a numeral string
+    (as in PONCELET_PROBES=12). A fraction is refused, not truncated, and so
+    is a boolean."""
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise SchemaError(f"{where} must be an integer, got {raw!r}")
     try:
         return int(raw)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -93,11 +98,16 @@ def _support(doc, where: str) -> SupportFunction:
     _check_keys(doc, {"a", "k", "terms"}, where)
     if "a" in doc:
         _number(doc["a"], f"{where}.a")
+    if "k" in doc:
+        _integer(doc["k"], f"{where}.k")
     for i, t in enumerate(doc.get("terms", [])):
         _check_keys(t, {"l_num", "l_den", "cos", "sin"}, f"{where}.terms[{i}]")
         for key in ("cos", "sin"):
             if key in t:
                 _number(t[key], f"{where}.terms[{i}].{key}")
+        for key in ("l_num", "l_den"):
+            if key in t:
+                _integer(t[key], f"{where}.terms[{i}].{key}")
     try:
         return SupportFunction.from_dict(doc)
     except (ValueError, KeyError, TypeError, OverflowError, ZeroDivisionError) as exc:

@@ -4,10 +4,14 @@ The forward oracle rebuilds the next-vertex map of a finished pair from
 tangent-line geometry alone: from a vertex Q outside the envelope it
 locates the tangent parameter psi with the contact ahead of Q along the
 envelope's orientation (roots of <Q, u(psi)> - p(psi)), then intersects
-that tangent line with the vertex curve again. For self-intersecting
-vertex curves, where forward tangent selection is ambiguous, verification
-is restricted to the construction's own parameter sequence; there the
-side's tangency parameter is recovered independently from its normal form.
+that tangent line with the vertex curve again. It steps all probes in
+lockstep: one call per step index takes every live probe's vertex, scans
+one (probes, grid) array per root search and refines all brackets
+together; a probe whose step fails drops out with its error, and the
+others go on. For self-intersecting vertex curves, where forward tangent
+selection is ambiguous, verification is restricted to the construction's
+own parameter sequence; there the side's tangency parameter is recovered
+independently from its normal form.
 
 Envelopes without a support function are checked by recovering each side's
 contact from the envelope's parametrization: every side of every probe's
@@ -43,33 +47,59 @@ class OracleError(RuntimeError):
     pass
 
 
-def _circle_roots(fn_vec, L: float) -> list[float]:
+# The scalar formulas, element by element: np.hypot and np.arctan2 can differ
+# from math.hypot (Vec2.norm) and math.atan2 in the last bit, and the reports
+# keep the values of the scalar formulas.
+_hypot = np.vectorize(math.hypot, otypes=[float])
+_atan2 = np.vectorize(math.atan2, otypes=[float])
+_wrap_pi = np.vectorize(wrap_pi, otypes=[float])
+
+
+def _circle_roots(fn, L: float, rows: int) -> list[list[float] | OracleError]:
+    """Roots on the circle [0, L) of each row's function, or the row's error.
+
+    fn(t, row) gives the values at t of the functions of rows `row` and
+    broadcasts like numpy. All rows are scanned on one (rows, GRID) grid,
+    and every sign-change bracket of every row is refined in one
+    bracketed_roots call; a row with an unconverged bracket gets an
+    OracleError instead of its roots.
+    """
     ts = np.linspace(0.0, L, GRID, endpoint=False)
-    vals = fn_vec(ts)
+    vals = fn(ts[None, :], np.arange(rows)[:, None])
     exact = vals == 0.0
-    flips = np.nonzero(~exact & (vals * np.roll(vals, -1) < 0))[0]
-    refined, open_ = bracketed_roots(lambda t, _: fn_vec(t), ts[flips], ts[flips] + L / GRID)
-    if open_.any():
-        raise OracleError("root refinement did not converge near t = "
-                          + ", ".join(f"{t:.6f}" for t in refined[open_]))
-    roots = np.concatenate([ts[exact], refined])
-    # dedupe near-coincident roots (mod L)
-    out: list[float] = []
-    for r in sorted(np.mod(roots, L)):
-        if not out or (r - out[-1]) > 1e-9 * L:
-            out.append(float(r))
-    if len(out) > 1 and (out[0] + L - out[-1]) <= 1e-9 * L:
-        out.pop()
+    row, col = np.nonzero(~exact & (vals * np.roll(vals, -1, axis=1) < 0))
+    refined, open_ = bracketed_roots(lambda t, i: fn(t, row[i]), ts[col], ts[col] + L / GRID)
+    zero_row, zero_col = np.nonzero(exact)
+    cut = np.searchsorted(row, np.arange(rows + 1))
+    zero_cut = np.searchsorted(zero_row, np.arange(rows + 1))
+    out: list[list[float] | OracleError] = []
+    for r in range(rows):
+        mine = slice(cut[r], cut[r + 1])
+        if open_[mine].any():
+            out.append(OracleError("root refinement did not converge near t = "
+                                   + ", ".join(f"{t:.6f}" for t in refined[mine][open_[mine]])))
+            continue
+        roots = np.concatenate([ts[zero_col[zero_cut[r]:zero_cut[r + 1]]], refined[mine]])
+        # dedupe near-coincident roots (mod L)
+        found: list[float] = []
+        for x in sorted(np.mod(roots, L)):
+            if not found or (x - found[-1]) > 1e-9 * L:
+                found.append(float(x))
+        if len(found) > 1 and (found[0] + L - found[-1]) <= 1e-9 * L:
+            found.pop()
+        out.append(found)
     return out
 
 
-def tangent_parameters(q: Vec2, p: SupportFunction) -> list[float]:
-    """All psi in [0, 2*k*pi) whose tangent line passes through q."""
+def tangent_parameters(q: np.ndarray, p: SupportFunction) -> list[list[float] | OracleError]:
+    """For each point q[i], all psi in [0, 2*k*pi) whose tangent line passes
+    through it (or the OracleError of its scan)."""
+    q = np.asarray(q, dtype=float).reshape(-1, 2)
 
-    def fn(ts):
-        return q.x * np.cos(ts) + q.y * np.sin(ts) - p.eval(ts)
+    def fn(ts, row):
+        return q[row, 0] * np.cos(ts) + q[row, 1] * np.sin(ts) - p.eval(ts)
 
-    return _circle_roots(fn, p.domain_length)
+    return _circle_roots(fn, p.domain_length, len(q))
 
 
 @dataclass(frozen=True)
@@ -79,52 +109,82 @@ class OracleStep:
     contact: Vec2
 
 
-def next_vertex_oracle(K: PlaneCurve, C: SupportFunction, t1: float) -> OracleStep:
-    """Next polygon vertex after K(t1) for the pair (K, C).
+def next_vertex_oracle(K: PlaneCurve, C: SupportFunction,
+                       t1) -> OracleStep | list[OracleStep | OracleError]:
+    """Next polygon vertex after K(t1) for the pair (K, C), for every t1 at once.
 
     Requires K(t1) strictly outside C and a clean two-root intersection of
-    the forward tangent with K (convex-type geometry).
+    the forward tangent with K (convex-type geometry). For an array t1 the
+    result lists, per element, its OracleStep or the OracleError that ends
+    it; one element's failure does not stop the others. A scalar t1 gives
+    its OracleStep or raises its OracleError.
     """
-    q = K.position(t1)
-    psis = tangent_parameters(q, C)
-    if not psis:
-        raise OracleError(f"no tangent line through K({t1}): point inside the envelope?")
-    forward = []
-    for psi in psis:
-        x, xp = _support_point(C, psi)
-        if (x - q).dot(xp) > 0.0:
-            forward.append((psi, x))
-    if not forward:
-        raise OracleError(f"no forward tangent from K({t1})")
-    if len(forward) > 1:
-        raise OracleError(
-            f"forward tangent from K({t1}) is ambiguous (candidates "
-            + ", ".join(f"{p:.6f}" for p, _ in forward) + ")")
-    psi, contact = forward[0]
+    t1s = np.atleast_1d(np.asarray(t1, dtype=float))
+    q = K.positions(t1s)
+    out: list[OracleStep | OracleError | None] = [None] * len(t1s)
+    found = tangent_parameters(q, C)
+    rows = []
+    for i, psis in enumerate(found):
+        if isinstance(psis, OracleError):
+            out[i] = psis
+        elif not psis:
+            out[i] = OracleError(f"no tangent line through K({float(t1s[i])}): "
+                                 "point inside the envelope?")
+        else:
+            rows.append(i)
+    # forward tangents: the contact lies ahead of K(t1) along the envelope
+    psi = np.array([x for i in rows for x in found[i]])
+    owner = np.repeat(rows, [len(found[i]) for i in rows]).astype(int)
+    contact, tangent = _support_point(C, psi)
+    ahead = ((contact[:, 0] - q[owner, 0]) * tangent[:, 0]
+             + (contact[:, 1] - q[owner, 1]) * tangent[:, 1]) > 0.0
+    lines, picks = [], []
+    cut = np.searchsorted(owner, np.arange(len(t1s) + 1))
+    for i in rows:
+        fwd = cut[i] + np.nonzero(ahead[cut[i]:cut[i + 1]])[0]
+        if not fwd.size:
+            out[i] = OracleError(f"no forward tangent from K({float(t1s[i])})")
+        elif fwd.size > 1:
+            out[i] = OracleError(
+                f"forward tangent from K({float(t1s[i])}) is ambiguous (candidates "
+                + ", ".join(f"{psi[j]:.6f}" for j in fwd) + ")")
+        else:
+            lines.append(i)
+            picks.append(fwd[0])
+    picks = np.array(picks, dtype=int)
+    ux, uy, pv = np.cos(psi[picks]), np.sin(psi[picks]), C.eval(psi[picks])
+    L = K.domain_length
 
-    pv = C.eval(psi)
-    upsi = Vec2(math.cos(psi), math.sin(psi))
+    def line_fn(ts, row):
+        pts = K.positions(np.ravel(ts)).reshape(np.shape(ts) + (2,))
+        return pts[..., 0] * ux[row] + pts[..., 1] * uy[row] - pv[row]
 
-    def line_fn(ts):
-        pts = K.positions(ts)
-        return pts[:, 0] * upsi.x + pts[:, 1] * upsi.y - pv
+    for i, j, roots in zip(lines, picks, _circle_roots(line_fn, L, len(lines))):
+        t, p = float(t1s[i]), float(psi[j])
+        if isinstance(roots, OracleError):
+            out[i] = roots
+            continue
+        hits = [h for h in roots if circle_distance(h, t, L) > 1e-6 * L]
+        if not hits:
+            out[i] = OracleError(f"tangent line at psi={p} meets K only at t1={t}")
+        elif len(hits) > 1:
+            out[i] = OracleError(f"tangent line at psi={p} meets K at several parameters "
+                                 + ", ".join(f"{h:.6f}" for h in hits))
+        else:
+            out[i] = OracleStep(hits[0], p, Vec2(float(contact[j, 0]), float(contact[j, 1])))
+    if np.ndim(t1) == 0:
+        if isinstance(out[0], OracleError):
+            raise out[0]
+        return out[0]
+    return out
 
-    hits = [t for t in _circle_roots(line_fn, K.domain_length)
-            if circle_distance(t, t1, K.domain_length) > 1e-6 * K.domain_length]
-    if not hits:
-        raise OracleError(f"tangent line at psi={psi} meets K only at t1={t1}")
-    if len(hits) > 1:
-        raise OracleError(
-            f"tangent line at psi={psi} meets K at several parameters "
-            + ", ".join(f"{t:.6f}" for t in hits))
-    return OracleStep(hits[0], psi, contact)
 
-
-def _support_point(p: SupportFunction, psi: float) -> tuple[Vec2, Vec2]:
-    c, s = math.cos(psi), math.sin(psi)
+def _support_point(p: SupportFunction, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points X(psi) of the support curve and its unit tangents u'(psi), as (n, 2) arrays."""
+    c, s = np.cos(psi), np.sin(psi)
     p0 = p.eval(psi)
     p1 = p.eval(psi, 1)
-    return Vec2(p0 * c - p1 * s, p0 * s + p1 * c), Vec2(-s, c)
+    return np.stack([p0 * c - p1 * s, p0 * s + p1 * c], axis=1), np.stack([-s, c], axis=1)
 
 
 def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
@@ -143,7 +203,7 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     d = np.asarray(b, dtype=float).reshape(-1, 2) - a
-    nrm = np.array([math.hypot(x, y) for x, y in d])   # as Vec2.norm, to the last bit
+    nrm = _hypot(d[:, 0], d[:, 1])
     nx, ny = -d[:, 1] / nrm, d[:, 0] / nrm
     side, cand = _distance_minima(a, nx, ny, grid_pts)
     L = curve.domain_length
@@ -267,8 +327,9 @@ class PonceletConfiguration:
     polygon: Callable[[float], PonceletPolygon]
     count: int
     mode: str                                  # "oracle" | "sequence"
-    step_lift: Callable | None = None          # vertex-parameter step (oracle mode)
-    step_inv_lift: Callable | None = None
+    # vertex-parameter step and its inverse (oracle mode); both take arrays
+    step_lift: Callable[[np.ndarray], np.ndarray] | None = None
+    step_inv_lift: Callable[[np.ndarray], np.ndarray] | None = None
     expected_turn: float | None = None         # uniform wrapped exterior angle
     expected_turns: tuple[float, ...] | None = None
     expected_side: float | None = None
@@ -279,17 +340,18 @@ class PonceletConfiguration:
         return self.vertex_curves[0].domain_length
 
 
-def _angle_checks(report: VerificationReport, polygon_pts: list[Vec2],
+def _angle_checks(report: VerificationReport, pts: np.ndarray,
                   expected: list[float] | None):
+    """Largest deviation of the exterior angles of polygons pts (vertices,
+    polygons, 2) from the expected turns, taken cyclically per vertex."""
     if expected is None:
         return
-    n = len(polygon_pts)
-    dirs = [polygon_pts[(i + 1) % n] - polygon_pts[i] for i in range(n)]
-    dev = 0.0
-    for i in range(n):
-        a, b = dirs[i - 1], dirs[i]
-        turn = math.atan2(a.cross(b), a.dot(b))
-        dev = max(dev, abs(wrap_pi(turn - expected[i % len(expected)])))
+    n = len(pts)
+    b = np.concatenate([pts[1:], pts[:1]]) - pts   # side i runs from vertex i to i + 1
+    a = np.concatenate([b[-1:], b[:-1]])
+    turn = _atan2(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+                  a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+    dev = float(np.max(np.abs(_wrap_pi(turn - np.resize(expected, n)[:, None]))))
     report.max_angle_deviation = max(report.max_angle_deviation or 0.0, dev)
 
 
@@ -325,67 +387,84 @@ def verify_pair(config: PonceletConfiguration, probes: int = 64,
 
 
 def _verify_oracle(config, starts, tol, report):
+    """Walk every probe's polygon in lockstep: one oracle step per step index
+    for all probes still live; a probe whose step fails drops out with its
+    error and the others go on."""
     K = config.vertex_curves[0]
     p = config.envelope_supports[0]
     L = K.domain_length
     count = config.count
+    params = np.empty((count + 1, len(starts)))
+    pts = np.empty((count + 1, len(starts), 2))
+    params[0], pts[0] = starts, K.positions(starts)
+    live = np.ones(len(starts), dtype=bool)
+    failed: dict[int, OracleError] = {}
     direction = None
     step_mismatch = 0.0
-    first_steps = []
 
-    for t0 in starts:
-        t = float(t0)
-        pts = [K.position(t)]
-        params = [t]
-        try:
-            for j in range(count):
-                step = next_vertex_oracle(K, p, t)
-                a = pts[-1]
-                b = K.position(step.t2)
-                u = Vec2(math.cos(step.contact_parameter), math.sin(step.contact_parameter))
-                pv = p.eval(step.contact_parameter)
-                gap = max(abs(a.dot(u) - pv), abs(b.dot(u) - pv))
-                report.max_tangency_gap = max(report.max_tangency_gap, gap)
-                chord = (step.contact - a).dot(b - a) / (b - a).dot(b - a)
-                report.s_min = min(report.s_min, chord)
-                report.s_max = max(report.s_max, chord)
-                if config.step_lift is not None:
-                    fwd = float(config.step_lift(t))
-                    rev = float(config.step_inv_lift(t)) if config.step_inv_lift else None
-                    if direction is None:
-                        d_f = circle_distance(step.t2, fwd, L)
-                        d_r = circle_distance(step.t2, rev, L) if rev is not None else math.inf
-                        direction = "forward" if d_f <= d_r else "reverse"
-                    ref = fwd if direction == "forward" else rev
-                    step_mismatch = max(step_mismatch, float(circle_distance(step.t2, ref, L)))
-                t = step.t2
-                pts.append(b)
-                params.append(t)
-        except OracleError as exc:
-            report.errors.append(f"start {t0:.6f}: {exc}")
-            continue
+    for j in range(count):
+        probes = np.nonzero(live)[0]
+        steps = next_vertex_oracle(K, p, params[j, probes])
+        for probe, step in zip(probes, steps):
+            if isinstance(step, OracleError):
+                failed[probe] = step
+                live[probe] = False
+        probes = probes[live[probes]]
+        if not probes.size:
+            break
+        t = params[j, probes]
+        done = [s for s in steps if isinstance(s, OracleStep)]
+        t2 = np.array([s.t2 for s in done])
+        psi = np.array([s.contact_parameter for s in done])
+        contact = np.array([tuple(s.contact) for s in done])
+        a, b = pts[j, probes], K.positions(t2)
+        ux, uy, pv = np.cos(psi), np.sin(psi), p.eval(psi)
+        gap = np.maximum(np.abs(a[:, 0] * ux + a[:, 1] * uy - pv),
+                         np.abs(b[:, 0] * ux + b[:, 1] * uy - pv))
+        report.max_tangency_gap = max(report.max_tangency_gap, float(np.max(gap)))
+        d = b - a
+        chord = (((contact[:, 0] - a[:, 0]) * d[:, 0] + (contact[:, 1] - a[:, 1]) * d[:, 1])
+                 / (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
+        report.s_min = min(report.s_min, float(np.min(chord)))
+        report.s_max = max(report.s_max, float(np.max(chord)))
+        if config.step_lift is not None:
+            fwd = np.asarray(config.step_lift(t), dtype=float)
+            rev = (np.asarray(config.step_inv_lift(t), dtype=float)
+                   if config.step_inv_lift else None)
+            if direction is None:
+                # from the lowest-index probe whose first step succeeded
+                d_f = circle_distance(t2[0], fwd[0], L)
+                d_r = circle_distance(t2[0], rev[0], L) if rev is not None else math.inf
+                direction = "forward" if d_f <= d_r else "reverse"
+            ref = fwd if direction == "forward" else rev
+            step_mismatch = max(step_mismatch, float(np.max(circle_distance(t2, ref, L))))
+        params[j + 1, probes], pts[j + 1, probes] = t2, b
 
-        closure = (pts[count] - pts[0]).norm()
-        report.closure_error = max(report.closure_error, closure)
+    report.errors.extend(f"start {starts[i]:.6f}: {failed[i]}" for i in sorted(failed))
+    closed = pts[:, live]
+    if closed.shape[1]:
+        shift = closed - closed[0]
+        report.closure_error = max(report.closure_error,
+                                   float(np.max(_hypot(shift[count, :, 0], shift[count, :, 1]))))
         if count > 1:
-            premature = min((pts[j] - pts[0]).norm() for j in range(1, count))
-            report.min_premature_closure = min(report.min_premature_closure, premature)
-        sides = [(pts[j + 1] - pts[j]).norm() for j in range(count)]
+            premature = _hypot(shift[1:count, :, 0], shift[1:count, :, 1])
+            report.min_premature_closure = min(report.min_premature_closure,
+                                               float(np.min(premature)))
         if config.expected_side is not None:
-            spread = max(abs(s - config.expected_side) / config.expected_side for s in sides)
-            report.side_length_spread = max(report.side_length_spread or 0.0, spread)
+            side = np.diff(closed, axis=0)
+            spread = np.abs(_hypot(side[..., 0], side[..., 1]) - config.expected_side)
+            report.side_length_spread = max(report.side_length_spread or 0.0,
+                                            float(np.max(spread / config.expected_side)))
         if config.expected_turn is not None:
             # a reverse-walked polygon turns by the negated exterior angle
             sign = -1.0 if direction == "reverse" else 1.0
-            _angle_checks(report, pts[:count], [sign * config.expected_turn])
-        first_steps.append((float(t0), params[1]))
+            _angle_checks(report, closed[:count], [sign * config.expected_turn])
 
     if config.step_lift is not None and not report.errors:
         report.max_step_mismatch = step_mismatch
         report.oracle_direction = direction
         report.checks["oracle_step"] = step_mismatch < tol
-        ordered = sorted(first_steps)
-        jumps = np.diff(np.unwrap([s[1] for s in ordered], period=L))
+        jumps = np.diff(np.unwrap(params[1], period=L))
         report.monotone_step = bool(np.all(jumps > 0))
         report.checks["monotone_step"] = report.monotone_step
 
@@ -394,6 +473,7 @@ def _verify_sequence(config, starts, tol, report):
     L = config.domain_length
     contact_mismatch = 0.0
     implicit: dict[int, list] = {}     # envelope index -> [(probe, side, a, b, contact)]
+    polygons: dict[int, list] = {}     # vertex count -> [vertices of each probe]
     for probe, t0 in enumerate(starts):
         poly = config.polygon(float(t0))
         report.closure_error = max(report.closure_error, poly.closure_gap)
@@ -418,14 +498,18 @@ def _verify_sequence(config, starts, tol, report):
                     (probe, i, a, b, contact))
             report.s_min = min(report.s_min, contact.chord)
             report.s_max = max(report.s_max, contact.chord)
-        if config.expected_turns is not None:
-            _angle_checks(report, list(poly.vertices), list(config.expected_turns))
-        elif config.expected_turn is not None:
-            _angle_checks(report, list(poly.vertices), [config.expected_turn])
+        polygons.setdefault(n, []).append([tuple(v) for v in poly.vertices])
         if config.expected_side is not None:
             sides = poly.side_lengths()
             spread = max(abs(s - config.expected_side) / config.expected_side for s in sides)
             report.side_length_spread = max(report.side_length_spread or 0.0, spread)
+
+    if config.expected_turns is not None:
+        expected = list(config.expected_turns)
+    else:
+        expected = None if config.expected_turn is None else [config.expected_turn]
+    for same_count in polygons.values():
+        _angle_checks(report, np.array(same_count).transpose(1, 0, 2), expected)
 
     errors = []                        # ((probe, side), message)
     for k, sides in implicit.items():

@@ -1,0 +1,65 @@
+"""Golden oracle reports (tests/data/oracle_reports.json), written before the
+oracle stepped its probes in lockstep: the four oracle-mode configs at 24
+and 64 probes, and the non-convex equilateral pair a = 8/5 forced into
+oracle mode at 64 probes. Every probe of that pair fails, 52 at the first
+step and 12 at the second, which pins the error text and order. Strings,
+booleans and error lists must match exactly, floats to 1e-12 relative."""
+
+import dataclasses
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from poncelet.scene import build_scene, load_scene
+from poncelet.verify import OracleError, OracleStep, next_vertex_oracle, verify_pair
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((REPO / "tests" / "data" / "oracle_reports.json").read_text())
+FORCED = "equilateral-8/5-oracle"
+
+
+def _configuration(name: str):
+    if name == FORCED:
+        doc = {"construction": "equilateral",
+               "parameters": {"k": 1, "l": {"num": 2, "den": 1}, "a": 1.6}}
+        return dataclasses.replace(build_scene(doc).configuration, mode="oracle")
+    return load_scene(str(REPO / "configs" / name)).configuration
+
+
+def _assert_matches(got, want, where: str):
+    if isinstance(want, float):
+        if math.isinf(want):
+            assert got == want, where
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300), where
+    elif isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            _assert_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list) and want and isinstance(want[0], float):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where     # strings, booleans, None, error lists
+
+
+@pytest.mark.parametrize("name, probes", [(name, int(p)) for name in sorted(GOLDEN)
+                                          for p in sorted(GOLDEN[name], key=int)])
+def test_oracle_report_matches_golden(name, probes):
+    report = verify_pair(_configuration(name), probes=probes)
+    assert report.mode == "oracle"
+    _assert_matches(report.to_dict(), GOLDEN[name][str(probes)], f"{name}@{probes}")
+
+
+def test_forced_pair_fails_at_the_first_and_second_step():
+    config = _configuration(FORCED)
+    K, C, L = config.vertex_curves[0], config.envelope_supports[0], config.domain_length
+    starts = np.linspace(0.0, L, 64, endpoint=False) + 0.05 * L / 64
+    first = [s for s in next_vertex_oracle(K, C, starts) if isinstance(s, OracleStep)]
+    assert len(first) == 12
+    second = next_vertex_oracle(K, C, np.array([s.t2 for s in first]))
+    assert all(isinstance(s, OracleError) for s in second)

@@ -17,6 +17,13 @@ CONFIGS = REPO / "configs"
 ALL_CONFIGS = sorted(CONFIGS.glob("*.json"))
 
 
+def cli_env(**extra) -> dict:
+    """Environment of a `python -m poncelet.cli` subprocess: this checkout's
+    src/ comes first on its import path, as it does for the tests."""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def equilateral_doc(a=1.6, starts=(0.0,)):
     return {
         "construction": "equilateral",
@@ -162,7 +169,7 @@ class TestSamplePoints:
 class TestCliProcess:
     def run(self, *args):
         return subprocess.run([sys.executable, "-m", "poncelet.cli", *args],
-                              capture_output=True, text=True, cwd=str(REPO))
+                              capture_output=True, text=True, cwd=str(REPO), env=cli_env())
 
     def test_build_and_verify_exit_zero(self):
         proc = self.run("build", str(CONFIGS / "wankel.json"))
@@ -221,7 +228,7 @@ class TestCliProcess:
         assert x0 == pytest.approx(2.2, abs=1e-12)
 
     def test_probe_env_override(self, tmp_path):
-        env = dict(os.environ, PONCELET_PROBES="8")
+        env = cli_env(PONCELET_PROBES="8")
         proc = subprocess.run([sys.executable, "-m", "poncelet.cli", "verify",
                                str(CONFIGS / "wankel.json")],
                               capture_output=True, text=True, env=env, cwd=str(REPO))
@@ -239,8 +246,8 @@ def _with(doc, path, value):
 NAN, INF = float("nan"), float("inf")
 
 
-def _support_pair(cos=0.1, sin=0.0, a=9.0) -> dict:
-    return {"support": {"a": a, "k": 1, "terms": [{"l_num": 2, "l_den": 1,
+def _support_pair(cos=0.1, sin=0.0, a=9.0, k=1, l_num=2) -> dict:
+    return {"support": {"a": a, "k": k, "terms": [{"l_num": l_num, "l_den": 1,
                                                    "cos": cos, "sin": sin}]},
             "angle": {"num": 2, "den": 3}}
 
@@ -281,13 +288,20 @@ def _as(construction, parameters):
     ({}, _as("clan-from-vertex", _vertex_clan(cos=-INF)), ("verify",)),
     ({}, [(("render", "samples"), 10**9)], ("render",)),
     ({}, [], ("sample", "--curve", "vertex", "-n", str(10**9))),
+    ({}, _as("equiangular-pair", {**_support_pair(), "angle": {"num": 2.5, "den": 3}}),
+     ("verify",)),
+    ({}, [(("verify", "probes"), 8.9)], ("verify",)),
+    ({}, _as("equiangular-pair", _support_pair(k=1.5)), ("verify",)),
+    ({}, _as("equiangular-pair", _support_pair(k=True)), ("verify",)),
+    ({}, _as("equiangular-pair", _support_pair(l_num=2.5)), ("verify",)),
 ], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
         "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
         "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool",
         "a-nan", "tol-nan", "margin-infinite", "polygon-start-nan", "probes-infinite",
         "angle-zero-denominator", "support-a-infinite", "support-cos-nan", "support-sin-infinite", "fourier-c-nan",
         "fourier-sin-infinite", "fourier-cos-infinite", "samples-above-cap",
-        "sample-count-above-cap"])
+        "sample-count-above-cap", "angle-num-fractional", "probes-fractional",
+        "support-k-fractional", "support-k-boolean", "support-l-num-fractional"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, command):
     doc = equilateral_doc()
     for path, value in edits:
@@ -296,7 +310,7 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, comma
     path.write_text(json.dumps(doc))
     proc = subprocess.run([sys.executable, "-m", "poncelet.cli", *command, str(path)],
                           capture_output=True, text=True, cwd=str(REPO),
-                          env=dict(os.environ, **env))
+                          env=cli_env(**env))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("schema error: ")
     assert "Traceback" not in proc.stderr

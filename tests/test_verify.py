@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poncelet import circlemaps as cm
 from poncelet import verify
@@ -87,6 +89,61 @@ class TestNextVertexOracle:
                   for t in starts]
         jumps = np.diff(np.unwrap(images, period=TWO_PI))
         assert np.all(jumps > 0)
+
+
+def _one_by_one(K, C, starts):
+    """The oracle step of each start as its own one-element call."""
+    out = []
+    for t in starts:
+        try:
+            out.append(next_vertex_oracle(K, C, float(t)))
+        except OracleError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_same_steps(together, alone):
+    assert len(together) == len(alone)
+    for got, want in zip(together, alone):
+        assert type(got) is type(want)
+        if isinstance(want, OracleError):
+            assert str(got) == str(want)
+        else:
+            assert got.t2 == want.t2
+            assert got.contact_parameter == want.contact_parameter
+            assert got.contact == want.contact
+
+
+class TestLockstepOracle:
+    def test_array_call_equals_one_element_calls(self):
+        # the non-convex envelope makes most starts fail, in several ways
+        pair = equilateral_pair(1, Fraction(2), 8 / 5)
+        K, C = pair.vertex_curve, pair.envelope_support
+        starts = np.linspace(0, TWO_PI, 64, endpoint=False)
+        together = next_vertex_oracle(K, C, starts)
+        alone = _one_by_one(K, C, starts)
+        _assert_same_steps(together, alone)
+        failed = [s for s in alone if isinstance(s, OracleError)]
+        assert len(failed) == 52
+        assert sum("ambiguous" in str(e) for e in failed) == 18
+        assert sum("several parameters" in str(e) for e in failed) == 34
+
+    def test_scalar_call_raises_and_array_call_returns_the_error(self):
+        K, C = spec_circle_pair(1.0, 1.0)
+        inner = PlaneCurve(TWO_PI, lambda ts: tuple(0.5 * a for a in K.jet_fn(ts)))
+        with pytest.raises(OracleError, match="no tangent line through K"):
+            next_vertex_oracle(inner, C, 0.3)
+        [err] = next_vertex_oracle(inner, C, np.array([0.3]))
+        assert isinstance(err, OracleError)
+        assert str(err) == "no tangent line through K(0.3): point inside the envelope?"
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=12))
+    def test_wankel_lockstep_equals_one_element_steps(self, starts):
+        pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
+        K, C = pair.vertex_curve, pair.envelope_support
+        _assert_same_steps(next_vertex_oracle(K, C, np.array(starts)),
+                           _one_by_one(K, C, starts))
 
 
 class TestSideContactRecovery:
