@@ -21,7 +21,7 @@ import numpy as np
 
 from .circlemaps import CircleDiffeo, TorsionMap, conjugator_to_rotation, identity
 from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
-from .geometry import polyline_self_intersects
+from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
 from .roots import GRID, bracketed_roots
 from .support import FD_STEP_REL, PlaneCurve, fd_jet
 
@@ -233,7 +233,7 @@ def interiority_check(system: VertexStepSystem, result: EnvelopeResult | None = 
     c1 = _dot(delta, _J(v0))
     c2 = _dot(-delta, _J(v1))
     s = result.s(ts)
-    selfx = polyline_self_intersects(system.vertex_curve.sample(1024))
+    selfx = polyline_self_intersects(system.vertex_curve.sample(SELF_INTERSECTION_SAMPLES))
     return InteriorityReport(selfx, float(np.min(c1)), float(np.min(c2)),
                              float(np.min(s)), float(np.max(s)), samples)
 

@@ -125,10 +125,22 @@ def closure_steps(step: RationalAngle, total: RationalAngle) -> int:
     return abs(ratio.denominator)
 
 
+# Sample count of the vertex-curve scans that decide oracle mode and
+# envelope interiority.
+SELF_INTERSECTION_SAMPLES = 1024
+
+# Candidate segment pairs tested per block; bounds the scan's working memory.
+PAIR_BLOCK = 32768
+
+
 def _as_points(points) -> np.ndarray:
-    pts = np.asarray([(p.x, p.y) if isinstance(p, Vec2) else tuple(p) for p in points], dtype=float)
+    if not isinstance(points, np.ndarray):
+        points = [(p.x, p.y) if isinstance(p, Vec2) else tuple(p) for p in points]
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError("points must be a sequence of 2d points")
+    if not np.all(np.isfinite(pts)):
+        raise GeometryError("non-finite point coordinates")
     return pts
 
 
@@ -138,6 +150,15 @@ def polyline_self_intersects(points, closed: bool = True, eps: float = 1e-12) ->
     Adjacency wraps across the end when closed. Touching endpoints of
     adjacent segments never count; any contact between non-adjacent
     segments does. Orientation signs use an epsilon on cross products.
+
+    Candidates come from a sort-and-sweep over x: the segments are sorted by
+    the low end of their x-interval, and each is paired with the later ones
+    whose low x is at most its high x + eps, which is every pair whose
+    x-intervals overlap within eps. The pairs are expanded and tested
+    (bounding boxes, orientation signs, then touching contacts) in blocks of
+    `PAIR_BLOCK`, stopping at the first block with a contact. For n segments
+    and k x-overlapping pairs this costs O(n log n + k) time and
+    O(n + PAIR_BLOCK) memory, whatever the shape.
     """
     pts = _as_points(points)
     npts = len(pts)
@@ -153,23 +174,37 @@ def polyline_self_intersects(points, closed: bool = True, eps: float = 1e-12) ->
         raise GeometryError("repeated consecutive points")
 
     nseg = len(seg_a)
-    i_idx, j_idx = np.triu_indices(nseg, k=2)
-    if closed:
-        keep = ~((i_idx == 0) & (j_idx == nseg - 1))
-        i_idx, j_idx = i_idx[keep], j_idx[keep]
-    if len(i_idx) == 0:
-        return False
+    lo = np.minimum(seg_a, seg_b)
+    hi = np.maximum(seg_a, seg_b)
+    order = np.argsort(lo[:, 0], kind="stable")
+    # Sorted position p pairs with the positions p+1 .. end[p]-1.
+    end = np.searchsorted(lo[order, 0], hi[order, 0] + eps, side="right")
+    counts = end - np.arange(1, nseg + 1)
+    last = np.cumsum(counts)
+    total = int(last[-1])
+    for first in range(0, total, PAIR_BLOCK):
+        k = np.arange(first, min(first + PAIR_BLOCK, total))
+        p = np.searchsorted(last, k, side="right")
+        q = k - (last[p] - counts[p]) + p + 1
+        i = np.minimum(order[p], order[q])
+        j = np.maximum(order[p], order[q])
+        keep = j - i > 1
+        if closed:
+            keep &= ~((i == 0) & (j == nseg - 1))
+        if _pairs_intersect(seg_a, seg_b, lo, hi, i[keep], j[keep], eps):
+            return True
+    return False
 
-    a1, b1 = seg_a[i_idx], seg_b[i_idx]
-    a2, b2 = seg_a[j_idx], seg_b[j_idx]
 
+def _pairs_intersect(seg_a, seg_b, lo, hi, i_idx, j_idx, eps) -> bool:
+    """True iff segment i_idx[m] meets segment j_idx[m] for some m."""
     # bounding-box prefilter
-    lo1 = np.minimum(a1, b1); hi1 = np.maximum(a1, b1)
-    lo2 = np.minimum(a2, b2); hi2 = np.maximum(a2, b2)
-    boxes = np.all((lo1 <= hi2 + eps) & (lo2 <= hi1 + eps), axis=1)
+    boxes = np.all((lo[i_idx] <= hi[j_idx] + eps) & (lo[j_idx] <= hi[i_idx] + eps), axis=1)
     if not np.any(boxes):
         return False
-    a1, b1, a2, b2 = a1[boxes], b1[boxes], a2[boxes], b2[boxes]
+    i_idx, j_idx = i_idx[boxes], j_idx[boxes]
+    a1, b1 = seg_a[i_idx], seg_b[i_idx]
+    a2, b2 = seg_a[j_idx], seg_b[j_idx]
 
     def cross2(u, v):
         return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
@@ -202,7 +237,7 @@ def _segments_touch(a1, b1, a2, b2, eps) -> bool:
         if abs(cr) > eps * max(1.0, float(np.hypot(*ab))):
             return False
         t = float((p - a) @ ab) / float(ab @ ab)
-        return -1e-12 <= t <= 1 + 1e-12
+        return -eps <= t <= 1 + eps
 
     return any(on_segment(a1, b1, p) for p in (a2, b2)) or any(
         on_segment(a2, b2, p) for p in (a1, b1)

@@ -33,7 +33,7 @@ from . import circlemaps as cm
 from . import equiangular as eq
 from .envelope import VertexStepSystem, clan_from_vertex, envelope_from_vertex
 from .equiangular import PonceletPolygon
-from .geometry import RationalAngle, polyline_self_intersects, wrap_pi
+from .geometry import SELF_INTERSECTION_SAMPLES, RationalAngle, polyline_self_intersects, wrap_pi
 from .render import MAX_SAMPLES
 from .support import PlaneCurve, SupportFunction, curve_from_support
 from .verify import (MAX_PROBES, MIN_PROBES, PonceletConfiguration, VerificationReport,
@@ -203,7 +203,7 @@ def _oracle_capable(vertex_curve: PlaneCurve, envelope_support: SupportFunction 
         return False
     if envelope_support.min_curvature_radius() <= 0:
         return False
-    return not polyline_self_intersects(vertex_curve.sample(1024))
+    return not polyline_self_intersects(vertex_curve.sample(SELF_INTERSECTION_SAMPLES))
 
 
 def _pair_configuration(label: str, pair, support: SupportFunction,

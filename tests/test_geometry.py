@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from poncelet.geometry import (GeometryError, RationalAngle, Vec2, closure_steps,
-                               frame, polyline_self_intersects, quarter_turn)
+from poncelet.geometry import (SELF_INTERSECTION_SAMPLES, GeometryError, RationalAngle, Vec2,
+                               closure_steps, frame, polyline_self_intersects, quarter_turn)
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
 
 
@@ -89,6 +92,12 @@ class TestRationalAngle:
             assert j == count
 
 
+lattice_loops = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                        min_size=4, max_size=64)
+float_loops = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=4, max_size=64)
+
+
 class TestPolylineSelfIntersection:
     def test_square_is_simple(self):
         square = [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)]
@@ -141,6 +150,132 @@ class TestPolylineSelfIntersection:
             polyline_self_intersects([Vec2(0, 0), Vec2(1, 1)])
         with pytest.raises(GeometryError):
             polyline_self_intersects([Vec2(0, 0), Vec2(0, 0), Vec2(1, 1)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_non_finite_points_rejected(self, bad, closed):
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [bad, 1.0], [0.0, 1.0]])
+        with pytest.raises(GeometryError, match="non-finite"):
+            polyline_self_intersects(pts, closed=closed)
+        with pytest.raises(GeometryError, match="non-finite"):
+            polyline_self_intersects([tuple(p) for p in pts[::-1]], closed=closed)
+
+    @pytest.mark.parametrize("gap, expected", [(5e-13, True), (1e-9, False)])
+    def test_contact_within_eps_across_an_x_gap(self, gap, expected):
+        # the last segment ends `gap` to the right of the corner (1, 0)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, -1.0], [2.0, -1.0], [1.0 + gap, 0.0]])
+        assert polyline_self_intersects(pts, closed=False) is expected
+        assert _all_pairs_self_intersects(pts, closed=False) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(lattice_loops, float_loops), st.booleans())
+    def test_sweep_matches_all_pairs_reference(self, loop, closed):
+        pts = np.array(loop, dtype=float)
+        assert (_outcome(polyline_self_intersects, pts, closed)
+                == _outcome(_all_pairs_self_intersects, pts, closed))
+
+    def test_sweep_matches_all_pairs_reference_on_support_curves(self):
+        rng = np.random.default_rng(17)
+        supports = [SupportFunction(-2 / 3, (SupportTerm(Fraction(2, 3), 1.0),), 3)]
+        for sheets in (1, 1, 1, 1, 2, 3, 4):
+            freqs = sorted(Fraction(int(j), sheets)
+                           for j in rng.choice(np.arange(2, 4 * sheets + 4), 3, replace=False))
+            terms = tuple(SupportTerm(f, *(rng.normal(0.0, 0.5, 2) / float(f) ** 2))
+                          for f in freqs)
+            supports.append(SupportFunction(float(rng.uniform(0.5, 3.0)), terms, sheets))
+        answers = []
+        for support in supports:
+            pts = curve_from_support(support).sample(SELF_INTERSECTION_SAMPLES)
+            for closed in (True, False):
+                got = polyline_self_intersects(pts, closed=closed)
+                assert got == _all_pairs_self_intersects(pts, closed=closed)
+                answers.append(got)
+        assert True in answers and False in answers
+
+    @pytest.mark.parametrize("closed", [True, False])
+    def test_memory_bounded_for_any_shape(self, closed):
+        t = np.linspace(0.0, 2 * math.pi, SELF_INTERSECTION_SAMPLES, endpoint=False)
+        convex = np.column_stack([2.0 * np.cos(t), np.sin(t)])
+        # zigzag whose segments all span the same x-interval: every pair is a candidate
+        comb = np.column_stack([np.arange(SELF_INTERSECTION_SAMPLES) % 2,
+                                np.arange(SELF_INTERSECTION_SAMPLES) * 1e-3]).astype(float)
+        for pts, expected in ((convex, False), (comb, closed)):
+            tracemalloc.start()
+            try:
+                got = polyline_self_intersects(pts, closed=closed)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got is expected
+            assert peak < 8 * 2**20
+
+
+def _outcome(scan, pts, closed):
+    try:
+        return scan(pts, closed=closed)
+    except GeometryError as exc:
+        return str(exc)
+
+
+def _all_pairs_self_intersects(pts, closed=True, eps=1e-12):
+    """Reference: every non-adjacent segment pair tested at once."""
+    pts = np.asarray(pts, dtype=float)
+    npts = len(pts)
+    if npts < 3:
+        raise GeometryError("need at least 3 points")
+    if closed:
+        seg_a = pts
+        seg_b = np.roll(pts, -1, axis=0)
+    else:
+        seg_a = pts[:-1]
+        seg_b = pts[1:]
+    if np.any(np.all(seg_a == seg_b, axis=1)):
+        raise GeometryError("repeated consecutive points")
+
+    nseg = len(seg_a)
+    i_idx, j_idx = np.triu_indices(nseg, k=2)
+    if closed:
+        keep = ~((i_idx == 0) & (j_idx == nseg - 1))
+        i_idx, j_idx = i_idx[keep], j_idx[keep]
+    if len(i_idx) == 0:
+        return False
+
+    a1, b1 = seg_a[i_idx], seg_b[i_idx]
+    a2, b2 = seg_a[j_idx], seg_b[j_idx]
+    lo1 = np.minimum(a1, b1); hi1 = np.maximum(a1, b1)
+    lo2 = np.minimum(a2, b2); hi2 = np.maximum(a2, b2)
+    boxes = np.all((lo1 <= hi2 + eps) & (lo2 <= hi1 + eps), axis=1)
+    if not np.any(boxes):
+        return False
+    a1, b1, a2, b2 = a1[boxes], b1[boxes], a2[boxes], b2[boxes]
+
+    def cross2(u, v):
+        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+    def sign(d):
+        return np.where(d > eps, 1, np.where(d < -eps, -1, 0))
+
+    s1 = sign(cross2(b1 - a1, a2 - a1))
+    s2 = sign(cross2(b1 - a1, b2 - a1))
+    s3 = sign(cross2(b2 - a2, a1 - a2))
+    s4 = sign(cross2(b2 - a2, b1 - a2))
+    if np.any((s1 * s2 < 0) & (s3 * s4 < 0)):
+        return True
+
+    def on_segment(a, b, p):
+        ab = b - a
+        cr = ab[0] * (p - a)[1] - ab[1] * (p - a)[0]
+        if abs(cr) > eps * max(1.0, float(np.hypot(*ab))):
+            return False
+        t = float((p - a) @ ab) / float(ab @ ab)
+        return -1e-12 <= t <= 1 + 1e-12
+
+    for idx in np.nonzero((s1 * s2 <= 0) & (s3 * s4 <= 0))[0]:
+        if (on_segment(a1[idx], b1[idx], a2[idx]) or on_segment(a1[idx], b1[idx], b2[idx])
+                or on_segment(a2[idx], b2[idx], a1[idx])
+                or on_segment(a2[idx], b2[idx], b1[idx])):
+            return True
+    return False
 
 
 def _seg_cross(a, b, c, d):

@@ -3,14 +3,16 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from poncelet.cli import main
+from poncelet.geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
 from poncelet.render import RenderError, render_svg, sample_points
-from poncelet.scene import SchemaError, build_scene, load_scene
-from poncelet.support import SupportFunction, curve_from_support
+from poncelet.scene import SchemaError, _oracle_capable, build_scene, load_scene
+from poncelet.support import SupportFunction, SupportTerm, curve_from_support
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -92,6 +94,31 @@ class TestCheckedInConfigs:
         assert {"wankel.json", "pentagram.json", "clan.json", "iterated_square.json",
                 "equiangular_triangle.json", "equiangular_hexagon.json",
                 "equilateral_a85.json", "wankel_three_chamber.json"} <= names
+
+    @pytest.mark.parametrize("name, mode", [
+        ("equiangular_triangle", "oracle"), ("equiangular_hexagon", "oracle"),
+        ("wankel", "oracle"), ("wankel_three_chamber", "oracle"),
+        ("clan", "sequence"), ("equilateral_a85", "sequence"),
+        ("iterated_square", "sequence"), ("pentagram", "sequence"),
+    ])
+    def test_config_lands_in_its_mode(self, name, mode):
+        assert load_scene(str(CONFIGS / f"{name}.json")).configuration.mode == mode
+
+    def test_cusped_equilateral_pair_lands_in_sequence_mode(self):
+        # the 8/5 pair's one-sheet envelope has cusps; its vertex curve is simple
+        doc = {"construction": "equilateral",
+               "parameters": {"k": 1, "l": {"num": 2, "den": 1}, "a": 1.6}}
+        config = build_scene(doc).configuration
+        assert config.envelope_supports[0].min_curvature_radius() < 0
+        assert config.mode == "sequence"
+
+    def test_self_intersecting_vertex_curve_is_not_oracle_capable(self):
+        circle = SupportFunction(1.0)
+        cusped = curve_from_support(
+            SupportFunction(-2 / 3, (SupportTerm(Fraction(2, 3), 1.0),), 3))
+        assert polyline_self_intersects(cusped.sample(SELF_INTERSECTION_SAMPLES))
+        assert not _oracle_capable(cusped, circle)
+        assert _oracle_capable(curve_from_support(SupportFunction(2.0)), circle)
 
     @pytest.mark.parametrize("path", ALL_CONFIGS, ids=lambda p: p.stem)
     def test_config_builds_and_verifies(self, path):
