@@ -5,8 +5,9 @@
     poncelet render <config> -o out.svg      construct + write the figure
     poncelet sample <config> --curve K -n N -o out.csv
 
-Exit codes: 0 ok, 1 verification failed, 2 schema error, 3 construction
-precondition violated. PONCELET_PROBES overrides the default probe count.
+Exit codes: 0 ok, 1 verification failed, 2 schema error or unwritable
+output, 3 construction precondition violated. PONCELET_PROBES overrides
+the default probe count.
 """
 
 from __future__ import annotations
@@ -76,24 +77,28 @@ def cmd_render(args) -> int:
     svg = render_svg(envs, verts, scene.polygons(),
                      samples=scene.render_options.samples,
                      margin=scene.render_options.margin)
-    if args.output == "-":
-        sys.stdout.write(svg)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(svg)
+    _write_output(args.output, svg)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
     count = sample_count(args.count, "--count")
     scene = load_scene(args.config)
-    csv = sample_points(scene.curve(args.curve), count)
-    if args.output == "-":
-        sys.stdout.write(csv)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(csv)
+    _write_output(args.output, sample_points(scene.curve(args.curve), count))
     return EXIT_OK
+
+
+def _write_output(path: str, text: str):
+    """text to stdout for "-", else to the file; an unwritable path is an
+    input error, like an unreadable config."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write output {path}: {exc}") from exc
 
 
 def make_parser() -> argparse.ArgumentParser:

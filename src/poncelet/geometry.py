@@ -233,10 +233,12 @@ def _pairs_intersect(seg_a, seg_b, lo, hi, i_idx, j_idx, eps) -> bool:
 def _segments_touch(a1, b1, a2, b2, eps) -> bool:
     def on_segment(a, b, p):
         ab = b - a
+        length = float(np.hypot(*ab))
         cr = ab[0] * (p - a)[1] - ab[1] * (p - a)[0]
-        if abs(cr) > eps * max(1.0, float(np.hypot(*ab))):
+        if abs(cr) > eps * max(1.0, length):
             return False
-        t = float((p - a) @ ab) / float(ab @ ab)
+        # project onto ab / |ab|: ab @ ab underflows to 0 on a tiny segment
+        t = float((p - a) @ (ab / length)) / length
         return -eps <= t <= 1 + eps
 
     return any(on_segment(a1, b1, p) for p in (a2, b2)) or any(

@@ -3,9 +3,16 @@
 The SVG mirrors the usual figure style: the envelope(s) in red first, then
 the vertex curves in blue/green/brown, then the polygons as filled closed
 paths. Output is plain SVG 1.1 text and byte-stable for fixed inputs.
+
+Path data and CSV rows are formatted ROW_BLOCK rows at a time, with one
+`%` call per block; the bytes are those of formatting each coordinate on
+its own. A curve with a NaN or infinite point raises RenderError rather
+than writing `nan` into the output.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -14,6 +21,9 @@ from .support import PlaneCurve
 
 # the most points sampled per curve: 16x the largest count the benchmark asks for
 MAX_SAMPLES = 2 ** 18
+
+# rows formatted per `%` call; bounds the temporary tuple and row template
+ROW_BLOCK = 2048
 
 ENVELOPE_COLORS = ("red", "orangered", "crimson", "darkred")
 VERTEX_COLORS = ("blue", "darkgreen", "brown", "teal", "purple", "darkorange")
@@ -25,6 +35,24 @@ class RenderError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _format_rows(row: str, table: np.ndarray) -> str:
+    """`row % tuple(r)` for every row r of the (n, k) float table, joined."""
+    blocks = (table[i:i + ROW_BLOCK] for i in range(0, len(table), ROW_BLOCK))
+    return "".join((row * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+
+
+def _curve_points(curve: PlaneCurve, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n equispaced parameters and their points; RenderError at the first
+    parameter whose point is NaN or infinite."""
+    ts = np.linspace(0.0, curve.domain_length, n, endpoint=False)
+    pts = curve.positions(ts)
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        t = float(ts[np.argmax(bad)])
+        raise RenderError(f"curve {curve.label!r} has a non-finite point at t = {t!r}")
+    return ts, pts
 
 
 def render_svg(envelopes: list[tuple[str, PlaneCurve]],
@@ -39,21 +67,15 @@ def render_svg(envelopes: list[tuple[str, PlaneCurve]],
     _check_samples(samples)
 
     paths = []
-    all_pts = []
-    for (name, curve), color in zip(envelopes, _cycle(ENVELOPE_COLORS)):
-        pts = _closed_samples(curve, samples)
-        all_pts.append(pts)
-        paths.append((name, color, pts, None))
-    for (name, curve), color in zip(vertex_curves, _cycle(VERTEX_COLORS)):
-        pts = _closed_samples(curve, samples)
-        all_pts.append(pts)
-        paths.append((name, color, pts, None))
+    for curves, colors in ((envelopes, ENVELOPE_COLORS), (vertex_curves, VERTEX_COLORS)):
+        for (name, curve), color in zip(curves, itertools.cycle(colors)):
+            pts = _curve_points(curve, samples)[1]
+            paths.append((name, color, np.vstack([pts, pts[:1]]), None))
     for i, poly in enumerate(polygons):
         pts = np.array([(v.x, v.y) for v in poly.vertices])
-        all_pts.append(pts)
         paths.append((f"polygon-{i + 1}", "black", np.vstack([pts, pts[:1]]), "0.05"))
 
-    stacked = np.vstack(all_pts)
+    stacked = np.vstack([pts for _, _, pts, _ in paths])
     xs, ys = stacked[:, 0], -stacked[:, 1]
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
@@ -67,7 +89,7 @@ def render_svg(envelopes: list[tuple[str, PlaneCurve]],
         f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} {_fmt(vb[3])}">',
     ]
     for name, color, pts, fill in paths:
-        d = "M" + "L".join(f"{_fmt(x)} {_fmt(-y)}" for x, y in pts)
+        d = "M" + _format_rows("L%.6f %.6f", pts * (1.0, -1.0))[1:]
         if fill is not None:
             d += "Z"
             attrs = f'fill="black" fill-opacity="{fill}" stroke="{color}"'
@@ -83,24 +105,8 @@ def _check_samples(n: int):
         raise RenderError(f"need 2 to {MAX_SAMPLES} samples, got {n}")
 
 
-def _closed_samples(curve: PlaneCurve, samples: int) -> np.ndarray:
-    pts = curve.sample(samples)
-    return np.vstack([pts, pts[:1]])
-
-
-def _cycle(colors):
-    i = 0
-    while True:
-        yield colors[i % len(colors)]
-        i += 1
-
-
 def sample_points(curve: PlaneCurve, n: int) -> str:
     """CSV `t,x,y` at n equispaced parameters, full double precision."""
     _check_samples(n)
-    ts = np.linspace(0.0, curve.domain_length, n, endpoint=False)
-    pts = curve.positions(ts)
-    rows = ["t,x,y"]
-    for t, (x, y) in zip(ts, pts):
-        rows.append(f"{t:.17g},{x:.17g},{y:.17g}")
-    return "\n".join(rows) + "\n"
+    table = np.column_stack(_curve_points(curve, n))
+    return "t,x,y\n" + _format_rows("%.17g,%.17g,%.17g\n", table)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poncelet.geometry import (SELF_INTERSECTION_SAMPLES, GeometryError, RationalAngle, Vec2,
@@ -169,6 +169,8 @@ class TestPolylineSelfIntersection:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(lattice_loops, float_loops), st.booleans())
+    # a segment so short that |ab|^2 underflows to 0
+    @example([(0.0, 0.0), (0.0, 8.695129490408271e-204), (0.0, 0.0), (0.0, 1.0)], False)
     def test_sweep_matches_all_pairs_reference(self, loop, closed):
         pts = np.array(loop, dtype=float)
         assert (_outcome(polyline_self_intersects, pts, closed)
@@ -264,10 +266,11 @@ def _all_pairs_self_intersects(pts, closed=True, eps=1e-12):
 
     def on_segment(a, b, p):
         ab = b - a
+        length = float(np.hypot(*ab))
         cr = ab[0] * (p - a)[1] - ab[1] * (p - a)[0]
-        if abs(cr) > eps * max(1.0, float(np.hypot(*ab))):
+        if abs(cr) > eps * max(1.0, length):
             return False
-        t = float((p - a) @ ab) / float(ab @ ab)
+        t = float((p - a) @ (ab / length)) / length
         return -1e-12 <= t <= 1 + 1e-12
 
     for idx in np.nonzero((s1 * s2 <= 0) & (s3 * s4 <= 0))[0]:

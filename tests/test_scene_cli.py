@@ -321,6 +321,8 @@ def _as(construction, parameters):
     ({}, _as("equiangular-pair", _support_pair(k=1.5)), ("verify",)),
     ({}, _as("equiangular-pair", _support_pair(k=True)), ("verify",)),
     ({}, _as("equiangular-pair", _support_pair(l_num=2.5)), ("verify",)),
+    ({}, [], ("render", "-o", "/nonexistent/dir/x.svg")),
+    ({}, [], ("sample", "--curve", "vertex", "-n", "8", "-o", "/nonexistent/dir/x.csv")),
 ], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
         "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
         "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool",
@@ -328,7 +330,8 @@ def _as(construction, parameters):
         "angle-zero-denominator", "support-a-infinite", "support-cos-nan", "support-sin-infinite", "fourier-c-nan",
         "fourier-sin-infinite", "fourier-cos-infinite", "samples-above-cap",
         "sample-count-above-cap", "angle-num-fractional", "probes-fractional",
-        "support-k-fractional", "support-k-boolean", "support-l-num-fractional"])
+        "support-k-fractional", "support-k-boolean", "support-l-num-fractional",
+        "render-output-unwritable", "sample-output-unwritable"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, command):
     doc = equilateral_doc()
     for path, value in edits:
