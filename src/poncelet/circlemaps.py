@@ -14,6 +14,9 @@ from typing import Callable
 
 import numpy as np
 
+from .jets import Jet, chain
+from .roots import bracketed_roots
+
 
 class CircleMapError(ValueError):
     pass
@@ -64,29 +67,24 @@ def _solve_lift(lift, dlift, y, L, bound, tol):
 class CircleDiffeo:
     """Circle map represented by a strictly increasing lift.
 
-    The lift and (when available) its derivative accept scalars or arrays.
+    The lift accepts scalars, arrays or, when differentiable is set (as on
+    every map this module builds), a Jet, which gives its derivatives.
     """
 
     circumference: float
     lift: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    dlift: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
     rotation_amount: float | None = None  # set iff the map is a rigid rotation
     fourier: tuple[float, tuple[FourierTerm, ...]] | None = None  # (c, terms)
     displacement_bound: float = 0.0  # bound for |lift(x) - x|
-
-    @property
-    def L(self) -> float:
-        return self.circumference
+    differentiable: bool = False     # the lift accepts a Jet
 
     def __call__(self, x):
         return np.mod(self.lift(np.asarray(x, dtype=float)), self.circumference)
 
     def derivative(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.dlift is not None:
-            return self.dlift(x)
-        h = 1e-6 * self.circumference
-        return (self.lift(x + h) - self.lift(x - h)) / (2 * h)
+        if not self.differentiable:
+            raise CircleMapError("the lift of this map takes no jets, so it has no derivative")
+        return self.lift(Jet.variable(x, 1)).d[0]
 
     def min_derivative(self, samples: int = 1024) -> float:
         xs = np.linspace(0.0, self.circumference, samples, endpoint=False)
@@ -97,19 +95,26 @@ class CircleDiffeo:
         return self.rotation_amount is not None
 
     def inverse(self) -> CircleDiffeo:
+        """The inverse map. Its lift solves for values only; the derivatives
+        of a Jet argument follow from the inverse-function rule."""
         if self.is_rotation:
             return rotation(self.circumference, -self.rotation_amount)
         L = self.circumference
         bound = self.displacement_bound + L
         tol = 1e-12 * L
+        dlift = self.derivative if self.differentiable else None
 
         def inv_lift(y):
-            return _solve_lift(self.lift, self.dlift, y, L, bound, tol)
+            if not isinstance(y, Jet):
+                return _solve_lift(self.lift, dlift, y, L, bound, tol)
+            x = _solve_lift(self.lift, dlift, y.v, L, bound, tol)
+            F = self.lift(Jet.variable(x, 3)).d      # derivatives 1-3 of F at x = g(y)
+            g1 = 1.0 / F[0]
+            g = [x, g1, -F[1] * g1 ** 3, -F[2] * g1 ** 4 + 3.0 * F[1] * F[1] * g1 ** 5]
+            return y.compose(g[:y.order + 1])
 
-        def inv_dlift(y):
-            return 1.0 / self.derivative(inv_lift(y))
-
-        return CircleDiffeo(L, inv_lift, inv_dlift, displacement_bound=self.displacement_bound)
+        return CircleDiffeo(L, inv_lift, displacement_bound=self.displacement_bound,
+                            differentiable=self.differentiable)
 
     def compose(self, inner: CircleDiffeo) -> CircleDiffeo:
         """self after inner: x -> self(inner(x))."""
@@ -121,14 +126,10 @@ class CircleDiffeo:
         def lift(x):
             return self.lift(inner.lift(x))
 
-        dlift = None
-        if self.dlift is not None and inner.dlift is not None:
-            def dlift(x):
-                return self.dlift(inner.lift(x)) * inner.dlift(x)
-
         return CircleDiffeo(
-            self.circumference, lift, dlift,
+            self.circumference, lift,
             displacement_bound=self.displacement_bound + inner.displacement_bound,
+            differentiable=self.differentiable and inner.differentiable,
         )
 
     def iterate(self, x, times: int):
@@ -163,41 +164,69 @@ def identity(L: float) -> CircleDiffeo:
 def rotation(L: float, amount: float) -> CircleDiffeo:
     return CircleDiffeo(
         L,
-        lift=lambda x: np.asarray(x, dtype=float) + amount,
-        dlift=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        lift=lambda x: (x if isinstance(x, Jet) else np.asarray(x, dtype=float)) + amount,
         rotation_amount=amount,
         displacement_bound=abs(amount),
+        differentiable=True,
     )
+
+
+# Largest |j| of a Fourier lift term: the monotonicity scan of a lift that
+# the coefficient bound does not certify takes 8 points per period of it.
+MAX_HARMONIC = 4096
 
 
 def from_fourier(L: float, c: float, terms: tuple[FourierTerm, ...]) -> CircleDiffeo:
     """Lift F(x) = x + c + sum_j (a_j sin(2 pi j x / L) + b_j cos(2 pi j x / L)).
 
-    F(x+L) = F(x) + L holds by construction; strict monotonicity is checked
-    on a dense sample.
+    F(x+L) = F(x) + L holds by construction. Strict monotonicity is
+    certified by 1 - sum_j (2 pi |j| / L) hypot(a_j, b_j) > 1e-9, a lower
+    bound of F'; when that bound fails, F' is scanned at 8 points per period
+    of the highest harmonic and each sampled minimum refined as a zero of F''.
     """
     terms = tuple(terms)
+    if any(abs(t.j) > MAX_HARMONIC for t in terms):
+        raise CircleMapError(f"Fourier lift harmonics are limited to |j| <= {MAX_HARMONIC}")
     w = 2.0 * math.pi / L
 
-    def lift(x):
-        x = np.asarray(x, dtype=float)
-        out = x + c
+    def derivs(x, order):
+        out = [x + c]
+        if order:
+            out += [np.ones_like(x)] + [np.zeros_like(x) for _ in range(order - 1)]
         for t in terms:
-            out = out + t.sin_coeff * np.sin(w * t.j * x) + t.cos_coeff * np.cos(w * t.j * x)
-        return out
-
-    def dlift(x):
-        x = np.asarray(x, dtype=float)
-        out = np.ones_like(x)
-        for t in terms:
-            out = out + w * t.j * (t.sin_coeff * np.cos(w * t.j * x) - t.cos_coeff * np.sin(w * t.j * x))
+            k = w * t.j
+            sn, cs = np.sin(k * x), np.cos(k * x)
+            a, b = t.sin_coeff, t.cos_coeff
+            out[0] = out[0] + a * sn + b * cs
+            for n in range(1, order + 1):   # each derivative turns (a, b) by a quarter period
+                a, b = -b, a
+                out[n] = out[n] + k ** n * (a * sn + b * cs)
         return out
 
     bound = abs(c) + sum(abs(t.sin_coeff) + abs(t.cos_coeff) for t in terms)
-    f = CircleDiffeo(L, lift, dlift, fourier=(c, terms), displacement_bound=bound)
-    if f.min_derivative() <= 1e-9:
+    f = CircleDiffeo(L, lambda x: chain(x, derivs), fourier=(c, terms),
+                     displacement_bound=bound, differentiable=True)
+    slope_bound = 1.0 - sum(w * abs(t.j) * math.hypot(t.sin_coeff, t.cos_coeff) for t in terms)
+    if slope_bound <= 1e-9 and _min_slope(f, max(abs(t.j) for t in terms)) <= 1e-9:
         raise CircleMapError("lift is not strictly increasing (min F' <= 1e-9)")
     return f
+
+
+def _min_slope(f: CircleDiffeo, harmonic: int) -> float:
+    """min F' from 8 samples per period of the highest harmonic, with every
+    sampled local minimum refined as a zero of F''."""
+    n = max(1024, 8 * harmonic)
+    xs = np.linspace(0.0, f.circumference, n, endpoint=False)
+    slope = f.derivative(xs)
+    low = xs[(slope <= np.roll(slope, 1)) & (slope <= np.roll(slope, -1))]
+    lo, hi = low - f.circumference / n, low + f.circumference / n
+
+    def curvature(x, _):
+        return f.lift(Jet.variable(x, 2)).d[1]
+
+    signed = (curvature(lo, None) <= 0.0) & (curvature(hi, None) >= 0.0)
+    roots, _ = bracketed_roots(curvature, lo[signed], hi[signed])
+    return float(np.min(np.concatenate([slope, f.derivative(roots)])))
 
 
 def circle_distance(a, b, L: float):
@@ -299,27 +328,12 @@ def conjugator_to_rotation(f: TorsionMap) -> CircleDiffeo:
     inner = f.map
 
     def lift(x):
-        x = np.asarray(x, dtype=float)
-        acc = x.copy()
-        cur = x
+        acc = cur = x
         for _ in range(n - 1):
             cur = inner.lift(cur)
             acc = acc + cur
         return acc / n
 
-    def dlift(x):
-        if inner.dlift is None:
-            h = 1e-6 * inner.circumference
-            return (lift(np.asarray(x) + h) - lift(np.asarray(x) - h)) / (2 * h)
-        x = np.asarray(x, dtype=float)
-        acc = np.ones_like(x)
-        cur = x
-        dcur = np.ones_like(x)
-        for _ in range(n - 1):
-            dcur = dcur * inner.dlift(cur)
-            cur = inner.lift(cur)
-            acc = acc + dcur
-        return acc / n
-
-    return CircleDiffeo(inner.circumference, lift, dlift,
-                        displacement_bound=inner.displacement_bound * n)
+    return CircleDiffeo(inner.circumference, lift,
+                        displacement_bound=inner.displacement_bound * n,
+                        differentiable=inner.differentiable)

@@ -23,7 +23,8 @@ from .circlemaps import CircleDiffeo, TorsionMap, conjugator_to_rotation, identi
 from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
 from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
 from .roots import GRID, bracketed_roots
-from .support import FD_STEP_REL, PlaneCurve, fd_jet
+from .jets import Jet, chain, stack
+from .support import PlaneCurve, curve_from_position
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -31,7 +32,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _J(a: np.ndarray) -> np.ndarray:
-    return np.stack([-a[:, 1], a[:, 0]], axis=1)
+    return stack([-a[:, 1], a[:, 0]])
 
 
 @dataclass(frozen=True)
@@ -63,20 +64,30 @@ class VertexStepSystem:
             return self.vertex_curve
         hinv = self.conjugator().inverse()
         Y = self.vertex_curve
-        L = Y.domain_length
-
-        def pos(ts: np.ndarray) -> np.ndarray:
-            return Y.positions(hinv.lift(ts))
-
-        return PlaneCurve(L, fd_jet(pos, FD_STEP_REL * L), label=Y.label, position_fn=pos)
+        return curve_from_position(Y.domain_length, lambda ts: Y.positions(hinv.lift(ts)),
+                                   label=Y.label)
 
 
-def _segment_data(Z: PlaneCurve, alpha: float, ts: np.ndarray):
-    p0, v0, _ = Z.jet_many(ts)
-    p1, v1, _ = Z.jet_many(ts + alpha)
-    delta = p1 - p0
-    ddelta = v1 - v0
-    return p0, v0, p1, v1, delta, ddelta
+def _chord_envelope(first: Callable, second: Callable, ts, order: int = 0):
+    """Envelope point X = A + s D of the chord lines from A = first(t) to
+    B = second(t), D = B - A, and s = -<A', J D> / <D', J D>, as jets of the
+    given order in t (plain arrays at order 0). first and second take Jets
+    of t and are evaluated one order higher, since X involves A'.
+    """
+    a, b = first(Jet.variable(ts, order + 1)), second(Jet.variable(ts, order + 1))
+    z, zp = a.truncated(order), a.derivative()
+    delta = b.truncated(order) - z
+    jd = _J(delta)
+    s = -_dot(zp, jd) / _dot(b.derivative() - zp, jd)
+    return z + s[:, None] * delta, s
+
+
+def _chord_envelope_position(first: Callable, second: Callable) -> Callable:
+    def derivs(ts, order):
+        x = _chord_envelope(first, second, ts, order)[0]
+        return [x.v, *x.d] if order else [x]
+
+    return lambda ts: chain(ts, derivs)
 
 
 class EnvelopeSingularity(ConstructionError):
@@ -117,10 +128,12 @@ def envelope_from_vertex(system: VertexStepSystem) -> EnvelopeResult:
     L = Z.domain_length
     alpha = system.rotation_angle
 
+    def second(t):
+        return Z.positions(t + alpha)
+
     def denom(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        _, _, _, _, delta, ddelta = _segment_data(Z, alpha, ts)
-        return _dot(ddelta, _J(delta))
+        a, b = Z.positions(Jet.variable(ts, 1)), second(Jet.variable(ts, 1))
+        return _dot(b.d[0] - a.d[0], _J(b.v - a.v))
 
     ts = np.linspace(0.0, L, GRID, endpoint=False)
     d = denom(ts)
@@ -132,26 +145,10 @@ def envelope_from_vertex(system: VertexStepSystem) -> EnvelopeResult:
         raise EnvelopeSingularity([float(t) for t in params])
 
     def s_fn(ts):
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        _, v0, _, _, delta, ddelta = _segment_data(Z, alpha, ts)
-        return -_dot(v0, _J(delta)) / _dot(ddelta, _J(delta))
+        return _chord_envelope(Z.positions, second, np.atleast_1d(ts))[1]
 
-    def pos(ts: np.ndarray) -> np.ndarray:
-        p0 = Z.positions(ts)
-        delta = Z.positions(ts + alpha) - p0
-        return p0 + s_fn(ts)[:, None] * delta
-
-    curve = PlaneCurve(L, fd_jet(pos, FD_STEP_REL * L), label="C", position_fn=pos)
+    curve = curve_from_position(L, _chord_envelope_position(Z.positions, second), label="C")
     return EnvelopeResult(curve, s_fn, Z, alpha, system, system.conjugator())
-
-
-def interior_contact_bound(l) -> float:
-    """Sufficient a for the iterated family p = a + cos(l*phi) to touch
-    inside the sides: a >= sqrt(cot^2(pi/l) l^2 + 1). For integer l the
-    positive-curvature condition a > 2 l^2 - 1 already implies it."""
-    lf = float(l)
-    cot = 1.0 / math.tan(math.pi / lf)
-    return math.sqrt(cot * cot * lf * lf + 1.0)
 
 
 @dataclass(frozen=True)
@@ -313,31 +310,13 @@ def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) ->
                 raise ConstructionError(
                     f"polygon degenerates: g_{j} o g_{i}^-1 has a fixed point near t = {t0:.6f}")
 
-    fd = FD_STEP_REL * L
-
-    def make_pos(gp: CircleDiffeo, gc: CircleDiffeo):
-        def prev_pos(ts: np.ndarray) -> np.ndarray:
-            return vertex_curve.positions(gp.lift(ts))
-
-        def delta_pos(ts: np.ndarray) -> np.ndarray:
-            return vertex_curve.positions(gc.lift(ts)) - prev_pos(ts)
-
-        prev_jet = fd_jet(prev_pos, fd)
-        delta_jet = fd_jet(delta_pos, fd)
-
-        def pos(ts: np.ndarray) -> np.ndarray:
-            pa, va, _ = prev_jet(ts)
-            delta, ddelta, _ = delta_jet(ts)
-            s = -_dot(va, _J(delta)) / _dot(ddelta, _J(delta))
-            return pa + s[:, None] * delta
-
-        return pos
+    def along(g: CircleDiffeo) -> Callable:
+        return lambda ts: vertex_curve.positions(g.lift(ts))
 
     envelopes = []
     for i in range(1, n + 1):
-        gp = glist[i - 1]
         gc = glist[i] if i < n else identity(L)    # g_n = id
-        pos_i = make_pos(gp, gc)
-        envelopes.append(PlaneCurve(L, fd_jet(pos_i, fd), label=f"C{i}", position_fn=pos_i))
+        pos_i = _chord_envelope_position(along(glist[i - 1]), along(gc))
+        envelopes.append(curve_from_position(L, pos_i, label=f"C{i}"))
 
     return VertexClan(vertex_curve, tuple(envelopes), steps, glist)

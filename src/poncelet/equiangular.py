@@ -16,12 +16,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
 
+from . import jets
 from .geometry import RationalAngle, Vec2, closure_steps
-from .support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
+from .support import (PlaneCurve, SupportFunction, SupportTerm, curve_from_position,
+                      curve_from_support)
 
 
 class ConstructionError(ValueError):
@@ -68,16 +69,6 @@ class PonceletPolygon:
         n = len(self.vertices)
         return [(self.vertices[(i + 1) % n] - self.vertices[i]).norm() for i in range(n)]
 
-    def exterior_turns(self) -> list[float]:
-        """Signed turn of the side direction at each vertex, in (-pi, pi]."""
-        n = len(self.vertices)
-        dirs = [self.vertices[(i + 1) % n] - self.vertices[i] for i in range(n)]
-        turns = []
-        for i in range(n):
-            a, b = dirs[i - 1], dirs[i]
-            turns.append(math.atan2(a.cross(b), a.dot(b)))
-        return turns
-
     def centroid(self) -> Vec2:
         sx = sum(v.x for v in self.vertices)
         sy = sum(v.y for v in self.vertices)
@@ -117,39 +108,13 @@ def equiangular_vertex_curve(spec: EquiangularSpec, label: str = "") -> PlaneCur
     csc = 1.0 / math.sin(alpha)
     p = spec.envelope
 
-    def jet(ts: np.ndarray):
-        c, s = np.cos(ts), np.sin(ts)
-        ca, sa = np.cos(ts + alpha), np.sin(ts + alpha)
-        u = np.stack([c, s], axis=1)
-        up = np.stack([-s, c], axis=1)
-        ua = np.stack([ca, sa], axis=1)
-        upa = np.stack([-sa, ca], axis=1)
-        p0, p1, p2 = (p.eval(ts, o) for o in range(3))
-        q0, q1, q2 = (p.eval(ts + alpha, o) for o in range(3))
+    def pos(ts):
+        c, s = jets.cos(ts), jets.sin(ts)
+        ca, sa = jets.cos(ts + alpha), jets.sin(ts + alpha)
+        p0, q0 = p.eval(ts), p.eval(ts + alpha)
+        return csc * jets.stack([-q0 * s + p0 * sa, q0 * c - p0 * ca])
 
-        def col(v):
-            return v[:, None]
-
-        pos = csc * (col(q0) * up - col(p0) * upa)
-        vel = csc * (col(q1) * up - col(q0) * u - col(p1) * upa + col(p0) * ua)
-        acc = csc * (col(q2) * up - 2 * col(q1) * u - col(q0) * up
-                     - col(p2) * upa + 2 * col(p1) * ua + col(p0) * upa)
-        return pos, vel, acc
-
-    def pos_only(ts: np.ndarray):
-        c, s = np.cos(ts), np.sin(ts)
-        ca, sa = np.cos(ts + alpha), np.sin(ts + alpha)
-        p0 = p.eval(ts)
-        q0 = p.eval(ts + alpha)
-        return csc * np.stack([-q0 * s + p0 * sa, q0 * c - p0 * ca], axis=1)
-
-    return PlaneCurve(p.domain_length, jet, label=label, position_fn=pos_only)
-
-
-def chord_offset(p: SupportFunction, angle: RationalAngle) -> Callable:
-    """q(phi) = csc(a)(p(phi + a) - cos(a) p(phi)); Y = p*u + q*u'."""
-    a = angle.radians
-    return lambda phi: (p.eval(np.asarray(phi, float) + a) - math.cos(a) * p.eval(phi)) / math.sin(a)
+    return curve_from_position(p.domain_length, pos, label=label)
 
 
 def vertex_count(angle: RationalAngle, k: int) -> int:
@@ -219,9 +184,6 @@ class EquilateralPair:
         return _pair_polygon(self.vertex_curve, self.envelope, self.angle,
                              self.count, start, half)
 
-    def midpoint(self, start: float = 0.0) -> Vec2:
-        return self.polygon(start).centroid()
-
 
 def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = False) -> EquilateralPair:
     """Epitrochoid pair carrying congruent equilateral polygons.
@@ -257,21 +219,11 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
     sign = -1 if k % 2 else 1
     nf = float(n)
 
-    def jet(ts: np.ndarray):
-        u = np.stack([np.cos(ts), np.sin(ts)], axis=1)
-        up = np.stack([-np.sin(ts), np.cos(ts)], axis=1)
-        un = np.stack([np.cos(nf * ts), np.sin(nf * ts)], axis=1)
-        unp = np.stack([-np.sin(nf * ts), np.cos(nf * ts)], axis=1)
-        pos = amp * u + sign * un
-        vel = amp * up + sign * nf * unp
-        acc = -amp * u - sign * nf * nf * un
-        return pos, vel, acc
+    def pos(ts):
+        return jets.stack([amp * jets.cos(ts) + sign * jets.cos(nf * ts),
+                           amp * jets.sin(ts) + sign * jets.sin(nf * ts)])
 
-    def pos_only(ts: np.ndarray):
-        return np.stack([amp * np.cos(ts) + sign * np.cos(nf * ts),
-                         amp * np.sin(ts) + sign * np.sin(nf * ts)], axis=1)
-
-    vertex = PlaneCurve(p.domain_length, jet, label="K", position_fn=pos_only)
+    vertex = curve_from_position(p.domain_length, pos, label="K")
     side = 2.0 * a * abs(math.tan(alpha.radians / 2))
     count = closure_steps(alpha, RationalAngle(2))
     return EquilateralPair(p, envelope, vertex, alpha, side, count, k, sheets, amp, sign)

@@ -15,7 +15,7 @@ Schema (unknown fields are rejected at every level):
 Angles are exact rational multiples of pi: {"num": int, "den": int}.
 Support functions: {"a": float, "k": int, "terms": [{"l_num", "l_den", "cos", "sin"}]}.
 Torsion steps: {"m": int, "n": int, "h": {"c": float, "terms": [{"j", "sin", "cos"}]}}
-(h omitted means the rigid rotation by m/n of the circle).
+(h omitted means the rigid rotation by m/n of the circle; |j| <= 4096).
 Clan steps: {"rotation_pi": {"num", "den"}} or a Fourier lift {"c", "terms"}.
 """
 
@@ -120,8 +120,10 @@ def _fourier(doc, L: float, where: str) -> cm.CircleDiffeo:
     for i, t in enumerate(doc.get("terms", [])):
         at = f"{where}.terms[{i}]"
         _check_keys(t, {"j", "sin", "cos"}, at, ("j",))
-        terms.append(cm.FourierTerm(_integer(t["j"], f"{at}.j"),
-                                    _number(t.get("sin", 0.0), f"{at}.sin"),
+        j = _integer(t["j"], f"{at}.j")
+        if abs(j) > cm.MAX_HARMONIC:
+            raise SchemaError(f"{at}.j must satisfy |j| <= {cm.MAX_HARMONIC}, got {j}")
+        terms.append(cm.FourierTerm(j, _number(t.get("sin", 0.0), f"{at}.sin"),
                                     _number(t.get("cos", 0.0), f"{at}.cos")))
     return cm.from_fourier(L, _number(doc.get("c", 0.0), f"{where}.c"), tuple(terms))
 
@@ -206,24 +208,23 @@ def _oracle_capable(vertex_curve: PlaneCurve, envelope_support: SupportFunction 
     return not polyline_self_intersects(vertex_curve.sample(SELF_INTERSECTION_SAMPLES))
 
 
+def _configuration(label: str, vertex_curves, envelopes, supports, polygon, count: int,
+                   vopts: VerifyOptions, mode: str = "sequence", **extra
+                   ) -> PonceletConfiguration:
+    return PonceletConfiguration(label, tuple(vertex_curves), tuple(envelopes), tuple(supports),
+                                 polygon, count, mode,
+                                 expect_interior=vopts.expect_interior, **extra)
+
+
 def _pair_configuration(label: str, pair, support: SupportFunction,
-                        expected_turn, expected_side, expect_interior) -> PonceletConfiguration:
+                        expected_turn, expected_side, vopts) -> PonceletConfiguration:
     angle = pair.angle.radians
     mode = "oracle" if _oracle_capable(pair.vertex_curve, support) else "sequence"
-    return PonceletConfiguration(
-        label=label,
-        vertex_curves=(pair.vertex_curve,),
-        envelopes=(pair.envelope,),
-        envelope_supports=(support,),
-        polygon=pair.polygon,
-        count=pair.count,
-        mode=mode,
-        step_lift=(lambda t: np.asarray(t) + angle),
-        step_inv_lift=(lambda t: np.asarray(t) - angle),
-        expected_turn=expected_turn,
-        expected_side=expected_side,
-        expect_interior=expect_interior,
-    )
+    return _configuration(label, (pair.vertex_curve,), (pair.envelope,), (support,),
+                          pair.polygon, pair.count, vopts, mode,
+                          step_lift=(lambda t: np.asarray(t) + angle),
+                          step_inv_lift=(lambda t: np.asarray(t) - angle),
+                          expected_turn=expected_turn, expected_side=expected_side)
 
 
 def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -233,7 +234,7 @@ def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfi
                               _integer(params.get("branch", 0), "parameters.branch"))
     pair = eq.equiangular_pair(spec)
     return _pair_configuration("equiangular-pair", pair, support,
-                               wrap_pi(pair.angle.radians), None, vopts.expect_interior)
+                               wrap_pi(pair.angle.radians), None, vopts)
 
 
 def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -246,8 +247,7 @@ def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfigurat
     pair = eq.equilateral_pair(_integer(params["k"], "parameters.k"), Fraction(num, den),
                                _number(params["a"], "parameters.a"))
     return _pair_configuration("equilateral", pair, pair.envelope_support,
-                               wrap_pi(pair.angle.radians), pair.side_length,
-                               vopts.expect_interior)
+                               wrap_pi(pair.angle.radians), pair.side_length, vopts)
 
 
 def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -261,17 +261,8 @@ def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfi
         turns = (wrap_pi(clan.angles[0].radians),)
     else:
         turns = tuple(wrap_pi(a.radians) for a in clan.angles)
-    return PonceletConfiguration(
-        label="equiangular-clan",
-        vertex_curves=clan.vertex_curves,
-        envelopes=(clan.envelope,),
-        envelope_supports=(support,),
-        polygon=clan.polygon,
-        count=clan.count,
-        mode="sequence",
-        expected_turns=turns,
-        expect_interior=vopts.expect_interior,
-    )
+    return _configuration("equiangular-clan", clan.vertex_curves, (clan.envelope,), (support,),
+                          clan.polygon, clan.count, vopts, expected_turns=turns)
 
 
 def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -280,16 +271,8 @@ def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletC
     Y = curve_from_support(support, label="K")
     f = _torsion(params["step"], support.domain_length, "parameters.step")
     result = envelope_from_vertex(VertexStepSystem(Y, f))
-    return PonceletConfiguration(
-        label="envelope-from-vertex",
-        vertex_curves=(Y,),
-        envelopes=(result.curve,),
-        envelope_supports=(None,),
-        polygon=result.polygon,
-        count=f.period,
-        mode="sequence",
-        expect_interior=vopts.expect_interior,
-    )
+    return _configuration("envelope-from-vertex", (Y,), (result.curve,), (None,),
+                          result.polygon, f.period, vopts)
 
 
 def _build_vertex_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -298,18 +281,9 @@ def _build_vertex_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletC
     f = _torsion(params["step"], support.domain_length, "parameters.step")
     res = vertex_from_envelope(ContactStepSystem(support, f))
     mode = "oracle" if _oracle_capable(res.curve, support) else "sequence"
-    return PonceletConfiguration(
-        label="vertex-from-envelope",
-        vertex_curves=(res.curve,),
-        envelopes=(res.envelope,),
-        envelope_supports=(support,),
-        polygon=res.polygon,
-        count=f.period,
-        mode=mode,
-        step_lift=f.map.lift,
-        step_inv_lift=f.map.inverse().lift,
-        expect_interior=vopts.expect_interior,
-    )
+    return _configuration("vertex-from-envelope", (res.curve,), (res.envelope,), (support,),
+                          res.polygon, f.period, vopts, mode, step_lift=f.map.lift,
+                          step_inv_lift=f.map.inverse().lift)
 
 
 def _build_clan_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -319,16 +293,9 @@ def _build_clan_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfi
     steps = [_diffeo(s, support.domain_length, f"parameters.steps[{i}]")
              for i, s in enumerate(params["steps"])]
     clan = clan_from_vertex(Y, steps)
-    return PonceletConfiguration(
-        label="clan-from-vertex",
-        vertex_curves=(Y,),
-        envelopes=clan.envelopes,
-        envelope_supports=(None,) * len(clan.envelopes),
-        polygon=clan.polygon,
-        count=len(clan.envelopes),
-        mode="sequence",
-        expect_interior=vopts.expect_interior,
-    )
+    n = len(clan.envelopes)
+    return _configuration("clan-from-vertex", (Y,), clan.envelopes, (None,) * n, clan.polygon, n,
+                          vopts)
 
 
 def _build_clan_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -337,16 +304,8 @@ def _build_clan_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletCon
     steps = [_diffeo(s, support.domain_length, f"parameters.steps[{i}]")
              for i, s in enumerate(params["steps"])]
     clan = clan_from_envelope(support, steps)
-    return PonceletConfiguration(
-        label="clan-from-envelope",
-        vertex_curves=clan.vertex_curves,
-        envelopes=(clan.envelope,),
-        envelope_supports=(support,),
-        polygon=clan.polygon,
-        count=len(clan.vertex_curves),
-        mode="sequence",
-        expect_interior=vopts.expect_interior,
-    )
+    return _configuration("clan-from-envelope", clan.vertex_curves, (clan.envelope,),
+                          (support,), clan.polygon, len(clan.vertex_curves), vopts)
 
 
 _BUILDERS: dict[str, Callable] = {

@@ -19,7 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import GeometryError, Vec2
+from .geometry import Vec2
+from .jets import Jet, chain
 
 
 class SupportError(ValueError):
@@ -62,24 +63,21 @@ class SupportFunction:
         return np.mod(phi, self.domain_length)
 
     def eval(self, phi, order: int = 0):
-        """Derivative of order 0..3 at phi (scalar or array), exact closed form."""
+        """Derivative of the given order (an integer >= 0) at phi, a scalar,
+        an array or a Jet; exact closed form."""
+        if type(order) is not int and not isinstance(order, np.integer) or order < 0:
+            raise SupportError(f"derivative order must be an integer >= 0, got {order!r}")
+        if isinstance(phi, Jet):
+            return phi.compose([self.eval(phi.v, order + i) for i in range(phi.order + 1)])
         phi = self._reduce(np.asarray(phi, dtype=float))
         out = np.full_like(phi, self.constant if order == 0 else 0.0)
         for t in self.terms:
             l = float(t.frequency)
             arg = l * phi
             c, s = t.cos_coeff, t.sin_coeff
-            if order % 4 == 1:
-                c, s = s, -c
-            elif order % 4 == 2:
-                c, s = -c, -s
-            elif order % 4 == 3:
-                c, s = -s, c
+            c, s = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
             out = out + (l ** order) * (c * np.cos(arg) + s * np.sin(arg))
         return out if out.ndim else float(out)
-
-    def shifted(self, delta: float) -> Callable:
-        return lambda phi, order=0: self.eval(np.asarray(phi, dtype=float) + delta, order)
 
     def min_curvature_radius(self, samples: int = 2048) -> float:
         phi = np.linspace(0.0, self.domain_length, samples, endpoint=False)
@@ -111,15 +109,12 @@ def eval_jet(p: SupportFunction, phi: float) -> tuple[float, float, float]:
     return p.eval(phi, 0), p.eval(phi, 1), p.eval(phi, 2)
 
 
-JetFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
 @dataclass(frozen=True)
 class PlaneCurve:
     """Closed parametric curve exposing a 2-jet over [0, domain_length)."""
 
     domain_length: float
-    jet_fn: JetFn = field(repr=False)
+    jet_fn: Callable[[np.ndarray], tuple] = field(repr=False)   # ts -> (pos, vel, acc)
     label: str = ""
     positive_curvature: bool | None = None
     position_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
@@ -129,20 +124,15 @@ class PlaneCurve:
         return self.jet_fn(ts)
 
     def positions(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if self.position_fn is not None:
-            return self.position_fn(ts)
-        return self.jet_fn(ts)[0]
-
-    def jet(self, t: float) -> tuple[Vec2, Vec2, Vec2]:
-        pos, vel, acc = self.jet_many([t])
-        return (Vec2(*pos[0]), Vec2(*vel[0]), Vec2(*acc[0]))
+        """Points at the parameters ts; a Jet of them goes to position_fn as it is."""
+        if not isinstance(ts, Jet):
+            ts = np.atleast_1d(np.asarray(ts, dtype=float))
+            if self.position_fn is None:
+                return self.jet_fn(ts)[0]
+        return self.position_fn(ts)
 
     def position(self, t: float) -> Vec2:
-        return self.jet(t)[0]
-
-    def velocity(self, t: float) -> Vec2:
-        return self.jet(t)[1]
+        return Vec2(*self.positions([t])[0])
 
     def sample(self, n: int) -> np.ndarray:
         ts = np.linspace(0.0, self.domain_length, n, endpoint=False)
@@ -153,68 +143,52 @@ class PlaneCurve:
         p1 = self.positions([self.domain_length])[0]
         return float(np.hypot(*(p1 - p0)))
 
-    def is_closed(self, tol: float = 1e-9) -> bool:
-        return self.closure_gap() < tol
-
     def min_speed(self, samples: int = 1024) -> float:
         ts = np.linspace(0.0, self.domain_length, samples, endpoint=False)
         vel = self.jet_many(ts)[1]
         return float(np.min(np.hypot(vel[:, 0], vel[:, 1])))
 
-    def is_regular(self, samples: int = 1024) -> bool:
-        return self.min_speed(samples) > 0.0
 
-
-# finite-difference step of fd_jet, relative to the parameter circle
-FD_STEP_REL = 1e-4
-
-
-def fd_jet(pos_fn: Callable[[np.ndarray], np.ndarray], step: float) -> JetFn:
-    """2-jet from positions via 5-point central differences, O(h^4)."""
+def curve_from_position(domain_length: float, position_fn: Callable, label: str = "",
+                        positive_curvature: bool | None = None) -> PlaneCurve:
+    """Curve whose 2-jet is the Taylor jet of position_fn, which takes
+    arrays or Jets of the parameter."""
 
     def jet(ts: np.ndarray):
-        h = step
-        pm2 = pos_fn(ts - 2 * h)
-        pm1 = pos_fn(ts - h)
-        p0 = pos_fn(ts)
-        pp1 = pos_fn(ts + h)
-        pp2 = pos_fn(ts + 2 * h)
-        vel = (pm2 - 8 * pm1 + 8 * pp1 - pp2) / (12 * h)
-        acc = (-pm2 + 16 * pm1 - 30 * p0 + 16 * pp1 - pp2) / (12 * h * h)
-        return p0, vel, acc
+        x = position_fn(Jet.variable(ts, 2))
+        return x.v, x.d[0], x.d[1]
 
-    return jet
+    return PlaneCurve(domain_length, jet, label=label, positive_curvature=positive_curvature,
+                      position_fn=position_fn)
 
 
 def curve_from_support(p: SupportFunction, label: str = "") -> PlaneCurve:
-    """Curve X = p*u + p'*u' with closed-form jet.
+    """Curve X = p*u + p'*u' with closed-form derivatives.
 
-    A non-positive radius of curvature somewhere is flagged, not rejected:
-    self-intersecting envelopes are legitimate inputs.
+    With rho = p + p'' they are X' = rho u', X'' = rho' u' - rho u and
+    X''' = (rho'' - rho) u' - 2 rho' u. A non-positive radius of curvature
+    somewhere is flagged, not rejected: self-intersecting envelopes are
+    legitimate inputs.
     """
     convex = p.min_curvature_radius() > 0.0
 
-    def jet(ts: np.ndarray):
+    def derivs(ts: np.ndarray, order: int) -> list[np.ndarray]:
         c, s = np.cos(ts), np.sin(ts)
-        u = np.stack([c, s], axis=1)
-        up = np.stack([-s, c], axis=1)
-        p0 = p.eval(ts)
-        p1 = p.eval(ts, 1)
-        rho = p0 + p.eval(ts, 2)
-        drho = p1 + p.eval(ts, 3)
-        pos = p0[:, None] * u + p1[:, None] * up
-        vel = rho[:, None] * up
-        acc = drho[:, None] * up - rho[:, None] * u
-        return pos, vel, acc
+        ps = [p.eval(ts, i) for i in range(order + 2 if order else 2)]
+        out = [np.stack([ps[0] * c - ps[1] * s, ps[0] * s + ps[1] * c], axis=1)]
+        if order == 0:
+            return out
+        u, up = np.stack([c, s], axis=1), np.stack([-s, c], axis=1)
+        rho = [(ps[i] + ps[i + 2])[:, None] for i in range(order)]
+        out.append(rho[0] * up)
+        if order >= 2:
+            out.append(rho[1] * up - rho[0] * u)
+        if order >= 3:
+            out.append((rho[2] - rho[0]) * up - 2 * rho[1] * u)
+        return out
 
-    def pos_only(ts: np.ndarray):
-        c, s = np.cos(ts), np.sin(ts)
-        p0 = p.eval(ts)
-        p1 = p.eval(ts, 1)
-        return np.stack([p0 * c - p1 * s, p0 * s + p1 * c], axis=1)
-
-    return PlaneCurve(p.domain_length, jet, label=label, positive_curvature=convex,
-                      position_fn=pos_only)
+    return curve_from_position(p.domain_length, lambda ts: chain(ts, derivs), label=label,
+                               positive_curvature=convex)
 
 
 def constant_width_check(p: SupportFunction, samples: int = 720, tol: float = 1e-10) -> bool:
@@ -232,11 +206,3 @@ def signed_area(curve: PlaneCurve, samples: int = 4096) -> float:
     x, y = pts[:, 0], pts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     return 0.5 * float(np.sum(x * yn - y * xn))
-
-
-def curvature(curve: PlaneCurve, ts) -> np.ndarray:
-    pos, vel, acc = curve.jet_many(ts)
-    speed = np.hypot(vel[:, 0], vel[:, 1])
-    if np.any(speed == 0.0):
-        raise GeometryError("curvature undefined at a singular parameter")
-    return (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed ** 3

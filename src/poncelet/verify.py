@@ -296,7 +296,7 @@ class VerificationReport:
         return not self.errors and all(self.checks.values())
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "label": self.label, "probes": self.probes, "tol": self.tol,
             "mode": self.mode, "closure_error": self.closure_error,
             "min_premature_closure": self.min_premature_closure,
@@ -313,7 +313,6 @@ class VerificationReport:
             "errors": list(self.errors),
             "passed": self.passed,
         }
-        return d
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import jets
 from .circlemaps import CircleDiffeo, TorsionMap, identity
 from .envelope import step_chain
 from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
 from .roots import GRID
-from .support import FD_STEP_REL, PlaneCurve, SupportFunction, curve_from_support, fd_jet
+from .support import PlaneCurve, SupportFunction, curve_from_position, curve_from_support
 
 
 @dataclass(frozen=True)
@@ -47,13 +48,19 @@ def _transversality_gaps(advance: np.ndarray, ts: np.ndarray, tol: float = 1e-9)
     return [float(ts[i]) for i in sorted(bad)[:8]]
 
 
-def _vertex_positions(p: SupportFunction, phi: np.ndarray, fphi: np.ndarray) -> np.ndarray:
-    adv = fphi - phi
-    den = np.sin(adv)
-    q = (p.eval(fphi) - p.eval(phi) * np.cos(adv)) / den
-    u = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    up = np.stack([-np.sin(phi), np.cos(phi)], axis=1)
-    return p.eval(phi)[:, None] * u + q[:, None] * up
+def _vertex_position_fn(p: SupportFunction, a: CircleDiffeo, b: CircleDiffeo) -> Callable:
+    """Position function (arrays or Jets) of the vertex curve whose point at
+    t is where the envelope's tangent lines at phi = a(t) and b(t) meet:
+    Y = p(phi) u(phi) + q(phi) u'(phi)."""
+
+    def pos(ts):
+        phi, fphi = a.lift(ts), b.lift(ts)
+        adv = fphi - phi
+        q = (p.eval(fphi) - p.eval(phi) * jets.cos(adv)) / jets.sin(adv)
+        c, s = jets.cos(phi), jets.sin(phi)
+        return p.eval(phi)[:, None] * jets.stack([c, s]) + q[:, None] * jets.stack([-s, c])
+
+    return pos
 
 
 @dataclass(frozen=True)
@@ -87,10 +94,7 @@ def vertex_from_envelope(system: ContactStepSystem) -> VertexResult:
             "transversality <u'(phi), u(f(phi))> = sin(f(phi) - phi) vanishes near "
             + ", ".join(f"{t:.6f}" for t in gaps))
 
-    def pos(tt: np.ndarray) -> np.ndarray:
-        return _vertex_positions(p, tt, f.lift(tt))
-
-    curve = PlaneCurve(L, fd_jet(pos, FD_STEP_REL * L), label="K", position_fn=pos)
+    curve = curve_from_position(L, _vertex_position_fn(p, identity(L), f), label="K")
     return VertexResult(system, curve_from_support(p, label="C"), curve)
 
 
@@ -127,7 +131,6 @@ def clan_from_envelope(envelope: SupportFunction,
     n = len(glist)
 
     ts = np.linspace(0.0, L, GRID, endpoint=False)
-    fd = FD_STEP_REL * L
     curves = []
     for i in range(1, n + 1):
         gp = glist[i - 1]
@@ -139,13 +142,7 @@ def clan_from_envelope(envelope: SupportFunction,
                 f"transversality fails for step {i} near parameters "
                 + ", ".join(f"{t:.6f}" for t in gaps))
 
-        def make_pos(a: CircleDiffeo, b: CircleDiffeo):
-            def pos(tt: np.ndarray) -> np.ndarray:
-                return _vertex_positions(envelope, a.lift(tt), b.lift(tt))
-            return pos
-
-        pos_i = make_pos(gp, gc)
-        curves.append(PlaneCurve(L, fd_jet(pos_i, fd), label=f"K{i}", position_fn=pos_i))
+        curves.append(curve_from_position(L, _vertex_position_fn(envelope, gp, gc), f"K{i}"))
 
     return EnvelopeClan(envelope, curve_from_support(envelope, label="C"),
                         tuple(curves), steps, glist)

@@ -158,3 +158,44 @@ class TestLiftMechanics:
         h = cm.from_fourier(1.0, 0.0, (cm.FourierTerm(1, 0.02, 0.0),))
         f = cm.make_torsion(h, 2, 5)
         assert cm.rotation_number(f.map, 2000) == pytest.approx(0.4, abs=1e-3)
+
+
+class TestMonotonicityCertificate:
+    def test_aliased_harmonic_is_rejected(self):
+        # F' = 1 + 2 cos(1024 x) has minimum -1, but every sample of a
+        # 1024-point grid sits at a maximum of the harmonic
+        with pytest.raises(cm.CircleMapError, match="not strictly increasing"):
+            cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1024, 2 / 1024, 0.0),))
+
+    def test_minimum_between_samples_is_refined(self):
+        # min F' = 1 - k R = -1e-6 at phase pi/8 off the scan grid of
+        # 8 points per period, where every sample reads F' >= 0.07
+        k = cm.MAX_HARMONIC
+        R = (1 + 1e-6) / k
+        psi = math.pi / 8
+        term = cm.FourierTerm(k, R * math.cos(psi), R * math.sin(psi))
+        xs = np.linspace(0.0, TWO_PI, 8 * k, endpoint=False)
+        sampled = 1 + k * R * np.cos(k * xs + psi)
+        assert sampled.min() > 0.07
+        with pytest.raises(cm.CircleMapError, match="not strictly increasing"):
+            cm.from_fourier(TWO_PI, 0.0, (term,))
+
+    def test_monotone_lift_beyond_the_coefficient_bound_is_accepted(self):
+        # 1 - (0.6 + 0.6) < 0, yet F' = 1 + 0.6 cos x + 0.6 cos 2x >= 0.325
+        terms = (cm.FourierTerm(1, 0.6, 0.0), cm.FourierTerm(2, 0.3, 0.0))
+        f = cm.from_fourier(TWO_PI, 0.0, terms)
+        assert f.min_derivative(4096) == pytest.approx(0.325, abs=1e-6)
+
+    def test_harmonic_above_the_cap_is_refused(self):
+        with pytest.raises(cm.CircleMapError, match="4096"):
+            cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(cm.MAX_HARMONIC + 1, 1e-9, 0.0),))
+
+    def test_lift_of_a_hand_built_map_takes_no_jets(self):
+        # without the differentiable flag, inversion falls back to the
+        # derivative-free step and the map offers no derivative
+        f = cm.CircleDiffeo(TWO_PI, lambda x: np.asarray(x, dtype=float) + 0.1 * np.sin(
+            np.asarray(x, dtype=float)), displacement_bound=0.1)
+        x = f.inverse().lift(np.array([0.5, 2.0]))
+        assert np.allclose(f.lift(x), [0.5, 2.0], atol=1e-11)
+        with pytest.raises(cm.CircleMapError, match="no derivative"):
+            f.derivative(0.5)

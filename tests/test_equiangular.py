@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poncelet.equiangular import (ConstructionError, EquiangularSpec, chord_offset,
+from poncelet.equiangular import (ConstructionError, EquiangularSpec,
                                   equiangular_clan, equiangular_pair,
                                   equiangular_vertex_curve, equilateral_pair,
                                   vertex_count)
@@ -12,6 +12,19 @@ from poncelet.geometry import RationalAngle, polyline_self_intersects
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
 
 TWO_PI = 2 * math.pi
+
+
+def chord_offset(p: SupportFunction, angle: RationalAngle):
+    """q(phi) = csc(a)(p(phi + a) - cos(a) p(phi)); Y = p*u + q*u'."""
+    a = angle.radians
+    return lambda phi: (p.eval(np.asarray(phi, float) + a) - math.cos(a) * p.eval(phi)) / math.sin(a)
+
+
+def exterior_turns(poly) -> list[float]:
+    """Signed turn of the side direction at each vertex of a polygon, in (-pi, pi]."""
+    n = len(poly.vertices)
+    dirs = [poly.vertices[(i + 1) % n] - poly.vertices[i] for i in range(n)]
+    return [math.atan2(dirs[i - 1].cross(dirs[i]), dirs[i - 1].dot(dirs[i])) for i in range(n)]
 
 
 def p_cos(a, l, coeff=1.0, k=1):
@@ -81,7 +94,7 @@ class TestVertexCurve:
         assert not polyline_self_intersects(env.sample(1024))
         for branch in (0, 1):
             K = equiangular_vertex_curve(EquiangularSpec(FIG_P, RationalAngle(2, 3), branch))
-            assert K.is_regular()
+            assert K.min_speed() > 0.0
             assert K.min_speed() > 0.5
 
     def test_angle_outside_open_interval_rejected(self):
@@ -156,7 +169,7 @@ class TestEquilateralPair:
         poly = pair.polygon(1.0)
         assert poly.closure_gap < 1e-12
         # pentagram exterior turn is 4*pi/5
-        for turn in poly.exterior_turns():
+        for turn in exterior_turns(poly):
             assert turn == pytest.approx(4 * math.pi / 5, abs=1e-12)
 
     def test_excluded_l_values(self):
@@ -212,7 +225,7 @@ class TestEquiangularPairPolygons:
         assert pair.count == 3
         poly = pair.polygon(0.9)
         assert poly.closure_gap < 1e-12
-        for turn in poly.exterior_turns():
+        for turn in exterior_turns(poly):
             assert turn == pytest.approx(TWO_PI / 3, abs=1e-8)
 
     def test_hexagon_branch_count_and_angles(self):
@@ -221,7 +234,7 @@ class TestEquiangularPairPolygons:
         poly = pair.polygon(0.2)
         assert poly.closure_gap < 1e-12
         # branch angle 5*pi/3 turns by -pi/3 at each vertex
-        for turn in poly.exterior_turns():
+        for turn in exterior_turns(poly):
             assert turn == pytest.approx(-math.pi / 3, abs=1e-8)
 
     def test_sides_tangent_in_support_form(self):
@@ -267,7 +280,7 @@ class TestEquiangularClan:
     def test_exterior_angles_follow_the_branch_cycle(self):
         clan = equiangular_clan(self.SUPPORT, self.ANGLES)
         poly = clan.polygon(1.3)
-        turns = poly.exterior_turns()
+        turns = exterior_turns(poly)
         for idx, turn in enumerate(turns):
             expected = clan.angles[idx % 3].radians
             assert turn == pytest.approx(expected, abs=1e-8)

@@ -351,3 +351,34 @@ def test_main_entrypoint_in_process(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["scene"]["vertex_count"] == 3
+
+
+def _fourier_step_doc(j: int, sin: float) -> dict:
+    return {"construction": "envelope-from-vertex",
+            "parameters": {"support": {"a": 1.0, "k": 1, "terms": []},
+                           "step": {"m": 1, "n": 4,
+                                    "h": {"c": 0.3, "terms": [{"j": j, "sin": sin}]}}}}
+
+
+@pytest.mark.parametrize("command", [("build", "--skip-verify"), ("verify",)])
+def test_aliased_non_monotone_step_exits_three(tmp_path, command):
+    # F' = 1 + 2 cos(1024 x) dips to -1 between the points of a 1024-point grid
+    path = tmp_path / "aliased.json"
+    path.write_text(json.dumps(_fourier_step_doc(1024, 0.001953125)))
+    proc = subprocess.run([sys.executable, "-m", "poncelet.cli", command[0], str(path),
+                           *command[1:]], capture_output=True, text=True, cwd=str(REPO),
+                          env=cli_env())
+    assert proc.returncode == 3, proc.stderr
+    assert "lift is not strictly increasing" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("j", [4097, -5000])
+def test_fourier_harmonic_above_the_cap_exits_two(tmp_path, j):
+    path = tmp_path / "harmonic.json"
+    path.write_text(json.dumps(_fourier_step_doc(j, 1e-9)))
+    proc = subprocess.run([sys.executable, "-m", "poncelet.cli", "build", str(path),
+                           "--skip-verify"], capture_output=True, text=True, cwd=str(REPO),
+                          env=cli_env())
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("schema error: ") and "|j| <= 4096" in proc.stderr

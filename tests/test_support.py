@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 from poncelet.support import (SupportError, SupportFunction, SupportTerm,
-                              constant_width_check, curvature, curve_from_support,
+                              constant_width_check, curve_from_support,
                               eval_jet, signed_area)
 
 WANKEL_A = 2 + math.sqrt(3)
+
+
+def curvature(curve, ts) -> np.ndarray:
+    _, vel, acc = curve.jet_many(ts)
+    speed = np.hypot(vel[:, 0], vel[:, 1])
+    return (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed ** 3
 
 
 def cos_poly(a, *freqs_coeffs, k=1):
@@ -56,7 +62,7 @@ class TestCurveFromSupport:
         pts = curve.positions(ts)
         assert np.allclose(np.hypot(pts[:, 0], pts[:, 1]), 2.5, atol=1e-14)
         assert curve.positive_curvature
-        assert curve.is_closed()
+        assert curve.closure_gap() < 1e-9
 
     def test_figure_pair_start_point(self):
         curve = curve_from_support(cos_poly(8 / 5, (2, 1.0)))
@@ -124,3 +130,30 @@ def test_serialization_round_trip():
 def test_plane_curve_min_speed_positive_for_circle():
     curve = curve_from_support(SupportFunction(2.5, (), 1))
     assert curve.min_speed() == pytest.approx(2.5, abs=1e-12)
+
+
+class TestEvalOrders:
+    P = SupportFunction(1.5, (SupportTerm(Fraction(2), 0.3, -0.2),
+                              SupportTerm(Fraction(1, 2), 0.1, 0.4)), 2)
+
+    def _closed_form(self, phi, order):
+        # d^n/dphi^n of c cos(l phi) + s sin(l phi) = l^n (c cos(l phi + n pi/2) + s sin(...))
+        out = np.full_like(phi, self.P.constant if order == 0 else 0.0)
+        for t in self.P.terms:
+            l = float(t.frequency)
+            arg = l * phi + order * math.pi / 2
+            out += l ** order * (t.cos_coeff * np.cos(arg) + t.sin_coeff * np.sin(arg))
+        return out
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
+    def test_orders_match_the_closed_form(self, order):
+        phi = np.linspace(0.0, 4 * math.pi, 50)
+        assert np.max(np.abs(self.P.eval(phi, order) - self._closed_form(phi, order))) < 1e-13
+
+    def test_numpy_integer_order_is_accepted(self):
+        assert self.P.eval(0.7, np.int64(4)) == self.P.eval(0.7, 4)
+
+    @pytest.mark.parametrize("order", [-1, 1.5, 2.0, True, "2", None])
+    def test_invalid_orders_are_refused(self, order):
+        with pytest.raises(ValueError, match="integer >= 0"):
+            self.P.eval(0.7, order)
