@@ -32,27 +32,32 @@ class FourierTerm:
 def _solve_lift(lift, dlift, y, L, bound, tol):
     """Solve lift(x) = y for x (vectorized safeguarded Newton in a bracket).
 
-    Raises CircleMapError when some x is not within tol after 100 steps.
+    dlift(x) is the lift's order-1 Jet at x (value and slope in one call), or
+    None for a lift that takes arrays only, which steps by the residual. Once
+    every residual is below tol, the Newton update of that last evaluation
+    is returned. Raises CircleMapError when some x is not within tol after
+    100 steps.
     """
     y = np.asarray(y, dtype=float)
     lo = y - bound
     hi = y + bound
     x = y.copy()
     for steps in range(101):
-        fx = lift(x) - y
+        if dlift is None:
+            fx = lift(x) - y
+            step = fx  # lift ~ identity + bounded part
+        else:
+            jet = dlift(x)
+            fx, d = jet.v - y, jet.d[0]
+            step = np.where(d > 0, fx / np.where(d > 0, d, 1.0), 0.0)
         done = np.abs(fx) < tol
         if np.all(done):
-            return x
+            return x if dlift is None else x - step
         if steps == 100:
             break
         lo = np.where(fx < 0, np.maximum(lo, x), lo)
         hi = np.where(fx > 0, np.minimum(hi, x), hi)
-        if dlift is not None:
-            d = dlift(x)
-            step = np.where(d > 0, fx / np.where(d > 0, d, 1.0), 0.0)
-            xn = x - step
-        else:
-            xn = x - fx  # lift ~ identity + bounded part
+        xn = x - step
         bad = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
         x = np.where(done, x, xn)
@@ -102,7 +107,7 @@ class CircleDiffeo:
         L = self.circumference
         bound = self.displacement_bound + L
         tol = 1e-12 * L
-        dlift = self.derivative if self.differentiable else None
+        dlift = (lambda x: self.lift(Jet.variable(x, 1))) if self.differentiable else None
 
         def inv_lift(y):
             if not isinstance(y, Jet):

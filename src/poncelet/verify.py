@@ -10,8 +10,11 @@ one (probes, grid) array per root search and refines all brackets
 together; a probe whose step fails drops out with its error, and the
 others go on. For self-intersecting vertex curves, where forward tangent
 selection is ambiguous, verification is restricted to the construction's
-own parameter sequence; there the side's tangency parameter is recovered
-independently from its normal form.
+own parameter sequence: the polygons of all probes are stacked into
+(probes, n, 2) arrays and checked together, with the same closure, angle and
+side statistics as the oracle's walks, and each side's tangency parameter
+is recovered independently from its normal form, for all sides of one
+envelope in one array call.
 
 Envelopes without a support function are checked by recovering each side's
 contact from the envelope's parametrization: every side of every probe's
@@ -47,11 +50,12 @@ class OracleError(RuntimeError):
     pass
 
 
-# The scalar formulas, element by element: np.hypot and np.arctan2 can differ
-# from math.hypot (Vec2.norm) and math.atan2 in the last bit, and the reports
-# keep the values of the scalar formulas.
+# The scalar formulas, element by element: np.hypot, np.arctan2 and np.arcsin
+# can differ from math.hypot (Vec2.norm), math.atan2 and math.asin in the last
+# bit, and the reports keep the values of the scalar formulas.
 _hypot = np.vectorize(math.hypot, otypes=[float])
 _atan2 = np.vectorize(math.atan2, otypes=[float])
+_asin = np.vectorize(math.asin, otypes=[float])
 _wrap_pi = np.vectorize(wrap_pi, otypes=[float])
 
 
@@ -250,25 +254,32 @@ def _distance_minima(a: np.ndarray, nx: np.ndarray, ny: np.ndarray,
     return np.concatenate(sides), np.concatenate(idx)
 
 
-def side_contact_recover(a: Vec2, b: Vec2, p: SupportFunction) -> tuple[float, float]:
-    """Tangency parameter of the side line through a, b, recovered from its
-    normal form: candidates are theta + j*pi over the sheets. Returns
-    (psi, gap) with the smallest support gap max(|<a,u>-p|, |<b,u>-p|)."""
+def _support_gap(a: np.ndarray, b: np.ndarray, psi: np.ndarray,
+                 p: SupportFunction) -> np.ndarray:
+    """max(|<a,u> - p|, |<b,u> - p|) at u = u(psi): how far the side from a
+    to b is from the tangent line of p at psi. a and b are (..., 2) arrays."""
+    ux, uy, pv = np.cos(psi), np.sin(psi), p.eval(psi)
+    return np.maximum(np.abs(a[..., 0] * ux + a[..., 1] * uy - pv),
+                      np.abs(b[..., 0] * ux + b[..., 1] * uy - pv))
+
+
+def side_contact_recover(a: np.ndarray, b: np.ndarray,
+                         p: SupportFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Tangency parameter of each side line through a[i], b[i], recovered from
+    its normal form: candidates are theta + j*pi over the sheets. Returns
+    (psi, gap) per side with the smallest support gap max(|<a,u>-p|, |<b,u>-p|)."""
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
     d = b - a
-    nrm = d.norm()
-    if nrm == 0.0:
+    nrm = _hypot(d[:, 0], d[:, 1])
+    if np.any(nrm == 0.0):
         raise OracleError("degenerate side")
-    n1 = Vec2(d.y / nrm, -d.x / nrm)
-    theta = math.atan2(n1.y, n1.x)
-    L = p.domain_length
-    best = None
-    for j in range(2 * p.sheets):
-        psi = (theta + j * math.pi) % L
-        u = Vec2(math.cos(psi), math.sin(psi))
-        gap = max(abs(a.dot(u) - p.eval(psi)), abs(b.dot(u) - p.eval(psi)))
-        if best is None or gap < best[1]:
-            best = (psi, gap)
-    return best
+    theta = _atan2(-d[:, 0] / nrm, d[:, 1] / nrm)
+    psi = np.mod(theta[:, None] + np.arange(2 * p.sheets) * math.pi, p.domain_length)
+    gap = _support_gap(a[:, None], b[:, None], psi, p)
+    best = np.argmin(gap, axis=1)[:, None]
+    return (np.take_along_axis(psi, best, axis=1)[:, 0],
+            np.take_along_axis(gap, best, axis=1)[:, 0])
 
 
 @dataclass
@@ -339,19 +350,27 @@ class PonceletConfiguration:
         return self.vertex_curves[0].domain_length
 
 
-def _angle_checks(report: VerificationReport, pts: np.ndarray,
-                  expected: list[float] | None):
-    """Largest deviation of the exterior angles of polygons pts (vertices,
-    polygons, 2) from the expected turns, taken cyclically per vertex."""
-    if expected is None:
-        return
-    n = len(pts)
-    b = np.concatenate([pts[1:], pts[:1]]) - pts   # side i runs from vertex i to i + 1
-    a = np.concatenate([b[-1:], b[:-1]])
-    turn = _atan2(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-                  a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
-    dev = float(np.max(np.abs(_wrap_pi(turn - np.resize(expected, n)[:, None]))))
-    report.max_angle_deviation = max(report.max_angle_deviation or 0.0, dev)
+def _polygon_checks(report: VerificationReport, pts: np.ndarray, config, turns):
+    """Premature closure, side-length spread and exterior-angle deviation of
+    the polygons pts (count + 1, probes, 2), whose row count is where each
+    one closes; the turns are expected cyclically over rows 0 to count - 1."""
+    count = len(pts) - 1
+    if count > 1:
+        shift = pts[1:count] - pts[0]
+        report.min_premature_closure = min(report.min_premature_closure,
+                                           float(np.min(_hypot(shift[..., 0], shift[..., 1]))))
+    if config.expected_side is not None:
+        side = np.diff(pts, axis=0)
+        spread = np.abs(_hypot(side[..., 0], side[..., 1]) - config.expected_side)
+        report.side_length_spread = max(report.side_length_spread or 0.0,
+                                        float(np.max(spread / config.expected_side)))
+    if turns is not None:
+        b = np.roll(pts[:count], -1, axis=0) - pts[:count]   # side i: vertex i to i + 1
+        a = np.roll(b, 1, axis=0)
+        turn = _atan2(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+                      a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
+        dev = float(np.max(np.abs(_wrap_pi(turn - np.resize(turns, count)[:, None]))))
+        report.max_angle_deviation = max(report.max_angle_deviation or 0.0, dev)
 
 
 def verify_pair(config: PonceletConfiguration, probes: int = 64,
@@ -417,9 +436,7 @@ def _verify_oracle(config, starts, tol, report):
         psi = np.array([s.contact_parameter for s in done])
         contact = np.array([tuple(s.contact) for s in done])
         a, b = pts[j, probes], K.positions(t2)
-        ux, uy, pv = np.cos(psi), np.sin(psi), p.eval(psi)
-        gap = np.maximum(np.abs(a[:, 0] * ux + a[:, 1] * uy - pv),
-                         np.abs(b[:, 0] * ux + b[:, 1] * uy - pv))
+        gap = _support_gap(a, b, psi, p)
         report.max_tangency_gap = max(report.max_tangency_gap, float(np.max(gap)))
         d = b - a
         chord = (((contact[:, 0] - a[:, 0]) * d[:, 0] + (contact[:, 1] - a[:, 1]) * d[:, 1])
@@ -442,22 +459,12 @@ def _verify_oracle(config, starts, tol, report):
     report.errors.extend(f"start {starts[i]:.6f}: {failed[i]}" for i in sorted(failed))
     closed = pts[:, live]
     if closed.shape[1]:
-        shift = closed - closed[0]
-        report.closure_error = max(report.closure_error,
-                                   float(np.max(_hypot(shift[count, :, 0], shift[count, :, 1]))))
-        if count > 1:
-            premature = _hypot(shift[1:count, :, 0], shift[1:count, :, 1])
-            report.min_premature_closure = min(report.min_premature_closure,
-                                               float(np.min(premature)))
-        if config.expected_side is not None:
-            side = np.diff(closed, axis=0)
-            spread = np.abs(_hypot(side[..., 0], side[..., 1]) - config.expected_side)
-            report.side_length_spread = max(report.side_length_spread or 0.0,
-                                            float(np.max(spread / config.expected_side)))
-        if config.expected_turn is not None:
-            # a reverse-walked polygon turns by the negated exterior angle
-            sign = -1.0 if direction == "reverse" else 1.0
-            _angle_checks(report, closed[:count], [sign * config.expected_turn])
+        gap = closed[count] - closed[0]
+        report.closure_error = max(report.closure_error, float(np.max(_hypot(*gap.T))))
+        # a reverse-walked polygon turns by the negated exterior angle
+        sign = -1.0 if direction == "reverse" else 1.0
+        _polygon_checks(report, closed, config, None if config.expected_turn is None
+                        else [sign * config.expected_turn])
 
     if config.step_lift is not None and not report.errors:
         report.max_step_mismatch = step_mismatch
@@ -469,85 +476,71 @@ def _verify_oracle(config, starts, tol, report):
 
 
 def _verify_sequence(config, starts, tol, report):
+    """Check every probe's polygon from the construction, stacked into
+    (probes, n, 2) arrays: side i runs from vertex i to vertex i + 1 and
+    touches envelope env[probe, i] at the point x with parameter psi."""
     L = config.domain_length
-    contact_mismatch = 0.0
-    implicit: dict[int, list] = {}     # envelope index -> [(probe, side, a, b, contact)]
-    polygons: dict[int, list] = {}     # vertex count -> [vertices of each probe]
-    for probe, t0 in enumerate(starts):
-        poly = config.polygon(float(t0))
-        report.closure_error = max(report.closure_error, poly.closure_gap)
-        n = len(poly.vertices)
-        if n > 1:
-            premature = min((poly.vertices[j] - poly.vertices[0]).norm() for j in range(1, n))
-            report.min_premature_closure = min(report.min_premature_closure, premature)
-        for i, contact in enumerate(poly.contacts):
-            a = poly.vertices[i]
-            b = poly.vertices[(i + 1) % n]
-            sup = config.envelope_supports[contact.envelope_index]
-            if sup is not None:
-                u = Vec2(math.cos(contact.parameter), math.sin(contact.parameter))
-                pv = sup.eval(contact.parameter)
-                gap = max(abs(a.dot(u) - pv), abs(b.dot(u) - pv))
-                report.max_tangency_gap = max(report.max_tangency_gap, gap)
-                psi_rec, rec_gap = side_contact_recover(a, b, sup)
-                contact_mismatch = max(contact_mismatch,
-                                       float(circle_distance(psi_rec, contact.parameter, L)))
-            else:
-                implicit.setdefault(contact.envelope_index, []).append(
-                    (probe, i, a, b, contact))
-            report.s_min = min(report.s_min, contact.chord)
-            report.s_max = max(report.s_max, contact.chord)
-        polygons.setdefault(n, []).append([tuple(v) for v in poly.vertices])
-        if config.expected_side is not None:
-            sides = poly.side_lengths()
-            spread = max(abs(s - config.expected_side) / config.expected_side for s in sides)
-            report.side_length_spread = max(report.side_length_spread or 0.0, spread)
+    polys = [config.polygon(float(t0)) for t0 in starts]
+    contacts = [poly.contacts for poly in polys]
+    v = np.array([[(q.x, q.y) for q in poly.vertices] for poly in polys])
+    w = np.roll(v, -1, axis=1)
+    x = np.array([[(c.point.x, c.point.y) for c in row] for row in contacts])
+    psi = np.array([[c.parameter for c in row] for row in contacts])
+    chord = np.array([[c.chord for c in row] for row in contacts])
+    env = np.array([[c.envelope_index for c in row] for row in contacts])
+    report.closure_error = max(report.closure_error, max(poly.closure_gap for poly in polys))
+    report.s_min = min(report.s_min, float(np.min(chord)))
+    report.s_max = max(report.s_max, float(np.max(chord)))
+    turns = config.expected_turns if config.expected_turns is not None else (
+        None if config.expected_turn is None else [config.expected_turn])
+    _polygon_checks(report, np.concatenate([v, v[:, :1]], axis=1).transpose(1, 0, 2),
+                    config, turns)
 
-    if config.expected_turns is not None:
-        expected = list(config.expected_turns)
-    else:
-        expected = None if config.expected_turn is None else [config.expected_turn]
-    for same_count in polygons.values():
-        _angle_checks(report, np.array(same_count).transpose(1, 0, 2), expected)
-
+    mismatch = 0.0
     errors = []                        # ((probe, side), message)
-    for k, sides in implicit.items():
-        env = config.envelopes[k]
-        grid_ts = np.linspace(0.0, env.domain_length, GRID, endpoint=False)
-        grid_pts = env.positions(grid_ts)
-        _, _, starts_, ends_, contacts = zip(*sides)
-        recovered, unconverged = parametric_side_contacts(
-            [tuple(v) for v in starts_], [tuple(v) for v in ends_], env, grid_ts, grid_pts,
-            dist_tol=max(tol, 1e-8))
-        tangents = env.jet_many([c.parameter for c in contacts])[1]
-        for (probe, i, a, b, contact), found, stuck, vel in zip(
-                sides, recovered, unconverged, tangents):
-            tangent = Vec2(*vel)
-            side = b - a
-            ang = abs(math.asin(max(-1.0, min(1.0,
-                      (tangent.cross(side)) / (tangent.norm() * side.norm())))))
-            gap = max(_point_line_distance(contact.point, a, b), ang)
-            report.max_tangency_gap = max(report.max_tangency_gap, gap)
-            if stuck:
-                errors.append(((probe, i), f"{stuck} contact bracket(s) of side {i} on "
-                                           f"envelope {k} near t = {contact.parameter:.6f} "
-                                           "did not converge"))
-            if found:
-                near = min(circle_distance(t, contact.parameter, env.domain_length)
-                           for t in found)
-                contact_mismatch = max(contact_mismatch, float(near))
-            else:
-                errors.append(((probe, i), f"no tangency of side {i} recovered on envelope "
-                                           f"{k} near t = {contact.parameter:.6f}"))
+    for k, (curve, sup) in enumerate(zip(config.envelopes, config.envelope_supports)):
+        probe, side = np.nonzero(env == k)
+        if not probe.size:
+            continue
+        a, b, at = v[probe, side], w[probe, side], psi[probe, side]
+        if sup is not None:
+            gap = _support_gap(a, b, at, sup)
+            near = circle_distance(side_contact_recover(a, b, sup)[0], at, L)
+        else:
+            grid_ts = np.linspace(0.0, curve.domain_length, GRID, endpoint=False)
+            found, stuck = parametric_side_contacts(a, b, curve, grid_ts,
+                                                    curve.positions(grid_ts),
+                                                    dist_tol=max(tol, 1e-8))
+            # the construction's contact must lie on the side line, tangent to it
+            vel = curve.jet_many(at)[1]
+            d, r = b - a, x[probe, side] - a
+            side_len = _hypot(d[:, 0], d[:, 1])
+            sin = (vel[:, 0] * d[:, 1] - vel[:, 1] * d[:, 0]) / (
+                _hypot(vel[:, 0], vel[:, 1]) * side_len)
+            gap = np.maximum(np.abs(d[:, 0] * r[:, 1] - d[:, 1] * r[:, 0]) / side_len,
+                             np.abs(_asin(np.clip(sin, -1.0, 1.0))))
+            hits = np.array([len(f) for f in found])
+            near = np.full(len(at), np.inf)
+            owner = np.repeat(np.arange(len(at)), hits)
+            np.minimum.at(near, owner, circle_distance(
+                np.array([t for f in found for t in f]), at[owner], curve.domain_length))
+            near = near[hits > 0]
+            for i in np.nonzero(stuck | (hits == 0))[0]:
+                where = (int(probe[i]), int(side[i]))
+                if stuck[i]:
+                    errors.append((where, f"{stuck[i]} contact bracket(s) of side {where[1]} "
+                                          f"on envelope {k} near t = {at[i]:.6f} "
+                                          "did not converge"))
+                if not hits[i]:
+                    errors.append((where, f"no tangency of side {where[1]} recovered on "
+                                          f"envelope {k} near t = {at[i]:.6f}"))
+        report.max_tangency_gap = max(report.max_tangency_gap, float(np.max(gap)))
+        if near.size:
+            mismatch = max(mismatch, float(np.max(near)))
     report.errors.extend(msg for _, msg in sorted(errors, key=lambda e: e[0]))
 
-    report.max_step_mismatch = contact_mismatch
-    report.checks["contact_recovery"] = contact_mismatch < tol
-
-
-def _point_line_distance(x: Vec2, a: Vec2, b: Vec2) -> float:
-    d = b - a
-    return abs(d.cross(x - a)) / d.norm()
+    report.max_step_mismatch = mismatch
+    report.checks["contact_recovery"] = mismatch < tol
 
 
 @dataclass(frozen=True)

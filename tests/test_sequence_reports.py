@@ -1,0 +1,41 @@
+"""Golden sequence-mode reports (tests/data/sequence_reports.json), written
+before sequence-mode verification checked its polygons as arrays: the four
+sequence-mode configs at 16 and 64 probes, as built and under both of the
+benchmark's negative controls (perfbench/gate.py). The controls of
+iterated_square fail through one error per side, which pins the error text
+and order. Strings, booleans and error lists must match exactly, floats to
+1e-12 relative."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from poncelet.scene import load_scene
+from poncelet.verify import verify_pair
+from test_bench_contract import gate
+from test_oracle_reports import _assert_matches
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((REPO / "tests" / "data" / "sequence_reports.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def variants():
+    out = {}
+    for name in GOLDEN:
+        config = load_scene(str(REPO / "configs" / f"{name}.json")).configuration
+        out[name] = {"construction": config, **gate.controls(config)}
+    return out
+
+
+@pytest.mark.parametrize("name, probes, kind", [
+    (name, int(p), kind) for name in sorted(GOLDEN) for p in sorted(GOLDEN[name], key=int)
+    for kind in GOLDEN[name][p]])
+def test_sequence_report_matches_golden(variants, name, probes, kind):
+    config = variants[name][kind]
+    assert config.mode == "sequence"
+    report = verify_pair(config, probes=probes)
+    want = GOLDEN[name][str(probes)][kind]
+    assert report.passed == (kind == "construction")
+    _assert_matches(report.to_dict(), want, f"{name}@{probes}/{kind}")

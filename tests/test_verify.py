@@ -21,6 +21,7 @@ from poncelet.verify import (OracleError, PonceletConfiguration, next_vertex_ora
                              parametric_side_contacts, regularity_scan, side_contact_recover,
                              verify_pair)
 from poncelet.vertex import ContactStepSystem, vertex_from_envelope
+from test_bench_contract import SCENES
 
 TWO_PI = 2 * math.pi
 ITERATED_SQUARE = Path(__file__).resolve().parent.parent / "configs" / "iterated_square.json"
@@ -151,12 +152,19 @@ class TestSideContactRecovery:
         pair = equilateral_pair(4, Fraction(2, 3), math.cos(2 * math.pi / 5) * 25 / 9)
         poly = pair.polygon(0.77)
         L = pair.envelope_support.domain_length
+        a = np.array([tuple(v) for v in poly.vertices])
+        psi, gap = side_contact_recover(a, np.roll(a, -1, axis=0), pair.envelope_support)
+        assert psi.shape == gap.shape == (len(poly.contacts),)
         for i, contact in enumerate(poly.contacts):
-            a = poly.vertices[i]
-            b = poly.vertices[(i + 1) % len(poly.vertices)]
-            psi, gap = side_contact_recover(a, b, pair.envelope_support)
-            assert gap < 1e-10
-            assert circle_distance(psi, contact.parameter, L) < 1e-9
+            assert gap[i] < 1e-10
+            assert circle_distance(psi[i], contact.parameter, L) < 1e-9
+
+    def test_zero_length_side_raises(self):
+        pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
+        a = np.array([[3.0, 0.0], [0.0, 3.0]])
+        with pytest.raises(OracleError, match="degenerate side"):
+            side_contact_recover(a, np.array([[0.0, 3.0], [0.0, 3.0]]),
+                                 pair.envelope_support)
 
 
 @pytest.fixture(scope="module")
@@ -224,8 +232,17 @@ class TestImplicitEnvelopeControls:
     def expected_errors(self, config):
         L = config.domain_length
         starts = np.linspace(0.0, L, self.PROBES, endpoint=False) + 0.05 * L / self.PROBES
-        return [f"no tangency of side {i} recovered on envelope 0 near t = {c.parameter:.6f}"
+        return [f"no tangency of side {i} recovered on envelope {c.envelope_index} "
+                f"near t = {c.parameter:.6f}"
                 for t0 in starts for i, c in enumerate(config.polygon(float(t0)).contacts)]
+
+    def shifted(self, config):
+        def polygon(start):
+            poly = config.polygon(start)
+            return dataclasses.replace(poly, vertices=tuple(
+                Vec2(v.x + 1e-3, v.y) for v in poly.vertices))
+
+        return dataclasses.replace(config, polygon=polygon)
 
     def test_envelope_bump_fails_on_every_side(self, iterated_square):
         env = iterated_square.envelopes[0]
@@ -235,15 +252,40 @@ class TestImplicitEnvelopeControls:
         assert rep.errors == self.expected_errors(iterated_square)
 
     def test_vertex_shift_fails_on_every_side(self, iterated_square):
-        def shifted(start):
-            poly = iterated_square.polygon(start)
-            return dataclasses.replace(poly, vertices=tuple(
-                Vec2(v.x + 1e-3, v.y) for v in poly.vertices))
-
-        moved = dataclasses.replace(iterated_square, polygon=shifted)
-        rep = verify_pair(moved, probes=self.PROBES)
+        rep = verify_pair(self.shifted(iterated_square), probes=self.PROBES)
         assert not rep.passed
         assert rep.errors == self.expected_errors(iterated_square)
+
+    def test_vertex_shift_fails_on_every_side_of_every_envelope(self):
+        clan = SCENES["clan-from-vertex"]().configuration
+        assert {c.envelope_index for c in clan.polygon(0.3).contacts} == {0, 1, 2}
+        rep = verify_pair(self.shifted(clan), probes=self.PROBES)
+        assert not rep.passed
+        assert rep.errors == self.expected_errors(clan)
+
+
+@functools.cache
+def _sequence_config(name):
+    return load_scene(str(ITERATED_SQUARE.parent / f"{name}.json")).configuration
+
+
+class TestPerturbedSequencePolygons:
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["equilateral_a85", "pentagram", "clan", "iterated_square"]),
+           vertex=st.integers(0, 63), length=st.floats(1e-4, 1e-2),
+           angle=st.floats(0.0, TWO_PI))
+    def test_one_moved_vertex_never_passes(self, name, vertex, length, angle):
+        config = _sequence_config(name)
+        assert config.mode == "sequence"
+        move = Vec2(length * math.cos(angle), length * math.sin(angle))
+
+        def moved(start):
+            poly = config.polygon(start)
+            vs = list(poly.vertices)
+            vs[vertex % len(vs)] += move
+            return dataclasses.replace(poly, vertices=tuple(vs))
+
+        assert not verify_pair(dataclasses.replace(config, polygon=moved), probes=8).passed
 
 
 class TestNonConvergence:
