@@ -79,7 +79,6 @@ class CircleDiffeo:
     circumference: float
     lift: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     rotation_amount: float | None = None  # set iff the map is a rigid rotation
-    fourier: tuple[float, tuple[FourierTerm, ...]] | None = None  # (c, terms)
     displacement_bound: float = 0.0  # bound for |lift(x) - x|
     differentiable: bool = False     # the lift accepts a Jet
 
@@ -143,24 +142,6 @@ class CircleDiffeo:
             x = self.lift(x)
         return x
 
-    def to_dict(self) -> dict:
-        if self.fourier is None:
-            raise CircleMapError("only Fourier-lift maps serialize")
-        c, terms = self.fourier
-        return {
-            "L": self.circumference,
-            "c": c,
-            "terms": [{"j": t.j, "sin": t.sin_coeff, "cos": t.cos_coeff} for t in terms],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> CircleDiffeo:
-        terms = tuple(
-            FourierTerm(int(t["j"]), float(t.get("sin", 0.0)), float(t.get("cos", 0.0)))
-            for t in doc.get("terms", [])
-        )
-        return from_fourier(float(doc["L"]), float(doc.get("c", 0.0)), terms)
-
 
 def identity(L: float) -> CircleDiffeo:
     return rotation(L, 0.0)
@@ -209,8 +190,8 @@ def from_fourier(L: float, c: float, terms: tuple[FourierTerm, ...]) -> CircleDi
         return out
 
     bound = abs(c) + sum(abs(t.sin_coeff) + abs(t.cos_coeff) for t in terms)
-    f = CircleDiffeo(L, lambda x: chain(x, derivs), fourier=(c, terms),
-                     displacement_bound=bound, differentiable=True)
+    f = CircleDiffeo(L, lambda x: chain(x, derivs), displacement_bound=bound,
+                     differentiable=True)
     slope_bound = 1.0 - sum(w * abs(t.j) * math.hypot(t.sin_coeff, t.cos_coeff) for t in terms)
     if slope_bound <= 1e-9 and _min_slope(f, max(abs(t.j) for t in terms)) <= 1e-9:
         raise CircleMapError("lift is not strictly increasing (min F' <= 1e-9)")

@@ -41,7 +41,7 @@ def _env_probes() -> int | None:
 def _scene_summary(scene: Scene) -> dict:
     cfg = scene.configuration
     return {
-        "construction": scene.label,
+        "construction": cfg.label,
         "mode": cfg.mode,
         "vertex_count": cfg.count,
         "curves": sorted(scene.curve_table()),

@@ -61,10 +61,6 @@ class PonceletPolygon:
     contacts: tuple[Contact, ...]
     closure_gap: float
 
-    @property
-    def closed(self) -> bool:
-        return self.closure_gap < 1e-9
-
     def side_lengths(self) -> list[float]:
         n = len(self.vertices)
         return [(self.vertices[(i + 1) % n] - self.vertices[i]).norm() for i in range(n)]
@@ -205,7 +201,7 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
     if alpha.is_multiple_of_pi():
         raise ConstructionError(
             f"l = {l} is excluded (l = 2k/m - 1 for integer m; the polygon degenerates)")
-    bound = float(l * l) - 1 if l > 1 else 1 - float(l * l)
+    bound = abs(l * l - 1)     # exact: a float of l * l can overflow
     if strict_curvature and not a > bound:
         raise ConstructionError(f"need a > {bound} for a positively curved envelope")
 

@@ -17,6 +17,11 @@ Support functions: {"a": float, "k": int, "terms": [{"l_num", "l_den", "cos", "s
 Torsion steps: {"m": int, "n": int, "h": {"c": float, "terms": [{"j", "sin", "cos"}]}}
 (h omitted means the rigid rotation by m/n of the circle; |j| <= 4096).
 Clan steps: {"rotation_pi": {"num", "den"}} or a Fourier lift {"c", "terms"}.
+A polygon has at most verify.MAX_VERTICES vertices; a larger torsion period,
+clan step count or vertex count is refused here, before any work grows with it.
+
+This module is the only reader of these documents: it builds the library's
+support functions, circle maps and configurations from the values it checks.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ from .envelope import VertexStepSystem, clan_from_vertex, envelope_from_vertex
 from .equiangular import PonceletPolygon
 from .geometry import SELF_INTERSECTION_SAMPLES, RationalAngle, polyline_self_intersects, wrap_pi
 from .render import MAX_SAMPLES
-from .support import PlaneCurve, SupportFunction, curve_from_support
-from .verify import (MAX_PROBES, MIN_PROBES, PonceletConfiguration, VerificationReport,
-                     verify_pair)
+from .support import PlaneCurve, SupportError, SupportFunction, SupportTerm, curve_from_support
+from .verify import (MAX_PROBES, MAX_VERTICES, MIN_PROBES, PonceletConfiguration,
+                     VerificationReport, verify_pair)
 from .vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
 
 
@@ -86,38 +91,54 @@ def _integer(raw, where: str) -> int:
         raise SchemaError(f"{where} must be an integer, got {raw!r}") from exc
 
 
+def _list(raw, where: str) -> list | tuple:
+    """A list from a document value: a JSON array, or a tuple from code."""
+    if not isinstance(raw, (list, tuple)):
+        raise SchemaError(f"{where} must be a list, got {raw!r}")
+    return raw
+
+
+def _vertices(count: int, where: str) -> int:
+    """A polygon vertex count within the verifier's bound."""
+    if count > MAX_VERTICES:
+        raise SchemaError(f"{where} gives {count} polygon vertices; "
+                          f"at most {MAX_VERTICES} are allowed")
+    return count
+
+
+def _ratio(doc: dict, where: str, num: str = "num", den: str = "den") -> Fraction:
+    """The fraction of the integer fields num and den of doc."""
+    n, d = _integer(doc[num], f"{where}.{num}"), _integer(doc[den], f"{where}.{den}")
+    if d == 0:
+        raise SchemaError(f"{where}.{den} must not be zero")
+    return Fraction(n, d)
+
+
 def _angle(doc, where: str) -> RationalAngle:
     _check_keys(doc, {"num", "den"}, where, ("num", "den"))
-    num, den = _integer(doc["num"], f"{where}.num"), _integer(doc["den"], f"{where}.den")
-    if den == 0:
-        raise SchemaError(f"{where}.den must not be zero")
-    return RationalAngle(num, den)
+    return RationalAngle.from_fraction(_ratio(doc, where))
 
 
 def _support(doc, where: str) -> SupportFunction:
-    _check_keys(doc, {"a", "k", "terms"}, where)
-    if "a" in doc:
-        _number(doc["a"], f"{where}.a")
-    if "k" in doc:
-        _integer(doc["k"], f"{where}.k")
-    for i, t in enumerate(doc.get("terms", [])):
-        _check_keys(t, {"l_num", "l_den", "cos", "sin"}, f"{where}.terms[{i}]")
-        for key in ("cos", "sin"):
-            if key in t:
-                _number(t[key], f"{where}.terms[{i}].{key}")
-        for key in ("l_num", "l_den"):
-            if key in t:
-                _integer(t[key], f"{where}.terms[{i}].{key}")
+    _check_keys(doc, {"a", "k", "terms"}, where, ("a",))
+    a, k = _number(doc["a"], f"{where}.a"), _integer(doc.get("k", 1), f"{where}.k")
+    terms = []
+    for i, t in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
+        at = f"{where}.terms[{i}]"
+        _check_keys(t, {"l_num", "l_den", "cos", "sin"}, at, ("l_num", "l_den"))
+        terms.append(SupportTerm(_ratio(t, at, "l_num", "l_den"),
+                                 _number(t.get("cos", 0.0), f"{at}.cos"),
+                                 _number(t.get("sin", 0.0), f"{at}.sin")))
     try:
-        return SupportFunction.from_dict(doc)
-    except (ValueError, KeyError, TypeError, OverflowError, ZeroDivisionError) as exc:
+        return SupportFunction(a, tuple(terms), k)
+    except SupportError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def _fourier(doc, L: float, where: str) -> cm.CircleDiffeo:
     _check_keys(doc, {"c", "terms"}, where)
     terms = []
-    for i, t in enumerate(doc.get("terms", [])):
+    for i, t in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
         at = f"{where}.terms[{i}]"
         _check_keys(t, {"j", "sin", "cos"}, at, ("j",))
         j = _integer(t["j"], f"{at}.j")
@@ -130,16 +151,21 @@ def _fourier(doc, L: float, where: str) -> cm.CircleDiffeo:
 
 def _torsion(doc, L: float, where: str) -> cm.TorsionMap:
     _check_keys(doc, {"m", "n", "h"}, where, ("m", "n"))
-    m, n = _integer(doc["m"], f"{where}.m"), _integer(doc["n"], f"{where}.n")
-    if "h" in doc:
-        h = _fourier(doc["h"], L, f"{where}.h")
-    else:
-        h = cm.identity(L)
+    m = _integer(doc["m"], f"{where}.m")
+    n = _vertices(_integer(doc["n"], f"{where}.n"), f"{where}.n")
+    h = _fourier(doc["h"], L, f"{where}.h") if "h" in doc else cm.identity(L)
     return cm.make_torsion(h, m, n)
 
 
+def _steps(params: dict, L: float) -> list[cm.CircleDiffeo]:
+    """A clan's step maps; the closing step makes one vertex more."""
+    docs = _list(params["steps"], "parameters.steps")
+    _vertices(len(docs) + 1, "parameters.steps")
+    return [_diffeo(s, L, f"parameters.steps[{i}]") for i, s in enumerate(docs)]
+
+
 def _diffeo(doc, L: float, where: str) -> cm.CircleDiffeo:
-    if "rotation_pi" in doc:
+    if isinstance(doc, dict) and "rotation_pi" in doc:
         _check_keys(doc, {"rotation_pi"}, where)
         return cm.rotation(L, _angle(doc["rotation_pi"], f"{where}.rotation_pi").radians)
     return _fourier(doc, L, where)
@@ -147,25 +173,23 @@ def _diffeo(doc, L: float, where: str) -> cm.CircleDiffeo:
 
 @dataclass
 class RenderOptions:
-    samples: int = 1024
-    margin: float = 0.05
-    polygon_starts: tuple[float, ...] = (0.0,)
+    samples: int
+    margin: float
+    polygon_starts: tuple[float, ...]
 
 
 @dataclass
 class VerifyOptions:
-    probes: int = 64
-    tol: float | None = None
-    expect_interior: bool | None = None
+    probes: int
+    tol: float | None
+    expect_interior: bool | None
 
 
 @dataclass
 class Scene:
-    label: str
     configuration: PonceletConfiguration
     render_options: RenderOptions
     verify_options: VerifyOptions
-    notes: tuple[str, ...] = ()
 
     @property
     def envelopes(self) -> tuple[PlaneCurve, ...]:
@@ -217,14 +241,14 @@ def _configuration(label: str, vertex_curves, envelopes, supports, polygon, coun
 
 
 def _pair_configuration(label: str, pair, support: SupportFunction,
-                        expected_turn, expected_side, vopts) -> PonceletConfiguration:
+                        expected_side, vopts) -> PonceletConfiguration:
     angle = pair.angle.radians
     mode = "oracle" if _oracle_capable(pair.vertex_curve, support) else "sequence"
     return _configuration(label, (pair.vertex_curve,), (pair.envelope,), (support,),
                           pair.polygon, pair.count, vopts, mode,
                           step_lift=(lambda t: np.asarray(t) + angle),
                           step_inv_lift=(lambda t: np.asarray(t) - angle),
-                          expected_turn=expected_turn, expected_side=expected_side)
+                          expected_turns=(wrap_pi(angle),), expected_side=expected_side)
 
 
 def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -233,36 +257,35 @@ def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfi
     spec = eq.EquiangularSpec(support, _angle(params["angle"], "parameters.angle"),
                               _integer(params.get("branch", 0), "parameters.branch"))
     pair = eq.equiangular_pair(spec)
-    return _pair_configuration("equiangular-pair", pair, support,
-                               wrap_pi(pair.angle.radians), None, vopts)
+    _vertices(pair.count, "parameters.angle")
+    return _pair_configuration("equiangular-pair", pair, support, None, vopts)
 
 
 def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
     _check_keys(params, {"k", "l", "a"}, "parameters", ("k", "l", "a"))
-    ldoc = params["l"]
-    _check_keys(ldoc, {"num", "den"}, "parameters.l", ("num", "den"))
-    num, den = _integer(ldoc["num"], "parameters.l.num"), _integer(ldoc["den"], "parameters.l.den")
-    if den == 0:
-        raise SchemaError("parameters.l.den must not be zero")
-    pair = eq.equilateral_pair(_integer(params["k"], "parameters.k"), Fraction(num, den),
+    _check_keys(params["l"], {"num", "den"}, "parameters.l", ("num", "den"))
+    pair = eq.equilateral_pair(_integer(params["k"], "parameters.k"),
+                               _ratio(params["l"], "parameters.l"),
                                _number(params["a"], "parameters.a"))
+    _vertices(pair.count, "parameters.l")
     return _pair_configuration("equilateral", pair, pair.envelope_support,
-                               wrap_pi(pair.angle.radians), pair.side_length, vopts)
+                               pair.side_length, vopts)
 
 
 def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
     _check_keys(params, {"support", "angles", "branches"}, "parameters", ("support", "angles"))
     support = _support(params["support"], "parameters.support")
-    angles = [_angle(a, f"parameters.angles[{i}]") for i, a in enumerate(params["angles"])]
-    branches = [_integer(b, f"parameters.branches[{i}]")
-                for i, b in enumerate(params.get("branches", [0] * len(angles)))]
+    docs = _list(params["angles"], "parameters.angles")
+    _vertices(len(docs), "parameters.angles")
+    angles = [_angle(a, f"parameters.angles[{i}]") for i, a in enumerate(docs)]
+    branches = _list(params.get("branches", [0] * len(angles)), "parameters.branches")
+    branches = [_integer(b, f"parameters.branches[{i}]") for i, b in enumerate(branches)]
     clan = eq.equiangular_clan(support, angles, branches)
-    if clan.degenerate:
-        turns = (wrap_pi(clan.angles[0].radians),)
-    else:
-        turns = tuple(wrap_pi(a.radians) for a in clan.angles)
+    _vertices(clan.count, "parameters.angles")
+    turns = clan.angles[:1] if clan.degenerate else clan.angles
     return _configuration("equiangular-clan", clan.vertex_curves, (clan.envelope,), (support,),
-                          clan.polygon, clan.count, vopts, expected_turns=turns)
+                          clan.polygon, clan.count, vopts,
+                          expected_turns=tuple(wrap_pi(a.radians) for a in turns))
 
 
 def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -290,9 +313,7 @@ def _build_clan_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfi
     _check_keys(params, {"support", "steps"}, "parameters", ("support", "steps"))
     support = _support(params["support"], "parameters.support")
     Y = curve_from_support(support, label="K")
-    steps = [_diffeo(s, support.domain_length, f"parameters.steps[{i}]")
-             for i, s in enumerate(params["steps"])]
-    clan = clan_from_vertex(Y, steps)
+    clan = clan_from_vertex(Y, _steps(params, support.domain_length))
     n = len(clan.envelopes)
     return _configuration("clan-from-vertex", (Y,), clan.envelopes, (None,) * n, clan.polygon, n,
                           vopts)
@@ -301,9 +322,7 @@ def _build_clan_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfi
 def _build_clan_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
     _check_keys(params, {"support", "steps"}, "parameters", ("support", "steps"))
     support = _support(params["support"], "parameters.support")
-    steps = [_diffeo(s, support.domain_length, f"parameters.steps[{i}]")
-             for i, s in enumerate(params["steps"])]
-    clan = clan_from_envelope(support, steps)
+    clan = clan_from_envelope(support, _steps(params, support.domain_length))
     return _configuration("clan-from-envelope", clan.vertex_curves, (clan.envelope,),
                           (support,), clan.polygon, len(clan.vertex_curves), vopts)
 
@@ -330,9 +349,7 @@ def parse_config(doc: dict) -> tuple[str, dict, RenderOptions, VerifyOptions]:
 
     rdoc = doc.get("render", {})
     _check_keys(rdoc, {"samples", "margin", "polygon_starts"}, "render")
-    starts = rdoc.get("polygon_starts", [0.0])
-    if not isinstance(starts, (list, tuple)):
-        raise SchemaError(f"render.polygon_starts must be a list, got {starts!r}")
+    starts = _list(rdoc.get("polygon_starts", [0.0]), "render.polygon_starts")
     ropts = RenderOptions(
         samples=sample_count(rdoc.get("samples", 1024), "render.samples"),
         margin=_number(rdoc.get("margin", 0.05), "render.margin"),
@@ -343,13 +360,14 @@ def parse_config(doc: dict) -> tuple[str, dict, RenderOptions, VerifyOptions]:
     vdoc = doc.get("verify", {})
     _check_keys(vdoc, {"probes", "tol", "expect_interior"}, "verify")
     tol = None if vdoc.get("tol") is None else _number(vdoc["tol"], "verify.tol")
-    if vdoc.get("expect_interior") not in (None, True, False):
+    interior = vdoc.get("expect_interior")
+    if interior is not None and not isinstance(interior, bool):
         raise SchemaError(f"verify.expect_interior must be true, false or null, "
-                          f"got {vdoc['expect_interior']!r}")
+                          f"got {interior!r}")
     vopts = VerifyOptions(
         probes=probe_count(vdoc.get("probes", 64), "verify.probes"),
         tol=tol,
-        expect_interior=vdoc.get("expect_interior"),
+        expect_interior=interior,
     )
     return kind, params, ropts, vopts
 
@@ -376,7 +394,7 @@ def sample_count(raw, where: str) -> int:
 def build_scene(doc: dict) -> Scene:
     kind, params, ropts, vopts = parse_config(doc)
     configuration = _BUILDERS[kind](params, vopts)
-    return Scene(kind, configuration, ropts, vopts)
+    return Scene(configuration, ropts, vopts)
 
 
 def load_scene(path: str) -> Scene:

@@ -72,7 +72,7 @@ class SupportFunction:
         phi = self._reduce(np.asarray(phi, dtype=float))
         out = np.full_like(phi, self.constant if order == 0 else 0.0)
         for t in self.terms:
-            l = float(t.frequency)
+            l = np.float64(t.frequency)   # l ** order overflows to inf, not an error
             arg = l * phi
             c, s = t.cos_coeff, t.sin_coeff
             c, s = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
@@ -82,26 +82,6 @@ class SupportFunction:
     def min_curvature_radius(self, samples: int = 2048) -> float:
         phi = np.linspace(0.0, self.domain_length, samples, endpoint=False)
         return float(np.min(self.eval(phi) + self.eval(phi, 2)))
-
-    def to_dict(self) -> dict:
-        return {
-            "a": self.constant,
-            "k": self.sheets,
-            "terms": [
-                {"l_num": t.frequency.numerator, "l_den": t.frequency.denominator,
-                 "cos": t.cos_coeff, "sin": t.sin_coeff}
-                for t in self.terms
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> SupportFunction:
-        terms = tuple(
-            SupportTerm(Fraction(int(t["l_num"]), int(t["l_den"])),
-                        float(t.get("cos", 0.0)), float(t.get("sin", 0.0)))
-            for t in doc.get("terms", [])
-        )
-        return cls(float(doc["a"]), terms, int(doc.get("k", 1)))
 
 
 def eval_jet(p: SupportFunction, phi: float) -> tuple[float, float, float]:

@@ -44,6 +44,11 @@ from .support import PlaneCurve, SupportFunction
 # sets its memory as well as its time.
 MIN_PROBES = 8
 MAX_PROBES = 1024
+# Vertices per polygon, the other factor of the verifier's work. The same
+# bound caps torsion periods and clan step counts where a document is read:
+# a clan's fixed-point scan composes every pair of its steps, so its build
+# time grows faster than quadratically with the step count.
+MAX_VERTICES = 64
 
 
 class OracleError(RuntimeError):
@@ -337,11 +342,10 @@ class PonceletConfiguration:
     polygon: Callable[[float], PonceletPolygon]
     count: int
     mode: str                                  # "oracle" | "sequence"
-    # vertex-parameter step and its inverse (oracle mode); both take arrays
+    # vertex-parameter step and its inverse (oracle mode), set together; both take arrays
     step_lift: Callable[[np.ndarray], np.ndarray] | None = None
     step_inv_lift: Callable[[np.ndarray], np.ndarray] | None = None
-    expected_turn: float | None = None         # uniform wrapped exterior angle
-    expected_turns: tuple[float, ...] | None = None
+    expected_turns: tuple[float, ...] | None = None   # wrapped exterior angles, cyclic
     expected_side: float | None = None
     expect_interior: bool | None = None
 
@@ -394,7 +398,7 @@ def verify_pair(config: PonceletConfiguration, probes: int = 64,
     report.checks["closure"] = report.closure_error < tol
     report.checks["no_premature_closure"] = report.min_premature_closure > tol
     report.checks["tangency"] = report.max_tangency_gap < max(tol, 1e-8)
-    if config.expected_turn is not None or config.expected_turns is not None:
+    if config.expected_turns is not None:
         report.checks["equiangular"] = (report.max_angle_deviation or math.inf) < 1e-8
     if config.expected_side is not None:
         report.checks["equilateral"] = (report.side_length_spread or math.inf) < 1e-9
@@ -445,13 +449,11 @@ def _verify_oracle(config, starts, tol, report):
         report.s_max = max(report.s_max, float(np.max(chord)))
         if config.step_lift is not None:
             fwd = np.asarray(config.step_lift(t), dtype=float)
-            rev = (np.asarray(config.step_inv_lift(t), dtype=float)
-                   if config.step_inv_lift else None)
+            rev = np.asarray(config.step_inv_lift(t), dtype=float)
             if direction is None:
                 # from the lowest-index probe whose first step succeeded
-                d_f = circle_distance(t2[0], fwd[0], L)
-                d_r = circle_distance(t2[0], rev[0], L) if rev is not None else math.inf
-                direction = "forward" if d_f <= d_r else "reverse"
+                direction = ("forward" if circle_distance(t2[0], fwd[0], L)
+                             <= circle_distance(t2[0], rev[0], L) else "reverse")
             ref = fwd if direction == "forward" else rev
             step_mismatch = max(step_mismatch, float(np.max(circle_distance(t2, ref, L))))
         params[j + 1, probes], pts[j + 1, probes] = t2, b
@@ -461,10 +463,10 @@ def _verify_oracle(config, starts, tol, report):
     if closed.shape[1]:
         gap = closed[count] - closed[0]
         report.closure_error = max(report.closure_error, float(np.max(_hypot(*gap.T))))
-        # a reverse-walked polygon turns by the negated exterior angle
+        # a reverse-walked polygon turns by the negated exterior angles
         sign = -1.0 if direction == "reverse" else 1.0
-        _polygon_checks(report, closed, config, None if config.expected_turn is None
-                        else [sign * config.expected_turn])
+        _polygon_checks(report, closed, config, None if config.expected_turns is None
+                        else [sign * turn for turn in config.expected_turns])
 
     if config.step_lift is not None and not report.errors:
         report.max_step_mismatch = step_mismatch
@@ -491,10 +493,8 @@ def _verify_sequence(config, starts, tol, report):
     report.closure_error = max(report.closure_error, max(poly.closure_gap for poly in polys))
     report.s_min = min(report.s_min, float(np.min(chord)))
     report.s_max = max(report.s_max, float(np.max(chord)))
-    turns = config.expected_turns if config.expected_turns is not None else (
-        None if config.expected_turn is None else [config.expected_turn])
     _polygon_checks(report, np.concatenate([v, v[:, :1]], axis=1).transpose(1, 0, 2),
-                    config, turns)
+                    config, config.expected_turns)
 
     mismatch = 0.0
     errors = []                        # ((probe, side), message)

@@ -142,17 +142,6 @@ class TestLiftMechanics:
         with pytest.raises(cm.CircleMapError):
             cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 1.5, 0.0),))
 
-    def test_serialization_round_trip(self):
-        h = cm.from_fourier(1.0, 0.25, (cm.FourierTerm(1, 0.03, 0.01),
-                                        cm.FourierTerm(2, -0.02, 0.0)))
-        doc = h.to_dict()
-        assert doc == {"L": 1.0, "c": 0.25,
-                       "terms": [{"j": 1, "sin": 0.03, "cos": 0.01},
-                                 {"j": 2, "sin": -0.02, "cos": 0.0}]}
-        g = cm.CircleDiffeo.from_dict(doc)
-        xs = np.linspace(0, 1, 64)
-        assert np.max(np.abs(g.lift(xs) - h.lift(xs))) == 0.0
-
     def test_unit_circumference_section_convention(self):
         # the torsion-map section works on circumference 1 as well as 2*pi
         h = cm.from_fourier(1.0, 0.0, (cm.FourierTerm(1, 0.02, 0.0),))

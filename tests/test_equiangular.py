@@ -182,6 +182,12 @@ class TestEquilateralPair:
         with pytest.raises(ConstructionError):
             equilateral_pair(1, Fraction(2), 8 / 5, strict_curvature=True)
 
+    def test_huge_l_counts_its_vertices_without_overflow(self):
+        # l * l is past the float range; the count is exact all the same
+        with np.errstate(over="ignore", invalid="ignore"):
+            pair = equilateral_pair(1, Fraction(10**200), 1.6)
+        assert pair.count == 10**200 + 1
+
     def test_curvature_determinant_at_critical_a_odd_sheets(self):
         k, l = 1, Fraction(2)
         n = float(l + 1)

@@ -167,7 +167,7 @@ class TestPolylineSelfIntersection:
         assert polyline_self_intersects(pts, closed=False) is expected
         assert _all_pairs_self_intersects(pts, closed=False) is expected
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.one_of(lattice_loops, float_loops), st.booleans())
     # a segment so short that |ab|^2 underflows to 0
     @example([(0.0, 0.0), (0.0, 8.695129490408271e-204), (0.0, 0.0), (0.0, 1.0)], False)

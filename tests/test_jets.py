@@ -111,7 +111,7 @@ def fourier_map(c, terms):
     return cm.from_fourier(TWO_PI, c, tuple(terms))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(offsets, fourier_terms)
 def test_lift_of_inverse_is_the_identity_jet(c, terms):
     h = fourier_map(c, terms)
@@ -121,7 +121,7 @@ def test_lift_of_inverse_is_the_identity_jet(c, terms):
     assert np.max(np.abs(d2)) < 1e-12 and np.max(np.abs(d3)) < 1e-12
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(offsets, fourier_terms)
 def test_lift_inversion_ends_at_rounding(c, terms):
     h = fourier_map(c, terms)
@@ -129,7 +129,7 @@ def test_lift_inversion_ends_at_rounding(c, terms):
     assert np.max(np.abs(h.lift(h.inverse().lift(ys)) - ys)) <= 1e-14
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(offsets, fourier_terms, offsets, fourier_terms)
 def test_compose_jets_follow_the_chain_rule(c1, terms1, c2, terms2):
     inner, outer = fourier_map(c1, terms1), fourier_map(c2, terms2)
@@ -140,7 +140,7 @@ def test_compose_jets_follow_the_chain_rule(c1, terms1, c2, terms2):
         assert np.max(np.abs(a - b)) < 1e-12, k
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(offsets, fourier_terms)
 def test_inverse_jets_follow_the_inverse_function_rule(c, terms):
     h = fourier_map(c, terms)
@@ -152,7 +152,7 @@ def test_inverse_jets_follow_the_inverse_function_rule(c, terms):
     assert np.max(np.abs(g3 - (-F[3] / F[1] ** 4 + 3 * F[2] ** 2 / F[1] ** 5))) < 1e-12
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(offsets, fourier_terms, st.sampled_from([(1, 3), (1, 4), (2, 5)]))
 def test_conjugator_jets_average_the_iterates_by_the_chain_rule(c, terms, mn):
     m, n = mn
@@ -176,7 +176,7 @@ support_terms = st.lists(
     max_size=3)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.floats(0.5, 10.0), support_terms,
        st.lists(st.floats(-20.0, 20.0, allow_nan=False), min_size=1, max_size=40))
 def test_support_curve_jets_equal_the_closed_form_bit_for_bit(a, terms, ts):

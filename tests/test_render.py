@@ -80,7 +80,7 @@ values = st.one_of(st.sampled_from(EDGE_VALUES),
 lengths = st.sampled_from([1, 2, 3, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.lists(values, min_size=1, max_size=48), lengths, st.integers(0, 2 ** 32 - 1))
 def test_format_rows_matches_per_value_formatting(pool, n, seed):
     table = np.random.default_rng(seed).choice(np.array(pool), size=(n, 3))

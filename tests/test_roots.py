@@ -51,7 +51,7 @@ bracket = st.tuples(st.lists(coefficient, min_size=7, max_size=7),
                     st.floats(-10.0, 10.0), st.floats(1e-6, 3.0))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.lists(bracket, min_size=1, max_size=12))
 def test_lockstep_roots_match_scalar_illinois(brackets):
     coeffs = np.array([c for c, _, _ in brackets])

@@ -13,6 +13,7 @@ from poncelet.geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersect
 from poncelet.render import RenderError, render_svg, sample_points
 from poncelet.scene import SchemaError, _oracle_capable, build_scene, load_scene
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
+from poncelet.verify import MAX_VERTICES
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -285,44 +286,87 @@ def _vertex_clan(c=2.0, sin=0.01, cos=0.0) -> dict:
                       {"rotation_pi": {"num": 2, "den": 3}}]}
 
 
+def _torsion_step(n: int, h: dict | None = None) -> dict:
+    step = {"m": 1, "n": n} if h is None else {"m": 1, "n": n, "h": h}
+    return {"support": {"a": 1.0, "k": 1, "terms": []}, "step": step}
+
+
+def _equiangular_clan(**fields) -> dict:
+    return {"support": {"a": 1.0, "k": 2, "terms": []},
+            "angles": [{"num": 5, "den": 6}, {"num": 5, "den": 12}, {"num": 3, "den": 4}],
+            "branches": [0, 0, 0], **fields}
+
+
 def _as(construction, parameters):
     return [(("construction",), construction), (("parameters",), parameters)]
 
 
-@pytest.mark.parametrize("env, edits, command", [
-    ({"PONCELET_PROBES": "3"}, [], ("verify",)),
-    ({"PONCELET_PROBES": "100000"}, [], ("verify",)),
-    ({}, [(("verify", "probes"), "many")], ("verify",)),
-    ({}, [(("verify", "probes"), 10**9)], ("verify",)),
-    ({}, [(("parameters",), {})], ("verify",)),
-    ({}, [(("parameters", "l", "den"), 0)], ("verify",)),
-    ({}, [(("parameters", "a"), "wide")], ("verify",)),
-    ({}, [(("render", "samples"), "lots")], ("verify",)),
-    ({}, [(("verify", "tol"), "tight")], ("verify",)),
-    ({}, [(("verify", "expect_interior"), "yes")], ("verify",)),
-    ({}, [(("parameters", "a"), NAN)], ("verify",)),
-    ({}, [(("verify", "tol"), NAN)], ("verify",)),
-    ({}, [(("render", "margin"), INF)], ("render",)),
-    ({}, [(("render", "polygon_starts"), [NAN])], ("render",)),
-    ({}, [(("verify", "probes"), INF)], ("verify",)),
+_WIGGLE = {"c": 0.3, "terms": [{"j": 1, "sin": 0.01}]}
+_CAP = f"polygon vertices; at most {MAX_VERTICES} are allowed"
+
+
+@pytest.mark.parametrize("env, edits, command, message", [
+    ({"PONCELET_PROBES": "3"}, [], ("verify",), None),
+    ({"PONCELET_PROBES": "100000"}, [], ("verify",), None),
+    ({}, [(("verify", "probes"), "many")], ("verify",), None),
+    ({}, [(("verify", "probes"), 10**9)], ("verify",), None),
+    ({}, [(("parameters",), {})], ("verify",), None),
+    ({}, [(("parameters", "l", "den"), 0)], ("verify",), None),
+    ({}, [(("parameters", "a"), "wide")], ("verify",), None),
+    ({}, [(("render", "samples"), "lots")], ("verify",), None),
+    ({}, [(("verify", "tol"), "tight")], ("verify",), None),
+    ({}, [(("verify", "expect_interior"), "yes")], ("verify",), None),
+    ({}, [(("parameters", "a"), NAN)], ("verify",), None),
+    ({}, [(("verify", "tol"), NAN)], ("verify",), None),
+    ({}, [(("render", "margin"), INF)], ("render",), None),
+    ({}, [(("render", "polygon_starts"), [NAN])], ("render",), None),
+    ({}, [(("verify", "probes"), INF)], ("verify",), None),
     ({}, _as("equiangular-pair", {**_support_pair(), "angle": {"num": 1, "den": 0}}),
-     ("verify",)),
-    ({}, _as("equiangular-pair", _support_pair(a=-INF)), ("verify",)),
-    ({}, _as("equiangular-pair", _support_pair(cos=NAN)), ("verify",)),
-    ({}, _as("equiangular-pair", _support_pair(sin=INF)), ("verify",)),
-    ({}, _as("clan-from-vertex", _vertex_clan(c=NAN)), ("verify",)),
-    ({}, _as("clan-from-vertex", _vertex_clan(sin=INF)), ("verify",)),
-    ({}, _as("clan-from-vertex", _vertex_clan(cos=-INF)), ("verify",)),
-    ({}, [(("render", "samples"), 10**9)], ("render",)),
-    ({}, [], ("sample", "--curve", "vertex", "-n", str(10**9))),
+     ("verify",), None),
+    ({}, _as("equiangular-pair", _support_pair(a=-INF)), ("verify",), None),
+    ({}, _as("equiangular-pair", _support_pair(cos=NAN)), ("verify",), None),
+    ({}, _as("equiangular-pair", _support_pair(sin=INF)), ("verify",), None),
+    ({}, _as("clan-from-vertex", _vertex_clan(c=NAN)), ("verify",), None),
+    ({}, _as("clan-from-vertex", _vertex_clan(sin=INF)), ("verify",), None),
+    ({}, _as("clan-from-vertex", _vertex_clan(cos=-INF)), ("verify",), None),
+    ({}, [(("render", "samples"), 10**9)], ("render",), None),
+    ({}, [], ("sample", "--curve", "vertex", "-n", str(10**9)), None),
     ({}, _as("equiangular-pair", {**_support_pair(), "angle": {"num": 2.5, "den": 3}}),
-     ("verify",)),
-    ({}, [(("verify", "probes"), 8.9)], ("verify",)),
-    ({}, _as("equiangular-pair", _support_pair(k=1.5)), ("verify",)),
-    ({}, _as("equiangular-pair", _support_pair(k=True)), ("verify",)),
-    ({}, _as("equiangular-pair", _support_pair(l_num=2.5)), ("verify",)),
-    ({}, [], ("render", "-o", "/nonexistent/dir/x.svg")),
-    ({}, [], ("sample", "--curve", "vertex", "-n", "8", "-o", "/nonexistent/dir/x.csv")),
+     ("verify",), None),
+    ({}, [(("verify", "probes"), 8.9)], ("verify",), None),
+    ({}, _as("equiangular-pair", _support_pair(k=1.5)), ("verify",), None),
+    ({}, _as("equiangular-pair", _support_pair(k=True)), ("verify",), None),
+    ({}, _as("equiangular-pair", _support_pair(l_num=2.5)), ("verify",), None),
+    ({}, [], ("render", "-o", "/nonexistent/dir/x.svg"), None),
+    ({}, [], ("sample", "--curve", "vertex", "-n", "8", "-o", "/nonexistent/dir/x.csv"), None),
+    ({}, _as("equiangular-pair", {**_support_pair(), "support": {"a": 9.0, "terms": 5}}),
+     ("verify",), "parameters.support.terms must be a list, got 5"),
+    ({}, _as("envelope-from-vertex", _torsion_step(4, {"c": 0.3, "terms": 5})), ("verify",),
+     "parameters.step.h.terms must be a list, got 5"),
+    ({}, _as("equiangular-clan", _equiangular_clan(angles=5)), ("verify",),
+     "parameters.angles must be a list, got 5"),
+    ({}, _as("equiangular-clan", _equiangular_clan(branches=3)), ("verify",),
+     "parameters.branches must be a list, got 3"),
+    ({}, _as("clan-from-vertex", {**_vertex_clan(), "steps": 5}), ("verify",),
+     "parameters.steps must be a list, got 5"),
+    ({}, _as("equiangular-pair", {**_support_pair(), "support": {"k": 1, "terms": []}}),
+     ("verify",), "parameters.support: missing fields ['a']"),
+    ({}, _as("equiangular-pair", {**_support_pair(), "support": {
+        "a": 9.0, "terms": [{"l_den": 1, "cos": 0.1}]}}),
+     ("verify",), "parameters.support.terms[0]: missing fields ['l_num']"),
+    ({}, _as("envelope-from-vertex", _torsion_step(1000003, _WIGGLE)), ("build", "--skip-verify"),
+     f"parameters.step.n gives 1000003 {_CAP}"),
+    ({}, _as("vertex-from-envelope", _torsion_step(1000003)), ("verify",),
+     f"parameters.step.n gives 1000003 {_CAP}"),
+    ({}, _as("equiangular-pair", {**_support_pair(), "angle": {"num": 1, "den": 1000001}}),
+     ("verify",), f"parameters.angle gives 2000002 {_CAP}"),
+    ({}, [(("parameters", "l"), {"num": 1000001, "den": 1000000})], ("verify",),
+     f"parameters.l gives 2000001 {_CAP}"),
+    ({}, _as("clan-from-vertex", {**_vertex_clan(),
+                                  "steps": [{"rotation_pi": {"num": 1, "den": 1000}}] * 999}),
+     ("verify",), f"parameters.steps gives 1000 {_CAP}"),
+    ({}, [(("verify", "expect_interior"), 1)], ("verify",),
+     "verify.expect_interior must be true, false or null, got 1"),
 ], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
         "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
         "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool",
@@ -331,8 +375,13 @@ def _as(construction, parameters):
         "fourier-sin-infinite", "fourier-cos-infinite", "samples-above-cap",
         "sample-count-above-cap", "angle-num-fractional", "probes-fractional",
         "support-k-fractional", "support-k-boolean", "support-l-num-fractional",
-        "render-output-unwritable", "sample-output-unwritable"])
-def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, command):
+        "render-output-unwritable", "sample-output-unwritable",
+        "support-terms-not-a-list", "fourier-terms-not-a-list", "clan-angles-not-a-list",
+        "clan-branches-not-a-list", "clan-steps-not-a-list", "support-a-missing",
+        "support-l-num-missing", "fourier-period-above-cap", "rigid-period-above-cap",
+        "angle-vertices-above-cap", "equilateral-vertices-above-cap",
+        "clan-steps-above-cap", "expect-interior-one"])
+def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, command, message):
     doc = equilateral_doc()
     for path, value in edits:
         _with(doc, path, value)
@@ -340,10 +389,12 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, comma
     path.write_text(json.dumps(doc))
     proc = subprocess.run([sys.executable, "-m", "poncelet.cli", *command, str(path)],
                           capture_output=True, text=True, cwd=str(REPO),
-                          env=cli_env(**env))
+                          env=cli_env(**env), timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("schema error: ")
     assert "Traceback" not in proc.stderr
+    if message is not None:
+        assert message in proc.stderr
 
 
 def test_main_entrypoint_in_process(tmp_path, capsys):

@@ -138,7 +138,7 @@ class TestLockstepOracle:
         assert isinstance(err, OracleError)
         assert str(err) == "no tangent line through K(0.3): point inside the envelope?"
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=12))
     def test_wankel_lockstep_equals_one_element_steps(self, starts):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
@@ -270,7 +270,7 @@ def _sequence_config(name):
 
 
 class TestPerturbedSequencePolygons:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(name=st.sampled_from(["equilateral_a85", "pentagram", "clan", "iterated_square"]),
            vertex=st.integers(0, 63), length=st.floats(1e-4, 1e-2),
            angle=st.floats(0.0, TWO_PI))
@@ -322,7 +322,7 @@ def wankel_configuration(**overrides):
         mode="oracle",
         step_lift=lambda t: np.asarray(t) + alpha,
         step_inv_lift=lambda t: np.asarray(t) - alpha,
-        expected_turn=alpha,
+        expected_turns=(alpha,),
         expected_side=pair.side_length,
         expect_interior=True,
     )
@@ -350,7 +350,7 @@ class TestVerifyPair:
             envelope_supports=(C,), polygon=None, count=7, mode="oracle",
             step_lift=lambda t: np.asarray(t) + alpha,
             step_inv_lift=lambda t: np.asarray(t) - alpha,
-            expected_turn=alpha, expect_interior=True)
+            expected_turns=(alpha,), expect_interior=True)
         rep = verify_pair(config, probes=16, tol=1e-9)
         assert rep.passed
         assert rep.closure_error < 1e-9
