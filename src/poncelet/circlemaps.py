@@ -159,6 +159,7 @@ def rotation(L: float, amount: float) -> CircleDiffeo:
 
 # Largest |j| of a Fourier lift term: the monotonicity scan of a lift that
 # the coefficient bound does not certify takes 8 points per period of it.
+# Config documents also cap support-term frequencies |l| with it.
 MAX_HARMONIC = 4096
 
 

@@ -260,7 +260,10 @@ def _fixed_point_scan(g: CircleDiffeo, probes: int = 256) -> float | None:
     hit = np.nonzero(np.abs(disp) < 1e-12 * L)[0]
     if len(hit):
         return float(xs[hit[0]])
-    flips = np.nonzero(np.sign(disp) * np.sign(np.roll(disp, -1)) < 0)[0]
+    # a jump of the centred displacement from +L/2 to -L/2 is not a zero
+    after = np.roll(disp, -1)
+    flips = np.nonzero((np.sign(disp) * np.sign(after) < 0)
+                       & (np.abs(after - disp) < 0.5 * L))[0]
     if len(flips) == 0:
         return None
     lo = xs[flips[:1]]

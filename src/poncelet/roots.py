@@ -6,6 +6,15 @@ singularity and fixed-point reports. It runs the Illinois method (regula
 falsi with the stale end's value halved) on all brackets in lockstep, so a
 batched function is evaluated once per iteration for every bracket still
 live, and it says which brackets did not converge.
+
+Two safeguards end a bracket once its function reaches the rounding floor.
+Every secant point keeps at least a minimum step inside the bracket (T. J.
+Dekker, "Finding a zero by means of successive linear interpolation",
+1969), so a point that would round onto an end moves the bracket by that
+step instead of leaving a long tail of near-bisection steps. A bracket
+that closes by width returns the end with the smaller |f|, as Brent's
+`zero` does (R. P. Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4).
 """
 
 from __future__ import annotations
@@ -25,10 +34,15 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     fn(t, idx) returns the values at t[j] of the function of bracket
     idx[j]; it is called once for both ends of every bracket and then once
     per iteration with only the live brackets. A bracket whose end value is
-    exactly zero returns that end. A bracket converges when the function
-    vanishes at the new point or its width falls under 1e-15 max(1, |hi|);
-    it then returns that point. A bracket still open after `iters`
-    iterations returns its midpoint and is flagged in the mask.
+    exactly zero returns that end. Each iteration takes the Illinois secant
+    point of the bracket [a, b] (the midpoint if that is NaN) and clips it
+    into [a + tol, b - tol] with tol = 0.5e-15 max(1, |b|). A bracket
+    converges when the function vanishes at the new point, which it then
+    returns, or when its bracket, as given or as updated, is narrower than
+    1e-15 max(1, |b|); it then returns the end of that bracket with the
+    smaller |f| (the hi end on a tie), so every root lies within that width
+    of a sign change. A bracket still open after `iters` iterations returns
+    its midpoint and is flagged in the mask.
     """
     lo = np.array(lo, dtype=float, ndmin=1)
     hi = np.array(hi, dtype=float, ndmin=1)
@@ -38,7 +52,8 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     every = np.arange(n)
     ends = np.asarray(fn(np.concatenate([lo, hi]), np.concatenate([every, every])),
                       dtype=float)
-    flo, fhi = ends[:n].copy(), ends[n:].copy()
+    flo, fhi = ends[:n].copy(), ends[n:].copy()   # Illinois-halved end values
+    alo, ahi = np.abs(flo), np.abs(fhi)            # |f| at the ends, never halved
     roots = 0.5 * (lo + hi)
     at_lo = flo == 0.0
     at_hi = ~at_lo & (fhi == 0.0)
@@ -46,26 +61,41 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     roots[at_hi] = hi[at_hi]
     open_ = ~(at_lo | at_hi)
     side = np.zeros(n, dtype=np.int8)   # -1: hi moved last, 1: lo moved last
+
+    def close(idx: np.ndarray) -> None:
+        """End the brackets idx that are narrower than 1e-15 max(1, |hi|)."""
+        a, b = lo[idx], hi[idx]
+        shut = idx[b - a < 1e-15 * np.maximum(1.0, np.abs(b))]
+        roots[shut] = np.where(alo[shut] < ahi[shut], lo[shut], hi[shut])
+        open_[shut] = False
+
+    close(np.nonzero(open_)[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(iters):
             live = np.nonzero(open_)[0]
             if live.size == 0:
                 break
             a, b, fa, fb = lo[live], hi[live], flo[live], fhi[live]
+            tol = 0.5e-15 * np.maximum(1.0, np.abs(b))
             mid = b - fb * (b - a) / (fb - fa)
-            mid = np.where((a < mid) & (mid < b), mid, 0.5 * (a + b))
+            mid = np.where(np.isnan(mid), 0.5 * (a + b), mid)
+            mid = np.minimum(np.maximum(mid, a + tol), b - tol)
             fm = np.asarray(fn(mid, live), dtype=float)
-            done = (fm == 0.0) | (b - a < 1e-15 * np.maximum(1.0, np.abs(b)))
-            roots[live[done]] = mid[done]
-            open_[live[done]] = False
-            keep = ~done
+            hit = fm == 0.0
+            roots[live[hit]] = mid[hit]
+            open_[live[hit]] = False
+            keep = ~hit
             live, a, b, fa, fb, mid, fm = (v[keep] for v in (live, a, b, fa, fb, mid, fm))
             s = side[live]
-            down = fa * fm < 0                   # the root lies in [a, mid]
+            # the root lies in [a, mid]; sign bits, since fa * fm can underflow
+            down = np.signbit(fa) != np.signbit(fm)
             hi[live] = np.where(down, mid, b)
             fhi[live] = np.where(down, fm, np.where(s == 1, 0.5 * fb, fb))
+            ahi[live] = np.where(down, np.abs(fm), ahi[live])
             lo[live] = np.where(down, a, mid)
             flo[live] = np.where(down, np.where(s == -1, 0.5 * fa, fa), fm)
+            alo[live] = np.where(down, alo[live], np.abs(fm))
             side[live] = np.where(down, -1, 1)
+            close(live)
     roots[open_] = 0.5 * (lo[open_] + hi[open_])
     return roots, open_

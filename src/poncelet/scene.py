@@ -13,7 +13,8 @@ Schema (unknown fields are rejected at every level):
     }
 
 Angles are exact rational multiples of pi: {"num": int, "den": int}.
-Support functions: {"a": float, "k": int, "terms": [{"l_num", "l_den", "cos", "sin"}]}.
+Support functions: {"a": float, "k": int, "terms": [{"l_num", "l_den", "cos", "sin"}]}
+(|l_num / l_den| <= 4096).
 Torsion steps: {"m": int, "n": int, "h": {"c": float, "terms": [{"j", "sin", "cos"}]}}
 (h omitted means the rigid rotation by m/n of the circle; |j| <= 4096).
 Clan steps: {"rotation_pi": {"num", "den"}} or a Fourier lift {"c", "terms"}.
@@ -126,7 +127,11 @@ def _support(doc, where: str) -> SupportFunction:
     for i, t in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
         at = f"{where}.terms[{i}]"
         _check_keys(t, {"l_num", "l_den", "cos", "sin"}, at, ("l_num", "l_den"))
-        terms.append(SupportTerm(_ratio(t, at, "l_num", "l_den"),
+        l = _ratio(t, at, "l_num", "l_den")
+        if abs(l) > cm.MAX_HARMONIC:
+            raise SchemaError(f"{at}.l_num / l_den must satisfy |l| <= {cm.MAX_HARMONIC}, "
+                              f"got {l}")
+        terms.append(SupportTerm(l,
                                  _number(t.get("cos", 0.0), f"{at}.cos"),
                                  _number(t.get("sin", 0.0), f"{at}.sin")))
     try:

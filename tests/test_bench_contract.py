@@ -4,7 +4,8 @@ Its negative controls replace a curve's jet_fn and position_fn with
 dataclasses.replace and expect verification to fail; its tracer wraps
 library entry points by name and counts points from given arguments. A
 refactor that broke either would not fail a benchmark run: it would make
-the controls pass or a per-layer metric read zero. These tests pin both.
+the controls pass or a per-layer metric read zero. These tests pin both,
+and the root solver that the tracer is to wrap in the modules that call it.
 """
 
 import dataclasses
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 
 from poncelet import circlemaps as cm
+from poncelet import envelope, roots, verify
+from poncelet.equiangular import ConstructionError
 from poncelet.jets import Jet
 from poncelet.scene import CONSTRUCTIONS, build_scene, load_scene
 from poncelet.support import SupportFunction, curve_from_support
@@ -139,3 +142,38 @@ def test_positions_of_a_jet_count_its_points():
     ts = np.linspace(0.0, TWO_PI, 23)
     agg = _traced("support.positions", lambda: curve.positions(Jet.variable(ts, 2)))
     assert agg["calls"] == 1 and agg["points"] == 23
+
+
+def test_root_solver_signature():
+    assert list(inspect.signature(roots.bracketed_roots).parameters) == ["fn", "lo", "hi",
+                                                                          "iters"]
+
+
+def _fixed_point_clan():
+    with pytest.raises(ConstructionError, match="fixed point"):
+        build_scene(_doc("clan-from-vertex", {
+            "support": _support(1.0), "steps": [{"c": 2.0}, _fourier(-2.0, 1, sin=0.3)]}))
+
+
+# each module that solves brackets, with a call that reaches its solver
+SOLVER_USERS = {
+    verify: lambda: _config("wankel").verify(probes=8),
+    envelope: _fixed_point_clan,
+    cm: lambda: cm.from_fourier(TWO_PI, 0.3, (cm.FourierTerm(1, 0.3, 0.0),
+                                              cm.FourierTerm(2, 0.0, 0.36))),
+}
+
+
+@pytest.mark.parametrize("module", list(SOLVER_USERS), ids=lambda m: m.__name__)
+def test_solver_is_looked_up_as_a_module_attribute(monkeypatch, module):
+    # a wrapper set on the module, as the tracer sets one, sees every call
+    assert module.bracketed_roots is roots.bracketed_roots
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return roots.bracketed_roots(*args, **kwargs)
+
+    monkeypatch.setattr(module, "bracketed_roots", wrapper)
+    SOLVER_USERS[module]()
+    assert calls

@@ -10,6 +10,7 @@ from poncelet.envelope import (EnvelopeSingularity, VertexStepSystem, clan_from_
                                interiority_check)
 from poncelet.equiangular import ConstructionError
 from poncelet.geometry import polyline_self_intersects
+from poncelet.scene import build_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
 
 TWO_PI = 2 * math.pi
@@ -262,3 +263,21 @@ class TestClanFromVertex:
         rot = cm.rotation(TWO_PI, TWO_PI / 3)
         with pytest.raises(ConstructionError, match="fixed point near"):
             clan_from_vertex(Y, [rot, wiggle])
+
+    @staticmethod
+    def _document(steps) -> dict:
+        return {"construction": "clan-from-vertex",
+                "parameters": {"support": {"a": 1.0, "k": 1, "terms": []}, "steps": steps}}
+
+    def test_half_turn_composite_is_not_a_fixed_point(self):
+        # g_2 moves every point by pi +- 0.02: the centred displacement jumps
+        # from +L/2 to -L/2 without a zero between
+        step = {"c": math.pi / 2, "terms": [{"j": 1, "sin": 0.01}]}
+        scene = build_scene(self._document([step] * 3))
+        assert scene.configuration.count == 4
+        assert scene.verify().passed
+
+    def test_fixed_point_of_a_composite_is_still_rejected(self):
+        steps = [{"c": 2.0}, {"c": -2.0, "terms": [{"j": 1, "sin": 0.3}]}]
+        with pytest.raises(ConstructionError, match="polygon degenerates"):
+            build_scene(self._document(steps))

@@ -3,7 +3,15 @@ oracle stepped its probes in lockstep: the four oracle-mode configs at 24
 and 64 probes, and the non-convex equilateral pair a = 8/5 forced into
 oracle mode at 64 probes. Every probe of that pair fails, 52 at the first
 step and 12 at the second, which pins the error text and order. Strings,
-booleans and error lists must match exactly, floats to 1e-12 relative."""
+booleans and error lists must match exactly, floats to 1e-12 relative.
+
+The file was rewritten when the root solver gained its minimum step and
+best-end return: roots moved by a few ulps, so rounding-level floats in all
+nine cases and the full-precision parameters in the forced pair's error
+strings changed. The rewrite was made only after a diff of old and new
+reports showed identical pass/fail, mode, checks, direction and probe
+count, the same errors in the same order (their float literals equal to
+1e-12 relative), and every float within 1e-12 absolute."""
 
 import dataclasses
 import json

@@ -337,6 +337,8 @@ _CAP = f"polygon vertices; at most {MAX_VERTICES} are allowed"
     ({}, _as("equiangular-pair", _support_pair(k=1.5)), ("verify",), None),
     ({}, _as("equiangular-pair", _support_pair(k=True)), ("verify",), None),
     ({}, _as("equiangular-pair", _support_pair(l_num=2.5)), ("verify",), None),
+    ({}, _as("equiangular-pair", _support_pair(l_num=10**154)), ("verify",),
+     "parameters.support.terms[0].l_num / l_den must satisfy |l| <= 4096"),
     ({}, [], ("render", "-o", "/nonexistent/dir/x.svg"), None),
     ({}, [], ("sample", "--curve", "vertex", "-n", "8", "-o", "/nonexistent/dir/x.csv"), None),
     ({}, _as("equiangular-pair", {**_support_pair(), "support": {"a": 9.0, "terms": 5}}),
@@ -375,6 +377,7 @@ _CAP = f"polygon vertices; at most {MAX_VERTICES} are allowed"
         "fourier-sin-infinite", "fourier-cos-infinite", "samples-above-cap",
         "sample-count-above-cap", "angle-num-fractional", "probes-fractional",
         "support-k-fractional", "support-k-boolean", "support-l-num-fractional",
+        "support-frequency-above-cap",
         "render-output-unwritable", "sample-output-unwritable",
         "support-terms-not-a-list", "fourier-terms-not-a-list", "clan-angles-not-a-list",
         "clan-branches-not-a-list", "clan-steps-not-a-list", "support-a-missing",
@@ -393,6 +396,7 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, comma
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("schema error: ")
     assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr     # no warning beside the error
     if message is not None:
         assert message in proc.stderr
 
