@@ -29,30 +29,27 @@ class FourierTerm:
     cos_coeff: float = 0.0
 
 
-def _solve_lift(lift, dlift, y, L, bound, tol):
+def _solve_lift(lift, dlift, y, bound, tol):
     """Solve lift(x) = y for x (vectorized safeguarded Newton in a bracket).
 
-    dlift(x) is the lift's order-1 Jet at x (value and slope in one call), or
-    None for a lift that takes arrays only, which steps by the residual. Once
-    every residual is below tol, the Newton update of that last evaluation
-    is returned. Raises CircleMapError when some x is not within tol after
-    100 steps.
+    dlift(x) is the lift's order-1 Jet at x, so each step evaluates value
+    and slope in one call and lift itself is not called; the targets y stay
+    the third argument, where perfbench/tracer.py counts them. Once every
+    residual is below tol, the Newton update of that last evaluation is
+    returned. Raises CircleMapError when some x is not within tol after 100
+    steps.
     """
     y = np.asarray(y, dtype=float)
     lo = y - bound
     hi = y + bound
     x = y.copy()
     for steps in range(101):
-        if dlift is None:
-            fx = lift(x) - y
-            step = fx  # lift ~ identity + bounded part
-        else:
-            jet = dlift(x)
-            fx, d = jet.v - y, jet.d[0]
-            step = np.where(d > 0, fx / np.where(d > 0, d, 1.0), 0.0)
+        jet = dlift(x)
+        fx, d = jet.v - y, jet.d[0]
+        step = np.where(d > 0, fx / np.where(d > 0, d, 1.0), 0.0)
         done = np.abs(fx) < tol
         if np.all(done):
-            return x if dlift is None else x - step
+            return x - step
         if steps == 100:
             break
         lo = np.where(fx < 0, np.maximum(lo, x), lo)
@@ -72,22 +69,18 @@ def _solve_lift(lift, dlift, y, L, bound, tol):
 class CircleDiffeo:
     """Circle map represented by a strictly increasing lift.
 
-    The lift accepts scalars, arrays or, when differentiable is set (as on
-    every map this module builds), a Jet, which gives its derivatives.
+    The lift accepts scalars, arrays or a Jet, which gives its derivatives.
     """
 
     circumference: float
     lift: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     rotation_amount: float | None = None  # set iff the map is a rigid rotation
     displacement_bound: float = 0.0  # bound for |lift(x) - x|
-    differentiable: bool = False     # the lift accepts a Jet
 
     def __call__(self, x):
         return np.mod(self.lift(np.asarray(x, dtype=float)), self.circumference)
 
     def derivative(self, x):
-        if not self.differentiable:
-            raise CircleMapError("the lift of this map takes no jets, so it has no derivative")
         return self.lift(Jet.variable(x, 1)).d[0]
 
     def min_derivative(self, samples: int = 1024) -> float:
@@ -106,19 +99,19 @@ class CircleDiffeo:
         L = self.circumference
         bound = self.displacement_bound + L
         tol = 1e-12 * L
-        dlift = (lambda x: self.lift(Jet.variable(x, 1))) if self.differentiable else None
+        def dlift(x):
+            return self.lift(Jet.variable(x, 1))
 
         def inv_lift(y):
             if not isinstance(y, Jet):
-                return _solve_lift(self.lift, dlift, y, L, bound, tol)
-            x = _solve_lift(self.lift, dlift, y.v, L, bound, tol)
+                return _solve_lift(self.lift, dlift, y, bound, tol)
+            x = _solve_lift(self.lift, dlift, y.v, bound, tol)
             F = self.lift(Jet.variable(x, 3)).d      # derivatives 1-3 of F at x = g(y)
             g1 = 1.0 / F[0]
             g = [x, g1, -F[1] * g1 ** 3, -F[2] * g1 ** 4 + 3.0 * F[1] * F[1] * g1 ** 5]
             return y.compose(g[:y.order + 1])
 
-        return CircleDiffeo(L, inv_lift, displacement_bound=self.displacement_bound,
-                            differentiable=self.differentiable)
+        return CircleDiffeo(L, inv_lift, displacement_bound=self.displacement_bound)
 
     def compose(self, inner: CircleDiffeo) -> CircleDiffeo:
         """self after inner: x -> self(inner(x))."""
@@ -130,11 +123,8 @@ class CircleDiffeo:
         def lift(x):
             return self.lift(inner.lift(x))
 
-        return CircleDiffeo(
-            self.circumference, lift,
-            displacement_bound=self.displacement_bound + inner.displacement_bound,
-            differentiable=self.differentiable and inner.differentiable,
-        )
+        return CircleDiffeo(self.circumference, lift,
+                            displacement_bound=self.displacement_bound + inner.displacement_bound)
 
     def iterate(self, x, times: int):
         x = np.asarray(x, dtype=float)
@@ -153,7 +143,6 @@ def rotation(L: float, amount: float) -> CircleDiffeo:
         lift=lambda x: (x if isinstance(x, Jet) else np.asarray(x, dtype=float)) + amount,
         rotation_amount=amount,
         displacement_bound=abs(amount),
-        differentiable=True,
     )
 
 
@@ -191,8 +180,7 @@ def from_fourier(L: float, c: float, terms: tuple[FourierTerm, ...]) -> CircleDi
         return out
 
     bound = abs(c) + sum(abs(t.sin_coeff) + abs(t.cos_coeff) for t in terms)
-    f = CircleDiffeo(L, lambda x: chain(x, derivs), displacement_bound=bound,
-                     differentiable=True)
+    f = CircleDiffeo(L, lambda x: chain(x, derivs), displacement_bound=bound)
     slope_bound = 1.0 - sum(w * abs(t.j) * math.hypot(t.sin_coeff, t.cos_coeff) for t in terms)
     if slope_bound <= 1e-9 and _min_slope(f, max(abs(t.j) for t in terms)) <= 1e-9:
         raise CircleMapError("lift is not strictly increasing (min F' <= 1e-9)")
@@ -321,6 +309,4 @@ def conjugator_to_rotation(f: TorsionMap) -> CircleDiffeo:
             acc = acc + cur
         return acc / n
 
-    return CircleDiffeo(inner.circumference, lift,
-                        displacement_bound=inner.displacement_bound * n,
-                        differentiable=inner.differentiable)
+    return CircleDiffeo(inner.circumference, lift, displacement_bound=inner.displacement_bound * n)

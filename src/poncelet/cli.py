@@ -6,8 +6,8 @@
     poncelet sample <config> --curve K -n N -o out.csv
 
 Exit codes: 0 ok, 1 verification failed, 2 schema error or unwritable
-output, 3 construction precondition violated. PONCELET_PROBES overrides
-the default probe count.
+output, 3 construction precondition violated, 141 (128 + SIGPIPE) stdout
+closed by its reader. PONCELET_PROBES overrides the default probe count.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
+EXIT_PIPE = 141
 
 _PRECONDITION_ERRORS = (ConstructionError, CircleMapError, SupportError,
                         GeometryError, RenderError)
@@ -134,7 +135,14 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left (poncelet verify ... | head): end quietly, with stdout
+        # on devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

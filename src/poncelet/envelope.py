@@ -239,27 +239,32 @@ def interiority_check(system: VertexStepSystem, result: EnvelopeResult | None = 
 class VertexClan:
     vertex_curve: PlaneCurve
     envelopes: tuple[PlaneCurve, ...]
-    steps: tuple[CircleDiffeo, ...]       # f_1 .. f_n including the closing map
+    steps: tuple[CircleDiffeo, ...]       # f_1 .. f_{n-1}; g_n = id closes the cycle
     composites: tuple[CircleDiffeo, ...]  # g_0 = id, g_1, ..., g_{n-1}
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         params = [float(g.lift(start)) for g in self.composites]
-        pts = self.vertex_curve.positions(params + [float(self.steps[-1].lift(params[-1]))])
+        pts = self.vertex_curve.positions(params)
         # side i (from g_i to g_{i+1}) touches envelope C_{i+1} at parameter start
         n = len(params)
         contacts = [C.positions([start])[0] for C in self.envelopes]
-        return assemble_polygon(pts[:-1], pts[-1], params, contacts, [start] * n,
+        return assemble_polygon(pts, pts[0], params, contacts, [start] * n,
                                 self.vertex_curve.domain_length, envelope_index=range(n))
 
 
-def _fixed_point_scan(g: CircleDiffeo, probes: int = 256) -> float | None:
-    """Parameter of a fixed point of g, or None if none is detected."""
-    L = g.circumference
-    xs = np.linspace(0.0, L, probes, endpoint=False)
-    disp = np.mod(g.lift(xs) - xs + 0.5 * L, L) - 0.5 * L
+def _fixed_point_scan(g: Sequence[CircleDiffeo], G: Sequence[np.ndarray], i: int,
+                      j: int) -> float | None:
+    """A fixed point of g_j o g_i^-1, or None if none is detected.
+
+    G[k] holds g_k on equispaced scan points G[0]. The composite fixes g_i(x)
+    exactly where g_j(x) - g_i(x) is a multiple of L, so no inverse is needed.
+    """
+    L = g[0].circumference
+    xs = G[0]
+    disp = np.mod(G[j] - G[i] + 0.5 * L, L) - 0.5 * L
     hit = np.nonzero(np.abs(disp) < 1e-12 * L)[0]
     if len(hit):
-        return float(xs[hit[0]])
+        return float(np.mod(G[i][hit[0]], L))
     # a jump of the centred displacement from +L/2 to -L/2 is not a zero
     after = np.roll(disp, -1)
     flips = np.nonzero((np.sign(disp) * np.sign(after) < 0)
@@ -269,46 +274,49 @@ def _fixed_point_scan(g: CircleDiffeo, probes: int = 256) -> float | None:
     lo = xs[flips[:1]]
 
     def centered(t, _):
-        return np.mod(g.lift(t) - t + 0.5 * L, L) - 0.5 * L
+        return np.mod(g[j].lift(t) - g[i].lift(t) + 0.5 * L, L) - 0.5 * L
 
     # as in envelope_from_vertex, the bracket locates the point either way
-    return float(bracketed_roots(centered, lo, lo + L / probes)[0][0])
+    x = bracketed_roots(centered, lo, lo + L / len(xs))[0]
+    return float(np.mod(g[i].lift(x)[0], L))
 
 
-def step_chain(steps: Sequence[CircleDiffeo], L: float
-               ) -> tuple[tuple[CircleDiffeo, ...], tuple[CircleDiffeo, ...]]:
-    """The steps f_1..f_n of a clan and their composites g_0..g_{n-1}.
+def step_chain(steps: Sequence[CircleDiffeo], L: float, xs: np.ndarray
+               ) -> tuple[tuple[CircleDiffeo, ...], list[np.ndarray]]:
+    """The composites g_0..g_n of a clan's steps f_1..f_{n-1}, and their
+    values G[i] = g_i(xs) on the points xs.
 
-    g_0 = id and g_i = f_i o g_{i-1}; the closing map f_n = g_{n-1}^-1 is
-    appended to the n-1 given steps, so that g_n = id. Needs n >= 3 and
-    every step on the circle of length L.
+    g_0 = id, g_i = f_i o g_{i-1} for 0 < i < n, and g_n = id: the closing
+    step is the one that brings g_{n-1} back to the start, so it needs no
+    map. G[i] = f_i(G[i-1]) is tabulated once and G[0] = G[n] = xs. Needs
+    n >= 3 and every step on the circle of length L.
     """
-    steps = list(steps)
     if len(steps) < 2:
         raise ConstructionError("need at least two steps (n >= 3)")
     for f in steps:
         if not math.isclose(f.circumference, L):
             raise ConstructionError("step maps must act on the clan's parameter circle")
-    glist = [identity(L)]
+    glist, G = [identity(L)], [xs]
     for f in steps:
         glist.append(f.compose(glist[-1]))
-    return tuple(steps) + (glist[-1].inverse(),), tuple(glist)
+        G.append(f.lift(G[-1]))
+    return tuple(glist) + (glist[0],), G + [xs]
 
 
 def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) -> VertexClan:
     """Clan of envelopes C_1..C_n for steps f_1..f_{n-1} (f_n closes the cycle).
 
     Rejects step systems whose polygons degenerate: every g_j o g_i^-1
-    (i < j) must be free of fixed points.
+    (i < j < n) must be free of fixed points.
     """
     L = vertex_curve.domain_length
-    steps, glist = step_chain(steps, L)
-    n = len(glist)
+    steps = tuple(steps)
+    glist, G = step_chain(steps, L, np.linspace(0.0, L, 256, endpoint=False))
+    n = len(steps) + 1
 
     for i in range(n):
         for j in range(i + 1, n):
-            comp = glist[j].compose(glist[i].inverse())
-            t0 = _fixed_point_scan(comp)
+            t0 = _fixed_point_scan(glist, G, i, j)
             if t0 is not None:
                 raise ConstructionError(
                     f"polygon degenerates: g_{j} o g_{i}^-1 has a fixed point near t = {t0:.6f}")
@@ -316,10 +324,7 @@ def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) ->
     def along(g: CircleDiffeo) -> Callable:
         return lambda ts: vertex_curve.positions(g.lift(ts))
 
-    envelopes = []
-    for i in range(1, n + 1):
-        gc = glist[i] if i < n else identity(L)    # g_n = id
-        pos_i = _chord_envelope_position(along(glist[i - 1]), along(gc))
-        envelopes.append(curve_from_position(L, pos_i, label=f"C{i}"))
-
-    return VertexClan(vertex_curve, tuple(envelopes), steps, glist)
+    envelopes = tuple(
+        curve_from_position(L, _chord_envelope_position(along(glist[i - 1]), along(glist[i])),
+                            label=f"C{i}") for i in range(1, n + 1))
+    return VertexClan(vertex_curve, envelopes, steps, glist[:-1])

@@ -46,8 +46,8 @@ MIN_PROBES = 8
 MAX_PROBES = 1024
 # Vertices per polygon, the other factor of the verifier's work. The same
 # bound caps torsion periods and clan step counts where a document is read:
-# a clan's fixed-point scan composes every pair of its steps, so its build
-# time grows faster than quadratically with the step count.
+# each probe evaluates every envelope of a clan-from-vertex through step
+# composites nested up to n deep, so its verify time grows with n squared.
 MAX_VERTICES = 64
 
 

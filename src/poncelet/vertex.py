@@ -103,19 +103,16 @@ class EnvelopeClan:
     envelope_support: SupportFunction
     envelope: PlaneCurve
     vertex_curves: tuple[PlaneCurve, ...]
-    steps: tuple[CircleDiffeo, ...]        # f_1..f_n including the closing map
+    steps: tuple[CircleDiffeo, ...]        # f_1..f_{n-1}; g_n = id closes the cycle
     composites: tuple[CircleDiffeo, ...]   # g_0 = id, ..., g_{n-1}
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         # every vertex curve carries its own g_{i-1} advance: evaluate all at start
         params = [float(g.lift(start)) for g in self.composites]
-        # g_n = f_n o g_{n-1} is the identity up to the numeric inversion error
-        t_close = float(self.steps[-1].lift(params[-1]))
-        first = self.vertex_curves[0].positions([start, t_close])
-        pts = [first[0]] + [K.positions([start])[0] for K in self.vertex_curves[1:]]
-        # side i touches the envelope at g_{i+1}(start), the last one at start
+        pts = [K.positions([start])[0] for K in self.vertex_curves]
+        # side i touches the envelope at g_{i+1}(start), the last one at g_n(start) = start
         psis = params[1:] + [float(start)]
-        return assemble_polygon(pts, first[1], params, self.envelope.positions(psis), psis,
+        return assemble_polygon(pts, pts[0], params, self.envelope.positions(psis), psis,
                                 self.envelope.domain_length)
 
 
@@ -127,22 +124,20 @@ def clan_from_envelope(envelope: SupportFunction,
     every i; failures are reported with the step index and parameter.
     """
     L = envelope.domain_length
-    steps, glist = step_chain(steps, L)
-    n = len(glist)
-
+    steps = tuple(steps)
     ts = np.linspace(0.0, L, GRID, endpoint=False)
+    glist, G = step_chain(steps, L, ts)
+
     curves = []
-    for i in range(1, n + 1):
-        gp = glist[i - 1]
-        gc = glist[i] if i < n else identity(L)
-        adv = gc.lift(ts) - gp.lift(ts)
-        gaps = _transversality_gaps(adv, ts)
+    for i in range(1, len(glist)):
+        gaps = _transversality_gaps(G[i] - G[i - 1], ts)
         if gaps:
             raise ConstructionError(
                 f"transversality fails for step {i} near parameters "
                 + ", ".join(f"{t:.6f}" for t in gaps))
 
-        curves.append(curve_from_position(L, _vertex_position_fn(envelope, gp, gc), f"K{i}"))
+        curves.append(curve_from_position(
+            L, _vertex_position_fn(envelope, glist[i - 1], glist[i]), f"K{i}"))
 
     return EnvelopeClan(envelope, curve_from_support(envelope, label="C"),
-                        tuple(curves), steps, glist)
+                        tuple(curves), steps, glist[:-1])

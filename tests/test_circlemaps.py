@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poncelet import circlemaps as cm
+from poncelet import jets
 
 TWO_PI = 2 * math.pi
 
@@ -126,11 +127,15 @@ class TestLiftMechanics:
             assert g.min_derivative(1024) > 0
 
     def test_inversion_without_a_preimage_raises(self):
-        # an increasing degree-one lift that jumps from pi - 1/4 to pi + 1/4
-        # at x = pi, so y = pi has no preimage
+        # an increasing degree-one lift with slope 1 - 0.5 / 2 pi that jumps
+        # from pi - 1/4 to pi + 1/4 at x = pi, so y = pi has no preimage
+        def derivs(x, order):
+            r = np.mod(x, TWO_PI)
+            slope = np.full_like(x, 1.0 - 0.5 / TWO_PI)
+            return [x - 0.5 * r / TWO_PI + 0.5 * (r >= math.pi), slope] + [0 * x] * (order - 1)
+
         def lift(x):
-            r = np.mod(np.asarray(x, dtype=float), TWO_PI)
-            return x - 0.5 * r / TWO_PI + 0.5 * (r >= math.pi)
+            return jets.chain(x, derivs)
 
         jumpy = cm.CircleDiffeo(TWO_PI, lift, displacement_bound=0.5).inverse()
         x = jumpy.lift(np.array([0.5]))[0]
@@ -178,13 +183,3 @@ class TestMonotonicityCertificate:
     def test_harmonic_above_the_cap_is_refused(self):
         with pytest.raises(cm.CircleMapError, match="4096"):
             cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(cm.MAX_HARMONIC + 1, 1e-9, 0.0),))
-
-    def test_lift_of_a_hand_built_map_takes_no_jets(self):
-        # without the differentiable flag, inversion falls back to the
-        # derivative-free step and the map offers no derivative
-        f = cm.CircleDiffeo(TWO_PI, lambda x: np.asarray(x, dtype=float) + 0.1 * np.sin(
-            np.asarray(x, dtype=float)), displacement_bound=0.1)
-        x = f.inverse().lift(np.array([0.5, 2.0]))
-        assert np.allclose(f.lift(x), [0.5, 2.0], atol=1e-11)
-        with pytest.raises(cm.CircleMapError, match="no derivative"):
-            f.derivative(0.5)

@@ -261,8 +261,11 @@ class TestClanFromVertex:
         Y = curve_from_support(p)
         wiggle = cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 0.05, 0.0),))
         rot = cm.rotation(TWO_PI, TWO_PI / 3)
-        with pytest.raises(ConstructionError, match="fixed point near"):
+        with pytest.raises(ConstructionError, match=r"g_2 o g_1\^-1 has a fixed point near") as err:
             clan_from_vertex(Y, [rot, wiggle])
+        t = float(str(err.value).rsplit("t = ", 1)[1])
+        g2_after_g1_inverse = wiggle.compose(rot).compose(rot.inverse())
+        assert abs(g2_after_g1_inverse.lift(t) - t) < 1e-5
 
     @staticmethod
     def _document(steps) -> dict:
@@ -281,3 +284,21 @@ class TestClanFromVertex:
         steps = [{"c": 2.0}, {"c": -2.0, "terms": [{"j": 1, "sin": 0.3}]}]
         with pytest.raises(ConstructionError, match="polygon degenerates"):
             build_scene(self._document(steps))
+
+
+def test_clan_polygons_need_no_inverse_map(monkeypatch):
+    # the closing step of a clan is g_n = id, so no circle map is inverted
+    def refuse(self):
+        raise AssertionError("a clan inverted a circle map")
+
+    monkeypatch.setattr(cm.CircleDiffeo, "inverse", refuse)
+    clans = (("clan-from-vertex", 1.0, [{"c": TWO_PI / 3, "terms": [{"j": 1, "sin": 0.03}]},
+                                        {"c": TWO_PI / 3, "terms": [{"j": 2, "cos": 0.02}]}]),
+             ("clan-from-envelope", 2.0, [{"c": 2.0, "terms": [{"j": 1, "sin": 0.05}]},
+                                          {"c": 2.4, "terms": [{"j": 2, "cos": 0.04}]}]))
+    for construction, a, steps in clans:
+        scene = build_scene({"construction": construction, "parameters": {
+            "support": {"a": a, "k": 1, "terms": []}, "steps": steps}})
+        for start in (0.0, 0.9, 4.0):
+            poly = scene.configuration.polygon(start)
+            assert len(poly.vertices) == 3 and poly.closure_gap == 0.0, construction

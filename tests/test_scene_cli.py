@@ -255,6 +255,23 @@ class TestCliProcess:
         x0 = float(rows[1].split(",")[1])
         assert x0 == pytest.approx(2.2, abs=1e-12)
 
+    @pytest.mark.parametrize("args", [
+        ("verify", "pentagram.json"),
+        ("sample", "equilateral_a85.json", "--curve", "vertex", "-n", "64")])
+    def test_reader_closing_the_pipe_ends_quietly(self, args):
+        # the read end is closed before the CLI writes, as when `| head -1`
+        # has exited before the output arrives
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "poncelet.cli", args[0],
+                                   str(CONFIGS / args[1]), *args[2:]],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  cwd=str(REPO), env=cli_env())
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
     def test_probe_env_override(self, tmp_path):
         env = cli_env(PONCELET_PROBES="8")
         proc = subprocess.run([sys.executable, "-m", "poncelet.cli", "verify",
