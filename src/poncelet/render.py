@@ -65,6 +65,8 @@ def render_svg(envelopes: list[tuple[str, PlaneCurve]],
     if not envelopes and not vertex_curves:
         raise RenderError("empty scene")
     _check_samples(samples)
+    if not 0.0 <= margin <= 1.0:
+        raise RenderError(f"need a margin between 0 and 1, got {margin}")
 
     paths = []
     for curves, colors in ((envelopes, ENVELOPE_COLORS), (vertex_curves, VERTEX_COLORS)):

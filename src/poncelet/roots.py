@@ -5,7 +5,8 @@ circle scans, the verifier's side-contact recovery, and the envelope
 singularity and fixed-point reports. It runs the Illinois method (regula
 falsi with the stale end's value halved) on all brackets in lockstep, so a
 batched function is evaluated once per iteration for every bracket still
-live, and it says which brackets did not converge.
+live, and it says which brackets did not converge. Its state holds only
+the live brackets, compacted whenever some of them close.
 
 Two safeguards end a bracket once its function reaches the rounding floor.
 Every secant point keeps at least a minimum step inside the bracket (T. J.
@@ -52,50 +53,44 @@ def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     every = np.arange(n)
     ends = np.asarray(fn(np.concatenate([lo, hi]), np.concatenate([every, every])),
                       dtype=float)
-    flo, fhi = ends[:n].copy(), ends[n:].copy()   # Illinois-halved end values
-    alo, ahi = np.abs(flo), np.abs(fhi)            # |f| at the ends, never halved
-    roots = 0.5 * (lo + hi)
-    at_lo = flo == 0.0
-    at_hi = ~at_lo & (fhi == 0.0)
-    roots[at_lo] = lo[at_lo]
-    roots[at_hi] = hi[at_hi]
-    open_ = ~(at_lo | at_hi)
-    side = np.zeros(n, dtype=np.int8)   # -1: hi moved last, 1: lo moved last
+    flo, fhi = ends[:n], ends[n:]
+    roots = np.empty(n)
 
-    def close(idx: np.ndarray) -> None:
-        """End the brackets idx that are narrower than 1e-15 max(1, |hi|)."""
-        a, b = lo[idx], hi[idx]
-        shut = idx[b - a < 1e-15 * np.maximum(1.0, np.abs(b))]
-        roots[shut] = np.where(alo[shut] < ahi[shut], lo[shut], hi[shut])
-        open_[shut] = False
+    def settle(state: list, hit: np.ndarray, at: np.ndarray) -> list:
+        """Set the root of each bracket whose function vanished at `at`
+        (`hit`), and of each other bracket narrower than 1e-15 max(1, |hi|)
+        its end with the smaller |f|; return the state of the others."""
+        live, a, b, _, _, alo, ahi, _ = state
+        shut = ~hit & (b - a < 1e-15 * np.maximum(1.0, np.abs(b)))
+        keep = ~(hit | shut)
+        if keep.all():
+            return state
+        roots[live[hit]] = at[hit]
+        roots[live[shut]] = np.where(alo[shut] < ahi[shut], a[shut], b[shut])
+        return [v[keep] for v in state]
 
-    close(np.nonzero(open_)[0])
+    # the live brackets only: index, ends, Illinois-halved end values, |f| at
+    # the ends (never halved) and which end moved last (-1: hi, 1: lo)
+    state = settle([every, lo, hi, flo, fhi, np.abs(flo), np.abs(fhi), np.zeros(n)],
+                   (flo == 0.0) | (fhi == 0.0), np.where(flo == 0.0, lo, hi))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(iters):
-            live = np.nonzero(open_)[0]
+            live, a, b, fa, fb, alo, ahi, side = state
             if live.size == 0:
                 break
-            a, b, fa, fb = lo[live], hi[live], flo[live], fhi[live]
             tol = 0.5e-15 * np.maximum(1.0, np.abs(b))
             mid = b - fb * (b - a) / (fb - fa)
             mid = np.where(np.isnan(mid), 0.5 * (a + b), mid)
             mid = np.minimum(np.maximum(mid, a + tol), b - tol)
             fm = np.asarray(fn(mid, live), dtype=float)
-            hit = fm == 0.0
-            roots[live[hit]] = mid[hit]
-            open_[live[hit]] = False
-            keep = ~hit
-            live, a, b, fa, fb, mid, fm = (v[keep] for v in (live, a, b, fa, fb, mid, fm))
-            s = side[live]
+            afm = np.abs(fm)
             # the root lies in [a, mid]; sign bits, since fa * fm can underflow
             down = np.signbit(fa) != np.signbit(fm)
-            hi[live] = np.where(down, mid, b)
-            fhi[live] = np.where(down, fm, np.where(s == 1, 0.5 * fb, fb))
-            ahi[live] = np.where(down, np.abs(fm), ahi[live])
-            lo[live] = np.where(down, a, mid)
-            flo[live] = np.where(down, np.where(s == -1, 0.5 * fa, fa), fm)
-            alo[live] = np.where(down, alo[live], np.abs(fm))
-            side[live] = np.where(down, -1, 1)
-            close(live)
-    roots[open_] = 0.5 * (lo[open_] + hi[open_])
-    return roots, open_
+            state = settle([live, np.where(down, a, mid), np.where(down, mid, b),
+                            np.where(down, np.where(side == -1, 0.5 * fa, fa), fm),
+                            np.where(down, fm, np.where(side == 1, 0.5 * fb, fb)),
+                            np.where(down, alo, afm), np.where(down, afm, ahi),
+                            np.where(down, -1, 1)], fm == 0.0, mid)
+    live, a, b = state[:3]
+    roots[live] = 0.5 * (a + b)
+    return roots, np.isin(every, live)

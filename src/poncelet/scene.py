@@ -8,8 +8,8 @@ Schema (unknown fields are rejected at every level):
                     | "envelope-from-vertex" | "vertex-from-envelope"
                     | "clan-from-vertex" | "clan-from-envelope",
       "parameters": { ... per construction ... },
-      "render":  {"samples": int, "margin": float, "polygon_starts": [float]},
-      "verify":  {"probes": int, "tol": float|null, "expect_interior": bool|null}
+      "render":  {"samples": int, "margin": float in [0, 1], "polygon_starts": [float]},
+      "verify":  {"probes": int, "tol": positive float|null, "expect_interior": bool|null}
     }
 
 Angles are exact rational multiples of pi: {"num": int, "den": int}.
@@ -355,9 +355,12 @@ def parse_config(doc: dict) -> tuple[str, dict, RenderOptions, VerifyOptions]:
     rdoc = doc.get("render", {})
     _check_keys(rdoc, {"samples", "margin", "polygon_starts"}, "render")
     starts = _list(rdoc.get("polygon_starts", [0.0]), "render.polygon_starts")
+    margin = _number(rdoc.get("margin", 0.05), "render.margin")
+    if not 0.0 <= margin <= 1.0:
+        raise SchemaError(f"render.margin must be between 0 and 1, got {margin!r}")
     ropts = RenderOptions(
         samples=sample_count(rdoc.get("samples", 1024), "render.samples"),
-        margin=_number(rdoc.get("margin", 0.05), "render.margin"),
+        margin=margin,
         polygon_starts=tuple(_number(t, f"render.polygon_starts[{i}]")
                              for i, t in enumerate(starts)),
     )
@@ -365,6 +368,8 @@ def parse_config(doc: dict) -> tuple[str, dict, RenderOptions, VerifyOptions]:
     vdoc = doc.get("verify", {})
     _check_keys(vdoc, {"probes", "tol", "expect_interior"}, "verify")
     tol = None if vdoc.get("tol") is None else _number(vdoc["tol"], "verify.tol")
+    if tol is not None and not tol > 0.0:
+        raise SchemaError(f"verify.tol must be positive, got {tol!r}")
     interior = vdoc.get("expect_interior")
     if interior is not None and not isinstance(interior, bool):
         raise SchemaError(f"verify.expect_interior must be true, false or null, "

@@ -5,24 +5,26 @@ tangent-line geometry alone: from a vertex Q outside the envelope it
 locates the tangent parameter psi with the contact ahead of Q along the
 envelope's orientation (roots of <Q, u(psi)> - p(psi)), then intersects
 that tangent line with the vertex curve again. It steps all probes in
-lockstep: one call per step index takes every live probe's vertex, scans
-one (probes, grid) array per root search and refines all brackets
-together; a probe whose step fails drops out with its error, and the
-others go on. For self-intersecting vertex curves, where forward tangent
-selection is ambiguous, verification is restricted to the construction's
-own parameter sequence: the polygons of all probes are stacked into
-(probes, n, 2) arrays and checked together, with the same closure, angle and
-side statistics as the oracle's walks, and each side's tangency parameter
-is recovered independently from its normal form, for all sides of one
-envelope in one array call.
+lockstep, and a step is a fixed number of array operations on all live
+probes: one (probes, grid) scan per root search on grid values computed
+once per walk, all brackets refined together, forward tangents and hits
+picked by masks and counts. A probe whose step fails drops out with its
+error, and the others go on. For self-intersecting vertex curves, where
+forward tangent selection is ambiguous, verification is restricted to the
+construction's own parameter sequence: the polygons of all probes are
+stacked into (probes, n, 2) arrays and checked together, with the same
+closure, angle and side statistics as the oracle's walks, and each side's
+tangency parameter is recovered independently from its normal form, for
+all sides of one envelope in one array call.
 
 Envelopes without a support function are checked by recovering each side's
 contact from the envelope's parametrization: every side of every probe's
 polygon that touches such an envelope is solved in lockstep, with one
 batched jet evaluation per solver iteration for all sides together. All
 sign-change brackets, here and in the oracle's circle scans, go through
-the one bracketed solver in poncelet.roots; a bracket that does not
-converge is a report error, never a silent midpoint.
+the one bracketed solver in poncelet.roots, which keeps only the live
+brackets' state; a bracket that does not converge is a report error,
+never a silent midpoint.
 """
 
 from __future__ import annotations
@@ -64,51 +66,107 @@ _asin = np.vectorize(math.asin, otypes=[float])
 _wrap_pi = np.vectorize(wrap_pi, otypes=[float])
 
 
-def _circle_roots(fn, L: float, rows: int) -> list[list[float] | OracleError]:
-    """Roots on the circle [0, L) of each row's function, or the row's error.
+def _circle_roots(fn, L: float, ts: np.ndarray,
+                  vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, OracleError]]:
+    """Roots on the circle [0, L) of each row's function.
 
-    fn(t, row) gives the values at t of the functions of rows `row` and
-    broadcasts like numpy. All rows are scanned on one (rows, GRID) grid,
-    and every sign-change bracket of every row is refined in one
-    bracketed_roots call; a row with an unconverged bracket gets an
-    OracleError instead of its roots.
+    vals holds the rows' values on the grid ts, and fn(t, row) gives them at
+    t and broadcasts like numpy. Every sign-change bracket of every row is
+    refined in one bracketed_roots call. Returns the row-sorted arrays
+    (row, root), each row's roots ascending, and {row: OracleError} for the
+    rows with an unconverged bracket, which get no roots. An exact zero at
+    a grid point is a root; a root within 1e-9 L of its predecessor in the
+    row, or of the row's first root across the seam, is dropped.
     """
-    ts = np.linspace(0.0, L, GRID, endpoint=False)
-    vals = fn(ts[None, :], np.arange(rows)[:, None])
     exact = vals == 0.0
     row, col = np.nonzero(~exact & (vals * np.roll(vals, -1, axis=1) < 0))
-    refined, open_ = bracketed_roots(lambda t, i: fn(t, row[i]), ts[col], ts[col] + L / GRID)
+    refined, open_ = bracketed_roots(lambda t, i: fn(t, row[i]), ts[col], ts[col] + L / len(ts))
+    errors = {r: OracleError("root refinement did not converge near t = " + ", ".join(
+        f"{t:.6f}" for t in refined[(row == r) & open_])) for r in np.unique(row[open_]).tolist()}
     zero_row, zero_col = np.nonzero(exact)
-    cut = np.searchsorted(row, np.arange(rows + 1))
-    zero_cut = np.searchsorted(zero_row, np.arange(rows + 1))
-    out: list[list[float] | OracleError] = []
-    for r in range(rows):
-        mine = slice(cut[r], cut[r + 1])
-        if open_[mine].any():
-            out.append(OracleError("root refinement did not converge near t = "
-                                   + ", ".join(f"{t:.6f}" for t in refined[mine][open_[mine]])))
-            continue
-        roots = np.concatenate([ts[zero_col[zero_cut[r]:zero_cut[r + 1]]], refined[mine]])
-        # dedupe near-coincident roots (mod L)
-        found: list[float] = []
-        for x in sorted(np.mod(roots, L)):
-            if not found or (x - found[-1]) > 1e-9 * L:
-                found.append(float(x))
-        if len(found) > 1 and (found[0] + L - found[-1]) <= 1e-9 * L:
-            found.pop()
-        out.append(found)
-    return out
+    row = np.concatenate([zero_row, row])
+    x = np.mod(np.concatenate([ts[zero_col], refined]), L)
+    order = np.lexsort((x, row))
+    row, x = row[order], x[order]
+    keep = np.ones(len(row), dtype=bool)
+    keep[1:] = (row[1:] != row[:-1]) | (x[1:] - x[:-1] > 1e-9 * L)
+    if errors:
+        keep &= ~np.isin(row, list(errors))
+    row, x = row[keep], x[keep]
+    new = np.ones(len(row) + 1, dtype=bool)      # new[i]: row i - 1 differs from row i
+    new[1:-1] = row[1:] != row[:-1]
+    first, last = np.flatnonzero(new[:-1]), np.flatnonzero(new[1:])
+    keep = np.ones(len(row), dtype=bool)
+    keep[last[(last > first) & (x[first] + L - x[last] <= 1e-9 * L)]] = False
+    return row[keep], x[keep], errors
 
 
-def tangent_parameters(q: np.ndarray, p: SupportFunction) -> list[list[float] | OracleError]:
-    """For each point q[i], all psi in [0, 2*k*pi) whose tangent line passes
-    through it (or the OracleError of its scan)."""
+def tangent_parameters(q: np.ndarray, p: SupportFunction, grid: tuple):
+    """The psi in [0, 2*k*pi) whose tangent line passes through each point
+    q[i], as _circle_roots gives them: (row, psi, errors). grid holds the
+    scan points of p's circle and cos, sin and p there (see _oracle_grid)."""
     q = np.asarray(q, dtype=float).reshape(-1, 2)
+    ts, cos, sin, pv = grid
 
     def fn(ts, row):
         return q[row, 0] * np.cos(ts) + q[row, 1] * np.sin(ts) - p.eval(ts)
 
-    return _circle_roots(fn, p.domain_length, len(q))
+    return _circle_roots(fn, p.domain_length, ts, q[:, :1] * cos + q[:, 1:] * sin - pv)
+
+
+def _oracle_grid(K: PlaneCurve, C: SupportFunction) -> tuple[tuple, tuple]:
+    """What no start changes in an oracle step's two circle scans: C's scan
+    points with cos, sin and C there, and K's scan points with K there."""
+    ts = np.linspace(0.0, C.domain_length, GRID, endpoint=False)
+    tk = np.linspace(0.0, K.domain_length, GRID, endpoint=False)
+    return (ts, np.cos(ts), np.sin(ts), C.eval(ts)), (tk, K.positions(tk))
+
+
+def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple):
+    """One oracle step from every vertex K(t1s[i]), as arrays: the rows i
+    that step (ascending), their next vertex parameters t2, contact
+    parameters psi and contact points, and {i: OracleError} for the rest."""
+    n = len(t1s)
+    envelope_grid, (tk, kpts) = grid
+    q = K.positions(t1s)
+    owner, psi, errors = tangent_parameters(q, C, envelope_grid)
+    for i in np.flatnonzero(np.bincount(owner, minlength=n) == 0).tolist():
+        errors.setdefault(i, OracleError(f"no tangent line through K({float(t1s[i])}): "
+                                         "point inside the envelope?"))
+    # forward tangents: the contact lies ahead of K(t1) along the envelope
+    contact, tangent = _support_point(C, psi)
+    ahead = ((contact[:, 0] - q[owner, 0]) * tangent[:, 0]
+             + (contact[:, 1] - q[owner, 1]) * tangent[:, 1]) > 0.0
+    fwd = np.bincount(owner[ahead], minlength=n)
+    for i in set(np.flatnonzero(fwd != 1).tolist()) - errors.keys():
+        t = float(t1s[i])
+        errors[i] = OracleError(f"no forward tangent from K({t})" if not fwd[i] else
+                                f"forward tangent from K({t}) is ambiguous (candidates "
+                                + ", ".join(f"{x:.6f}" for x in psi[ahead & (owner == i)]) + ")")
+    picks = np.flatnonzero(ahead & (fwd[owner] == 1))
+    lines = owner[picks]
+    ux, uy, pv = np.cos(psi[picks]), np.sin(psi[picks]), C.eval(psi[picks])
+    L = K.domain_length
+
+    def line_fn(ts, row):
+        pts = K.positions(ts)
+        return pts[:, 0] * ux[row] + pts[:, 1] * uy[row] - pv[row]
+
+    row, hit, line_errors = _circle_roots(line_fn, L, tk, kpts[:, 0] * ux[:, None]
+                                          + kpts[:, 1] * uy[:, None] - pv[:, None])
+    far = circle_distance(hit, t1s[lines[row]], L) > 1e-6 * L
+    row, hit = row[far], hit[far]
+    hits = np.bincount(row, minlength=len(lines))
+    errors.update((int(lines[r]), e) for r, e in line_errors.items())
+    for r in set(np.flatnonzero(hits != 1).tolist()) - line_errors.keys():
+        p, t = float(psi[picks[r]]), float(t1s[lines[r]])
+        errors[int(lines[r])] = OracleError(
+            f"tangent line at psi={p} meets K only at t1={t}" if not hits[r] else
+            f"tangent line at psi={p} meets K at several parameters "
+            + ", ".join(f"{h:.6f}" for h in hit[row == r]))
+    one = hits[row] == 1
+    row, j = row[one], picks[row[one]]
+    return lines[row], hit[one], psi[j], contact[j], errors
 
 
 @dataclass(frozen=True)
@@ -129,58 +187,10 @@ def next_vertex_oracle(K: PlaneCurve, C: SupportFunction,
     its OracleStep or raises its OracleError.
     """
     t1s = np.atleast_1d(np.asarray(t1, dtype=float))
-    q = K.positions(t1s)
-    out: list[OracleStep | OracleError | None] = [None] * len(t1s)
-    found = tangent_parameters(q, C)
-    rows = []
-    for i, psis in enumerate(found):
-        if isinstance(psis, OracleError):
-            out[i] = psis
-        elif not psis:
-            out[i] = OracleError(f"no tangent line through K({float(t1s[i])}): "
-                                 "point inside the envelope?")
-        else:
-            rows.append(i)
-    # forward tangents: the contact lies ahead of K(t1) along the envelope
-    psi = np.array([x for i in rows for x in found[i]])
-    owner = np.repeat(rows, [len(found[i]) for i in rows]).astype(int)
-    contact, tangent = _support_point(C, psi)
-    ahead = ((contact[:, 0] - q[owner, 0]) * tangent[:, 0]
-             + (contact[:, 1] - q[owner, 1]) * tangent[:, 1]) > 0.0
-    lines, picks = [], []
-    cut = np.searchsorted(owner, np.arange(len(t1s) + 1))
-    for i in rows:
-        fwd = cut[i] + np.nonzero(ahead[cut[i]:cut[i + 1]])[0]
-        if not fwd.size:
-            out[i] = OracleError(f"no forward tangent from K({float(t1s[i])})")
-        elif fwd.size > 1:
-            out[i] = OracleError(
-                f"forward tangent from K({float(t1s[i])}) is ambiguous (candidates "
-                + ", ".join(f"{psi[j]:.6f}" for j in fwd) + ")")
-        else:
-            lines.append(i)
-            picks.append(fwd[0])
-    picks = np.array(picks, dtype=int)
-    ux, uy, pv = np.cos(psi[picks]), np.sin(psi[picks]), C.eval(psi[picks])
-    L = K.domain_length
-
-    def line_fn(ts, row):
-        pts = K.positions(np.ravel(ts)).reshape(np.shape(ts) + (2,))
-        return pts[..., 0] * ux[row] + pts[..., 1] * uy[row] - pv[row]
-
-    for i, j, roots in zip(lines, picks, _circle_roots(line_fn, L, len(lines))):
-        t, p = float(t1s[i]), float(psi[j])
-        if isinstance(roots, OracleError):
-            out[i] = roots
-            continue
-        hits = [h for h in roots if circle_distance(h, t, L) > 1e-6 * L]
-        if not hits:
-            out[i] = OracleError(f"tangent line at psi={p} meets K only at t1={t}")
-        elif len(hits) > 1:
-            out[i] = OracleError(f"tangent line at psi={p} meets K at several parameters "
-                                 + ", ".join(f"{h:.6f}" for h in hits))
-        else:
-            out[i] = OracleStep(hits[0], p, Vec2(float(contact[j, 0]), float(contact[j, 1])))
+    probe, t2, psi, contact, errors = _oracle_step(K, C, t1s, _oracle_grid(K, C))
+    out: list[OracleStep | OracleError | None] = [errors.get(i) for i in range(len(t1s))]
+    for i, t, p, (x, y) in zip(probe.tolist(), t2.tolist(), psi.tolist(), contact.tolist()):
+        out[i] = OracleStep(t, p, Vec2(x, y))
     if np.ndim(t1) == 0:
         if isinstance(out[0], OracleError):
             raise out[0]
@@ -386,6 +396,8 @@ def verify_pair(config: PonceletConfiguration, probes: int = 64,
         tol = 1e-7 * L
     if not MIN_PROBES <= probes <= MAX_PROBES:
         raise ValueError(f"need {MIN_PROBES} to {MAX_PROBES} probes, got {probes}")
+    if not tol > 0.0:
+        raise ValueError(f"need a positive tol, got {tol}")
     report = VerificationReport(config.label, probes, tol, config.mode)
     starts = (np.linspace(0.0, L, probes, endpoint=False) + 0.05 * L / probes)
 
@@ -424,21 +436,16 @@ def _verify_oracle(config, starts, tol, report):
     direction = None
     step_mismatch = 0.0
 
+    grid = _oracle_grid(K, p)
     for j in range(count):
         probes = np.nonzero(live)[0]
-        steps = next_vertex_oracle(K, p, params[j, probes])
-        for probe, step in zip(probes, steps):
-            if isinstance(step, OracleError):
-                failed[probe] = step
-                live[probe] = False
-        probes = probes[live[probes]]
+        done, t2, psi, contact, errors = _oracle_step(K, p, params[j, probes], grid)
+        failed.update((probes[i], err) for i, err in errors.items())
+        live[probes[list(errors)]] = False
+        probes = probes[done]
         if not probes.size:
             break
         t = params[j, probes]
-        done = [s for s in steps if isinstance(s, OracleStep)]
-        t2 = np.array([s.t2 for s in done])
-        psi = np.array([s.contact_parameter for s in done])
-        contact = np.array([tuple(s.contact) for s in done])
         a, b = pts[j, probes], K.positions(t2)
         gap = _support_gap(a, b, psi, p)
         report.max_tangency_gap = max(report.max_tangency_gap, float(np.max(gap)))

@@ -151,3 +151,9 @@ def test_unwritable_output_names_the_path(tmp_path, capsys, command):
     config = str(CONFIGS / "equilateral_a85.json")
     assert main([*command, config, "-o", str(target)]) == 2
     assert capsys.readouterr().err.startswith(f"schema error: cannot write output {target}: ")
+
+
+@pytest.mark.parametrize("margin", [-1.0, 1.5, 1e308, math.nan])
+def test_margin_outside_zero_to_one_raises(margin):
+    with pytest.raises(RenderError, match="need a margin between 0 and 1"):
+        render_svg([("envelope", CIRCLE)], [], [], samples=64, margin=margin)

@@ -386,6 +386,12 @@ _CAP = f"polygon vertices; at most {MAX_VERTICES} are allowed"
      ("verify",), f"parameters.steps gives 1000 {_CAP}"),
     ({}, [(("verify", "expect_interior"), 1)], ("verify",),
      "verify.expect_interior must be true, false or null, got 1"),
+    ({}, [(("verify", "tol"), 0)], ("verify",), "verify.tol must be positive, got 0"),
+    ({}, [(("verify", "tol"), -1)], ("verify",), "verify.tol must be positive, got -1"),
+    ({}, [(("render", "margin"), -1)], ("render",),
+     "render.margin must be between 0 and 1, got -1"),
+    ({}, [(("render", "margin"), 1e308)], ("render",),
+     "render.margin must be between 0 and 1, got 1e+308"),
 ], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
         "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
         "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool",
@@ -400,7 +406,8 @@ _CAP = f"polygon vertices; at most {MAX_VERTICES} are allowed"
         "clan-branches-not-a-list", "clan-steps-not-a-list", "support-a-missing",
         "support-l-num-missing", "fourier-period-above-cap", "rigid-period-above-cap",
         "angle-vertices-above-cap", "equilateral-vertices-above-cap",
-        "clan-steps-above-cap", "expect-interior-one"])
+        "clan-steps-above-cap", "expect-interior-one", "tol-zero", "tol-negative",
+        "margin-negative", "margin-above-one"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, command, message):
     doc = equilateral_doc()
     for path, value in edits:

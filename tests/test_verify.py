@@ -379,6 +379,12 @@ class TestVerifyPair:
         rep = verify_pair(config2, probes=16, tol=1e-6)
         assert not rep.passed
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
+        config, _ = wankel_configuration()
+        with pytest.raises(ValueError, match="need a positive tol"):
+            verify_pair(config, probes=8, tol=tol)
+
     def test_minimality_premature_closure_guard(self):
         config, _ = wankel_configuration()
         rep = verify_pair(config, probes=16)
