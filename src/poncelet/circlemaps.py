@@ -250,15 +250,10 @@ class TorsionMap:
     map: CircleDiffeo
     period: int
     winding: int
-    conjugating: CircleDiffeo | None = None  # h with f = h^-1 o r o h, when known
 
     @property
     def circumference(self) -> float:
         return self.map.circumference
-
-    @property
-    def rotation_angle(self) -> float:
-        return self.winding * self.map.circumference / self.period
 
     def orbit(self, start: float) -> list[float]:
         """The lifted orbit start, f(start), ..., f^(n-1)(start)."""
@@ -279,7 +274,7 @@ def make_torsion(h: CircleDiffeo, m: int, n: int, tol: float = 1e-8) -> TorsionM
     report = verify_torsion(f, n, tol=tol)
     if not report.passed:
         raise CircleMapError(f"constructed map failed torsion certification: {report}")
-    return TorsionMap(f, n, m % n if n > 1 else 0, conjugating=h)
+    return TorsionMap(f, n, m % n if n > 1 else 0)
 
 
 def as_torsion(f: CircleDiffeo, n: int, m: int, tol: float = 1e-8) -> TorsionMap:

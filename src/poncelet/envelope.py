@@ -6,9 +6,12 @@ side family (1-s) Y + s (Y o f) has the envelope
     X = Y - <Y', J D> / <D', J D> * D,         D = Y o f - Y,
 
 and the chord parameter s lies in (0, 1) exactly when the contact point
-falls inside the polygon side. All checks are evaluated in the conjugated
-parametrization Z = Y o h^-1, where the step becomes the rigid rotation by
-alpha = m L / n.
+falls inside the polygon side. The formula holds in any parametrization,
+so the envelope is parametrized by the vertex parameter t: side t joins
+Y(t) and Y(f(t)) and touches the envelope at X(t). A clan's envelope C_i
+is the same construction for the sides from Y o g_{i-1} to Y o g_i, and
+both are built by `side_envelope`, which refuses a side family whose
+denominator <D', J D> vanishes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circlemaps import CircleDiffeo, TorsionMap, conjugator_to_rotation, identity
+from .circlemaps import CircleDiffeo, TorsionMap, identity
 from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
 from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
 from .roots import GRID, bracketed_roots
@@ -47,25 +50,9 @@ class VertexStepSystem:
         if not math.isclose(self.step.circumference, self.vertex_curve.domain_length):
             raise ConstructionError("step map and curve live on different circles")
 
-    @property
-    def rotation_angle(self) -> float:
-        return self.step.rotation_angle
-
-    def conjugator(self) -> CircleDiffeo:
-        """h with h o f = r o h for the rigid rotation r by the rotation angle."""
-        f = self.step
-        if f.map.is_rotation:
-            return identity(f.circumference)
-        return f.conjugating if f.conjugating is not None else conjugator_to_rotation(f)
-
-    def conjugated_curve(self) -> PlaneCurve:
-        """Z = Y o h^-1 with the step turned into a rigid rotation."""
-        if self.step.map.is_rotation:
-            return self.vertex_curve
-        hinv = self.conjugator().inverse()
-        Y = self.vertex_curve
-        return curve_from_position(Y.domain_length, lambda ts: Y.positions(hinv.lift(ts)),
-                                   label=Y.label)
+    def stepped(self, ts):
+        """Y o f at ts (an array or a Jet): the far end of side t."""
+        return self.vertex_curve.positions(self.step.map.lift(ts))
 
 
 def _chord_envelope(first: Callable, second: Callable, ts, order: int = 0):
@@ -90,6 +77,11 @@ def _chord_envelope_position(first: Callable, second: Callable) -> Callable:
     return lambda ts: chain(ts, derivs)
 
 
+def _denominator(a: Jet, b: Jet) -> np.ndarray:
+    """<D', J D> with D = b - a, from order-1 jets of (n, 2) points."""
+    return _dot(b.d[0] - a.d[0], _J(b.v - a.v))
+
+
 class EnvelopeSingularity(ConstructionError):
     def __init__(self, params: list[float]):
         self.params = params
@@ -98,57 +90,62 @@ class EnvelopeSingularity(ConstructionError):
             + ", ".join(f"{t:.6f}" for t in params))
 
 
-@dataclass(frozen=True)
-class EnvelopeResult:
-    curve: PlaneCurve
-    s: Callable[[np.ndarray], np.ndarray]
-    conjugated: PlaneCurve
-    rotation_angle: float
-    system: VertexStepSystem
-    conjugator: CircleDiffeo     # contact parameter = conjugator(vertex parameter)
+def side_envelope(first: Callable, second: Callable, L: float, label: str,
+                  ts: np.ndarray, denominator: np.ndarray | None = None) -> PlaneCurve:
+    """Envelope of the side lines from first(t) to second(t), parametrized by
+    t on the circle of length L; first and second take arrays or Jets. A sign
+    change of the denominator <D', J D> on the points ts (given, or computed
+    here) raises EnvelopeSingularity with the refined parameters."""
+    def denom(t, _=None):
+        x = Jet.variable(t, 1)
+        return _denominator(first(x), second(x))
 
-    def polygon(self, start: float = 0.0) -> PonceletPolygon:
-        f = self.system.step
-        params = f.orbit(start)
-        # side i from Y(t_i) to Y(f(t_i)) touches the envelope at h(t_i)
-        pts = self.system.vertex_curve.positions(params + [float(f.map.lift(params[-1]))])
-        psis = self.conjugator.lift(np.asarray(params))
-        return assemble_polygon(pts[:-1], pts[-1], params, self.curve.positions(psis), psis,
-                                self.curve.domain_length)
-
-
-def envelope_from_vertex(system: VertexStepSystem) -> EnvelopeResult:
-    """Envelope of the polygon side lines, with the chord parameter s.
-
-    The returned curve and s are parametrized by the conjugated parameter;
-    for a rigid-rotation step this is the vertex-curve parameter itself.
-    A vanishing denominator is reported with the offending parameters.
-    """
-    Z = system.conjugated_curve()
-    L = Z.domain_length
-    alpha = system.rotation_angle
-
-    def second(t):
-        return Z.positions(t + alpha)
-
-    def denom(ts):
-        a, b = Z.positions(Jet.variable(ts, 1)), second(Jet.variable(ts, 1))
-        return _dot(b.d[0] - a.d[0], _J(b.v - a.v))
-
-    ts = np.linspace(0.0, L, GRID, endpoint=False)
-    d = denom(ts)
+    d = denom(ts) if denominator is None else denominator
     sign_flips = np.nonzero(np.sign(d) * np.sign(np.roll(d, -1)) <= 0)[0]
     if len(sign_flips):
         # an unconverged bracket still locates the zero within its grid cell
         lo = ts[sign_flips[:8]]
-        params, _ = bracketed_roots(lambda t, _: denom(t), lo, lo + L / GRID)
+        params, _ = bracketed_roots(denom, lo, lo + L / len(ts))
         raise EnvelopeSingularity([float(t) for t in params])
+    return curve_from_position(L, _chord_envelope_position(first, second), label=label)
 
-    def s_fn(ts):
-        return _chord_envelope(Z.positions, second, np.atleast_1d(ts))[1]
 
-    curve = curve_from_position(L, _chord_envelope_position(Z.positions, second), label="C")
-    return EnvelopeResult(curve, s_fn, Z, alpha, system, system.conjugator())
+@dataclass(frozen=True)
+class EnvelopeResult:
+    curve: PlaneCurve      # side t, from Y(t) to Y(f(t)), touches it at curve(t)
+    system: VertexStepSystem
+
+    def s(self, ts) -> np.ndarray:
+        """Chord parameter of the contact on side t."""
+        Y = self.system.vertex_curve
+        return _chord_envelope(Y.positions, self.system.stepped, np.atleast_1d(ts))[1]
+
+    def polygon(self, start: float = 0.0) -> PonceletPolygon:
+        f = self.system.step
+        params = f.orbit(start)
+        pts = self.system.vertex_curve.positions(params + [float(f.map.lift(params[-1]))])
+        return assemble_polygon(pts[:-1], pts[-1], params, self.curve.positions(params), params,
+                                self.curve.domain_length)
+
+
+def envelope_from_vertex(system: VertexStepSystem) -> EnvelopeResult:
+    """Envelope of the polygon side lines, with the chord parameter s, both
+    in the vertex parameter. A vanishing denominator is reported with the
+    offending parameters."""
+    Y = system.vertex_curve
+    L = Y.domain_length
+    curve = side_envelope(Y.positions, system.stepped, L, "C",
+                          np.linspace(0.0, L, GRID, endpoint=False))
+    return EnvelopeResult(curve, system)
+
+
+def _side_jets(system: VertexStepSystem, samples: int) -> tuple[np.ndarray, tuple, tuple]:
+    """Equispaced ts and the (position, velocity, acceleration) of Y and of
+    Y o f at them."""
+    ts = np.linspace(0.0, system.vertex_curve.domain_length, samples, endpoint=False)
+    t = Jet.variable(ts, 2)
+    a, b = system.vertex_curve.positions(t), system.stepped(t)
+    return ts, (a.v, *a.d), (b.v, *b.d)
 
 
 @dataclass(frozen=True)
@@ -165,24 +162,19 @@ class RegularityReport:
 
 def envelope_regularity(system: VertexStepSystem, result: EnvelopeResult | None = None,
                         samples: int = GRID) -> RegularityReport:
-    """Regularity determinant of the envelope in the conjugated form.
+    """Regularity determinant of the envelope, with B = Y o f.
 
-    Rows: (<Z',JD>, <Z'_a,JD>) and (<Z'',JD> + 2<Z',JD'>, <Z''_a,JD> + 2<Z'_a,JD'>).
-    Cross-check: sign of <X'', J X'> must match sign of <D', J D>.
+    Rows: (<Y',JD>, <B',JD>) and (<Y'',JD> + 2<Y',JD'>, <B'',JD> + 2<B',JD'>).
+    Cross-check: sign of <X'', J X'> must match sign of <D', J D>. A
+    reparametrization t = h(tau) multiplies both by powers of h' > 0, so
+    their signs do not depend on the parameter.
     """
     if result is None:
         result = envelope_from_vertex(system)
-    Z, alpha = result.conjugated, result.rotation_angle
-    L = Z.domain_length
-    ts = np.linspace(0.0, L, samples, endpoint=False)
-    p0, v0, a0 = Z.jet_many(ts)
-    p1, v1, a1 = Z.jet_many(ts + alpha)
-    delta = p1 - p0
-    ddelta = v1 - v0
-    jd = _J(delta)
-    jdd = _J(ddelta)
-    row1a = _dot(v0, jd)
-    row1b = _dot(v1, jd)
+    ts, (p0, v0, a0), (p1, v1, a1) = _side_jets(system, samples)
+    delta, ddelta = p1 - p0, v1 - v0
+    jd, jdd = _J(delta), _J(ddelta)
+    row1a, row1b = _dot(v0, jd), _dot(v1, jd)
     row2a = _dot(a0, jd) + 2 * _dot(v0, jdd)
     row2b = _dot(a1, jd) + 2 * _dot(v1, jdd)
     det = row1a * row2b - row1b * row2a
@@ -200,8 +192,8 @@ def envelope_regularity(system: VertexStepSystem, result: EnvelopeResult | None 
 @dataclass(frozen=True)
 class InteriorityReport:
     self_intersecting: bool
-    convexity_first_min: float    # min <D, J Z'>
-    convexity_second_min: float   # min <-D, J Z'(t+a)>
+    convexity_first_min: float    # min <D, J Y'>
+    convexity_second_min: float   # min <-D, J (Y o f)'>
     s_min: float
     s_max: float
     samples: int
@@ -221,11 +213,7 @@ def interiority_check(system: VertexStepSystem, result: EnvelopeResult | None = 
     """Convexity inequalities and 0 < s < 1 on a dense sample."""
     if result is None:
         result = envelope_from_vertex(system)
-    Z, alpha = result.conjugated, result.rotation_angle
-    L = Z.domain_length
-    ts = np.linspace(0.0, L, samples, endpoint=False)
-    p0, v0, _ = Z.jet_many(ts)
-    p1, v1, _ = Z.jet_many(ts + alpha)
+    ts, (p0, v0, _), (p1, v1, _) = _side_jets(system, samples)
     delta = p1 - p0
     c1 = _dot(delta, _J(v0))
     c2 = _dot(-delta, _J(v1))
@@ -239,8 +227,7 @@ def interiority_check(system: VertexStepSystem, result: EnvelopeResult | None = 
 class VertexClan:
     vertex_curve: PlaneCurve
     envelopes: tuple[PlaneCurve, ...]
-    steps: tuple[CircleDiffeo, ...]       # f_1 .. f_{n-1}; g_n = id closes the cycle
-    composites: tuple[CircleDiffeo, ...]  # g_0 = id, g_1, ..., g_{n-1}
+    composites: tuple[CircleDiffeo, ...]  # g_0 = id, g_1, ..., g_{n-1}; g_n = id closes
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         params = [float(g.lift(start)) for g in self.composites]
@@ -276,15 +263,15 @@ def _fixed_point_scan(g: Sequence[CircleDiffeo], G: Sequence[np.ndarray], i: int
     def centered(t, _):
         return np.mod(g[j].lift(t) - g[i].lift(t) + 0.5 * L, L) - 0.5 * L
 
-    # as in envelope_from_vertex, the bracket locates the point either way
+    # as in side_envelope, the bracket locates the point either way
     x = bracketed_roots(centered, lo, lo + L / len(xs))[0]
     return float(np.mod(g[i].lift(x)[0], L))
 
 
-def step_chain(steps: Sequence[CircleDiffeo], L: float, xs: np.ndarray
-               ) -> tuple[tuple[CircleDiffeo, ...], list[np.ndarray]]:
+def step_chain(steps: Sequence[CircleDiffeo], L: float, xs: np.ndarray | Jet
+               ) -> tuple[tuple[CircleDiffeo, ...], list]:
     """The composites g_0..g_n of a clan's steps f_1..f_{n-1}, and their
-    values G[i] = g_i(xs) on the points xs.
+    values G[i] = g_i(xs) on the points xs (Jets when xs is a Jet).
 
     g_0 = id, g_i = f_i o g_{i-1} for 0 < i < n, and g_n = id: the closing
     step is the one that brings g_{n-1} back to the start, so it needs no
@@ -307,24 +294,32 @@ def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) ->
     """Clan of envelopes C_1..C_n for steps f_1..f_{n-1} (f_n closes the cycle).
 
     Rejects step systems whose polygons degenerate: every g_j o g_i^-1
-    (i < j < n) must be free of fixed points.
+    (i < j < n) must be free of fixed points. Like a pair, rejects a side
+    family whose denominator <D', J D> vanishes (EnvelopeSingularity).
     """
     L = vertex_curve.domain_length
     steps = tuple(steps)
-    glist, G = step_chain(steps, L, np.linspace(0.0, L, 256, endpoint=False))
+    xs = np.linspace(0.0, L, 256, endpoint=False)
+    glist, G = step_chain(steps, L, Jet.variable(xs, 1))
+    values = [g.v for g in G]
     n = len(steps) + 1
 
     for i in range(n):
         for j in range(i + 1, n):
-            t0 = _fixed_point_scan(glist, G, i, j)
+            t0 = _fixed_point_scan(glist, values, i, j)
             if t0 is not None:
                 raise ConstructionError(
                     f"polygon degenerates: g_{j} o g_{i}^-1 has a fixed point near t = {t0:.6f}")
+
+    # Y o g_i on the scan points as order-1 jets, in one call for all rows
+    ys = vertex_curve.positions(Jet(np.concatenate(values[:n]),
+                                    [np.concatenate([g.d[0] for g in G[:n]])]))
+    rows = Jet(ys.v.reshape(n, len(xs), 2), [ys.d[0].reshape(n, len(xs), 2)])
 
     def along(g: CircleDiffeo) -> Callable:
         return lambda ts: vertex_curve.positions(g.lift(ts))
 
     envelopes = tuple(
-        curve_from_position(L, _chord_envelope_position(along(glist[i - 1]), along(glist[i])),
-                            label=f"C{i}") for i in range(1, n + 1))
-    return VertexClan(vertex_curve, envelopes, steps, glist[:-1])
+        side_envelope(along(glist[i - 1]), along(glist[i]), L, f"C{i}", xs,
+                      _denominator(rows[i - 1], rows[i % n])) for i in range(1, n + 1))
+    return VertexClan(vertex_curve, envelopes, glist[:-1])

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -231,35 +232,36 @@ class EquiangularClan:
     envelope: PlaneCurve
     vertex_curves: tuple[PlaneCurve, ...]
     angles: tuple[RationalAngle, ...]        # branch angles a_{j_i}
-    branches: tuple[int, ...]
     turns: int                               # m with sum of base angles = 2*m*pi
     rows: int                                # l = lcm(2m+|j|, 2k) / (2m+|j|)
     count: int                               # total polygon vertices
     degenerate: bool
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vertex parameter offsets from the start (the closing step's last),
+        the vertex curve of each, and each side's contact shift; built by the
+        first polygon, so that a clan refused for its vertex count never is."""
+        n = len(self.vertex_curves)
+        coeffs = [a.coeff for a in self.angles]
+        row_advance = sum(coeffs, Fraction(0))
+        # vertex nu of row r sits at r * row_advance + the sum of the first nu angles
+        prefix = [sum(coeffs[:nu], Fraction(0)) for nu in range(n)]
+        thetas = [row * row_advance + p for row in range(self.rows) for p in prefix]
+        offsets = np.array([float(th) * math.pi for th in thetas + [self.rows * row_advance]])
+        on = np.append(np.tile(np.arange(n), self.rows), 0)
+        return offsets, on, np.array([a.radians for a in self.angles])[on[:-1]]
+
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         if self.degenerate:
             return _pair_polygon(self.vertex_curves[0], self.envelope,
                                  self.angles[0], self.count, start, self.angles[0])
-        n = len(self.vertex_curves)
-        row_advance = sum((a.coeff for a in self.angles), Fraction(0))
-        thetas: list[Fraction] = []
-        curve_of: list[int] = []
-        acc = Fraction(0)
-        for row in range(self.rows):
-            for nu in range(n):
-                thetas.append(row * row_advance + acc)
-                curve_of.append(nu)
-                acc += self.angles[nu].coeff
-            acc -= row_advance
-        params = np.array([start + float(th) * math.pi for th in thetas])
-        # the closing step lands on the first curve again
-        ts = np.append(params, start + float(self.rows * row_advance) * math.pi)
-        on = np.array(curve_of + [0])
+        offsets, on, shifts = self._layout
+        ts = start + offsets
         pts = np.empty((len(ts), 2))
         for nu, K in enumerate(self.vertex_curves):
             pts[on == nu] = K.positions(ts[on == nu])
-        psis = params + np.array([a.radians for a in self.angles])[on[:-1]]
+        params, psis = ts[:-1], ts[:-1] + shifts
         return assemble_polygon(pts[:-1], pts[-1], params, self.envelope.positions(psis), psis,
                                 self.envelope.domain_length)
 
@@ -307,15 +309,13 @@ def equiangular_clan(envelope: SupportFunction,
     if degenerate:
         count = vertex_count(branch_angles[0], k)
 
-    clan = EquiangularClan(
+    return EquiangularClan(
         envelope_support=envelope,
         envelope=curve_from_support(envelope, label="C"),
         vertex_curves=curves,
         angles=tuple(branch_angles),
-        branches=tuple(branches),
         turns=m,
         rows=rows,
         count=count,
         degenerate=degenerate,
     )
-    return clan

@@ -103,8 +103,7 @@ class EnvelopeClan:
     envelope_support: SupportFunction
     envelope: PlaneCurve
     vertex_curves: tuple[PlaneCurve, ...]
-    steps: tuple[CircleDiffeo, ...]        # f_1..f_{n-1}; g_n = id closes the cycle
-    composites: tuple[CircleDiffeo, ...]   # g_0 = id, ..., g_{n-1}
+    composites: tuple[CircleDiffeo, ...]   # g_0 = id, ..., g_{n-1}; g_n = id closes
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         # every vertex curve carries its own g_{i-1} advance: evaluate all at start
@@ -140,4 +139,4 @@ def clan_from_envelope(envelope: SupportFunction,
             L, _vertex_position_fn(envelope, glist[i - 1], glist[i]), f"K{i}"))
 
     return EnvelopeClan(envelope, curve_from_support(envelope, label="C"),
-                        tuple(curves), steps, glist[:-1])
+                        tuple(curves), glist[:-1])

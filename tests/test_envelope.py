@@ -1,8 +1,14 @@
+import importlib.util
 import math
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poncelet import circlemaps as cm
 from poncelet.envelope import (EnvelopeSingularity, VertexStepSystem, clan_from_vertex,
@@ -10,6 +16,7 @@ from poncelet.envelope import (EnvelopeSingularity, VertexStepSystem, clan_from_
                                interiority_check)
 from poncelet.equiangular import ConstructionError
 from poncelet.geometry import polyline_self_intersects
+from poncelet.jets import Jet
 from poncelet.scene import build_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
 
@@ -81,31 +88,36 @@ class TestEnvelopeFromVertex:
             assert res.s(np.array([t]))[0] == pytest.approx(s_fd(t), abs=1e-7)
 
     def test_tangency_identity(self):
+        # side t, from Y(t) to Y(f(t)), is tangent to the envelope at X(t)
         p = cos_support(17.3, 3)
-        res = envelope_from_vertex(rot_system(p, 1, 3))
-        Z, alpha = res.conjugated, res.rotation_angle
+        system = rot_system(p, 1, 3)
+        res = envelope_from_vertex(system)
+        Y = system.vertex_curve
         ts = np.linspace(0, TWO_PI, 200, endpoint=False)
         _, xv, _ = res.curve.jet_many(ts)
-        delta = Z.positions(ts + alpha) - Z.positions(ts)
+        delta = Y.positions(system.step.map.lift(ts)) - Y.positions(ts)
         jd = np.stack([-delta[:, 1], delta[:, 0]], axis=1)
         dots = np.abs(xv[:, 0] * jd[:, 0] + xv[:, 1] * jd[:, 1])
         norm = np.hypot(*xv.T) * np.hypot(*delta.T)
         assert np.max(dots / norm) < 1e-8
 
     def test_positive_denominator_for_convex_vertex_curve(self):
+        # <D', J D> with D = Y o f - Y and (Y o f)' = Y'(f) f' by the chain rule
         p = SupportFunction(1.0, (SupportTerm(Fraction(2), 0.05),
                                   SupportTerm(Fraction(3), 0.02)), 1)
         h = cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 0.07, 0.02),))
         f = cm.make_torsion(h, 1, 4)
         system = VertexStepSystem(curve_from_support(p), f)
-        res = envelope_from_vertex(system)
-        Z, alpha = res.conjugated, res.rotation_angle
+        envelope_from_vertex(system)
+        Y = system.vertex_curve
         ts = np.linspace(0, TWO_PI, 300, endpoint=False)
-        _, zv, _ = Z.jet_many(ts)
-        _, zva, _ = Z.jet_many(ts + alpha)
-        delta = Z.positions(ts + alpha) - Z.positions(ts)
+        fts = f.map.lift(ts)
+        _, yv, _ = Y.jet_many(ts)
+        _, yfv, _ = Y.jet_many(fts)
+        dv = yfv * f.map.derivative(ts)[:, None] - yv
+        delta = Y.positions(fts) - Y.positions(ts)
         jd = np.stack([-delta[:, 1], delta[:, 0]], axis=1)
-        denom = (zva - zv)[:, 0] * jd[:, 0] + (zva - zv)[:, 1] * jd[:, 1]
+        denom = dv[:, 0] * jd[:, 0] + dv[:, 1] * jd[:, 1]
         assert np.min(denom) > 0
 
     def test_envelope_is_step_invariant(self):
@@ -132,24 +144,23 @@ class TestEnvelopeFromVertex:
         assert len(err.value.params) > 0
 
     def test_polygon_without_stored_conjugator_touches_every_side(self):
-        # as_torsion stores no conjugator: the polygon maps vertex parameters
-        # to contact parameters through the averaged one of the step itself
+        # as_torsion certifies the bare map and keeps no h: the envelope is
+        # built in the vertex parameter, so it needs none, and the polygons
+        # equal those of the map that make_torsion built from h
         p = SupportFunction(1.0, (SupportTerm(Fraction(2), 0.05),
                                   SupportTerm(Fraction(3), -0.03)), 1)
         Y = curve_from_support(p)
         h = cm.from_fourier(TWO_PI, 0.7, (cm.FourierTerm(1, 0.04, -0.03),))
         known = cm.make_torsion(h, 1, 4)
         bare = cm.as_torsion(known.map, 4, 1)
-        assert bare.conjugating is None and not bare.map.is_rotation
+        assert not bare.map.is_rotation
         poly = envelope_from_vertex(VertexStepSystem(Y, bare)).polygon(0.9)
         ref = envelope_from_vertex(VertexStepSystem(Y, known)).polygon(0.9)
-        assert poly.vertices == ref.vertices
+        assert poly == ref
         for i, contact in enumerate(poly.contacts):
             a, b = poly.vertices[i], poly.vertices[(i + 1) % 4]
             d = b - a
             assert abs(d.cross(contact.point - a)) / d.norm() < 1e-12
-        assert ([c.chord for c in poly.contacts]
-                == pytest.approx([c.chord for c in ref.contacts], abs=1e-9))
 
     def test_period_two_rejected(self):
         p = cos_support(17.3, 3)
@@ -302,3 +313,81 @@ def test_clan_polygons_need_no_inverse_map(monkeypatch):
         for start in (0.0, 0.9, 4.0):
             poly = scene.configuration.polygon(start)
             assert len(poly.vertices) == 3 and poly.closure_gap == 0.0, construction
+
+
+# --- conjugated steps: the vertex-parameter envelope against the conjugated route ---
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _bench_workloads()
+coefficient = st.floats(-0.06, 0.06)
+
+
+@st.composite
+def conjugated_steps(draw, fractions):
+    """(support, h, m, n): h from the benchmark's conjugated-envelope ranges
+    with one harmonic or a second of the same size, the support as the
+    benchmark draws it."""
+    terms = [{"j": 1, "sin": draw(coefficient), "cos": draw(coefficient)}]
+    if draw(st.booleans()):
+        terms.append({"j": 2, "sin": draw(coefficient), "cos": draw(coefficient)})
+    support = workloads._convex_support(draw(st.randoms(use_true_random=False)))
+    m, n = draw(st.sampled_from(fractions))
+    return support, {"c": draw(st.floats(0.0, TWO_PI)), "terms": terms}, m, n
+
+
+def conjugated_scene(support: dict, h: dict, m: int, n: int):
+    return build_scene({
+        "construction": "envelope-from-vertex",
+        "parameters": {"support": support, "step": {"m": m, "n": n, "h": h}},
+        "verify": {"probes": 8, "tol": None, "expect_interior": True}})
+
+
+def conjugated_route(Y: PlaneCurve, h: dict, alpha: float, ts: np.ndarray):
+    """The envelope as it was built with the step conjugated to a rotation:
+    Z = Y o h^-1, side tau from Z(tau) to Z(tau + alpha), X_Z(tau) = Z + s D
+    with s = -<Z', J D> / <D', J D>. Side t of Y and f = h^-1 o r o h is
+    side h(t) of Z, so this returns X_Z(h(t))."""
+    lift = cm.from_fourier(TWO_PI, h["c"], tuple(cm.FourierTerm(t["j"], t["sin"], t["cos"])
+                                                 for t in h["terms"]))
+    hinv = lift.inverse()
+    tau = Jet.variable(lift.lift(ts), 1)
+    a, b = Y.positions(hinv.lift(tau)), Y.positions(hinv.lift(tau + alpha))
+    d, dp = b.v - a.v, b.d[0] - a.d[0]
+    jd = np.stack([-d[:, 1], d[:, 0]], axis=1)
+    s = -np.sum(a.d[0] * jd, axis=1) / np.sum(dp * jd, axis=1)
+    return a.v + s[:, None] * d
+
+
+@settings(max_examples=30)
+@given(conjugated_steps([(1, 4), (1, 5), (2, 5)]))
+def test_conjugated_envelope_matches_the_conjugated_route(steps):
+    support, h, m, n = steps
+    scene = conjugated_scene(*steps)
+    ts = np.linspace(0.0, TWO_PI, 64, endpoint=False)
+    want = conjugated_route(scene.vertex_curves[0], h, m * TWO_PI / n, ts)
+    assert np.max(np.abs(scene.envelopes[0].positions(ts) - want)) < 1e-11
+
+
+@settings(max_examples=20)
+@given(conjugated_steps([(1, 4), (1, 5)]))
+def test_conjugated_envelope_verifies(steps):
+    report = conjugated_scene(*steps).verify()
+    assert report.passed, report.errors
+
+
+@pytest.mark.xfail(strict=True, reason="contact recovery misses a tangency next to a "
+                                       "near-cusp of the envelope (ROADMAP, contact recovery)")
+def test_star_step_envelope_verifies():
+    # m/n = 2/5 on the same supports gives envelopes with near-cusps (speed
+    # about 1e-4), where two zeros of d/dt <X - a, n> share a grid cell
+    support = workloads._convex_support(random.Random(0))
+    report = conjugated_scene(support, {"c": 0.0, "terms": [{"j": 1}]}, 2, 5).verify()
+    assert report.passed, report.errors

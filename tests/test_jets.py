@@ -212,10 +212,12 @@ def test_support_curve_third_derivative():
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("R", [1.0, 2.5])
 def test_envelope_of_a_reparametrized_circle(n, R):
-    """Y(s) = R u(h(s)) with the step h^-1 o r o h: then Z = Y o h^-1 = R u(t)
-    and the envelope is exactly R cos(a/2) u(t + a/2), a = 2 pi / n.
+    """Y(t) = R u(h(t)) with the step f = h^-1 o r o h: side t joins R u(h(t))
+    and R u(h(t) + a), a = 2 pi / n, so the envelope in the vertex parameter
+    is exactly R cos(a/2) u(h(t) + a/2), with the chain rule through h for
+    its derivatives.
 
-    Z is R u(h(h^-1(t))), and lift inversion ends at rounding, so the
+    Y o f inverts h once, and lift inversion ends at rounding, so the
     envelope is exact to rounding too."""
     h = cm.from_fourier(TWO_PI, 0.4, (cm.FourierTerm(1, 0.05, -0.03), cm.FourierTerm(2, 0.0, 0.02)))
 
@@ -228,9 +230,12 @@ def test_envelope_of_a_reparametrized_circle(n, R):
     half = math.pi / n
     pos, vel, acc = result.curve.jet_many(TS)
     r = R * math.cos(half)
-    c, s = np.cos(TS + half), np.sin(TS + half)
-    for got, want in ((pos, r * np.stack([c, s], axis=1)), (vel, r * np.stack([-s, c], axis=1)),
-                      (acc, -r * np.stack([c, s], axis=1))):
+    phi, h1, h2 = jet_of(h.lift, TS, 2)
+    u = np.stack([np.cos(phi + half), np.sin(phi + half)], axis=1)
+    up = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    want_vel = r * h1[:, None] * up
+    want_acc = r * (h2[:, None] * up - (h1 * h1)[:, None] * u)
+    for got, want in ((pos, r * u), (vel, want_vel), (acc, want_acc)):
         assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -1,7 +1,11 @@
 """Golden polygons: every checked-in config's polygon at its render starts
 and at 8 equispaced starts, as the constructions built them before they
 shared one polygon assembler (tests/data/polygons.json). Each field must
-match to 1e-12 relative to the largest magnitude of that field."""
+match to 1e-12 relative to the largest magnitude of that field.
+
+Beside the goldens, every construction kind's contacts must agree with the
+envelopes they name: the envelope at the contact parameter is the contact
+point, and that point lies on its side line."""
 
 import json
 from pathlib import Path
@@ -10,6 +14,7 @@ import numpy as np
 import pytest
 
 from poncelet.scene import load_scene
+from test_bench_contract import SCENES
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((REPO / "tests" / "data" / "polygons.json").read_text())
@@ -43,3 +48,18 @@ def test_polygons_match_golden(name):
             scale = max(float(np.max(np.abs(expected))), 1.0)
             np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-12 * scale,
                                        err_msg=f"{name} start {golden['start']}: {key}")
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_contacts_lie_on_their_envelope_and_side(name):
+    cfg = SCENES[name]().configuration
+    for start in np.linspace(0.0, cfg.domain_length, 8, endpoint=False) + 0.1:
+        poly = cfg.polygon(float(start))
+        v = np.array([[q.x, q.y] for q in poly.vertices])
+        d = np.roll(v, -1, axis=0) - v
+        for i, contact in enumerate(poly.contacts):
+            x = np.array([contact.point.x, contact.point.y])
+            on_envelope = cfg.envelopes[contact.envelope_index].positions([contact.parameter])[0]
+            assert np.max(np.abs(on_envelope - x)) < 1e-12, (start, i)
+            r = x - v[i]
+            assert abs(d[i, 0] * r[1] - d[i, 1] * r[0]) / np.hypot(*d[i]) < 1e-12, (start, i)

@@ -231,6 +231,21 @@ class TestCliProcess:
         assert proc.returncode == 3
         assert "2*m*pi" in proc.stderr
 
+    @pytest.mark.parametrize("command", [("build", "--skip-verify"), ("verify",)])
+    def test_singular_clan_side_family_exit_three(self, tmp_path, command):
+        # the side families of the singular pair in test_envelope.py, as a
+        # clan: refused like the pair, not built into far-flung envelopes
+        bad = tmp_path / "clan.json"
+        bad.write_text(json.dumps({
+            "construction": "clan-from-vertex",
+            "parameters": {"support": {"a": 0.8, "k": 4,
+                                       "terms": [{"l_num": 3, "l_den": 4, "cos": 1.0}]},
+                           "steps": [{"rotation_pi": {"num": 8, "den": 3}}] * 2}}))
+        proc = self.run(command[0], str(bad), *command[1:])
+        assert proc.returncode == 3, proc.stdout
+        assert "side-family denominator <D', J D> vanishes near" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_verification_failure_exit_one(self, tmp_path):
         # wrong interiority expectation: construction is fine, the check fails
         doc = equilateral_doc(a=2 + math.sqrt(3))
