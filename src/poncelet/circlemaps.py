@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -133,6 +133,16 @@ class CircleDiffeo:
         return x
 
 
+def orbit(maps: Sequence[CircleDiffeo], xs) -> list:
+    """The lifted orbit [xs, f_1(xs), f_2(f_1(xs)), ...] of the points xs (a
+    float, an array or a Jet) under the maps f_1, f_2, ... in turn: one lift
+    evaluation per map."""
+    out = [xs]
+    for f in maps:
+        out.append(f.lift(out[-1]))
+    return out
+
+
 def identity(L: float) -> CircleDiffeo:
     return rotation(L, 0.0)
 
@@ -231,13 +241,7 @@ def verify_torsion(f: CircleDiffeo, n: int, tol: float = 1e-8, probes: int = 64)
     """Check f^n = id and f^i != id for 0 < i < n on equispaced probes."""
     L = f.circumference
     xs = np.linspace(0.0, L, probes, endpoint=False)
-    x = xs.copy()
-    inter = []
-    for _ in range(n - 1):
-        x = f.lift(x)
-        inter.append(float(np.max(circle_distance(x, xs, L))))
-    x = f.lift(x)
-    final = float(np.max(circle_distance(x, xs, L)))
+    *inter, final = [float(np.max(circle_distance(x, xs, L))) for x in orbit((f,) * n, xs)[1:]]
     min_inter = min(inter) if inter else math.inf
     return TorsionReport(n, tol, probes, final, min_inter,
                          passed=(final < tol and min_inter > tol))
@@ -254,13 +258,6 @@ class TorsionMap:
     @property
     def circumference(self) -> float:
         return self.map.circumference
-
-    def orbit(self, start: float) -> list[float]:
-        """The lifted orbit start, f(start), ..., f^(n-1)(start)."""
-        params = [float(start)]
-        for _ in range(self.period - 1):
-            params.append(float(self.map.lift(params[-1])))
-        return params
 
 
 def make_torsion(h: CircleDiffeo, m: int, n: int, tol: float = 1e-8) -> TorsionMap:
@@ -295,13 +292,9 @@ def conjugator_to_rotation(f: TorsionMap) -> CircleDiffeo:
     if not rep.passed:
         raise CircleMapError(f"not a torsion map: {rep}")
     n = f.period
-    inner = f.map
 
     def lift(x):
-        acc = cur = x
-        for _ in range(n - 1):
-            cur = inner.lift(cur)
-            acc = acc + cur
-        return acc / n
+        x, *rest = orbit((f.map,) * (n - 1), x)
+        return sum(rest, x) / n
 
-    return CircleDiffeo(inner.circumference, lift, displacement_bound=inner.displacement_bound * n)
+    return CircleDiffeo(f.circumference, lift, displacement_bound=f.map.displacement_bound * n)

@@ -9,8 +9,9 @@ and the chord parameter s lies in (0, 1) exactly when the contact point
 falls inside the polygon side. The formula holds in any parametrization,
 so the envelope is parametrized by the vertex parameter t: side t joins
 Y(t) and Y(f(t)) and touches the envelope at X(t). A clan's envelope C_i
-is the same construction for the sides from Y o g_{i-1} to Y o g_i, and
-both are built by `side_envelope`, which refuses a side family whose
+(i < n) is the pair envelope of its own step f_i; only the closing C_n, of
+the sides from Y(g_{n-1}(t)) to Y(t), is parametrized by the start t. All
+are built by `side_envelope`, which refuses a side family whose
 denominator <D', J D> vanishes.
 """
 
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circlemaps import CircleDiffeo, TorsionMap, identity
+from .circlemaps import CircleDiffeo, TorsionMap, orbit
 from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
 from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
 from .roots import GRID, bracketed_roots
@@ -55,13 +56,12 @@ class VertexStepSystem:
         return self.vertex_curve.positions(self.step.map.lift(ts))
 
 
-def _chord_envelope(first: Callable, second: Callable, ts, order: int = 0):
-    """Envelope point X = A + s D of the chord lines from A = first(t) to
-    B = second(t), D = B - A, and s = -<A', J D> / <D', J D>, as jets of the
-    given order in t (plain arrays at order 0). first and second take Jets
-    of t and are evaluated one order higher, since X involves A'.
+def _chord_envelope(a: Jet, b: Jet, order: int = 0):
+    """Envelope point X = A + s D of the chord lines from A to B, D = B - A,
+    and s = -<A', J D> / <D', J D>, from jets a and b of A and B in t. X is a
+    jet of the given order (plain arrays at order 0), one below a and b,
+    since X involves A'.
     """
-    a, b = first(Jet.variable(ts, order + 1)), second(Jet.variable(ts, order + 1))
     z, zp = a.truncated(order), a.derivative()
     delta = b.truncated(order) - z
     jd = _J(delta)
@@ -70,8 +70,11 @@ def _chord_envelope(first: Callable, second: Callable, ts, order: int = 0):
 
 
 def _chord_envelope_position(first: Callable, second: Callable) -> Callable:
+    """Position function of the envelope of the chords from first(t) to
+    second(t); first and second take Jets of t."""
     def derivs(ts, order):
-        x = _chord_envelope(first, second, ts, order)[0]
+        t = Jet.variable(ts, order + 1)
+        x = _chord_envelope(first(t), second(t), order)[0]
         return [x.v, *x.d] if order else [x]
 
     return lambda ts: chain(ts, derivs)
@@ -117,15 +120,15 @@ class EnvelopeResult:
 
     def s(self, ts) -> np.ndarray:
         """Chord parameter of the contact on side t."""
-        Y = self.system.vertex_curve
-        return _chord_envelope(Y.positions, self.system.stepped, np.atleast_1d(ts))[1]
+        t = Jet.variable(np.atleast_1d(ts), 1)
+        return _chord_envelope(self.system.vertex_curve.positions(t), self.system.stepped(t))[1]
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         f = self.system.step
-        params = f.orbit(start)
-        pts = self.system.vertex_curve.positions(params + [float(f.map.lift(params[-1]))])
-        return assemble_polygon(pts[:-1], pts[-1], params, self.curve.positions(params), params,
-                                self.curve.domain_length)
+        ts = np.array(orbit((f.map,) * f.period, float(start)))
+        pts = self.system.vertex_curve.positions(ts)
+        return assemble_polygon(pts[:-1], pts[-1], ts[:-1], self.curve.positions(ts[:-1]),
+                                ts[:-1], self.curve.domain_length)
 
 
 def envelope_from_vertex(system: VertexStepSystem) -> EnvelopeResult:
@@ -226,27 +229,27 @@ def interiority_check(system: VertexStepSystem, result: EnvelopeResult | None = 
 @dataclass(frozen=True)
 class VertexClan:
     vertex_curve: PlaneCurve
-    envelopes: tuple[PlaneCurve, ...]
-    composites: tuple[CircleDiffeo, ...]  # g_0 = id, g_1, ..., g_{n-1}; g_n = id closes
+    envelopes: tuple[PlaneCurve, ...]   # C_i: sides Y(s) to Y(f_i(s)); C_n closes at the start
+    steps: tuple[CircleDiffeo, ...]     # f_1, ..., f_{n-1}
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
-        params = [float(g.lift(start)) for g in self.composites]
-        pts = self.vertex_curve.positions(params)
-        # side i (from g_i to g_{i+1}) touches envelope C_{i+1} at parameter start
-        n = len(params)
-        contacts = [C.positions([start])[0] for C in self.envelopes]
-        return assemble_polygon(pts, pts[0], params, contacts, [start] * n,
-                                self.vertex_curve.domain_length, envelope_index=range(n))
+        G = stack(orbit(self.steps, Jet.variable(float(start), 1)), axis=0)
+        ys = self.vertex_curve.positions(G)
+        # side i touches C_{i+1} at G_i (C_n at the start), where the sides from
+        # Y(g_i(t)) to Y(g_{i+1}(t)) touch their envelope: one chord formula in t
+        contacts = _chord_envelope(ys, ys[np.r_[1:G.size, 0]])[0]
+        return assemble_polygon(ys.v, ys.v[0], G.v, contacts, np.append(G.v[:-1], start),
+                                self.vertex_curve.domain_length, envelope_index=range(G.size))
 
 
-def _fixed_point_scan(g: Sequence[CircleDiffeo], G: Sequence[np.ndarray], i: int,
+def _fixed_point_scan(steps: Sequence[CircleDiffeo], G: Sequence[np.ndarray], i: int,
                       j: int) -> float | None:
     """A fixed point of g_j o g_i^-1, or None if none is detected.
 
     G[k] holds g_k on equispaced scan points G[0]. The composite fixes g_i(x)
     exactly where g_j(x) - g_i(x) is a multiple of L, so no inverse is needed.
     """
-    L = g[0].circumference
+    L = steps[0].circumference
     xs = G[0]
     disp = np.mod(G[j] - G[i] + 0.5 * L, L) - 0.5 * L
     hit = np.nonzero(np.abs(disp) < 1e-12 * L)[0]
@@ -261,65 +264,58 @@ def _fixed_point_scan(g: Sequence[CircleDiffeo], G: Sequence[np.ndarray], i: int
     lo = xs[flips[:1]]
 
     def centered(t, _):
-        return np.mod(g[j].lift(t) - g[i].lift(t) + 0.5 * L, L) - 0.5 * L
+        g = orbit(steps[:j], t)
+        return np.mod(g[j] - g[i] + 0.5 * L, L) - 0.5 * L
 
     # as in side_envelope, the bracket locates the point either way
     x = bracketed_roots(centered, lo, lo + L / len(xs))[0]
-    return float(np.mod(g[i].lift(x)[0], L))
+    return float(np.mod(orbit(steps[:i], x)[i][0], L))
 
 
-def step_chain(steps: Sequence[CircleDiffeo], L: float, xs: np.ndarray | Jet
-               ) -> tuple[tuple[CircleDiffeo, ...], list]:
-    """The composites g_0..g_n of a clan's steps f_1..f_{n-1}, and their
-    values G[i] = g_i(xs) on the points xs (Jets when xs is a Jet).
-
-    g_0 = id, g_i = f_i o g_{i-1} for 0 < i < n, and g_n = id: the closing
-    step is the one that brings g_{n-1} back to the start, so it needs no
-    map. G[i] = f_i(G[i-1]) is tabulated once and G[0] = G[n] = xs. Needs
-    n >= 3 and every step on the circle of length L.
-    """
+def step_chain(steps: Sequence[CircleDiffeo], L: float, xs: np.ndarray | Jet) -> list:
+    """The orbit table G[i] = g_i(xs) = f_i(G[i-1]), G[0] = xs, of a clan's
+    steps f_1..f_{n-1}; the closing step, back to the start, needs no map.
+    Needs n >= 3 and every step on the circle of length L."""
     if len(steps) < 2:
         raise ConstructionError("need at least two steps (n >= 3)")
     for f in steps:
         if not math.isclose(f.circumference, L):
             raise ConstructionError("step maps must act on the clan's parameter circle")
-    glist, G = [identity(L)], [xs]
-    for f in steps:
-        glist.append(f.compose(glist[-1]))
-        G.append(f.lift(G[-1]))
-    return tuple(glist) + (glist[0],), G + [xs]
+    return orbit(steps, xs)
 
 
 def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) -> VertexClan:
     """Clan of envelopes C_1..C_n for steps f_1..f_{n-1} (f_n closes the cycle).
 
-    Rejects step systems whose polygons degenerate: every g_j o g_i^-1
-    (i < j < n) must be free of fixed points. Like a pair, rejects a side
-    family whose denominator <D', J D> vanishes (EnvelopeSingularity).
+    C_i (i < n) is the envelope of the sides from Y(s) to Y(f_i(s)), and C_n
+    that of the sides from Y(g_{n-1}(t)) to Y(t). Rejects step systems whose
+    polygons degenerate: every g_j o g_i^-1 (i < j < n) must be free of fixed
+    points. Like a pair, rejects a side family whose denominator <D', J D>
+    vanishes (EnvelopeSingularity).
     """
     L = vertex_curve.domain_length
     steps = tuple(steps)
     xs = np.linspace(0.0, L, 256, endpoint=False)
-    glist, G = step_chain(steps, L, Jet.variable(xs, 1))
+    G = step_chain(steps, L, Jet.variable(xs, 1))
     values = [g.v for g in G]
-    n = len(steps) + 1
+    n = len(G)
 
     for i in range(n):
         for j in range(i + 1, n):
-            t0 = _fixed_point_scan(glist, values, i, j)
+            t0 = _fixed_point_scan(steps, values, i, j)
             if t0 is not None:
                 raise ConstructionError(
                     f"polygon degenerates: g_{j} o g_{i}^-1 has a fixed point near t = {t0:.6f}")
 
-    # Y o g_i on the scan points as order-1 jets, in one call for all rows
-    ys = vertex_curve.positions(Jet(np.concatenate(values[:n]),
-                                    [np.concatenate([g.d[0] for g in G[:n]])]))
-    rows = Jet(ys.v.reshape(n, len(xs), 2), [ys.d[0].reshape(n, len(xs), 2)])
+    # Y at xs, at each f_i(xs) and at g_{n-1}(xs) as order-1 jets, in one call
+    ends = [G[0]] + [f.lift(G[0]) for f in steps] + [G[-1]]
+    ys = vertex_curve.positions(Jet(np.concatenate([e.v for e in ends]),
+                                    [np.concatenate([e.d[0] for e in ends])]))
+    rows = Jet(ys.v.reshape(n + 1, len(xs), 2), [ys.d[0].reshape(n + 1, len(xs), 2)])
 
-    def along(g: CircleDiffeo) -> Callable:
-        return lambda ts: vertex_curve.positions(g.lift(ts))
-
-    envelopes = tuple(
-        side_envelope(along(glist[i - 1]), along(glist[i]), L, f"C{i}", xs,
-                      _denominator(rows[i - 1], rows[i % n])) for i in range(1, n + 1))
-    return VertexClan(vertex_curve, envelopes, glist[:-1])
+    Y = vertex_curve.positions
+    envelopes = [side_envelope(Y, lambda ts, f=f: Y(f.lift(ts)), L, f"C{i}", xs,
+                               _denominator(rows[0], rows[i])) for i, f in enumerate(steps, 1)]
+    envelopes.append(side_envelope(lambda ts: Y(orbit(steps, ts)[-1]), Y, L, f"C{n}", xs,
+                                   _denominator(rows[n], rows[0])))
+    return VertexClan(vertex_curve, tuple(envelopes), steps)

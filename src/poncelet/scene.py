@@ -20,6 +20,7 @@ Torsion steps: {"m": int, "n": int, "h": {"c": float, "terms": [{"j", "sin", "co
 Clan steps: {"rotation_pi": {"num", "den"}} or a Fourier lift {"c", "terms"}.
 A polygon has at most verify.MAX_VERTICES vertices; a larger torsion period,
 clan step count or vertex count is refused here, before any work grows with it.
+So is a support function on more than verify.MAX_SHEETS sheets.
 
 This module is the only reader of these documents: it builds the library's
 support functions, circle maps and configurations from the values it checks.
@@ -42,7 +43,7 @@ from .equiangular import PonceletPolygon
 from .geometry import SELF_INTERSECTION_SAMPLES, RationalAngle, polyline_self_intersects, wrap_pi
 from .render import MAX_SAMPLES
 from .support import PlaneCurve, SupportError, SupportFunction, SupportTerm, curve_from_support
-from .verify import (MAX_PROBES, MAX_VERTICES, MIN_PROBES, PonceletConfiguration,
+from .verify import (MAX_PROBES, MAX_SHEETS, MAX_VERTICES, MIN_PROBES, PonceletConfiguration,
                      VerificationReport, verify_pair)
 from .vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
 
@@ -70,7 +71,9 @@ def _check_keys(doc: dict, allowed: set[str], where: str, required: tuple[str, .
 
 
 def _number(raw, where: str) -> float:
-    """A finite float from a document value."""
+    """A finite float from a document value; a boolean is refused."""
+    if isinstance(raw, bool):
+        raise SchemaError(f"{where} must be a number, got {raw!r}")
     try:
         x = float(raw)
     except (TypeError, ValueError) as exc:
@@ -107,6 +110,13 @@ def _vertices(count: int, where: str) -> int:
     return count
 
 
+def _sheets(count: int, where: str) -> int:
+    """A support function's sheet count within the verifier's bound."""
+    if count > MAX_SHEETS:
+        raise SchemaError(f"{where} gives {count} sheets; at most {MAX_SHEETS} are allowed")
+    return count
+
+
 def _ratio(doc: dict, where: str, num: str = "num", den: str = "den") -> Fraction:
     """The fraction of the integer fields num and den of doc."""
     n, d = _integer(doc[num], f"{where}.{num}"), _integer(doc[den], f"{where}.{den}")
@@ -122,7 +132,8 @@ def _angle(doc, where: str) -> RationalAngle:
 
 def _support(doc, where: str) -> SupportFunction:
     _check_keys(doc, {"a", "k", "terms"}, where, ("a",))
-    a, k = _number(doc["a"], f"{where}.a"), _integer(doc.get("k", 1), f"{where}.k")
+    a = _number(doc["a"], f"{where}.a")
+    k = _sheets(_integer(doc.get("k", 1), f"{where}.k"), f"{where}.k")
     terms = []
     for i, t in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
         at = f"{where}.terms[{i}]"
@@ -269,10 +280,11 @@ def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfi
 def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
     _check_keys(params, {"k", "l", "a"}, "parameters", ("k", "l", "a"))
     _check_keys(params["l"], {"num", "den"}, "parameters.l", ("num", "den"))
-    pair = eq.equilateral_pair(_integer(params["k"], "parameters.k"),
+    pair = eq.equilateral_pair(_sheets(_integer(params["k"], "parameters.k"), "parameters.k"),
                                _ratio(params["l"], "parameters.l"),
                                _number(params["a"], "parameters.a"))
     _vertices(pair.count, "parameters.l")
+    _sheets(pair.sheets_used, "parameters.l")
     return _pair_configuration("equilateral", pair, pair.envelope_support,
                                pair.side_length, vopts)
 

@@ -59,6 +59,12 @@ class SupportFunction:
     def domain_length(self) -> float:
         return 2.0 * self.sheets * math.pi
 
+    @property
+    def period(self) -> float:
+        """Period of the curve p u + p' u': 2 pi lcm(frequency denominators),
+        which divides the domain length."""
+        return 2.0 * math.lcm(*(t.frequency.denominator for t in self.terms)) * math.pi
+
     def _reduce(self, phi):
         return np.mod(phi, self.domain_length)
 

@@ -47,10 +47,16 @@ from .support import PlaneCurve, SupportFunction
 MIN_PROBES = 8
 MAX_PROBES = 1024
 # Vertices per polygon, the other factor of the verifier's work. The same
-# bound caps torsion periods and clan step counts where a document is read:
-# each probe evaluates every envelope of a clan-from-vertex through step
-# composites nested up to n deep, so its verify time grows with n squared.
+# bound caps torsion periods and clan step counts where a document is read.
+# At 63 vertices and 1024 probes the clans verify in 5 to 8 s, most of it in
+# the per-probe polygons (one orbit of n - 1 lift evaluations, and for a clan
+# of vertex curves one evaluation of each) and in contact recovery.
 MAX_VERTICES = 64
+# Sheets of a support function. Contact recovery holds 2 candidate tangents
+# per sheet of the support's period, up to k, for every side of every probe:
+# at 64 (l_den = 64), 63 vertices and 1024 probes, vertex-from-envelope
+# verifies in 3 s and peaks at 585 MB.
+MAX_SHEETS = 64
 
 
 class OracleError(RuntimeError):
@@ -281,8 +287,9 @@ def _support_gap(a: np.ndarray, b: np.ndarray, psi: np.ndarray,
 def side_contact_recover(a: np.ndarray, b: np.ndarray,
                          p: SupportFunction) -> tuple[np.ndarray, np.ndarray]:
     """Tangency parameter of each side line through a[i], b[i], recovered from
-    its normal form: candidates are theta + j*pi over the sheets. Returns
-    (psi, gap) per side with the smallest support gap max(|<a,u>-p|, |<b,u>-p|)."""
+    its normal form: candidates are theta + j*pi over one period of p (see
+    SupportFunction.period), where the curve does not repeat. Returns (psi,
+    gap) per side with the smallest support gap max(|<a,u>-p|, |<b,u>-p|)."""
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     d = b - a
@@ -290,7 +297,7 @@ def side_contact_recover(a: np.ndarray, b: np.ndarray,
     if np.any(nrm == 0.0):
         raise OracleError("degenerate side")
     theta = _atan2(-d[:, 0] / nrm, d[:, 1] / nrm)
-    psi = np.mod(theta[:, None] + np.arange(2 * p.sheets) * math.pi, p.domain_length)
+    psi = np.mod(theta[:, None] + np.arange(round(p.period / math.pi)) * math.pi, p.period)
     gap = _support_gap(a[:, None], b[:, None], psi, p)
     best = np.argmin(gap, axis=1)[:, None]
     return (np.take_along_axis(psi, best, axis=1)[:, 0],
@@ -488,7 +495,6 @@ def _verify_sequence(config, starts, tol, report):
     """Check every probe's polygon from the construction, stacked into
     (probes, n, 2) arrays: side i runs from vertex i to vertex i + 1 and
     touches envelope env[probe, i] at the point x with parameter psi."""
-    L = config.domain_length
     polys = [config.polygon(float(t0)) for t0 in starts]
     contacts = [poly.contacts for poly in polys]
     v = np.array([[(q.x, q.y) for q in poly.vertices] for poly in polys])
@@ -512,7 +518,7 @@ def _verify_sequence(config, starts, tol, report):
         a, b, at = v[probe, side], w[probe, side], psi[probe, side]
         if sup is not None:
             gap = _support_gap(a, b, at, sup)
-            near = circle_distance(side_contact_recover(a, b, sup)[0], at, L)
+            near = circle_distance(side_contact_recover(a, b, sup)[0], at, sup.period)
         else:
             grid_ts = np.linspace(0.0, curve.domain_length, GRID, endpoint=False)
             found, stuck = parametric_side_contacts(a, b, curve, grid_ts,

@@ -7,7 +7,9 @@ on contact parameters, the vertex curve is
     q(phi) = (p(f(phi)) - p(phi) <u(phi), u(f(phi))>) / <u'(phi), u(f(phi))>,
 
 where <u'(phi), u(psi)> = sin(psi - phi), so transversality means f(phi)
-never differs from phi by a multiple of pi.
+never differs from phi by a multiple of pi. A clan's vertex curve K_i
+(i < n) is the pair curve of its own step f_i; only the closing K_n, on the
+tangents at g_{n-1}(phi) and phi, is parametrized by the start phi.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .circlemaps import CircleDiffeo, TorsionMap, identity
+from .circlemaps import CircleDiffeo, TorsionMap, identity, orbit
 from .envelope import step_chain
 from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
 from .roots import GRID
@@ -48,13 +50,13 @@ def _transversality_gaps(advance: np.ndarray, ts: np.ndarray, tol: float = 1e-9)
     return [float(ts[i]) for i in sorted(bad)[:8]]
 
 
-def _vertex_position_fn(p: SupportFunction, a: CircleDiffeo, b: CircleDiffeo) -> Callable:
+def _vertex_position_fn(p: SupportFunction, a: Callable, b: Callable) -> Callable:
     """Position function (arrays or Jets) of the vertex curve whose point at
     t is where the envelope's tangent lines at phi = a(t) and b(t) meet:
-    Y = p(phi) u(phi) + q(phi) u'(phi)."""
+    Y = p(phi) u(phi) + q(phi) u'(phi). a and b are lifts."""
 
     def pos(ts):
-        phi, fphi = a.lift(ts), b.lift(ts)
+        phi, fphi = a(ts), b(ts)
         adv = fphi - phi
         q = (p.eval(fphi) - p.eval(phi) * jets.cos(adv)) / jets.sin(adv)
         c, s = jets.cos(phi), jets.sin(phi)
@@ -71,11 +73,10 @@ class VertexResult:
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         f = self.system.step
-        params = f.orbit(start)
-        ts = params + [float(f.map.lift(params[-1]))]
+        ts = np.array(orbit((f.map,) * f.period, float(start)))
         # side j touches the envelope at the contact parameter of vertex j+1
         pts = self.curve.positions(ts)
-        return assemble_polygon(pts[:-1], pts[-1], params, self.envelope.positions(ts[1:]),
+        return assemble_polygon(pts[:-1], pts[-1], ts[:-1], self.envelope.positions(ts[1:]),
                                 ts[1:], self.envelope.domain_length)
 
 
@@ -94,7 +95,7 @@ def vertex_from_envelope(system: ContactStepSystem) -> VertexResult:
             "transversality <u'(phi), u(f(phi))> = sin(f(phi) - phi) vanishes near "
             + ", ".join(f"{t:.6f}" for t in gaps))
 
-    curve = curve_from_position(L, _vertex_position_fn(p, identity(L), f), label="K")
+    curve = curve_from_position(L, _vertex_position_fn(p, identity(L).lift, f.lift), label="K")
     return VertexResult(system, curve_from_support(p, label="C"), curve)
 
 
@@ -102,15 +103,14 @@ def vertex_from_envelope(system: ContactStepSystem) -> VertexResult:
 class EnvelopeClan:
     envelope_support: SupportFunction
     envelope: PlaneCurve
-    vertex_curves: tuple[PlaneCurve, ...]
-    composites: tuple[CircleDiffeo, ...]   # g_0 = id, ..., g_{n-1}; g_n = id closes
+    vertex_curves: tuple[PlaneCurve, ...]   # K_i: tangents at phi and f_i(phi); K_n closes
+    steps: tuple[CircleDiffeo, ...]         # f_1, ..., f_{n-1}
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
-        # every vertex curve carries its own g_{i-1} advance: evaluate all at start
-        params = [float(g.lift(start)) for g in self.composites]
-        pts = [K.positions([start])[0] for K in self.vertex_curves]
-        # side i touches the envelope at g_{i+1}(start), the last one at g_n(start) = start
-        psis = params[1:] + [float(start)]
+        params = np.array(orbit(self.steps, float(start)))
+        # vertex i is K_{i+1}(G_i), side i touches at G_{i+1}; both are the start at the end
+        pts = [K.positions(t)[0] for K, t in zip(self.vertex_curves, np.append(params[:-1], start))]
+        psis = np.append(params[1:], start)
         return assemble_polygon(pts, pts[0], params, self.envelope.positions(psis), psis,
                                 self.envelope.domain_length)
 
@@ -119,24 +119,24 @@ def clan_from_envelope(envelope: SupportFunction,
                        steps: Sequence[CircleDiffeo]) -> EnvelopeClan:
     """Clan (C, K_1, ..., K_n) for steps f_1..f_{n-1}; f_n closes the cycle.
 
-    Transversality <u'(g_{i-1}(phi)), u(g_i(phi))> != 0 is required for
-    every i; failures are reported with the step index and parameter.
+    K_i (i < n) lies on the tangents at phi and f_i(phi), K_n on those at
+    g_{n-1}(phi) and phi. Transversality <u'(g_{i-1}), u(g_i)> != 0 is
+    required for every i; failures give the step index and K_i's parameter.
     """
     L = envelope.domain_length
     steps = tuple(steps)
     ts = np.linspace(0.0, L, GRID, endpoint=False)
-    glist, G = step_chain(steps, L, ts)
-
-    curves = []
-    for i in range(1, len(glist)):
-        gaps = _transversality_gaps(G[i] - G[i - 1], ts)
+    G = step_chain(steps, L, ts) + [ts]
+    n = len(steps) + 1
+    for i in range(1, n + 1):
+        gaps = _transversality_gaps(G[i] - G[i - 1], np.mod(G[i - 1] if i < n else ts, L))
         if gaps:
             raise ConstructionError(
                 f"transversality fails for step {i} near parameters "
                 + ", ".join(f"{t:.6f}" for t in gaps))
 
-        curves.append(curve_from_position(
-            L, _vertex_position_fn(envelope, glist[i - 1], glist[i]), f"K{i}"))
-
-    return EnvelopeClan(envelope, curve_from_support(envelope, label="C"),
-                        tuple(curves), glist[:-1])
+    same = identity(L).lift
+    lifts = [(same, f.lift) for f in steps] + [(lambda ts: orbit(steps, ts)[-1], same)]
+    curves = tuple(curve_from_position(L, _vertex_position_fn(envelope, a, b), f"K{i}")
+                   for i, (a, b) in enumerate(lifts, 1))
+    return EnvelopeClan(envelope, curve_from_support(envelope, label="C"), curves, steps)

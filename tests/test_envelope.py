@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import random
@@ -19,6 +20,7 @@ from poncelet.geometry import polyline_self_intersects
 from poncelet.jets import Jet
 from poncelet.scene import build_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
+from poncelet.vertex import clan_from_envelope
 
 TWO_PI = 2 * math.pi
 
@@ -222,7 +224,7 @@ class TestIteratedFamily:
     def test_integer_l_gives_regular_polygon(self):
         p = cos_support(17.3, 3)
         system = rot_system(p, 1, 3)
-        params = system.step.orbit(0.37)
+        params = cm.orbit((system.step.map,) * 2, 0.37)
         pts = [system.vertex_curve.position(t) for t in params]
         sides = [(pts[(i + 1) % 3] - pts[i]).norm() for i in range(3)]
         assert max(sides) - min(sides) < 1e-12
@@ -242,8 +244,10 @@ class TestClanFromVertex:
         clan = clan_from_vertex(Y, [step, step])
         single = envelope_from_vertex(rot_system(p, 1, 3))
         ts = np.linspace(0, TWO_PI, 256, endpoint=False)
-        for i, env in enumerate(clan.envelopes):
-            aligned = single.curve.positions(ts + i * alpha)
+        # C_1 and C_2 are the pair envelope of the step itself; the closing C_3,
+        # of the sides from Y(t + 2 alpha) to Y(t), is it at the advanced parameter
+        for env, offset in zip(clan.envelopes, (0.0, 0.0, 2 * alpha)):
+            aligned = single.curve.positions(ts + offset)
             assert np.max(np.abs(env.positions(ts) - aligned)) < 1e-9
             assert hausdorff_distance(env.positions(ts), aligned) < 1e-6
 
@@ -313,6 +317,32 @@ def test_clan_polygons_need_no_inverse_map(monkeypatch):
         for start in (0.0, 0.9, 4.0):
             poly = scene.configuration.polygon(start)
             assert len(poly.vertices) == 3 and poly.closure_gap == 0.0, construction
+
+
+@pytest.mark.parametrize("construction", ["clan-from-vertex", "clan-from-envelope"])
+def test_clan_polygon_lifts_each_step_a_bounded_number_of_times(construction):
+    # a polygon walks the orbit of its start and evaluates each clan curve
+    # at most once: no step is re-run inside the later ones
+    n = 15
+    calls = [0] * (n - 1)
+
+    def counted(f, i):
+        def lift(x):
+            calls[i] += 1
+            return f.lift(x)
+        return dataclasses.replace(f, lift=lift)
+
+    steps = [counted(cm.from_fourier(TWO_PI, TWO_PI / n, (cm.FourierTerm(1, 0.002, 0.0),)), i)
+             for i in range(n - 1)]
+    if construction == "clan-from-vertex":
+        Y = curve_from_support(SupportFunction(1.0, (SupportTerm(Fraction(2), 0.04),), 1))
+        clan = clan_from_vertex(Y, steps)
+    else:
+        clan = clan_from_envelope(SupportFunction(2.0, (), 1), steps)
+    calls[:] = [0] * (n - 1)
+    poly = clan.polygon(0.7)
+    assert len(poly.vertices) == n
+    assert max(calls) <= 3, calls
 
 
 # --- conjugated steps: the vertex-parameter envelope against the conjugated route ---

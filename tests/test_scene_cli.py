@@ -13,7 +13,7 @@ from poncelet.geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersect
 from poncelet.render import RenderError, render_svg, sample_points
 from poncelet.scene import SchemaError, _oracle_capable, build_scene, load_scene
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
-from poncelet.verify import MAX_VERTICES
+from poncelet.verify import MAX_SHEETS, MAX_VERTICES
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -335,6 +335,7 @@ def _as(construction, parameters):
 
 _WIGGLE = {"c": 0.3, "terms": [{"j": 1, "sin": 0.01}]}
 _CAP = f"polygon vertices; at most {MAX_VERTICES} are allowed"
+_SHEETS = f"sheets; at most {MAX_SHEETS} are allowed"
 
 
 @pytest.mark.parametrize("env, edits, command, message", [
@@ -407,6 +408,17 @@ _CAP = f"polygon vertices; at most {MAX_VERTICES} are allowed"
      "render.margin must be between 0 and 1, got -1"),
     ({}, [(("render", "margin"), 1e308)], ("render",),
      "render.margin must be between 0 and 1, got 1e+308"),
+    ({}, [(("parameters", "a"), True)], ("verify",), "parameters.a must be a number, got True"),
+    ({}, [(("verify", "tol"), True)], ("verify",), "verify.tol must be a number, got True"),
+    ({}, _as("equiangular-pair", _support_pair(cos=False)), ("verify",),
+     "parameters.support.terms[0].cos must be a number, got False"),
+    ({}, [(("parameters", "k"), 10**9)], ("verify",),
+     f"parameters.k gives 1000000000 {_SHEETS}"),
+    ({}, _as("vertex-from-envelope", {**_torsion_step(7), "support": {
+        "a": 1.0, "k": 10**9, "terms": []}}), ("verify",),
+     f"parameters.support.k gives 1000000000 {_SHEETS}"),
+    ({}, [(("parameters", "k"), 64), (("parameters", "l"), {"num": 1, "den": 4095})],
+     ("verify",), f"parameters.l gives 4095 {_SHEETS}"),
 ], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
         "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
         "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool",
@@ -422,7 +434,9 @@ _CAP = f"polygon vertices; at most {MAX_VERTICES} are allowed"
         "support-l-num-missing", "fourier-period-above-cap", "rigid-period-above-cap",
         "angle-vertices-above-cap", "equilateral-vertices-above-cap",
         "clan-steps-above-cap", "expect-interior-one", "tol-zero", "tol-negative",
-        "margin-negative", "margin-above-one"])
+        "margin-negative", "margin-above-one", "a-boolean", "tol-boolean",
+        "support-cos-boolean", "equilateral-sheets-above-cap", "support-sheets-above-cap",
+        "equilateral-used-sheets-above-cap"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, command, message):
     doc = equilateral_doc()
     for path, value in edits:

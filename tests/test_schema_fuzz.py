@@ -4,7 +4,8 @@ Each example takes one config from configs/ and either replaces one field at
 any depth (a list element included) with a random JSON value or adds an
 unknown key to one of its objects. `poncelet build --skip-verify` on the
 result, run in-process, must return 0, 2 (schema error) or 3 (construction
-precondition) and raise nothing.
+precondition) and raise nothing; `poncelet verify` at 8 probes may also
+return 1 (verification failed).
 """
 
 import json
@@ -58,3 +59,17 @@ def path(tmp_path_factory):
 def test_edited_config_builds_or_exits_with_a_documented_code(path, doc):
     path.write_text(json.dumps(doc))
     assert main(["build", "--skip-verify", str(path)]) in (0, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def eight_probes():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PONCELET_PROBES", "8")
+        yield
+
+
+@settings(max_examples=150, deadline=None)
+@given(edited_documents())
+def test_edited_config_verifies_or_exits_with_a_documented_code(path, eight_probes, doc):
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) in (0, 1, 2, 3)

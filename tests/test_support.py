@@ -54,6 +54,16 @@ class TestSheetValidation:
         with pytest.raises(SupportError):
             cos_poly(1.0, (Fraction(-1), 1.0))
 
+    def test_period_is_two_pi_times_the_denominators_lcm(self):
+        assert cos_poly(1.0, k=5).period == 2 * math.pi
+        assert cos_poly(1.0, (Fraction(2), 1.0), k=4).period == 2 * math.pi
+        p = cos_poly(1.0, (Fraction(1, 2), 1.0), (Fraction(2, 3), 0.5), k=12)
+        assert p.period == 6 * 2 * math.pi
+        curve = curve_from_support(p)
+        ts = np.linspace(0.0, p.period, 64)
+        assert np.allclose(curve.positions(ts + p.period), curve.positions(ts), atol=1e-12)
+        assert not np.allclose(curve.positions(ts + p.period / 2), curve.positions(ts))
+
 
 class TestCurveFromSupport:
     def test_constant_support_gives_circle(self):

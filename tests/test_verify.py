@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from poncelet import circlemaps as cm
 from poncelet import verify
 from poncelet.circlemaps import circle_distance
-from poncelet.equiangular import EquiangularSpec, equilateral_pair
+from poncelet.equiangular import ConstructionError, EquiangularSpec, equilateral_pair
 from poncelet.geometry import RationalAngle, Vec2
 from poncelet.roots import bracketed_roots
-from poncelet.scene import load_scene
+from poncelet.scene import SchemaError, build_scene, load_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
 from poncelet.verify import (OracleError, PonceletConfiguration, next_vertex_oracle,
                              parametric_side_contacts, regularity_scan, side_contact_recover,
@@ -158,6 +158,23 @@ class TestSideContactRecovery:
         for i, contact in enumerate(poly.contacts):
             assert gap[i] < 1e-10
             assert circle_distance(psi[i], contact.parameter, L) < 1e-9
+
+    @pytest.mark.parametrize("l, builds", [((2, 1), 16), ((1, 2), 16), ((3, 2), 20),
+                                           ((2, 3), 20)])
+    def test_equilateral_supports_repeating_within_their_sheets_verify(self, l, builds):
+        # for k above lcm(l_den) the envelope repeats within its k sheets: the
+        # contact candidates of each side tie across the repeats
+        built = 0
+        for k in range(1, 25):
+            try:
+                scene = build_scene({"construction": "equilateral", "parameters": {
+                    "k": k, "l": {"num": l[0], "den": l[1]}, "a": 6.0}})
+            except (SchemaError, ConstructionError):
+                continue
+            built += 1
+            report = scene.verify(probes=8)
+            assert report.passed, (k, report.max_step_mismatch, report.errors[:2])
+        assert built == builds
 
     def test_zero_length_side_raises(self):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))

@@ -76,9 +76,10 @@ class TestClanFromEnvelope:
         clan = clan_from_envelope(support, steps)
         reference = equiangular_clan(support, angles)
         ts = np.linspace(0, L, 64, endpoint=False)
-        # K_i here sits on the tangents at g_{i-1}(phi) and g_i(phi): it is the
-        # corollary's curve evaluated at the advanced parameter
-        offsets = [0.0, angles[0].radians, (angles[0] + angles[1]).radians]
+        # K_1 and K_2 sit on the tangents at phi and f_i(phi), as the
+        # corollary's curves do; the closing K_3 sits on those at g_2(phi) and
+        # phi, the corollary's curve at the advanced parameter
+        offsets = [0.0, 0.0, (angles[0] + angles[1]).radians]
         for K, K_ref, off in zip(clan.vertex_curves, reference.vertex_curves, offsets):
             assert np.max(np.abs(K.positions(ts) - K_ref.positions(ts + off))) < 1e-12
 
@@ -98,18 +99,20 @@ class TestClanFromEnvelope:
             assert abs(np.dot([b.x, b.y], u) - pv) < 1e-10
 
     def test_tangency_by_construction_identities(self):
-        # <Y_i(phi), u(g_{i-1}(phi))> = p(g_{i-1}(phi)) pointwise
+        # <K_i(phi), u(psi)> = p(psi) pointwise at both tangent parameters psi:
+        # phi and f_i(phi) for i < n, g_{n-1}(phi) and phi for the closing K_n
         support = SupportFunction(2.0, (), 1)
         h1 = cm.from_fourier(TWO_PI, 2.0, (cm.FourierTerm(1, 0.05, 0.0),))
         h2 = cm.from_fourier(TWO_PI, 2.4, (cm.FourierTerm(2, 0.0, 0.04),))
         clan = clan_from_envelope(support, [h1, h2])
         ts = np.linspace(0, TWO_PI, 64, endpoint=False)
-        for i, K in enumerate(clan.vertex_curves):
-            g_prev = clan.composites[i]
-            phis = g_prev.lift(ts)
+        tangents = [(ts, f.lift(ts)) for f in clan.steps]
+        tangents.append((cm.orbit(clan.steps, ts)[-1], ts))
+        for K, phis in zip(clan.vertex_curves, tangents):
             pts = K.positions(ts)
-            proj = pts[:, 0] * np.cos(phis) + pts[:, 1] * np.sin(phis)
-            assert np.max(np.abs(proj - support.eval(phis))) < 1e-10
+            for phi in phis:
+                proj = pts[:, 0] * np.cos(phi) + pts[:, 1] * np.sin(phi)
+                assert np.max(np.abs(proj - support.eval(phi))) < 1e-10
 
     def test_transversality_violation_reported_with_step_index(self):
         support = SupportFunction(2.0, (), 1)
