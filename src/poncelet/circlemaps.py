@@ -126,12 +126,6 @@ class CircleDiffeo:
         return CircleDiffeo(self.circumference, lift,
                             displacement_bound=self.displacement_bound + inner.displacement_bound)
 
-    def iterate(self, x, times: int):
-        x = np.asarray(x, dtype=float)
-        for _ in range(times):
-            x = self.lift(x)
-        return x
-
 
 def orbit(maps: Sequence[CircleDiffeo], xs) -> list:
     """The lifted orbit [xs, f_1(xs), f_2(f_1(xs)), ...] of the points xs (a
@@ -223,7 +217,7 @@ def rotation_number(f: CircleDiffeo, iterations: int = 1000) -> float:
     """Poincare rotation number estimate (F^k(0) - 0) / k, scaled into [0, 1)."""
     if iterations < 1:
         raise CircleMapError("iterations must be >= 1")
-    x = f.iterate(0.0, iterations)
+    x = orbit((f,) * iterations, np.asarray(0.0))[-1]
     return float(np.mod(x / iterations, f.circumference) / f.circumference)
 
 

@@ -280,11 +280,11 @@ def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfi
 def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
     _check_keys(params, {"k", "l", "a"}, "parameters", ("k", "l", "a"))
     _check_keys(params["l"], {"num", "den"}, "parameters.l", ("num", "den"))
-    pair = eq.equilateral_pair(_sheets(_integer(params["k"], "parameters.k"), "parameters.k"),
+    pair = eq.equilateral_pair(_integer(params["k"], "parameters.k"),
                                _ratio(params["l"], "parameters.l"),
                                _number(params["a"], "parameters.a"))
     _vertices(pair.count, "parameters.l")
-    _sheets(pair.sheets_used, "parameters.l")
+    _sheets(pair.sheets_used, "parameters.k with parameters.l")
     return _pair_configuration("equilateral", pair, pair.envelope_support,
                                pair.side_length, vopts)
 

@@ -48,7 +48,7 @@ MIN_PROBES = 8
 MAX_PROBES = 1024
 # Vertices per polygon, the other factor of the verifier's work. The same
 # bound caps torsion periods and clan step counts where a document is read.
-# At 63 vertices and 1024 probes the clans verify in 5 to 8 s, most of it in
+# At 63 vertices and 1024 probes the clans verify in 4 to 8 s, most of it in
 # the per-probe polygons (one orbit of n - 1 lift evaluations, and for a clan
 # of vertex curves one evaluation of each) and in contact recovery.
 MAX_VERTICES = 64

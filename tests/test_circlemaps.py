@@ -45,13 +45,13 @@ class TestMakeTorsion:
     def test_identity_conjugator_quarter_turn(self):
         f = cm.make_torsion(cm.identity(TWO_PI), 1, 4)
         xs = np.linspace(0, TWO_PI, 64, endpoint=False)
-        assert np.max(np.abs(f.map.iterate(xs, 4) - xs - TWO_PI)) < 1e-12
+        assert np.max(np.abs(cm.orbit((f.map,) * 4, xs)[-1] - xs - TWO_PI)) < 1e-12
 
     def test_perturbed_conjugator_period_three(self):
         h = cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 0.1, 0.0),))
         f = cm.make_torsion(h, 1, 3)
         xs = np.linspace(0, TWO_PI, 64, endpoint=False)
-        gap = np.max(np.abs(f.map.iterate(xs, 3) - xs - TWO_PI))
+        gap = np.max(np.abs(cm.orbit((f.map,) * 3, xs)[-1] - xs - TWO_PI))
         assert gap < 1e-9 * TWO_PI
 
     def test_non_coprime_rejected(self):

@@ -320,6 +320,17 @@ def test_clan_polygons_need_no_inverse_map(monkeypatch):
 
 
 @pytest.mark.parametrize("construction", ["clan-from-vertex", "clan-from-envelope"])
+def test_clan_contact_parameters_lie_on_the_curve_domain(construction):
+    # the lifted orbit runs past L; verify's messages print these parameters
+    steps = [{"c": 2.0, "terms": [{"j": 1, "sin": 0.05}]}, {"c": 2.4}]
+    scene = build_scene({"construction": construction, "parameters": {
+        "support": {"a": 2.0, "k": 1, "terms": []}, "steps": steps}})
+    for start in (0.0, 4.0, 6.2, 9.0, -1.0):
+        ts = [c.parameter for c in scene.configuration.polygon(start).contacts]
+        assert all(0.0 <= t < TWO_PI for t in ts), (start, ts)
+
+
+@pytest.mark.parametrize("construction", ["clan-from-vertex", "clan-from-envelope"])
 def test_clan_polygon_lifts_each_step_a_bounded_number_of_times(construction):
     # a polygon walks the orbit of its start and evaluates each clan curve
     # at most once: no step is re-run inside the later ones

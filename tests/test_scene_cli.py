@@ -413,12 +413,12 @@ _SHEETS = f"sheets; at most {MAX_SHEETS} are allowed"
     ({}, _as("equiangular-pair", _support_pair(cos=False)), ("verify",),
      "parameters.support.terms[0].cos must be a number, got False"),
     ({}, [(("parameters", "k"), 10**9)], ("verify",),
-     f"parameters.k gives 1000000000 {_SHEETS}"),
+     f"parameters.k with parameters.l gives 1000000000 {_SHEETS}"),
     ({}, _as("vertex-from-envelope", {**_torsion_step(7), "support": {
         "a": 1.0, "k": 10**9, "terms": []}}), ("verify",),
      f"parameters.support.k gives 1000000000 {_SHEETS}"),
     ({}, [(("parameters", "k"), 64), (("parameters", "l"), {"num": 1, "den": 4095})],
-     ("verify",), f"parameters.l gives 4095 {_SHEETS}"),
+     ("verify",), f"parameters.k with parameters.l gives 4095 {_SHEETS}"),
 ], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
         "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
         "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool",
@@ -452,6 +452,15 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, comma
     assert proc.stderr.count("\n") == 1, proc.stderr     # no warning beside the error
     if message is not None:
         assert message in proc.stderr
+
+
+def test_equilateral_sheet_cap_counts_the_sheets_used():
+    # l * k = 65/2 is not an integer, so the pair is built on the 2 sheets of l
+    doc = equilateral_doc(a=6.0)
+    doc["parameters"].update(k=MAX_SHEETS + 1, l={"num": 1, "den": 2})
+    scene = build_scene(doc)
+    assert scene.configuration.envelope_supports[0].sheets == 2
+    assert scene.verify(probes=8).passed
 
 
 def test_main_entrypoint_in_process(tmp_path, capsys):
