@@ -9,25 +9,25 @@ from .envelope import (VertexStepSystem, clan_from_vertex, envelope_from_vertex,
 from .equiangular import (EquiangularSpec, PonceletPolygon, equiangular_clan,
                           equiangular_pair, equiangular_vertex_curve, equilateral_pair,
                           vertex_count)
-from .geometry import RationalAngle, Vec2, frame, polyline_self_intersects, quarter_turn
+from .geometry import Vec2, polyline_self_intersects
 from .scene import Scene, build_scene, load_scene
 from .support import (PlaneCurve, SupportFunction, SupportTerm, constant_width_check,
-                      curve_from_support, eval_jet, signed_area)
+                      curve_from_support, signed_area)
 from .verify import (PonceletConfiguration, VerificationReport, next_vertex_oracle,
                      regularity_scan, verify_pair)
 from .vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
 
 __all__ = [
     "CircleDiffeo", "ContactStepSystem", "EquiangularSpec", "FourierTerm",
-    "PlaneCurve", "PonceletConfiguration", "PonceletPolygon", "RationalAngle",
+    "PlaneCurve", "PonceletConfiguration", "PonceletPolygon",
     "Scene", "SupportFunction", "SupportTerm", "TorsionMap", "Vec2",
     "VerificationReport", "VertexStepSystem", "build_scene", "clan_from_envelope",
     "clan_from_vertex", "conjugator_to_rotation", "constant_width_check",
     "curve_from_support", "envelope_from_vertex", "envelope_regularity",
     "equiangular_clan", "equiangular_pair", "equiangular_vertex_curve",
-    "equilateral_pair", "eval_jet", "frame", "interiority_check", "load_scene",
+    "equilateral_pair", "interiority_check", "load_scene",
     "make_torsion", "next_vertex_oracle", "polyline_self_intersects",
-    "quarter_turn", "regularity_scan", "rotation", "rotation_number",
+    "regularity_scan", "rotation", "rotation_number",
     "signed_area", "verify_pair", "verify_torsion", "vertex_count",
     "vertex_from_envelope",
 ]

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from . import jets
-from .geometry import RationalAngle, Vec2, closure_steps
+from .geometry import Vec2, closure_steps, radians
 from .support import (PlaneCurve, SupportFunction, SupportTerm, curve_from_position,
                       curve_from_support)
 
@@ -33,18 +33,18 @@ class ConstructionError(ValueError):
 @dataclass(frozen=True)
 class EquiangularSpec:
     envelope: SupportFunction
-    angle: RationalAngle           # alpha in (0, pi), rational multiple of pi
+    angle: Fraction                # alpha / pi, in (0, 1)
     branch: int = 0                # i in [0, 2k): uses a_i = alpha + i*pi
 
     def __post_init__(self):
-        if not (0 < self.angle.coeff < 1):
+        if not (0 < self.angle < 1):
             raise ConstructionError("alpha must lie strictly between 0 and pi")
         if not (0 <= self.branch < 2 * self.envelope.sheets):
             raise ConstructionError(f"branch must lie in [0, {2 * self.envelope.sheets})")
 
     @property
-    def branch_angle(self) -> RationalAngle:
-        return self.angle.add_pi_multiple(self.branch)
+    def branch_angle(self) -> Fraction:
+        return self.angle + self.branch
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,12 @@ class PonceletPolygon:
     closure_gap: float
 
     def side_lengths(self) -> list[float]:
-        n = len(self.vertices)
-        return [(self.vertices[(i + 1) % n] - self.vertices[i]).norm() for i in range(n)]
+        v = np.array([tuple(q) for q in self.vertices])
+        d = np.roll(v, -1, axis=0) - v
+        return np.hypot(d[:, 0], d[:, 1]).tolist()
 
     def centroid(self) -> Vec2:
-        sx = sum(v.x for v in self.vertices)
-        sy = sum(v.y for v in self.vertices)
-        return Vec2(sx / len(self.vertices), sy / len(self.vertices))
+        return Vec2(*np.mean([tuple(q) for q in self.vertices], axis=0).tolist())
 
 
 def assemble_polygon(vertices, closing, params, contacts, contact_params, L: float,
@@ -99,9 +98,9 @@ def assemble_polygon(vertices, closing, params, contacts, contact_params, L: flo
 def equiangular_vertex_curve(spec: EquiangularSpec, label: str = "") -> PlaneCurve:
     """Vertex curve Y_i for the branch angle a_i, with closed-form jet."""
     a_i = spec.branch_angle
-    if a_i.is_multiple_of_pi():
-        raise ConstructionError(f"branch angle {a_i} is a multiple of pi (csc undefined)")
-    alpha = a_i.radians
+    if a_i.denominator == 1:
+        raise ConstructionError(f"branch angle {a_i}*pi is a multiple of pi (csc undefined)")
+    alpha = radians(a_i)
     csc = 1.0 / math.sin(alpha)
     p = spec.envelope
 
@@ -114,23 +113,23 @@ def equiangular_vertex_curve(spec: EquiangularSpec, label: str = "") -> PlaneCur
     return curve_from_position(p.domain_length, pos, label=label)
 
 
-def vertex_count(angle: RationalAngle, k: int) -> int:
-    """Number of steps of size angle until a multiple of 2*k*pi is reached."""
-    if not (0 < angle.coeff < 2):
+def vertex_count(angle: Fraction, k: int) -> int:
+    """Number of steps of size angle * pi until a multiple of 2*k*pi is reached."""
+    if not (0 < angle < 2):
         raise ConstructionError("angle must lie strictly between 0 and 2*pi")
     if k < 1:
         raise ConstructionError("sheet count must be positive")
-    return closure_steps(angle, RationalAngle(2 * k))
+    return closure_steps(angle, Fraction(2 * k))
 
 
 def _pair_polygon(vertex_curve: PlaneCurve, envelope: PlaneCurve,
-                  step: RationalAngle, count: int, start: float,
-                  contact_shift: RationalAngle) -> PonceletPolygon:
-    """Polygon by the rigid angle-step recurrence; contact of side j at
-    parameter_j + contact_shift."""
-    params = [start + (step * j).radians for j in range(count + 1)]
+                  step: Fraction, count: int, start: float,
+                  contact_shift: Fraction) -> PonceletPolygon:
+    """Polygon by the rigid angle-step recurrence (angles in units of pi);
+    contact of side j at parameter_j + contact_shift."""
+    params = [start + radians(step * j) for j in range(count + 1)]
     pts = vertex_curve.positions(params)
-    shift = contact_shift.radians
+    shift = radians(contact_shift)
     psis = [t + shift for t in params[:count]]
     return assemble_polygon(pts[:count], pts[count], params[:count],
                             envelope.positions(psis), psis, envelope.domain_length)
@@ -141,7 +140,7 @@ class EquiangularPair:
     envelope_support: SupportFunction
     envelope: PlaneCurve
     vertex_curve: PlaneCurve
-    angle: RationalAngle        # branch angle a_i actually used
+    angle: Fraction             # branch angle a_i / pi actually used
     count: int
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
@@ -167,7 +166,7 @@ class EquilateralPair:
     envelope_support: SupportFunction
     envelope: PlaneCurve
     vertex_curve: PlaneCurve
-    angle: RationalAngle            # alpha = 2*k*pi / n
+    angle: Fraction                 # alpha / pi = 2*k / n
     side_length: float
     count: int                      # distinct vertices: n / gcd(n, k)
     sheets_requested: int
@@ -177,9 +176,8 @@ class EquilateralPair:
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         # in the shifted parametrization the side [Y(t), Y(t+a)] touches at t+a/2
-        half = RationalAngle.from_fraction(self.angle.coeff / 2)
         return _pair_polygon(self.vertex_curve, self.envelope, self.angle,
-                             self.count, start, half)
+                             self.count, start, self.angle / 2)
 
 
 def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = False) -> EquilateralPair:
@@ -198,8 +196,8 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
     if a <= 0:
         raise ConstructionError("a must be positive")
     n = l + 1
-    alpha = RationalAngle.from_fraction(Fraction(2 * k) / n)
-    if alpha.is_multiple_of_pi():
+    alpha = Fraction(2 * k) / n
+    if alpha.denominator == 1:
         raise ConstructionError(
             f"l = {l} is excluded (l = 2k/m - 1 for integer m; the polygon degenerates)")
     bound = abs(l * l - 1)     # exact: a float of l * l can overflow
@@ -212,7 +210,7 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
     p = SupportFunction(a, (SupportTerm(l, cos_coeff=1.0),), sheets)
     envelope = curve_from_support(p, label="C")
 
-    amp = a / math.cos(alpha.radians / 2)
+    amp = a / math.cos(radians(alpha) / 2)
     sign = -1 if k % 2 else 1
     nf = float(n)
 
@@ -221,8 +219,8 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
                            amp * jets.sin(ts) + sign * jets.sin(nf * ts)])
 
     vertex = curve_from_position(p.domain_length, pos, label="K")
-    side = 2.0 * a * abs(math.tan(alpha.radians / 2))
-    count = closure_steps(alpha, RationalAngle(2))
+    side = 2.0 * a * abs(math.tan(radians(alpha) / 2))
+    count = closure_steps(alpha, Fraction(2))
     return EquilateralPair(p, envelope, vertex, alpha, side, count, k, sheets, amp, sign)
 
 
@@ -231,7 +229,7 @@ class EquiangularClan:
     envelope_support: SupportFunction
     envelope: PlaneCurve
     vertex_curves: tuple[PlaneCurve, ...]
-    angles: tuple[RationalAngle, ...]        # branch angles a_{j_i}
+    angles: tuple[Fraction, ...]             # branch angles a_{j_i} / pi
     turns: int                               # m with sum of base angles = 2*m*pi
     rows: int                                # l = lcm(2m+|j|, 2k) / (2m+|j|)
     count: int                               # total polygon vertices
@@ -243,14 +241,13 @@ class EquiangularClan:
         the vertex curve of each, and each side's contact shift; built by the
         first polygon, so that a clan refused for its vertex count never is."""
         n = len(self.vertex_curves)
-        coeffs = [a.coeff for a in self.angles]
-        row_advance = sum(coeffs, Fraction(0))
+        row_advance = sum(self.angles, Fraction(0))
         # vertex nu of row r sits at r * row_advance + the sum of the first nu angles
-        prefix = [sum(coeffs[:nu], Fraction(0)) for nu in range(n)]
+        prefix = [sum(self.angles[:nu], Fraction(0)) for nu in range(n)]
         thetas = [row * row_advance + p for row in range(self.rows) for p in prefix]
         offsets = np.array([float(th) * math.pi for th in thetas + [self.rows * row_advance]])
         on = np.append(np.tile(np.arange(n), self.rows), 0)
-        return offsets, on, np.array([a.radians for a in self.angles])[on[:-1]]
+        return offsets, on, np.array([radians(a) for a in self.angles])[on[:-1]]
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         if self.degenerate:
@@ -267,9 +264,9 @@ class EquiangularClan:
 
 
 def equiangular_clan(envelope: SupportFunction,
-                     angles: list[RationalAngle],
+                     angles: list[Fraction],
                      branches: list[int] | None = None) -> EquiangularClan:
-    """Clan (C, K_1, ..., K_n) with prescribed external angles.
+    """Clan (C, K_1, ..., K_n) with prescribed external angles, in units of pi.
 
     The base angles must sum to an exact multiple of 2*pi; each branch
     angle a_i + j_i*pi must avoid multiples of pi. When all branch angles
@@ -286,15 +283,15 @@ def equiangular_clan(envelope: SupportFunction,
     for j in branches:
         if not (0 <= j < 2 * k):
             raise ConstructionError(f"branch indices must lie in [0, {2 * k})")
-    total = sum((a.coeff for a in angles), Fraction(0))
+    total = sum(angles, Fraction(0))
     if total.denominator != 1 or total.numerator % 2 != 0 or total <= 0:
         raise ConstructionError(f"external angles must sum to 2*m*pi, got {total}*pi")
     m = int(total) // 2
 
-    branch_angles = [a.add_pi_multiple(j) for a, j in zip(angles, branches)]
+    branch_angles = [a + j for a, j in zip(angles, branches)]
     for a in branch_angles:
-        if a.is_multiple_of_pi():
-            raise ConstructionError(f"branch angle {a.coeff}*pi is a multiple of pi")
+        if a.denominator == 1:
+            raise ConstructionError(f"branch angle {a}*pi is a multiple of pi")
 
     curves = tuple(
         equiangular_vertex_curve(
@@ -304,7 +301,7 @@ def equiangular_clan(envelope: SupportFunction,
 
     degenerate = all(a == branch_angles[0] for a in branch_angles)
     weight = 2 * m + sum(branches)
-    rows = closure_steps(RationalAngle(weight), RationalAngle(2 * k))
+    rows = closure_steps(Fraction(weight), Fraction(2 * k))
     count = rows * n
     if degenerate:
         count = vertex_count(branch_angles[0], k)

@@ -1,5 +1,5 @@
-"""Plane-geometry primitives: vectors, the quarter-turn J, unit frames,
-exact rational angles, and polyline self-intersection."""
+"""Plane-geometry primitives: finite points, angles as exact Fractions of
+pi, and polyline self-intersection."""
 
 from __future__ import annotations
 
@@ -16,6 +16,8 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Vec2:
+    """A finite point of the plane: a polygon vertex or a contact point."""
+
     x: float
     y: float
 
@@ -23,43 +25,9 @@ class Vec2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise GeometryError(f"non-finite vector components ({self.x}, {self.y})")
 
-    def __add__(self, other: Vec2) -> Vec2:
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: Vec2) -> Vec2:
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s: float) -> Vec2:
-        return Vec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> Vec2:
-        return Vec2(-self.x, -self.y)
-
-    def dot(self, other: Vec2) -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: Vec2) -> float:
-        return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def __iter__(self):
         yield self.x
         yield self.y
-
-
-def quarter_turn(v: Vec2) -> Vec2:
-    """Apply J = ((0,-1),(1,0)): rotate v by +90 degrees."""
-    return Vec2(-v.y, v.x)
-
-
-def frame(phi: float) -> tuple[Vec2, Vec2]:
-    """Unit frame u(phi) = (cos, sin) and u'(phi) = J u = (-sin, cos)."""
-    c, s = math.cos(phi), math.sin(phi)
-    return Vec2(c, s), Vec2(-s, c)
 
 
 def wrap_pi(x: float) -> float:
@@ -70,59 +38,16 @@ def wrap_pi(x: float) -> float:
     return y - math.pi
 
 
-@dataclass(frozen=True)
-class RationalAngle:
-    """Exact rational multiple of pi: value = (num/den)*pi radians."""
-
-    num: int
-    den: int = 1
-
-    def __post_init__(self):
-        if self.den == 0:
-            raise GeometryError("zero denominator")
-        f = Fraction(self.num, self.den)
-        object.__setattr__(self, "num", f.numerator)
-        object.__setattr__(self, "den", f.denominator)
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> RationalAngle:
-        return cls(f.numerator, f.denominator)
-
-    @property
-    def coeff(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    @property
-    def radians(self) -> float:
-        return self.num * math.pi / self.den
-
-    def __add__(self, other: RationalAngle) -> RationalAngle:
-        return RationalAngle.from_fraction(self.coeff + other.coeff)
-
-    def __sub__(self, other: RationalAngle) -> RationalAngle:
-        return RationalAngle.from_fraction(self.coeff - other.coeff)
-
-    def __neg__(self) -> RationalAngle:
-        return RationalAngle(-self.num, self.den)
-
-    def __mul__(self, k: int) -> RationalAngle:
-        return RationalAngle.from_fraction(self.coeff * k)
-
-    __rmul__ = __mul__
-
-    def is_multiple_of_pi(self) -> bool:
-        return self.den == 1
-
-    def add_pi_multiple(self, i: int) -> RationalAngle:
-        return RationalAngle.from_fraction(self.coeff + i)
+def radians(a: Fraction) -> float:
+    """The angle a * pi, for an exact multiple a of pi."""
+    return a.numerator * math.pi / a.denominator
 
 
-def closure_steps(step: RationalAngle, total: RationalAngle) -> int:
+def closure_steps(step: Fraction, total: Fraction) -> int:
     """Smallest j >= 1 with j*step an exact integer multiple of total."""
-    if total.num == 0:
+    if total == 0:
         raise GeometryError("zero total angle")
-    ratio = step.coeff / total.coeff
-    return abs(ratio.denominator)
+    return abs((step / total).denominator)
 
 
 # Sample count of the vertex-curve scans that decide oracle mode and
@@ -135,7 +60,7 @@ PAIR_BLOCK = 32768
 
 def _as_points(points) -> np.ndarray:
     if not isinstance(points, np.ndarray):
-        points = [(p.x, p.y) if isinstance(p, Vec2) else tuple(p) for p in points]
+        points = [tuple(p) for p in points]
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError("points must be a sequence of 2d points")

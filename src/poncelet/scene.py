@@ -40,7 +40,7 @@ from . import circlemaps as cm
 from . import equiangular as eq
 from .envelope import VertexStepSystem, clan_from_vertex, envelope_from_vertex
 from .equiangular import PonceletPolygon
-from .geometry import SELF_INTERSECTION_SAMPLES, RationalAngle, polyline_self_intersects, wrap_pi
+from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects, radians, wrap_pi
 from .render import MAX_SAMPLES
 from .support import PlaneCurve, SupportError, SupportFunction, SupportTerm, curve_from_support
 from .verify import (MAX_PROBES, MAX_SHEETS, MAX_VERTICES, MIN_PROBES, PonceletConfiguration,
@@ -125,9 +125,10 @@ def _ratio(doc: dict, where: str, num: str = "num", den: str = "den") -> Fractio
     return Fraction(n, d)
 
 
-def _angle(doc, where: str) -> RationalAngle:
+def _angle(doc, where: str) -> Fraction:
+    """An angle in units of pi."""
     _check_keys(doc, {"num", "den"}, where, ("num", "den"))
-    return RationalAngle.from_fraction(_ratio(doc, where))
+    return _ratio(doc, where)
 
 
 def _support(doc, where: str) -> SupportFunction:
@@ -183,7 +184,7 @@ def _steps(params: dict, L: float) -> list[cm.CircleDiffeo]:
 def _diffeo(doc, L: float, where: str) -> cm.CircleDiffeo:
     if isinstance(doc, dict) and "rotation_pi" in doc:
         _check_keys(doc, {"rotation_pi"}, where)
-        return cm.rotation(L, _angle(doc["rotation_pi"], f"{where}.rotation_pi").radians)
+        return cm.rotation(L, radians(_angle(doc["rotation_pi"], f"{where}.rotation_pi")))
     return _fourier(doc, L, where)
 
 
@@ -258,7 +259,7 @@ def _configuration(label: str, vertex_curves, envelopes, supports, polygon, coun
 
 def _pair_configuration(label: str, pair, support: SupportFunction,
                         expected_side, vopts) -> PonceletConfiguration:
-    angle = pair.angle.radians
+    angle = radians(pair.angle)
     mode = "oracle" if _oracle_capable(pair.vertex_curve, support) else "sequence"
     return _configuration(label, (pair.vertex_curve,), (pair.envelope,), (support,),
                           pair.polygon, pair.count, vopts, mode,
@@ -302,7 +303,7 @@ def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfi
     turns = clan.angles[:1] if clan.degenerate else clan.angles
     return _configuration("equiangular-clan", clan.vertex_curves, (clan.envelope,), (support,),
                           clan.polygon, clan.count, vopts,
-                          expected_turns=tuple(wrap_pi(a.radians) for a in turns))
+                          expected_turns=tuple(wrap_pi(radians(a)) for a in turns))
 
 
 def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:

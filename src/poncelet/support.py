@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Vec2
 from .jets import Jet, chain
 
 
@@ -90,11 +89,6 @@ class SupportFunction:
         return float(np.min(self.eval(phi) + self.eval(phi, 2)))
 
 
-def eval_jet(p: SupportFunction, phi: float) -> tuple[float, float, float]:
-    """(p, p', p'') at phi, reduced mod 2*k*pi."""
-    return p.eval(phi, 0), p.eval(phi, 1), p.eval(phi, 2)
-
-
 @dataclass(frozen=True)
 class PlaneCurve:
     """Closed parametric curve exposing a 2-jet over [0, domain_length)."""
@@ -116,9 +110,6 @@ class PlaneCurve:
             if self.position_fn is None:
                 return self.jet_fn(ts)[0]
         return self.position_fn(ts)
-
-    def position(self, t: float) -> Vec2:
-        return Vec2(*self.positions([t])[0])
 
     def sample(self, n: int) -> np.ndarray:
         ts = np.linspace(0.0, self.domain_length, n, endpoint=False)

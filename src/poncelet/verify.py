@@ -64,8 +64,8 @@ class OracleError(RuntimeError):
 
 
 # The scalar formulas, element by element: np.hypot, np.arctan2 and np.arcsin
-# can differ from math.hypot (Vec2.norm), math.atan2 and math.asin in the last
-# bit, and the reports keep the values of the scalar formulas.
+# can differ from math.hypot, math.atan2 and math.asin in the last bit, and the
+# reports keep the values of the scalar formulas.
 _hypot = np.vectorize(math.hypot, otypes=[float])
 _atan2 = np.vectorize(math.atan2, otypes=[float])
 _asin = np.vectorize(math.asin, otypes=[float])

@@ -31,6 +31,13 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(np.sqrt(d2.min(axis=1)).max(), np.sqrt(d2.min(axis=0)).max()))
 
 
+def line_distance(a, b, x) -> float:
+    """Distance of the point x from the line through the points a and b."""
+    (ax, ay), (bx, by), (xx, xy) = a, b, x
+    dx, dy = bx - ax, by - ay
+    return abs(dx * (xy - ay) - dy * (xx - ax)) / math.hypot(dx, dy)
+
+
 def interior_contact_bound(l) -> float:
     """Sufficient a for the iterated family p = a + cos(l*phi) to touch
     inside the sides: a >= sqrt(cot^2(pi/l) l^2 + 1). For integer l the
@@ -160,9 +167,8 @@ class TestEnvelopeFromVertex:
         ref = envelope_from_vertex(VertexStepSystem(Y, known)).polygon(0.9)
         assert poly == ref
         for i, contact in enumerate(poly.contacts):
-            a, b = poly.vertices[i], poly.vertices[(i + 1) % 4]
-            d = b - a
-            assert abs(d.cross(contact.point - a)) / d.norm() < 1e-12
+            assert line_distance(poly.vertices[i], poly.vertices[(i + 1) % 4],
+                                 contact.point) < 1e-12
 
     def test_period_two_rejected(self):
         p = cos_support(17.3, 3)
@@ -225,13 +231,13 @@ class TestIteratedFamily:
         p = cos_support(17.3, 3)
         system = rot_system(p, 1, 3)
         params = cm.orbit((system.step.map,) * 2, 0.37)
-        pts = [system.vertex_curve.position(t) for t in params]
-        sides = [(pts[(i + 1) % 3] - pts[i]).norm() for i in range(3)]
+        pts = system.vertex_curve.positions(params)
+        dirs = np.roll(pts, -1, axis=0) - pts
+        sides = np.hypot(dirs[:, 0], dirs[:, 1])
         assert max(sides) - min(sides) < 1e-12
-        dirs = [pts[(i + 1) % 3] - pts[i] for i in range(3)]
         for i in range(3):
             a, b = dirs[i - 1], dirs[i]
-            turn = math.atan2(a.cross(b), a.dot(b))
+            turn = math.atan2(a[0] * b[1] - a[1] * b[0], a @ b)
             assert turn == pytest.approx(2 * math.pi / 3, abs=1e-12)
 
 
@@ -262,11 +268,8 @@ class TestClanFromVertex:
         assert poly.closure_gap < 1e-9
         # each side line touches its envelope: contact on the side line
         for i, contact in enumerate(poly.contacts):
-            a = poly.vertices[i]
-            b = poly.vertices[(i + 1) % 3]
-            d = b - a
-            dist = abs(d.cross(contact.point - a)) / d.norm()
-            assert dist < 1e-9
+            assert line_distance(poly.vertices[i], poly.vertices[(i + 1) % 3],
+                                 contact.point) < 1e-9
         ts = np.linspace(0, TWO_PI, 128, endpoint=False)
         assert hausdorff_distance(clan.envelopes[0].positions(ts),
                                   clan.envelopes[1].positions(ts)) > 1e-3

@@ -7,51 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poncelet.geometry import (SELF_INTERSECTION_SAMPLES, GeometryError, RationalAngle, Vec2,
-                               closure_steps, frame, polyline_self_intersects, quarter_turn)
+from poncelet.geometry import (SELF_INTERSECTION_SAMPLES, GeometryError, Vec2, closure_steps,
+                               polyline_self_intersects, radians)
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
-
-
-def test_frame_axis_cases():
-    u, up = frame(0.0)
-    assert (u.x, u.y) == (1.0, 0.0)
-    assert (up.x, up.y) == (0.0, 1.0)
-    u, up = frame(math.pi / 2)
-    assert abs(u.x) < 1e-16 and u.y == 1.0
-    assert up.x == -1.0 and abs(up.y) < 1e-16
-
-
-def test_frame_third_pi():
-    u, up = frame(math.pi / 3)
-    assert u.x == pytest.approx(0.5, abs=1e-15)
-    assert u.y == pytest.approx(0.8660254037844386, abs=1e-15)
-    assert up.x == pytest.approx(-0.8660254037844386, abs=1e-15)
-    assert up.y == pytest.approx(0.5, abs=1e-15)
-
-
-def test_quarter_turn_invariants():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        vx, vy, wx, wy = rng.normal(size=4)
-        v, w = Vec2(vx, vy), Vec2(wx, wy)
-        jv, jw = quarter_turn(v), quarter_turn(w)
-        assert abs(jv.dot(jw) - v.dot(w)) < 1e-12
-        assert abs(v.dot(jv)) < 1e-12
-        jjv = quarter_turn(jv)
-        assert jjv.x == -v.x and jjv.y == -v.y
-
-
-def test_frame_derivatives_by_central_differences():
-    h = 1e-5
-    rng = np.random.default_rng(11)
-    for phi in rng.uniform(0, 2 * math.pi, 50):
-        u_m, up_m = frame(phi - h)
-        u_p, up_p = frame(phi + h)
-        u, up = frame(phi)
-        du = (u_p - u_m) * (1 / (2 * h))
-        dup = (up_p - up_m) * (1 / (2 * h))
-        assert (du - up).norm() < 1e-8
-        assert (dup + u).norm() < 1e-8
 
 
 def test_vec2_rejects_non_finite():
@@ -61,35 +19,30 @@ def test_vec2_rejects_non_finite():
         Vec2(0.0, float("inf"))
 
 
-class TestRationalAngle:
-    def test_reduction_and_radians(self):
-        a = RationalAngle(4, 6)
-        assert (a.num, a.den) == (2, 3)
-        assert a.radians == pytest.approx(2 * math.pi / 3, abs=1e-16)
+def test_radians_of_a_reduced_fraction():
+    a = Fraction(4, 6)
+    assert (a.numerator, a.denominator) == (2, 3)
+    assert radians(a) == 2 * math.pi / 3
+    assert radians(Fraction(-5, 3)) == -5 * math.pi / 3
 
-    def test_arithmetic_is_exact(self):
-        a = RationalAngle(2, 3) + RationalAngle(5, 6) + RationalAngle(1, 2)
-        assert a.coeff == Fraction(2)
-        assert (RationalAngle(1, 7) * 14).coeff == Fraction(2)
-        assert RationalAngle(5, 3).add_pi_multiple(1).coeff == Fraction(8, 3)
 
-    def test_closure_steps_against_brute_force(self):
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            num = int(rng.integers(1, 40))
-            den = int(rng.integers(1, 40))
-            k = int(rng.integers(1, 6))
-            step = RationalAngle(num, den)
-            total = RationalAngle(2 * k)
-            j = closure_steps(step, total)
-            acc = Fraction(0)
-            count = 0
-            while True:
-                acc += step.coeff
-                count += 1
-                if acc % total.coeff == 0:
-                    break
-            assert j == count
+def test_closure_steps_against_brute_force():
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        num = int(rng.integers(1, 40))
+        den = int(rng.integers(1, 40))
+        k = int(rng.integers(1, 6))
+        step = Fraction(num, den)
+        total = Fraction(2 * k)
+        j = closure_steps(step, total)
+        acc = Fraction(0)
+        count = 0
+        while True:
+            acc += step
+            count += 1
+            if acc % total == 0:
+                break
+        assert j == count
 
 
 lattice_loops = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),

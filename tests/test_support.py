@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from poncelet.support import (SupportError, SupportFunction, SupportTerm,
-                              constant_width_check, curve_from_support,
-                              eval_jet, signed_area)
+                              constant_width_check, curve_from_support, signed_area)
 
 WANKEL_A = 2 + math.sqrt(3)
 
@@ -17,6 +16,11 @@ def curvature(curve, ts) -> np.ndarray:
     return (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed ** 3
 
 
+def jet(p, phi):
+    """(p, p', p'') at phi."""
+    return p.eval(phi, 0), p.eval(phi, 1), p.eval(phi, 2)
+
+
 def cos_poly(a, *freqs_coeffs, k=1):
     terms = tuple(SupportTerm(Fraction(f), c) for f, c in freqs_coeffs)
     return SupportFunction(a, terms, k)
@@ -25,16 +29,16 @@ def cos_poly(a, *freqs_coeffs, k=1):
 class TestEvalJet:
     def test_figure_family_at_zero(self):
         p = cos_poly(8 / 5, (2, 1.0))
-        assert eval_jet(p, 0.0) == pytest.approx((2.6, 0.0, -4.0), abs=1e-15)
+        assert jet(p, 0.0) == pytest.approx((2.6, 0.0, -4.0), abs=1e-15)
 
     def test_constant(self):
         p = SupportFunction(3.25, (), 1)
         for phi in (0.0, 1.0, 17.3):
-            assert eval_jet(p, phi) == (3.25, 0.0, 0.0)
+            assert jet(p, phi) == (3.25, 0.0, 0.0)
 
     def test_wankel_constant_at_quarter_pi(self):
         p = cos_poly(WANKEL_A, (2, 1.0))
-        v, d1, d2 = eval_jet(p, math.pi / 4)
+        v, d1, d2 = jet(p, math.pi / 4)
         assert v == pytest.approx(WANKEL_A, abs=1e-15)
         assert d1 == pytest.approx(-2.0, abs=1e-14)
         assert d2 == pytest.approx(0.0, abs=1e-13)
@@ -76,13 +80,12 @@ class TestCurveFromSupport:
 
     def test_figure_pair_start_point(self):
         curve = curve_from_support(cos_poly(8 / 5, (2, 1.0)))
-        x0 = curve.position(0.0)
-        assert (x0.x, x0.y) == pytest.approx((2.6, 0.0), abs=1e-15)
+        assert tuple(curve.positions([0.0])[0]) == pytest.approx((2.6, 0.0), abs=1e-15)
         assert curve.positive_curvature is False  # a < l^2 - 1: cusped envelope
 
     def test_radius_of_curvature_three_lobes(self):
         p = cos_poly(8.1, (3, 1.0))
-        v, _, d2 = eval_jet(p, 0.0)
+        v, _, d2 = jet(p, 0.0)
         assert v + d2 == pytest.approx(8.1 + 1 - 9, abs=1e-12)
         assert curve_from_support(p).positive_curvature
 

@@ -7,7 +7,7 @@ import pytest
 from poncelet import circlemaps as cm
 from poncelet.equiangular import (ConstructionError, EquiangularSpec, equiangular_clan,
                                   equiangular_vertex_curve)
-from poncelet.geometry import RationalAngle
+from poncelet.geometry import radians
 from poncelet.support import SupportFunction, SupportTerm
 from poncelet.vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
 
@@ -26,7 +26,7 @@ class TestVertexFromEnvelope:
     def test_rigid_shift_reduces_to_equiangular_curve(self):
         f = shift_torsion(TWO_PI, 1, 3)
         res = vertex_from_envelope(ContactStepSystem(FIG_P, f))
-        spec_curve = equiangular_vertex_curve(EquiangularSpec(FIG_P, RationalAngle(2, 3), 0))
+        spec_curve = equiangular_vertex_curve(EquiangularSpec(FIG_P, Fraction(2, 3), 0))
         ts = np.linspace(0, TWO_PI, 128, endpoint=False)
         assert np.max(np.abs(res.curve.positions(ts) - spec_curve.positions(ts))) < 1e-12
 
@@ -68,18 +68,18 @@ class TestClanFromEnvelope:
     def test_rigid_shifts_reproduce_equiangular_clan(self):
         # exact specialization on one sheet (for k > 1 the closing side of the
         # single-cycle polygon touches at phi, not at the advanced phi + 2*pi*m)
-        angles = [RationalAngle(5, 6), RationalAngle(5, 12), RationalAngle(3, 4)]
+        angles = [Fraction(5, 6), Fraction(5, 12), Fraction(3, 4)]
         support = SupportFunction(9.0, (SupportTerm(Fraction(2), 0.5),
                                         SupportTerm(Fraction(3), 0.0, 0.25)), 1)
         L = support.domain_length
-        steps = [cm.rotation(L, angles[0].radians), cm.rotation(L, angles[1].radians)]
+        steps = [cm.rotation(L, radians(angles[0])), cm.rotation(L, radians(angles[1]))]
         clan = clan_from_envelope(support, steps)
         reference = equiangular_clan(support, angles)
         ts = np.linspace(0, L, 64, endpoint=False)
         # K_1 and K_2 sit on the tangents at phi and f_i(phi), as the
         # corollary's curves do; the closing K_3 sits on those at g_2(phi) and
         # phi, the corollary's curve at the advanced parameter
-        offsets = [0.0, 0.0, (angles[0] + angles[1]).radians]
+        offsets = [0.0, 0.0, radians(angles[0] + angles[1])]
         for K, K_ref, off in zip(clan.vertex_curves, reference.vertex_curves, offsets):
             assert np.max(np.abs(K.positions(ts) - K_ref.positions(ts + off))) < 1e-12
 
