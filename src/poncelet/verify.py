@@ -217,12 +217,16 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
                              dist_tol: float) -> tuple[list[list[float]], np.ndarray]:
     """Parameters where the curve is tangent to each side line through a[k], b[k].
 
-    Tangency means a simple zero of d/dt <X(t) - a, n>, the derivative of
-    the signed distance to the line; transversal crossings have no such
-    zero at their distance minimum and drop out automatically. Every side
-    is solved in lockstep: its (at most 8) nearest local distance minima on
-    the grid give brackets, those with a sign change are refined together,
-    and refined points farther than dist_tol from their line are dropped.
+    Tangency means a simple zero of g' = d/dt <X(t) - a, n>, the derivative
+    of the signed distance g to the line; transversal crossings have no
+    such zero at their distance minimum and drop out automatically. Every
+    side is solved in lockstep: its (at most 8) nearest local distance
+    minima on the grid give cells, those where g' changes sign are
+    refined together, and refined points farther than dist_tol from their
+    line are dropped. By Rolle's theorem a cell where g' keeps its sign at
+    both ends can still hold two zeros of g' (next to a near-cusp of the
+    curve) only if g'' = <X'', n> changes sign in it; such a cell is split
+    at the zero of g'', and each half where g' changes sign is refined.
     Returns the recovered parameters of each side, nearest minimum first,
     and the number of each side's brackets that did not converge.
     """
@@ -235,14 +239,24 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
     step = L / len(grid_ts)
     lo, hi = grid_ts[cand] - step, grid_ts[cand] + step
 
-    def ddist(t, k):
-        vel = curve.jet_many(t)[1]
-        return vel[:, 0] * nx[k] + vel[:, 1] * ny[k]
+    def normal(t, k, order):
+        x = curve.jet_many(t)[order]
+        return x[:, 0] * nx[k] + x[:, 1] * ny[k]
 
-    ends = ddist(np.concatenate([lo, hi]), np.concatenate([side, side]))
-    signed = np.nonzero(~(ends[:len(side)] * ends[len(side):] > 0))[0]
-    side, lo, hi = side[signed], lo[signed], hi[signed]
-    roots, open_ = bracketed_roots(lambda t, idx: ddist(t, side[idx]), lo, hi)
+    n, k2 = len(side), np.concatenate([side, side])
+    slope, bend = ((x[:, 0] * nx[k2] + x[:, 1] * ny[k2]).reshape(2, n)
+                   for x in curve.jet_many(np.concatenate([lo, hi]))[1:])
+    signed = ~(slope[0] * slope[1] > 0)
+    cells = np.flatnonzero(~signed & (bend[0] * bend[1] < 0))
+    # any split point is sound: the halves' brackets are checked below
+    mid = bracketed_roots(lambda t, i: normal(t, side[cells[i]], 2), lo[cells], hi[cells])[0]
+    turn = ~(normal(mid, side[cells], 1) * slope[0, cells] > 0)
+    cells, mid = cells[turn], mid[turn]
+    order = np.argsort(np.concatenate([np.flatnonzero(signed), cells, cells]), kind="stable")
+    side = np.concatenate([side[signed], side[cells], side[cells]])[order]
+    lo = np.concatenate([lo[signed], lo[cells], mid])[order]
+    hi = np.concatenate([hi[signed], mid, hi[cells]])[order]
+    roots, open_ = bracketed_roots(lambda t, idx: normal(t, side[idx], 1), lo, hi)
     done = np.nonzero(~open_)[0]
     pts = curve.positions(roots[done])
     s = side[done]

@@ -427,8 +427,6 @@ def test_conjugated_envelope_verifies(steps):
     assert report.passed, report.errors
 
 
-@pytest.mark.xfail(strict=True, reason="contact recovery misses a tangency next to a "
-                                       "near-cusp of the envelope (ROADMAP, contact recovery)")
 def test_star_step_envelope_verifies():
     # m/n = 2/5 on the same supports gives envelopes with near-cusps (speed
     # about 1e-4), where two zeros of d/dt <X - a, n> share a grid cell

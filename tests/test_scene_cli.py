@@ -287,6 +287,13 @@ class TestCliProcess:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, "")
 
+    def test_iterated_square_verifies_at_128_probes(self):
+        proc = subprocess.run([sys.executable, "-m", "poncelet.cli", "verify",
+                               str(CONFIGS / "iterated_square.json")],
+                              capture_output=True, text=True, cwd=str(REPO),
+                              env=cli_env(PONCELET_PROBES="128"))
+        assert proc.returncode == 0, json.loads(proc.stdout)["errors"][:3]
+
     def test_probe_env_override(self, tmp_path):
         env = cli_env(PONCELET_PROBES="8")
         proc = subprocess.run([sys.executable, "-m", "poncelet.cli", "verify",

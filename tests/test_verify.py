@@ -230,6 +230,15 @@ class TestParametricSideContacts:
                        for t in alone[0]) < 1e-7
 
 
+@pytest.mark.parametrize("probes", [8, 128, 200, 256, 512, 1000, 1024])
+def test_iterated_square_verifies_at_every_probe_count(iterated_square, probes):
+    # next to the envelope's near-cusps two zeros of d/dt <X - a, n> can share
+    # a grid cell; without the split at the zero of the second derivative
+    # 128 probes missed 32 tangencies
+    report = verify_pair(iterated_square, probes=probes)
+    assert report.passed, report.errors[:3]
+
+
 def _parallel(curve, eps):
     """Parallel curve at distance eps, like bumping a support constant."""
     def offset(ts):
