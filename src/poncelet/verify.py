@@ -52,10 +52,10 @@ MAX_PROBES = 1024
 # the per-probe polygons (one orbit of n - 1 lift evaluations, and for a clan
 # of vertex curves one evaluation of each) and in contact recovery.
 MAX_VERTICES = 64
-# Sheets of a support function. Contact recovery holds 2 candidate tangents
-# per sheet of the support's period, up to k, for every side of every probe:
-# at 64 (l_den = 64), 63 vertices and 1024 probes, vertex-from-envelope
-# verifies in 3 s and peaks at 585 MB.
+# Sheets of a support function. Contact recovery tries 2 candidate tangents
+# per sheet of the support's period, up to k, for every side of every probe,
+# _SIDE_BLOCK sides at a time: at 64 (l_den = 64), 63 vertices and 1024
+# probes, vertex-from-envelope verifies in 2 s and peaks at 84 MB RSS.
 MAX_SHEETS = 64
 
 
@@ -268,7 +268,9 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
     return out, np.bincount(side[open_], minlength=len(a))
 
 
-_MINIMA_CHUNK = 256   # sides per block: bounds the (sides x grid) arrays
+# sides per block of the contact scans: bounds their (sides x grid) and
+# (sides x candidates) arrays
+_SIDE_BLOCK = 256
 
 
 def _distance_minima(a: np.ndarray, nx: np.ndarray, ny: np.ndarray,
@@ -276,8 +278,8 @@ def _distance_minima(a: np.ndarray, nx: np.ndarray, ny: np.ndarray,
     """(side, grid index) of the 8 smallest local minima of each side line's
     distance over the grid points, nearest first within a side."""
     sides, idx = [], []
-    for k0 in range(0, len(a), _MINIMA_CHUNK):
-        k = slice(k0, k0 + _MINIMA_CHUNK)
+    for k0 in range(0, len(a), _SIDE_BLOCK):
+        k = slice(k0, k0 + _SIDE_BLOCK)
         signed = ((grid_pts[None, :, 0] - a[k, 0, None]) * nx[k, None]
                   + (grid_pts[None, :, 1] - a[k, 1, None]) * ny[k, None])
         mag = np.abs(signed)
@@ -303,7 +305,8 @@ def side_contact_recover(a: np.ndarray, b: np.ndarray,
     """Tangency parameter of each side line through a[i], b[i], recovered from
     its normal form: candidates are theta + j*pi over one period of p (see
     SupportFunction.period), where the curve does not repeat. Returns (psi,
-    gap) per side with the smallest support gap max(|<a,u>-p|, |<b,u>-p|)."""
+    gap) per side with the smallest support gap max(|<a,u>-p|, |<b,u>-p|).
+    The sides are scanned _SIDE_BLOCK at a time."""
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     d = b - a
@@ -311,11 +314,16 @@ def side_contact_recover(a: np.ndarray, b: np.ndarray,
     if np.any(nrm == 0.0):
         raise OracleError("degenerate side")
     theta = _atan2(-d[:, 0] / nrm, d[:, 1] / nrm)
-    psi = np.mod(theta[:, None] + np.arange(round(p.period / math.pi)) * math.pi, p.period)
-    gap = _support_gap(a[:, None], b[:, None], psi, p)
-    best = np.argmin(gap, axis=1)[:, None]
-    return (np.take_along_axis(psi, best, axis=1)[:, 0],
-            np.take_along_axis(gap, best, axis=1)[:, 0])
+    turns = np.arange(round(p.period / math.pi)) * math.pi
+    out = np.empty((2, len(a)))
+    for k0 in range(0, len(a), _SIDE_BLOCK):
+        k = slice(k0, k0 + _SIDE_BLOCK)
+        psi = np.mod(theta[k, None] + turns, p.period)
+        gap = _support_gap(a[k, None], b[k, None], psi, p)
+        best = np.argmin(gap, axis=1)[:, None]
+        out[:, k] = (np.take_along_axis(psi, best, axis=1)[:, 0],
+                     np.take_along_axis(gap, best, axis=1)[:, 0])
+    return out[0], out[1]
 
 
 @dataclass

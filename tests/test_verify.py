@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -176,6 +177,23 @@ class TestSideContactRecovery:
             report = scene.verify(probes=8)
             assert report.passed, (k, report.max_step_mismatch, report.errors[:2])
         assert built == builds
+
+    def test_memory_is_bounded_by_the_side_block(self):
+        # 128 candidate tangents per side: unblocked, the candidate arrays of
+        # 16384 sides took 128 MB
+        p = SupportFunction(3.0, (SupportTerm(Fraction(1, 64), 0.5),), 64)
+        candidates = round(p.period / math.pi)
+        assert candidates == 128
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(0.0, 5.0, (2, 16384, 2))
+        side_contact_recover(a[:4], b[:4], p)
+        tracemalloc.start()
+        try:
+            side_contact_recover(a, b, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * (verify._SIDE_BLOCK * candidates + len(a)), peak
 
     def test_zero_length_side_raises(self):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
