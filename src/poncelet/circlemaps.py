@@ -243,11 +243,10 @@ def verify_torsion(f: CircleDiffeo, n: int, tol: float = 1e-8, probes: int = 64)
 
 @dataclass(frozen=True)
 class TorsionMap:
-    """Certified torsion map: period n, winding m, gcd(m, n) = 1."""
+    """Certified torsion map: f^n = id with n minimal."""
 
     map: CircleDiffeo
     period: int
-    winding: int
 
     @property
     def circumference(self) -> float:
@@ -265,15 +264,15 @@ def make_torsion(h: CircleDiffeo, m: int, n: int, tol: float = 1e-8) -> TorsionM
     report = verify_torsion(f, n, tol=tol)
     if not report.passed:
         raise CircleMapError(f"constructed map failed torsion certification: {report}")
-    return TorsionMap(f, n, m % n if n > 1 else 0)
+    return TorsionMap(f, n)
 
 
-def as_torsion(f: CircleDiffeo, n: int, m: int, tol: float = 1e-8) -> TorsionMap:
+def as_torsion(f: CircleDiffeo, n: int, tol: float = 1e-8) -> TorsionMap:
     """Certify an existing map as a torsion map."""
     report = verify_torsion(f, n, tol=tol)
     if not report.passed:
         raise CircleMapError(f"map failed torsion certification: {report}")
-    return TorsionMap(f, n, m % n if n > 1 else 0)
+    return TorsionMap(f, n)
 
 
 def conjugator_to_rotation(f: TorsionMap) -> CircleDiffeo:

@@ -172,7 +172,6 @@ class EquilateralPair:
     sheets_requested: int
     sheets_used: int
     amplitude: float                # a * sec(alpha/2)
-    midpoint_sign: int              # (-1)^k
 
     def polygon(self, start: float = 0.0) -> PonceletPolygon:
         # in the shifted parametrization the side [Y(t), Y(t+a)] touches at t+a/2
@@ -185,8 +184,9 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
 
     l = 2k/m - 1 (equivalently alpha a multiple of pi) is excluded. An `a`
     below the positive-curvature bound (a > l^2 - 1 for l > 1, a > 1 - l^2
-    for l < 1) leaves the envelope with cusps; that is flagged on the
-    envelope curve, and rejected only under strict_curvature.
+    for l < 1) leaves the envelope with cusps (its support function's
+    min_curvature_radius is not positive); it is rejected only under
+    strict_curvature.
     """
     l = Fraction(l)
     if k < 1:
@@ -221,7 +221,7 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
     vertex = curve_from_position(p.domain_length, pos, label="K")
     side = 2.0 * a * abs(math.tan(radians(alpha) / 2))
     count = closure_steps(alpha, Fraction(2))
-    return EquilateralPair(p, envelope, vertex, alpha, side, count, k, sheets, amp, sign)
+    return EquilateralPair(p, envelope, vertex, alpha, side, count, k, sheets, amp)
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,6 @@ class PlaneCurve:
     domain_length: float
     jet_fn: Callable[[np.ndarray], tuple] = field(repr=False)   # ts -> (pos, vel, acc)
     label: str = ""
-    positive_curvature: bool | None = None
     position_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def jet_many(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,8 +125,8 @@ class PlaneCurve:
         return float(np.min(np.hypot(vel[:, 0], vel[:, 1])))
 
 
-def curve_from_position(domain_length: float, position_fn: Callable, label: str = "",
-                        positive_curvature: bool | None = None) -> PlaneCurve:
+def curve_from_position(domain_length: float, position_fn: Callable,
+                        label: str = "") -> PlaneCurve:
     """Curve whose 2-jet is the Taylor jet of position_fn, which takes
     arrays or Jets of the parameter."""
 
@@ -135,8 +134,7 @@ def curve_from_position(domain_length: float, position_fn: Callable, label: str 
         x = position_fn(Jet.variable(ts, 2))
         return x.v, x.d[0], x.d[1]
 
-    return PlaneCurve(domain_length, jet, label=label, positive_curvature=positive_curvature,
-                      position_fn=position_fn)
+    return PlaneCurve(domain_length, jet, label=label, position_fn=position_fn)
 
 
 def curve_from_support(p: SupportFunction, label: str = "") -> PlaneCurve:
@@ -144,11 +142,9 @@ def curve_from_support(p: SupportFunction, label: str = "") -> PlaneCurve:
 
     With rho = p + p'' they are X' = rho u', X'' = rho' u' - rho u and
     X''' = (rho'' - rho) u' - 2 rho' u. A non-positive radius of curvature
-    somewhere is flagged, not rejected: self-intersecting envelopes are
-    legitimate inputs.
+    (see SupportFunction.min_curvature_radius) is not rejected:
+    self-intersecting envelopes are legitimate inputs.
     """
-    convex = p.min_curvature_radius() > 0.0
-
     def derivs(ts: np.ndarray, order: int) -> list[np.ndarray]:
         c, s = np.cos(ts), np.sin(ts)
         ps = [p.eval(ts, i) for i in range(order + 2 if order else 2)]
@@ -164,8 +160,7 @@ def curve_from_support(p: SupportFunction, label: str = "") -> PlaneCurve:
             out.append((rho[2] - rho[0]) * up - 2 * rho[1] * u)
         return out
 
-    return curve_from_position(p.domain_length, lambda ts: chain(ts, derivs), label=label,
-                               positive_curvature=convex)
+    return curve_from_position(p.domain_length, lambda ts: chain(ts, derivs), label=label)
 
 
 def constant_width_check(p: SupportFunction, samples: int = 720, tol: float = 1e-10) -> bool:

@@ -96,7 +96,7 @@ def test_criterion_05_envelope_chord_specialization():
                     (Fraction(4, 3), 4, 53 / 45)):
         p = SupportFunction(a, (SupportTerm(l, 1.0),), l.denominator)
         L = p.domain_length
-        f = cm.as_torsion(cm.rotation(L, L / n), n, 1)
+        f = cm.as_torsion(cm.rotation(L, L / n), n)
         res = envelope_from_vertex(VertexStepSystem(curve_from_support(p), f))
         ts = np.linspace(0.0, L, 256, endpoint=False)
         closed = 0.5 * (1 + (1 / math.tan(math.pi / float(l))) * p.eval(ts, 1) / p.eval(ts))
@@ -114,7 +114,7 @@ def test_criterion_06_interiority_randomized():
         p = SupportFunction(1.0, (SupportTerm(Fraction(2), c2),
                                   SupportTerm(Fraction(3), c3)), 1)
         Y = curve_from_support(p)
-        assert Y.positive_curvature
+        assert p.min_curvature_radius() > 0
         assert not polyline_self_intersects(Y.sample(1024))
         n = int(rng.integers(3, 8))
         h = cm.from_fourier(TWO_PI, float(rng.uniform(0, TWO_PI)),

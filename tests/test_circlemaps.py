@@ -103,7 +103,7 @@ class TestConjugator:
 
     def test_non_torsion_input_rejected(self):
         with pytest.raises(cm.CircleMapError):
-            cm.conjugator_to_rotation(cm.TorsionMap(cm.rotation(TWO_PI, 0.3), 3, 1))
+            cm.conjugator_to_rotation(cm.TorsionMap(cm.rotation(TWO_PI, 0.3), 3))
 
 
 class TestLiftMechanics:

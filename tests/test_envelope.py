@@ -49,7 +49,7 @@ def interior_contact_bound(l) -> float:
 
 def rot_system(p: SupportFunction, m: int, n: int) -> VertexStepSystem:
     L = p.domain_length
-    f = cm.as_torsion(cm.rotation(L, m * L / n), n, m)
+    f = cm.as_torsion(cm.rotation(L, m * L / n), n)
     return VertexStepSystem(curve_from_support(p), f)
 
 
@@ -138,7 +138,7 @@ class TestEnvelopeFromVertex:
         Y = curve_from_support(p)
         stepped_vertex = PlaneCurve(TWO_PI, lambda ts: Y.jet_fn(ts + alpha),
                                     position_fn=lambda ts: Y.positions(ts + alpha))
-        f = cm.as_torsion(cm.rotation(TWO_PI, alpha), 3, 1)
+        f = cm.as_torsion(cm.rotation(TWO_PI, alpha), 3)
         res2 = envelope_from_vertex(VertexStepSystem(stepped_vertex, f))
         ts = np.linspace(0, TWO_PI, 512, endpoint=False)
         pointwise = np.max(np.abs(res2.curve.positions(ts) - res.curve.positions(ts + alpha)))
@@ -161,7 +161,7 @@ class TestEnvelopeFromVertex:
         Y = curve_from_support(p)
         h = cm.from_fourier(TWO_PI, 0.7, (cm.FourierTerm(1, 0.04, -0.03),))
         known = cm.make_torsion(h, 1, 4)
-        bare = cm.as_torsion(known.map, 4, 1)
+        bare = cm.as_torsion(known.map, 4)
         assert not bare.map.is_rotation
         poly = envelope_from_vertex(VertexStepSystem(Y, bare)).polygon(0.9)
         ref = envelope_from_vertex(VertexStepSystem(Y, known)).polygon(0.9)

@@ -156,7 +156,7 @@ class TestEquilateralPair:
     def test_wankel_pair(self):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
         assert pair.count == 3
-        assert pair.envelope.positive_curvature
+        assert pair.envelope_support.min_curvature_radius() > 0
         poly = pair.polygon(0.0)
         assert poly.closure_gap < 1e-12
         assert all(0.0 < c.chord < 1.0 for c in poly.contacts)

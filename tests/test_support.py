@@ -71,23 +71,25 @@ class TestSheetValidation:
 
 class TestCurveFromSupport:
     def test_constant_support_gives_circle(self):
-        curve = curve_from_support(SupportFunction(2.5, (), 1))
+        p = SupportFunction(2.5, (), 1)
+        curve = curve_from_support(p)
         ts = np.linspace(0, 2 * math.pi, 97)
         pts = curve.positions(ts)
         assert np.allclose(np.hypot(pts[:, 0], pts[:, 1]), 2.5, atol=1e-14)
-        assert curve.positive_curvature
+        assert p.min_curvature_radius() > 0
         assert curve.closure_gap() < 1e-9
 
     def test_figure_pair_start_point(self):
-        curve = curve_from_support(cos_poly(8 / 5, (2, 1.0)))
+        p = cos_poly(8 / 5, (2, 1.0))
+        curve = curve_from_support(p)
         assert tuple(curve.positions([0.0])[0]) == pytest.approx((2.6, 0.0), abs=1e-15)
-        assert curve.positive_curvature is False  # a < l^2 - 1: cusped envelope
+        assert p.min_curvature_radius() <= 0  # a < l^2 - 1: cusped envelope
 
     def test_radius_of_curvature_three_lobes(self):
         p = cos_poly(8.1, (3, 1.0))
         v, _, d2 = jet(p, 0.0)
         assert v + d2 == pytest.approx(8.1 + 1 - 9, abs=1e-12)
-        assert curve_from_support(p).positive_curvature
+        assert p.min_curvature_radius() > 0
 
     def test_jets_match_central_differences(self):
         p = cos_poly(9.0, (2, 0.9), (5, -2 / 9))

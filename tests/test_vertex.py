@@ -19,7 +19,7 @@ FIG_P = SupportFunction(9.0, (SupportTerm(Fraction(2), 0.9),
 
 
 def shift_torsion(L: float, m: int, n: int) -> cm.TorsionMap:
-    return cm.as_torsion(cm.rotation(L, m * L / n), n, m)
+    return cm.as_torsion(cm.rotation(L, m * L / n), n)
 
 
 class TestVertexFromEnvelope:
@@ -51,11 +51,11 @@ class TestVertexFromEnvelope:
     def test_transversality_failure_located(self):
         # f moves phi by ~pi somewhere: sin(f(phi) - phi) crosses zero
         h = cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 0.1, 0.0),))
-        bad = cm.TorsionMap(cm.rotation(TWO_PI, math.pi), 2, 1)
+        bad = cm.TorsionMap(cm.rotation(TWO_PI, math.pi), 2)
         with pytest.raises(ConstructionError):
             ContactStepSystem(SupportFunction(2.0, (), 1), bad)  # n = 2 rejected first
         near_pi = cm.TorsionMap(
-            h.inverse().compose(cm.rotation(TWO_PI, TWO_PI / 2)).compose(h), 4, 1)
+            h.inverse().compose(cm.rotation(TWO_PI, TWO_PI / 2)).compose(h), 4)
         with pytest.raises(ConstructionError, match="transversality"):
             vertex_from_envelope(ContactStepSystem(SupportFunction(2.0, (), 1), near_pi))
 
