@@ -239,24 +239,27 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
     step = L / len(grid_ts)
     lo, hi = grid_ts[cand] - step, grid_ts[cand] + step
 
-    def normal(t, k, order):
-        x = curve.jet_many(t)[order]
+    def normal(x, k):
         return x[:, 0] * nx[k] + x[:, 1] * ny[k]
 
-    n, k2 = len(side), np.concatenate([side, side])
-    slope, bend = ((x[:, 0] * nx[k2] + x[:, 1] * ny[k2]).reshape(2, n)
-                   for x in curve.jet_many(np.concatenate([lo, hi]))[1:])
-    signed = ~(slope[0] * slope[1] > 0)
-    cells = np.flatnonzero(~signed & (bend[0] * bend[1] < 0))
+    def derivative(order, sides):
+        """g' (order 1) or g'' (order 2) of bracket i's side line, for bracketed_roots."""
+        return lambda t, i: normal(curve.jet_many(t)[order], sides[i])
+
+    _, vel, acc = curve.jet_many(np.concatenate([lo, hi]))
+    both = np.concatenate([side, side])
+    g1, g2 = normal(vel, both).reshape(2, -1), normal(acc, both).reshape(2, -1)
+    signed = ~(g1[0] * g1[1] > 0)
+    cells = np.flatnonzero(~signed & (g2[0] * g2[1] < 0))
     # any split point is sound: the halves' brackets are checked below
-    mid = bracketed_roots(lambda t, i: normal(t, side[cells[i]], 2), lo[cells], hi[cells])[0]
-    turn = ~(normal(mid, side[cells], 1) * slope[0, cells] > 0)
+    mid = bracketed_roots(derivative(2, side[cells]), lo[cells], hi[cells])[0]
+    turn = ~(normal(curve.jet_many(mid)[1], side[cells]) * g1[0, cells] > 0)
     cells, mid = cells[turn], mid[turn]
     order = np.argsort(np.concatenate([np.flatnonzero(signed), cells, cells]), kind="stable")
     side = np.concatenate([side[signed], side[cells], side[cells]])[order]
     lo = np.concatenate([lo[signed], lo[cells], mid])[order]
     hi = np.concatenate([hi[signed], mid, hi[cells]])[order]
-    roots, open_ = bracketed_roots(lambda t, idx: normal(t, side[idx], 1), lo, hi)
+    roots, open_ = bracketed_roots(derivative(1, side), lo, hi)
     done = np.nonzero(~open_)[0]
     pts = curve.positions(roots[done])
     s = side[done]
