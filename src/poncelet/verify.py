@@ -250,11 +250,12 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
     both = np.concatenate([side, side])
     g1, g2 = normal(vel, both).reshape(2, -1), normal(acc, both).reshape(2, -1)
     signed = ~(g1[0] * g1[1] > 0)
-    cells = np.flatnonzero(~signed & (g2[0] * g2[1] < 0))
-    # any split point is sound: the halves' brackets are checked below
-    mid = bracketed_roots(derivative(2, side[cells]), lo[cells], hi[cells])[0]
-    turn = ~(normal(curve.jet_many(mid)[1], side[cells]) * g1[0, cells] > 0)
-    cells, mid = cells[turn], mid[turn]
+    cells, mid = np.flatnonzero(~signed & (g2[0] * g2[1] < 0)), np.empty(0)
+    if cells.size:   # a jet evaluation costs about as much on no points as on one
+        # any split point is sound: the halves' brackets are checked below
+        mid = bracketed_roots(derivative(2, side[cells]), lo[cells], hi[cells])[0]
+        turn = ~(normal(curve.jet_many(mid)[1], side[cells]) * g1[0, cells] > 0)
+        cells, mid = cells[turn], mid[turn]
     order = np.argsort(np.concatenate([np.flatnonzero(signed), cells, cells]), kind="stable")
     side = np.concatenate([side[signed], side[cells], side[cells]])[order]
     lo = np.concatenate([lo[signed], lo[cells], mid])[order]
