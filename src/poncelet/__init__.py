@@ -9,7 +9,7 @@ from .envelope import (VertexStepSystem, clan_from_vertex, envelope_from_vertex,
 from .equiangular import (EquiangularSpec, PonceletPolygon, equiangular_clan,
                           equiangular_pair, equiangular_vertex_curve, equilateral_pair,
                           vertex_count)
-from .geometry import Vec2, polyline_self_intersects
+from .geometry import polyline_self_intersects
 from .scene import Scene, build_scene, load_scene
 from .support import (PlaneCurve, SupportFunction, SupportTerm, constant_width_check,
                       curve_from_support, signed_area)
@@ -20,7 +20,7 @@ from .vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
 __all__ = [
     "CircleDiffeo", "ContactStepSystem", "EquiangularSpec", "FourierTerm",
     "PlaneCurve", "PonceletConfiguration", "PonceletPolygon",
-    "Scene", "SupportFunction", "SupportTerm", "TorsionMap", "Vec2",
+    "Scene", "SupportFunction", "SupportTerm", "TorsionMap",
     "VerificationReport", "VertexStepSystem", "build_scene", "clan_from_envelope",
     "clan_from_vertex", "conjugator_to_rotation", "constant_width_check",
     "curve_from_support", "envelope_from_vertex", "envelope_regularity",

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circlemaps import CircleDiffeo, TorsionMap, orbit
-from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
+from .equiangular import ConstructionError, Walk, Walked
 from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
 from .roots import GRID, bracketed_roots
 from .jets import Jet, chain, stack
@@ -114,21 +114,22 @@ def side_envelope(first: Callable, second: Callable, L: float, label: str,
 
 
 @dataclass(frozen=True)
-class EnvelopeResult:
+class EnvelopeResult(Walked):
     curve: PlaneCurve      # side t, from Y(t) to Y(f(t)), touches it at curve(t)
     system: VertexStepSystem
+
+    vertex_curves = property(lambda self: (self.system.vertex_curve,))
+    envelopes = property(lambda self: (self.curve,))
 
     def s(self, ts) -> np.ndarray:
         """Chord parameter of the contact on side t."""
         t = Jet.variable(np.atleast_1d(ts), 1)
         return _chord_envelope(self.system.vertex_curve.positions(t), self.system.stepped(t))[1]
 
-    def polygon(self, start: float = 0.0) -> PonceletPolygon:
+    def walk(self, starts: np.ndarray) -> Walk:
         f = self.system.step
-        ts = np.array(orbit((f.map,) * f.period, float(start)))
-        pts = self.system.vertex_curve.positions(ts)
-        return assemble_polygon(pts[:-1], pts[-1], ts[:-1], self.curve.positions(ts[:-1]),
-                                ts[:-1], self.curve.domain_length)
+        ts = np.stack(orbit((f.map,) * f.period, starts), axis=1)
+        return Walk(ts, 0, ts[:, :-1], 0)
 
 
 def envelope_from_vertex(system: VertexStepSystem) -> EnvelopeResult:
@@ -227,19 +228,19 @@ def interiority_check(system: VertexStepSystem, result: EnvelopeResult | None = 
 
 
 @dataclass(frozen=True)
-class VertexClan:
+class VertexClan(Walked):
     vertex_curve: PlaneCurve
     envelopes: tuple[PlaneCurve, ...]   # C_i: sides Y(s) to Y(f_i(s)); C_n closes at the start
     steps: tuple[CircleDiffeo, ...]     # f_1, ..., f_{n-1}
 
-    def polygon(self, start: float = 0.0) -> PonceletPolygon:
-        G = stack(orbit(self.steps, Jet.variable(float(start), 1)), axis=0)
-        ys = self.vertex_curve.positions(G)
-        # side i touches C_{i+1} at G_i (C_n at the start), where the sides from
-        # Y(g_i(t)) to Y(g_{i+1}(t)) touch their envelope: one chord formula in t
-        contacts = _chord_envelope(ys, ys[np.r_[1:G.size, 0]])[0]
-        return assemble_polygon(ys.v, ys.v[0], G.v, contacts, np.append(G.v[:-1], start),
-                                self.vertex_curve.domain_length, envelope_index=range(G.size))
+    vertex_curves = property(lambda self: (self.vertex_curve,))
+
+    def walk(self, starts: np.ndarray) -> Walk:
+        G = np.stack(orbit(self.steps, starts), axis=1)
+        # side i, from Y(G_i) to Y(G_{i+1}) = Y(f_{i+1}(G_i)), touches C_{i+1}
+        # at G_i; the last, from Y(G_{n-1}) back to Y(start), touches C_n at the start
+        return Walk(np.column_stack([G, starts]), 0, np.column_stack([G[:, :-1], starts]),
+                    np.arange(G.shape[1]))
 
 
 def _fixed_point_scan(steps: Sequence[CircleDiffeo], G: Sequence[np.ndarray], i: int,

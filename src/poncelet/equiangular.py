@@ -14,14 +14,14 @@ equilateral polygons and the vertex curve is the epitrochoid
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from . import jets
-from .geometry import Vec2, closure_steps, radians
+from .geometry import GeometryError, closure_steps, radians
 from .support import (PlaneCurve, SupportFunction, SupportTerm, curve_from_position,
                       curve_from_support)
 
@@ -48,51 +48,87 @@ class EquiangularSpec:
 
 
 @dataclass(frozen=True)
-class Contact:
-    point: Vec2
-    parameter: float   # envelope parameter of the touched tangent line
-    chord: float       # contact position along the side; inside iff 0 < chord < 1
-    envelope_index: int = 0
+class Walk:
+    """Polygons as parameters only, one row per start. Vertex i lies on
+    vertex curve vertex_index[i] at vertex_params[:, i]; column n is where
+    the step after the last vertex lands. Side i, from vertex i to vertex
+    i + 1, touches envelope envelope_index[i] at contact_params[:, i]. An
+    index given as one int names the same curve for every column."""
+
+    vertex_params: np.ndarray          # (starts, n + 1)
+    vertex_index: np.ndarray | int     # (n + 1,)
+    contact_params: np.ndarray         # (starts, n)
+    envelope_index: np.ndarray | int   # (n,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PonceletPolygon:
-    vertices: tuple[Vec2, ...]
-    parameters: tuple[float, ...]
-    contacts: tuple[Contact, ...]
-    closure_gap: float
+    """A polygon as arrays: n vertices and their parameters; for side i, from
+    vertex i to i + 1, its contact point and parameter, its chord position
+    (inside iff 0 < chord < 1) and envelope index; and how far the step
+    after the last vertex lands from the first. A stack, as `assemble`
+    returns it, has a leading start axis on every field; index it for one."""
 
-    def side_lengths(self) -> list[float]:
-        v = np.array([tuple(q) for q in self.vertices])
-        d = np.roll(v, -1, axis=0) - v
-        return np.hypot(d[:, 0], d[:, 1]).tolist()
+    vertices: np.ndarray
+    parameters: np.ndarray
+    contacts: np.ndarray
+    contact_parameters: np.ndarray
+    chords: np.ndarray
+    envelope_index: np.ndarray
+    closure_gap: np.ndarray
 
-    def centroid(self) -> Vec2:
-        return Vec2(*np.mean([tuple(q) for q in self.vertices], axis=0).tolist())
+    def __getitem__(self, i) -> PonceletPolygon:
+        return PonceletPolygon(*(getattr(self, f.name)[i] for f in fields(self)))
 
 
-def assemble_polygon(vertices, closing, params, contacts, contact_params, L: float,
-                     envelope_index=None) -> PonceletPolygon:
-    """The polygon with vertices (n, 2) at vertex parameters params, whose
-    side i from vertex i to vertex i+1 touches its envelope at contacts[i]
-    with parameter contact_params[i] on the envelope circle of length L.
+def _points(curves, index: np.ndarray | int, ts: np.ndarray) -> np.ndarray:
+    """Curve index[j] at ts[:, j] as a (rows, columns, 2) array: one
+    positions call per curve. GeometryError at a non-finite point."""
+    out = np.empty(ts.shape + (2,))
+    for k, curve in enumerate(curves):
+        cols = np.broadcast_to(index, ts.shape[1:]) == k
+        at = ts[:, cols].ravel()
+        pts = curve.positions(at)
+        bad = ~np.isfinite(pts).all(axis=1)
+        if bad.any():
+            raise GeometryError(f"non-finite polygon point on curve {curve.label!r} "
+                                f"at t = {float(at[np.argmax(bad)])!r}")
+        out[:, cols] = pts.reshape(len(ts), -1, 2)
+    return out
 
-    closing is where the step after the last vertex lands; its distance to
-    the first vertex is the closure gap. envelope_index[i] names the
-    envelope that side i touches (all 0 when omitted).
-    """
-    v = np.asarray(vertices, dtype=float)
-    x = np.asarray(contacts, dtype=float)
-    d = np.roll(v, -1, axis=0) - v
+
+def assemble(walk: Walk, vertex_curves, envelopes) -> PonceletPolygon:
+    """The stacked polygons of a walk on the given curves."""
+    pts = _points(vertex_curves, walk.vertex_index, walk.vertex_params)
+    x = _points(envelopes, walk.envelope_index, walk.contact_params)
+    v = pts[:, :-1]
+    d = np.roll(v, -1, axis=1) - v
     r = x - v
-    chords = (r[:, 0] * d[:, 0] + r[:, 1] * d[:, 1]) / (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-    gap = float(np.hypot(*(np.asarray(closing, dtype=float) - v[0])))
-    if envelope_index is None:
-        envelope_index = [0] * len(v)
-    contacts_ = tuple(Contact(Vec2(*xy), float(t) % L, c, int(k)) for xy, t, c, k in zip(
-        x.tolist(), contact_params, chords.tolist(), envelope_index))
-    return PonceletPolygon(tuple(Vec2(*xy) for xy in v.tolist()),
-                           tuple(float(t) for t in params), contacts_, gap)
+    chords = ((r[..., 0] * d[..., 0] + r[..., 1] * d[..., 1])
+              / (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
+    gap = pts[:, -1] - v[:, 0]
+    env = np.broadcast_to(walk.envelope_index, walk.contact_params.shape)
+    psi = np.mod(walk.contact_params, np.array([e.domain_length for e in envelopes])[env])
+    return PonceletPolygon(v, walk.vertex_params[:, :-1], x, psi, chords, env,
+                           np.hypot(gap[:, 0], gap[:, 1]))
+
+
+class Walked:
+    """A construction whose polygons are walks on its curves; it gives
+    walk(starts), vertex_curves and envelopes."""
+
+    def polygon(self, start: float = 0.0) -> PonceletPolygon:
+        """The polygon from one start."""
+        return assemble(self.walk(np.array([float(start)])), self.vertex_curves,
+                        self.envelopes)[0]
+
+
+def rigid_walk(starts: np.ndarray, step: Fraction, count: int, shift: Fraction) -> Walk:
+    """The rigid angle-step walk (angles in units of pi): vertex j at
+    start + j * step on vertex curve 0, side j touching envelope 0 at vertex
+    j's parameter + shift."""
+    ts = starts[:, None] + np.array([radians(step * j) for j in range(count + 1)])
+    return Walk(ts, 0, ts[:, :-1] + radians(shift), 0)
 
 
 def equiangular_vertex_curve(spec: EquiangularSpec, label: str = "") -> PlaneCurve:
@@ -122,31 +158,20 @@ def vertex_count(angle: Fraction, k: int) -> int:
     return closure_steps(angle, Fraction(2 * k))
 
 
-def _pair_polygon(vertex_curve: PlaneCurve, envelope: PlaneCurve,
-                  step: Fraction, count: int, start: float,
-                  contact_shift: Fraction) -> PonceletPolygon:
-    """Polygon by the rigid angle-step recurrence (angles in units of pi);
-    contact of side j at parameter_j + contact_shift."""
-    params = [start + radians(step * j) for j in range(count + 1)]
-    pts = vertex_curve.positions(params)
-    shift = radians(contact_shift)
-    psis = [t + shift for t in params[:count]]
-    return assemble_polygon(pts[:count], pts[count], params[:count],
-                            envelope.positions(psis), psis, envelope.domain_length)
-
-
 @dataclass(frozen=True)
-class EquiangularPair:
+class EquiangularPair(Walked):
     envelope_support: SupportFunction
     envelope: PlaneCurve
     vertex_curve: PlaneCurve
     angle: Fraction             # branch angle a_i / pi actually used
     count: int
 
-    def polygon(self, start: float = 0.0) -> PonceletPolygon:
+    vertex_curves = property(lambda self: (self.vertex_curve,))
+    envelopes = property(lambda self: (self.envelope,))
+
+    def walk(self, starts: np.ndarray) -> Walk:
         # in the eq-Ki parametrization the side [Y(t), Y(t+a)] touches at t+a
-        return _pair_polygon(self.vertex_curve, self.envelope, self.angle,
-                             self.count, start, self.angle)
+        return rigid_walk(starts, self.angle, self.count, self.angle)
 
 
 def equiangular_pair(spec: EquiangularSpec) -> EquiangularPair:
@@ -162,7 +187,7 @@ def equiangular_pair(spec: EquiangularSpec) -> EquiangularPair:
 
 
 @dataclass(frozen=True)
-class EquilateralPair:
+class EquilateralPair(Walked):
     envelope_support: SupportFunction
     envelope: PlaneCurve
     vertex_curve: PlaneCurve
@@ -173,10 +198,12 @@ class EquilateralPair:
     sheets_used: int
     amplitude: float                # a * sec(alpha/2)
 
-    def polygon(self, start: float = 0.0) -> PonceletPolygon:
+    vertex_curves = property(lambda self: (self.vertex_curve,))
+    envelopes = property(lambda self: (self.envelope,))
+
+    def walk(self, starts: np.ndarray) -> Walk:
         # in the shifted parametrization the side [Y(t), Y(t+a)] touches at t+a/2
-        return _pair_polygon(self.vertex_curve, self.envelope, self.angle,
-                             self.count, start, self.angle / 2)
+        return rigid_walk(starts, self.angle, self.count, self.angle / 2)
 
 
 def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = False) -> EquilateralPair:
@@ -225,7 +252,7 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
 
 
 @dataclass(frozen=True)
-class EquiangularClan:
+class EquiangularClan(Walked):
     envelope_support: SupportFunction
     envelope: PlaneCurve
     vertex_curves: tuple[PlaneCurve, ...]
@@ -235,32 +262,17 @@ class EquiangularClan:
     count: int                               # total polygon vertices
     degenerate: bool
 
-    @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vertex parameter offsets from the start (the closing step's last),
-        the vertex curve of each, and each side's contact shift; built by the
-        first polygon, so that a clan refused for its vertex count never is."""
-        n = len(self.vertex_curves)
-        row_advance = sum(self.angles, Fraction(0))
-        # vertex nu of row r sits at r * row_advance + the sum of the first nu angles
-        prefix = [sum(self.angles[:nu], Fraction(0)) for nu in range(n)]
-        thetas = [row * row_advance + p for row in range(self.rows) for p in prefix]
-        offsets = np.array([float(th) * math.pi for th in thetas + [self.rows * row_advance]])
-        on = np.append(np.tile(np.arange(n), self.rows), 0)
-        return offsets, on, np.array([radians(a) for a in self.angles])[on[:-1]]
+    envelopes = property(lambda self: (self.envelope,))
 
-    def polygon(self, start: float = 0.0) -> PonceletPolygon:
+    def walk(self, starts: np.ndarray) -> Walk:
         if self.degenerate:
-            return _pair_polygon(self.vertex_curves[0], self.envelope,
-                                 self.angles[0], self.count, start, self.angles[0])
-        offsets, on, shifts = self._layout
-        ts = start + offsets
-        pts = np.empty((len(ts), 2))
-        for nu, K in enumerate(self.vertex_curves):
-            pts[on == nu] = K.positions(ts[on == nu])
-        params, psis = ts[:-1], ts[:-1] + shifts
-        return assemble_polygon(pts[:-1], pts[-1], params, self.envelope.positions(psis), psis,
-                                self.envelope.domain_length)
+            return rigid_walk(starts, self.angles[0], self.count, self.angles[0])
+        # vertex j lies on K_(j mod n), the first j angles of the cycle past the start
+        thetas = accumulate(self.angles * self.rows, initial=Fraction(0))
+        ts = starts[:, None] + np.array([float(th) * math.pi for th in thetas])
+        on = np.arange(self.count + 1) % len(self.angles)
+        shifts = np.array([radians(a) for a in self.angles])[on[:-1]]
+        return Walk(ts, on, ts[:, :-1] + shifts, 0)
 
 
 def equiangular_clan(envelope: SupportFunction,

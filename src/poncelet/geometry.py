@@ -1,10 +1,9 @@
-"""Plane-geometry primitives: finite points, angles as exact Fractions of
-pi, and polyline self-intersection."""
+"""Plane-geometry primitives: angles as exact Fractions of pi, and polyline
+self-intersection."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -12,22 +11,6 @@ import numpy as np
 
 class GeometryError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Vec2:
-    """A finite point of the plane: a polygon vertex or a contact point."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise GeometryError(f"non-finite vector components ({self.x}, {self.y})")
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
 
 
 def wrap_pi(x: float) -> float:
@@ -59,8 +42,6 @@ PAIR_BLOCK = 32768
 
 
 def _as_points(points) -> np.ndarray:
-    if not isinstance(points, np.ndarray):
-        points = [tuple(p) for p in points]
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError("points must be a sequence of 2d points")

@@ -74,7 +74,7 @@ def render_svg(envelopes: list[tuple[str, PlaneCurve]],
             pts = _curve_points(curve, samples)[1]
             paths.append((name, color, np.vstack([pts, pts[:1]]), None))
     for i, poly in enumerate(polygons):
-        pts = np.array([(v.x, v.y) for v in poly.vertices])
+        pts = poly.vertices
         paths.append((f"polygon-{i + 1}", "black", np.vstack([pts, pts[:1]]), "0.05"))
 
     stacked = np.vstack([pts for _, _, pts, _ in paths])

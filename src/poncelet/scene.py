@@ -249,11 +249,11 @@ def _oracle_capable(vertex_curve: PlaneCurve, envelope_support: SupportFunction 
     return not polyline_self_intersects(vertex_curve.sample(SELF_INTERSECTION_SAMPLES))
 
 
-def _configuration(label: str, vertex_curves, envelopes, supports, polygon, count: int,
-                   vopts: VerifyOptions, mode: str = "sequence", **extra
-                   ) -> PonceletConfiguration:
-    return PonceletConfiguration(label, tuple(vertex_curves), tuple(envelopes), tuple(supports),
-                                 polygon, count, mode,
+def _configuration(label: str, c, supports, vopts: VerifyOptions,
+                   mode: str = "sequence", **extra) -> PonceletConfiguration:
+    """The configuration of construction c's curves and polygon walk."""
+    return PonceletConfiguration(label, tuple(c.vertex_curves), tuple(c.envelopes),
+                                 tuple(supports), c.polygon, c.walk, mode,
                                  expect_interior=vopts.expect_interior, **extra)
 
 
@@ -261,8 +261,7 @@ def _pair_configuration(label: str, pair, support: SupportFunction,
                         expected_side, vopts) -> PonceletConfiguration:
     angle = radians(pair.angle)
     mode = "oracle" if _oracle_capable(pair.vertex_curve, support) else "sequence"
-    return _configuration(label, (pair.vertex_curve,), (pair.envelope,), (support,),
-                          pair.polygon, pair.count, vopts, mode,
+    return _configuration(label, pair, (support,), vopts, mode,
                           step_lift=(lambda t: np.asarray(t) + angle),
                           step_inv_lift=(lambda t: np.asarray(t) - angle),
                           expected_turns=(wrap_pi(angle),), expected_side=expected_side)
@@ -301,8 +300,7 @@ def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfi
     clan = eq.equiangular_clan(support, angles, branches)
     _vertices(clan.count, "parameters.angles")
     turns = clan.angles[:1] if clan.degenerate else clan.angles
-    return _configuration("equiangular-clan", clan.vertex_curves, (clan.envelope,), (support,),
-                          clan.polygon, clan.count, vopts,
+    return _configuration("equiangular-clan", clan, (support,), vopts,
                           expected_turns=tuple(wrap_pi(radians(a)) for a in turns))
 
 
@@ -312,8 +310,7 @@ def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletC
     Y = curve_from_support(support, label="K")
     f = _torsion(params["step"], support.domain_length, "parameters.step")
     result = envelope_from_vertex(VertexStepSystem(Y, f))
-    return _configuration("envelope-from-vertex", (Y,), (result.curve,), (None,),
-                          result.polygon, f.period, vopts)
+    return _configuration("envelope-from-vertex", result, (None,), vopts)
 
 
 def _build_vertex_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -322,9 +319,8 @@ def _build_vertex_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletC
     f = _torsion(params["step"], support.domain_length, "parameters.step")
     res = vertex_from_envelope(ContactStepSystem(support, f))
     mode = "oracle" if _oracle_capable(res.curve, support) else "sequence"
-    return _configuration("vertex-from-envelope", (res.curve,), (res.envelope,), (support,),
-                          res.polygon, f.period, vopts, mode, step_lift=f.map.lift,
-                          step_inv_lift=f.map.inverse().lift)
+    return _configuration("vertex-from-envelope", res, (support,), vopts, mode,
+                          step_lift=f.map.lift, step_inv_lift=f.map.inverse().lift)
 
 
 def _build_clan_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -332,17 +328,14 @@ def _build_clan_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfi
     support = _support(params["support"], "parameters.support")
     Y = curve_from_support(support, label="K")
     clan = clan_from_vertex(Y, _steps(params, support.domain_length))
-    n = len(clan.envelopes)
-    return _configuration("clan-from-vertex", (Y,), clan.envelopes, (None,) * n, clan.polygon, n,
-                          vopts)
+    return _configuration("clan-from-vertex", clan, (None,) * len(clan.envelopes), vopts)
 
 
 def _build_clan_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
     _check_keys(params, {"support", "steps"}, "parameters", ("support", "steps"))
     support = _support(params["support"], "parameters.support")
     clan = clan_from_envelope(support, _steps(params, support.domain_length))
-    return _configuration("clan-from-envelope", clan.vertex_curves, (clan.envelope,),
-                          (support,), clan.polygon, len(clan.vertex_curves), vopts)
+    return _configuration("clan-from-envelope", clan, (support,), vopts)
 
 
 _BUILDERS: dict[str, Callable] = {

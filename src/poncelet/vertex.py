@@ -23,7 +23,7 @@ import numpy as np
 from . import jets
 from .circlemaps import CircleDiffeo, TorsionMap, identity, orbit
 from .envelope import step_chain
-from .equiangular import ConstructionError, PonceletPolygon, assemble_polygon
+from .equiangular import ConstructionError, Walk, Walked
 from .roots import GRID
 from .support import PlaneCurve, SupportFunction, curve_from_position, curve_from_support
 
@@ -66,18 +66,19 @@ def _vertex_position_fn(p: SupportFunction, a: Callable, b: Callable) -> Callabl
 
 
 @dataclass(frozen=True)
-class VertexResult:
+class VertexResult(Walked):
     system: ContactStepSystem
     envelope: PlaneCurve
     curve: PlaneCurve
 
-    def polygon(self, start: float = 0.0) -> PonceletPolygon:
+    vertex_curves = property(lambda self: (self.curve,))
+    envelopes = property(lambda self: (self.envelope,))
+
+    def walk(self, starts: np.ndarray) -> Walk:
         f = self.system.step
-        ts = np.array(orbit((f.map,) * f.period, float(start)))
+        ts = np.stack(orbit((f.map,) * f.period, starts), axis=1)
         # side j touches the envelope at the contact parameter of vertex j+1
-        pts = self.curve.positions(ts)
-        return assemble_polygon(pts[:-1], pts[-1], ts[:-1], self.envelope.positions(ts[1:]),
-                                ts[1:], self.envelope.domain_length)
+        return Walk(ts, 0, ts[:, 1:], 0)
 
 
 def vertex_from_envelope(system: ContactStepSystem) -> VertexResult:
@@ -100,19 +101,20 @@ def vertex_from_envelope(system: ContactStepSystem) -> VertexResult:
 
 
 @dataclass(frozen=True)
-class EnvelopeClan:
+class EnvelopeClan(Walked):
     envelope_support: SupportFunction
     envelope: PlaneCurve
     vertex_curves: tuple[PlaneCurve, ...]   # K_i: tangents at phi and f_i(phi); K_n closes
     steps: tuple[CircleDiffeo, ...]         # f_1, ..., f_{n-1}
 
-    def polygon(self, start: float = 0.0) -> PonceletPolygon:
-        params = np.array(orbit(self.steps, float(start)))
-        # vertex i is K_{i+1}(G_i), side i touches at G_{i+1}; both are the start at the end
-        pts = [K.positions(t)[0] for K, t in zip(self.vertex_curves, np.append(params[:-1], start))]
-        psis = np.append(params[1:], start)
-        return assemble_polygon(pts, pts[0], params, self.envelope.positions(psis), psis,
-                                self.envelope.domain_length)
+    envelopes = property(lambda self: (self.envelope,))
+
+    def walk(self, starts: np.ndarray) -> Walk:
+        G = np.stack(orbit(self.steps, starts), axis=1)
+        # vertex i is K_{i+1}(G_i) and side i touches at G_{i+1}, but K_n and
+        # the last side take the start; the polygon closes on K_1 at the start
+        return Walk(np.column_stack([G[:, :-1], starts, starts]), np.r_[:G.shape[1], 0],
+                    np.column_stack([G[:, 1:], starts]), 0)
 
 
 def clan_from_envelope(envelope: SupportFunction,

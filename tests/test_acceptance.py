@@ -47,10 +47,10 @@ def test_criterion_01_equilateral_side_length():
     worst_side = 0.0
     worst_mid = 0.0
     for start in np.linspace(0.0, TWO_PI, 64, endpoint=False):
-        poly = pair.polygon(float(start))
-        for s in poly.side_lengths():
+        v = pair.polygon(float(start)).vertices
+        for s in np.hypot(*(np.roll(v, -1, axis=0) - v).T):
             worst_side = max(worst_side, abs(s - expected) / expected)
-        worst_mid = max(worst_mid, abs(math.hypot(*poly.centroid()) - 1.0))
+        worst_mid = max(worst_mid, abs(math.hypot(*v.mean(axis=0)) - 1.0))
     _report(1, "equilateral side length 2a*tan(pi/3) and unit midpoint circle",
             worst_side < 1e-9 and worst_mid < 1e-12,
             f"side rel err {worst_side:.2e}, midpoint err {worst_mid:.2e}")
@@ -143,7 +143,7 @@ def test_criterion_07_oracle_round_trip_and_negative_controls(corpus):
     alpha = radians(pair.angle)
     base = dict(
         label="control", vertex_curves=(pair.vertex_curve,), envelopes=(pair.envelope,),
-        envelope_supports=(pair.envelope_support,), polygon=pair.polygon, count=3,
+        envelope_supports=(pair.envelope_support,), polygon=pair.polygon, walk=pair.walk,
         mode="oracle", step_lift=lambda t: np.asarray(t) + alpha,
         step_inv_lift=lambda t: np.asarray(t) - alpha)
     from poncelet.verify import PonceletConfiguration

@@ -109,6 +109,17 @@ def test_negative_controls_fail_verification(scene):
         assert not report.passed, kind
 
 
+def test_vertex_curves_moved_by_a_millionth_of_the_scene_fail(scene):
+    # the polygons a sequence-mode verify checks lie on the configuration's
+    # own vertex curves, so moving the curves alone moves them
+    cfg = scene.configuration
+    size = max(float(np.max(np.abs(c.sample(256)))) for c in scene.curve_table().values())
+    shift = np.array([1e-6 * size, 0.0])
+    moved = dataclasses.replace(cfg, vertex_curves=tuple(
+        gate._moved_curve(k, lambda ts, pos: shift) for k in cfg.vertex_curves))
+    assert not dataclasses.replace(scene, configuration=moved).verify().passed
+
+
 KNOWN_ABSENT = {"poncelet.verify._refine_root"}
 
 

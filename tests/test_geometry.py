@@ -1,22 +1,47 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poncelet.geometry import (SELF_INTERSECTION_SAMPLES, GeometryError, Vec2, closure_steps,
+from poncelet import cli
+from poncelet.equiangular import assemble
+from poncelet.geometry import (SELF_INTERSECTION_SAMPLES, GeometryError, closure_steps,
                                polyline_self_intersects, radians)
+from poncelet.scene import load_scene
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
+from test_bench_contract import gate
+
+CLAN = Path(__file__).resolve().parent.parent / "configs" / "clan.json"
 
 
-def test_vec2_rejects_non_finite():
-    with pytest.raises(GeometryError):
-        Vec2(float("nan"), 0.0)
-    with pytest.raises(GeometryError):
-        Vec2(0.0, float("inf"))
+@pytest.mark.parametrize("which", ["vertex_curves", "envelopes"])
+def test_non_finite_polygon_point_raises_and_exits_three(which, monkeypatch, capsys):
+    scene = load_scene(str(CLAN))        # sequence mode: verify assembles its polygons
+    cfg = scene.configuration
+    curves = {"vertex_curves": cfg.vertex_curves, "envelopes": cfg.envelopes}
+    curves[which] = tuple(gate._moved_curve(c, lambda ts, pos: np.nan) for c in curves[which])
+
+    def polygon(start):
+        return assemble(cfg.walk(np.array([start])), *curves.values())[0]
+
+    with pytest.raises(GeometryError, match="non-finite polygon point on curve"):
+        polygon(0.4)
+    # verify reads the configuration's curves; render draws the clean curves,
+    # then the polygons of the poisoned ones
+    for command, poisoned in (("verify", dataclasses.replace(cfg, **curves)),
+                              ("render", dataclasses.replace(cfg, polygon=polygon))):
+        monkeypatch.setattr(cli, "load_scene", lambda path, c=poisoned: dataclasses.replace(
+            scene, configuration=c))
+        assert cli.main([command, str(CLAN)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite polygon point on curve" in captured.err
 
 
 def test_radians_of_a_reduced_fraction():
@@ -53,11 +78,11 @@ float_loops = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
 
 class TestPolylineSelfIntersection:
     def test_square_is_simple(self):
-        square = [Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(0, 1)]
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
         assert polyline_self_intersects(square, closed=True) is False
 
     def test_bowtie_crosses(self):
-        bowtie = [Vec2(0, 0), Vec2(1, 1), Vec2(1, 0), Vec2(0, 1)]
+        bowtie = [(0, 0), (1, 1), (1, 0), (0, 1)]
         assert polyline_self_intersects(bowtie, closed=True) is True
 
     def test_singular_figure_envelope_self_intersects(self):
@@ -84,25 +109,25 @@ class TestPolylineSelfIntersection:
         rng = np.random.default_rng(5)
         for _ in range(30):
             m = int(rng.integers(4, 9))
-            pts = [Vec2(float(x), float(y)) for x, y in rng.uniform(-1, 1, (m, 2))]
+            pts = [(float(x), float(y)) for x, y in rng.uniform(-1, 1, (m, 2))]
             assert polyline_self_intersects(pts, closed=True) == brute(pts)
 
     def test_invariance_under_rotation_of_list_and_rigid_motion(self):
         rng = np.random.default_rng(13)
-        pts = [Vec2(float(x), float(y)) for x, y in rng.uniform(-1, 1, (7, 2))]
+        pts = [(float(x), float(y)) for x, y in rng.uniform(-1, 1, (7, 2))]
         base = polyline_self_intersects(pts, closed=True)
         for shift in range(1, 7):
             rolled = pts[shift:] + pts[:shift]
             assert polyline_self_intersects(rolled, closed=True) == base
         c, s = math.cos(0.83), math.sin(0.83)
-        moved = [Vec2(c * p.x - s * p.y + 5.0, s * p.x + c * p.y - 2.0) for p in pts]
+        moved = [(c * x - s * y + 5.0, s * x + c * y - 2.0) for x, y in pts]
         assert polyline_self_intersects(moved, closed=True) == base
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(GeometryError):
-            polyline_self_intersects([Vec2(0, 0), Vec2(1, 1)])
+            polyline_self_intersects([(0, 0), (1, 1)])
         with pytest.raises(GeometryError):
-            polyline_self_intersects([Vec2(0, 0), Vec2(0, 0), Vec2(1, 1)])
+            polyline_self_intersects([(0, 0), (0, 0), (1, 1)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("closed", [True, False])
@@ -236,7 +261,7 @@ def _all_pairs_self_intersects(pts, closed=True, eps=1e-12):
 
 def _seg_cross(a, b, c, d):
     def orient(p, q, r):
-        v = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
+        v = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
         return 0 if abs(v) <= 1e-12 else (1 if v > 0 else -1)
 
     o1, o2 = orient(a, b, c), orient(a, b, d)
@@ -247,7 +272,7 @@ def _seg_cross(a, b, c, d):
     def on(a, b, p):
         if orient(a, b, p) != 0:
             return False
-        return (min(a.x, b.x) - 1e-12 <= p.x <= max(a.x, b.x) + 1e-12
-                and min(a.y, b.y) - 1e-12 <= p.y <= max(a.y, b.y) + 1e-12)
+        return (min(a[0], b[0]) - 1e-12 <= p[0] <= max(a[0], b[0]) + 1e-12
+                and min(a[1], b[1]) - 1e-12 <= p[1] <= max(a[1], b[1]) + 1e-12)
 
     return on(a, b, c) or on(a, b, d) or on(c, d, a) or on(c, d, b)

@@ -22,11 +22,11 @@ GOLDEN = json.loads((REPO / "tests" / "data" / "polygons.json").read_text())
 
 def _fields(poly) -> dict:
     return {
-        "vertices": [[v.x, v.y] for v in poly.vertices],
-        "parameters": list(poly.parameters),
-        "contact_points": [[c.point.x, c.point.y] for c in poly.contacts],
-        "contact_parameters": [c.parameter for c in poly.contacts],
-        "chords": [c.chord for c in poly.contacts],
+        "vertices": poly.vertices,
+        "parameters": poly.parameters,
+        "contact_points": poly.contacts,
+        "contact_parameters": poly.contact_parameters,
+        "chords": poly.chords,
         "closure_gap": poly.closure_gap,
     }
 
@@ -42,7 +42,7 @@ def test_polygons_match_golden(name):
     for golden in want:
         poly = cfg.polygon(golden["start"])
         got = _fields(poly)
-        assert [c.envelope_index for c in poly.contacts] == golden["envelope_indices"]
+        assert poly.envelope_index.tolist() == golden["envelope_indices"]
         for key, value in got.items():
             expected = np.asarray(golden[key], dtype=float)
             scale = max(float(np.max(np.abs(expected))), 1.0)
@@ -55,11 +55,11 @@ def test_contacts_lie_on_their_envelope_and_side(name):
     cfg = SCENES[name]().configuration
     for start in np.linspace(0.0, cfg.domain_length, 8, endpoint=False) + 0.1:
         poly = cfg.polygon(float(start))
-        v = np.array([[q.x, q.y] for q in poly.vertices])
+        v = poly.vertices
         d = np.roll(v, -1, axis=0) - v
-        for i, contact in enumerate(poly.contacts):
-            x = np.array([contact.point.x, contact.point.y])
-            on_envelope = cfg.envelopes[contact.envelope_index].positions([contact.parameter])[0]
+        for i, (x, k, psi) in enumerate(zip(poly.contacts, poly.envelope_index,
+                                            poly.contact_parameters)):
+            on_envelope = cfg.envelopes[k].positions([psi])[0]
             assert np.max(np.abs(on_envelope - x)) < 1e-12, (start, i)
             r = x - v[i]
             assert abs(d[i, 0] * r[1] - d[i, 1] * r[0]) / np.hypot(*d[i]) < 1e-12, (start, i)

@@ -470,6 +470,17 @@ def test_equilateral_sheet_cap_counts_the_sheets_used():
     assert scene.verify(probes=8).passed
 
 
+def test_import_loads_only_the_standard_library_numpy_and_poncelet():
+    # the runtime dependency is numpy only
+    script = ("import json, sys; before = set(sys.modules); import poncelet; "
+              "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=str(REPO), env=cli_env(), timeout=60, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert {"numpy", "poncelet"} <= loaded
+    assert loaded - set(sys.stdlib_module_names) == {"numpy", "poncelet"}
+
+
 def test_main_entrypoint_in_process(tmp_path, capsys):
     rc = main(["build", str(CONFIGS / "equilateral_a85.json"), "--skip-verify"])
     assert rc == 0

@@ -10,7 +10,16 @@ The file was rewritten when the root solver gained its minimum step and
 best-end return, after a diff of old and new reports showed the same
 pass/fail, checks and errors and every float within 1e-12 absolute; one
 field moved: iterated_square@64 construction max_step_mismatch, from
-1.07e-14 to 8.9e-15."""
+1.07e-14 to 8.9e-15.
+
+It was rewritten again when sequence mode began to assemble its polygons
+from the construction's walk on the configuration's own curves. Two kinds
+of field moved, and nothing else: every vertex-shift s_range, because the
+control used to move the vertices but keep the old chords; and the
+iterated_square envelope-bump max_tangency_gap (2.5e-14 and 3.2e-14 to
+1.0e-3, with tangency now false), because the contacts now lie on the
+moved envelope. Every construction entry and every passed and errors value
+stayed as it was."""
 
 import json
 from pathlib import Path

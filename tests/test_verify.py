@@ -13,16 +13,17 @@ from hypothesis import strategies as st
 from poncelet import circlemaps as cm
 from poncelet import verify
 from poncelet.circlemaps import circle_distance
-from poncelet.equiangular import ConstructionError, EquiangularSpec, equilateral_pair
-from poncelet.geometry import Vec2, radians
+from poncelet.equiangular import (ConstructionError, EquiangularSpec, equilateral_pair,
+                                  rigid_walk)
+from poncelet.geometry import radians
 from poncelet.roots import bracketed_roots
 from poncelet.scene import SchemaError, build_scene, load_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
-from poncelet.verify import (OracleError, PonceletConfiguration, next_vertex_oracle,
-                             parametric_side_contacts, regularity_scan, side_contact_recover,
-                             verify_pair)
+from poncelet.verify import (OracleError, PonceletConfiguration, VerificationReport,
+                             next_vertex_oracle, parametric_side_contacts, regularity_scan,
+                             side_contact_recover, verify_pair)
 from poncelet.vertex import ContactStepSystem, vertex_from_envelope
-from test_bench_contract import SCENES
+from test_bench_contract import SCENES, gate
 
 TWO_PI = 2 * math.pi
 ITERATED_SQUARE = Path(__file__).resolve().parent.parent / "configs" / "iterated_square.json"
@@ -48,8 +49,8 @@ class TestNextVertexOracle:
         assert step.t2 == pytest.approx(alpha, abs=1e-10)
         assert step.contact_parameter == pytest.approx(alpha / 2, abs=1e-10)
         x = C.eval(alpha / 2)
-        assert math.hypot(step.contact.x - x * math.cos(alpha / 2),
-                          step.contact.y - x * math.sin(alpha / 2)) < 1e-10
+        assert math.hypot(step.contact[0] - x * math.cos(alpha / 2),
+                          step.contact[1] - x * math.sin(alpha / 2)) < 1e-10
 
     def test_equilateral_pair_rigid_step_where_unambiguous(self):
         pair = equilateral_pair(1, Fraction(2), 8 / 5)
@@ -154,12 +155,11 @@ class TestSideContactRecovery:
         pair = equilateral_pair(4, Fraction(2, 3), math.cos(2 * math.pi / 5) * 25 / 9)
         poly = pair.polygon(0.77)
         L = pair.envelope_support.domain_length
-        a = np.array([tuple(v) for v in poly.vertices])
+        a = poly.vertices
         psi, gap = side_contact_recover(a, np.roll(a, -1, axis=0), pair.envelope_support)
         assert psi.shape == gap.shape == (len(poly.contacts),)
-        for i, contact in enumerate(poly.contacts):
-            assert gap[i] < 1e-10
-            assert circle_distance(psi[i], contact.parameter, L) < 1e-9
+        assert np.all(gap < 1e-10)
+        assert np.all(circle_distance(psi, poly.contact_parameters, L) < 1e-9)
 
     @pytest.mark.parametrize("l, builds", [((2, 1), 16), ((1, 2), 16), ((3, 2), 20),
                                            ((2, 3), 20)])
@@ -236,15 +236,14 @@ class TestParametricSideContacts:
     def test_sides_are_solved_independently(self, iterated_square):
         env = iterated_square.envelopes[0]
         poly = iterated_square.polygon(0.7)
-        n = len(poly.vertices)
-        a = np.array([tuple(poly.vertices[i]) for i in range(n)])
-        b = np.array([tuple(poly.vertices[(i + 1) % n]) for i in range(n)])
+        a = poly.vertices
+        b = np.roll(a, -1, axis=0)
         together, _ = parametric_side_contacts(a, b, env, *self.grid(env), 1e-8)
-        for i in range(n):
+        for i in range(len(a)):
             alone, _ = parametric_side_contacts(a[i:i + 1], b[i:i + 1], env,
                                                 *self.grid(env), 1e-8)
             assert together[i] == alone[0]
-            assert min(circle_distance(t, poly.contacts[i].parameter, env.domain_length)
+            assert min(circle_distance(t, poly.contact_parameters[i], env.domain_length)
                        for t in alone[0]) < 1e-7
 
 
@@ -277,17 +276,17 @@ class TestImplicitEnvelopeControls:
     def expected_errors(self, config):
         L = config.domain_length
         starts = np.linspace(0.0, L, self.PROBES, endpoint=False) + 0.05 * L / self.PROBES
-        return [f"no tangency of side {i} recovered on envelope {c.envelope_index} "
-                f"near t = {c.parameter:.6f}"
-                for t0 in starts for i, c in enumerate(config.polygon(float(t0)).contacts)]
+        out = []
+        for t0 in starts:
+            poly = config.polygon(float(t0))
+            out += [f"no tangency of side {i} recovered on envelope {k} near t = {t:.6f}"
+                    for i, (k, t) in enumerate(zip(poly.envelope_index, poly.contact_parameters))]
+        return out
 
     def shifted(self, config):
-        def polygon(start):
-            poly = config.polygon(start)
-            return dataclasses.replace(poly, vertices=tuple(
-                Vec2(v.x + 1e-3, v.y) for v in poly.vertices))
-
-        return dataclasses.replace(config, polygon=polygon)
+        shift = np.array([1e-3, 0.0])
+        return dataclasses.replace(config, vertex_curves=tuple(
+            gate._moved_curve(k, lambda ts, pos: shift) for k in config.vertex_curves))
 
     def test_envelope_bump_fails_on_every_side(self, iterated_square):
         env = iterated_square.envelopes[0]
@@ -303,7 +302,7 @@ class TestImplicitEnvelopeControls:
 
     def test_vertex_shift_fails_on_every_side_of_every_envelope(self):
         clan = SCENES["clan-from-vertex"]().configuration
-        assert {c.envelope_index for c in clan.polygon(0.3).contacts} == {0, 1, 2}
+        assert set(clan.polygon(0.3).envelope_index.tolist()) == {0, 1, 2}
         rep = verify_pair(self.shifted(clan), probes=self.PROBES)
         assert not rep.passed
         assert rep.errors == self.expected_errors(clan)
@@ -317,21 +316,19 @@ def _sequence_config(name):
 class TestPerturbedSequencePolygons:
     @settings(max_examples=60)
     @given(name=st.sampled_from(["equilateral_a85", "pentagram", "clan", "iterated_square"]),
-           vertex=st.integers(0, 63), length=st.floats(1e-4, 1e-2),
-           angle=st.floats(0.0, TWO_PI))
-    def test_one_moved_vertex_never_passes(self, name, vertex, length, angle):
+           vertex=st.integers(0, 63), length=st.floats(1e-4, 1e-2), sign=st.sampled_from([-1, 1]))
+    def test_one_moved_vertex_never_passes(self, name, vertex, length, sign):
+        # the vertex slides along its curve: its parameter moves, nothing else
         config = _sequence_config(name)
         assert config.mode == "sequence"
-        dx, dy = length * math.cos(angle), length * math.sin(angle)
 
-        def moved(start):
-            poly = config.polygon(start)
-            vs = list(poly.vertices)
-            v = vs[vertex % len(vs)]
-            vs[vertex % len(vs)] = Vec2(v.x + dx, v.y + dy)
-            return dataclasses.replace(poly, vertices=tuple(vs))
+        def moved(starts):
+            walk = config.walk(starts)
+            params = walk.vertex_params.copy()
+            params[:, vertex % (params.shape[1] - 1)] += sign * length
+            return dataclasses.replace(walk, vertex_params=params)
 
-        assert not verify_pair(dataclasses.replace(config, polygon=moved), probes=8).passed
+        assert not verify_pair(dataclasses.replace(config, walk=moved), probes=8).passed
 
 
 class TestNonConvergence:
@@ -364,7 +361,7 @@ def wankel_configuration(**overrides):
         envelopes=(pair.envelope,),
         envelope_supports=(pair.envelope_support,),
         polygon=pair.polygon,
-        count=pair.count,
+        walk=pair.walk,
         mode="oracle",
         step_lift=lambda t: np.asarray(t) + alpha,
         step_inv_lift=lambda t: np.asarray(t) - alpha,
@@ -393,7 +390,9 @@ class TestVerifyPair:
         alpha = TWO_PI / 7
         config = PonceletConfiguration(
             label="concentric", vertex_curves=(K,), envelopes=(curve_c,),
-            envelope_supports=(C,), polygon=None, count=7, mode="oracle",
+            envelope_supports=(C,), polygon=None, mode="oracle",
+            walk=functools.partial(rigid_walk, step=Fraction(2, 7), count=7,
+                                   shift=Fraction(1, 7)),
             step_lift=lambda t: np.asarray(t) + alpha,
             step_inv_lift=lambda t: np.asarray(t) - alpha,
             expected_turns=(alpha,), expect_interior=True)
@@ -435,6 +434,34 @@ class TestVerifyPair:
         config, _ = wankel_configuration()
         rep = verify_pair(config, probes=16)
         assert rep.min_premature_closure > 1.0   # triangle vertices are far apart
+
+
+class TestMetricMerges:
+    SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])[:, None]
+
+    def checked(self, *polygons):
+        """The report of the polygons (count + 1, probes, 2), each merged in
+        turn, against right-angle turns and unit sides."""
+        config, _ = wankel_configuration(expected_turns=(math.pi / 2,), expected_side=1.0)
+        report = VerificationReport("square", 8, 1e-7, "sequence")
+        with np.errstate(invalid="ignore"):      # the NaN case is the point
+            for pts in polygons:
+                verify._polygon_checks(report, pts, config, config.expected_turns)
+        verify._judge(report, config, 1e-7)
+        return report
+
+    def test_exact_square_passes_equiangular_and_equilateral(self):
+        report = self.checked(self.SQUARE)
+        assert report.max_angle_deviation == 0.0 and report.side_length_spread == 0.0
+        assert report.checks["equiangular"] and report.checks["equilateral"]
+
+    def test_nan_turn_fails_and_stays_in_the_report(self):
+        broken = self.SQUARE.copy()
+        broken[2] = np.nan
+        report = self.checked(self.SQUARE, broken)
+        assert math.isnan(report.max_angle_deviation)
+        assert math.isnan(report.side_length_spread)
+        assert not report.checks["equiangular"] and not report.checks["equilateral"]
 
 
 class TestRegularityScan:

@@ -43,10 +43,10 @@ class TestVertexFromEnvelope:
         res = vertex_from_envelope(ContactStepSystem(SupportFunction(2.0, (), 1), f))
         poly = res.polygon(0.6)
         assert poly.closure_gap < 1e-9
-        for i, contact in enumerate(poly.contacts):
-            u = np.array([math.cos(contact.parameter), math.sin(contact.parameter)])
+        for i, psi in enumerate(poly.contact_parameters):
+            u = np.array([math.cos(psi), math.sin(psi)])
             for v in (poly.vertices[i], poly.vertices[(i + 1) % 5]):
-                assert abs(np.dot([v.x, v.y], u) - 2.0) < 1e-10
+                assert abs(np.dot(v, u) - 2.0) < 1e-10
 
     def test_transversality_failure_located(self):
         # f moves phi by ~pi somewhere: sin(f(phi) - phi) crosses zero
@@ -91,12 +91,12 @@ class TestClanFromEnvelope:
         poly = clan.polygon(0.8)
         assert poly.closure_gap < 1e-9
         n = len(poly.vertices)
-        for i, contact in enumerate(poly.contacts):
-            u = np.array([math.cos(contact.parameter), math.sin(contact.parameter)])
-            pv = support.eval(contact.parameter)
+        for i, psi in enumerate(poly.contact_parameters):
+            u = np.array([math.cos(psi), math.sin(psi)])
+            pv = support.eval(psi)
             a, b = poly.vertices[i], poly.vertices[(i + 1) % n]
-            assert abs(np.dot([a.x, a.y], u) - pv) < 1e-10
-            assert abs(np.dot([b.x, b.y], u) - pv) < 1e-10
+            assert abs(np.dot(a, u) - pv) < 1e-10
+            assert abs(np.dot(b, u) - pv) < 1e-10
 
     def test_tangency_by_construction_identities(self):
         # <K_i(phi), u(psi)> = p(psi) pointwise at both tangent parameters psi:
