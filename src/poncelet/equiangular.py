@@ -1,12 +1,11 @@
 """Equiangular pairs and clans for a prescribed envelope.
 
 For an envelope with support function p on [0, 2*k*pi) and an external
-angle alpha, the 2k vertex curves are
-
-    Y_i(phi) = csc(a_i) (p(phi + a_i) u'(phi) - p(phi) u'(phi + a_i)),
-
-with a_i = alpha + i*pi. For p = a + cos(l*phi) the pair carries congruent
-equilateral polygons and the vertex curve is the epitrochoid
+angle alpha, the 2k vertex curves Y_i are the vertex curves of the rigid
+steps phi -> phi + a_i, a_i = alpha + i*pi: Y_i(phi) is where the tangent
+lines at phi and phi + a_i meet (support.vertex_position_fn). For
+p = a + cos(l*phi) the pair carries congruent equilateral polygons and the
+vertex curve is the epitrochoid
 
     Y(phi) = a sec(alpha/2) u(phi) + (-1)^k u(n*phi),      n = l + 1.
 """
@@ -23,7 +22,7 @@ import numpy as np
 from . import jets
 from .geometry import GeometryError, closure_steps, radians
 from .support import (PlaneCurve, SupportFunction, SupportTerm, curve_from_position,
-                      curve_from_support)
+                      curve_from_support, vertex_position_fn)
 
 
 class ConstructionError(ValueError):
@@ -132,29 +131,22 @@ def rigid_walk(starts: np.ndarray, step: Fraction, count: int, shift: Fraction) 
 
 
 def equiangular_vertex_curve(spec: EquiangularSpec, label: str = "") -> PlaneCurve:
-    """Vertex curve Y_i for the branch angle a_i, with closed-form jet."""
+    """Vertex curve Y_i for the branch angle a_i: the tangent lines at t and
+    t + a_i meet at Y_i(t)."""
     a_i = spec.branch_angle
     if a_i.denominator == 1:
-        raise ConstructionError(f"branch angle {a_i}*pi is a multiple of pi (csc undefined)")
+        raise ConstructionError(f"branch angle {a_i}*pi is a multiple of pi (parallel tangents)")
     alpha = radians(a_i)
-    csc = 1.0 / math.sin(alpha)
-    p = spec.envelope
-
-    def pos(ts):
-        c, s = jets.cos(ts), jets.sin(ts)
-        ca, sa = jets.cos(ts + alpha), jets.sin(ts + alpha)
-        p0, q0 = p.eval(ts), p.eval(ts + alpha)
-        return csc * jets.stack([-q0 * s + p0 * sa, q0 * c - p0 * ca])
-
-    return curve_from_position(p.domain_length, pos, label=label)
+    pos = vertex_position_fn(spec.envelope, lambda ts: ts, lambda ts: ts + alpha)
+    return curve_from_position(spec.envelope.domain_length, pos, label=label)
 
 
 def vertex_count(angle: Fraction, k: int) -> int:
     """Number of steps of size angle * pi until a multiple of 2*k*pi is reached."""
-    if not (0 < angle < 2):
-        raise ConstructionError("angle must lie strictly between 0 and 2*pi")
     if k < 1:
         raise ConstructionError("sheet count must be positive")
+    if not (0 < angle < 2 * k):
+        raise ConstructionError(f"angle must lie strictly between 0 and {2 * k}*pi")
     return closure_steps(angle, Fraction(2 * k))
 
 

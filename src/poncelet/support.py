@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import jets
 from .jets import Jet, chain
 
 
@@ -161,6 +162,22 @@ def curve_from_support(p: SupportFunction, label: str = "") -> PlaneCurve:
         return out
 
     return curve_from_position(p.domain_length, lambda ts: chain(ts, derivs), label=label)
+
+
+def vertex_position_fn(p: SupportFunction, a: Callable, b: Callable) -> Callable:
+    """Position function (arrays or Jets) of the vertex curve whose point at
+    t is where the tangent lines of p at phi = a(t) and b(t) meet:
+    Y = p(phi) u(phi) + q(phi) u'(phi). a and b are lifts."""
+
+    def pos(ts):
+        phi, fphi = a(ts), b(ts)
+        adv = fphi - phi
+        p0 = p.eval(phi)
+        q = (p.eval(fphi) - p0 * jets.cos(adv)) / jets.sin(adv)
+        c, s = jets.cos(phi), jets.sin(phi)
+        return p0[:, None] * jets.stack([c, s]) + q[:, None] * jets.stack([-s, c])
+
+    return pos
 
 
 def constant_width_check(p: SupportFunction, samples: int = 720, tol: float = 1e-10) -> bool:

@@ -9,14 +9,19 @@ lockstep, and a step is a fixed number of array operations on all live
 probes: one (probes, grid) scan per root search on grid values computed
 once per walk, all brackets refined together, forward tangents and hits
 picked by masks and counts. A probe whose step fails drops out with its
-error, and the others go on. For self-intersecting vertex curves, where
-forward tangent selection is ambiguous, verification is restricted to the
-construction's own parameter sequence: its walk gives the parameters of all
-probes, which are assembled on the configuration's own curves (so a moved
-curve moves the checked polygon) and checked together as (probes, n, 2)
-arrays, with the oracle's closure, angle and side statistics, and each
-side's tangency parameter is recovered independently from its normal form,
-for all sides of one envelope in one array call.
+error, and the others go on; the parameters of the probes that close are
+the oracle's walk. For self-intersecting vertex curves, where forward
+tangent selection is ambiguous, the walk is the construction's own
+parameter sequence instead, and each side's tangency parameter is then
+recovered independently from its normal form, for all sides of one
+envelope in one array call.
+
+Either walk is assembled on the configuration's own curves (so a moved
+curve moves the checked polygon) and measured by one function,
+_polygon_metrics, on (probes, n, 2) arrays. A polygon is its n vertices
+taken cyclically: the closing side runs from vertex n - 1 to vertex 0, and
+the closure error is how far the step after vertex n - 1 lands from vertex
+0. Every metric covers the probes whose polygons close.
 
 Envelopes without a support function are checked by recovering each side's
 contact from the envelope's parametrization: every side of every probe's
@@ -38,7 +43,6 @@ import numpy as np
 
 from .circlemaps import circle_distance
 from .equiangular import PonceletPolygon, Walk, assemble
-from .geometry import wrap_pi
 from .roots import GRID, bracketed_roots
 from .support import PlaneCurve, SupportFunction
 
@@ -62,15 +66,6 @@ MAX_SHEETS = 64
 
 class OracleError(RuntimeError):
     pass
-
-
-# The scalar formulas, element by element: np.hypot, np.arctan2 and np.arcsin
-# can differ from math.hypot, math.atan2 and math.asin in the last bit, and the
-# reports keep the values of the scalar formulas.
-_hypot = np.vectorize(math.hypot, otypes=[float])
-_atan2 = np.vectorize(math.atan2, otypes=[float])
-_asin = np.vectorize(math.asin, otypes=[float])
-_wrap_pi = np.vectorize(wrap_pi, otypes=[float])
 
 
 def _circle_roots(fn, L: float, ts: np.ndarray,
@@ -233,7 +228,7 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     d = np.asarray(b, dtype=float).reshape(-1, 2) - a
-    nrm = _hypot(d[:, 0], d[:, 1])
+    nrm = np.hypot(d[:, 0], d[:, 1])
     nx, ny = -d[:, 1] / nrm, d[:, 0] / nrm
     side, cand = _distance_minima(a, nx, ny, grid_pts)
     L = curve.domain_length
@@ -315,10 +310,10 @@ def side_contact_recover(a: np.ndarray, b: np.ndarray,
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
     d = b - a
-    nrm = _hypot(d[:, 0], d[:, 1])
+    nrm = np.hypot(d[:, 0], d[:, 1])
     if np.any(nrm == 0.0):
         raise OracleError("degenerate side")
-    theta = _atan2(-d[:, 0] / nrm, d[:, 1] / nrm)
+    theta = np.arctan2(-d[:, 0] / nrm, d[:, 1] / nrm)
     turns = np.arange(round(p.period / math.pi)) * math.pi
     out = np.empty((2, len(a)))
     for k0 in range(0, len(a), _SIDE_BLOCK):
@@ -403,30 +398,6 @@ class PonceletConfiguration:
         return self.walk(np.zeros(1)).contact_params.shape[1]
 
 
-def _polygon_checks(report: VerificationReport, pts: np.ndarray, config, turns):
-    """Premature closure, side-length spread and exterior-angle deviation of
-    the polygons pts (count + 1, probes, 2), whose row count is where each
-    one closes; the turns are expected cyclically over rows 0 to count - 1."""
-    count = len(pts) - 1
-    if count > 1:
-        shift = pts[1:count] - pts[0]
-        # np.minimum and np.maximum keep a NaN, where min and max could drop it
-        report.min_premature_closure = float(np.minimum(report.min_premature_closure, np.min(
-            _hypot(shift[..., 0], shift[..., 1]))))
-    if config.expected_side is not None:
-        side = np.diff(pts, axis=0)
-        spread = np.abs(_hypot(side[..., 0], side[..., 1]) - config.expected_side)
-        report.side_length_spread = float(np.maximum(report.side_length_spread or 0.0,
-                                                     np.max(spread / config.expected_side)))
-    if turns is not None:
-        b = np.roll(pts[:count], -1, axis=0) - pts[:count]   # side i: vertex i to i + 1
-        a = np.roll(b, 1, axis=0)
-        turn = _atan2(a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
-                      a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1])
-        dev = np.max(np.abs(_wrap_pi(turn - np.resize(turns, count)[:, None])))
-        report.max_angle_deviation = float(np.maximum(report.max_angle_deviation or 0.0, dev))
-
-
 def verify_pair(config: PonceletConfiguration, probes: int = 64,
                 tol: float | None = None) -> VerificationReport:
     """Run every applicable check for the configuration; never raises for
@@ -467,17 +438,68 @@ def _judge(report: VerificationReport, config, tol: float):
         report.checks["interiority"] = interior == config.expect_interior
 
 
+def _envelope_sides(poly: PonceletPolygon, k: int):
+    """The sides of the stacked polygons that touch envelope k: their probe
+    and side indices, end vertices and contact parameters."""
+    probe, side = np.nonzero(poly.envelope_index == k)
+    v = poly.vertices
+    return (probe, side, v[probe, side], v[probe, (side + 1) % v.shape[1]],
+            poly.contact_parameters[probe, side])
+
+
+def _polygon_metrics(report: VerificationReport, config, poly: PonceletPolygon, turns):
+    """Every polygon statistic of the stacked polygons (probes, n), whatever
+    walked them: closure, chord range, premature closure, side-length
+    spread, exterior-angle deviation from the turns (cyclic over the
+    vertices) and the tangency gap on every envelope. A polygon is its n
+    vertices taken cyclically; side i runs from vertex i to vertex i + 1."""
+    v = poly.vertices
+    count = v.shape[1]
+    d = np.roll(v, -1, axis=1) - v
+    side = np.hypot(d[..., 0], d[..., 1])
+    # np.max and np.min keep a NaN, which then fails its check
+    report.closure_error = float(np.max(poly.closure_gap))
+    report.s_min, report.s_max = float(np.min(poly.chords)), float(np.max(poly.chords))
+    if count > 1:
+        shift = v[:, 1:] - v[:, :1]
+        report.min_premature_closure = float(np.min(np.hypot(shift[..., 0], shift[..., 1])))
+    if config.expected_side is not None:
+        e = config.expected_side
+        report.side_length_spread = float(np.max(np.abs(side - e) / e))
+    if turns is not None:
+        prev = np.roll(d, 1, axis=1)
+        turn = np.arctan2(prev[..., 0] * d[..., 1] - prev[..., 1] * d[..., 0],
+                          prev[..., 0] * d[..., 0] + prev[..., 1] * d[..., 1])
+        dev = np.mod(turn - np.resize(turns, count) + math.pi, 2.0 * math.pi) - math.pi
+        report.max_angle_deviation = float(np.max(np.abs(dev)))
+    for k, (curve, sup) in enumerate(zip(config.envelopes, config.envelope_supports)):
+        probe, i, a, b, at = _envelope_sides(poly, k)
+        if not probe.size:
+            continue
+        if sup is not None:
+            gap = _support_gap(a, b, at, sup)
+        else:
+            # the contact must lie on the side line, tangent to it
+            vel = curve.jet_many(at)[1]
+            dk, r, length = d[probe, i], poly.contacts[probe, i] - a, side[probe, i]
+            sin = (vel[:, 0] * dk[:, 1] - vel[:, 1] * dk[:, 0]) / (
+                np.hypot(vel[:, 0], vel[:, 1]) * length)
+            gap = np.maximum(np.abs(dk[:, 0] * r[:, 1] - dk[:, 1] * r[:, 0]) / length,
+                             np.abs(np.arcsin(np.clip(sin, -1.0, 1.0))))
+        report.max_tangency_gap = float(np.maximum(report.max_tangency_gap, np.max(gap)))
+
+
 def _verify_oracle(config, starts, tol, report):
     """Walk every probe's polygon in lockstep: one oracle step per step index
     for all probes still live; a probe whose step fails drops out with its
-    error and the others go on."""
+    error and the others go on. The walks of the probes that close are
+    measured like any other walk."""
     K = config.vertex_curves[0]
     p = config.envelope_supports[0]
     L = K.domain_length
     count = config.count
-    params = np.empty((count + 1, len(starts)))
-    pts = np.empty((count + 1, len(starts), 2))
-    params[0], pts[0] = starts, K.positions(starts)
+    params, psis = np.empty((len(starts), count + 1)), np.empty((len(starts), count))
+    params[:, 0] = starts
     live = np.ones(len(starts), dtype=bool)
     failed: dict[int, OracleError] = {}
     direction = None
@@ -486,22 +508,14 @@ def _verify_oracle(config, starts, tol, report):
     grid = _oracle_grid(K, p)
     for j in range(count):
         probes = np.nonzero(live)[0]
-        done, t2, psi, contact, errors = _oracle_step(K, p, params[j, probes], grid)
+        done, t2, psi, _, errors = _oracle_step(K, p, params[probes, j], grid)
         failed.update((probes[i], err) for i, err in errors.items())
         live[probes[list(errors)]] = False
         probes = probes[done]
         if not probes.size:
             break
-        t = params[j, probes]
-        a, b = pts[j, probes], K.positions(t2)
-        gap = _support_gap(a, b, psi, p)
-        report.max_tangency_gap = float(np.maximum(report.max_tangency_gap, np.max(gap)))
-        d = b - a
-        chord = (((contact[:, 0] - a[:, 0]) * d[:, 0] + (contact[:, 1] - a[:, 1]) * d[:, 1])
-                 / (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]))
-        report.s_min = float(np.minimum(report.s_min, np.min(chord)))
-        report.s_max = float(np.maximum(report.s_max, np.max(chord)))
         if config.step_lift is not None:
+            t = params[probes, j]
             fwd = np.asarray(config.step_lift(t), dtype=float)
             rev = np.asarray(config.step_inv_lift(t), dtype=float)
             if direction is None:
@@ -510,64 +524,44 @@ def _verify_oracle(config, starts, tol, report):
                              <= circle_distance(t2[0], rev[0], L) else "reverse")
             ref = fwd if direction == "forward" else rev
             step_mismatch = float(np.maximum(step_mismatch, np.max(circle_distance(t2, ref, L))))
-        params[j + 1, probes], pts[j + 1, probes] = t2, b
+        params[probes, j + 1], psis[probes, j] = t2, psi
 
     report.errors.extend(f"start {starts[i]:.6f}: {failed[i]}" for i in sorted(failed))
-    closed = pts[:, live]
-    if closed.shape[1]:
-        gap = closed[count] - closed[0]
-        report.closure_error = float(np.maximum(report.closure_error, np.max(_hypot(*gap.T))))
+    if live.any():
         # a reverse-walked polygon turns by the negated exterior angles
         sign = -1.0 if direction == "reverse" else 1.0
-        _polygon_checks(report, closed, config, None if config.expected_turns is None
-                        else [sign * turn for turn in config.expected_turns])
+        turns = None if config.expected_turns is None else sign * np.array(config.expected_turns)
+        poly = assemble(Walk(params[live], 0, psis[live], 0), config.vertex_curves, config.envelopes)
+        _polygon_metrics(report, config, poly, turns)
 
     if config.step_lift is not None and not report.errors:
         report.max_step_mismatch = step_mismatch
         report.oracle_direction = direction
         report.checks["oracle_step"] = step_mismatch < tol
-        jumps = np.diff(np.unwrap(params[1], period=L))
+        jumps = np.diff(np.unwrap(params[:, 1], period=L))
         report.monotone_step = bool(np.all(jumps > 0))
         report.checks["monotone_step"] = report.monotone_step
 
 
 def _verify_sequence(config, starts, tol, report):
-    """Check the polygons of every probe's walk, assembled on the
-    configuration's curves as (probes, n) arrays: side i runs from vertex i
-    to vertex i + 1 and touches envelope env[probe, i] at the point x with
-    parameter psi."""
+    """Measure the polygons of every probe's walk, assembled on the
+    configuration's curves, and recover each side's contact on its envelope
+    independently of the construction's contact parameter."""
     poly = assemble(config.walk(starts), config.vertex_curves, config.envelopes)
-    v, x, psi, env = poly.vertices, poly.contacts, poly.contact_parameters, poly.envelope_index
-    w = np.roll(v, -1, axis=1)
-    report.closure_error = float(np.maximum(report.closure_error, np.max(poly.closure_gap)))
-    report.s_min = float(np.minimum(report.s_min, np.min(poly.chords)))
-    report.s_max = float(np.maximum(report.s_max, np.max(poly.chords)))
-    _polygon_checks(report, np.concatenate([v, v[:, :1]], axis=1).transpose(1, 0, 2),
-                    config, config.expected_turns)
-
+    _polygon_metrics(report, config, poly, config.expected_turns)
     mismatch = 0.0
     errors = []                        # ((probe, side), message)
     for k, (curve, sup) in enumerate(zip(config.envelopes, config.envelope_supports)):
-        probe, side = np.nonzero(env == k)
+        probe, side, a, b, at = _envelope_sides(poly, k)
         if not probe.size:
             continue
-        a, b, at = v[probe, side], w[probe, side], psi[probe, side]
         if sup is not None:
-            gap = _support_gap(a, b, at, sup)
             near = circle_distance(side_contact_recover(a, b, sup)[0], at, sup.period)
         else:
             grid_ts = np.linspace(0.0, curve.domain_length, GRID, endpoint=False)
             found, stuck = parametric_side_contacts(a, b, curve, grid_ts,
                                                     curve.positions(grid_ts),
                                                     dist_tol=max(tol, 1e-8))
-            # the construction's contact must lie on the side line, tangent to it
-            vel = curve.jet_many(at)[1]
-            d, r = b - a, x[probe, side] - a
-            side_len = _hypot(d[:, 0], d[:, 1])
-            sin = (vel[:, 0] * d[:, 1] - vel[:, 1] * d[:, 0]) / (
-                _hypot(vel[:, 0], vel[:, 1]) * side_len)
-            gap = np.maximum(np.abs(d[:, 0] * r[:, 1] - d[:, 1] * r[:, 0]) / side_len,
-                             np.abs(_asin(np.clip(sin, -1.0, 1.0))))
             hits = np.array([len(f) for f in found])
             near = np.full(len(at), np.inf)
             owner = np.repeat(np.arange(len(at)), hits)
@@ -583,7 +577,6 @@ def _verify_sequence(config, starts, tol, report):
                 if not hits[i]:
                     errors.append((where, f"no tangency of side {where[1]} recovered on "
                                           f"envelope {k} near t = {at[i]:.6f}"))
-        report.max_tangency_gap = float(np.maximum(report.max_tangency_gap, np.max(gap)))
         if near.size:
             mismatch = float(np.maximum(mismatch, np.max(near)))
     report.errors.extend(msg for _, msg in sorted(errors, key=lambda e: e[0]))

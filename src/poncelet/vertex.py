@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import jets
 from .circlemaps import CircleDiffeo, TorsionMap, identity, orbit
 from .envelope import step_chain
 from .equiangular import ConstructionError, Walk, Walked
 from .roots import GRID
-from .support import PlaneCurve, SupportFunction, curve_from_position, curve_from_support
+from .support import (PlaneCurve, SupportFunction, curve_from_position, curve_from_support,
+                      vertex_position_fn)
 
 
 @dataclass(frozen=True)
@@ -48,21 +48,6 @@ def _transversality_gaps(advance: np.ndarray, ts: np.ndarray, tol: float = 1e-9)
     flips = np.nonzero(np.sign(s) * np.sign(np.roll(s, -1)) < 0)[0]
     bad.update(flips.tolist())
     return [float(ts[i]) for i in sorted(bad)[:8]]
-
-
-def _vertex_position_fn(p: SupportFunction, a: Callable, b: Callable) -> Callable:
-    """Position function (arrays or Jets) of the vertex curve whose point at
-    t is where the envelope's tangent lines at phi = a(t) and b(t) meet:
-    Y = p(phi) u(phi) + q(phi) u'(phi). a and b are lifts."""
-
-    def pos(ts):
-        phi, fphi = a(ts), b(ts)
-        adv = fphi - phi
-        q = (p.eval(fphi) - p.eval(phi) * jets.cos(adv)) / jets.sin(adv)
-        c, s = jets.cos(phi), jets.sin(phi)
-        return p.eval(phi)[:, None] * jets.stack([c, s]) + q[:, None] * jets.stack([-s, c])
-
-    return pos
 
 
 @dataclass(frozen=True)
@@ -96,7 +81,7 @@ def vertex_from_envelope(system: ContactStepSystem) -> VertexResult:
             "transversality <u'(phi), u(f(phi))> = sin(f(phi) - phi) vanishes near "
             + ", ".join(f"{t:.6f}" for t in gaps))
 
-    curve = curve_from_position(L, _vertex_position_fn(p, identity(L).lift, f.lift), label="K")
+    curve = curve_from_position(L, vertex_position_fn(p, identity(L).lift, f.lift), label="K")
     return VertexResult(system, curve_from_support(p, label="C"), curve)
 
 
@@ -139,6 +124,6 @@ def clan_from_envelope(envelope: SupportFunction,
 
     same = identity(L).lift
     lifts = [(same, f.lift) for f in steps] + [(lambda ts: orbit(steps, ts)[-1], same)]
-    curves = tuple(curve_from_position(L, _vertex_position_fn(envelope, a, b), f"K{i}")
+    curves = tuple(curve_from_position(L, vertex_position_fn(envelope, a, b), f"K{i}")
                    for i, (a, b) in enumerate(lifts, 1))
     return EnvelopeClan(envelope, curve_from_support(envelope, label="C"), curves, steps)

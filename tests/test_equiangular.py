@@ -115,19 +115,22 @@ class TestVertexCount:
         assert vertex_count(Fraction(2, 3), 1) == 3
         assert vertex_count(Fraction(5, 3), 1) == 6
 
+    def test_angle_outside_the_sheets_rejected(self):
+        for ang, k in [(Fraction(0), 1), (Fraction(2), 1), (Fraction(4), 2), (Fraction(9, 2), 2)]:
+            with pytest.raises(ConstructionError, match=rf"between 0 and {2 * k}\*pi"):
+                vertex_count(ang, k)
+
     def test_rational_step_on_three_sheets(self):
         # alpha = 2*pi*5/7 = (10/7)*pi on k = 3 sheets
         assert vertex_count(Fraction(10, 7), 3) == 21
 
     def test_against_brute_force(self):
+        # angles anywhere in (0, 2k): branch angles a + i*pi reach past 2 on k >= 2 sheets
         rng = np.random.default_rng(17)
         for _ in range(40):
-            num = int(rng.integers(1, 24))
-            den = int(rng.integers(max(1, num // 2), 24))
             k = int(rng.integers(1, 5))
-            ang = Fraction(num, den)
-            if not (0 < ang < 2):
-                continue
+            den = int(rng.integers(1, 24))
+            ang = Fraction(int(rng.integers(1, 2 * k * den)), den)
             acc = Fraction(0)
             steps = 0
             while True:

@@ -11,7 +11,19 @@ nine cases and the full-precision parameters in the forced pair's error
 strings changed. The rewrite was made only after a diff of old and new
 reports showed identical pass/fail, mode, checks, direction and probe
 count, the same errors in the same order (their float literals equal to
-1e-12 relative), and every float within 1e-12 absolute."""
+1e-12 relative), and every float within 1e-12 absolute.
+
+It was rewritten again by tests/rewrite_goldens.py when the oracle became a
+walk source whose closing probes are measured by the same function as
+sequence mode, and the equiangular vertex curves began to use the general
+tangent-meet formula. The tool showed no change to any checks, passed,
+errors, mode, oracle_direction or probe count, and 37 moved floats, all
+within 1e-12 absolute but one (the largest move, 5.1e-14, is the hexagon's
+closure_error, which halved: 1.04e-13 to 5.3e-14 at 64 probes). The one is
+the s_range of the forced pair, none of whose probes closes: it went to
+[inf, -inf] and its max_tangency_gap from 2.9e-15 to 0.0, because metrics
+now cover only the polygons that close, where the partial steps of
+failing probes used to count."""
 
 import dataclasses
 import json

@@ -7,7 +7,14 @@ and of `sample_points` on the equilateral_a85 vertex curve at counts on
 both sides of ROW_BLOCK. It was written by the per-coordinate formatter
 that came before blocked formatting, so it pins the bytes, not only their
 stability. The hashes depend on the exact floats numpy's trigonometry
-returns; a numpy build that rounds differently needs the fixture rewritten.
+returns; a numpy build that rounds differently needs the fixture rewritten
+(tests/rewrite_goldens.py render --write).
+
+Five CSV hashes were rewritten by that tool when the equiangular vertex
+curves began to use the general tangent-meet formula: vertex-1 to vertex-3
+of clan.json and the vertex curve of equiangular_hexagon.json and of
+equiangular_triangle.json. Their sample values moved by at most 1.1e-14
+absolute. Every SVG hash and every other CSV hash stayed as it was.
 """
 
 import hashlib

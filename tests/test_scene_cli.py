@@ -205,6 +205,20 @@ class TestCliProcess:
         doc = json.loads(proc.stdout)
         assert doc["verification"]["passed"] is True
 
+    @pytest.mark.parametrize("branch, count", [(2, 12), (3, 6)])
+    def test_pair_on_a_high_branch_of_two_sheets_verifies(self, tmp_path, branch, count):
+        # branch angles 7/3 and 10/3 pi lie past 2 pi, on the second sheet
+        doc = {"construction": "equiangular-pair",
+               "parameters": {"support": {"a": 3, "k": 2, "terms": [
+                   {"l_num": 1, "l_den": 2, "cos": 0.1}]},
+                   "angle": {"num": 1, "den": 3}, "branch": branch}}
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(doc))
+        proc = self.run("verify", str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["passed"] is True
+        assert build_scene(doc).configuration.count == count
+
     def test_schema_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"construction": "nope"}')

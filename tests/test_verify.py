@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from poncelet import circlemaps as cm
 from poncelet import verify
 from poncelet.circlemaps import circle_distance
-from poncelet.equiangular import (ConstructionError, EquiangularSpec, equilateral_pair,
-                                  rigid_walk)
+from poncelet.equiangular import (ConstructionError, EquiangularSpec, PonceletPolygon,
+                                  equilateral_pair, rigid_walk)
 from poncelet.geometry import radians
 from poncelet.roots import bracketed_roots
 from poncelet.scene import SchemaError, build_scene, load_scene
@@ -26,7 +26,8 @@ from poncelet.vertex import ContactStepSystem, vertex_from_envelope
 from test_bench_contract import SCENES, gate
 
 TWO_PI = 2 * math.pi
-ITERATED_SQUARE = Path(__file__).resolve().parent.parent / "configs" / "iterated_square.json"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ITERATED_SQUARE = CONFIGS / "iterated_square.json"
 
 
 def spec_circle_pair(a: float, alpha: float):
@@ -437,22 +438,26 @@ class TestVerifyPair:
 
 
 class TestMetricMerges:
-    SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])[:, None]
+    SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
-    def checked(self, *polygons):
-        """The report of the polygons (count + 1, probes, 2), each merged in
-        turn, against right-angle turns and unit sides."""
+    def checked(self, *squares):
+        """The report of the polygons, one probe each, measured together
+        against right-angle turns and unit sides."""
         config, _ = wankel_configuration(expected_turns=(math.pi / 2,), expected_side=1.0)
+        v = np.stack(squares)
+        zeros = np.zeros(v.shape[:2])
+        poly = PonceletPolygon(v, zeros, v, zeros, zeros + 0.5, zeros.astype(int),
+                               np.zeros(len(v)))
         report = VerificationReport("square", 8, 1e-7, "sequence")
         with np.errstate(invalid="ignore"):      # the NaN case is the point
-            for pts in polygons:
-                verify._polygon_checks(report, pts, config, config.expected_turns)
+            verify._polygon_metrics(report, config, poly, config.expected_turns)
         verify._judge(report, config, 1e-7)
         return report
 
     def test_exact_square_passes_equiangular_and_equilateral(self):
         report = self.checked(self.SQUARE)
         assert report.max_angle_deviation == 0.0 and report.side_length_spread == 0.0
+        assert report.closure_error == 0.0 and report.min_premature_closure == 1.0
         assert report.checks["equiangular"] and report.checks["equilateral"]
 
     def test_nan_turn_fails_and_stays_in_the_report(self):
@@ -462,6 +467,23 @@ class TestMetricMerges:
         assert math.isnan(report.max_angle_deviation)
         assert math.isnan(report.side_length_spread)
         assert not report.checks["equiangular"] and not report.checks["equilateral"]
+
+
+@pytest.mark.parametrize("name", ["wankel", "equiangular_triangle"])
+def test_oracle_and_sequence_modes_measure_alike(name):
+    """The oracle's walk and the construction's walk are judged by the same
+    code, so their polygon statistics agree to rounding."""
+    config = load_scene(str(CONFIGS / f"{name}.json")).configuration
+    assert config.mode == "oracle"
+    oracle = verify_pair(config, probes=32)
+    sequence = verify_pair(dataclasses.replace(config, mode="sequence"), probes=32)
+    assert oracle.passed and sequence.passed
+    for key in ("closure_error", "min_premature_closure", "max_angle_deviation",
+                "side_length_spread", "max_tangency_gap", "s_min", "s_max"):
+        got, want = getattr(sequence, key), getattr(oracle, key)
+        assert (got is None) == (want is None), key
+        if want is not None:
+            assert abs(got - want) < 1e-13, key
 
 
 class TestRegularityScan:

@@ -24,11 +24,17 @@ def shift_torsion(L: float, m: int, n: int) -> cm.TorsionMap:
 
 class TestVertexFromEnvelope:
     def test_rigid_shift_reduces_to_equiangular_curve(self):
+        # reference: the closed form Y = csc(a) (p(t + a) u'(t) - p(t) u'(t + a))
         f = shift_torsion(TWO_PI, 1, 3)
         res = vertex_from_envelope(ContactStepSystem(FIG_P, f))
-        spec_curve = equiangular_vertex_curve(EquiangularSpec(FIG_P, Fraction(2, 3), 0))
+        a = radians(Fraction(2, 3))
         ts = np.linspace(0, TWO_PI, 128, endpoint=False)
-        assert np.max(np.abs(res.curve.positions(ts) - spec_curve.positions(ts))) < 1e-12
+        p0, pa = FIG_P.eval(ts), FIG_P.eval(ts + a)
+        want = np.stack([-pa * np.sin(ts) + p0 * np.sin(ts + a),
+                         pa * np.cos(ts) - p0 * np.cos(ts + a)], axis=1) / math.sin(a)
+        spec_curve = equiangular_vertex_curve(EquiangularSpec(FIG_P, Fraction(2, 3), 0))
+        for curve in (res.curve, spec_curve):
+            assert np.max(np.abs(curve.positions(ts) - want)) < 1e-12
 
     def test_constant_support_gives_circle(self):
         f = shift_torsion(TWO_PI, 1, 5)
