@@ -13,8 +13,7 @@ from .geometry import polyline_self_intersects
 from .scene import Scene, build_scene, load_scene
 from .support import (PlaneCurve, SupportFunction, SupportTerm, constant_width_check,
                       curve_from_support, signed_area)
-from .verify import (PonceletConfiguration, VerificationReport, next_vertex_oracle,
-                     regularity_scan, verify_pair)
+from .verify import PonceletConfiguration, VerificationReport, regularity_scan, verify_pair
 from .vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
 
 __all__ = [
@@ -26,7 +25,7 @@ __all__ = [
     "curve_from_support", "envelope_from_vertex", "envelope_regularity",
     "equiangular_clan", "equiangular_pair", "equiangular_vertex_curve",
     "equilateral_pair", "interiority_check", "load_scene",
-    "make_torsion", "next_vertex_oracle", "polyline_self_intersects",
+    "make_torsion", "polyline_self_intersects",
     "regularity_scan", "rotation", "rotation_number",
     "signed_area", "verify_pair", "verify_torsion", "vertex_count",
     "vertex_from_envelope",

@@ -92,7 +92,7 @@ def _points(curves, index: np.ndarray | int, ts: np.ndarray) -> np.ndarray:
         if bad.any():
             raise GeometryError(f"non-finite polygon point on curve {curve.label!r} "
                                 f"at t = {float(at[np.argmax(bad)])!r}")
-        out[:, cols] = pts.reshape(len(ts), -1, 2)
+        out[:, cols] = pts.reshape(len(ts), np.count_nonzero(cols), 2)
     return out
 
 

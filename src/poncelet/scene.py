@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from . import circlemaps as cm
 from . import equiangular as eq
 from .envelope import VertexStepSystem, clan_from_vertex, envelope_from_vertex
@@ -250,21 +248,15 @@ def _oracle_capable(vertex_curve: PlaneCurve, envelope_support: SupportFunction 
 
 
 def _configuration(label: str, c, supports, vopts: VerifyOptions,
-                   mode: str = "sequence", **extra) -> PonceletConfiguration:
-    """The configuration of construction c's curves and polygon walk."""
+                   **extra) -> PonceletConfiguration:
+    """The configuration of construction c's curves and polygon walk. The
+    oracle checks a pair of one vertex curve and one envelope support that
+    it can walk; every other construction is checked in sequence mode."""
+    one = len(c.vertex_curves) == len(supports) == 1
+    mode = "oracle" if one and _oracle_capable(c.vertex_curves[0], supports[0]) else "sequence"
     return PonceletConfiguration(label, tuple(c.vertex_curves), tuple(c.envelopes),
                                  tuple(supports), c.polygon, c.walk, mode,
                                  expect_interior=vopts.expect_interior, **extra)
-
-
-def _pair_configuration(label: str, pair, support: SupportFunction,
-                        expected_side, vopts) -> PonceletConfiguration:
-    angle = radians(pair.angle)
-    mode = "oracle" if _oracle_capable(pair.vertex_curve, support) else "sequence"
-    return _configuration(label, pair, (support,), vopts, mode,
-                          step_lift=(lambda t: np.asarray(t) + angle),
-                          step_inv_lift=(lambda t: np.asarray(t) - angle),
-                          expected_turns=(wrap_pi(angle),), expected_side=expected_side)
 
 
 def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -274,7 +266,8 @@ def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfi
                               _integer(params.get("branch", 0), "parameters.branch"))
     pair = eq.equiangular_pair(spec)
     _vertices(pair.count, "parameters.angle")
-    return _pair_configuration("equiangular-pair", pair, support, None, vopts)
+    return _configuration("equiangular-pair", pair, (support,), vopts,
+                          expected_turns=(wrap_pi(radians(pair.angle)),))
 
 
 def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -285,8 +278,9 @@ def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfigurat
                                _number(params["a"], "parameters.a"))
     _vertices(pair.count, "parameters.l")
     _sheets(pair.sheets_used, "parameters.k with parameters.l")
-    return _pair_configuration("equilateral", pair, pair.envelope_support,
-                               pair.side_length, vopts)
+    return _configuration("equilateral", pair, (pair.envelope_support,), vopts,
+                          expected_turns=(wrap_pi(radians(pair.angle)),),
+                          expected_side=pair.side_length)
 
 
 def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -318,9 +312,7 @@ def _build_vertex_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletC
     support = _support(params["support"], "parameters.support")
     f = _torsion(params["step"], support.domain_length, "parameters.step")
     res = vertex_from_envelope(ContactStepSystem(support, f))
-    mode = "oracle" if _oracle_capable(res.curve, support) else "sequence"
-    return _configuration("vertex-from-envelope", res, (support,), vopts, mode,
-                          step_lift=f.map.lift, step_inv_lift=f.map.inverse().lift)
+    return _configuration("vertex-from-envelope", res, (support,), vopts)
 
 
 def _build_clan_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:

@@ -10,11 +10,14 @@ probes: one (probes, grid) scan per root search on grid values computed
 once per walk, all brackets refined together, forward tangents and hits
 picked by masks and counts. A probe whose step fails drops out with its
 error, and the others go on; the parameters of the probes that close are
-the oracle's walk. For self-intersecting vertex curves, where forward
-tangent selection is ambiguous, the walk is the construction's own
-parameter sequence instead, and each side's tangency parameter is then
-recovered independently from its normal form, for all sides of one
-envelope in one array call.
+the oracle's walk. Its vertex parameters are compared with the
+construction's walk from the same starts, in order and reversed (against
+the step map f the oracle meets f^-j = f^(n-j)): max_step_mismatch is the
+largest vertex-parameter distance between the two, in the closer order.
+For self-intersecting vertex curves, where forward tangent selection is
+ambiguous, the walk is the construction's own parameter sequence instead,
+and each side's tangency parameter is then recovered independently from
+its normal form, for all sides of one envelope in one array call.
 
 Either walk is assembled on the configuration's own curves (so a moved
 curve moves the checked polygon) and measured by one function,
@@ -126,8 +129,9 @@ def _oracle_grid(K: PlaneCurve, C: SupportFunction) -> tuple[tuple, tuple]:
 
 def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple):
     """One oracle step from every vertex K(t1s[i]), as arrays: the rows i
-    that step (ascending), their next vertex parameters t2, contact
-    parameters psi and contact points, and {i: OracleError} for the rest."""
+    that step (ascending), their next vertex parameters t2 and contact
+    parameters psi, and {i: OracleError} for the rest. A row's failure does
+    not stop the others."""
     n = len(t1s)
     envelope_grid, (tk, kpts) = grid
     q = K.positions(t1s)
@@ -168,36 +172,7 @@ def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple
             + ", ".join(f"{h:.6f}" for h in hit[row == r]))
     one = hits[row] == 1
     row, j = row[one], picks[row[one]]
-    return lines[row], hit[one], psi[j], contact[j], errors
-
-
-@dataclass(frozen=True)
-class OracleStep:
-    t2: float
-    contact_parameter: float
-    contact: tuple[float, float]
-
-
-def next_vertex_oracle(K: PlaneCurve, C: SupportFunction,
-                       t1) -> OracleStep | list[OracleStep | OracleError]:
-    """Next polygon vertex after K(t1) for the pair (K, C), for every t1 at once.
-
-    Requires K(t1) strictly outside C and a clean two-root intersection of
-    the forward tangent with K (convex-type geometry). For an array t1 the
-    result lists, per element, its OracleStep or the OracleError that ends
-    it; one element's failure does not stop the others. A scalar t1 gives
-    its OracleStep or raises its OracleError.
-    """
-    t1s = np.atleast_1d(np.asarray(t1, dtype=float))
-    probe, t2, psi, contact, errors = _oracle_step(K, C, t1s, _oracle_grid(K, C))
-    out: list[OracleStep | OracleError | None] = [errors.get(i) for i in range(len(t1s))]
-    for i, t, p, xy in zip(probe.tolist(), t2.tolist(), psi.tolist(), contact.tolist()):
-        out[i] = OracleStep(t, p, tuple(xy))
-    if np.ndim(t1) == 0:
-        if isinstance(out[0], OracleError):
-            raise out[0]
-        return out[0]
-    return out
+    return lines[row], hit[one], psi[j], errors
 
 
 def _support_point(p: SupportFunction, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,13 +307,14 @@ class VerificationReport:
     probes: int
     tol: float
     mode: str
-    closure_error: float = 0.0
-    min_premature_closure: float = math.inf
-    max_tangency_gap: float = 0.0
+    # the polygon metrics stay None until a closed polygon is measured
+    closure_error: float | None = None
+    min_premature_closure: float | None = None
+    max_tangency_gap: float | None = None
     max_angle_deviation: float | None = None
     side_length_spread: float | None = None
-    s_min: float = math.inf
-    s_max: float = -math.inf
+    s_min: float | None = None
+    s_max: float | None = None
     regularity_min_speed: float = math.inf
     max_step_mismatch: float | None = None
     oracle_direction: str | None = None
@@ -381,9 +357,6 @@ class PonceletConfiguration:
     polygon: Callable[[float], PonceletPolygon]          # one start, for render
     walk: Callable[[np.ndarray], Walk]                   # the parameters of every start
     mode: str                                  # "oracle" | "sequence"
-    # vertex-parameter step and its inverse (oracle mode), set together; both take arrays
-    step_lift: Callable[[np.ndarray], np.ndarray] | None = None
-    step_inv_lift: Callable[[np.ndarray], np.ndarray] | None = None
     expected_turns: tuple[float, ...] | None = None   # wrapped exterior angles, cyclic
     expected_side: float | None = None
     expect_interior: bool | None = None
@@ -424,9 +397,11 @@ def verify_pair(config: PonceletConfiguration, probes: int = 64,
 
 def _judge(report: VerificationReport, config, tol: float):
     """The checks of the report's metrics; a missing or NaN metric fails."""
-    report.checks["closure"] = report.closure_error < tol
-    report.checks["no_premature_closure"] = report.min_premature_closure > tol
-    report.checks["tangency"] = report.max_tangency_gap < max(tol, 1e-8)
+    closure, premature = report.closure_error, report.min_premature_closure
+    gap = report.max_tangency_gap
+    report.checks["closure"] = closure is not None and closure < tol
+    report.checks["no_premature_closure"] = premature is not None and premature > tol
+    report.checks["tangency"] = gap is not None and gap < max(tol, 1e-8)
     if config.expected_turns is not None:
         dev = report.max_angle_deviation
         report.checks["equiangular"] = dev is not None and dev < 1e-8
@@ -434,7 +409,7 @@ def _judge(report: VerificationReport, config, tol: float):
         spread = report.side_length_spread
         report.checks["equilateral"] = spread is not None and spread < 1e-9
     if config.expect_interior is not None:
-        interior = 0.0 < report.s_min and report.s_max < 1.0
+        interior = report.s_min is not None and 0.0 < report.s_min and report.s_max < 1.0
         report.checks["interiority"] = interior == config.expect_interior
 
 
@@ -460,9 +435,9 @@ def _polygon_metrics(report: VerificationReport, config, poly: PonceletPolygon, 
     # np.max and np.min keep a NaN, which then fails its check
     report.closure_error = float(np.max(poly.closure_gap))
     report.s_min, report.s_max = float(np.min(poly.chords)), float(np.max(poly.chords))
-    if count > 1:
-        shift = v[:, 1:] - v[:, :1]
-        report.min_premature_closure = float(np.min(np.hypot(shift[..., 0], shift[..., 1])))
+    shift = v[:, 1:] - v[:, :1]
+    report.min_premature_closure = float(np.min(np.hypot(shift[..., 0], shift[..., 1]),
+                                                initial=math.inf))
     if config.expected_side is not None:
         e = config.expected_side
         report.side_length_spread = float(np.max(np.abs(side - e) / e))
@@ -472,6 +447,7 @@ def _polygon_metrics(report: VerificationReport, config, poly: PonceletPolygon, 
                           prev[..., 0] * d[..., 0] + prev[..., 1] * d[..., 1])
         dev = np.mod(turn - np.resize(turns, count) + math.pi, 2.0 * math.pi) - math.pi
         report.max_angle_deviation = float(np.max(np.abs(dev)))
+    report.max_tangency_gap = 0.0
     for k, (curve, sup) in enumerate(zip(config.envelopes, config.envelope_supports)):
         probe, i, a, b, at = _envelope_sides(poly, k)
         if not probe.size:
@@ -493,7 +469,9 @@ def _verify_oracle(config, starts, tol, report):
     """Walk every probe's polygon in lockstep: one oracle step per step index
     for all probes still live; a probe whose step fails drops out with its
     error and the others go on. The walks of the probes that close are
-    measured like any other walk."""
+    measured like any other walk, and their vertex parameters are compared
+    with the construction's walk from the same starts, in order and
+    reversed: an oracle that walks against the step map meets f^-j = f^(n-j)."""
     K = config.vertex_curves[0]
     p = config.envelope_supports[0]
     L = K.domain_length
@@ -502,42 +480,34 @@ def _verify_oracle(config, starts, tol, report):
     params[:, 0] = starts
     live = np.ones(len(starts), dtype=bool)
     failed: dict[int, OracleError] = {}
-    direction = None
-    step_mismatch = 0.0
 
     grid = _oracle_grid(K, p)
     for j in range(count):
         probes = np.nonzero(live)[0]
-        done, t2, psi, _, errors = _oracle_step(K, p, params[probes, j], grid)
+        done, t2, psi, errors = _oracle_step(K, p, params[probes, j], grid)
         failed.update((probes[i], err) for i, err in errors.items())
         live[probes[list(errors)]] = False
-        probes = probes[done]
-        if not probes.size:
+        params[probes[done], j + 1], psis[probes[done], j] = t2, psi
+        if not live.any():
             break
-        if config.step_lift is not None:
-            t = params[probes, j]
-            fwd = np.asarray(config.step_lift(t), dtype=float)
-            rev = np.asarray(config.step_inv_lift(t), dtype=float)
-            if direction is None:
-                # from the lowest-index probe whose first step succeeded
-                direction = ("forward" if circle_distance(t2[0], fwd[0], L)
-                             <= circle_distance(t2[0], rev[0], L) else "reverse")
-            ref = fwd if direction == "forward" else rev
-            step_mismatch = float(np.maximum(step_mismatch, np.max(circle_distance(t2, ref, L))))
-        params[probes, j + 1], psis[probes, j] = t2, psi
 
     report.errors.extend(f"start {starts[i]:.6f}: {failed[i]}" for i in sorted(failed))
-    if live.any():
-        # a reverse-walked polygon turns by the negated exterior angles
-        sign = -1.0 if direction == "reverse" else 1.0
-        turns = None if config.expected_turns is None else sign * np.array(config.expected_turns)
-        poly = assemble(Walk(params[live], 0, psis[live], 0), config.vertex_curves, config.envelopes)
-        _polygon_metrics(report, config, poly, turns)
+    if not live.any():
+        return
+    claimed = config.walk(starts[live]).vertex_params
+    mismatch = {d: float(np.max(circle_distance(params[live], c, L)))
+                for d, c in (("forward", claimed), ("reverse", claimed[:, ::-1]))}
+    direction = min(mismatch, key=mismatch.get)
+    # a reverse-walked polygon turns by the negated exterior angles
+    sign = -1.0 if direction == "reverse" else 1.0
+    turns = None if config.expected_turns is None else sign * np.array(config.expected_turns)
+    poly = assemble(Walk(params[live], 0, psis[live], 0), config.vertex_curves, config.envelopes)
+    _polygon_metrics(report, config, poly, turns)
 
-    if config.step_lift is not None and not report.errors:
-        report.max_step_mismatch = step_mismatch
+    if not report.errors:
+        report.max_step_mismatch = mismatch[direction]
         report.oracle_direction = direction
-        report.checks["oracle_step"] = step_mismatch < tol
+        report.checks["oracle_step"] = mismatch[direction] < tol
         jumps = np.diff(np.unwrap(params[:, 1], period=L))
         report.monotone_step = bool(np.all(jumps > 0))
         report.checks["monotone_step"] = report.monotone_step

@@ -13,7 +13,7 @@ import pytest
 from poncelet import circlemaps as cm
 from poncelet.envelope import VertexStepSystem, envelope_from_vertex, interiority_check
 from poncelet.equiangular import equilateral_pair, vertex_count
-from poncelet.geometry import polyline_self_intersects, radians
+from poncelet.geometry import polyline_self_intersects
 from poncelet.render import render_svg
 from poncelet.scene import load_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
@@ -140,12 +140,10 @@ def test_criterion_07_oracle_round_trip_and_negative_controls(corpus):
 
     # negative controls at tol = 1e-6: perturb either curve of a passing pair
     pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
-    alpha = radians(pair.angle)
     base = dict(
         label="control", vertex_curves=(pair.vertex_curve,), envelopes=(pair.envelope,),
         envelope_supports=(pair.envelope_support,), polygon=pair.polygon, walk=pair.walk,
-        mode="oracle", step_lift=lambda t: np.asarray(t) + alpha,
-        step_inv_lift=lambda t: np.asarray(t) - alpha)
+        mode="oracle")
     from poncelet.verify import PonceletConfiguration
     bumped_p = SupportFunction(pair.envelope_support.constant + 1e-3,
                                pair.envelope_support.terms, 1)

@@ -23,18 +23,28 @@ closure_error, which halved: 1.04e-13 to 5.3e-14 at 64 probes). The one is
 the s_range of the forced pair, none of whose probes closes: it went to
 [inf, -inf] and its max_tangency_gap from 2.9e-15 to 0.0, because metrics
 now cover only the polygons that close, where the partial steps of
-failing probes used to count."""
+failing probes used to count.
+
+It was changed twice more when the oracle's step check began to compare
+its polygons with the construction's walk, in order and reversed, instead
+of each step with a step map. First tests/rewrite_goldens.py wrote the
+eight moved max_step_mismatch values (each by at most 3.6e-15; no check,
+direction, mode, error or probe count changed). Then the forced pair's
+entry was edited by hand, because the tool refuses a flipped check: a
+report that measures no closed polygon now leaves closure_error,
+max_tangency_gap, min_premature_closure and s_range null, where it gave
+0.0, inf and [inf, -inf], and fails closure, tangency and
+no_premature_closure, which those defaults passed."""
 
 import dataclasses
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from poncelet.scene import build_scene, load_scene
-from poncelet.verify import OracleError, OracleStep, next_vertex_oracle, verify_pair
+from poncelet.verify import _oracle_grid, _oracle_step, verify_pair
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((REPO / "tests" / "data" / "oracle_reports.json").read_text())
@@ -51,10 +61,7 @@ def _configuration(name: str):
 
 def _assert_matches(got, want, where: str):
     if isinstance(want, float):
-        if math.isinf(want):
-            assert got == want, where
-        else:
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-300), where
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300), where
     elif isinstance(want, dict):
         assert sorted(got) == sorted(want), where
         for key in want:
@@ -79,7 +86,16 @@ def test_forced_pair_fails_at_the_first_and_second_step():
     config = _configuration(FORCED)
     K, C, L = config.vertex_curves[0], config.envelope_supports[0], config.domain_length
     starts = np.linspace(0.0, L, 64, endpoint=False) + 0.05 * L / 64
-    first = [s for s in next_vertex_oracle(K, C, starts) if isinstance(s, OracleStep)]
-    assert len(first) == 12
-    second = next_vertex_oracle(K, C, np.array([s.t2 for s in first]))
-    assert all(isinstance(s, OracleError) for s in second)
+    grid = _oracle_grid(K, C)
+    rows, t2, _, errors = _oracle_step(K, C, starts, grid)
+    assert len(rows) == 12 and len(errors) == 52
+    rows, _, _, errors = _oracle_step(K, C, t2, grid)
+    assert not rows.size and len(errors) == 12
+
+
+def test_a_report_with_no_closed_polygon_is_strict_json():
+    # no polygon closes, so no polygon metric is measured and its checks fail
+    report = verify_pair(_configuration(FORCED), probes=64).to_dict()
+    assert json.loads(json.dumps(report, allow_nan=False)) == report
+    assert report["s_range"] == [None, None] and report["closure_error"] is None
+    assert not any(report["checks"][k] for k in ("closure", "no_premature_closure", "tangency"))

@@ -5,7 +5,8 @@ match to 1e-12 relative to the largest magnitude of that field.
 
 Beside the goldens, every construction kind's contacts must agree with the
 envelopes they name: the envelope at the contact parameter is the contact
-point, and that point lies on its side line.
+point, and that point lies on its side line. A walk from no starts
+assembles to stacks with no rows.
 
 Since the equiangular vertex curves use the general tangent-meet formula,
 the clan, equiangular_hexagon and equiangular_triangle polygons differ from
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from poncelet.equiangular import assemble
 from poncelet.scene import load_scene
 from test_bench_contract import SCENES
 
@@ -69,3 +71,12 @@ def test_contacts_lie_on_their_envelope_and_side(name):
             assert np.max(np.abs(on_envelope - x)) < 1e-12, (start, i)
             r = x - v[i]
             assert abs(d[i, 0] * r[1] - d[i, 1] * r[0]) / np.hypot(*d[i]) < 1e-12, (start, i)
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_a_walk_with_no_starts_assembles_an_empty_stack(name):
+    cfg = SCENES[name]().configuration
+    poly = assemble(cfg.walk(np.empty(0)), cfg.vertex_curves, cfg.envelopes)
+    for key, value in _fields(poly).items():
+        assert value.shape[0] == 0, key
+    assert poly.vertices.shape == (0, cfg.count, 2)

@@ -495,6 +495,13 @@ def test_import_loads_only_the_standard_library_numpy_and_poncelet():
     assert loaded - set(sys.stdlib_module_names) == {"numpy", "poncelet"}
 
 
+def test_every_public_name_resolves():
+    import poncelet
+    missing = [name for name in poncelet.__all__ if not hasattr(poncelet, name)]
+    assert not missing
+    assert len(set(poncelet.__all__)) == len(poncelet.__all__)
+
+
 def test_main_entrypoint_in_process(tmp_path, capsys):
     rc = main(["build", str(CONFIGS / "equilateral_a85.json"), "--skip-verify"])
     assert rc == 0

@@ -20,8 +20,8 @@ from poncelet.roots import bracketed_roots
 from poncelet.scene import SchemaError, build_scene, load_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
 from poncelet.verify import (OracleError, PonceletConfiguration, VerificationReport,
-                             next_vertex_oracle, parametric_side_contacts, regularity_scan,
-                             side_contact_recover, verify_pair)
+                             parametric_side_contacts, regularity_scan, side_contact_recover,
+                             verify_pair)
 from poncelet.vertex import ContactStepSystem, vertex_from_envelope
 from test_bench_contract import SCENES, gate
 
@@ -42,69 +42,73 @@ def spec_circle_pair(a: float, alpha: float):
     return PlaneCurve(TWO_PI, jet), SupportFunction(a, (), 1)
 
 
+def oracle_step(K, C, t1s):
+    """One lockstep oracle step from every start: (rows, t2, psi, errors)."""
+    return verify._oracle_step(K, C, np.asarray(t1s, dtype=float), verify._oracle_grid(K, C))
+
+
 class TestNextVertexOracle:
     def test_concentric_circles(self):
         alpha = 1.1
         K, C = spec_circle_pair(1.0, alpha)
-        step = next_vertex_oracle(K, C, 0.0)
-        assert step.t2 == pytest.approx(alpha, abs=1e-10)
-        assert step.contact_parameter == pytest.approx(alpha / 2, abs=1e-10)
-        x = C.eval(alpha / 2)
-        assert math.hypot(step.contact[0] - x * math.cos(alpha / 2),
-                          step.contact[1] - x * math.sin(alpha / 2)) < 1e-10
+        rows, t2, psi, errors = oracle_step(K, C, [0.0])
+        assert rows.tolist() == [0] and not errors
+        assert t2[0] == pytest.approx(alpha, abs=1e-10)
+        assert psi[0] == pytest.approx(alpha / 2, abs=1e-10)
 
     def test_equilateral_pair_rigid_step_where_unambiguous(self):
         pair = equilateral_pair(1, Fraction(2), 8 / 5)
-        hits = 0
-        for t1 in np.linspace(0, TWO_PI, 64, endpoint=False):
-            try:
-                step = next_vertex_oracle(pair.vertex_curve, pair.envelope_support, float(t1))
-            except OracleError:
-                continue   # non-convex envelope: forward tangent can be ambiguous
-            hits += 1
-            assert circle_distance(step.t2 - t1, TWO_PI / 3, TWO_PI) < 1e-8
-        assert hits >= 8
+        t1s = np.linspace(0, TWO_PI, 64, endpoint=False)
+        # non-convex envelope: the forward tangent can be ambiguous, and
+        # those starts fail
+        rows, t2, _, _ = oracle_step(pair.vertex_curve, pair.envelope_support, t1s)
+        assert len(rows) >= 8
+        assert np.all(circle_distance(t2 - t1s[rows], TWO_PI / 3, TWO_PI) < 1e-8)
 
     def test_wankel_pair_every_start(self):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
-        for t1 in np.linspace(0, TWO_PI, 32, endpoint=False):
-            step = next_vertex_oracle(pair.vertex_curve, pair.envelope_support, float(t1))
-            assert circle_distance(step.t2, t1 + TWO_PI / 3, TWO_PI) < 1e-10
+        t1s = np.linspace(0, TWO_PI, 32, endpoint=False)
+        rows, t2, _, errors = oracle_step(pair.vertex_curve, pair.envelope_support, t1s)
+        assert rows.tolist() == list(range(32)) and not errors
+        assert np.all(circle_distance(t2, t1s + TWO_PI / 3, TWO_PI) < 1e-10)
 
     def test_conjugated_step_round_trip(self):
         h = cm.from_fourier(TWO_PI, 0.1, (cm.FourierTerm(1, 0.08, 0.03),))
         f = cm.make_torsion(h, 1, 5)
         res = vertex_from_envelope(ContactStepSystem(SupportFunction(2.0, (), 1), f))
-        worst = 0.0
-        for t1 in np.linspace(0, TWO_PI, 64, endpoint=False):
-            step = next_vertex_oracle(res.curve, SupportFunction(2.0, (), 1), float(t1))
-            worst = max(worst, float(circle_distance(step.t2, float(f.map.lift(t1)), TWO_PI)))
-        assert worst < 1e-7 * TWO_PI
+        t1s = np.linspace(0, TWO_PI, 64, endpoint=False)
+        rows, t2, _, errors = oracle_step(res.curve, SupportFunction(2.0, (), 1), t1s)
+        assert rows.tolist() == list(range(64)) and not errors
+        assert np.max(circle_distance(t2, f.map.lift(t1s), TWO_PI)) < 1e-7 * TWO_PI
 
     def test_point_inside_envelope_rejected(self):
         K, C = spec_circle_pair(1.0, 1.0)
         inner = PlaneCurve(TWO_PI, lambda ts: tuple(0.5 * a for a in K.jet_fn(ts)))
-        with pytest.raises(OracleError):
-            next_vertex_oracle(inner, C, 0.3)
+        rows, _, _, errors = oracle_step(inner, C, [0.3])
+        assert not rows.size and isinstance(errors[0], OracleError)
 
     def test_empirical_step_is_monotone(self):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
         starts = np.linspace(0, TWO_PI, 48, endpoint=False)
-        images = [next_vertex_oracle(pair.vertex_curve, pair.envelope_support, float(t)).t2
-                  for t in starts]
+        _, images, _, _ = oracle_step(pair.vertex_curve, pair.envelope_support, starts)
         jumps = np.diff(np.unwrap(images, period=TWO_PI))
         assert np.all(jumps > 0)
 
 
+def _per_start(K, C, starts):
+    """Each start's (t2, psi) or OracleError, from one lockstep call."""
+    rows, t2, psi, errors = oracle_step(K, C, starts)
+    assert not set(rows.tolist()) & errors.keys()
+    out = [errors.get(i) for i in range(len(starts))]
+    for i, t, p in zip(rows.tolist(), t2.tolist(), psi.tolist()):
+        out[i] = (t, p)
+    assert None not in out
+    return out
+
+
 def _one_by_one(K, C, starts):
     """The oracle step of each start as its own one-element call."""
-    out = []
-    for t in starts:
-        try:
-            out.append(next_vertex_oracle(K, C, float(t)))
-        except OracleError as exc:
-            out.append(exc)
-    return out
+    return [_per_start(K, C, [t])[0] for t in starts]
 
 
 def _assert_same_steps(together, alone):
@@ -114,9 +118,7 @@ def _assert_same_steps(together, alone):
         if isinstance(want, OracleError):
             assert str(got) == str(want)
         else:
-            assert got.t2 == want.t2
-            assert got.contact_parameter == want.contact_parameter
-            assert got.contact == want.contact
+            assert got == want
 
 
 class TestLockstepOracle:
@@ -125,7 +127,7 @@ class TestLockstepOracle:
         pair = equilateral_pair(1, Fraction(2), 8 / 5)
         K, C = pair.vertex_curve, pair.envelope_support
         starts = np.linspace(0, TWO_PI, 64, endpoint=False)
-        together = next_vertex_oracle(K, C, starts)
+        together = _per_start(K, C, starts)
         alone = _one_by_one(K, C, starts)
         _assert_same_steps(together, alone)
         failed = [s for s in alone if isinstance(s, OracleError)]
@@ -133,12 +135,10 @@ class TestLockstepOracle:
         assert sum("ambiguous" in str(e) for e in failed) == 18
         assert sum("several parameters" in str(e) for e in failed) == 34
 
-    def test_scalar_call_raises_and_array_call_returns_the_error(self):
+    def test_start_inside_the_envelope_gets_its_error(self):
         K, C = spec_circle_pair(1.0, 1.0)
         inner = PlaneCurve(TWO_PI, lambda ts: tuple(0.5 * a for a in K.jet_fn(ts)))
-        with pytest.raises(OracleError, match="no tangent line through K"):
-            next_vertex_oracle(inner, C, 0.3)
-        [err] = next_vertex_oracle(inner, C, np.array([0.3]))
+        [err] = _per_start(inner, C, [0.3])
         assert isinstance(err, OracleError)
         assert str(err) == "no tangent line through K(0.3): point inside the envelope?"
 
@@ -147,8 +147,7 @@ class TestLockstepOracle:
     def test_wankel_lockstep_equals_one_element_steps(self, starts):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
         K, C = pair.vertex_curve, pair.envelope_support
-        _assert_same_steps(next_vertex_oracle(K, C, np.array(starts)),
-                           _one_by_one(K, C, starts))
+        _assert_same_steps(_per_start(K, C, starts), _one_by_one(K, C, starts))
 
 
 class TestSideContactRecovery:
@@ -364,8 +363,6 @@ def wankel_configuration(**overrides):
         polygon=pair.polygon,
         walk=pair.walk,
         mode="oracle",
-        step_lift=lambda t: np.asarray(t) + alpha,
-        step_inv_lift=lambda t: np.asarray(t) - alpha,
         expected_turns=(alpha,),
         expected_side=pair.side_length,
         expect_interior=True,
@@ -394,8 +391,6 @@ class TestVerifyPair:
             envelope_supports=(C,), polygon=None, mode="oracle",
             walk=functools.partial(rigid_walk, step=Fraction(2, 7), count=7,
                                    shift=Fraction(1, 7)),
-            step_lift=lambda t: np.asarray(t) + alpha,
-            step_inv_lift=lambda t: np.asarray(t) - alpha,
             expected_turns=(alpha,), expect_interior=True)
         rep = verify_pair(config, probes=16, tol=1e-9)
         assert rep.passed
@@ -424,6 +419,22 @@ class TestVerifyPair:
         config2, _ = wankel_configuration(vertex_curves=(moved,))
         rep = verify_pair(config2, probes=16, tol=1e-6)
         assert not rep.passed
+
+    def test_a_walk_off_the_step_map_fails_only_the_step_check(self):
+        # the oracle walks and measures its own polygons, so only the
+        # comparison with the construction's walk sees vertex j moved by j * 1e-5
+        _, pair = wankel_configuration()
+
+        def drifting(starts):
+            walk = pair.walk(starts)
+            drift = 1e-5 * np.arange(walk.vertex_params.shape[1])
+            return dataclasses.replace(walk, vertex_params=walk.vertex_params + drift)
+
+        config, _ = wankel_configuration(walk=drifting)
+        rep = verify_pair(config, probes=16)
+        assert not rep.errors and rep.max_step_mismatch > 1e-5
+        assert [k for k, ok in rep.checks.items() if not ok] == ["oracle_step"]
+        assert all(rep.checks[k] for k in ("closure", "tangency", "equiangular", "monotone_step"))
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     def test_tolerance_must_be_positive(self, tol):
