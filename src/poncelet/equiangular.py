@@ -1,11 +1,14 @@
-"""Equiangular pairs and clans for a prescribed envelope.
+"""Equiangular clans for a prescribed envelope; a pair is the clan of one
+vertex curve.
 
 For an envelope with support function p on [0, 2*k*pi) and an external
 angle alpha, the 2k vertex curves Y_i are the vertex curves of the rigid
 steps phi -> phi + a_i, a_i = alpha + i*pi: Y_i(phi) is where the tangent
-lines at phi and phi + a_i meet (support.vertex_position_fn). For
-p = a + cos(l*phi) the pair carries congruent equilateral polygons and the
-vertex curve is the epitrochoid
+lines at phi and phi + a_i meet (support.vertex_position_fn). A clan walks
+its cycle of branch angles with one rigid step each (rigid_walk) and closes
+after the shortest block that repeats them. For p = a + cos(l*phi) the
+equilateral pair carries congruent equilateral polygons and its vertex
+curve is the epitrochoid
 
     Y(phi) = a sec(alpha/2) u(phi) + (-1)^k u(n*phi),      n = l + 1.
 """
@@ -122,12 +125,16 @@ class Walked:
                         self.envelopes)[0]
 
 
-def rigid_walk(starts: np.ndarray, step: Fraction, count: int, shift: Fraction) -> Walk:
-    """The rigid angle-step walk (angles in units of pi): vertex j at
-    start + j * step on vertex curve 0, side j touching envelope 0 at vertex
-    j's parameter + shift."""
-    ts = starts[:, None] + np.array([radians(step * j) for j in range(count + 1)])
-    return Walk(ts, 0, ts[:, :-1] + radians(shift), 0)
+def rigid_walk(starts: np.ndarray, angles: tuple[Fraction, ...], count: int,
+               shifts: tuple[Fraction, ...]) -> Walk:
+    """The rigid-step walk around a cycle of n angles (in units of pi):
+    vertex j on vertex curve j mod n at start + theta_j, theta_j the exact
+    sum of the cycle's first j angles; side j touching envelope 0 at vertex
+    j's parameter + shifts[j mod n]."""
+    on = np.arange(count + 1) % len(angles)
+    thetas = accumulate((angles[i] for i in on[:-1]), initial=Fraction(0))
+    ts = starts[:, None] + np.array([radians(th) for th in thetas])
+    return Walk(ts, on, ts[:, :-1] + np.array([radians(a) for a in shifts])[on[:-1]], 0)
 
 
 def equiangular_vertex_curve(spec: EquiangularSpec, label: str = "") -> PlaneCurve:
@@ -151,34 +158,6 @@ def vertex_count(angle: Fraction, k: int) -> int:
 
 
 @dataclass(frozen=True)
-class EquiangularPair(Walked):
-    envelope_support: SupportFunction
-    envelope: PlaneCurve
-    vertex_curve: PlaneCurve
-    angle: Fraction             # branch angle a_i / pi actually used
-    count: int
-
-    vertex_curves = property(lambda self: (self.vertex_curve,))
-    envelopes = property(lambda self: (self.envelope,))
-
-    def walk(self, starts: np.ndarray) -> Walk:
-        # in the eq-Ki parametrization the side [Y(t), Y(t+a)] touches at t+a
-        return rigid_walk(starts, self.angle, self.count, self.angle)
-
-
-def equiangular_pair(spec: EquiangularSpec) -> EquiangularPair:
-    k = spec.envelope.sheets
-    a_i = spec.branch_angle
-    return EquiangularPair(
-        envelope_support=spec.envelope,
-        envelope=curve_from_support(spec.envelope, label="C"),
-        vertex_curve=equiangular_vertex_curve(spec, label=f"K{spec.branch}"),
-        angle=a_i,
-        count=vertex_count(a_i, k),
-    )
-
-
-@dataclass(frozen=True)
 class EquilateralPair(Walked):
     envelope_support: SupportFunction
     envelope: PlaneCurve
@@ -195,7 +174,7 @@ class EquilateralPair(Walked):
 
     def walk(self, starts: np.ndarray) -> Walk:
         # in the shifted parametrization the side [Y(t), Y(t+a)] touches at t+a/2
-        return rigid_walk(starts, self.angle, self.count, self.angle / 2)
+        return rigid_walk(starts, (self.angle,), self.count, (self.angle / 2,))
 
 
 def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = False) -> EquilateralPair:
@@ -249,22 +228,21 @@ class EquiangularClan(Walked):
     envelope: PlaneCurve
     vertex_curves: tuple[PlaneCurve, ...]
     angles: tuple[Fraction, ...]             # branch angles a_{j_i} / pi
-    turns: int                               # m with sum of base angles = 2*m*pi
-    rows: int                                # l = lcm(2m+|j|, 2k) / (2m+|j|)
     count: int                               # total polygon vertices
-    degenerate: bool
 
     envelopes = property(lambda self: (self.envelope,))
 
     def walk(self, starts: np.ndarray) -> Walk:
-        if self.degenerate:
-            return rigid_walk(starts, self.angles[0], self.count, self.angles[0])
-        # vertex j lies on K_(j mod n), the first j angles of the cycle past the start
-        thetas = accumulate(self.angles * self.rows, initial=Fraction(0))
-        ts = starts[:, None] + np.array([float(th) * math.pi for th in thetas])
-        on = np.arange(self.count + 1) % len(self.angles)
-        shifts = np.array([radians(a) for a in self.angles])[on[:-1]]
-        return Walk(ts, on, ts[:, :-1] + shifts, 0)
+        # in the eq-Ki parametrization the side [K_i(t), K_(i+1)(t+a_i)] touches at t+a_i
+        return rigid_walk(starts, self.angles, self.count, self.angles)
+
+
+def equiangular_pair(spec: EquiangularSpec) -> EquiangularClan:
+    """The pair (C, K_i) of the branch angle a_i: the clan of one vertex curve."""
+    a_i = spec.branch_angle
+    return EquiangularClan(spec.envelope, curve_from_support(spec.envelope, label="C"),
+                           (equiangular_vertex_curve(spec, label=f"K{spec.branch}"),),
+                           (a_i,), vertex_count(a_i, spec.envelope.sheets))
 
 
 def equiangular_clan(envelope: SupportFunction,
@@ -273,9 +251,10 @@ def equiangular_clan(envelope: SupportFunction,
     """Clan (C, K_1, ..., K_n) with prescribed external angles, in units of pi.
 
     The base angles must sum to an exact multiple of 2*pi; each branch
-    angle a_i + j_i*pi must avoid multiples of pi. When all branch angles
-    coincide the clan degenerates to a single pair, which is flagged and
-    counted by the single-pair formula.
+    angle a_i + j_i*pi must avoid multiples of pi. The polygon closes after
+    q turns of the shortest block of p branch angles that repeats them (p
+    divides n): the least q with q times the block's sum a multiple of
+    2*k*pi. Equal branch angles (p = 1) close as the pair of that angle.
     """
     n = len(angles)
     if n < 2:
@@ -290,33 +269,15 @@ def equiangular_clan(envelope: SupportFunction,
     total = sum(angles, Fraction(0))
     if total.denominator != 1 or total.numerator % 2 != 0 or total <= 0:
         raise ConstructionError(f"external angles must sum to 2*m*pi, got {total}*pi")
-    m = int(total) // 2
 
-    branch_angles = [a + j for a, j in zip(angles, branches)]
+    branch_angles = tuple(a + j for a, j in zip(angles, branches))
     for a in branch_angles:
         if a.denominator == 1:
             raise ConstructionError(f"branch angle {a}*pi is a multiple of pi")
 
-    curves = tuple(
-        equiangular_vertex_curve(
-            EquiangularSpec(envelope, ang, br), label=f"K{i + 1}")
-        for i, (ang, br) in enumerate(zip(angles, branches))
-    )
-
-    degenerate = all(a == branch_angles[0] for a in branch_angles)
-    weight = 2 * m + sum(branches)
-    rows = closure_steps(Fraction(weight), Fraction(2 * k))
-    count = rows * n
-    if degenerate:
-        count = vertex_count(branch_angles[0], k)
-
-    return EquiangularClan(
-        envelope_support=envelope,
-        envelope=curve_from_support(envelope, label="C"),
-        vertex_curves=curves,
-        angles=tuple(branch_angles),
-        turns=m,
-        rows=rows,
-        count=count,
-        degenerate=degenerate,
-    )
+    curves = tuple(equiangular_vertex_curve(EquiangularSpec(envelope, a, j), label=f"K{i + 1}")
+                   for i, (a, j) in enumerate(zip(angles, branches)))
+    p = next(p for p in range(1, n + 1) if branch_angles[p:] + branch_angles[:p] == branch_angles)
+    count = p * closure_steps(sum(branch_angles[:p]), Fraction(2 * k))
+    return EquiangularClan(envelope, curve_from_support(envelope, label="C"), curves,
+                           branch_angles, count)

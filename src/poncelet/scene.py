@@ -12,7 +12,8 @@ Schema (unknown fields are rejected at every level):
       "verify":  {"probes": int, "tol": positive float|null, "expect_interior": bool|null}
     }
 
-Angles are exact rational multiples of pi: {"num": int, "den": int}.
+Angles are exact rational multiples of pi: {"num": int, "den": int}; these
+integers, the equilateral l and k and a torsion step's m lie within +-2**53.
 Support functions: {"a": float, "k": int, "terms": [{"l_num", "l_den", "cos", "sin"}]}
 (|l_num / l_den| <= 4096).
 Torsion steps: {"m": int, "n": int, "h": {"c": float, "terms": [{"j", "sin", "cos"}]}}
@@ -76,6 +77,8 @@ def _number(raw, where: str) -> float:
         x = float(raw)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where} must be a number, got {raw!r}") from exc
+    except OverflowError as exc:
+        raise SchemaError(f"{where} must be finite, got an integer past the float range") from exc
     if not math.isfinite(x):
         raise SchemaError(f"{where} must be finite, got {raw!r}")
     return x
@@ -91,6 +94,14 @@ def _integer(raw, where: str) -> int:
         return int(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{where} must be an integer, got {raw!r}") from exc
+
+
+def _exact(raw, where: str) -> int:
+    """An integer within +-2**53, where floats hold every integer exactly."""
+    x = _integer(raw, where)
+    if abs(x) > 2 ** 53:
+        raise SchemaError(f"{where} must be an integer of magnitude at most 2**53")
+    return x
 
 
 def _list(raw, where: str) -> list | tuple:
@@ -115,9 +126,10 @@ def _sheets(count: int, where: str) -> int:
     return count
 
 
-def _ratio(doc: dict, where: str, num: str = "num", den: str = "den") -> Fraction:
+def _ratio(doc: dict, where: str, num: str = "num", den: str = "den",
+           integer: Callable = _exact) -> Fraction:
     """The fraction of the integer fields num and den of doc."""
-    n, d = _integer(doc[num], f"{where}.{num}"), _integer(doc[den], f"{where}.{den}")
+    n, d = integer(doc[num], f"{where}.{num}"), integer(doc[den], f"{where}.{den}")
     if d == 0:
         raise SchemaError(f"{where}.{den} must not be zero")
     return Fraction(n, d)
@@ -137,7 +149,7 @@ def _support(doc, where: str) -> SupportFunction:
     for i, t in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
         at = f"{where}.terms[{i}]"
         _check_keys(t, {"l_num", "l_den", "cos", "sin"}, at, ("l_num", "l_den"))
-        l = _ratio(t, at, "l_num", "l_den")
+        l = _ratio(t, at, "l_num", "l_den", _integer)
         if abs(l) > cm.MAX_HARMONIC:
             raise SchemaError(f"{at}.l_num / l_den must satisfy |l| <= {cm.MAX_HARMONIC}, "
                               f"got {l}")
@@ -166,7 +178,7 @@ def _fourier(doc, L: float, where: str) -> cm.CircleDiffeo:
 
 def _torsion(doc, L: float, where: str) -> cm.TorsionMap:
     _check_keys(doc, {"m", "n", "h"}, where, ("m", "n"))
-    m = _integer(doc["m"], f"{where}.m")
+    m = _exact(doc["m"], f"{where}.m")
     n = _vertices(_integer(doc["n"], f"{where}.n"), f"{where}.n")
     h = _fourier(doc["h"], L, f"{where}.h") if "h" in doc else cm.identity(L)
     return cm.make_torsion(h, m, n)
@@ -267,13 +279,13 @@ def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfi
     pair = eq.equiangular_pair(spec)
     _vertices(pair.count, "parameters.angle")
     return _configuration("equiangular-pair", pair, (support,), vopts,
-                          expected_turns=(wrap_pi(radians(pair.angle)),))
+                          expected_turns=tuple(wrap_pi(radians(a)) for a in pair.angles))
 
 
 def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
     _check_keys(params, {"k", "l", "a"}, "parameters", ("k", "l", "a"))
     _check_keys(params["l"], {"num", "den"}, "parameters.l", ("num", "den"))
-    pair = eq.equilateral_pair(_integer(params["k"], "parameters.k"),
+    pair = eq.equilateral_pair(_exact(params["k"], "parameters.k"),
                                _ratio(params["l"], "parameters.l"),
                                _number(params["a"], "parameters.a"))
     _vertices(pair.count, "parameters.l")
@@ -293,9 +305,8 @@ def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfi
     branches = [_integer(b, f"parameters.branches[{i}]") for i, b in enumerate(branches)]
     clan = eq.equiangular_clan(support, angles, branches)
     _vertices(clan.count, "parameters.angles")
-    turns = clan.angles[:1] if clan.degenerate else clan.angles
     return _configuration("equiangular-clan", clan, (support,), vopts,
-                          expected_turns=tuple(wrap_pi(radians(a)) for a in turns))
+                          expected_turns=tuple(wrap_pi(radians(a)) for a in clan.angles))
 
 
 def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -409,6 +420,6 @@ def load_scene(path: str) -> Scene:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # ValueError: bad JSON, or a number of too many digits
         raise SchemaError(f"cannot read config {path}: {exc}") from exc
     return build_scene(doc)

@@ -74,20 +74,28 @@ class SupportFunction:
         if type(order) is not int and not isinstance(order, np.integer) or order < 0:
             raise SupportError(f"derivative order must be an integer >= 0, got {order!r}")
         if isinstance(phi, Jet):
-            return phi.compose([self.eval(phi.v, order + i) for i in range(phi.order + 1)])
+            return phi.compose(self.derivatives(phi.v, order + phi.order + 1)[order:])
+        out = self.derivatives(phi, order + 1)[order]
+        return out if out.ndim else float(out)
+
+    def derivatives(self, phi, count: int) -> list[np.ndarray]:
+        """p, p', ..., p^(count - 1) at phi, each term's cos and sin taken once."""
         phi = self._reduce(np.asarray(phi, dtype=float))
-        out = np.full_like(phi, self.constant if order == 0 else 0.0)
+        out = [np.full_like(phi, self.constant if i == 0 else 0.0) for i in range(count)]
         for t in self.terms:
             l = np.float64(t.frequency)   # l ** order overflows to inf, not an error
             arg = l * phi
+            cos, sin = np.cos(arg), np.sin(arg)
             c, s = t.cos_coeff, t.sin_coeff
-            c, s = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
-            out = out + (l ** order) * (c * np.cos(arg) + s * np.sin(arg))
-        return out if out.ndim else float(out)
+            for order in range(count):
+                a, b = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
+                out[order] = out[order] + (l ** order) * (a * cos + b * sin)
+        return out
 
     def min_curvature_radius(self, samples: int = 2048) -> float:
         phi = np.linspace(0.0, self.domain_length, samples, endpoint=False)
-        return float(np.min(self.eval(phi) + self.eval(phi, 2)))
+        p = self.derivatives(phi, 3)
+        return float(np.min(p[0] + p[2]))
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ def curve_from_support(p: SupportFunction, label: str = "") -> PlaneCurve:
     """
     def derivs(ts: np.ndarray, order: int) -> list[np.ndarray]:
         c, s = np.cos(ts), np.sin(ts)
-        ps = [p.eval(ts, i) for i in range(order + 2 if order else 2)]
+        ps = p.derivatives(ts, order + 2 if order else 2)
         out = [np.stack([ps[0] * c - ps[1] * s, ps[0] * s + ps[1] * c], axis=1)]
         if order == 0:
             return out

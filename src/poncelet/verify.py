@@ -139,10 +139,9 @@ def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple
     for i in np.flatnonzero(np.bincount(owner, minlength=n) == 0).tolist():
         errors.setdefault(i, OracleError(f"no tangent line through K({float(t1s[i])}): "
                                          "point inside the envelope?"))
-    # forward tangents: the contact lies ahead of K(t1) along the envelope
-    contact, tangent = _support_point(C, psi)
-    ahead = ((contact[:, 0] - q[owner, 0]) * tangent[:, 0]
-             + (contact[:, 1] - q[owner, 1]) * tangent[:, 1]) > 0.0
+    # forward tangents: the contact X(psi) lies ahead of K(t1) along the
+    # envelope, <X(psi) - K(t1), u'(psi)> = p'(psi) + x sin(psi) - y cos(psi) > 0
+    ahead = (C.eval(psi, 1) + q[owner, 0] * np.sin(psi) - q[owner, 1] * np.cos(psi)) > 0.0
     fwd = np.bincount(owner[ahead], minlength=n)
     for i in set(np.flatnonzero(fwd != 1).tolist()) - errors.keys():
         t = float(t1s[i])
@@ -173,14 +172,6 @@ def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple
     one = hits[row] == 1
     row, j = row[one], picks[row[one]]
     return lines[row], hit[one], psi[j], errors
-
-
-def _support_point(p: SupportFunction, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points X(psi) of the support curve and its unit tangents u'(psi), as (n, 2) arrays."""
-    c, s = np.cos(psi), np.sin(psi)
-    p0 = p.eval(psi)
-    p1 = p.eval(psi, 1)
-    return np.stack([p0 * c - p1 * s, p0 * s + p1 * c], axis=1), np.stack([-s, c], axis=1)
 
 
 def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poncelet.equiangular import (ConstructionError, EquiangularSpec,
                                   equiangular_clan, equiangular_pair,
@@ -27,6 +29,12 @@ def exterior_turns(poly) -> list[float]:
     a = np.roll(d, 1, axis=0)
     return [math.atan2(x, y) for x, y in zip(a[:, 0] * d[:, 1] - a[:, 1] * d[:, 0],
                                              a[:, 0] * d[:, 0] + a[:, 1] * d[:, 1])]
+
+
+def assert_same_polygon(a, b):
+    """The two polygons agree bit for bit."""
+    for name in ("vertices", "parameters", "contacts", "contact_parameters"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def p_cos(a, l, coeff=1.0, k=1):
@@ -267,8 +275,7 @@ class TestEquiangularClan:
     def test_three_distinct_curves_and_count(self):
         clan = equiangular_clan(self.SUPPORT, self.ANGLES)
         assert len(clan.vertex_curves) == 3
-        assert clan.turns == 1
-        assert clan.rows == 2 and clan.count == 6
+        assert clan.count == 6
         ts = np.linspace(0, clan.envelope.domain_length, 16)
         for i in range(3):
             for j in range(i + 1, 3):
@@ -297,8 +304,8 @@ class TestEquiangularClan:
 
     def test_count_against_brute_force_closure(self):
         clan = equiangular_clan(self.SUPPORT, self.ANGLES, [1, 0, 0])
-        # |j| = 1, m = 1: l = lcm(3, 4)/3 = 4 rows
-        assert clan.rows == 4 and clan.count == 12
+        # |j| = 1, m = 1: the angles sum to 3*pi, so 4 turns of the cycle close on k = 2
+        assert clan.count == 12
         acc = Fraction(0)
         steps = 0
         while True:
@@ -312,16 +319,47 @@ class TestEquiangularClan:
         p1 = SupportFunction(9.0, (SupportTerm(Fraction(2), 0.5),), 1)
         angles = [Fraction(2, 3)] * 3
         clan = equiangular_clan(p1, angles, [1, 0, 0])
-        assert clan.rows == 2 and clan.count == 6
+        assert clan.count == 6
 
     def test_degenerate_equal_angles_reduce_to_pair(self):
         p1 = SupportFunction(9.0, (SupportTerm(Fraction(2), 0.5),), 1)
         clan = equiangular_clan(p1, [Fraction(2, 3)] * 3, [0, 0, 0])
-        assert clan.degenerate
         assert clan.count == vertex_count(Fraction(2, 3), 1) == 3
         poly = clan.polygon(0.8)
         assert len(poly.vertices) == 3
         assert poly.closure_gap < 1e-12
+
+    def test_equal_angles_walk_the_pair_of_that_angle(self):
+        p1 = SupportFunction(9.0, (SupportTerm(Fraction(2), 0.5),), 1)
+        pair = equiangular_pair(EquiangularSpec(p1, Fraction(2, 3)))
+        clan = equiangular_clan(p1, [Fraction(2, 3)] * 3)
+        assert pair.count == clan.count == 3
+        for start in (0.0, 0.8, 4.1):
+            assert_same_polygon(pair.polygon(start), clan.polygon(start))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_repeating_the_cycle_changes_nothing(self, data):
+        # the clan closes after its shortest repeating block, however often
+        # the document spells that block out
+        k = data.draw(st.sampled_from([1, 2]), label="k")
+        den = data.draw(st.integers(2, 12), label="den")
+        n = data.draw(st.integers(2, 6), label="n")
+        nums = data.draw(st.lists(st.integers(1, den - 1), min_size=n - 1, max_size=n - 1))
+        last = -sum(nums) % (2 * den)
+        assume(1 <= last < den)
+        angles = [Fraction(a, den) for a in nums + [last]]
+        branches = data.draw(st.lists(st.integers(0, 2 * k - 1), min_size=n, max_size=n))
+        r = data.draw(st.integers(2, 64 // n), label="r")
+        support = SupportFunction(1.0, (SupportTerm(Fraction(3, k), 0.05),), k)
+        clan = equiangular_clan(support, angles, branches)
+        repeated = equiangular_clan(support, angles * r, branches * r)
+        assert repeated.count == clan.count
+        # two consecutive branch angles that sum to a multiple of 2*k*pi make
+        # two vertices meet, and that side's chord position 0/0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for start in (0.3, 2.9):
+                assert_same_polygon(repeated.polygon(start), clan.polygon(start))
 
     def test_bad_angle_sum_rejected(self):
         with pytest.raises(ConstructionError):

@@ -357,6 +357,9 @@ def _as(construction, parameters):
 _WIGGLE = {"c": 0.3, "terms": [{"j": 1, "sin": 0.01}]}
 _CAP = f"polygon vertices; at most {MAX_VERTICES} are allowed"
 _SHEETS = f"sheets; at most {MAX_SHEETS} are allowed"
+# 400 digits: num and den beyond 2**53 overflow a float conversion
+_BIG = 10**400
+_EXACT = "must be an integer of magnitude at most 2**53"
 
 
 @pytest.mark.parametrize("env, edits, command, message", [
@@ -440,6 +443,20 @@ _SHEETS = f"sheets; at most {MAX_SHEETS} are allowed"
      f"parameters.support.k gives 1000000000 {_SHEETS}"),
     ({}, [(("parameters", "k"), 64), (("parameters", "l"), {"num": 1, "den": 4095})],
      ("verify",), f"parameters.k with parameters.l gives 4095 {_SHEETS}"),
+    ({}, _as("equiangular-pair", {**_support_pair(), "angle": {"num": _BIG, "den": _BIG + 1}}),
+     ("build", "--skip-verify"), f"parameters.angle.num {_EXACT}"),
+    ({}, _as("equiangular-clan", {"support": {"a": 1.0, "k": 1, "terms": []}, "angles": [
+        {"num": _BIG - 2, "den": 2 * _BIG}, {"num": _BIG + 2, "den": 2 * _BIG},
+        {"num": 1, "den": 2}, {"num": 1, "den": 2}]}),
+     ("build", "--skip-verify"), f"parameters.angles[0].num {_EXACT}"),
+    ({}, _as("clan-from-vertex", {**_vertex_clan(),
+                                  "steps": [{"rotation_pi": {"num": _BIG, "den": 3}}]}),
+     ("build", "--skip-verify"), f"parameters.steps[0].rotation_pi.num {_EXACT}"),
+    ({}, [(("parameters", "l"), {"num": _BIG, "den": _BIG - 1})], ("build", "--skip-verify"),
+     f"parameters.l.num {_EXACT}"),
+    ({}, [(("parameters", "k"), _BIG)], ("build", "--skip-verify"), f"parameters.k {_EXACT}"),
+    ({}, _as("vertex-from-envelope", {**_torsion_step(4), "step": {
+        "m": _BIG + 1, "n": 4, "h": _WIGGLE}}), ("verify",), f"parameters.step.m {_EXACT}"),
 ], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
         "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
         "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool",
@@ -457,7 +474,9 @@ _SHEETS = f"sheets; at most {MAX_SHEETS} are allowed"
         "clan-steps-above-cap", "expect-interior-one", "tol-zero", "tol-negative",
         "margin-negative", "margin-above-one", "a-boolean", "tol-boolean",
         "support-cos-boolean", "equilateral-sheets-above-cap", "support-sheets-above-cap",
-        "equilateral-used-sheets-above-cap"])
+        "equilateral-used-sheets-above-cap", "angle-num-beyond-float",
+        "clan-angle-num-beyond-float", "rotation-num-beyond-float", "equilateral-l-beyond-float",
+        "equilateral-k-beyond-float", "torsion-m-beyond-float"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, command, message):
     doc = equilateral_doc()
     for path, value in edits:
@@ -473,6 +492,18 @@ def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, comma
     assert proc.stderr.count("\n") == 1, proc.stderr     # no warning beside the error
     if message is not None:
         assert message in proc.stderr
+
+
+def test_integer_past_the_json_digit_limit_exits_two(tmp_path):
+    # Python refuses to read an integer of more than 4300 digits
+    path = tmp_path / "digits.json"
+    path.write_text(json.dumps(equilateral_doc()).replace('"k": 1', '"k": ' + "9" * 5000))
+    proc = subprocess.run([sys.executable, "-m", "poncelet.cli", "build", "--skip-verify",
+                           str(path)], capture_output=True, text=True, cwd=str(REPO),
+                          env=cli_env(), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("schema error: cannot read config")
+    assert "Traceback" not in proc.stderr
 
 
 def test_equilateral_sheet_cap_counts_the_sheets_used():
@@ -507,6 +538,22 @@ def test_main_entrypoint_in_process(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["scene"]["vertex_count"] == 3
+
+
+def test_periodic_clan_closes_after_its_repeating_block(tmp_path, capsys):
+    # the branch angles repeat the block [1/3, 2/3], whose sum 1*pi closes
+    # after two turns on one sheet: 4 vertices, not the 8 of a full cycle
+    doc = {"construction": "equiangular-clan",
+           "parameters": {"support": {"a": 1.0, "k": 1,
+                                      "terms": [{"l_num": 2, "l_den": 1, "cos": 0.05}]},
+                          "angles": [{"num": 1, "den": 3}, {"num": 2, "den": 3}] * 4},
+           "verify": {"probes": 16, "tol": None, "expect_interior": None}}
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps(doc))
+    assert main(["build", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["scene"]["vertex_count"] == 4
+    assert out["verification"]["checks"]["no_premature_closure"]
 
 
 def _fourier_step_doc(j: int, sin: float) -> dict:

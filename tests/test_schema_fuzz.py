@@ -20,7 +20,10 @@ from poncelet.cli import main
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 DOCS = {path.stem: json.loads(path.read_text()) for path in CONFIGS}
 
-scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**12, 10**12),
+# integers past +-2**53 (up to 400 digits) overflow a float conversion
+huge_integers = st.builds(lambda sign, x: sign * x, st.sampled_from([1, -1]),
+                          st.integers(2**53 + 1, 10**400))
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-10**12, 10**12), huge_integers,
                     st.floats(-1e300, 1e300, allow_nan=False), st.text(max_size=6))
 values = st.one_of(scalars, st.lists(scalars, max_size=3),
                    st.dictionaries(st.text(max_size=6), scalars, max_size=3))

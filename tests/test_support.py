@@ -164,6 +164,13 @@ class TestEvalOrders:
         phi = np.linspace(0.0, 4 * math.pi, 50)
         assert np.max(np.abs(self.P.eval(phi, order) - self._closed_form(phi, order))) < 1e-13
 
+    def test_derivatives_give_every_order_in_one_pass(self):
+        phi = np.linspace(0.0, 4 * math.pi, 50)
+        ds = self.P.derivatives(phi, 6)
+        assert len(ds) == 6
+        for order, d in enumerate(ds):
+            assert np.max(np.abs(d - self._closed_form(phi, order))) < 1e-13
+
     def test_numpy_integer_order_is_accepted(self):
         assert self.P.eval(0.7, np.int64(4)) == self.P.eval(0.7, 4)
 

@@ -389,8 +389,8 @@ class TestVerifyPair:
         config = PonceletConfiguration(
             label="concentric", vertex_curves=(K,), envelopes=(curve_c,),
             envelope_supports=(C,), polygon=None, mode="oracle",
-            walk=functools.partial(rigid_walk, step=Fraction(2, 7), count=7,
-                                   shift=Fraction(1, 7)),
+            walk=functools.partial(rigid_walk, angles=(Fraction(2, 7),), count=7,
+                                   shifts=(Fraction(1, 7),)),
             expected_turns=(alpha,), expect_interior=True)
         rep = verify_pair(config, probes=16, tol=1e-9)
         assert rep.passed
