@@ -106,10 +106,13 @@ class CircleDiffeo:
             if not isinstance(y, Jet):
                 return _solve_lift(self.lift, dlift, y, bound, tol)
             x = _solve_lift(self.lift, dlift, y.v, bound, tol)
-            F = self.lift(Jet.variable(x, 3)).d      # derivatives 1-3 of F at x = g(y)
-            g1 = 1.0 / F[0]
-            g = [x, g1, -F[1] * g1 ** 3, -F[2] * g1 ** 4 + 3.0 * F[1] * F[1] * g1 ** 5]
-            return y.compose(g[:y.order + 1])
+            F = self.lift(Jet.variable(x, max(y.order, 1))).d   # F', ... at x = g(y), to y's order
+            g = [x, 1.0 / F[0]]
+            if y.order > 1:
+                g.append(-F[1] * g[1] ** 3)
+            if y.order > 2:
+                g.append(-F[2] * g[1] ** 4 + 3.0 * F[1] * F[1] * g[1] ** 5)
+            return y.compose(g)
 
         return CircleDiffeo(L, inv_lift, displacement_bound=self.displacement_bound)
 

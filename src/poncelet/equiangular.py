@@ -251,7 +251,9 @@ def equiangular_clan(envelope: SupportFunction,
     """Clan (C, K_1, ..., K_n) with prescribed external angles, in units of pi.
 
     The base angles must sum to an exact multiple of 2*pi; each branch
-    angle a_i + j_i*pi must avoid multiples of pi. The polygon closes after
+    angle a_i + j_i*pi must avoid multiples of pi, and no two cyclically
+    consecutive ones may sum to a multiple of 2*k*pi, which would make two
+    consecutive vertices one point. The polygon closes after
     q turns of the shortest block of p branch angles that repeats them (p
     divides n): the least q with q times the block's sum a multiple of
     2*k*pi. Equal branch angles (p = 1) close as the pair of that angle.
@@ -274,6 +276,11 @@ def equiangular_clan(envelope: SupportFunction,
     for a in branch_angles:
         if a.denominator == 1:
             raise ConstructionError(f"branch angle {a}*pi is a multiple of pi")
+    for a, b in zip(branch_angles, branch_angles[1:] + branch_angles[:1]):
+        if (a + b) % (2 * k) == 0:    # the tangent lines before a and after b are one line
+            raise ConstructionError(
+                f"polygon degenerates: consecutive branch angles {a}*pi and {b}*pi sum to "
+                f"a multiple of {2 * k}*pi, so two vertices coincide")
 
     curves = tuple(equiangular_vertex_curve(EquiangularSpec(envelope, a, j), label=f"K{i + 1}")
                    for i, (a, j) in enumerate(zip(angles, branches)))

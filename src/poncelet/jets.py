@@ -21,9 +21,9 @@ class Jet:
 
     @classmethod
     def variable(cls, ts, order: int) -> Jet:
-        """The parameter itself: t' = 1 and no higher derivatives."""
+        """The parameter itself to the given order: t' = 1 (none at order 0), t'' = ... = 0."""
         ts = np.asarray(ts, dtype=float)
-        return cls(ts, [np.ones_like(ts)] + [np.zeros_like(ts) for _ in range(order - 1)])
+        return cls(ts, [np.ones_like(ts) if i == 0 else np.zeros_like(ts) for i in range(order)])
 
     @property
     def order(self) -> int:

@@ -100,16 +100,25 @@ class SupportFunction:
 
 @dataclass(frozen=True)
 class PlaneCurve:
-    """Closed parametric curve exposing a 2-jet over [0, domain_length)."""
+    """Closed parametric curve over [0, domain_length). jet_many(ts, order)
+    gives the position and its first order (1 or 2) derivatives: the Taylor
+    jet of position_fn at that order, which takes arrays or Jets of the
+    parameter. A hand-written jet_fn, ts -> (pos, vel, acc) on arrays,
+    overrides it and is cut to the order asked."""
 
     domain_length: float
-    jet_fn: Callable[[np.ndarray], tuple] = field(repr=False)   # ts -> (pos, vel, acc)
+    jet_fn: Callable[[np.ndarray], tuple] | None = field(default=None, repr=False)
     label: str = ""
     position_fn: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
-    def jet_many(self, ts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def jet_many(self, ts, order: int = 2) -> tuple[np.ndarray, ...]:
+        if order not in (1, 2) or not isinstance(order, (int, np.integer)):
+            raise ValueError(f"jet order must be 1 or 2, got {order!r}")
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return self.jet_fn(ts)
+        if self.jet_fn is not None:
+            return self.jet_fn(ts)[:order + 1]
+        x = self.position_fn(Jet.variable(ts, order))
+        return (x.v, *x.d)
 
     def positions(self, ts) -> np.ndarray:
         """Points at the parameters ts; a Jet of them goes to position_fn as it is."""
@@ -117,6 +126,8 @@ class PlaneCurve:
             ts = np.atleast_1d(np.asarray(ts, dtype=float))
             if self.position_fn is None:
                 return self.jet_fn(ts)[0]
+        elif self.position_fn is None:
+            raise TypeError(f"curve {self.label!r} has no position function for Jets")
         return self.position_fn(ts)
 
     def sample(self, n: int) -> np.ndarray:
@@ -130,20 +141,15 @@ class PlaneCurve:
 
     def min_speed(self, samples: int = 1024) -> float:
         ts = np.linspace(0.0, self.domain_length, samples, endpoint=False)
-        vel = self.jet_many(ts)[1]
+        vel = self.jet_many(ts, 1)[1]
         return float(np.min(np.hypot(vel[:, 0], vel[:, 1])))
 
 
 def curve_from_position(domain_length: float, position_fn: Callable,
                         label: str = "") -> PlaneCurve:
-    """Curve whose 2-jet is the Taylor jet of position_fn, which takes
+    """Curve whose jets are the Taylor jets of position_fn, which takes
     arrays or Jets of the parameter."""
-
-    def jet(ts: np.ndarray):
-        x = position_fn(Jet.variable(ts, 2))
-        return x.v, x.d[0], x.d[1]
-
-    return PlaneCurve(domain_length, jet, label=label, position_fn=position_fn)
+    return PlaneCurve(domain_length, label=label, position_fn=position_fn)
 
 
 def curve_from_support(p: SupportFunction, label: str = "") -> PlaneCurve:

@@ -206,7 +206,7 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
 
     def derivative(order, sides):
         """g' (order 1) or g'' (order 2) of bracket i's side line, for bracketed_roots."""
-        return lambda t, i: normal(curve.jet_many(t)[order], sides[i])
+        return lambda t, i: normal(curve.jet_many(t, order)[order], sides[i])
 
     _, vel, acc = curve.jet_many(np.concatenate([lo, hi]))
     both = np.concatenate([side, side])
@@ -216,7 +216,7 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
     if cells.size:   # a jet evaluation costs about as much on no points as on one
         # any split point is sound: the halves' brackets are checked below
         mid = bracketed_roots(derivative(2, side[cells]), lo[cells], hi[cells])[0]
-        turn = ~(normal(curve.jet_many(mid)[1], side[cells]) * g1[0, cells] > 0)
+        turn = ~(normal(curve.jet_many(mid, 1)[1], side[cells]) * g1[0, cells] > 0)
         cells, mid = cells[turn], mid[turn]
     order = np.argsort(np.concatenate([np.flatnonzero(signed), cells, cells]), kind="stable")
     side = np.concatenate([side[signed], side[cells], side[cells]])[order]
@@ -447,7 +447,7 @@ def _polygon_metrics(report: VerificationReport, config, poly: PonceletPolygon, 
             gap = _support_gap(a, b, at, sup)
         else:
             # the contact must lie on the side line, tangent to it
-            vel = curve.jet_many(at)[1]
+            vel = curve.jet_many(at, 1)[1]
             dk, r, length = d[probe, i], poly.contacts[probe, i] - a, side[probe, i]
             sin = (vel[:, 0] * dk[:, 1] - vel[:, 1] * dk[:, 0]) / (
                 np.hypot(vel[:, 0], vel[:, 1]) * length)
@@ -562,7 +562,7 @@ def regularity_scan(curve: PlaneCurve, samples: int = 1024,
         raise ValueError("need at least 64 samples")
     L = curve.domain_length
     ts = np.linspace(0.0, L, samples, endpoint=False)
-    vel = curve.jet_many(ts)[1]
+    vel = curve.jet_many(ts, 1)[1]
     speed = np.hypot(vel[:, 0], vel[:, 1])
     is_min = (speed < np.roll(speed, 1)) & (speed <= np.roll(speed, -1))
     cut = max(np.median(speed) * 0.25, 10 * zero_tol)
@@ -579,7 +579,7 @@ def regularity_scan(curve: PlaneCurve, samples: int = 1024,
     if open_.any():
         raise RuntimeError("speed minimum refinement did not converge near t = "
                            + ", ".join(f"{t:.6f}" for t in roots[open_] % L))
-    vel = curve.jet_many(roots)[1]
+    vel = curve.jet_many(roots, 1)[1]
     near = tuple((float(t % L), float(v)) for t, v in zip(roots, np.hypot(vel[:, 0], vel[:, 1]))
                  if v < zero_tol)
     return RegularityScan(float(np.min(speed)), near, samples)

@@ -149,9 +149,10 @@ def test_criterion_07_oracle_round_trip_and_negative_controls(corpus):
                                pair.envelope_support.terms, 1)
     fail_env = not verify_pair(PonceletConfiguration(**{**base, "envelope_supports": (bumped_p,)}),
                                probes=16, tol=1e-6).passed
-    moved = PlaneCurve(TWO_PI, lambda ts: (pair.vertex_curve.jet_fn(ts)[0] + np.array([1e-3, 0.0]),
-                                           *pair.vertex_curve.jet_fn(ts)[1:]),
-                       position_fn=lambda ts: pair.vertex_curve.positions(ts) + np.array([1e-3, 0.0]))
+    K = pair.vertex_curve
+    moved = PlaneCurve(TWO_PI, lambda ts: (K.jet_many(ts)[0] + np.array([1e-3, 0.0]),
+                                           *K.jet_many(ts)[1:]),
+                       position_fn=lambda ts: K.positions(ts) + np.array([1e-3, 0.0]))
     fail_vertex = not verify_pair(PonceletConfiguration(**{**base, "vertex_curves": (moved,)}),
                                   probes=16, tol=1e-6).passed
     ok = worst < 1e-7 and fail_env and fail_vertex

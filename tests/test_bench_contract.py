@@ -6,12 +6,16 @@ library entry points by name and counts points from given arguments. A
 refactor that broke either would not fail a benchmark run: it would make
 the controls pass or a per-layer metric read zero. These tests pin both,
 and the root solver that the tracer is to wrap in the modules that call it.
+The verifier reaches a curve's derivatives only through jet_many, at the
+order it reads, and never passes a Jet to position_fn, so the controls'
+array-only replacements are all it sees.
 """
 
 import dataclasses
 import importlib.util
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +104,49 @@ def test_replaced_curve_functions_move_positions_and_jets(scene):
         assert np.allclose(moved.positions(ts) - curve.positions(ts), shift, atol=1e-12), name
         assert np.allclose(mpos - pos, shift, atol=1e-12), name
         assert np.array_equal(mvel, vel) and np.array_equal(macc, acc), name
+
+
+def test_first_order_jets_are_the_second_order_jets_cut(scene):
+    # the contact solves read X' from jet_many(ts, 1); it must not move a bit
+    ts = np.linspace(0.0, scene.configuration.domain_length, 64, endpoint=False) + 0.01
+    for name, curve in scene.curve_table().items():
+        first, second = curve.jet_many(ts, 1), curve.jet_many(ts)
+        assert len(first) == 2 and len(second) == 3, name
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second[:2]], name
+
+
+def test_contact_solves_take_first_order_jets(monkeypatch):
+    # g' = <X', n> needs X' only, so each side-contact solve of a sequence
+    # verify takes order-1 jets of the envelope; only the solve that splits
+    # a cell at a zero of g'' = <X'', n>, before it, takes order 2
+    solves, live = [], []       # the jet orders each solver call asks for
+    jet_many, solve = verify.PlaneCurve.jet_many, verify.bracketed_roots
+
+    def traced_jet(self, ts, *args, **kwargs):
+        if live:
+            solves[-1].add(kwargs.get("order", args[0] if args else 2))
+        return jet_many(self, ts, *args, **kwargs)
+
+    def traced_solve(*args, **kwargs):
+        solves.append(set())
+        live.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            live.pop()
+
+    monkeypatch.setattr(verify.PlaneCurve, "jet_many", traced_jet)
+    monkeypatch.setattr(verify, "bracketed_roots", traced_solve)
+    for name in ("envelope-from-vertex", "envelope-from-vertex (conjugated)",
+                 "clan-from-vertex"):
+        scene = SCENES[name]()
+        assert scene.configuration.mode == "sequence", name
+        solves.clear()
+        assert scene.verify().passed, name
+        assert all(len(s) < 2 for s in solves), (name, solves)
+        orders = "".join(str(*s) for s in solves if s)
+        assert re.fullmatch("(2?1)+", orders), (name, orders)
+        assert orders.count("1") == len(scene.configuration.envelopes), (name, orders)
 
 
 def test_negative_controls_fail_verification(scene):

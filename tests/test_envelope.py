@@ -136,7 +136,7 @@ class TestEnvelopeFromVertex:
         alpha = TWO_PI / 3
         res = envelope_from_vertex(rot_system(p, 1, 3))
         Y = curve_from_support(p)
-        stepped_vertex = PlaneCurve(TWO_PI, lambda ts: Y.jet_fn(ts + alpha),
+        stepped_vertex = PlaneCurve(TWO_PI, lambda ts: Y.jet_many(ts + alpha),
                                     position_fn=lambda ts: Y.positions(ts + alpha))
         f = cm.as_torsion(cm.rotation(TWO_PI, alpha), 3)
         res2 = envelope_from_vertex(VertexStepSystem(stepped_vertex, f))

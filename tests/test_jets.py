@@ -71,6 +71,15 @@ class TestArithmetic:
         a, b = Jet.variable(TS, 3), Jet.variable(TS, 1)
         assert (a * b).order == 1 and (a + b).order == 1 and (a / b).order == 1
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_variable_carries_the_order_asked(self, order):
+        # t' = 1 and nothing higher; order 0 is the bare parameter
+        t = Jet.variable(TS, order)
+        want = [np.ones_like(TS), *[np.zeros_like(TS)] * (order - 1)][:order]
+        assert t.order == order and len(t.d) == len(want)
+        assert all(np.array_equal(d, w) for d, w in zip(t.d, want))
+        assert jets.sin(t).order == order
+
     def test_composition_beyond_order_three_is_refused(self):
         with pytest.raises(ValueError, match="order 3"):
             jets.sin(Jet.variable(TS, 4))
@@ -119,6 +128,17 @@ def test_lift_of_inverse_is_the_identity_jet(c, terms):
     assert np.max(np.abs(v - TS)) < 1e-11
     assert np.max(np.abs(d1 - 1.0)) < 1e-12
     assert np.max(np.abs(d2)) < 1e-12 and np.max(np.abs(d3)) < 1e-12
+
+
+@settings(max_examples=30)
+@given(offsets, fourier_terms)
+def test_inverse_jet_of_each_order_is_the_order_three_jet_cut(c, terms):
+    # the inverse takes the lift's jet at its argument's order, not always 3
+    inv = fourier_map(c, terms).inverse()
+    full = jet_of(inv.lift, TS)
+    for order in range(4):
+        cut = jet_of(inv.lift, TS, order)
+        assert [a.tobytes() for a in cut] == [a.tobytes() for a in full[:order + 1]]
 
 
 @settings(max_examples=30)

@@ -111,7 +111,7 @@ def _broken_circle(value: float, label: str = "broken") -> PlaneCurve:
         pts = CIRCLE.positions(ts)
         pts[(1.0 <= ts) & (ts < 1.1), 1] = value
         return pts
-    return PlaneCurve(CIRCLE.domain_length, CIRCLE.jet_fn, label, position_fn=position_fn)
+    return PlaneCurve(CIRCLE.domain_length, label=label, position_fn=position_fn)
 
 
 def _first_bad(n: int) -> float:

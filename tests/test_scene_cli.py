@@ -556,6 +556,24 @@ def test_periodic_clan_closes_after_its_repeating_block(tmp_path, capsys):
     assert out["verification"]["checks"]["no_premature_closure"]
 
 
+@pytest.mark.parametrize("command", [("build", "--skip-verify"), ("verify",)])
+def test_clan_whose_consecutive_branch_angles_close_a_turn_exits_three(tmp_path, command):
+    # branch angles 1/2 and 3/2 pi sum to 2 pi: the tangent lines before and
+    # after them are one line, so two consecutive vertices are one point
+    doc = {"construction": "equiangular-clan",
+           "parameters": {"support": {"a": 1.0, "k": 1,
+                                      "terms": [{"l_num": 2, "l_den": 1, "cos": 0.05}]},
+                          "angles": [{"num": 1, "den": 2}] * 4, "branches": [0, 1, 0, 1]}}
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-m", "poncelet.cli", command[0], str(path),
+                           *command[1:]], capture_output=True, text=True, cwd=str(REPO),
+                          env=cli_env())
+    assert proc.returncode == 3, proc.stdout
+    assert "polygon degenerates: consecutive branch angles 1/2*pi and 3/2*pi" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _fourier_step_doc(j: int, sin: float) -> dict:
     return {"construction": "envelope-from-vertex",
             "parameters": {"support": {"a": 1.0, "k": 1, "terms": []},

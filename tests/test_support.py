@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from poncelet.support import (SupportError, SupportFunction, SupportTerm,
+from poncelet.jets import Jet
+from poncelet.support import (PlaneCurve, SupportError, SupportFunction, SupportTerm,
                               constant_width_check, curve_from_support, signed_area)
 
 WANKEL_A = 2 + math.sqrt(3)
@@ -139,6 +140,43 @@ def test_derivative_of_a_huge_frequency_overflows_to_infinity():
     p = SupportFunction(1.0, (SupportTerm(Fraction(10**200), 1.0),), 1)
     with np.errstate(over="ignore"):
         assert math.isinf(p.eval(0.0, 2))
+
+
+def _hand_written_circle(radius: float) -> PlaneCurve:
+    """A circle given only by its jet on arrays, as a test or a control writes one."""
+    def jet_fn(ts):
+        u = np.stack([np.cos(ts), np.sin(ts)], axis=1)
+        return radius * u, radius * np.stack([-u[:, 1], u[:, 0]], axis=1), -radius * u
+    return PlaneCurve(2 * math.pi, jet_fn, label="hand")
+
+
+class TestJetOrders:
+    TS = np.linspace(0.0, 2 * math.pi, 33) + 0.1
+
+    def test_hand_written_jet_is_cut_to_the_order_asked(self):
+        curve = _hand_written_circle(1.5)
+        first, second = curve.jet_many(self.TS, 1), curve.jet_many(self.TS)
+        assert len(first) == 2 and len(second) == 3
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second[:2]]
+
+    def test_library_curve_takes_the_taylor_jet_of_its_positions(self):
+        curve = curve_from_support(cos_poly(2.0, (3, 0.1)))
+        assert curve.jet_fn is None
+        x = curve.positions(Jet.variable(self.TS, 1))
+        assert [a.tobytes() for a in curve.jet_many(self.TS, 1)] == [x.v.tobytes(),
+                                                                    x.d[0].tobytes()]
+
+    @pytest.mark.parametrize("order", [0, 3, 1.0, "1"])
+    def test_other_orders_are_refused(self, order):
+        for curve in (curve_from_support(cos_poly(2.0)), _hand_written_circle(1.0)):
+            with pytest.raises(ValueError, match="jet order must be 1 or 2"):
+                curve.jet_many(self.TS, order)
+
+    def test_jet_positions_without_a_position_function_name_the_curve(self):
+        curve = _hand_written_circle(1.0)
+        assert np.allclose(curve.positions([0.0]), [[1.0, 0.0]])
+        with pytest.raises(TypeError, match="'hand' has no position function for Jets"):
+            curve.positions(Jet.variable(self.TS, 1))
 
 
 def test_plane_curve_min_speed_positive_for_circle():

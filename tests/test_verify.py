@@ -411,7 +411,7 @@ class TestVerifyPair:
         K = pair.vertex_curve
 
         def shifted_jet(ts):
-            pos, vel, acc = K.jet_fn(ts)
+            pos, vel, acc = K.jet_many(ts)
             return pos + np.array([1e-3, 0.0]), vel, acc
 
         moved = PlaneCurve(TWO_PI, shifted_jet,
