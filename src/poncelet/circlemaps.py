@@ -206,8 +206,9 @@ def _min_slope(f: CircleDiffeo, harmonic: int) -> float:
     def curvature(x, _):
         return f.lift(Jet.variable(x, 2)).d[1]
 
-    signed = (curvature(lo, None) <= 0.0) & (curvature(hi, None) >= 0.0)
-    roots, _ = bracketed_roots(curvature, lo[signed], hi[signed])
+    clo, chi = curvature(lo, None), curvature(hi, None)
+    signed = (clo <= 0.0) & (chi >= 0.0)
+    roots, _ = bracketed_roots(curvature, lo[signed], hi[signed], clo[signed], chi[signed])
     return float(np.min(np.concatenate([slope, f.derivative(roots)])))
 
 

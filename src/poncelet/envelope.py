@@ -107,8 +107,9 @@ def side_envelope(first: Callable, second: Callable, L: float, label: str,
     sign_flips = np.nonzero(np.sign(d) * np.sign(np.roll(d, -1)) <= 0)[0]
     if len(sign_flips):
         # an unconverged bracket still locates the zero within its grid cell
-        lo = ts[sign_flips[:8]]
-        params, _ = bracketed_roots(denom, lo, lo + L / len(ts))
+        at = sign_flips[:8]
+        params, _ = bracketed_roots(denom, ts[at], np.append(ts[1:], L)[at], d[at],
+                                    np.roll(d, -1)[at])
         raise EnvelopeSingularity([float(t) for t in params])
     return curve_from_position(L, _chord_envelope_position(first, second), label=label)
 
@@ -262,14 +263,14 @@ def _fixed_point_scan(steps: Sequence[CircleDiffeo], G: Sequence[np.ndarray], i:
                        & (np.abs(after - disp) < 0.5 * L))[0]
     if len(flips) == 0:
         return None
-    lo = xs[flips[:1]]
+    at = flips[:1]
 
     def centered(t, _):
         g = orbit(steps[:j], t)
         return np.mod(g[j] - g[i] + 0.5 * L, L) - 0.5 * L
 
     # as in side_envelope, the bracket locates the point either way
-    x = bracketed_roots(centered, lo, lo + L / len(xs))[0]
+    x = bracketed_roots(centered, xs[at], np.append(xs[1:], L)[at], disp[at], after[at])[0]
     return float(np.mod(orbit(steps[:i], x)[i][0], L))
 
 

@@ -21,7 +21,9 @@ Torsion steps: {"m": int, "n": int, "h": {"c": float, "terms": [{"j", "sin", "co
 Clan steps: {"rotation_pi": {"num", "den"}} or a Fourier lift {"c", "terms"}.
 A polygon has at most verify.MAX_VERTICES vertices; a larger torsion period,
 clan step count or vertex count is refused here, before any work grows with it.
-So is a support function on more than verify.MAX_SHEETS sheets.
+So is a support function on more than verify.MAX_SHEETS sheets, a support or
+Fourier lift of more than MAX_TERMS terms, and more than verify.MAX_PROBES
+render.polygon_starts.
 
 This module is the only reader of these documents: it builds the library's
 support functions, circle maps and configurations from the values it checks.
@@ -49,6 +51,12 @@ from .vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
 
 class SchemaError(ValueError):
     pass
+
+
+# terms of a support function or a Fourier lift: the fitted lifts of
+# bicentric circle pairs need 65 to 79, and 2000 support terms take a second
+# to verify
+MAX_TERMS = 256
 
 
 CONSTRUCTIONS = (
@@ -104,10 +112,13 @@ def _exact(raw, where: str) -> int:
     return x
 
 
-def _list(raw, where: str) -> list | tuple:
-    """A list from a document value: a JSON array, or a tuple from code."""
+def _list(raw, where: str, cap: int | None = None) -> list | tuple:
+    """A list from a document value, a JSON array or a tuple from code, of at
+    most cap entries."""
     if not isinstance(raw, (list, tuple)):
         raise SchemaError(f"{where} must be a list, got {raw!r}")
+    if cap is not None and len(raw) > cap:
+        raise SchemaError(f"{where} has {len(raw)} entries; at most {cap} are allowed")
     return raw
 
 
@@ -146,7 +157,7 @@ def _support(doc, where: str) -> SupportFunction:
     a = _number(doc["a"], f"{where}.a")
     k = _sheets(_integer(doc.get("k", 1), f"{where}.k"), f"{where}.k")
     terms = []
-    for i, t in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
+    for i, t in enumerate(_list(doc.get("terms", []), f"{where}.terms", MAX_TERMS)):
         at = f"{where}.terms[{i}]"
         _check_keys(t, {"l_num", "l_den", "cos", "sin"}, at, ("l_num", "l_den"))
         l = _ratio(t, at, "l_num", "l_den", _integer)
@@ -165,7 +176,7 @@ def _support(doc, where: str) -> SupportFunction:
 def _fourier(doc, L: float, where: str) -> cm.CircleDiffeo:
     _check_keys(doc, {"c", "terms"}, where)
     terms = []
-    for i, t in enumerate(_list(doc.get("terms", []), f"{where}.terms")):
+    for i, t in enumerate(_list(doc.get("terms", []), f"{where}.terms", MAX_TERMS)):
         at = f"{where}.terms[{i}]"
         _check_keys(t, {"j", "sin", "cos"}, at, ("j",))
         j = _integer(t["j"], f"{at}.j")
@@ -363,7 +374,7 @@ def parse_config(doc: dict) -> tuple[str, dict, RenderOptions, VerifyOptions]:
 
     rdoc = doc.get("render", {})
     _check_keys(rdoc, {"samples", "margin", "polygon_starts"}, "render")
-    starts = _list(rdoc.get("polygon_starts", [0.0]), "render.polygon_starts")
+    starts = _list(rdoc.get("polygon_starts", [0.0]), "render.polygon_starts", MAX_PROBES)
     margin = _number(rdoc.get("margin", 0.05), "render.margin")
     if not 0.0 <= margin <= 1.0:
         raise SchemaError(f"render.margin must be between 0 and 1, got {margin!r}")

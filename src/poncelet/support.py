@@ -41,6 +41,8 @@ class SupportFunction:
     constant: float
     terms: tuple[SupportTerm, ...] = ()
     sheets: int = 1
+    # each term's frequency as a float, converted once
+    _frequencies: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sheets < 1:
@@ -54,6 +56,8 @@ class SupportFunction:
                     f"frequency {t.frequency} is not periodic on {self.sheets} sheets "
                     f"(l*k = {t.frequency * self.sheets} is not an integer)"
                 )
+        # np.float64, so that l ** order overflows to inf, not an error
+        object.__setattr__(self, "_frequencies", tuple(np.float64(t.frequency) for t in self.terms))
 
     @property
     def domain_length(self) -> float:
@@ -82,8 +86,7 @@ class SupportFunction:
         """p, p', ..., p^(count - 1) at phi, each term's cos and sin taken once."""
         phi = self._reduce(np.asarray(phi, dtype=float))
         out = [np.full_like(phi, self.constant if i == 0 else 0.0) for i in range(count)]
-        for t in self.terms:
-            l = np.float64(t.frequency)   # l ** order overflows to inf, not an error
+        for t, l in zip(self.terms, self._frequencies):
             arg = l * phi
             cos, sin = np.cos(arg), np.sin(arg)
             c, s = t.cos_coeff, t.sin_coeff

@@ -83,9 +83,10 @@ def _circle_roots(fn, L: float, ts: np.ndarray,
     a grid point is a root; a root within 1e-9 L of its predecessor in the
     row, or of the row's first root across the seam, is dropped.
     """
-    exact = vals == 0.0
-    row, col = np.nonzero(~exact & (vals * np.roll(vals, -1, axis=1) < 0))
-    refined, open_ = bracketed_roots(lambda t, i: fn(t, row[i]), ts[col], ts[col] + L / len(ts))
+    exact, after = vals == 0.0, np.roll(vals, -1, axis=1)
+    row, col = np.nonzero(~exact & (vals * after < 0))
+    refined, open_ = bracketed_roots(lambda t, i: fn(t, row[i]), ts[col],
+                                     np.append(ts[1:], L)[col], vals[row, col], after[row, col])
     errors = {r: OracleError("root refinement did not converge near t = " + ", ".join(
         f"{t:.6f}" for t in refined[(row == r) & open_])) for r in np.unique(row[open_]).tolist()}
     zero_row, zero_col = np.nonzero(exact)
@@ -199,7 +200,7 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
     side, cand = _distance_minima(a, nx, ny, grid_pts)
     L = curve.domain_length
     step = L / len(grid_ts)
-    lo, hi = grid_ts[cand] - step, grid_ts[cand] + step
+    ends = grid_ts[cand] + np.array([[-step], [step]])     # each cell's [lo, hi]
 
     def normal(x, k):
         return x[:, 0] * nx[k] + x[:, 1] * ny[k]
@@ -208,21 +209,22 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
         """g' (order 1) or g'' (order 2) of bracket i's side line, for bracketed_roots."""
         return lambda t, i: normal(curve.jet_many(t, order)[order], sides[i])
 
-    _, vel, acc = curve.jet_many(np.concatenate([lo, hi]))
+    _, vel, acc = curve.jet_many(ends.ravel())
     both = np.concatenate([side, side])
     g1, g2 = normal(vel, both).reshape(2, -1), normal(acc, both).reshape(2, -1)
     signed = ~(g1[0] * g1[1] > 0)
-    cells, mid = np.flatnonzero(~signed & (g2[0] * g2[1] < 0)), np.empty(0)
+    cells, mid, gmid = np.flatnonzero(~signed & (g2[0] * g2[1] < 0)), np.empty(0), np.empty(0)
     if cells.size:   # a jet evaluation costs about as much on no points as on one
         # any split point is sound: the halves' brackets are checked below
-        mid = bracketed_roots(derivative(2, side[cells]), lo[cells], hi[cells])[0]
-        turn = ~(normal(curve.jet_many(mid, 1)[1], side[cells]) * g1[0, cells] > 0)
-        cells, mid = cells[turn], mid[turn]
+        mid = bracketed_roots(derivative(2, side[cells]), *ends[:, cells], *g2[:, cells])[0]
+        gmid = normal(curve.jet_many(mid, 1)[1], side[cells])
+        turn = ~(gmid * g1[0, cells] > 0)
+        cells, mid, gmid = cells[turn], mid[turn], gmid[turn]
     order = np.argsort(np.concatenate([np.flatnonzero(signed), cells, cells]), kind="stable")
     side = np.concatenate([side[signed], side[cells], side[cells]])[order]
-    lo = np.concatenate([lo[signed], lo[cells], mid])[order]
-    hi = np.concatenate([hi[signed], mid, hi[cells]])[order]
-    roots, open_ = bracketed_roots(derivative(1, side), lo, hi)
+    ends = np.concatenate([ends[:, signed], [ends[0, cells], mid], [mid, ends[1, cells]]], axis=1)
+    g1 = np.concatenate([g1[:, signed], [g1[0, cells], gmid], [gmid, g1[1, cells]]], axis=1)
+    roots, open_ = bracketed_roots(derivative(1, side), *ends[:, order], *g1[:, order])
     done = np.nonzero(~open_)[0]
     pts = curve.positions(roots[done])
     s = side[done]
@@ -517,7 +519,12 @@ def _verify_sequence(config, starts, tol, report):
         if not probe.size:
             continue
         if sup is not None:
-            near = circle_distance(side_contact_recover(a, b, sup)[0], at, sup.period)
+            # a side whose ends coincide has no line to recover a contact from
+            flat = np.all(a == b, axis=1)
+            errors.extend(((int(probe[i]), int(side[i])), f"side {side[i]} on envelope {k} has "
+                           "zero length") for i in np.flatnonzero(flat))
+            near = circle_distance(side_contact_recover(a[~flat], b[~flat], sup)[0], at[~flat],
+                                   sup.period)
         else:
             grid_ts = np.linspace(0.0, curve.domain_length, GRID, endpoint=False)
             found, stuck = parametric_side_contacts(a, b, curve, grid_ts,
@@ -573,9 +580,9 @@ def regularity_scan(curve: PlaneCurve, samples: int = 1024,
         return v[:, 0] * a[:, 0] + v[:, 1] * a[:, 1]
 
     lo, hi = low - L / samples, low + L / samples
-    ends = slope(np.concatenate([lo, hi]), None)
-    signed = ~(ends[:len(low)] * ends[len(low):] > 0)
-    roots, open_ = bracketed_roots(slope, lo[signed], hi[signed])
+    ends = slope(np.concatenate([lo, hi]), None).reshape(2, -1)
+    signed = ~(ends[0] * ends[1] > 0)
+    roots, open_ = bracketed_roots(slope, lo[signed], hi[signed], *ends[:, signed])
     if open_.any():
         raise RuntimeError("speed minimum refinement did not converge near t = "
                            + ", ".join(f"{t:.6f}" for t in roots[open_] % L))

@@ -16,7 +16,13 @@ two commits, unpack the older one and dump both with this file:
     git archive <commit> | tar -x -C /tmp/old
     python tests/dump_reports.py /tmp/old > old.txt
     python tests/dump_reports.py > new.txt
-    cmp old.txt new.txt
+    python tests/dump_reports.py --compare old.txt new.txt
+
+`--compare OLD NEW` reads two such dumps. It prints how many reports are
+identical, how many floats moved and the largest move, and then every other
+difference: a changed `checks`, `passed`, `errors`, `mode`,
+`oracle_direction` or `probes`, or a case only one dump holds. It exits 1
+if there is any such change, and 0 if at most floats moved.
 """
 
 import json
@@ -26,7 +32,50 @@ from pathlib import Path
 PROBES = (8, 64, 1024)
 
 
+def _dump(path: str) -> dict[str, str]:
+    """{case: its report's JSON text} of a dump file."""
+    cases = (line.partition(" {") for line in Path(path).read_text().splitlines() if line)
+    return {case: brace + text for case, brace, text in cases}
+
+
+def _walk(old, new, where: str, moves: list[float], changes: list[str]) -> None:
+    """Append the |diff| of each float that moved to moves, and every other
+    difference, under where, to changes; an error list is compared whole."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            _walk(old[key], new[key], f"{where}.{key}", moves, changes)
+    elif (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
+          and not any(isinstance(x, str) for x in old + new)):
+        for i, (a, b) in enumerate(zip(old, new)):
+            _walk(a, b, f"{where}[{i}]", moves, changes)
+    elif isinstance(old, float) and isinstance(new, float):
+        if not (old == new or (old != old and new != new)):
+            moves.append(abs(new - old))
+    elif old != new:
+        changes.append(f"{where}: {old!r} -> {new!r}")
+
+
+def compare(old_path: str, new_path: str) -> int:
+    old, new = _dump(old_path), _dump(new_path)
+    moves: list[float] = []
+    changes = [f"{case}: only in {new_path if case in new else old_path}"
+               for case in sorted(old.keys() ^ new.keys())]
+    both = [case for case in old if case in new]
+    for case in both:
+        _walk(json.loads(old[case]), json.loads(new[case]), case, moves, changes)
+    same = sum(old[case] == new[case] for case in both)
+    print(f"{same} of {len(both)} reports identical; {len(moves)} floats moved, "
+          f"largest {max(moves, default=0.0):.3g}; {len(changes)} changes")
+    for line in changes:
+        print("  " + line)
+    return 1 if changes else 0
+
+
 def main(argv: list[str]) -> None:
+    if len(argv) > 1 and argv[1] == "--compare":
+        if len(argv) != 4:
+            sys.exit("usage: dump_reports.py --compare OLD NEW")
+        sys.exit(compare(argv[2], argv[3]))
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     from poncelet.scene import load_scene

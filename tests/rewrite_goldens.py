@@ -5,10 +5,13 @@
 Each named golden (all four by default) is computed again, and every value
 that moved is printed as path: old -> new. Lists of more than four numbers
 are summarised by their largest move. A moved float or a moved render hash
-is a move; any other difference (a check, passed, an error string, the
-mode, the oracle direction, a probe count, a key or a hash name) is a
-change, and the script then exits 1 and writes nothing. With --write, the
-named goldens that moved are rewritten in their own layout.
+is a move, and so is a string (an error message) whose text is unchanged
+outside its float literals, each of which agrees with the old one to 1e-12
+relative. Any other difference (a check, passed, the rest of an error
+string, the order of the errors, the mode, the oracle direction, a probe
+count, a key or a hash name) is a change, and the script then exits 1 and
+writes nothing. With --write, the named goldens that moved are rewritten in
+their own layout.
 
 This file is not collected by pytest (its name does not start with test_).
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -105,6 +109,18 @@ def _same_number(a: float, b: float) -> bool:
     return a == b or (a != a and b != b)
 
 
+# a float literal in an error string, such as K(2.688352463462516)
+_FLOAT = re.compile(r"(-?\d+\.\d+(?:[eE][-+]?\d+)?)")
+
+
+def _literals_moved(old: str, new: str) -> bool:
+    """Whether new is old with float literals that agree to 1e-12 relative."""
+    a, b = _FLOAT.split(old), _FLOAT.split(new)
+    return len(a) == len(b) and a[::2] == b[::2] and all(
+        abs(float(x) - float(y)) <= 1e-12 * max(abs(float(x)), abs(float(y)))
+        for x, y in zip(a[1::2], b[1::2]))
+
+
 def compare(old, new, path: str, hashes: bool, out: list[str]) -> bool:
     """Append each move under path to out; False at a change that is not a move."""
     if isinstance(old, dict) and isinstance(new, dict):
@@ -127,14 +143,16 @@ def compare(old, new, path: str, hashes: bool, out: list[str]) -> bool:
             out.append(f"{path}: {int(moved.sum())} of {a.size} values moved, "
                        f"largest |diff| {largest:.3g}")
         return True
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new) and not (
-            old and isinstance(old[0], str)):
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
         return all([compare(o, n, f"{path}[{i}]", hashes, out)
                     for i, (o, n) in enumerate(zip(old, new))])
     if old == new:
         return True
     if hashes and isinstance(old, str) and isinstance(new, str):
         out.append(f"{path}: {old} -> {new}")
+        return True
+    if isinstance(old, str) and isinstance(new, str) and _literals_moved(old, new):
+        out.append(f"{path}: {old!r} -> {new!r}")
         return True
     out.append(f"{path}: CHANGED {old!r} -> {new!r}")
     return False

@@ -204,8 +204,8 @@ def test_positions_of_a_jet_count_its_points():
 
 
 def test_root_solver_signature():
-    assert list(inspect.signature(roots.bracketed_roots).parameters) == ["fn", "lo", "hi",
-                                                                          "iters"]
+    assert list(inspect.signature(roots.bracketed_roots).parameters) == ["fn", "lo", "hi", "flo",
+                                                                          "fhi", "iters"]
 
 
 def _fixed_point_clan():

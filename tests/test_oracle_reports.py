@@ -34,7 +34,18 @@ entry was edited by hand, because the tool refuses a flipped check: a
 report that measures no closed polygon now leaves closure_error,
 max_tangency_gap, min_premature_closure and s_range null, where it gave
 0.0, inf and [inf, -inf], and fails closure, tangency and
-no_premature_closure, which those defaults passed."""
+no_premature_closure, which those defaults passed.
+
+It was rewritten by tests/rewrite_goldens.py when the root solver began to
+take its bracket ends' values from the caller (the oracle's circle scans
+now refine up to the next grid point, where they added L / GRID) and to
+scale the kept end by the Anderson-Bjorck factor, closing a bracket at the
+secant point of its end values. 42 floats moved, each by at most 1.5e-14
+absolute, and most closure_error and max_tangency_gap values fell. The
+forced pair's errors kept their order and text but for 21 full-precision
+parameters (such as K(2.688352463462516) to K(2.688352463462515)), each
+within 1e-12 relative, which the tool now counts as moves. No checks,
+passed, mode, oracle_direction or probe count changed."""
 
 import dataclasses
 import json

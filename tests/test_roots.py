@@ -13,12 +13,14 @@ from poncelet.scene import load_scene
 REPO = Path(__file__).resolve().parent.parent
 
 
-def illinois(fn, lo: float, hi: float, iters: int = 60):
-    """Scalar Illinois iteration on one bracket: the reference for the
-    lockstep solver. Each secant point keeps a step of tol inside the
-    bracket, the width is tested after every update, and a bracket closed
-    by width returns the end with the smaller unhalved |f|. Returns
-    (root, converged)."""
+def anderson_bjorck(fn, lo: float, hi: float, iters: int = 60):
+    """Scalar Anderson-Bjorck iteration on one bracket: the reference for
+    the lockstep solver. Each secant point keeps a step of tol inside the
+    bracket, the kept end's value is scaled by 1 - f(new)/f(replaced) (1/2
+    when that is not positive) when the same end moves twice in a row, the
+    width is tested after every update, and a bracket closed by width
+    returns the secant point of its unscaled |f| at the ends (its end with
+    the smaller |f| when that is not finite). Returns (root, converged)."""
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo, True
@@ -29,11 +31,12 @@ def illinois(fn, lo: float, hi: float, iters: int = 60):
     def closed():
         return hi - lo < 1e-15 * max(1.0, abs(hi))
 
-    def best_end():
-        return lo if alo < ahi else hi
+    def close():
+        x = lo + (hi - lo) * alo / (alo + ahi)
+        return x if math.isfinite(x) else (lo if alo < ahi else hi)
 
     if closed():
-        return best_end(), True
+        return close(), True
     side = 0
     for _ in range(iters):
         tol = 0.5e-15 * max(1.0, abs(hi))
@@ -46,17 +49,19 @@ def illinois(fn, lo: float, hi: float, iters: int = 60):
         if fm == 0.0:
             return mid, True
         if np.signbit(flo) != np.signbit(fm):
+            scale = 1.0 - fm / fhi
             hi, fhi, ahi = mid, fm, abs(fm)
             if side == -1:
-                flo *= 0.5
+                flo *= scale if scale > 0.0 else 0.5
             side = -1
         else:
+            scale = 1.0 - fm / flo
             lo, flo, alo = mid, fm, abs(fm)
             if side == 1:
-                fhi *= 0.5
+                fhi *= scale if scale > 0.0 else 0.5
             side = 1
         if closed():
-            return best_end(), True
+            return close(), True
     return 0.5 * (lo + hi), False
 
 
@@ -75,7 +80,7 @@ bracket = st.tuples(st.lists(coefficient, min_size=7, max_size=7),
 
 @settings(max_examples=150)
 @given(st.lists(bracket, min_size=1, max_size=12))
-def test_lockstep_roots_match_scalar_illinois(brackets):
+def test_lockstep_roots_match_scalar_anderson_bjorck(brackets):
     coeffs = np.array([c for c, _, _ in brackets])
     lo = np.array([a for _, a, _ in brackets])
     hi = lo + np.array([w for _, _, w in brackets])
@@ -84,11 +89,12 @@ def test_lockstep_roots_match_scalar_illinois(brackets):
     assume(keep.any())
     coeffs, lo, hi = coeffs[keep], lo[keep], hi[keep]
 
-    roots, open_ = bracketed_roots(lambda t, idx: trig_values(coeffs[idx], t), lo, hi)
+    flo, fhi = trig_values(coeffs, lo), trig_values(coeffs, hi)
+    roots, open_ = bracketed_roots(lambda t, idx: trig_values(coeffs[idx], t), lo, hi, flo, fhi)
 
     assert roots.shape == open_.shape == lo.shape
     for i in range(len(lo)):
-        ref, converged = illinois(
+        ref, converged = anderson_bjorck(
             lambda t: float(trig_values(coeffs[i:i + 1], np.array([t]))[0]), lo[i], hi[i])
         assert lo[i] <= roots[i] <= hi[i]
         assert roots[i] == ref
@@ -102,10 +108,10 @@ def test_exact_zero_at_an_end_returns_that_end():
         calls.append(len(t))
         return t - 1.0
 
-    roots, open_ = bracketed_roots(fn, [1.0, 0.0], [2.0, 1.0])
+    roots, open_ = bracketed_roots(fn, [1.0, 0.0], [2.0, 1.0], [0.0, -1.0], [1.0, 0.0])
     assert roots.tolist() == [1.0, 1.0]
     assert not open_.any()
-    assert calls == [4]         # both ends of both brackets in one call, no iteration
+    assert calls == []          # the caller's end values settle both brackets
 
 
 def test_each_iteration_evaluates_only_live_brackets():
@@ -115,30 +121,33 @@ def test_each_iteration_evaluates_only_live_brackets():
         calls.append(idx.tolist())
         return np.where(idx == 0, t - 0.5, np.cos(t))
 
-    roots, open_ = bracketed_roots(fn, [0.0, 1.0], [1.0, 2.0])
+    roots, open_ = bracketed_roots(fn, [0.0, 1.0], [1.0, 2.0], [-0.5, math.cos(1.0)],
+                                   [0.5, math.cos(2.0)])
     assert not open_.any()
     assert roots[0] == 0.5                      # linear: the first secant step lands on it
     assert roots[1] == pytest.approx(math.pi / 2, abs=1e-15)
-    assert calls[0] == [0, 1, 0, 1]
-    assert all(c == [1] for c in calls[2:])
+    assert calls[0] == [0, 1]
+    assert all(c == [1] for c in calls[1:])
 
 
 def test_iteration_limit_flags_the_bracket():
     roots, open_ = bracketed_roots(lambda t, _: np.tan(t - 1.0), [0.0, 0.5], [1.5, 2.0],
-                                   iters=2)
+                                   np.tan([-1.0, -0.5]), np.tan([0.5, 1.0]), iters=2)
     assert open_.all()
     assert np.all((roots > [0.0, 0.5]) & (roots < [1.5, 2.0]))
 
 
 def test_no_brackets():
-    roots, open_ = bracketed_roots(lambda t, idx: pytest.fail("called"), [], [])
+    roots, open_ = bracketed_roots(lambda t, idx: pytest.fail("called"), [], [], [], [])
     assert roots.size == 0 and open_.size == 0
 
 
 @pytest.mark.parametrize("name", ["wankel", "equiangular_hexagon", "iterated_square"])
 def test_verify_brackets_end_at_the_rounding_floor(monkeypatch, name):
     # without the minimum step a bracket whose function reached its rounding
-    # floor went on near-bisecting to the width test: 29-38 iterations per call
+    # floor went on near-bisecting to the width test: 29-38 iterations per
+    # call; with Illinois halving instead of Anderson-Bjorck scaling,
+    # iterated_square needed 10
     iterations = []
 
     def counting(fn, lo, hi, *args):
@@ -149,12 +158,37 @@ def test_verify_brackets_end_at_the_rounding_floor(monkeypatch, name):
             return fn(t, idx)
 
         out = bracketed_roots(counted, lo, hi, *args)
-        iterations.append(calls[0] - 1)     # one call for the bracket ends, one per iteration
+        iterations.append(calls[0])     # one call per iteration, none for the ends
         return out
 
     monkeypatch.setattr(verify, "bracketed_roots", counting)
     assert load_scene(str(REPO / "configs" / f"{name}.json")).verify().passed
-    assert iterations and max(iterations) <= 12
+    assert iterations and max(iterations) <= 9
+
+
+ORACLE_CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("*.json")
+                        if load_scene(str(p)).configuration.mode == "oracle")
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_oracle_verify_solves_sign_changes_from_the_callers_end_values(monkeypatch, name):
+    brackets = []
+
+    def checking(fn, lo, hi, flo, fhi, *args):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        flo, fhi = np.asarray(flo, dtype=float), np.asarray(fhi, dtype=float)
+        assert np.all((np.sign(flo) * np.sign(fhi) < 0) | (flo == 0.0) | (fhi == 0.0))
+
+        def at_no_end(t, idx):
+            assert not np.any((t == lo[idx]) | (t == hi[idx]))
+            return fn(t, idx)
+
+        brackets.append(lo.size)
+        return bracketed_roots(at_no_end, lo, hi, flo, fhi, *args)
+
+    monkeypatch.setattr(verify, "bracketed_roots", checking)
+    assert load_scene(str(REPO / "configs" / f"{name}.json")).verify().passed
+    assert sum(brackets) > 0
 
 
 def trig_slopes(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -194,6 +228,7 @@ def test_simple_roots_match_bisection(c, r, left, right):
 
     assume(f(lo) * f(hi) < 0)
     ref = bisection(f, lo, hi)
-    roots, open_ = bracketed_roots(lambda t, idx: trig_values(coeffs[idx], t), [lo], [hi])
+    roots, open_ = bracketed_roots(lambda t, idx: trig_values(coeffs[idx], t), [lo], [hi],
+                                   [f(lo)], [f(hi)])
     assert not open_[0]
     assert abs(roots[0] - ref) <= 1e-13

@@ -11,9 +11,9 @@ import pytest
 from poncelet.cli import main
 from poncelet.geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
 from poncelet.render import RenderError, render_svg, sample_points
-from poncelet.scene import SchemaError, _oracle_capable, build_scene, load_scene
+from poncelet.scene import MAX_TERMS, SchemaError, _oracle_capable, build_scene, load_scene
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
-from poncelet.verify import MAX_SHEETS, MAX_VERTICES
+from poncelet.verify import MAX_PROBES, MAX_SHEETS, MAX_VERTICES
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -360,6 +360,7 @@ _SHEETS = f"sheets; at most {MAX_SHEETS} are allowed"
 # 400 digits: num and den beyond 2**53 overflow a float conversion
 _BIG = 10**400
 _EXACT = "must be an integer of magnitude at most 2**53"
+_TERM = {"l_num": 2, "l_den": 1, "cos": 1e-9}
 
 
 @pytest.mark.parametrize("env, edits, command, message", [
@@ -457,6 +458,14 @@ _EXACT = "must be an integer of magnitude at most 2**53"
     ({}, [(("parameters", "k"), _BIG)], ("build", "--skip-verify"), f"parameters.k {_EXACT}"),
     ({}, _as("vertex-from-envelope", {**_torsion_step(4), "step": {
         "m": _BIG + 1, "n": 4, "h": _WIGGLE}}), ("verify",), f"parameters.step.m {_EXACT}"),
+    ({}, _as("equiangular-pair", {**_support_pair(), "support": {
+        "a": 9.0, "terms": [_TERM] * (MAX_TERMS + 1)}}), ("build", "--skip-verify"),
+     f"parameters.support.terms has {MAX_TERMS + 1} entries; at most {MAX_TERMS} are allowed"),
+    ({}, _as("envelope-from-vertex", _torsion_step(4, {"c": 0.3, "terms": [
+        {"j": 1, "sin": 1e-6}] * (MAX_TERMS + 1)})), ("build", "--skip-verify"),
+     f"parameters.step.h.terms has {MAX_TERMS + 1} entries; at most {MAX_TERMS} are allowed"),
+    ({}, [(("render", "polygon_starts"), [0.0] * (MAX_PROBES + 1))], ("build", "--skip-verify"),
+     f"render.polygon_starts has {MAX_PROBES + 1} entries; at most {MAX_PROBES} are allowed"),
 ], ids=["env-probes-below-floor", "env-probes-above-cap", "probes-not-a-number",
         "probes-above-cap", "parameters-missing", "zero-denominator", "a-not-a-number",
         "samples-not-a-number", "tol-not-a-number", "expect-interior-not-a-bool",
@@ -476,7 +485,8 @@ _EXACT = "must be an integer of magnitude at most 2**53"
         "support-cos-boolean", "equilateral-sheets-above-cap", "support-sheets-above-cap",
         "equilateral-used-sheets-above-cap", "angle-num-beyond-float",
         "clan-angle-num-beyond-float", "rotation-num-beyond-float", "equilateral-l-beyond-float",
-        "equilateral-k-beyond-float", "torsion-m-beyond-float"])
+        "equilateral-k-beyond-float", "torsion-m-beyond-float", "support-terms-above-cap",
+        "fourier-terms-above-cap", "polygon-starts-above-cap"])
 def test_malformed_input_exits_two_without_traceback(tmp_path, env, edits, command, message):
     doc = equilateral_doc()
     for path, value in edits:

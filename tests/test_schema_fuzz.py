@@ -1,8 +1,10 @@
 """Random edits of the checked-in configs never end in a traceback.
 
 Each example takes one config from configs/ and either replaces one field at
-any depth (a list element included) with a random JSON value or adds an
-unknown key to one of its objects. `poncelet build --skip-verify` on the
+any depth (a list element included) with a random JSON value, adds an
+unknown key to one of its objects, or repeats the entries of one of its
+lists to one more than a list cap (of terms, or of polygon starts).
+`poncelet build --skip-verify` on the
 result, run in-process, must return 0, 2 (schema error) or 3 (construction
 precondition) and raise nothing; `poncelet verify` at 8 probes may also
 return 1 (verification failed).
@@ -16,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poncelet.cli import main
+from poncelet.scene import MAX_TERMS
+from poncelet.verify import MAX_PROBES
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 DOCS = {path.stem: json.loads(path.read_text()) for path in CONFIGS}
@@ -43,9 +47,15 @@ def _fields(node):
 def edited_documents(draw):
     doc = json.loads(json.dumps(DOCS[draw(st.sampled_from(sorted(DOCS)))]))
     fields = list(_fields(doc))
-    if draw(st.booleans()):
+    lists = [(c, k) for c, k in fields if isinstance(c[k], list) and c[k]]
+    edit = draw(st.sampled_from(["replace", "lengthen", "add"] if lists else ["replace", "add"]))
+    if edit == "replace":
         container, key = draw(st.sampled_from(fields))
         container[key] = draw(values)
+    elif edit == "lengthen":
+        container, key = draw(st.sampled_from(lists))
+        size = draw(st.sampled_from([MAX_TERMS + 1, MAX_PROBES + 1]))
+        container[key] = (container[key] * size)[:size]
     else:
         objects = [doc] + [c[k] for c, k in fields if isinstance(c[k], dict)]
         draw(st.sampled_from(objects))["unknown" + draw(st.text(max_size=4))] = draw(values)

@@ -29,7 +29,13 @@ moved, all within 1e-14 absolute: the six clan entries (closure_error,
 min_premature_closure, max_tangency_gap, max_angle_deviation, s_range and
 regularity_min_speed, each by at most 6.7e-16 but min_premature_closure,
 by 5.0e-15), and the two iterated_square envelope-bump s_range values, which
-had already drifted in their last bits before this change."""
+had already drifted in their last bits before this change.
+
+It was rewritten a fourth time by tests/rewrite_goldens.py when the root
+solver began to take its bracket ends' values from the caller and to scale
+the kept end by the Anderson-Bjorck factor: one float moved,
+iterated_square@64 construction max_step_mismatch, from 8.9e-15 to
+1.07e-14."""
 
 import json
 from pathlib import Path

@@ -216,3 +216,35 @@ class TestEvalOrders:
     def test_invalid_orders_are_refused(self, order):
         with pytest.raises(ValueError, match="integer >= 0"):
             self.P.eval(0.7, order)
+
+    def _per_call_derivatives(self, phi, count):
+        """derivatives as written when it converted each frequency on every call."""
+        phi = np.mod(np.asarray(phi, dtype=float), self.P.domain_length)
+        out = [np.full_like(phi, self.P.constant if i == 0 else 0.0) for i in range(count)]
+        for t in self.P.terms:
+            l = np.float64(t.frequency)
+            cos, sin = np.cos(l * phi), np.sin(l * phi)
+            c, s = t.cos_coeff, t.sin_coeff
+            for order in range(count):
+                a, b = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
+                out[order] = out[order] + (l ** order) * (a * cos + b * sin)
+        return out
+
+    def test_derivatives_match_the_per_call_conversion_bit_for_bit(self):
+        phi = np.linspace(-3.0, 15.0, 97)
+        got, ref = self.P.derivatives(phi, 6), self._per_call_derivatives(phi, 6)
+        assert [d.tobytes() for d in got] == [d.tobytes() for d in ref]
+
+    def test_eval_converts_no_frequency(self, monkeypatch):
+        calls = []
+        to_float = Fraction.__float__
+
+        def counted(self):
+            calls.append(self)
+            return to_float(self)
+
+        monkeypatch.setattr(Fraction, "__float__", counted)
+        self.P.eval(np.linspace(0.0, 4 * math.pi, 50), 3)
+        self.P.eval(0.7)
+        self.P.eval(Jet.variable(np.array([0.1, 0.2]), 2), 1)
+        assert calls == []

@@ -220,8 +220,12 @@ class TestParametricSideContacts:
         # the two rightmost points are mirror images: the line x = max x
         # touches the envelope at both
         guess = np.array([15.494, 17.492])
-        tops, open_ = bracketed_roots(lambda t, _: env.jet_many(t)[1][:, 0],
-                                      guess - 0.01, guess + 0.01)
+
+        def x_speed(t, _=None):
+            return env.jet_many(t, 1)[1][:, 0]
+
+        lo, hi = guess - 0.01, guess + 0.01
+        tops, open_ = bracketed_roots(x_speed, lo, hi, x_speed(lo), x_speed(hi))
         assert not open_.any()
         x_max = float(np.mean(env.positions(tops)[:, 0]))
         a = np.array([[x_max, -3.0], [x_max + 1.0, -3.0]])
@@ -329,6 +333,22 @@ class TestPerturbedSequencePolygons:
             return dataclasses.replace(walk, vertex_params=params)
 
         assert not verify_pair(dataclasses.replace(config, walk=moved), probes=8).passed
+
+    @pytest.mark.parametrize("name", ["equilateral_a85", "pentagram"])
+    def test_coincident_vertices_are_an_error(self, name):
+        # a support term of 8e93 rounds two vertices of a walk onto one point;
+        # its side has no line, and the report says so instead of raising
+        config = _sequence_config(name)
+
+        def pinched(starts):
+            walk = config.walk(starts)
+            params = walk.vertex_params.copy()
+            params[:, 1] = params[:, 0]
+            return dataclasses.replace(walk, vertex_params=params)
+
+        rep = verify_pair(dataclasses.replace(config, walk=pinched), probes=8)
+        assert not rep.passed
+        assert rep.errors.count("side 0 on envelope 0 has zero length") == 8
 
 
 class TestNonConvergence:
