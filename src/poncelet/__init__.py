@@ -4,23 +4,21 @@ and independent numerical verification."""
 
 from .circlemaps import (CircleDiffeo, FourierTerm, TorsionMap, conjugator_to_rotation,
                          make_torsion, rotation, rotation_number, verify_torsion)
-from .envelope import (VertexStepSystem, clan_from_vertex, envelope_from_vertex,
-                       envelope_regularity, interiority_check)
-from .equiangular import (EquiangularSpec, PonceletPolygon, equiangular_clan,
-                          equiangular_pair, equiangular_vertex_curve, equilateral_pair,
-                          vertex_count)
+from .envelope import (clan_from_vertex, envelope_from_vertex, envelope_regularity,
+                       interiority_check)
+from .equiangular import (PonceletPolygon, equiangular_clan, equiangular_pair,
+                          equiangular_vertex_curve, equilateral_pair, vertex_count)
 from .geometry import polyline_self_intersects
 from .scene import Scene, build_scene, load_scene
 from .support import (PlaneCurve, SupportFunction, SupportTerm, constant_width_check,
                       curve_from_support, signed_area)
 from .verify import PonceletConfiguration, VerificationReport, regularity_scan, verify_pair
-from .vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
+from .vertex import clan_from_envelope, vertex_from_envelope
 
 __all__ = [
-    "CircleDiffeo", "ContactStepSystem", "EquiangularSpec", "FourierTerm",
-    "PlaneCurve", "PonceletConfiguration", "PonceletPolygon",
+    "CircleDiffeo", "FourierTerm", "PlaneCurve", "PonceletConfiguration", "PonceletPolygon",
     "Scene", "SupportFunction", "SupportTerm", "TorsionMap",
-    "VerificationReport", "VertexStepSystem", "build_scene", "clan_from_envelope",
+    "VerificationReport", "build_scene", "clan_from_envelope",
     "clan_from_vertex", "conjugator_to_rotation", "constant_width_check",
     "curve_from_support", "envelope_from_vertex", "envelope_regularity",
     "equiangular_clan", "equiangular_pair", "equiangular_vertex_curve",

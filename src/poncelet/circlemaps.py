@@ -237,6 +237,8 @@ class TorsionReport:
 
 def verify_torsion(f: CircleDiffeo, n: int, tol: float = 1e-8, probes: int = 64) -> TorsionReport:
     """Check f^n = id and f^i != id for 0 < i < n on equispaced probes."""
+    if n < 1:
+        raise CircleMapError("period must be positive")
     L = f.circumference
     xs = np.linspace(0.0, L, probes, endpoint=False)
     *inter, final = [float(np.max(circle_distance(x, xs, L))) for x in orbit((f,) * n, xs)[1:]]
@@ -247,47 +249,38 @@ def verify_torsion(f: CircleDiffeo, n: int, tol: float = 1e-8, probes: int = 64)
 
 @dataclass(frozen=True)
 class TorsionMap:
-    """Certified torsion map: f^n = id with n minimal."""
+    """Torsion map: f^n = id with n minimal, certified by verify_torsion when
+    it is made."""
 
     map: CircleDiffeo
     period: int
+
+    def __post_init__(self):
+        report = verify_torsion(self.map, self.period)
+        if not report.passed:
+            raise CircleMapError(f"map failed torsion certification: {report}")
 
     @property
     def circumference(self) -> float:
         return self.map.circumference
 
 
-def make_torsion(h: CircleDiffeo, m: int, n: int, tol: float = 1e-8) -> TorsionMap:
-    """f = h^-1 o r_{mL/n} o h, certified as a torsion map of period n."""
+def make_torsion(h: CircleDiffeo, m: int, n: int) -> TorsionMap:
+    """The torsion map f = h^-1 o r_{mL/n} o h of period n."""
     if n < 1:
         raise CircleMapError("period must be positive")
     if math.gcd(abs(m), n) != 1:
         raise CircleMapError(f"gcd({m}, {n}) != 1: the actual period would be smaller")
     L = h.circumference
-    f = h.inverse().compose(rotation(L, m * L / n)).compose(h)
-    report = verify_torsion(f, n, tol=tol)
-    if not report.passed:
-        raise CircleMapError(f"constructed map failed torsion certification: {report}")
-    return TorsionMap(f, n)
-
-
-def as_torsion(f: CircleDiffeo, n: int, tol: float = 1e-8) -> TorsionMap:
-    """Certify an existing map as a torsion map."""
-    report = verify_torsion(f, n, tol=tol)
-    if not report.passed:
-        raise CircleMapError(f"map failed torsion certification: {report}")
-    return TorsionMap(f, n)
+    return TorsionMap(h.inverse().compose(rotation(L, m * L / n)).compose(h), n)
 
 
 def conjugator_to_rotation(f: TorsionMap) -> CircleDiffeo:
     """H = (1/n) sum_{j<n} F^j, which satisfies H o F = R_{mL/n} o H.
 
-    The invariant check is re-run; the returned map is strictly increasing
-    (report its min derivative via min_derivative()).
+    The returned map is strictly increasing (report its min derivative via
+    min_derivative()).
     """
-    rep = verify_torsion(f.map, f.period)
-    if not rep.passed:
-        raise CircleMapError(f"not a torsion map: {rep}")
     n = f.period
 
     def lift(x):

@@ -12,7 +12,8 @@ Y(t) and Y(f(t)) and touches the envelope at X(t). A clan's envelope C_i
 (i < n) is the pair envelope of its own step f_i; only the closing C_n, of
 the sides from Y(g_{n-1}(t)) to Y(t), is parametrized by the start t. All
 are built by `side_envelope`, which refuses a side family whose
-denominator <D', J D> vanishes.
+denominator <D', J D> vanishes. A pair's step f, of period n, is checked as
+a clan's steps f_1 = ... = f_{n-1} = f are (check_steps).
 """
 
 from __future__ import annotations
@@ -39,21 +40,17 @@ def _J(a: np.ndarray) -> np.ndarray:
     return stack([-a[:, 1], a[:, 0]])
 
 
-@dataclass(frozen=True)
-class VertexStepSystem:
-    vertex_curve: PlaneCurve
-    step: TorsionMap
-
-    def __post_init__(self):
-        if self.step.period < 3:
-            raise ConstructionError(
-                "step period must be at least 3 (a 2-gon collapses to a segment)")
-        if not math.isclose(self.step.circumference, self.vertex_curve.domain_length):
-            raise ConstructionError("step map and curve live on different circles")
-
-    def stepped(self, ts):
-        """Y o f at ts (an array or a Jet): the far end of side t."""
-        return self.vertex_curve.positions(self.step.map.lift(ts))
+def check_steps(steps: Sequence[CircleDiffeo], L: float) -> tuple[CircleDiffeo, ...]:
+    """The steps f_1..f_{n-1} of an n-gon (the closing step, back to the
+    start, needs no map) as a tuple, checked for every pair and clan: n >= 3
+    and every step on the curve's circle of length L."""
+    steps = tuple(steps)
+    if len(steps) < 2:
+        raise ConstructionError("a polygon needs at least 3 vertices")
+    for f in steps:
+        if not math.isclose(f.circumference, L):
+            raise ConstructionError("step maps must act on the curve's parameter circle")
+    return steps
 
 
 def _chord_envelope(a: Jet, b: Jet, order: int = 0):
@@ -116,40 +113,46 @@ def side_envelope(first: Callable, second: Callable, L: float, label: str,
 
 @dataclass(frozen=True)
 class EnvelopeResult(Walked):
+    vertex_curve: PlaneCurve
+    step: TorsionMap
     curve: PlaneCurve      # side t, from Y(t) to Y(f(t)), touches it at curve(t)
-    system: VertexStepSystem
 
-    vertex_curves = property(lambda self: (self.system.vertex_curve,))
+    vertex_curves = property(lambda self: (self.vertex_curve,))
     envelopes = property(lambda self: (self.curve,))
+
+    def stepped(self, ts):
+        """Y o f at ts (an array or a Jet): the far end of side t."""
+        return self.vertex_curve.positions(self.step.map.lift(ts))
 
     def s(self, ts) -> np.ndarray:
         """Chord parameter of the contact on side t."""
         t = Jet.variable(np.atleast_1d(ts), 1)
-        return _chord_envelope(self.system.vertex_curve.positions(t), self.system.stepped(t))[1]
+        return _chord_envelope(self.vertex_curve.positions(t), self.stepped(t))[1]
 
     def walk(self, starts: np.ndarray) -> Walk:
-        f = self.system.step
+        f = self.step
         ts = np.stack(orbit((f.map,) * f.period, starts), axis=1)
         return Walk(ts, 0, ts[:, :-1], 0)
 
 
-def envelope_from_vertex(system: VertexStepSystem) -> EnvelopeResult:
+def envelope_from_vertex(vertex_curve: PlaneCurve, step: TorsionMap) -> EnvelopeResult:
     """Envelope of the polygon side lines, with the chord parameter s, both
     in the vertex parameter. A vanishing denominator is reported with the
     offending parameters."""
-    Y = system.vertex_curve
-    L = Y.domain_length
-    curve = side_envelope(Y.positions, system.stepped, L, "C",
+    L = vertex_curve.domain_length
+    check_steps((step.map,) * (step.period - 1), L)
+    Y = vertex_curve.positions
+    curve = side_envelope(Y, lambda ts: Y(step.map.lift(ts)), L, "C",
                           np.linspace(0.0, L, GRID, endpoint=False))
-    return EnvelopeResult(curve, system)
+    return EnvelopeResult(vertex_curve, step, curve)
 
 
-def _side_jets(system: VertexStepSystem, samples: int) -> tuple[np.ndarray, tuple, tuple]:
+def _side_jets(result: EnvelopeResult, samples: int) -> tuple[np.ndarray, tuple, tuple]:
     """Equispaced ts and the (position, velocity, acceleration) of Y and of
     Y o f at them."""
-    ts = np.linspace(0.0, system.vertex_curve.domain_length, samples, endpoint=False)
+    ts = np.linspace(0.0, result.vertex_curve.domain_length, samples, endpoint=False)
     t = Jet.variable(ts, 2)
-    a, b = system.vertex_curve.positions(t), system.stepped(t)
+    a, b = result.vertex_curve.positions(t), result.stepped(t)
     return ts, (a.v, *a.d), (b.v, *b.d)
 
 
@@ -165,8 +168,7 @@ class RegularityReport:
         return len(self.det_sign_changes) == 0 and self.min_abs_det > 0.0
 
 
-def envelope_regularity(system: VertexStepSystem, result: EnvelopeResult | None = None,
-                        samples: int = GRID) -> RegularityReport:
+def envelope_regularity(result: EnvelopeResult, samples: int = GRID) -> RegularityReport:
     """Regularity determinant of the envelope, with B = Y o f.
 
     Rows: (<Y',JD>, <B',JD>) and (<Y'',JD> + 2<Y',JD'>, <B'',JD> + 2<B',JD'>).
@@ -174,9 +176,7 @@ def envelope_regularity(system: VertexStepSystem, result: EnvelopeResult | None 
     reparametrization t = h(tau) multiplies both by powers of h' > 0, so
     their signs do not depend on the parameter.
     """
-    if result is None:
-        result = envelope_from_vertex(system)
-    ts, (p0, v0, a0), (p1, v1, a1) = _side_jets(system, samples)
+    ts, (p0, v0, a0), (p1, v1, a1) = _side_jets(result, samples)
     delta, ddelta = p1 - p0, v1 - v0
     jd, jdd = _J(delta), _J(ddelta)
     row1a, row1b = _dot(v0, jd), _dot(v1, jd)
@@ -213,17 +213,14 @@ class InteriorityReport:
                 and self.contacts_interior)
 
 
-def interiority_check(system: VertexStepSystem, result: EnvelopeResult | None = None,
-                      samples: int = GRID) -> InteriorityReport:
+def interiority_check(result: EnvelopeResult, samples: int = GRID) -> InteriorityReport:
     """Convexity inequalities and 0 < s < 1 on a dense sample."""
-    if result is None:
-        result = envelope_from_vertex(system)
-    ts, (p0, v0, _), (p1, v1, _) = _side_jets(system, samples)
+    ts, (p0, v0, _), (p1, v1, _) = _side_jets(result, samples)
     delta = p1 - p0
     c1 = _dot(delta, _J(v0))
     c2 = _dot(-delta, _J(v1))
     s = result.s(ts)
-    selfx = polyline_self_intersects(system.vertex_curve.sample(SELF_INTERSECTION_SAMPLES))
+    selfx = polyline_self_intersects(result.vertex_curve.sample(SELF_INTERSECTION_SAMPLES))
     return InteriorityReport(selfx, float(np.min(c1)), float(np.min(c2)),
                              float(np.min(s)), float(np.max(s)), samples)
 
@@ -274,18 +271,6 @@ def _fixed_point_scan(steps: Sequence[CircleDiffeo], G: Sequence[np.ndarray], i:
     return float(np.mod(orbit(steps[:i], x)[i][0], L))
 
 
-def step_chain(steps: Sequence[CircleDiffeo], L: float, xs: np.ndarray | Jet) -> list:
-    """The orbit table G[i] = g_i(xs) = f_i(G[i-1]), G[0] = xs, of a clan's
-    steps f_1..f_{n-1}; the closing step, back to the start, needs no map.
-    Needs n >= 3 and every step on the circle of length L."""
-    if len(steps) < 2:
-        raise ConstructionError("need at least two steps (n >= 3)")
-    for f in steps:
-        if not math.isclose(f.circumference, L):
-            raise ConstructionError("step maps must act on the clan's parameter circle")
-    return orbit(steps, xs)
-
-
 def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) -> VertexClan:
     """Clan of envelopes C_1..C_n for steps f_1..f_{n-1} (f_n closes the cycle).
 
@@ -296,9 +281,9 @@ def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) ->
     vanishes (EnvelopeSingularity).
     """
     L = vertex_curve.domain_length
-    steps = tuple(steps)
+    steps = check_steps(steps, L)
     xs = np.linspace(0.0, L, 256, endpoint=False)
-    G = step_chain(steps, L, Jet.variable(xs, 1))
+    G = orbit(steps, Jet.variable(xs, 1))
     values = [g.v for g in G]
     n = len(G)
 

@@ -6,11 +6,14 @@ angle alpha, the 2k vertex curves Y_i are the vertex curves of the rigid
 steps phi -> phi + a_i, a_i = alpha + i*pi: Y_i(phi) is where the tangent
 lines at phi and phi + a_i meet (support.vertex_position_fn). A clan walks
 its cycle of branch angles with one rigid step each (rigid_walk) and closes
-after the shortest block that repeats them. For p = a + cos(l*phi) the
-equilateral pair carries congruent equilateral polygons and its vertex
-curve is the epitrochoid
+after the shortest block that repeats them, counted over the curves' period
+2*pi*P (SupportFunction.period; P, the lcm of p's frequency denominators,
+divides k). For p = a + cos(l*phi) the equilateral pair carries congruent
+equilateral polygons; it is the clan of one vertex curve, the epitrochoid
 
-    Y(phi) = a sec(alpha/2) u(phi) + (-1)^k u(n*phi),      n = l + 1.
+    Y(phi) = a sec(alpha/2) u(phi) + (-1)^k u(n*phi),      n = l + 1,
+
+whose sides touch the envelope halfway along each step.
 """
 
 from __future__ import annotations
@@ -30,23 +33,6 @@ from .support import (PlaneCurve, SupportFunction, SupportTerm, curve_from_posit
 
 class ConstructionError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class EquiangularSpec:
-    envelope: SupportFunction
-    angle: Fraction                # alpha / pi, in (0, 1)
-    branch: int = 0                # i in [0, 2k): uses a_i = alpha + i*pi
-
-    def __post_init__(self):
-        if not (0 < self.angle < 1):
-            raise ConstructionError("alpha must lie strictly between 0 and pi")
-        if not (0 <= self.branch < 2 * self.envelope.sheets):
-            raise ConstructionError(f"branch must lie in [0, {2 * self.envelope.sheets})")
-
-    @property
-    def branch_angle(self) -> Fraction:
-        return self.angle + self.branch
 
 
 @dataclass(frozen=True)
@@ -106,8 +92,10 @@ def assemble(walk: Walk, vertex_curves, envelopes) -> PonceletPolygon:
     v = pts[:, :-1]
     d = np.roll(v, -1, axis=1) - v
     r = x - v
-    chords = ((r[..., 0] * d[..., 0] + r[..., 1] * d[..., 1])
-              / (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # a zero-length side gives a NaN chord, which fails the report
+        chords = ((r[..., 0] * d[..., 0] + r[..., 1] * d[..., 1])
+                  / (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
     gap = pts[:, -1] - v[:, 0]
     env = np.broadcast_to(walk.envelope_index, walk.contact_params.shape)
     psi = np.mod(walk.contact_params, np.array([e.domain_length for e in envelopes])[env])
@@ -137,15 +125,19 @@ def rigid_walk(starts: np.ndarray, angles: tuple[Fraction, ...], count: int,
     return Walk(ts, on, ts[:, :-1] + np.array([radians(a) for a in shifts])[on[:-1]], 0)
 
 
-def equiangular_vertex_curve(spec: EquiangularSpec, label: str = "") -> PlaneCurve:
-    """Vertex curve Y_i for the branch angle a_i: the tangent lines at t and
-    t + a_i meet at Y_i(t)."""
-    a_i = spec.branch_angle
-    if a_i.denominator == 1:
-        raise ConstructionError(f"branch angle {a_i}*pi is a multiple of pi (parallel tangents)")
-    alpha = radians(a_i)
-    pos = vertex_position_fn(spec.envelope, lambda ts: ts, lambda ts: ts + alpha)
-    return curve_from_position(spec.envelope.domain_length, pos, label=label)
+def equiangular_vertex_curve(envelope: SupportFunction, angle: Fraction, branch: int = 0,
+                             label: str = "") -> PlaneCurve:
+    """Vertex curve Y_i of the branch angle a_i = angle + branch, in units
+    of pi: the tangent lines at t and t + a_i meet at Y_i(t). This is the one
+    check of a pair's and a clan's angles: 0 < angle < 1 and 0 <= branch <
+    2k, so a_i is never a multiple of pi (parallel tangents)."""
+    if not 0 < angle < 1:
+        raise ConstructionError("alpha must lie strictly between 0 and pi")
+    if not 0 <= branch < 2 * envelope.sheets:
+        raise ConstructionError(f"branch must lie in [0, {2 * envelope.sheets})")
+    alpha = radians(angle + branch)
+    pos = vertex_position_fn(envelope, lambda ts: ts, lambda ts: ts + alpha)
+    return curve_from_position(envelope.domain_length, pos, label=label)
 
 
 def vertex_count(angle: Fraction, k: int) -> int:
@@ -158,33 +150,28 @@ def vertex_count(angle: Fraction, k: int) -> int:
 
 
 @dataclass(frozen=True)
-class EquilateralPair(Walked):
+class EquiangularClan(Walked):
     envelope_support: SupportFunction
     envelope: PlaneCurve
-    vertex_curve: PlaneCurve
-    angle: Fraction                 # alpha / pi = 2*k / n
-    side_length: float
-    count: int                      # distinct vertices: n / gcd(n, k)
-    sheets_requested: int
-    sheets_used: int
-    amplitude: float                # a * sec(alpha/2)
+    vertex_curves: tuple[PlaneCurve, ...]
+    angles: tuple[Fraction, ...]             # branch angles a_{j_i} / pi
+    shifts: tuple[Fraction, ...]             # side i touches at vertex i's parameter + shift
+    count: int                               # total polygon vertices
 
-    vertex_curves = property(lambda self: (self.vertex_curve,))
     envelopes = property(lambda self: (self.envelope,))
 
     def walk(self, starts: np.ndarray) -> Walk:
-        # in the shifted parametrization the side [Y(t), Y(t+a)] touches at t+a/2
-        return rigid_walk(starts, (self.angle,), self.count, (self.angle / 2,))
+        return rigid_walk(starts, self.angles, self.count, self.shifts)
 
 
-def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = False) -> EquilateralPair:
-    """Epitrochoid pair carrying congruent equilateral polygons.
+def equilateral_pair(k: int, l: Fraction, a: float) -> EquiangularClan:
+    """Epitrochoid pair carrying congruent equilateral polygons, of side
+    2a|tan(alpha/2)| for alpha = 2k*pi/(l + 1).
 
     l = 2k/m - 1 (equivalently alpha a multiple of pi) is excluded. An `a`
     below the positive-curvature bound (a > l^2 - 1 for l > 1, a > 1 - l^2
-    for l < 1) leaves the envelope with cusps (its support function's
-    min_curvature_radius is not positive); it is rejected only under
-    strict_curvature.
+    for l < 1) leaves the envelope with cusps: its support function's
+    min_curvature_radius is not positive.
     """
     l = Fraction(l)
     if k < 1:
@@ -198,15 +185,11 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
     if alpha.denominator == 1:
         raise ConstructionError(
             f"l = {l} is excluded (l = 2k/m - 1 for integer m; the polygon degenerates)")
-    bound = abs(l * l - 1)     # exact: a float of l * l can overflow
-    if strict_curvature and not a > bound:
-        raise ConstructionError(f"need a > {bound} for a positively curved envelope")
 
     # the support function must be periodic on the sheet count it is built
     # with; fall back to the smallest compatible count when k is not
     sheets = k if (l * k).denominator == 1 else l.denominator
     p = SupportFunction(a, (SupportTerm(l, cos_coeff=1.0),), sheets)
-    envelope = curve_from_support(p, label="C")
 
     amp = a / math.cos(radians(alpha) / 2)
     sign = -1 if k % 2 else 1
@@ -217,32 +200,37 @@ def equilateral_pair(k: int, l: Fraction, a: float, strict_curvature: bool = Fal
                            amp * jets.sin(ts) + sign * jets.sin(nf * ts)])
 
     vertex = curve_from_position(p.domain_length, pos, label="K")
-    side = 2.0 * a * abs(math.tan(radians(alpha) / 2))
-    count = closure_steps(alpha, Fraction(2))
-    return EquilateralPair(p, envelope, vertex, alpha, side, count, k, sheets, amp)
+    # in the shifted parametrization the side [Y(t), Y(t+a)] touches at t+a/2
+    return EquiangularClan(p, curve_from_support(p, label="C"), (vertex,), (alpha,),
+                           (alpha / 2,), closure_steps(alpha, Fraction(2)))
 
 
-@dataclass(frozen=True)
-class EquiangularClan(Walked):
-    envelope_support: SupportFunction
-    envelope: PlaneCurve
-    vertex_curves: tuple[PlaneCurve, ...]
-    angles: tuple[Fraction, ...]             # branch angles a_{j_i} / pi
-    count: int                               # total polygon vertices
+def _clan(envelope: SupportFunction, angles: tuple[Fraction, ...], branches: tuple[int, ...],
+          labels: tuple[str, ...]) -> EquiangularClan:
+    """The clan of the vertex curves of the given angles and branches, in
+    cycle order; in the eq-Ki parametrization the side [K_i(t),
+    K_(i+1)(t+a_i)] touches at t+a_i."""
+    curves = tuple(equiangular_vertex_curve(envelope, a, j, label)
+                   for a, j, label in zip(angles, branches, labels))
+    branch_angles = tuple(a + j for a, j in zip(angles, branches))
+    turn = Fraction(round(envelope.period / math.pi))    # the curves' period, in units of pi
+    for a, b in zip(branch_angles, branch_angles[1:] + branch_angles[:1]):
+        if (a + b) % turn == 0:    # the tangent lines before a and after b are one line
+            raise ConstructionError(
+                f"polygon degenerates: consecutive branch angles {a}*pi and {b}*pi sum to "
+                f"a multiple of {turn}*pi, so two vertices coincide")
+    n = len(branch_angles)
+    p = next(p for p in range(1, n + 1) if branch_angles[p:] + branch_angles[:p] == branch_angles)
+    count = p * closure_steps(sum(branch_angles[:p]), turn)
+    return EquiangularClan(envelope, curve_from_support(envelope, label="C"), curves,
+                           branch_angles, branch_angles, count)
 
-    envelopes = property(lambda self: (self.envelope,))
 
-    def walk(self, starts: np.ndarray) -> Walk:
-        # in the eq-Ki parametrization the side [K_i(t), K_(i+1)(t+a_i)] touches at t+a_i
-        return rigid_walk(starts, self.angles, self.count, self.angles)
-
-
-def equiangular_pair(spec: EquiangularSpec) -> EquiangularClan:
-    """The pair (C, K_i) of the branch angle a_i: the clan of one vertex curve."""
-    a_i = spec.branch_angle
-    return EquiangularClan(spec.envelope, curve_from_support(spec.envelope, label="C"),
-                           (equiangular_vertex_curve(spec, label=f"K{spec.branch}"),),
-                           (a_i,), vertex_count(a_i, spec.envelope.sheets))
+def equiangular_pair(envelope: SupportFunction, angle: Fraction,
+                     branch: int = 0) -> EquiangularClan:
+    """The pair (C, K_i) of the branch angle a_i = angle + branch: the clan
+    of one vertex curve."""
+    return _clan(envelope, (angle,), (branch,), (f"K{branch}",))
 
 
 def equiangular_clan(envelope: SupportFunction,
@@ -250,41 +238,22 @@ def equiangular_clan(envelope: SupportFunction,
                      branches: list[int] | None = None) -> EquiangularClan:
     """Clan (C, K_1, ..., K_n) with prescribed external angles, in units of pi.
 
-    The base angles must sum to an exact multiple of 2*pi; each branch
-    angle a_i + j_i*pi must avoid multiples of pi, and no two cyclically
-    consecutive ones may sum to a multiple of 2*k*pi, which would make two
-    consecutive vertices one point. The polygon closes after
-    q turns of the shortest block of p branch angles that repeats them (p
-    divides n): the least q with q times the block's sum a multiple of
-    2*k*pi. Equal branch angles (p = 1) close as the pair of that angle.
+    The base angles must sum to an exact multiple of 2*pi; each angle and
+    branch index is checked as a pair's (equiangular_vertex_curve), and no
+    two cyclically consecutive branch angles may sum to a multiple of the
+    curves' period 2*pi*P, which would make two consecutive vertices one
+    point. The polygon closes after q turns of the shortest block of p
+    branch angles that repeats them (p divides n): the least q with q times
+    the block's sum a multiple of 2*pi*P. Equal branch angles (p = 1) close
+    as the pair of that angle.
     """
     n = len(angles)
     if n < 2:
         raise ConstructionError("a clan needs at least two angles")
-    k = envelope.sheets
-    branches = list(branches) if branches is not None else [0] * n
+    branches = tuple(branches) if branches is not None else (0,) * n
     if len(branches) != n:
         raise ConstructionError("one branch index per angle required")
-    for j in branches:
-        if not (0 <= j < 2 * k):
-            raise ConstructionError(f"branch indices must lie in [0, {2 * k})")
     total = sum(angles, Fraction(0))
     if total.denominator != 1 or total.numerator % 2 != 0 or total <= 0:
         raise ConstructionError(f"external angles must sum to 2*m*pi, got {total}*pi")
-
-    branch_angles = tuple(a + j for a, j in zip(angles, branches))
-    for a in branch_angles:
-        if a.denominator == 1:
-            raise ConstructionError(f"branch angle {a}*pi is a multiple of pi")
-    for a, b in zip(branch_angles, branch_angles[1:] + branch_angles[:1]):
-        if (a + b) % (2 * k) == 0:    # the tangent lines before a and after b are one line
-            raise ConstructionError(
-                f"polygon degenerates: consecutive branch angles {a}*pi and {b}*pi sum to "
-                f"a multiple of {2 * k}*pi, so two vertices coincide")
-
-    curves = tuple(equiangular_vertex_curve(EquiangularSpec(envelope, a, j), label=f"K{i + 1}")
-                   for i, (a, j) in enumerate(zip(angles, branches)))
-    p = next(p for p in range(1, n + 1) if branch_angles[p:] + branch_angles[:p] == branch_angles)
-    count = p * closure_steps(sum(branch_angles[:p]), Fraction(2 * k))
-    return EquiangularClan(envelope, curve_from_support(envelope, label="C"), curves,
-                           branch_angles, count)
+    return _clan(envelope, tuple(angles), branches, tuple(f"K{i}" for i in range(1, n + 1)))

@@ -39,14 +39,14 @@ from typing import Callable
 
 from . import circlemaps as cm
 from . import equiangular as eq
-from .envelope import VertexStepSystem, clan_from_vertex, envelope_from_vertex
+from .envelope import clan_from_vertex, envelope_from_vertex
 from .equiangular import PonceletPolygon
 from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects, radians, wrap_pi
 from .render import MAX_SAMPLES
 from .support import PlaneCurve, SupportError, SupportFunction, SupportTerm, curve_from_support
 from .verify import (MAX_PROBES, MAX_SHEETS, MAX_VERTICES, MIN_PROBES, PonceletConfiguration,
                      VerificationReport, verify_pair)
-from .vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
+from .vertex import clan_from_envelope, vertex_from_envelope
 
 
 class SchemaError(ValueError):
@@ -285,9 +285,8 @@ def _configuration(label: str, c, supports, vopts: VerifyOptions,
 def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
     _check_keys(params, {"support", "angle", "branch"}, "parameters", ("support", "angle"))
     support = _support(params["support"], "parameters.support")
-    spec = eq.EquiangularSpec(support, _angle(params["angle"], "parameters.angle"),
-                              _integer(params.get("branch", 0), "parameters.branch"))
-    pair = eq.equiangular_pair(spec)
+    pair = eq.equiangular_pair(support, _angle(params["angle"], "parameters.angle"),
+                               _integer(params.get("branch", 0), "parameters.branch"))
     _vertices(pair.count, "parameters.angle")
     return _configuration("equiangular-pair", pair, (support,), vopts,
                           expected_turns=tuple(wrap_pi(radians(a)) for a in pair.angles))
@@ -296,14 +295,15 @@ def _build_equiangular_pair(params: dict, vopts: VerifyOptions) -> PonceletConfi
 def _build_equilateral(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
     _check_keys(params, {"k", "l", "a"}, "parameters", ("k", "l", "a"))
     _check_keys(params["l"], {"num", "den"}, "parameters.l", ("num", "den"))
+    a = _number(params["a"], "parameters.a")
     pair = eq.equilateral_pair(_exact(params["k"], "parameters.k"),
-                               _ratio(params["l"], "parameters.l"),
-                               _number(params["a"], "parameters.a"))
+                               _ratio(params["l"], "parameters.l"), a)
     _vertices(pair.count, "parameters.l")
-    _sheets(pair.sheets_used, "parameters.k with parameters.l")
+    _sheets(pair.envelope_support.sheets, "parameters.k with parameters.l")
+    alpha = radians(pair.angles[0])
     return _configuration("equilateral", pair, (pair.envelope_support,), vopts,
-                          expected_turns=(wrap_pi(radians(pair.angle)),),
-                          expected_side=pair.side_length)
+                          expected_turns=(wrap_pi(alpha),),
+                          expected_side=2.0 * a * abs(math.tan(alpha / 2)))
 
 
 def _build_equiangular_clan(params: dict, vopts: VerifyOptions) -> PonceletConfiguration:
@@ -325,7 +325,7 @@ def _build_envelope_from_vertex(params: dict, vopts: VerifyOptions) -> PonceletC
     support = _support(params["support"], "parameters.support")
     Y = curve_from_support(support, label="K")
     f = _torsion(params["step"], support.domain_length, "parameters.step")
-    result = envelope_from_vertex(VertexStepSystem(Y, f))
+    result = envelope_from_vertex(Y, f)
     return _configuration("envelope-from-vertex", result, (None,), vopts)
 
 
@@ -333,7 +333,7 @@ def _build_vertex_from_envelope(params: dict, vopts: VerifyOptions) -> PonceletC
     _check_keys(params, {"support", "step"}, "parameters", ("support", "step"))
     support = _support(params["support"], "parameters.support")
     f = _torsion(params["step"], support.domain_length, "parameters.step")
-    res = vertex_from_envelope(ContactStepSystem(support, f))
+    res = vertex_from_envelope(support, f)
     return _configuration("vertex-from-envelope", res, (support,), vopts)
 
 

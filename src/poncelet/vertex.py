@@ -9,35 +9,24 @@ on contact parameters, the vertex curve is
 where <u'(phi), u(psi)> = sin(psi - phi), so transversality means f(phi)
 never differs from phi by a multiple of pi. A clan's vertex curve K_i
 (i < n) is the pair curve of its own step f_i; only the closing K_n, on the
-tangents at g_{n-1}(phi) and phi, is parametrized by the start phi.
+tangents at g_{n-1}(phi) and phi, is parametrized by the start phi. Steps
+are checked as envelope.check_steps checks them, a pair's as the n-1 equal
+steps of a clan.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .circlemaps import CircleDiffeo, TorsionMap, identity, orbit
-from .envelope import step_chain
+from .envelope import check_steps
 from .equiangular import ConstructionError, Walk, Walked
 from .roots import GRID
 from .support import (PlaneCurve, SupportFunction, curve_from_position, curve_from_support,
                       vertex_position_fn)
-
-
-@dataclass(frozen=True)
-class ContactStepSystem:
-    envelope: SupportFunction
-    step: TorsionMap
-
-    def __post_init__(self):
-        if self.step.period <= 2:
-            raise ConstructionError("step period must exceed 2")
-        if not math.isclose(self.step.circumference, self.envelope.domain_length):
-            raise ConstructionError("step map must act on the envelope's parameter circle")
 
 
 def _transversality_gaps(advance: np.ndarray, ts: np.ndarray, tol: float = 1e-9) -> list[float]:
@@ -52,7 +41,7 @@ def _transversality_gaps(advance: np.ndarray, ts: np.ndarray, tol: float = 1e-9)
 
 @dataclass(frozen=True)
 class VertexResult(Walked):
-    system: ContactStepSystem
+    step: TorsionMap
     envelope: PlaneCurve
     curve: PlaneCurve
 
@@ -60,18 +49,18 @@ class VertexResult(Walked):
     envelopes = property(lambda self: (self.envelope,))
 
     def walk(self, starts: np.ndarray) -> Walk:
-        f = self.system.step
+        f = self.step
         ts = np.stack(orbit((f.map,) * f.period, starts), axis=1)
         # side j touches the envelope at the contact parameter of vertex j+1
         return Walk(ts, 0, ts[:, 1:], 0)
 
 
-def vertex_from_envelope(system: ContactStepSystem) -> VertexResult:
+def vertex_from_envelope(envelope: SupportFunction, step: TorsionMap) -> VertexResult:
     """Vertex curve K for the pair (K, C); reduces to the equiangular curve
     when the step is a rigid shift."""
-    p = system.envelope
-    f = system.step.map
-    L = p.domain_length
+    L = envelope.domain_length
+    check_steps((step.map,) * (step.period - 1), L)
+    f = step.map
 
     ts = np.linspace(0.0, L, GRID, endpoint=False)
     adv = f.lift(ts) - ts
@@ -81,8 +70,9 @@ def vertex_from_envelope(system: ContactStepSystem) -> VertexResult:
             "transversality <u'(phi), u(f(phi))> = sin(f(phi) - phi) vanishes near "
             + ", ".join(f"{t:.6f}" for t in gaps))
 
-    curve = curve_from_position(L, vertex_position_fn(p, identity(L).lift, f.lift), label="K")
-    return VertexResult(system, curve_from_support(p, label="C"), curve)
+    curve = curve_from_position(L, vertex_position_fn(envelope, identity(L).lift, f.lift),
+                                label="K")
+    return VertexResult(step, curve_from_support(envelope, label="C"), curve)
 
 
 @dataclass(frozen=True)
@@ -111,9 +101,9 @@ def clan_from_envelope(envelope: SupportFunction,
     required for every i; failures give the step index and K_i's parameter.
     """
     L = envelope.domain_length
-    steps = tuple(steps)
+    steps = check_steps(steps, L)
     ts = np.linspace(0.0, L, GRID, endpoint=False)
-    G = step_chain(steps, L, ts) + [ts]
+    G = orbit(steps, ts) + [ts]
     n = len(steps) + 1
     for i in range(1, n + 1):
         gaps = _transversality_gaps(G[i] - G[i - 1], np.mod(G[i - 1] if i < n else ts, L))

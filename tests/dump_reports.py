@@ -1,10 +1,14 @@
-"""Print the verification report of every checked-in scene, for bit-identity
-checks of a change that should not move any result.
+"""Print the verification reports and render digests of every checked-in
+scene, for bit-identity checks of a change that should not move any result.
 
 For every `configs/*.json` and every `SCENES` entry of
 `tests/test_bench_contract.py`, at 8, 64 and 1024 probes, one line holds
 the case name and the sorted JSON of `Scene.verify(probes).to_dict()`;
-`repr` of the floats, so equal output means bit-identical reports.
+`repr` of the floats, so equal output means bit-identical reports. One more
+line per case, `<case>@render`, holds the sha256 of its SVG, as
+`poncelet render` writes it, and of each curve's CSV, as `poncelet sample`
+writes it at the scene's render sample count; so the scenes that are built
+in code, which no render golden pins, are covered too.
 Pytest does not collect this file (its name does not start with `test_`).
 
     PYTHONPATH=src python tests/dump_reports.py [CHECKOUT]
@@ -21,10 +25,11 @@ two commits, unpack the older one and dump both with this file:
 `--compare OLD NEW` reads two such dumps. It prints how many reports are
 identical, how many floats moved and the largest move, and then every other
 difference: a changed `checks`, `passed`, `errors`, `mode`,
-`oracle_direction` or `probes`, or a case only one dump holds. It exits 1
+`oracle_direction`, `probes` or render digest, or a case only one dump holds. It exits 1
 if there is any such change, and 0 if at most floats moved.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -64,11 +69,28 @@ def compare(old_path: str, new_path: str) -> int:
     for case in both:
         _walk(json.loads(old[case]), json.loads(new[case]), case, moves, changes)
     same = sum(old[case] == new[case] for case in both)
-    print(f"{same} of {len(both)} reports identical; {len(moves)} floats moved, "
+    print(f"{same} of {len(both)} lines identical; {len(moves)} floats moved, "
           f"largest {max(moves, default=0.0):.3g}; {len(changes)} changes")
     for line in changes:
         print("  " + line)
     return 1 if changes else 0
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def render_digests(scene) -> dict[str, str]:
+    """{"svg": the sha256 of the scene's SVG, curve name: that of its CSV}."""
+    from poncelet.render import render_svg, sample_points
+
+    table = scene.curve_table()
+    opts = scene.render_options
+    envs = [(n, c) for n, c in sorted(table.items()) if n.startswith("envelope")]
+    verts = [(n, c) for n, c in sorted(table.items()) if n.startswith("vertex")]
+    svg = render_svg(envs, verts, scene.polygons(), samples=opts.samples, margin=opts.margin)
+    return {"svg": _digest(svg), **{name: _digest(sample_points(curve, opts.samples))
+                                    for name, curve in table.items()}}
 
 
 def main(argv: list[str]) -> None:
@@ -89,6 +111,7 @@ def main(argv: list[str]) -> None:
         for probes in PROBES:
             report = scene.verify(probes=probes).to_dict()
             print(f"{name}@{probes} {json.dumps(report, sort_keys=True)}", flush=True)
+        print(f"{name}@render {json.dumps(render_digests(scene), sort_keys=True)}", flush=True)
 
 
 if __name__ == "__main__":

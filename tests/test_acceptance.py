@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from poncelet import circlemaps as cm
-from poncelet.envelope import VertexStepSystem, envelope_from_vertex, interiority_check
+from poncelet.envelope import envelope_from_vertex, interiority_check
 from poncelet.equiangular import equilateral_pair, vertex_count
 from poncelet.geometry import polyline_self_intersects
 from poncelet.render import render_svg
@@ -96,8 +96,8 @@ def test_criterion_05_envelope_chord_specialization():
                     (Fraction(4, 3), 4, 53 / 45)):
         p = SupportFunction(a, (SupportTerm(l, 1.0),), l.denominator)
         L = p.domain_length
-        f = cm.as_torsion(cm.rotation(L, L / n), n)
-        res = envelope_from_vertex(VertexStepSystem(curve_from_support(p), f))
+        f = cm.TorsionMap(cm.rotation(L, L / n), n)
+        res = envelope_from_vertex(curve_from_support(p), f)
         ts = np.linspace(0.0, L, 256, endpoint=False)
         closed = 0.5 * (1 + (1 / math.tan(math.pi / float(l))) * p.eval(ts, 1) / p.eval(ts))
         worst = max(worst, float(np.max(np.abs(res.s(ts) - closed))))
@@ -121,7 +121,7 @@ def test_criterion_06_interiority_randomized():
                             (cm.FourierTerm(1, float(rng.uniform(-0.06, 0.06)),
                                             float(rng.uniform(-0.06, 0.06))),))
         f = cm.make_torsion(h, 1, n)
-        rep = interiority_check(VertexStepSystem(Y, f), samples=512)
+        rep = interiority_check(envelope_from_vertex(Y, f), samples=512)
         worst_lo = min(worst_lo, rep.s_min)
         worst_hi = max(worst_hi, rep.s_max)
     ok = 0.0 < worst_lo and worst_hi < 1.0
@@ -141,7 +141,7 @@ def test_criterion_07_oracle_round_trip_and_negative_controls(corpus):
     # negative controls at tol = 1e-6: perturb either curve of a passing pair
     pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
     base = dict(
-        label="control", vertex_curves=(pair.vertex_curve,), envelopes=(pair.envelope,),
+        label="control", vertex_curves=pair.vertex_curves, envelopes=(pair.envelope,),
         envelope_supports=(pair.envelope_support,), polygon=pair.polygon, walk=pair.walk,
         mode="oracle")
     from poncelet.verify import PonceletConfiguration
@@ -149,7 +149,7 @@ def test_criterion_07_oracle_round_trip_and_negative_controls(corpus):
                                pair.envelope_support.terms, 1)
     fail_env = not verify_pair(PonceletConfiguration(**{**base, "envelope_supports": (bumped_p,)}),
                                probes=16, tol=1e-6).passed
-    K = pair.vertex_curve
+    K = pair.vertex_curves[0]
     moved = PlaneCurve(TWO_PI, lambda ts: (K.jet_many(ts)[0] + np.array([1e-3, 0.0]),
                                            *K.jet_many(ts)[1:]),
                        position_fn=lambda ts: K.positions(ts) + np.array([1e-3, 0.0]))
@@ -171,7 +171,7 @@ def test_criterion_08_curvature_determinant_at_critical_a():
     a_crit = math.cos(alpha / 2) * n * n
     pair = equilateral_pair(k, l, a_crit)
     ts = np.linspace(0.0, TWO_PI, 513)
-    _, vel, acc = pair.vertex_curve.jet_many(ts)
+    _, vel, acc = pair.vertex_curves[0].jet_many(ts)
     det = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
     scale = 2 * n**3 * (n + 1)
     err_sin = float(np.max(np.abs(det - scale * np.sin(float(l) * ts / 2) ** 2))) / scale

@@ -76,6 +76,17 @@ class TestVerifyTorsion:
         rep = cm.verify_torsion(f.map, 5, tol=1e-8)
         assert rep.passed
 
+    def test_period_zero_is_refused(self):
+        with pytest.raises(cm.CircleMapError, match="^period must be positive$"):
+            cm.verify_torsion(cm.rotation(TWO_PI, 1.0), 0)
+
+    def test_torsion_map_certifies_itself(self):
+        assert cm.TorsionMap(cm.rotation(TWO_PI, TWO_PI / 3), 3).period == 3
+        for f, n in [(cm.rotation(TWO_PI, 0.3), 3), (cm.rotation(TWO_PI, TWO_PI / 3), 6),
+                     (cm.identity(TWO_PI), 0)]:
+            with pytest.raises(cm.CircleMapError):
+                cm.TorsionMap(f, n)
+
 
 class TestConjugator:
     def test_rigid_rotation_averages_to_shifted_identity(self):

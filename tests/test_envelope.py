@@ -12,15 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poncelet import circlemaps as cm
-from poncelet.envelope import (EnvelopeSingularity, VertexStepSystem, clan_from_vertex,
-                               envelope_from_vertex, envelope_regularity,
-                               interiority_check)
+from poncelet.envelope import (EnvelopeSingularity, clan_from_vertex, envelope_from_vertex,
+                               envelope_regularity, interiority_check)
 from poncelet.equiangular import ConstructionError
 from poncelet.geometry import polyline_self_intersects
 from poncelet.jets import Jet
 from poncelet.scene import build_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
-from poncelet.vertex import clan_from_envelope
+from poncelet.vertex import clan_from_envelope, vertex_from_envelope
 
 TWO_PI = 2 * math.pi
 
@@ -47,10 +46,10 @@ def interior_contact_bound(l) -> float:
     return math.sqrt(cot * cot * lf * lf + 1.0)
 
 
-def rot_system(p: SupportFunction, m: int, n: int) -> VertexStepSystem:
+def rot_pair(p: SupportFunction, m: int, n: int):
     L = p.domain_length
-    f = cm.as_torsion(cm.rotation(L, m * L / n), n)
-    return VertexStepSystem(curve_from_support(p), f)
+    f = cm.TorsionMap(cm.rotation(L, m * L / n), n)
+    return envelope_from_vertex(curve_from_support(p), f)
 
 
 def cos_support(a, l, k=1):
@@ -59,8 +58,7 @@ def cos_support(a, l, k=1):
 
 class TestEnvelopeFromVertex:
     def test_circle_with_rotation_gives_inner_circle_and_half(self):
-        system = rot_system(SupportFunction(1.0, (), 1), 1, 5)
-        res = envelope_from_vertex(system)
+        res = rot_pair(SupportFunction(1.0, (), 1), 1, 5)
         ts = np.linspace(0, TWO_PI, 128, endpoint=False)
         assert np.max(np.abs(res.s(ts) - 0.5)) < 1e-12
         radii = np.hypot(*res.curve.positions(ts).T)
@@ -72,8 +70,7 @@ class TestEnvelopeFromVertex:
                         (Fraction(5), 5, 49.2)):
             k = l.denominator
             p = cos_support(a, l, k=k)
-            system = rot_system(p, 1, n)   # rotation by L/n = 2*pi/l
-            res = envelope_from_vertex(system)
+            res = rot_pair(p, 1, n)   # rotation by L/n = 2*pi/l
             ts = np.linspace(0.05, p.domain_length, 256, endpoint=False)
             closed = 0.5 * (1 + (1 / math.tan(math.pi / float(l))) * p.eval(ts, 1) / p.eval(ts))
             assert np.max(np.abs(res.s(ts) - closed)) < 1e-10
@@ -92,19 +89,18 @@ class TestEnvelopeFromVertex:
             J = lambda v: np.array([-v[1], v[0]])
             return -np.dot(yp, J(d)) / np.dot(dp, J(d))
 
-        res = envelope_from_vertex(rot_system(p, 1, 3))
+        res = rot_pair(p, 1, 3)
         for t in np.linspace(0.1, TWO_PI, 16):
             assert res.s(np.array([t]))[0] == pytest.approx(s_fd(t), abs=1e-7)
 
     def test_tangency_identity(self):
         # side t, from Y(t) to Y(f(t)), is tangent to the envelope at X(t)
         p = cos_support(17.3, 3)
-        system = rot_system(p, 1, 3)
-        res = envelope_from_vertex(system)
-        Y = system.vertex_curve
+        res = rot_pair(p, 1, 3)
+        Y = res.vertex_curve
         ts = np.linspace(0, TWO_PI, 200, endpoint=False)
         _, xv, _ = res.curve.jet_many(ts)
-        delta = Y.positions(system.step.map.lift(ts)) - Y.positions(ts)
+        delta = Y.positions(res.step.map.lift(ts)) - Y.positions(ts)
         jd = np.stack([-delta[:, 1], delta[:, 0]], axis=1)
         dots = np.abs(xv[:, 0] * jd[:, 0] + xv[:, 1] * jd[:, 1])
         norm = np.hypot(*xv.T) * np.hypot(*delta.T)
@@ -116,9 +112,7 @@ class TestEnvelopeFromVertex:
                                   SupportTerm(Fraction(3), 0.02)), 1)
         h = cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 0.07, 0.02),))
         f = cm.make_torsion(h, 1, 4)
-        system = VertexStepSystem(curve_from_support(p), f)
-        envelope_from_vertex(system)
-        Y = system.vertex_curve
+        Y = envelope_from_vertex(curve_from_support(p), f).vertex_curve
         ts = np.linspace(0, TWO_PI, 300, endpoint=False)
         fts = f.map.lift(ts)
         _, yv, _ = Y.jet_many(ts)
@@ -134,12 +128,12 @@ class TestEnvelopeFromVertex:
         # the same point set as starting at phi
         p = cos_support(17.3, 3)
         alpha = TWO_PI / 3
-        res = envelope_from_vertex(rot_system(p, 1, 3))
+        res = rot_pair(p, 1, 3)
         Y = curve_from_support(p)
         stepped_vertex = PlaneCurve(TWO_PI, lambda ts: Y.jet_many(ts + alpha),
                                     position_fn=lambda ts: Y.positions(ts + alpha))
-        f = cm.as_torsion(cm.rotation(TWO_PI, alpha), 3)
-        res2 = envelope_from_vertex(VertexStepSystem(stepped_vertex, f))
+        f = cm.TorsionMap(cm.rotation(TWO_PI, alpha), 3)
+        res2 = envelope_from_vertex(stepped_vertex, f)
         ts = np.linspace(0, TWO_PI, 512, endpoint=False)
         pointwise = np.max(np.abs(res2.curve.positions(ts) - res.curve.positions(ts + alpha)))
         assert pointwise < 1e-9
@@ -149,11 +143,11 @@ class TestEnvelopeFromVertex:
     def test_singular_denominator_reported_with_parameters(self):
         p = cos_support(0.8, Fraction(3, 4), k=4)   # p crosses zero: a < 1
         with pytest.raises(EnvelopeSingularity) as err:
-            envelope_from_vertex(rot_system(p, 1, 3))
+            rot_pair(p, 1, 3)
         assert len(err.value.params) > 0
 
     def test_polygon_without_stored_conjugator_touches_every_side(self):
-        # as_torsion certifies the bare map and keeps no h: the envelope is
+        # TorsionMap certifies the bare map and keeps no h: the envelope is
         # built in the vertex parameter, so it needs none, and the polygons
         # equal those of the map that make_torsion built from h
         p = SupportFunction(1.0, (SupportTerm(Fraction(2), 0.05),
@@ -161,10 +155,10 @@ class TestEnvelopeFromVertex:
         Y = curve_from_support(p)
         h = cm.from_fourier(TWO_PI, 0.7, (cm.FourierTerm(1, 0.04, -0.03),))
         known = cm.make_torsion(h, 1, 4)
-        bare = cm.as_torsion(known.map, 4)
+        bare = cm.TorsionMap(known.map, 4)
         assert not bare.map.is_rotation
-        poly = envelope_from_vertex(VertexStepSystem(Y, bare)).polygon(0.9)
-        ref = envelope_from_vertex(VertexStepSystem(Y, known)).polygon(0.9)
+        poly = envelope_from_vertex(Y, bare).polygon(0.9)
+        ref = envelope_from_vertex(Y, known).polygon(0.9)
         for field in dataclasses.fields(poly):
             assert np.array_equal(getattr(poly, field.name), getattr(ref, field.name))
         for i, x in enumerate(poly.contacts):
@@ -173,45 +167,45 @@ class TestEnvelopeFromVertex:
     def test_period_two_rejected(self):
         p = cos_support(17.3, 3)
         with pytest.raises(ConstructionError):
-            rot_system(p, 1, 2)
+            rot_pair(p, 1, 2)
 
 
 class TestRegularity:
     def test_circle_determinant_bounded_away_from_zero(self):
-        rep = envelope_regularity(rot_system(SupportFunction(1.0, (), 1), 1, 4))
+        rep = envelope_regularity(rot_pair(SupportFunction(1.0, (), 1), 1, 4))
         assert rep.regular
         assert rep.min_abs_det > 0.1
 
     def test_positive_envelope_curvature_above_threshold(self):
         # a > max(2*l^2 - 1, 1) keeps the envelope curvature positive
-        rep = envelope_regularity(rot_system(cos_support(17.3, 3), 1, 3))
+        rep = envelope_regularity(rot_pair(cos_support(17.3, 3), 1, 3))
         assert rep.regular
         assert rep.curvature_sign_consistent
 
     def test_curvature_sign_change_below_threshold(self):
-        rep = envelope_regularity(rot_system(cos_support(16.7, 3), 1, 3))
+        rep = envelope_regularity(rot_pair(cos_support(16.7, 3), 1, 3))
         assert len(rep.det_sign_changes) > 0
 
 
 class TestInteriority:
     def test_convex_pair_has_interior_contacts(self):
-        rep = interiority_check(rot_system(cos_support(17.3, 3), 1, 3))
+        rep = interiority_check(rot_pair(cos_support(17.3, 3), 1, 3))
         assert not rep.self_intersecting
         assert rep.passed
         assert 0.0 < rep.s_min and rep.s_max < 1.0
 
     def test_circle_contacts_at_midpoints(self):
-        rep = interiority_check(rot_system(SupportFunction(1.0, (), 1), 2, 5))
+        rep = interiority_check(rot_pair(SupportFunction(1.0, (), 1), 2, 5))
         assert rep.s_min == pytest.approx(0.5, abs=1e-10)
         assert rep.s_max == pytest.approx(0.5, abs=1e-10)
 
     def test_winding_vertex_curve_breaks_interiority(self):
         p = cos_support(53 / 45, Fraction(4, 3), k=3)
-        system = rot_system(p, 1, 4)
-        rep = interiority_check(system)
+        pair = rot_pair(p, 1, 4)
+        rep = interiority_check(pair)
         assert rep.self_intersecting
         assert rep.s_min < 0.0 and rep.s_max > 1.0
-        assert polyline_self_intersects(system.vertex_curve.sample(1024))
+        assert polyline_self_intersects(pair.vertex_curve.sample(1024))
 
 
 class TestIteratedFamily:
@@ -219,8 +213,8 @@ class TestIteratedFamily:
         for l in (Fraction(3), Fraction(4), Fraction(5, 2)):
             a = max(interior_contact_bound(l), float(l * l) - 1) + 0.5
             p = cos_support(a, l, k=l.denominator)
-            system = rot_system(p, 1, l.numerator)   # rotation by 2*pi/l
-            rep = interiority_check(system)
+            pair = rot_pair(p, 1, l.numerator)   # rotation by 2*pi/l
+            rep = interiority_check(pair)
             assert 0.0 <= rep.s_min and rep.s_max <= 1.0
 
     def test_integer_l_bound_below_curvature_threshold(self):
@@ -229,9 +223,9 @@ class TestIteratedFamily:
 
     def test_integer_l_gives_regular_polygon(self):
         p = cos_support(17.3, 3)
-        system = rot_system(p, 1, 3)
-        params = cm.orbit((system.step.map,) * 2, 0.37)
-        pts = system.vertex_curve.positions(params)
+        pair = rot_pair(p, 1, 3)
+        params = cm.orbit((pair.step.map,) * 2, 0.37)
+        pts = pair.vertex_curve.positions(params)
         dirs = np.roll(pts, -1, axis=0) - pts
         sides = np.hypot(dirs[:, 0], dirs[:, 1])
         assert max(sides) - min(sides) < 1e-12
@@ -248,7 +242,7 @@ class TestClanFromVertex:
         alpha = TWO_PI / 3
         step = cm.rotation(TWO_PI, alpha)
         clan = clan_from_vertex(Y, [step, step])
-        single = envelope_from_vertex(rot_system(p, 1, 3))
+        single = rot_pair(p, 1, 3)
         ts = np.linspace(0, TWO_PI, 256, endpoint=False)
         # C_1 and C_2 are the pair envelope of the step itself; the closing C_3,
         # of the sides from Y(t + 2 alpha) to Y(t), is it at the advanced parameter
@@ -432,3 +426,26 @@ def test_star_step_envelope_verifies():
     support = workloads._convex_support(random.Random(0))
     report = conjugated_scene(support, {"c": 0.0, "terms": [{"j": 1}]}, 2, 5).verify()
     assert report.passed, report.errors
+
+
+# every torsion construction from the step maps of an n-gon on the circle of
+# length 2*pi: a pair takes one torsion map of period n, a clan n - 1 steps
+CIRCLE = SupportFunction(2.0, (), 1)
+STEP_CONSTRUCTIONS = {
+    "envelope-from-vertex": lambda f, n: envelope_from_vertex(curve_from_support(CIRCLE),
+                                                              cm.TorsionMap(f, n)),
+    "vertex-from-envelope": lambda f, n: vertex_from_envelope(CIRCLE, cm.TorsionMap(f, n)),
+    "clan-from-vertex": lambda f, n: clan_from_vertex(curve_from_support(CIRCLE), [f] * (n - 1)),
+    "clan-from-envelope": lambda f, n: clan_from_envelope(CIRCLE, [f] * (n - 1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STEP_CONSTRUCTIONS))
+@pytest.mark.parametrize("L, n, message", [
+    (2 * TWO_PI, 3, "step maps must act on the curve's parameter circle"),
+    (TWO_PI, 2, "a polygon needs at least 3 vertices"),
+], ids=["other-circle", "two-vertices"])
+def test_pairs_refuse_the_steps_their_clans_refuse(kind, L, n, message):
+    with pytest.raises(ConstructionError) as err:
+        STEP_CONSTRUCTIONS[kind](cm.rotation(L, L / n), n)
+    assert str(err.value) == message

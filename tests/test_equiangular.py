@@ -6,10 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poncelet.equiangular import (ConstructionError, EquiangularSpec,
-                                  equiangular_clan, equiangular_pair,
-                                  equiangular_vertex_curve, equilateral_pair,
-                                  vertex_count)
+from poncelet.equiangular import (ConstructionError, equiangular_clan, equiangular_pair,
+                                  equiangular_vertex_curve, equilateral_pair, vertex_count)
 from poncelet.geometry import polyline_self_intersects, radians
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
 
@@ -50,18 +48,17 @@ class TestVertexCurve:
     def test_constant_support_gives_circle_and_offset(self):
         a = 2.0
         angle = Fraction(2, 7)
-        spec = EquiangularSpec(SupportFunction(a, (), 1), angle, 0)
-        K = equiangular_vertex_curve(spec)
+        p = SupportFunction(a, (), 1)
+        K = equiangular_vertex_curve(p, angle, 0)
         ts = np.linspace(0, TWO_PI, 128, endpoint=False)
         radii = np.hypot(*K.positions(ts).T)
         assert np.allclose(radii, a / math.cos(radians(angle) / 2), atol=1e-12)
-        q = chord_offset(spec.envelope, angle)
+        q = chord_offset(p, angle)
         assert np.allclose(q(ts), a * math.tan(radians(angle) / 2), atol=1e-12)
 
     def test_triangle_branch_start_point(self):
         p = p_cos(8 / 5, 2)
-        spec = EquiangularSpec(p, Fraction(2, 3), 0)
-        K = equiangular_vertex_curve(spec)
+        K = equiangular_vertex_curve(p, Fraction(2, 3), 0)
         a = TWO_PI / 3
         csc = 1 / math.sin(a)
         expected = csc * np.array([
@@ -71,15 +68,15 @@ class TestVertexCurve:
         assert np.allclose(K.positions([0.0])[0], expected, atol=1e-14)
 
     def test_branches_give_distinct_curves(self):
-        tri = equiangular_vertex_curve(EquiangularSpec(FIG_P, Fraction(2, 3), 0))
-        hexa = equiangular_vertex_curve(EquiangularSpec(FIG_P, Fraction(2, 3), 1))
+        tri = equiangular_vertex_curve(FIG_P, Fraction(2, 3), 0)
+        hexa = equiangular_vertex_curve(FIG_P, Fraction(2, 3), 1)
         ts = np.linspace(0, TWO_PI, 32)
         assert not np.allclose(tri.positions(ts), hexa.positions(ts), atol=1e-3)
 
     def test_curve_matches_support_plus_offset_form(self):
         # Y = p*u + q*u' is the same point in a second closed form
         angle = Fraction(2, 3)
-        K = equiangular_vertex_curve(EquiangularSpec(FIG_P, angle, 0))
+        K = equiangular_vertex_curve(FIG_P, angle, 0)
         q = chord_offset(FIG_P, angle)
         ts = np.linspace(0, TWO_PI, 64, endpoint=False)
         u = np.stack([np.cos(ts), np.sin(ts)], axis=1)
@@ -88,7 +85,7 @@ class TestVertexCurve:
         assert np.max(np.abs(K.positions(ts) - alt)) < 1e-12
 
     def test_jets_match_finite_differences(self):
-        K = equiangular_vertex_curve(EquiangularSpec(FIG_P, Fraction(2, 3), 1))
+        K = equiangular_vertex_curve(FIG_P, Fraction(2, 3), 1)
         h = 1e-5
         ha = 1e-4   # second differences need a larger step to beat roundoff
         for t in np.linspace(0.1, TWO_PI, 25):
@@ -103,19 +100,19 @@ class TestVertexCurve:
         env = curve_from_support(FIG_P)
         assert not polyline_self_intersects(env.sample(1024))
         for branch in (0, 1):
-            K = equiangular_vertex_curve(EquiangularSpec(FIG_P, Fraction(2, 3), branch))
+            K = equiangular_vertex_curve(FIG_P, Fraction(2, 3), branch)
             assert K.min_speed() > 0.0
             assert K.min_speed() > 0.5
 
     def test_angle_outside_open_interval_rejected(self):
         with pytest.raises(ConstructionError):
-            EquiangularSpec(FIG_P, Fraction(1, 1), 0)     # alpha = pi
+            equiangular_pair(FIG_P, Fraction(1, 1), 0)     # alpha = pi
         with pytest.raises(ConstructionError):
-            EquiangularSpec(FIG_P, Fraction(-1, 3), 0)
+            equiangular_pair(FIG_P, Fraction(-1, 3), 0)
 
     def test_branch_outside_sheet_range_rejected(self):
         with pytest.raises(ConstructionError):
-            EquiangularSpec(FIG_P, Fraction(1, 2), 2)     # k = 1 allows 0..1
+            equiangular_pair(FIG_P, Fraction(1, 2), 2)     # k = 1 allows 0..1
 
 
 class TestVertexCount:
@@ -152,11 +149,14 @@ class TestVertexCount:
 class TestEquilateralPair:
     def test_spec_side_length_and_start(self):
         pair = equilateral_pair(1, Fraction(2), 8 / 5)
-        assert pair.side_length == pytest.approx((16 / 5) * math.tan(math.pi / 3), rel=1e-15)
-        assert tuple(pair.vertex_curve.positions([0.0])[0]) == pytest.approx((2.2, 0.0), abs=1e-12)
+        # alpha = 2*pi/3, and each side touches halfway along its step
+        assert pair.angles == (Fraction(2, 3),) and pair.shifts == (Fraction(1, 3),)
+        side = (16 / 5) * math.tan(math.pi / 3)      # 2a tan(alpha/2)
+        assert tuple(pair.vertex_curves[0].positions([0.0])[0]) == pytest.approx((2.2, 0.0),
+                                                                                abs=1e-12)
         v = pair.polygon(0.41).vertices
         for s in np.hypot(*(np.roll(v, -1, axis=0) - v).T):
-            assert s == pytest.approx(pair.side_length, rel=1e-12)
+            assert s == pytest.approx(side, rel=1e-12)
 
     def test_midpoint_rides_the_unit_circle(self):
         pair = equilateral_pair(1, Fraction(2), 8 / 5)
@@ -176,8 +176,10 @@ class TestEquilateralPair:
         a = math.cos(2 * math.pi / 5) * 25 / 9
         pair = equilateral_pair(4, Fraction(2, 3), a)
         assert pair.count == 5
-        assert pair.sheets_requested == 4 and pair.sheets_used == 3
-        assert pair.amplitude == pytest.approx(25 / 9, rel=1e-12)
+        assert pair.envelope_support.sheets == 3      # l * k = 8/3: the 3 sheets of l
+        # Y(0) = (a sec(alpha/2) + 1, 0) with a sec(alpha/2) = 25/9
+        assert tuple(pair.vertex_curves[0].positions([0.0])[0]) == pytest.approx((25 / 9 + 1, 0.0),
+                                                                                rel=1e-12)
         poly = pair.polygon(1.0)
         assert poly.closure_gap < 1e-12
         # pentagram exterior turn is 4*pi/5
@@ -189,10 +191,6 @@ class TestEquilateralPair:
             equilateral_pair(1, Fraction(1), 5.0)       # alpha = pi
         with pytest.raises(ConstructionError):
             equilateral_pair(2, Fraction(3), 20.0)      # alpha = pi again
-
-    def test_strict_curvature_rejects_small_a(self):
-        with pytest.raises(ConstructionError):
-            equilateral_pair(1, Fraction(2), 8 / 5, strict_curvature=True)
 
     def test_huge_l_counts_its_vertices_without_overflow(self):
         # l * l is past the float range; the count is exact all the same
@@ -206,7 +204,7 @@ class TestEquilateralPair:
         alpha = 2 * k * math.pi / n
         pair = equilateral_pair(k, l, math.cos(alpha / 2) * n * n)
         ts = np.linspace(0, TWO_PI, 257)
-        _, vel, acc = pair.vertex_curve.jet_many(ts)
+        _, vel, acc = pair.vertex_curves[0].jet_many(ts)
         det = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
         scale = 2 * n**3 * (n + 1)
         formula = scale * np.sin(float(l) * ts / 2) ** 2
@@ -217,8 +215,8 @@ class TestEquilateralPair:
         n = float(l + 1)
         alpha = 2 * k * math.pi / n
         pair = equilateral_pair(k, l, math.cos(alpha / 2) * n * n)
-        ts = np.linspace(0, pair.vertex_curve.domain_length, 257)
-        _, vel, acc = pair.vertex_curve.jet_many(ts)
+        ts = np.linspace(0, pair.vertex_curves[0].domain_length, 257)
+        _, vel, acc = pair.vertex_curves[0].jet_many(ts)
         det = vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]
         scale = 2 * n**3 * (n + 1)
         formula = scale * np.cos(float(l) * ts / 2) ** 2
@@ -228,10 +226,10 @@ class TestEquilateralPair:
         pair = equilateral_pair(1, Fraction(2), 4.5)
         h = 1e-4
         for t in (0.0, 0.7, 2.2):
-            pm, p0, pp = (pair.vertex_curve.positions([t + d])[0] for d in (-h, 0.0, h))
+            pm, p0, pp = (pair.vertex_curves[0].positions([t + d])[0] for d in (-h, 0.0, h))
             v = (pp - pm) / (2 * h)
             a = (pp - 2 * p0 + pm) / h**2
-            _, vel, acc = pair.vertex_curve.jet_many([t])
+            _, vel, acc = pair.vertex_curves[0].jet_many([t])
             det_fd = v[0] * a[1] - v[1] * a[0]
             det = vel[0, 0] * acc[0, 1] - vel[0, 1] * acc[0, 0]
             assert det == pytest.approx(det_fd, abs=5e-4 * (1 + abs(det)))
@@ -239,7 +237,7 @@ class TestEquilateralPair:
 
 class TestEquiangularPairPolygons:
     def test_triangle_counts_and_angles(self):
-        pair = equiangular_pair(EquiangularSpec(FIG_P, Fraction(2, 3), 0))
+        pair = equiangular_pair(FIG_P, Fraction(2, 3), 0)
         assert pair.count == 3
         poly = pair.polygon(0.9)
         assert poly.closure_gap < 1e-12
@@ -247,7 +245,7 @@ class TestEquiangularPairPolygons:
             assert turn == pytest.approx(TWO_PI / 3, abs=1e-8)
 
     def test_hexagon_branch_count_and_angles(self):
-        pair = equiangular_pair(EquiangularSpec(FIG_P, Fraction(2, 3), 1))
+        pair = equiangular_pair(FIG_P, Fraction(2, 3), 1)
         assert pair.count == 6
         poly = pair.polygon(0.2)
         assert poly.closure_gap < 1e-12
@@ -256,7 +254,7 @@ class TestEquiangularPairPolygons:
             assert turn == pytest.approx(-math.pi / 3, abs=1e-8)
 
     def test_sides_tangent_in_support_form(self):
-        pair = equiangular_pair(EquiangularSpec(FIG_P, Fraction(2, 3), 0))
+        pair = equiangular_pair(FIG_P, Fraction(2, 3), 0)
         poly = pair.polygon(1.7)
         for i, psi in enumerate(poly.contact_parameters):
             u = np.array([math.cos(psi), math.sin(psi)])
@@ -331,7 +329,7 @@ class TestEquiangularClan:
 
     def test_equal_angles_walk_the_pair_of_that_angle(self):
         p1 = SupportFunction(9.0, (SupportTerm(Fraction(2), 0.5),), 1)
-        pair = equiangular_pair(EquiangularSpec(p1, Fraction(2, 3)))
+        pair = equiangular_pair(p1, Fraction(2, 3))
         clan = equiangular_clan(p1, [Fraction(2, 3)] * 3)
         assert pair.count == clan.count == 3
         for start in (0.0, 0.8, 4.1):

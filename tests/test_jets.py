@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from poncelet import circlemaps as cm
 from poncelet import jets
-from poncelet.envelope import VertexStepSystem, envelope_from_vertex
+from poncelet.envelope import envelope_from_vertex
 from poncelet.jets import Jet
 from poncelet.scene import build_scene, load_scene
 from poncelet.support import SupportFunction, SupportTerm, curve_from_position, curve_from_support
@@ -246,7 +246,7 @@ def test_envelope_of_a_reparametrized_circle(n, R):
         return R * jets.stack([jets.cos(phi), jets.sin(phi)])
 
     Y = curve_from_position(TWO_PI, position, label="K")
-    result = envelope_from_vertex(VertexStepSystem(Y, cm.make_torsion(h, 1, n)))
+    result = envelope_from_vertex(Y, cm.make_torsion(h, 1, n))
     half = math.pi / n
     pos, vel, acc = result.curve.jet_many(TS)
     r = R * math.cos(half)

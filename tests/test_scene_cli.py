@@ -566,6 +566,52 @@ def test_periodic_clan_closes_after_its_repeating_block(tmp_path, capsys):
     assert out["verification"]["checks"]["no_premature_closure"]
 
 
+def _half_period_doc(construction: str, **parameters) -> dict:
+    """A scene on a k = 2 support with one l = 2 term: its curves repeat after
+    2*pi, half of the 4*pi domain."""
+    support = {"a": 1.0, "k": 2, "terms": [{"l_num": 2, "l_den": 1, "cos": 0.05}]}
+    return {"construction": construction, "parameters": {"support": support, **parameters},
+            "verify": {"probes": 16, "tol": None, "expect_interior": None}}
+
+
+def _build(tmp_path, doc: dict) -> int:
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    return main(["build", str(path)])
+
+
+def test_equiangular_pair_counts_its_vertices_over_the_support_period(tmp_path, capsys):
+    # angle 2/3 closes after 3 steps of the 2*pi period, not after the 6 that
+    # fill the domain; branch 2, one period past branch 0, walks the same polygon
+    for branch in (0, 2):
+        doc = _half_period_doc("equiangular-pair", angle={"num": 2, "den": 3}, branch=branch)
+        assert _build(tmp_path, doc) == 0, branch
+        out = json.loads(capsys.readouterr().out)
+        assert out["scene"]["vertex_count"] == 3, branch
+        assert out["verification"]["checks"]["no_premature_closure"], branch
+
+
+def test_equiangular_clan_counts_its_vertices_over_the_support_period(tmp_path, capsys):
+    # the block [1/3, 2/3] sums to pi: two turns of it fill the 2*pi period
+    doc = _half_period_doc("equiangular-clan", angles=[{"num": 1, "den": 3},
+                                                       {"num": 2, "den": 3}] * 2)
+    assert _build(tmp_path, doc) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["scene"]["vertex_count"] == 4
+    assert out["verification"]["checks"]["no_premature_closure"]
+
+
+def test_clan_whose_branch_angles_close_a_support_period_exits_three(tmp_path, capsys):
+    # 4/3 pi + 2/3 pi = 2 pi is no multiple of the 4*pi domain, but it is
+    # one period of the curves: two consecutive vertices are one point
+    doc = _half_period_doc("equiangular-clan", angles=[{"num": 1, "den": 3},
+                                                       {"num": 2, "den": 3}] * 2,
+                           branches=[1, 0, 0, 0])
+    assert _build(tmp_path, doc) == 3
+    assert ("polygon degenerates: consecutive branch angles 4/3*pi and 2/3*pi sum to a "
+            "multiple of 2*pi") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [("build", "--skip-verify"), ("verify",)])
 def test_clan_whose_consecutive_branch_angles_close_a_turn_exits_three(tmp_path, command):
     # branch angles 1/2 and 3/2 pi sum to 2 pi: the tangent lines before and

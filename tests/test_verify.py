@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from poncelet import circlemaps as cm
 from poncelet import verify
 from poncelet.circlemaps import circle_distance
-from poncelet.equiangular import (ConstructionError, EquiangularSpec, PonceletPolygon,
+from poncelet.equiangular import (ConstructionError, PonceletPolygon, equiangular_vertex_curve,
                                   equilateral_pair, rigid_walk)
 from poncelet.geometry import radians
 from poncelet.roots import bracketed_roots
@@ -22,7 +22,7 @@ from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_fro
 from poncelet.verify import (OracleError, PonceletConfiguration, VerificationReport,
                              parametric_side_contacts, regularity_scan, side_contact_recover,
                              verify_pair)
-from poncelet.vertex import ContactStepSystem, vertex_from_envelope
+from poncelet.vertex import vertex_from_envelope
 from test_bench_contract import SCENES, gate
 
 TWO_PI = 2 * math.pi
@@ -61,21 +61,21 @@ class TestNextVertexOracle:
         t1s = np.linspace(0, TWO_PI, 64, endpoint=False)
         # non-convex envelope: the forward tangent can be ambiguous, and
         # those starts fail
-        rows, t2, _, _ = oracle_step(pair.vertex_curve, pair.envelope_support, t1s)
+        rows, t2, _, _ = oracle_step(pair.vertex_curves[0], pair.envelope_support, t1s)
         assert len(rows) >= 8
         assert np.all(circle_distance(t2 - t1s[rows], TWO_PI / 3, TWO_PI) < 1e-8)
 
     def test_wankel_pair_every_start(self):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
         t1s = np.linspace(0, TWO_PI, 32, endpoint=False)
-        rows, t2, _, errors = oracle_step(pair.vertex_curve, pair.envelope_support, t1s)
+        rows, t2, _, errors = oracle_step(pair.vertex_curves[0], pair.envelope_support, t1s)
         assert rows.tolist() == list(range(32)) and not errors
         assert np.all(circle_distance(t2, t1s + TWO_PI / 3, TWO_PI) < 1e-10)
 
     def test_conjugated_step_round_trip(self):
         h = cm.from_fourier(TWO_PI, 0.1, (cm.FourierTerm(1, 0.08, 0.03),))
         f = cm.make_torsion(h, 1, 5)
-        res = vertex_from_envelope(ContactStepSystem(SupportFunction(2.0, (), 1), f))
+        res = vertex_from_envelope(SupportFunction(2.0, (), 1), f)
         t1s = np.linspace(0, TWO_PI, 64, endpoint=False)
         rows, t2, _, errors = oracle_step(res.curve, SupportFunction(2.0, (), 1), t1s)
         assert rows.tolist() == list(range(64)) and not errors
@@ -90,7 +90,7 @@ class TestNextVertexOracle:
     def test_empirical_step_is_monotone(self):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
         starts = np.linspace(0, TWO_PI, 48, endpoint=False)
-        _, images, _, _ = oracle_step(pair.vertex_curve, pair.envelope_support, starts)
+        _, images, _, _ = oracle_step(pair.vertex_curves[0], pair.envelope_support, starts)
         jumps = np.diff(np.unwrap(images, period=TWO_PI))
         assert np.all(jumps > 0)
 
@@ -125,7 +125,7 @@ class TestLockstepOracle:
     def test_array_call_equals_one_element_calls(self):
         # the non-convex envelope makes most starts fail, in several ways
         pair = equilateral_pair(1, Fraction(2), 8 / 5)
-        K, C = pair.vertex_curve, pair.envelope_support
+        K, C = pair.vertex_curves[0], pair.envelope_support
         starts = np.linspace(0, TWO_PI, 64, endpoint=False)
         together = _per_start(K, C, starts)
         alone = _one_by_one(K, C, starts)
@@ -146,7 +146,7 @@ class TestLockstepOracle:
     @given(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=1, max_size=12))
     def test_wankel_lockstep_equals_one_element_steps(self, starts):
         pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
-        K, C = pair.vertex_curve, pair.envelope_support
+        K, C = pair.vertex_curves[0], pair.envelope_support
         _assert_same_steps(_per_start(K, C, starts), _one_by_one(K, C, starts))
 
 
@@ -334,6 +334,7 @@ class TestPerturbedSequencePolygons:
 
         assert not verify_pair(dataclasses.replace(config, walk=moved), probes=8).passed
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", ["equilateral_a85", "pentagram"])
     def test_coincident_vertices_are_an_error(self, name):
         # a support term of 8e93 rounds two vertices of a walk onto one point;
@@ -373,18 +374,19 @@ class TestNonConvergence:
 
 
 def wankel_configuration(**overrides):
-    pair = equilateral_pair(1, Fraction(2), 2 + math.sqrt(3))
-    alpha = radians(pair.angle)
+    a = 2 + math.sqrt(3)
+    pair = equilateral_pair(1, Fraction(2), a)
+    alpha = radians(pair.angles[0])
     kwargs = dict(
         label="wankel",
-        vertex_curves=(pair.vertex_curve,),
+        vertex_curves=pair.vertex_curves,
         envelopes=(pair.envelope,),
         envelope_supports=(pair.envelope_support,),
         polygon=pair.polygon,
         walk=pair.walk,
         mode="oracle",
         expected_turns=(alpha,),
-        expected_side=pair.side_length,
+        expected_side=2 * a * math.tan(alpha / 2),
         expect_interior=True,
     )
     kwargs.update(overrides)
@@ -428,7 +430,7 @@ class TestVerifyPair:
     def test_perturbed_vertex_curve_fails_at_small_hausdorff(self):
         # a 1e-3 offset of K breaks tangency/closure at tol = 1e-6
         config, pair = wankel_configuration()
-        K = pair.vertex_curve
+        K = pair.vertex_curves[0]
 
         def shifted_jet(ts):
             pos, vel, acc = K.jet_many(ts)
@@ -520,7 +522,7 @@ def test_oracle_and_sequence_modes_measure_alike(name):
 class TestRegularityScan:
     def test_strictly_curved_epitrochoid_has_no_near_zeros(self):
         pair = equilateral_pair(1, Fraction(2), 9.5)
-        scan = regularity_scan(pair.vertex_curve)
+        scan = regularity_scan(pair.vertex_curves[0])
         assert scan.min_speed > 1.0
         assert scan.near_zeros == ()
 
@@ -532,8 +534,7 @@ class TestRegularityScan:
         # self-intersecting envelope whose crossings have angle pi/2: the
         # branch with angle pi/2 + 4*pi carries cusps
         p = SupportFunction(-2 / 3, (SupportTerm(Fraction(2, 3), 1.0),), 3)
-        from poncelet.equiangular import equiangular_vertex_curve
-        K = equiangular_vertex_curve(EquiangularSpec(p, Fraction(1, 2), 4))
+        K = equiangular_vertex_curve(p, Fraction(1, 2), 4)
         scan = regularity_scan(K, samples=2048)
         assert len(scan.near_zeros) >= 2
         for _, speed in scan.near_zeros:
@@ -544,8 +545,7 @@ class TestRegularityScan:
     def test_unconverged_minimum_raises_with_parameter(self, monkeypatch):
         monkeypatch.setattr(verify, "bracketed_roots", functools.partial(bracketed_roots, iters=1))
         p = SupportFunction(-2 / 3, (SupportTerm(Fraction(2, 3), 1.0),), 3)
-        from poncelet.equiangular import equiangular_vertex_curve
-        K = equiangular_vertex_curve(EquiangularSpec(p, Fraction(1, 2), 4))
+        K = equiangular_vertex_curve(p, Fraction(1, 2), 4)
         with pytest.raises(RuntimeError, match=r"did not converge near t = 2\.3\d+, 11\.7\d+$"):
             regularity_scan(K, samples=2048)
 

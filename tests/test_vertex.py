@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from poncelet import circlemaps as cm
-from poncelet.equiangular import (ConstructionError, EquiangularSpec, equiangular_clan,
-                                  equiangular_vertex_curve)
+from poncelet.equiangular import ConstructionError, equiangular_clan, equiangular_vertex_curve
 from poncelet.geometry import radians
 from poncelet.support import SupportFunction, SupportTerm
-from poncelet.vertex import ContactStepSystem, clan_from_envelope, vertex_from_envelope
+from poncelet.vertex import clan_from_envelope, vertex_from_envelope
 
 TWO_PI = 2 * math.pi
 
@@ -19,26 +18,26 @@ FIG_P = SupportFunction(9.0, (SupportTerm(Fraction(2), 0.9),
 
 
 def shift_torsion(L: float, m: int, n: int) -> cm.TorsionMap:
-    return cm.as_torsion(cm.rotation(L, m * L / n), n)
+    return cm.TorsionMap(cm.rotation(L, m * L / n), n)
 
 
 class TestVertexFromEnvelope:
     def test_rigid_shift_reduces_to_equiangular_curve(self):
         # reference: the closed form Y = csc(a) (p(t + a) u'(t) - p(t) u'(t + a))
         f = shift_torsion(TWO_PI, 1, 3)
-        res = vertex_from_envelope(ContactStepSystem(FIG_P, f))
+        res = vertex_from_envelope(FIG_P, f)
         a = radians(Fraction(2, 3))
         ts = np.linspace(0, TWO_PI, 128, endpoint=False)
         p0, pa = FIG_P.eval(ts), FIG_P.eval(ts + a)
         want = np.stack([-pa * np.sin(ts) + p0 * np.sin(ts + a),
                          pa * np.cos(ts) - p0 * np.cos(ts + a)], axis=1) / math.sin(a)
-        spec_curve = equiangular_vertex_curve(EquiangularSpec(FIG_P, Fraction(2, 3), 0))
+        spec_curve = equiangular_vertex_curve(FIG_P, Fraction(2, 3), 0)
         for curve in (res.curve, spec_curve):
             assert np.max(np.abs(curve.positions(ts) - want)) < 1e-12
 
     def test_constant_support_gives_circle(self):
         f = shift_torsion(TWO_PI, 1, 5)
-        res = vertex_from_envelope(ContactStepSystem(SupportFunction(2.0, (), 1), f))
+        res = vertex_from_envelope(SupportFunction(2.0, (), 1), f)
         ts = np.linspace(0, TWO_PI, 96, endpoint=False)
         radii = np.hypot(*res.curve.positions(ts).T)
         assert np.allclose(radii, 2.0 / math.cos(math.pi / 5), atol=1e-12)
@@ -46,7 +45,7 @@ class TestVertexFromEnvelope:
     def test_conjugated_step_polygon_closes_and_touches(self):
         h = cm.from_fourier(TWO_PI, 0.1, (cm.FourierTerm(1, 0.08, 0.03),))
         f = cm.make_torsion(h, 1, 5)
-        res = vertex_from_envelope(ContactStepSystem(SupportFunction(2.0, (), 1), f))
+        res = vertex_from_envelope(SupportFunction(2.0, (), 1), f)
         poly = res.polygon(0.6)
         assert poly.closure_gap < 1e-9
         for i, psi in enumerate(poly.contact_parameters):
@@ -55,19 +54,18 @@ class TestVertexFromEnvelope:
                 assert abs(np.dot(v, u) - 2.0) < 1e-10
 
     def test_transversality_failure_located(self):
-        # f moves phi by ~pi somewhere: sin(f(phi) - phi) crosses zero
-        h = cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 0.1, 0.0),))
+        # f moves phi by more than pi somewhere: sin(f(phi) - phi) crosses zero
         bad = cm.TorsionMap(cm.rotation(TWO_PI, math.pi), 2)
         with pytest.raises(ConstructionError):
-            ContactStepSystem(SupportFunction(2.0, (), 1), bad)  # n = 2 rejected first
-        near_pi = cm.TorsionMap(
-            h.inverse().compose(cm.rotation(TWO_PI, TWO_PI / 2)).compose(h), 4)
+            vertex_from_envelope(SupportFunction(2.0, (), 1), bad)  # n = 2 rejected first
+        h = cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 0.4, 0.0),))
+        past_pi = cm.make_torsion(h, 2, 5)
         with pytest.raises(ConstructionError, match="transversality"):
-            vertex_from_envelope(ContactStepSystem(SupportFunction(2.0, (), 1), near_pi))
+            vertex_from_envelope(SupportFunction(2.0, (), 1), past_pi)
 
     def test_period_must_exceed_two(self):
         with pytest.raises(ConstructionError):
-            ContactStepSystem(SupportFunction(2.0, (), 1), shift_torsion(TWO_PI, 1, 2))
+            vertex_from_envelope(SupportFunction(2.0, (), 1), shift_torsion(TWO_PI, 1, 2))
 
 
 class TestClanFromEnvelope:
