@@ -7,7 +7,7 @@ from .circlemaps import (CircleDiffeo, FourierTerm, TorsionMap, conjugator_to_ro
 from .envelope import (clan_from_vertex, envelope_from_vertex, envelope_regularity,
                        interiority_check)
 from .equiangular import (PonceletPolygon, equiangular_clan, equiangular_pair,
-                          equiangular_vertex_curve, equilateral_pair, vertex_count)
+                          equiangular_vertex_curve, equilateral_pair)
 from .geometry import polyline_self_intersects
 from .scene import Scene, build_scene, load_scene
 from .support import (PlaneCurve, SupportFunction, SupportTerm, constant_width_check,
@@ -25,8 +25,7 @@ __all__ = [
     "equilateral_pair", "interiority_check", "load_scene",
     "make_torsion", "polyline_self_intersects",
     "regularity_scan", "rotation", "rotation_number",
-    "signed_area", "verify_pair", "verify_torsion", "vertex_count",
-    "vertex_from_envelope",
+    "signed_area", "verify_pair", "verify_torsion", "vertex_from_envelope",
 ]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import Jet, chain
-from .roots import bracketed_roots
+from .roots import GRID, bracketed_roots
 
 
 class CircleMapError(ValueError):
@@ -29,20 +29,24 @@ class FourierTerm:
     cos_coeff: float = 0.0
 
 
-def _solve_lift(lift, dlift, y, bound, tol):
+def _solve_lift(lift, dlift, y, bound, tol, table):
     """Solve lift(x) = y for x (vectorized safeguarded Newton in a bracket).
 
-    dlift(x) is the lift's order-1 Jet at x, so each step evaluates value
-    and slope in one call and lift itself is not called; the targets y stay
-    the third argument, where perfbench/tracer.py counts them. Once every
-    residual is below tol, the Newton update of that last evaluation is
-    returned. Raises CircleMapError when some x is not within tol after 100
-    steps.
+    Newton starts at the linear interpolation of table = (xs, lift(xs)),
+    the lift at increasing xs over [0, L], at y reduced by whole periods,
+    clipped into the bracket y -+ bound. dlift(x) is the lift's order-1 Jet
+    at x, so each step evaluates value and slope in one call and lift itself
+    is not called; the targets y stay the third argument, where
+    perfbench/tracer.py counts them. Once every residual is below tol, the
+    Newton update of that last evaluation is returned. Raises CircleMapError
+    when some x is not within tol after 100 steps.
     """
     y = np.asarray(y, dtype=float)
     lo = y - bound
     hi = y + bound
-    x = y.copy()
+    xs, fs = table
+    turns = np.floor((y - fs[0]) / xs[-1]) * xs[-1]
+    x = np.clip(np.interp(y - turns, fs, xs) + turns, lo, hi)
     for steps in range(101):
         jet = dlift(x)
         fx, d = jet.v - y, jet.d[0]
@@ -92,20 +96,24 @@ class CircleDiffeo:
         return self.rotation_amount is not None
 
     def inverse(self) -> CircleDiffeo:
-        """The inverse map. Its lift solves for values only; the derivatives
-        of a Jet argument follow from the inverse-function rule."""
+        """The inverse map. Its lift solves for values only, by Newton from a
+        table of this lift at GRID + 1 points, made here once for every
+        inversion; the derivatives of a Jet argument follow from the
+        inverse-function rule."""
         if self.is_rotation:
             return rotation(self.circumference, -self.rotation_amount)
         L = self.circumference
         bound = self.displacement_bound + L
         tol = 1e-12 * L
+        xs = np.linspace(0.0, L, GRID + 1)
+        table = (xs, self.lift(xs))
         def dlift(x):
             return self.lift(Jet.variable(x, 1))
 
         def inv_lift(y):
             if not isinstance(y, Jet):
-                return _solve_lift(self.lift, dlift, y, bound, tol)
-            x = _solve_lift(self.lift, dlift, y.v, bound, tol)
+                return _solve_lift(self.lift, dlift, y, bound, tol, table)
+            x = _solve_lift(self.lift, dlift, y.v, bound, tol, table)
             F = self.lift(Jet.variable(x, max(y.order, 1))).d   # F', ... at x = g(y), to y's order
             g = [x, 1.0 / F[0]]
             if y.order > 1:

@@ -140,15 +140,6 @@ def equiangular_vertex_curve(envelope: SupportFunction, angle: Fraction, branch:
     return curve_from_position(envelope.domain_length, pos, label=label)
 
 
-def vertex_count(angle: Fraction, k: int) -> int:
-    """Number of steps of size angle * pi until a multiple of 2*k*pi is reached."""
-    if k < 1:
-        raise ConstructionError("sheet count must be positive")
-    if not (0 < angle < 2 * k):
-        raise ConstructionError(f"angle must lie strictly between 0 and {2 * k}*pi")
-    return closure_steps(angle, Fraction(2 * k))
-
-
 @dataclass(frozen=True)
 class EquiangularClan(Walked):
     envelope_support: SupportFunction

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from . import circlemaps as cm
 from . import equiangular as eq
 from .envelope import clan_from_vertex, envelope_from_vertex
@@ -253,7 +255,10 @@ class Scene:
         return table
 
     def polygons(self) -> list[PonceletPolygon]:
-        return [self.configuration.polygon(t) for t in self.render_options.polygon_starts]
+        """The polygons of the render starts, assembled on the configuration's curves."""
+        c, starts = self.configuration, np.array(self.render_options.polygon_starts, dtype=float)
+        polys = eq.assemble(c.walk(starts), c.vertex_curves, c.envelopes)
+        return [polys[i] for i in range(len(starts))]
 
     def verify(self, probes: int | None = None, tol: float | None = None) -> VerificationReport:
         opts = self.verify_options

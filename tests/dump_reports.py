@@ -7,8 +7,11 @@ the case name and the sorted JSON of `Scene.verify(probes).to_dict()`;
 `repr` of the floats, so equal output means bit-identical reports. One more
 line per case, `<case>@render`, holds the sha256 of its SVG, as
 `poncelet render` writes it, and of each curve's CSV, as `poncelet sample`
-writes it at the scene's render sample count; so the scenes that are built
-in code, which no render golden pins, are covered too.
+writes it at the scene's render sample count, and under "samples" every
+STRIDE-th point of each curve at that count as `repr` floats; so the scenes
+that are built in code, which no render golden pins, are covered too. The
+bicentric triangle of tests/bicentric.py is dumped as a case too (the
+helper comes from this file's directory when CHECKOUT has none).
 Pytest does not collect this file (its name does not start with `test_`).
 
     PYTHONPATH=src python tests/dump_reports.py [CHECKOUT]
@@ -25,8 +28,12 @@ two commits, unpack the older one and dump both with this file:
 `--compare OLD NEW` reads two such dumps. It prints how many reports are
 identical, how many floats moved and the largest move, and then every other
 difference: a changed `checks`, `passed`, `errors`, `mode`,
-`oracle_direction`, `probes` or render digest, or a case only one dump holds. It exits 1
-if there is any such change, and 0 if at most floats moved.
+`oracle_direction`, `probes` or SVG digest, or a case only one dump holds. A
+curve's CSV digest that moved counts as moved floats when its strided
+samples moved, each by less than SAMPLE_MOVE, and the largest such move is
+printed; one that moved with no strided sample moving, or with a sample
+moving by SAMPLE_MOVE or more, is a change. It exits 1 if there is any
+change, and 0 if at most floats moved.
 """
 
 import hashlib
@@ -35,6 +42,8 @@ import sys
 from pathlib import Path
 
 PROBES = (8, 64, 1024)
+STRIDE = 64            # every STRIDE-th render sample of each curve is dumped
+SAMPLE_MOVE = 1e-12    # a moved CSV digest whose samples moved less is a float move
 
 
 def _dump(path: str) -> dict[str, str]:
@@ -60,17 +69,44 @@ def _walk(old, new, where: str, moves: list[float], changes: list[str]) -> None:
         changes.append(f"{where}: {old!r} -> {new!r}")
 
 
+def _walk_render(old: dict, new: dict, where: str, digests: list[float],
+                 changes: list[str]) -> None:
+    """Compare two render lines: append the largest strided-sample move of
+    each CSV digest that moved with its samples, each by less than
+    SAMPLE_MOVE, to digests, and every other moved digest to changes."""
+    old_samples, new_samples = old.pop("samples", {}), new.pop("samples", {})
+    for name in sorted(old.keys() | new.keys()):
+        if old.get(name) == new.get(name):
+            continue
+        moved: list[float] = []
+        if name != "svg":
+            _walk(old_samples.get(name), new_samples.get(name), f"{where}.samples.{name}",
+                  moved, changes)
+        if moved and max(moved) < SAMPLE_MOVE:
+            digests.append(max(moved))
+        else:
+            changes.append(f"{where}.{name}: digest moved, strided samples moved by "
+                           + (f"up to {max(moved):.3g}" if moved else "nothing"))
+
+
 def compare(old_path: str, new_path: str) -> int:
     old, new = _dump(old_path), _dump(new_path)
     moves: list[float] = []
+    digests: list[float] = []
     changes = [f"{case}: only in {new_path if case in new else old_path}"
                for case in sorted(old.keys() ^ new.keys())]
     both = [case for case in old if case in new]
     for case in both:
-        _walk(json.loads(old[case]), json.loads(new[case]), case, moves, changes)
+        a, b = json.loads(old[case]), json.loads(new[case])
+        if case.endswith("@render"):
+            _walk_render(a, b, case, digests, changes)
+        else:
+            _walk(a, b, case, moves, changes)
     same = sum(old[case] == new[case] for case in both)
     print(f"{same} of {len(both)} lines identical; {len(moves)} floats moved, "
-          f"largest {max(moves, default=0.0):.3g}; {len(changes)} changes")
+          f"largest {max(moves, default=0.0):.3g}; {len(digests)} CSV digests moved with "
+          f"their strided samples, largest {max(digests, default=0.0):.3g}; "
+          f"{len(changes)} changes")
     for line in changes:
         print("  " + line)
     return 1 if changes else 0
@@ -80,8 +116,9 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def render_digests(scene) -> dict[str, str]:
-    """{"svg": the sha256 of the scene's SVG, curve name: that of its CSV}."""
+def render_digests(scene) -> dict:
+    """{"svg": the sha256 of the scene's SVG, curve name: that of its CSV,
+    "samples": {curve name: its strided render samples}}."""
     from poncelet.render import render_svg, sample_points
 
     table = scene.curve_table()
@@ -90,7 +127,9 @@ def render_digests(scene) -> dict[str, str]:
     verts = [(n, c) for n, c in sorted(table.items()) if n.startswith("vertex")]
     svg = render_svg(envs, verts, scene.polygons(), samples=opts.samples, margin=opts.margin)
     return {"svg": _digest(svg), **{name: _digest(sample_points(curve, opts.samples))
-                                    for name, curve in table.items()}}
+                                    for name, curve in table.items()},
+            "samples": {name: curve.sample(opts.samples)[::STRIDE].tolist()
+                        for name, curve in table.items()}}
 
 
 def main(argv: list[str]) -> None:
@@ -100,12 +139,14 @@ def main(argv: list[str]) -> None:
         sys.exit(compare(argv[2], argv[3]))
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
+    from bicentric import bicentric_scene
     from poncelet.scene import load_scene
     from test_bench_contract import SCENES
 
     cases = {p.stem: (lambda p=p: load_scene(str(p)))
              for p in sorted((root / "configs").glob("*.json"))}
     cases.update(SCENES)
+    cases["bicentric-triangle"] = bicentric_scene
     for name, make in cases.items():
         scene = make()
         for probes in PROBES:

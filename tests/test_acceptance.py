@@ -12,7 +12,7 @@ import pytest
 
 from poncelet import circlemaps as cm
 from poncelet.envelope import envelope_from_vertex, interiority_check
-from poncelet.equiangular import equilateral_pair, vertex_count
+from poncelet.equiangular import equiangular_pair, equilateral_pair
 from poncelet.geometry import polyline_self_intersects
 from poncelet.render import render_svg
 from poncelet.scene import load_scene
@@ -67,8 +67,10 @@ def test_criterion_02_wankel_verifies(corpus):
 
 
 def test_criterion_03_vertex_counts():
-    triangle = vertex_count(Fraction(2, 3), 1)
-    hexagon = vertex_count(Fraction(5, 3), 1)
+    # the branch angles 2/3 and 5/3 (in units of pi) of one sheet
+    p = SupportFunction(9.0, (SupportTerm(Fraction(2), 0.9),), 1)
+    triangle = equiangular_pair(p, Fraction(2, 3)).count
+    hexagon = equiangular_pair(p, Fraction(2, 3), 1).count
     pentagram = equilateral_pair(4, Fraction(2, 3), math.cos(2 * math.pi / 5) * 25 / 9).count
     ok = (triangle, hexagon, pentagram) == (3, 6, 5)
     _report(3, "vertex counts 3 / 6 / 5 by exact rational arithmetic", ok,

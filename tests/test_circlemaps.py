@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poncelet import circlemaps as cm
 from poncelet import jets
@@ -194,3 +196,58 @@ class TestMonotonicityCertificate:
     def test_harmonic_above_the_cap_is_refused(self):
         with pytest.raises(cm.CircleMapError, match="4096"):
             cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(cm.MAX_HARMONIC + 1, 1e-9, 0.0),))
+
+
+# monotone Fourier lifts: raw terms scaled so that the coefficient bound
+# 1 - sum (2 pi |j| / L) hypot(a, b) of the slope is at least 1e-3
+raw_terms = st.lists(st.tuples(st.integers(1, 64), st.sampled_from((-1, 1)),
+                               st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                     min_size=1, max_size=4).filter(
+    lambda ts: any(math.hypot(a, b) > 1e-3 for _, _, a, b in ts))
+
+
+class TestWarmStart:
+    @settings(max_examples=60)
+    @given(raw_terms, st.floats(0.0, 1.0 - 1e-3), st.floats(-3 * TWO_PI, 3 * TWO_PI),
+           st.lists(st.floats(-3 * TWO_PI, 3 * TWO_PI), min_size=1, max_size=48))
+    def test_round_trip_over_several_periods(self, raw, slope_budget, c, targets):
+        total = sum(j * math.hypot(a, b) for j, _, a, b in raw)    # L = 2 pi: 2 pi |j| / L = |j|
+        scale = slope_budget / total
+        h = cm.from_fourier(TWO_PI, c, tuple(cm.FourierTerm(sign * j, a * scale, b * scale)
+                                             for j, sign, a, b in raw))
+        ys = np.array(targets)
+        err = np.abs(h.lift(h.inverse().lift(ys)) - ys)
+        # 1e-14 near the origin; beyond it the lift's own rounding grows with
+        # the magnitudes of x and c, a few ulps of values up to 7 periods
+        assert np.all(err <= 1e-14 * np.maximum(1.0, (abs(c) + np.abs(ys)) / TWO_PI))
+
+    def test_inversion_that_stalled_from_the_target_converges(self):
+        # slope bound 1e-3: from the start x = y, Newton stayed inside its
+        # bracket without closing on the root and used up its 100 steps
+        terms = (cm.FourierTerm(-49, -0.012926285212364537, 0.009482700064631366),
+                 cm.FourierTerm(10, 0.004513262300353227, 0.00756456392403858),
+                 cm.FourierTerm(-9, 0.012315113999779845, 0.006509703258527598))
+        h = cm.from_fourier(TWO_PI, 16.116380134874426, terms)
+        y = np.array([-9.96751532475281])
+        assert abs(h.lift(h.inverse().lift(y))[0] - y[0]) <= 4e-14
+
+    def test_conjugated_steps_take_two_evaluations_per_inversion(self):
+        # the conjugators of the benchmark's seeded envelope-from-vertex
+        # scenes: one j = 1 term, c in [0, 2 pi), |sin|, |cos| <= 0.06; the
+        # table the inverse starts from is one plain evaluation, made before
+        rng = np.random.default_rng(23)
+        for _ in range(24):
+            a, b = rng.uniform(-0.06, 0.06, 2)
+            h = cm.from_fourier(TWO_PI, rng.uniform(0.0, TWO_PI), (cm.FourierTerm(1, a, b),))
+            orders = []
+
+            def lift(x, h=h):
+                if isinstance(x, jets.Jet):
+                    orders.append(x.order)
+                return h.lift(x)
+
+            inv = cm.CircleDiffeo(TWO_PI, lift, displacement_bound=h.displacement_bound).inverse()
+            for ys in (rng.uniform(-3 * TWO_PI, 3 * TWO_PI, 64), np.linspace(0.0, TWO_PI, 37)):
+                orders.clear()
+                inv.lift(ys)
+                assert orders in ([1], [1, 1])

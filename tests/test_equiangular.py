@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poncelet.equiangular import (ConstructionError, equiangular_clan, equiangular_pair,
-                                  equiangular_vertex_curve, equilateral_pair, vertex_count)
-from poncelet.geometry import polyline_self_intersects, radians
+                                  equiangular_vertex_curve, equilateral_pair)
+from poncelet.geometry import closure_steps, polyline_self_intersects, radians
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
 
 TWO_PI = 2 * math.pi
@@ -116,18 +116,33 @@ class TestVertexCurve:
 
 
 class TestVertexCount:
+    """A pair counts the steps of its branch angle angle + branch (in units
+    of pi) that fill a period 2 pi P of its support (SupportFunction.period):
+    closure_steps(angle + branch, 2P)."""
+
     def test_paper_counts(self):
-        assert vertex_count(Fraction(2, 3), 1) == 3
-        assert vertex_count(Fraction(5, 3), 1) == 6
+        assert equiangular_pair(FIG_P, Fraction(2, 3)).count == 3
+        assert equiangular_pair(FIG_P, Fraction(2, 3), 1).count == 6     # 5/3 pi
 
     def test_angle_outside_the_sheets_rejected(self):
-        for ang, k in [(Fraction(0), 1), (Fraction(2), 1), (Fraction(4), 2), (Fraction(9, 2), 2)]:
-            with pytest.raises(ConstructionError, match=rf"between 0 and {2 * k}\*pi"):
-                vertex_count(ang, k)
+        # branch angles lie in (0, 2k): the last branch is 2k - 1
+        for k in (1, 2, 3):
+            p = p_cos(1.0, 2, 0.05, k)
+            last = equiangular_pair(p, Fraction(1, 2), 2 * k - 1)
+            assert last.angles == (2 * k - Fraction(1, 2),)
+            with pytest.raises(ConstructionError, match=rf"branch must lie in \[0, {2 * k}\)"):
+                equiangular_pair(p, Fraction(1, 2), 2 * k)
 
     def test_rational_step_on_three_sheets(self):
-        # alpha = 2*pi*5/7 = (10/7)*pi on k = 3 sheets
-        assert vertex_count(Fraction(10, 7), 3) == 21
+        # alpha = 2*pi*5/7 = (10/7)*pi on k = 3 sheets of period 6 pi
+        assert equiangular_pair(p_cos(1.0, Fraction(1, 3), 0.05, 3), Fraction(3, 7), 1).count == 21
+
+    def test_counts_over_the_support_period(self):
+        # k = 2 with one l = 2 term repeats after 2 pi: 3 vertices, not the 6
+        # that fill the 4 pi domain; branch 2 is one period on
+        p = p_cos(1.0, 2, 0.05, 2)
+        assert p.period == TWO_PI
+        assert [equiangular_pair(p, Fraction(2, 3), j).count for j in (0, 1, 2)] == [3, 6, 3]
 
     def test_against_brute_force(self):
         # angles anywhere in (0, 2k): branch angles a + i*pi reach past 2 on k >= 2 sheets
@@ -143,7 +158,7 @@ class TestVertexCount:
                 steps += 1
                 if acc % (2 * k) == 0:
                     break
-            assert vertex_count(ang, k) == steps
+            assert closure_steps(ang, Fraction(2 * k)) == steps
 
 
 class TestEquilateralPair:
@@ -322,7 +337,7 @@ class TestEquiangularClan:
     def test_degenerate_equal_angles_reduce_to_pair(self):
         p1 = SupportFunction(9.0, (SupportTerm(Fraction(2), 0.5),), 1)
         clan = equiangular_clan(p1, [Fraction(2, 3)] * 3, [0, 0, 0])
-        assert clan.count == vertex_count(Fraction(2, 3), 1) == 3
+        assert clan.count == closure_steps(Fraction(2, 3), Fraction(2)) == 3
         poly = clan.polygon(0.8)
         assert len(poly.vertices) == 3
         assert poly.closure_gap < 1e-12

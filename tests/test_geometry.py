@@ -32,12 +32,12 @@ def test_non_finite_polygon_point_raises_and_exits_three(which, monkeypatch, cap
 
     with pytest.raises(GeometryError, match="non-finite polygon point on curve"):
         polygon(0.4)
-    # verify reads the configuration's curves; render draws the clean curves,
-    # then the polygons of the poisoned ones
-    for command, poisoned in (("verify", dataclasses.replace(cfg, **curves)),
-                              ("render", dataclasses.replace(cfg, polygon=polygon))):
-        monkeypatch.setattr(cli, "load_scene", lambda path, c=poisoned: dataclasses.replace(
-            scene, configuration=c))
+    # verify and render both read the configuration's curves; render
+    # assembles its polygons before it samples any curve
+    poisoned = dataclasses.replace(cfg, **curves)
+    for command in ("verify", "render"):
+        monkeypatch.setattr(cli, "load_scene", lambda path: dataclasses.replace(
+            scene, configuration=poisoned))
         assert cli.main([command, str(CLAN)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""

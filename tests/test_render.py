@@ -17,6 +17,7 @@ equiangular_triangle.json. Their sample values moved by at most 1.1e-14
 absolute. Every SVG hash and every other CSV hash stayed as it was.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -62,6 +63,24 @@ def test_config_outputs_match_golden(name):
     assert sorted(table) == sorted(want["csv"])
     for curve_name, digest in want["csv"].items():
         assert _sha(sample_points(table[curve_name], opts.samples)) == digest, curve_name
+
+
+@pytest.mark.parametrize("name", ["clan", "iterated_square", "wankel"])
+def test_polygons_are_assembled_on_the_configuration_curves(name):
+    # a configuration whose vertex curves were replaced renders polygons on
+    # the new curves, not on the curves its construction built
+    scene = load_scene(str(CONFIGS / f"{name}.json"))
+    cfg, shift = scene.configuration, np.array([0.25, -0.5])
+    before = scene.polygons()
+    moved = tuple(dataclasses.replace(k, jet_fn=None,
+                                      position_fn=lambda ts, k=k: k.positions(ts) + shift)
+                  for k in cfg.vertex_curves)
+    scene.configuration = dataclasses.replace(cfg, vertex_curves=moved)
+    after = scene.polygons()
+    assert len(after) == len(before) == len(scene.render_options.polygon_starts)
+    for old, new in zip(before, after):
+        np.testing.assert_allclose(new.vertices, old.vertices + shift, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(new.contacts, old.contacts)
 
 
 def test_golden_covers_every_config():
