@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import Jet, chain
-from .roots import GRID, bracketed_roots
+from .roots import GRID, circle_roots
 
 
 class CircleMapError(ValueError):
@@ -172,8 +172,9 @@ def from_fourier(L: float, c: float, terms: tuple[FourierTerm, ...]) -> CircleDi
 
     F(x+L) = F(x) + L holds by construction. Strict monotonicity is
     certified by 1 - sum_j (2 pi |j| / L) hypot(a_j, b_j) > 1e-9, a lower
-    bound of F'; when that bound fails, F' is scanned at 8 points per period
-    of the highest harmonic and each sampled minimum refined as a zero of F''.
+    bound of F'; when that bound fails, min F' is taken over 8 points per
+    period of the highest harmonic and over the zeros of F'' that
+    roots.circle_roots finds from those points.
     """
     terms = tuple(terms)
     if any(abs(t.j) > MAX_HARMONIC for t in terms):
@@ -203,21 +204,14 @@ def from_fourier(L: float, c: float, terms: tuple[FourierTerm, ...]) -> CircleDi
 
 
 def _min_slope(f: CircleDiffeo, harmonic: int) -> float:
-    """min F' from 8 samples per period of the highest harmonic, with every
-    sampled local minimum refined as a zero of F''."""
-    n = max(1024, 8 * harmonic)
-    xs = np.linspace(0.0, f.circumference, n, endpoint=False)
-    slope = f.derivative(xs)
-    low = xs[(slope <= np.roll(slope, 1)) & (slope <= np.roll(slope, -1))]
-    lo, hi = low - f.circumference / n, low + f.circumference / n
-
-    def curvature(x, _):
-        return f.lift(Jet.variable(x, 2)).d[1]
-
-    clo, chi = curvature(lo, None), curvature(hi, None)
-    signed = (clo <= 0.0) & (chi >= 0.0)
-    roots, _ = bracketed_roots(curvature, lo[signed], hi[signed], clo[signed], chi[signed])
-    return float(np.min(np.concatenate([slope, f.derivative(roots)])))
+    """min F' over 8 samples per period of the highest harmonic and over the
+    zeros of F'' that circle_roots finds from them."""
+    xs = np.linspace(0.0, f.circumference, max(1024, 8 * harmonic), endpoint=False)
+    slope, bend = f.lift(Jet.variable(xs, 2)).d
+    # an unconverged bracket's midpoint is a sample all the same
+    turns = circle_roots(lambda x, _: f.lift(Jet.variable(x, 2)).d[1], f.circumference, xs,
+                         bend[None])[1]
+    return float(np.min(np.concatenate([slope, f.derivative(turns)])))
 
 
 def circle_distance(a, b, L: float):
@@ -243,11 +237,11 @@ class TorsionReport:
     passed: bool
 
 
-def verify_torsion(f: CircleDiffeo, n: int, tol: float = 1e-8, probes: int = 64) -> TorsionReport:
-    """Check f^n = id and f^i != id for 0 < i < n on equispaced probes."""
+def verify_torsion(f: CircleDiffeo, n: int) -> TorsionReport:
+    """Check f^n = id and f^i != id for 0 < i < n on 64 probes, tol 1e-8."""
     if n < 1:
         raise CircleMapError("period must be positive")
-    L = f.circumference
+    L, tol, probes = f.circumference, 1e-8, 64
     xs = np.linspace(0.0, L, probes, endpoint=False)
     *inter, final = [float(np.max(circle_distance(x, xs, L))) for x in orbit((f,) * n, xs)[1:]]
     min_inter = min(inter) if inter else math.inf

@@ -13,7 +13,8 @@ Y(t) and Y(f(t)) and touches the envelope at X(t). A clan's envelope C_i
 the sides from Y(g_{n-1}(t)) to Y(t), is parametrized by the start t. All
 are built by `side_envelope`, which refuses a side family whose
 denominator <D', J D> vanishes. A pair's step f, of period n, is checked as
-a clan's steps f_1 = ... = f_{n-1} = f are (check_steps).
+a clan's steps f_1 = ... = f_{n-1} = f are (check_steps), and the orbit of
+either kind of clan for coincident vertices (check_coincidences).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .circlemaps import CircleDiffeo, TorsionMap, orbit
 from .equiangular import ConstructionError, Walk, Walked
 from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
-from .roots import GRID, bracketed_roots
+from .roots import GRID, circle_roots
 from .jets import Jet, chain, stack
 from .support import PlaneCurve, curve_from_position
 
@@ -51,6 +52,41 @@ def check_steps(steps: Sequence[CircleDiffeo], L: float) -> tuple[CircleDiffeo, 
         if not math.isclose(f.circumference, L):
             raise ConstructionError("step maps must act on the curve's parameter circle")
     return steps
+
+
+def orbit_zeros(steps: tuple[CircleDiffeo, ...], G: list[np.ndarray],
+                rows: Callable[[np.ndarray], np.ndarray]) -> tuple[int, np.ndarray]:
+    """(r, zeros): the first row r of rows(G) that vanishes (a sample is 0 or
+    two differ in sign) and its zeros in the start, ascending, as circle_roots
+    finds them (an unconverged bracket still locates one); (0, none) if no
+    row vanishes. rows(g) is a table of periodic functions of the start on
+    its orbit g = (g_0, ..., g_{n-1}, g_0) under steps, stacked, with
+    rounding-level values 0; G is the orbit of equispaced starts."""
+    vals = rows(np.stack(G))
+    hit = np.flatnonzero((vals <= 0.0).any(axis=1) & (vals >= 0.0).any(axis=1))[:1]
+    if not len(hit):
+        return 0, hit
+    return hit[0], circle_roots(lambda t, _: rows(np.stack(orbit(steps, t) + [t]))[hit[0]],
+                                steps[0].circumference, G[0], vals[hit])[1]
+
+
+def check_coincidences(steps: tuple[CircleDiffeo, ...], G: list[np.ndarray]) -> None:
+    """Refuse two coincident vertices: a fixed point g_i(x) of some g_j o
+    g_i^-1 (i < j < n), where g_j(x) - g_i(x) is a multiple of L, a zero of
+    the periodic sin(pi (g_j - g_i) / L): one orbit_zeros row per pair on
+    the orbit G = (g_0, ..., g_{n-1}) of equispaced starts x."""
+    L = steps[0].circumference
+    i, j = np.nonzero(np.arange(len(G))[:, None] < np.arange(len(G)))   # every pair i < j
+
+    def rows(g):
+        s = np.sin(np.pi / L * (g[j] - g[i]))
+        return np.where(np.abs(s) < np.pi * 1e-12, 0.0, s)     # a gap within 1e-12 L
+
+    r, x = orbit_zeros(steps, G + [G[0]], rows)
+    if len(x):
+        t0 = float(np.mod(orbit(steps, x[:1])[i[r]][0], L))
+        raise ConstructionError(
+            f"polygon degenerates: g_{j[r]} o g_{i[r]}^-1 has a fixed point near t = {t0:.6f}")
 
 
 def _chord_envelope(a: Jet, b: Jet, order: int = 0):
@@ -93,21 +129,18 @@ class EnvelopeSingularity(ConstructionError):
 def side_envelope(first: Callable, second: Callable, L: float, label: str,
                   ts: np.ndarray, denominator: np.ndarray | None = None) -> PlaneCurve:
     """Envelope of the side lines from first(t) to second(t), parametrized by
-    t on the circle of length L; first and second take arrays or Jets. A sign
-    change of the denominator <D', J D> on the points ts (given, or computed
-    here) raises EnvelopeSingularity with the refined parameters."""
+    t on the circle of length L; first and second take arrays or Jets. The
+    zeros of <D', J D> that circle_roots finds from its values on the points
+    ts (given, or computed here) raise EnvelopeSingularity with up to 8."""
     def denom(t, _=None):
         x = Jet.variable(t, 1)
         return _denominator(first(x), second(x))
 
     d = denom(ts) if denominator is None else denominator
-    sign_flips = np.nonzero(np.sign(d) * np.sign(np.roll(d, -1)) <= 0)[0]
-    if len(sign_flips):
-        # an unconverged bracket still locates the zero within its grid cell
-        at = sign_flips[:8]
-        params, _ = bracketed_roots(denom, ts[at], np.append(ts[1:], L)[at], d[at],
-                                    np.roll(d, -1)[at])
-        raise EnvelopeSingularity([float(t) for t in params])
+    # an unconverged bracket still locates its zero within the grid cell
+    zeros = circle_roots(denom, L, ts, d[None])[1]
+    if len(zeros):
+        raise EnvelopeSingularity([float(t) for t in zeros[:8]])
     return curve_from_position(L, _chord_envelope_position(first, second), label=label)
 
 
@@ -147,10 +180,10 @@ def envelope_from_vertex(vertex_curve: PlaneCurve, step: TorsionMap) -> Envelope
     return EnvelopeResult(vertex_curve, step, curve)
 
 
-def _side_jets(result: EnvelopeResult, samples: int) -> tuple[np.ndarray, tuple, tuple]:
-    """Equispaced ts and the (position, velocity, acceleration) of Y and of
-    Y o f at them."""
-    ts = np.linspace(0.0, result.vertex_curve.domain_length, samples, endpoint=False)
+def _side_jets(result: EnvelopeResult) -> tuple[np.ndarray, tuple, tuple]:
+    """GRID equispaced ts and the (position, velocity, acceleration) of Y and
+    of Y o f at them."""
+    ts = np.linspace(0.0, result.vertex_curve.domain_length, GRID, endpoint=False)
     t = Jet.variable(ts, 2)
     a, b = result.vertex_curve.positions(t), result.stepped(t)
     return ts, (a.v, *a.d), (b.v, *b.d)
@@ -168,15 +201,15 @@ class RegularityReport:
         return len(self.det_sign_changes) == 0 and self.min_abs_det > 0.0
 
 
-def envelope_regularity(result: EnvelopeResult, samples: int = GRID) -> RegularityReport:
-    """Regularity determinant of the envelope, with B = Y o f.
+def envelope_regularity(result: EnvelopeResult) -> RegularityReport:
+    """Regularity determinant of the envelope, with B = Y o f, at GRID points.
 
     Rows: (<Y',JD>, <B',JD>) and (<Y'',JD> + 2<Y',JD'>, <B'',JD> + 2<B',JD'>).
     Cross-check: sign of <X'', J X'> must match sign of <D', J D>. A
     reparametrization t = h(tau) multiplies both by powers of h' > 0, so
     their signs do not depend on the parameter.
     """
-    ts, (p0, v0, a0), (p1, v1, a1) = _side_jets(result, samples)
+    ts, (p0, v0, a0), (p1, v1, a1) = _side_jets(result)
     delta, ddelta = p1 - p0, v1 - v0
     jd, jdd = _J(delta), _J(ddelta)
     row1a, row1b = _dot(v0, jd), _dot(v1, jd)
@@ -191,7 +224,7 @@ def envelope_regularity(result: EnvelopeResult, samples: int = GRID) -> Regulari
     lhs = xa[:, 0] * (-xv[:, 1]) + xa[:, 1] * xv[:, 0]   # <X'', J X'>
     rhs = _dot(ddelta, jd)
     consistent = bool(np.all(np.sign(lhs) == np.sign(rhs)))
-    return RegularityReport(float(np.min(np.abs(det))), changes, consistent, samples)
+    return RegularityReport(float(np.min(np.abs(det))), changes, consistent, GRID)
 
 
 @dataclass(frozen=True)
@@ -213,16 +246,16 @@ class InteriorityReport:
                 and self.contacts_interior)
 
 
-def interiority_check(result: EnvelopeResult, samples: int = GRID) -> InteriorityReport:
-    """Convexity inequalities and 0 < s < 1 on a dense sample."""
-    ts, (p0, v0, _), (p1, v1, _) = _side_jets(result, samples)
+def interiority_check(result: EnvelopeResult) -> InteriorityReport:
+    """Convexity inequalities and 0 < s < 1 at GRID points."""
+    ts, (p0, v0, _), (p1, v1, _) = _side_jets(result)
     delta = p1 - p0
     c1 = _dot(delta, _J(v0))
     c2 = _dot(-delta, _J(v1))
     s = result.s(ts)
     selfx = polyline_self_intersects(result.vertex_curve.sample(SELF_INTERSECTION_SAMPLES))
     return InteriorityReport(selfx, float(np.min(c1)), float(np.min(c2)),
-                             float(np.min(s)), float(np.max(s)), samples)
+                             float(np.min(s)), float(np.max(s)), GRID)
 
 
 @dataclass(frozen=True)
@@ -241,36 +274,6 @@ class VertexClan(Walked):
                     np.arange(G.shape[1]))
 
 
-def _fixed_point_scan(steps: Sequence[CircleDiffeo], G: Sequence[np.ndarray], i: int,
-                      j: int) -> float | None:
-    """A fixed point of g_j o g_i^-1, or None if none is detected.
-
-    G[k] holds g_k on equispaced scan points G[0]. The composite fixes g_i(x)
-    exactly where g_j(x) - g_i(x) is a multiple of L, so no inverse is needed.
-    """
-    L = steps[0].circumference
-    xs = G[0]
-    disp = np.mod(G[j] - G[i] + 0.5 * L, L) - 0.5 * L
-    hit = np.nonzero(np.abs(disp) < 1e-12 * L)[0]
-    if len(hit):
-        return float(np.mod(G[i][hit[0]], L))
-    # a jump of the centred displacement from +L/2 to -L/2 is not a zero
-    after = np.roll(disp, -1)
-    flips = np.nonzero((np.sign(disp) * np.sign(after) < 0)
-                       & (np.abs(after - disp) < 0.5 * L))[0]
-    if len(flips) == 0:
-        return None
-    at = flips[:1]
-
-    def centered(t, _):
-        g = orbit(steps[:j], t)
-        return np.mod(g[j] - g[i] + 0.5 * L, L) - 0.5 * L
-
-    # as in side_envelope, the bracket locates the point either way
-    x = bracketed_roots(centered, xs[at], np.append(xs[1:], L)[at], disp[at], after[at])[0]
-    return float(np.mod(orbit(steps[:i], x)[i][0], L))
-
-
 def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) -> VertexClan:
     """Clan of envelopes C_1..C_n for steps f_1..f_{n-1} (f_n closes the cycle).
 
@@ -284,15 +287,8 @@ def clan_from_vertex(vertex_curve: PlaneCurve, steps: Sequence[CircleDiffeo]) ->
     steps = check_steps(steps, L)
     xs = np.linspace(0.0, L, 256, endpoint=False)
     G = orbit(steps, Jet.variable(xs, 1))
-    values = [g.v for g in G]
     n = len(G)
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            t0 = _fixed_point_scan(steps, values, i, j)
-            if t0 is not None:
-                raise ConstructionError(
-                    f"polygon degenerates: g_{j} o g_{i}^-1 has a fixed point near t = {t0:.6f}")
+    check_coincidences(steps, [g.v for g in G])
 
     # Y at xs, at each f_i(xs) and at g_{n-1}(xs) as order-1 jets, in one call
     ends = [G[0]] + [f.lift(G[0]) for f in steps] + [G[-1]]

@@ -50,12 +50,12 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def polyline_self_intersects(points, closed: bool = True, eps: float = 1e-12) -> bool:
+def polyline_self_intersects(points, closed: bool = True) -> bool:
     """True iff any two non-adjacent segments of the polyline intersect.
 
     Adjacency wraps across the end when closed. Touching endpoints of
     adjacent segments never count; any contact between non-adjacent
-    segments does. Orientation signs use an epsilon on cross products.
+    segments does. Orientation signs use eps = 1e-12 on cross products.
 
     Candidates come from a sort-and-sweep over x: the segments are sorted by
     the low end of their x-interval, and each is paired with the later ones
@@ -66,7 +66,7 @@ def polyline_self_intersects(points, closed: bool = True, eps: float = 1e-12) ->
     and k x-overlapping pairs this costs O(n log n + k) time and
     O(n + PAIR_BLOCK) memory, whatever the shape.
     """
-    pts = _as_points(points)
+    pts, eps = _as_points(points), 1e-12
     npts = len(pts)
     if npts < 3:
         raise GeometryError("need at least 3 points")

@@ -1,9 +1,8 @@
-"""Bracketed root finding for many brackets at once.
+"""Zeros of periodic functions on a circle, and bracketed root finding.
 
-One solver serves every sign-change bracket in the library: the oracle's
-circle scans, the verifier's side-contact recovery, and the envelope
-singularity and fixed-point reports. Its callers find their brackets on a
-grid and pass the values at the ends, so it evaluates only secant points.
+One scan, `circle_roots`, serves the oracle and every construction
+precondition; one solver refines its brackets and the verifier's others,
+from end values its callers hold, so it evaluates only secant points.
 It runs regula falsi with the Anderson-Bjorck factor (N. Anderson and
 A. Bjorck, BIT 13, 1973, 253-264; among the best Illinois-type methods in
 J. A. Ford's comparison, University of Essex, 1995) on all brackets in
@@ -30,6 +29,43 @@ import numpy as np
 
 # points in the sign-change scans over a parameter circle that feed the solver
 GRID = 512
+
+
+def circle_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], L: float, ts: np.ndarray,
+                 vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zeros on the circle [0, L) of each row's periodic function.
+
+    vals holds the rows' values on the grid ts, and fn(t, row) gives them at
+    t and broadcasts like numpy. A grid value of exactly 0 is a root (so a
+    caller's rounding-level rule sets such samples to 0), and every sign
+    change between neighbours, last and first included, is a bracket; one
+    bracketed_roots call refines them all. Returns the row-sorted arrays
+    (row, root, open), each row's roots ascending; open marks the midpoints
+    of brackets that did not converge. A root within 1e-9 L of its
+    predecessor in the row, or of the row's first root across the seam, is
+    dropped.
+    """
+    exact, after = vals == 0.0, np.roll(vals, -1, axis=1)
+    row, col = np.nonzero(~exact & (vals * after < 0))
+    zero_row, zero_col = np.nonzero(exact)
+    if not (len(row) or len(zero_row)):         # the common case of a check that passes
+        return row, ts[col], np.zeros(0, dtype=bool)
+    refined, open_ = bracketed_roots(lambda t, i: fn(t, row[i]), ts[col],
+                                     np.append(ts[1:], L)[col], vals[row, col], after[row, col])
+    row = np.concatenate([zero_row, row])
+    x = np.mod(np.concatenate([ts[zero_col], refined]), L)
+    open_ = np.concatenate([np.zeros(len(zero_row), dtype=bool), open_])
+    order = np.lexsort((x, row))
+    row, x, open_ = row[order], x[order], open_[order]
+    keep = np.ones(len(row), dtype=bool)
+    keep[1:] = (row[1:] != row[:-1]) | (x[1:] - x[:-1] > 1e-9 * L)
+    row, x, open_ = row[keep], x[keep], open_[keep]
+    new = np.ones(len(row) + 1, dtype=bool)      # new[i]: row i - 1 differs from row i
+    new[1:-1] = row[1:] != row[:-1]
+    first, last = np.flatnonzero(new[:-1]), np.flatnonzero(new[1:])
+    keep = np.ones(len(row), dtype=bool)
+    keep[last[(last > first) & (x[first] + L - x[last] <= 1e-9 * L)]] = False
+    return row[keep], x[keep], open_[keep]
 
 
 def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],

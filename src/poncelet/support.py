@@ -95,8 +95,8 @@ class SupportFunction:
                 out[order] = out[order] + (l ** order) * (a * cos + b * sin)
         return out
 
-    def min_curvature_radius(self, samples: int = 2048) -> float:
-        phi = np.linspace(0.0, self.domain_length, samples, endpoint=False)
+    def min_curvature_radius(self) -> float:
+        phi = np.linspace(0.0, self.domain_length, 2048, endpoint=False)
         p = self.derivatives(phi, 3)
         return float(np.min(p[0] + p[2]))
 
@@ -142,8 +142,8 @@ class PlaneCurve:
         p1 = self.positions([self.domain_length])[0]
         return float(np.hypot(*(p1 - p0)))
 
-    def min_speed(self, samples: int = 1024) -> float:
-        ts = np.linspace(0.0, self.domain_length, samples, endpoint=False)
+    def min_speed(self) -> float:
+        ts = np.linspace(0.0, self.domain_length, 1024, endpoint=False)
         vel = self.jet_many(ts, 1)[1]
         return float(np.min(np.hypot(vel[:, 0], vel[:, 1])))
 
@@ -197,18 +197,18 @@ def vertex_position_fn(p: SupportFunction, a: Callable, b: Callable) -> Callable
     return pos
 
 
-def constant_width_check(p: SupportFunction, samples: int = 720, tol: float = 1e-10) -> bool:
-    """True iff p(phi) + p(phi + pi) == 2a on a dense sample (k = 1 only)."""
+def constant_width_check(p: SupportFunction) -> bool:
+    """True iff p(phi) + p(phi + pi) == 2a within 1e-10 on 720 points (k = 1)."""
     if p.sheets != 1:
         raise SupportError("constant width is defined for k = 1 curves only")
-    phi = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+    phi = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
     width = p.eval(phi) + p.eval(phi + math.pi)
-    return float(np.max(np.abs(width - 2.0 * p.constant))) < tol
+    return float(np.max(np.abs(width - 2.0 * p.constant))) < 1e-10
 
 
-def signed_area(curve: PlaneCurve, samples: int = 4096) -> float:
-    """Shoelace area of the sampled closed polygon."""
-    pts = curve.sample(samples)
+def signed_area(curve: PlaneCurve) -> float:
+    """Shoelace area of the closed polygon of 4096 curve samples."""
+    pts = curve.sample(4096)
     x, y = pts[:, 0], pts[:, 1]
     xn, yn = np.roll(x, -1), np.roll(y, -1)
     return 0.5 * float(np.sum(x * yn - y * xn))

@@ -29,10 +29,11 @@ the closure error is how far the step after vertex n - 1 lands from vertex
 Envelopes without a support function are checked by recovering each side's
 contact from the envelope's parametrization: every side of every probe's
 polygon that touches such an envelope is solved in lockstep, with one
-batched jet evaluation per solver iteration for all sides together. All
-sign-change brackets, here and in the oracle's circle scans, go through
-the one bracketed solver in poncelet.roots, which keeps only the live
-brackets' state; a bracket that does not converge is a report error,
+batched jet evaluation per solver iteration for all sides together. The
+oracle's circle scans are poncelet.roots.circle_roots, the scan that
+checks every construction's preconditions, and their brackets and the
+contact brackets go through its one bracketed solver, which keeps only the
+live brackets' state; a bracket that does not converge is a report error,
 never a silent midpoint.
 """
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .circlemaps import circle_distance
 from .equiangular import PonceletPolygon, Walk, assemble
-from .roots import GRID, bracketed_roots
+from .roots import GRID, bracketed_roots, circle_roots
 from .support import PlaneCurve, SupportFunction
 
 
@@ -73,37 +74,12 @@ class OracleError(RuntimeError):
 
 def _circle_roots(fn, L: float, ts: np.ndarray,
                   vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict[int, OracleError]]:
-    """Roots on the circle [0, L) of each row's function.
-
-    vals holds the rows' values on the grid ts, and fn(t, row) gives them at
-    t and broadcasts like numpy. Every sign-change bracket of every row is
-    refined in one bracketed_roots call. Returns the row-sorted arrays
-    (row, root), each row's roots ascending, and {row: OracleError} for the
-    rows with an unconverged bracket, which get no roots. An exact zero at
-    a grid point is a root; a root within 1e-9 L of its predecessor in the
-    row, or of the row's first root across the seam, is dropped.
-    """
-    exact, after = vals == 0.0, np.roll(vals, -1, axis=1)
-    row, col = np.nonzero(~exact & (vals * after < 0))
-    refined, open_ = bracketed_roots(lambda t, i: fn(t, row[i]), ts[col],
-                                     np.append(ts[1:], L)[col], vals[row, col], after[row, col])
+    """roots.circle_roots for the oracle: (row, root), and {row: OracleError}
+    for the rows with an unconverged bracket, which get no roots."""
+    row, x, open_ = circle_roots(fn, L, ts, vals)
     errors = {r: OracleError("root refinement did not converge near t = " + ", ".join(
-        f"{t:.6f}" for t in refined[(row == r) & open_])) for r in np.unique(row[open_]).tolist()}
-    zero_row, zero_col = np.nonzero(exact)
-    row = np.concatenate([zero_row, row])
-    x = np.mod(np.concatenate([ts[zero_col], refined]), L)
-    order = np.lexsort((x, row))
-    row, x = row[order], x[order]
-    keep = np.ones(len(row), dtype=bool)
-    keep[1:] = (row[1:] != row[:-1]) | (x[1:] - x[:-1] > 1e-9 * L)
-    if errors:
-        keep &= ~np.isin(row, list(errors))
-    row, x = row[keep], x[keep]
-    new = np.ones(len(row) + 1, dtype=bool)      # new[i]: row i - 1 differs from row i
-    new[1:-1] = row[1:] != row[:-1]
-    first, last = np.flatnonzero(new[:-1]), np.flatnonzero(new[1:])
-    keep = np.ones(len(row), dtype=bool)
-    keep[last[(last > first) & (x[first] + L - x[last] <= 1e-9 * L)]] = False
+        f"{t:.6f}" for t in x[(row == r) & open_])) for r in np.unique(row[open_]).tolist()}
+    keep = ~np.isin(row, list(errors)) if errors else slice(None)
     return row[keep], x[keep], errors
 
 
@@ -560,14 +536,13 @@ class RegularityScan:
     samples: int
 
 
-def regularity_scan(curve: PlaneCurve, samples: int = 1024,
-                    zero_tol: float = 1e-6) -> RegularityScan:
+def regularity_scan(curve: PlaneCurve, samples: int = 1024) -> RegularityScan:
     """Minimum |velocity| over samples; low local minima are refined as
-    zeros of <X', X''> = (1/2) d|X'|^2/dt and those below zero_tol
+    zeros of <X', X''> = (1/2) d|X'|^2/dt and those below zero_tol = 1e-6
     reported as near-singular parameters."""
     if samples < 64:
         raise ValueError("need at least 64 samples")
-    L = curve.domain_length
+    L, zero_tol = curve.domain_length, 1e-6
     ts = np.linspace(0.0, L, samples, endpoint=False)
     vel = curve.jet_many(ts, 1)[1]
     speed = np.hypot(vel[:, 0], vel[:, 1])

@@ -11,7 +11,8 @@ never differs from phi by a multiple of pi. A clan's vertex curve K_i
 (i < n) is the pair curve of its own step f_i; only the closing K_n, on the
 tangents at g_{n-1}(phi) and phi, is parametrized by the start phi. Steps
 are checked as envelope.check_steps checks them, a pair's as the n-1 equal
-steps of a clan.
+steps of a clan. Transversality is one envelope.orbit_zeros table of
+sin(advance), one row per step.
 """
 
 from __future__ import annotations
@@ -22,21 +23,18 @@ from typing import Sequence
 import numpy as np
 
 from .circlemaps import CircleDiffeo, TorsionMap, identity, orbit
-from .envelope import check_steps
+from .envelope import check_coincidences, check_steps, orbit_zeros
 from .equiangular import ConstructionError, Walk, Walked
 from .roots import GRID
 from .support import (PlaneCurve, SupportFunction, curve_from_position, curve_from_support,
                       vertex_position_fn)
 
 
-def _transversality_gaps(advance: np.ndarray, ts: np.ndarray, tol: float = 1e-9) -> list[float]:
-    """Parameters where sin(advance) vanishes: near-zero samples plus
-    sign changes between consecutive samples."""
-    s = np.sin(advance)
-    bad = set(np.nonzero(np.abs(s) < tol)[0].tolist())
-    flips = np.nonzero(np.sign(s) * np.sign(np.roll(s, -1)) < 0)[0]
-    bad.update(flips.tolist())
-    return [float(ts[i]) for i in sorted(bad)[:8]]
+def _advances(g: np.ndarray) -> np.ndarray:
+    """orbit_zeros rows sin(g_i - g_{i-1}), one per step of the orbit g, the
+    closing step included; a value below 1e-9 counts as a zero."""
+    s = np.sin(np.diff(g, axis=0))
+    return np.where(np.abs(s) < 1e-9, 0.0, s)
 
 
 @dataclass(frozen=True)
@@ -63,9 +61,9 @@ def vertex_from_envelope(envelope: SupportFunction, step: TorsionMap) -> VertexR
     f = step.map
 
     ts = np.linspace(0.0, L, GRID, endpoint=False)
-    adv = f.lift(ts) - ts
-    gaps = _transversality_gaps(adv, ts)
-    if gaps:
+    # the second row, of the step back, is minus the first
+    gaps = orbit_zeros((f,), [ts, f.lift(ts), ts], _advances)[1][:8]
+    if len(gaps):
         raise ConstructionError(
             "transversality <u'(phi), u(f(phi))> = sin(f(phi) - phi) vanishes near "
             + ", ".join(f"{t:.6f}" for t in gaps))
@@ -99,18 +97,19 @@ def clan_from_envelope(envelope: SupportFunction,
     K_i (i < n) lies on the tangents at phi and f_i(phi), K_n on those at
     g_{n-1}(phi) and phi. Transversality <u'(g_{i-1}), u(g_i)> != 0 is
     required for every i; failures give the step index and K_i's parameter.
+    Like clan_from_vertex, it rejects coincident vertices (check_coincidences).
     """
     L = envelope.domain_length
     steps = check_steps(steps, L)
     ts = np.linspace(0.0, L, GRID, endpoint=False)
-    G = orbit(steps, ts) + [ts]
-    n = len(steps) + 1
-    for i in range(1, n + 1):
-        gaps = _transversality_gaps(G[i] - G[i - 1], np.mod(G[i - 1] if i < n else ts, L))
-        if gaps:
-            raise ConstructionError(
-                f"transversality fails for step {i} near parameters "
-                + ", ".join(f"{t:.6f}" for t in gaps))
+    G = orbit(steps, ts)
+    r, gaps = orbit_zeros(steps, G + [ts], _advances)
+    if len(gaps):
+        # K_i (i < n) is parametrized by g_{i-1} of the start, K_n by the start
+        params = np.mod(orbit(steps, gaps[:8])[r], L) if r < len(steps) else gaps[:8]
+        raise ConstructionError(f"transversality fails for step {r + 1} near parameters "
+                                + ", ".join(f"{t:.6f}" for t in params))
+    check_coincidences(steps, G)
 
     same = identity(L).lift
     lifts = [(same, f.lift) for f in steps] + [(lambda ts: orbit(steps, ts)[-1], same)]

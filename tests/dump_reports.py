@@ -10,8 +10,9 @@ line per case, `<case>@render`, holds the sha256 of its SVG, as
 writes it at the scene's render sample count, and under "samples" every
 STRIDE-th point of each curve at that count as `repr` floats; so the scenes
 that are built in code, which no render golden pins, are covered too. The
-bicentric triangle of tests/bicentric.py is dumped as a case too (the
-helper comes from this file's directory when CHECKOUT has none).
+bicentric triangle and square of tests/bicentric.py are dumped as cases
+too (the helper comes from this file's directory when CHECKOUT has none,
+and a helper without the square gives the triangle only).
 Pytest does not collect this file (its name does not start with `test_`).
 
     PYTHONPATH=src python tests/dump_reports.py [CHECKOUT]
@@ -139,14 +140,16 @@ def main(argv: list[str]) -> None:
         sys.exit(compare(argv[2], argv[3]))
     root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parent.parent).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
-    from bicentric import bicentric_scene
+    import bicentric
     from poncelet.scene import load_scene
     from test_bench_contract import SCENES
 
     cases = {p.stem: (lambda p=p: load_scene(str(p)))
              for p in sorted((root / "configs").glob("*.json"))}
     cases.update(SCENES)
-    cases["bicentric-triangle"] = bicentric_scene
+    cases["bicentric-triangle"] = bicentric.bicentric_scene
+    if hasattr(bicentric, "CIRCLES"):       # older checkouts have the triangle only
+        cases["bicentric-square"] = lambda: bicentric.bicentric_scene(n=4)
     for name, make in cases.items():
         scene = make()
         for probes in PROBES:

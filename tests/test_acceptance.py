@@ -123,7 +123,7 @@ def test_criterion_06_interiority_randomized():
                             (cm.FourierTerm(1, float(rng.uniform(-0.06, 0.06)),
                                             float(rng.uniform(-0.06, 0.06))),))
         f = cm.make_torsion(h, 1, n)
-        rep = interiority_check(envelope_from_vertex(Y, f), samples=512)
+        rep = interiority_check(envelope_from_vertex(Y, f))
         worst_lo = min(worst_lo, rep.s_min)
         worst_hi = max(worst_hi, rep.s_max)
     ok = 0.0 < worst_lo and worst_hi < 1.0

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from poncelet import circlemaps as cm
-from poncelet import envelope, roots, verify
+from poncelet import roots, verify
 from poncelet.equiangular import ConstructionError
 from poncelet.jets import Jet
 from poncelet.scene import CONSTRUCTIONS, build_scene, load_scene
@@ -214,25 +214,30 @@ def _fixed_point_clan():
             "support": _support(1.0), "steps": [{"c": 2.0}, _fourier(-2.0, 1, sin=0.3)]}))
 
 
-# each module that solves brackets, with a call that reaches its solver
+# each module that solves brackets, with calls that reach its solver: the
+# periodic scan in roots serves the oracle and every construction
+# precondition, and verify solves the side contacts of parametric envelopes
 SOLVER_USERS = {
-    verify: lambda: _config("wankel").verify(probes=8),
-    envelope: _fixed_point_clan,
-    cm: lambda: cm.from_fourier(TWO_PI, 0.3, (cm.FourierTerm(1, 0.3, 0.0),
-                                              cm.FourierTerm(2, 0.0, 0.36))),
+    "poncelet.roots-oracle": (roots, lambda: _config("wankel").verify(probes=8)),
+    "poncelet.roots-clan": (roots, _fixed_point_clan),
+    "poncelet.roots-from_fourier": (roots, lambda: cm.from_fourier(
+        TWO_PI, 0.3, (cm.FourierTerm(1, 0.3, 0.0), cm.FourierTerm(2, 0.0, 0.36)))),
+    "poncelet.verify": (verify, lambda: _config("iterated_square").verify(probes=8)),
 }
 
 
-@pytest.mark.parametrize("module", list(SOLVER_USERS), ids=lambda m: m.__name__)
-def test_solver_is_looked_up_as_a_module_attribute(monkeypatch, module):
+@pytest.mark.parametrize("user", list(SOLVER_USERS))
+def test_solver_is_looked_up_as_a_module_attribute(monkeypatch, user):
     # a wrapper set on the module, as the tracer sets one, sees every call
+    module, call = SOLVER_USERS[user]
     assert module.bracketed_roots is roots.bracketed_roots
     calls = []
+    solve = roots.bracketed_roots
 
     def wrapper(*args, **kwargs):
         calls.append(1)
-        return roots.bracketed_roots(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(module, "bracketed_roots", wrapper)
-    SOLVER_USERS[module]()
+    call()
     assert calls

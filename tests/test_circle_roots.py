@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from poncelet import verify
+from poncelet import roots, verify
 from poncelet.roots import GRID, bracketed_roots
 from poncelet.verify import OracleError
 
@@ -63,7 +63,7 @@ def test_an_unconverged_bracket_fails_its_row_only(monkeypatch):
         roots, open_ = bracketed_roots(fn, lo, hi, *args)
         return roots, open_ | ((lo < 2.0) & (hi > 2.0))   # the bracket around t = 2
 
-    monkeypatch.setattr(verify, "bracketed_roots", solver)
+    monkeypatch.setattr(roots, "bracketed_roots", solver)
     found = roots_by_row([pair(1.0, 3.0), pair(2.0, 4.0), pair(0.5, 5.0)])
     assert found[0] == pytest.approx([1.0, 3.0], abs=1e-14)
     assert isinstance(found[1], OracleError)

@@ -75,7 +75,7 @@ class TestVerifyTorsion:
     def test_constructed_period_five_passes(self):
         h = perturbed(a1=0.07)
         f = cm.make_torsion(h, 1, 5)
-        rep = cm.verify_torsion(f.map, 5, tol=1e-8)
+        rep = cm.verify_torsion(f.map, 5)
         assert rep.passed
 
     def test_period_zero_is_refused(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from poncelet import verify
+from poncelet import roots, verify
 from poncelet.roots import bracketed_roots
 from poncelet.scene import load_scene
 
@@ -161,7 +161,8 @@ def test_verify_brackets_end_at_the_rounding_floor(monkeypatch, name):
         iterations.append(calls[0])     # one call per iteration, none for the ends
         return out
 
-    monkeypatch.setattr(verify, "bracketed_roots", counting)
+    for module in (roots, verify):      # the oracle's circle scans, the contact solves
+        monkeypatch.setattr(module, "bracketed_roots", counting)
     assert load_scene(str(REPO / "configs" / f"{name}.json")).verify().passed
     assert iterations and max(iterations) <= 9
 
@@ -186,7 +187,7 @@ def test_oracle_verify_solves_sign_changes_from_the_callers_end_values(monkeypat
         brackets.append(lo.size)
         return bracketed_roots(at_no_end, lo, hi, flo, fhi, *args)
 
-    monkeypatch.setattr(verify, "bracketed_roots", checking)
+    monkeypatch.setattr(roots, "bracketed_roots", checking)
     assert load_scene(str(REPO / "configs" / f"{name}.json")).verify().passed
     assert sum(brackets) > 0
 

@@ -566,6 +566,19 @@ def test_periodic_clan_closes_after_its_repeating_block(tmp_path, capsys):
     assert out["verification"]["checks"]["no_premature_closure"]
 
 
+@pytest.mark.parametrize("construction", ["clan-from-envelope", "clan-from-vertex"])
+def test_clan_with_coincident_vertices_exits_three(tmp_path, capsys, construction):
+    # g_3 = g_1 everywhere: both duals refuse the steps before building, where
+    # clan-from-envelope used to build them and fail verify on zero-length sides
+    doc = {"construction": construction,
+           "parameters": {"support": {"a": 1}, "steps": [{"c": 2.0}, {"c": 2.0}, {"c": -2.0}]}}
+    path = tmp_path / "coincident.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "construction error: polygon degenerates: g_3 o g_1^-1 has a fixed point near t = ")
+
+
 def _half_period_doc(construction: str, **parameters) -> dict:
     """A scene on a k = 2 support with one l = 2 term: its curves repeat after
     2*pi, half of the 4*pi domain."""

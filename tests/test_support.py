@@ -116,7 +116,7 @@ class TestCurveFromSupport:
     def test_signed_area_of_circle(self):
         a = 0.7
         curve = curve_from_support(SupportFunction(a, (), 1))
-        assert signed_area(curve, 4096) == pytest.approx(math.pi * a * a, abs=1e-6)
+        assert signed_area(curve) == pytest.approx(math.pi * a * a, abs=1e-6)
 
 
 class TestConstantWidth:

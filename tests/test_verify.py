@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poncelet import circlemaps as cm
-from poncelet import verify
+from poncelet import roots, verify
 from poncelet.circlemaps import circle_distance
 from poncelet.equiangular import (ConstructionError, PonceletPolygon, equiangular_vertex_curve,
                                   equilateral_pair, rigid_walk)
@@ -355,8 +355,9 @@ class TestPerturbedSequencePolygons:
 class TestNonConvergence:
     @pytest.fixture
     def one_step_solver(self, monkeypatch):
-        monkeypatch.setattr(verify, "bracketed_roots",
-                            functools.partial(bracketed_roots, iters=1))
+        for module in (roots, verify):  # the oracle's circle scans, the contact solves
+            monkeypatch.setattr(module, "bracketed_roots",
+                                functools.partial(bracketed_roots, iters=1))
 
     def test_unconverged_contact_brackets_are_errors(self, iterated_square, one_step_solver):
         rep = verify_pair(iterated_square, probes=8)

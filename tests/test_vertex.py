@@ -128,5 +128,5 @@ class TestClanFromEnvelope:
     def test_parameter_space_closure_by_torsion_certificate(self):
         h = cm.from_fourier(TWO_PI, 0.1, (cm.FourierTerm(1, 0.08, 0.03),))
         f = cm.make_torsion(h, 1, 5)
-        rep = cm.verify_torsion(f.map, 5, tol=1e-8)
+        rep = cm.verify_torsion(f.map, 5)
         assert rep.passed and rep.final_displacement < 1e-8 * TWO_PI
