@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .jets import Jet, chain
-from .roots import GRID, circle_roots
+from .roots import GRID, circle_roots, newton_roots
 
 
 class CircleMapError(ValueError):
@@ -30,43 +30,33 @@ class FourierTerm:
 
 
 def _solve_lift(lift, dlift, y, bound, tol, table):
-    """Solve lift(x) = y for x (vectorized safeguarded Newton in a bracket).
+    """Solve lift(x) = y for x by roots.newton_roots in the brackets y -+ bound.
 
-    Newton starts at the linear interpolation of table = (xs, lift(xs)),
-    the lift at increasing xs over [0, L], at y reduced by whole periods,
-    clipped into the bracket y -+ bound. dlift(x) is the lift's order-1 Jet
-    at x, so each step evaluates value and slope in one call and lift itself
-    is not called; the targets y stay the third argument, where
-    perfbench/tracer.py counts them. Once every residual is below tol, the
-    Newton update of that last evaluation is returned. Raises CircleMapError
-    when some x is not within tol after 100 steps.
+    Newton starts at the linear interpolation of table = (xs, lift(xs)), the
+    lift at increasing xs over [0, L], at y reduced by whole periods, clipped
+    into the bracket. dlift(x) is the lift's order-1 Jet at x, so a step
+    evaluates value and slope in one call and lift itself is not called; the
+    targets y stay the third argument, where perfbench/tracer.py counts them.
+    A residual below tol returns the Newton update of that evaluation.
+    Raises CircleMapError when some x is not within tol after 100 steps.
     """
-    y = np.asarray(y, dtype=float)
-    lo = y - bound
-    hi = y + bound
+    ys = np.ravel(np.asarray(y, dtype=float))
     xs, fs = table
-    turns = np.floor((y - fs[0]) / xs[-1]) * xs[-1]
-    x = np.clip(np.interp(y - turns, fs, xs) + turns, lo, hi)
-    for steps in range(101):
+    turns = np.floor((ys - fs[0]) / xs[-1]) * xs[-1]
+    lo, hi = ys - bound, ys + bound
+    x = np.clip(np.interp(ys - turns, fs, xs) + turns, lo, hi)
+
+    def residual(x, i):
         jet = dlift(x)
-        fx, d = jet.v - y, jet.d[0]
-        step = np.where(d > 0, fx / np.where(d > 0, d, 1.0), 0.0)
-        done = np.abs(fx) < tol
-        if np.all(done):
-            return x - step
-        if steps == 100:
-            break
-        lo = np.where(fx < 0, np.maximum(lo, x), lo)
-        hi = np.where(fx > 0, np.minimum(hi, x), hi)
-        xn = x - step
-        bad = (xn <= lo) | (xn >= hi) | ~np.isfinite(xn)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        x = np.where(done, x, xn)
-    first = np.flatnonzero(~done)[0]
-    raise CircleMapError(
-        f"lift inversion did not converge in 100 steps for {np.count_nonzero(~done)} "
-        f"of {np.size(y)} values, e.g. y = {np.ravel(y)[first]:.6g} "
-        f"(residual {np.ravel(fx)[first]:.3g})")
+        return jet.v - ys[i], jet.d[0]
+
+    x, open_ = newton_roots(residual, x, lo, hi, True, ftol=tol)
+    if np.count_nonzero(open_):
+        bad = np.flatnonzero(open_)
+        raise CircleMapError(
+            f"lift inversion did not converge in 100 steps for {bad.size} of {ys.size} values, "
+            f"e.g. y = {ys[bad[0]]:.6g} (residual {residual(x[bad[:1]], bad[:1])[0][0]:.3g})")
+    return x.reshape(np.shape(y))[()]
 
 
 @dataclass(frozen=True)
@@ -208,8 +198,8 @@ def _min_slope(f: CircleDiffeo, harmonic: int) -> float:
     zeros of F'' that circle_roots finds from them."""
     xs = np.linspace(0.0, f.circumference, max(1024, 8 * harmonic), endpoint=False)
     slope, bend = f.lift(Jet.variable(xs, 2)).d
-    # an unconverged bracket's midpoint is a sample all the same
-    turns = circle_roots(lambda x, _: f.lift(Jet.variable(x, 2)).d[1], f.circumference, xs,
+    # an unconverged bracket's last point is a sample all the same
+    turns = circle_roots(lambda x, _: f.lift(Jet.variable(x, 3)).d[1:], f.circumference, xs,
                          bend[None])[1]
     return float(np.min(np.concatenate([slope, f.derivative(turns)])))
 

@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import jets
 from .circlemaps import CircleDiffeo, TorsionMap, orbit
 from .equiangular import ConstructionError, Walk, Walked
 from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
@@ -55,34 +56,38 @@ def check_steps(steps: Sequence[CircleDiffeo], L: float) -> tuple[CircleDiffeo, 
 
 
 def orbit_zeros(steps: tuple[CircleDiffeo, ...], G: list[np.ndarray],
-                rows: Callable[[np.ndarray], np.ndarray]) -> tuple[int, np.ndarray]:
+                rows: Callable, tiny: float) -> tuple[int, np.ndarray]:
     """(r, zeros): the first row r of rows(G) that vanishes (a sample is 0 or
     two differ in sign) and its zeros in the start, ascending, as circle_roots
     finds them (an unconverged bracket still locates one); (0, none) if no
     row vanishes. rows(g) is a table of periodic functions of the start on
-    its orbit g = (g_0, ..., g_{n-1}, g_0) under steps, stacked, with
-    rounding-level values 0; G is the orbit of equispaced starts."""
+    its orbit g = (g_0, ..., g_{n-1}, g_0) under steps, stacked (an array or
+    a Jet, whose slope circle_roots takes); on G, the orbit of equispaced
+    starts, values below tiny count as 0."""
     vals = rows(np.stack(G))
+    vals = np.where(np.abs(vals) < tiny, 0.0, vals)
     hit = np.flatnonzero((vals <= 0.0).any(axis=1) & (vals >= 0.0).any(axis=1))[:1]
     if not len(hit):
         return 0, hit
-    return hit[0], circle_roots(lambda t, _: rows(np.stack(orbit(steps, t) + [t]))[hit[0]],
-                                steps[0].circumference, G[0], vals[hit])[1]
+
+    def row(t, _):
+        x = Jet.variable(t, 1)
+        r = rows(stack(orbit(steps, x) + [x], axis=0))[hit[0]]
+        return r.v, r.d[0]
+
+    return hit[0], circle_roots(row, steps[0].circumference, G[0], vals[hit])[1]
 
 
 def check_coincidences(steps: tuple[CircleDiffeo, ...], G: list[np.ndarray]) -> None:
     """Refuse two coincident vertices: a fixed point g_i(x) of some g_j o
     g_i^-1 (i < j < n), where g_j(x) - g_i(x) is a multiple of L, a zero of
     the periodic sin(pi (g_j - g_i) / L): one orbit_zeros row per pair on
-    the orbit G = (g_0, ..., g_{n-1}) of equispaced starts x."""
+    the orbit G = (g_0, ..., g_{n-1}) of equispaced starts x, a gap within
+    1e-12 L counting as 0."""
     L = steps[0].circumference
     i, j = np.nonzero(np.arange(len(G))[:, None] < np.arange(len(G)))   # every pair i < j
-
-    def rows(g):
-        s = np.sin(np.pi / L * (g[j] - g[i]))
-        return np.where(np.abs(s) < np.pi * 1e-12, 0.0, s)     # a gap within 1e-12 L
-
-    r, x = orbit_zeros(steps, G + [G[0]], rows)
+    r, x = orbit_zeros(steps, G + [G[0]], lambda g: jets.sin(np.pi / L * (g[j] - g[i])),
+                       np.pi * 1e-12)
     if len(x):
         t0 = float(np.mod(orbit(steps, x[:1])[i[r]][0], L))
         raise ConstructionError(
@@ -113,9 +118,10 @@ def _chord_envelope_position(first: Callable, second: Callable) -> Callable:
     return lambda ts: chain(ts, derivs)
 
 
-def _denominator(a: Jet, b: Jet) -> np.ndarray:
-    """<D', J D> with D = b - a, from order-1 jets of (n, 2) points."""
-    return _dot(b.d[0] - a.d[0], _J(b.v - a.v))
+def _denominator(a: Jet, b: Jet, k: int = 0) -> np.ndarray:
+    """<D^(k+1), J D> with D = b - a, from jets of order k + 1 of (n, 2)
+    points: <D', J D>, and at k = 1 its slope, since <D', J D'> = 0."""
+    return _dot(b.d[k] - a.d[k], _J(b.v - a.v))
 
 
 class EnvelopeSingularity(ConstructionError):
@@ -131,14 +137,16 @@ def side_envelope(first: Callable, second: Callable, L: float, label: str,
     """Envelope of the side lines from first(t) to second(t), parametrized by
     t on the circle of length L; first and second take arrays or Jets. The
     zeros of <D', J D> that circle_roots finds from its values on the points
-    ts (given, or computed here) raise EnvelopeSingularity with up to 8."""
-    def denom(t, _=None):
-        x = Jet.variable(t, 1)
-        return _denominator(first(x), second(x))
+    ts (given, or computed here) raise EnvelopeSingularity with up to 8;
+    the zeros are refined on order-2 jets, which give the slope."""
+    def denom(t, order):
+        x = Jet.variable(t, order)
+        a, b = first(x), second(x)
+        return [_denominator(a, b, k) for k in range(order)]
 
-    d = denom(ts) if denominator is None else denominator
+    d = denom(ts, 1)[0] if denominator is None else denominator
     # an unconverged bracket still locates its zero within the grid cell
-    zeros = circle_roots(denom, L, ts, d[None])[1]
+    zeros = circle_roots(lambda t, _: denom(t, 2), L, ts, d[None])[1]
     if len(zeros):
         raise EnvelopeSingularity([float(t) for t in zeros[:8]])
     return curve_from_position(L, _chord_envelope_position(first, second), label=label)

@@ -1,24 +1,23 @@
 """Zeros of periodic functions on a circle, and bracketed root finding.
 
-One scan, `circle_roots`, serves the oracle and every construction
-precondition; one solver refines its brackets and the verifier's others,
-from end values its callers hold, so it evaluates only secant points.
-It runs regula falsi with the Anderson-Bjorck factor (N. Anderson and
-A. Bjorck, BIT 13, 1973, 253-264; among the best Illinois-type methods in
-J. A. Ford's comparison, University of Essex, 1995) on all brackets in
-lockstep, so a batched function is evaluated once per iteration for every
-bracket still live, and it says which brackets did not converge. Its state
-holds only the live brackets, compacted whenever some of them close.
-
-Two safeguards end a bracket once its function reaches the rounding floor.
-Every secant point keeps at least a minimum step inside the bracket (T. J.
-Dekker, "Finding a zero by means of successive linear interpolation",
-1969), so a point that would round onto an end moves the bracket by that
-step instead of leaving a long tail of near-bisection steps. A bracket
-that closes by width returns the secant point of its ends' unscaled
-values, or the end with the smaller |f| if that is not finite, as Brent's
-`zero` does (R. P. Brent, *Algorithms for Minimization without
-Derivatives*, 1973, ch. 4).
+Two solvers refine sign-change brackets in lockstep, so a batched function
+is evaluated once per iteration for every live bracket; their state holds
+only the live brackets, and both say which brackets did not converge.
+`newton_roots` serves the functions that give their slope in the same
+evaluation, from truncated Taylor jets (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., 2008): the periodic scan `circle_roots`, which serves
+the oracle and every construction precondition, and lift inversion. It is
+safeguarded Newton, the `rtsafe` scheme (Press et al., *Numerical Recipes*,
+3rd ed., 9.4). `bracketed_roots` serves the verifier's contact solves and
+`regularity_scan` from the end values its callers hold: regula falsi with
+the Anderson-Bjorck factor (N. Anderson and A. Bjorck, BIT 13, 1973,
+253-264; among the best Illinois-type methods in J. A. Ford's comparison,
+University of Essex, 1995). Every secant point keeps a minimum step inside
+the bracket (T. J. Dekker, 1969), so a bracket whose function reached its
+rounding floor does not leave a tail of near-bisection steps, and a bracket
+that closes by width returns the secant point of its ends' unscaled values,
+or the end with the smaller |f| if that is not finite, as Brent's `zero`
+does (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973).
 """
 
 from __future__ import annotations
@@ -31,27 +30,30 @@ import numpy as np
 GRID = 512
 
 
-def circle_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], L: float, ts: np.ndarray,
+def circle_roots(fn: Callable[[np.ndarray, np.ndarray], tuple], L: float, ts: np.ndarray,
                  vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Zeros on the circle [0, L) of each row's periodic function.
 
-    vals holds the rows' values on the grid ts, and fn(t, row) gives them at
-    t and broadcasts like numpy. A grid value of exactly 0 is a root (so a
-    caller's rounding-level rule sets such samples to 0), and every sign
-    change between neighbours, last and first included, is a bracket; one
-    bracketed_roots call refines them all. Returns the row-sorted arrays
-    (row, root, open), each row's roots ascending; open marks the midpoints
-    of brackets that did not converge. A root within 1e-9 L of its
-    predecessor in the row, or of the row's first root across the seam, is
-    dropped.
+    vals holds the rows' values on the grid ts, and fn(t, row) gives their
+    values and slopes at t, a pair of arrays that broadcast like numpy. A
+    grid value of exactly 0 is a root (so a caller's rounding-level rule
+    sets such samples to 0), and every sign change between neighbours, last
+    and first included, is a bracket; one newton_roots call refines them
+    all from their secant points (kept 0.5e-15 max(1, |t|) inside) to a
+    step below 1e-15 max(1, |t|). Returns the row-sorted arrays (row, root,
+    open), each row's roots ascending; open marks the last points of
+    brackets that did not converge. A root within 1e-9 L of its predecessor
+    in the row, or of the row's first root across the seam, is dropped.
     """
-    exact, after = vals == 0.0, np.roll(vals, -1, axis=1)
+    exact, after = vals == 0.0, np.concatenate([vals[:, 1:], vals[:, :1]], axis=1)
     row, col = np.nonzero(~exact & (vals * after < 0))
     zero_row, zero_col = np.nonzero(exact)
     if not (len(row) or len(zero_row)):         # the common case of a check that passes
         return row, ts[col], np.zeros(0, dtype=bool)
-    refined, open_ = bracketed_roots(lambda t, i: fn(t, row[i]), ts[col],
-                                     np.append(ts[1:], L)[col], vals[row, col], after[row, col])
+    a, b, fa, fb = ts[col], np.append(ts[1:], L)[col], vals[row, col], after[row, col]
+    tol = 0.5e-15 * np.maximum(1.0, np.abs(b))
+    start = np.minimum(np.maximum(b - fb * (b - a) / (fb - fa), a + tol), b - tol)
+    refined, open_ = newton_roots(lambda t, i: fn(t, row[i]), start, a, b, fa < 0, xtol=1e-15)
     row = np.concatenate([zero_row, row])
     x = np.mod(np.concatenate([ts[zero_col], refined]), L)
     open_ = np.concatenate([np.zeros(len(zero_row), dtype=bool), open_])
@@ -66,6 +68,54 @@ def circle_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], L: float, t
     keep = np.ones(len(row), dtype=bool)
     keep[last[(last > first) & (x[first] + L - x[last] <= 1e-9 * L)]] = False
     return row[keep], x[keep], open_[keep]
+
+
+def newton_roots(fn: Callable[[np.ndarray, np.ndarray], tuple], x, lo, hi, rising,
+                 ftol: float = 0.0, xtol: float = 0.0,
+                 steps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of fn in the brackets [lo[i], hi[i]] by safeguarded Newton from
+    x[i] (arrays), and a not-converged mask. fn(x, idx) gives the values and
+    slopes at x[j] of bracket idx[j]'s function, for the live brackets only.
+    Where rising is True the function is negative at lo, else positive; each
+    evaluation moves the end of its sign there. A bracket converges when
+    |f| < ftol if ftol is given, else when its Newton step |f / f'| < xtol
+    max(1, |x|), and returns the Newton update. Else it steps to that update,
+    or to its midpoint if the update is not inside or the step not smaller
+    than half the step before last (both start as the width), and a midpoint
+    step below xtol max(1, |x|) returns the midpoint. A bracket open after
+    `steps` steps returns its last point and is flagged.
+    """
+    roots = np.empty(x.size)
+    # index, point, ends, 1 where f < 0 at lo, the last step and the one before
+    state = [np.arange(x.size), x, lo, hi, np.where(rising, 1.0, -1.0), hi - lo, hi - lo]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            live, x, lo, hi, sense, last, before = state
+            if not live.size:
+                break
+            f, d = fn(x, live)
+            newton = f / d
+            xn = x - newton
+            small = xtol and xtol * np.maximum(1.0, np.abs(x))
+            near = np.abs(f) < ftol if ftol else np.abs(newton) < small
+            if k == steps or np.count_nonzero(near) == near.size:
+                roots[live[near]] = xn[near]
+                live, x = live[~near], x[~near]
+                break
+            s = np.sign(f) * sense
+            lo, hi = np.where(s < 0, x, lo), np.where(s > 0, x, hi)
+            take = near | (xn > lo) & (xn < hi) & (np.abs(newton) < 0.5 * before)
+            xn = np.where(take, xn, 0.5 * (lo + hi))
+            step = np.abs(xn - x)
+            done = near | (step < small)
+            state = [live, xn, lo, hi, sense, step, last]
+            if np.count_nonzero(done):
+                roots[live[done]] = xn[done]
+                state = [v[~done] if np.ndim(v) else v for v in state]
+    roots[live] = x
+    open_ = np.zeros(roots.size, dtype=bool)
+    open_[live] = True
+    return roots, open_
 
 
 def bracketed_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],

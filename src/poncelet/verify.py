@@ -30,11 +30,11 @@ Envelopes without a support function are checked by recovering each side's
 contact from the envelope's parametrization: every side of every probe's
 polygon that touches such an envelope is solved in lockstep, with one
 batched jet evaluation per solver iteration for all sides together. The
-oracle's circle scans are poncelet.roots.circle_roots, the scan that
-checks every construction's preconditions, and their brackets and the
-contact brackets go through its one bracketed solver, which keeps only the
-live brackets' state; a bracket that does not converge is a report error,
-never a silent midpoint.
+oracle's circle scans are poncelet.roots.circle_roots: Newton steps from
+each cell's secant point on the slope that one evaluation gives with the
+value (C's derivatives, K's order-1 jet); the contact brackets go through
+the Anderson-Bjorck solver. A bracket that does not converge is a report
+error, never a silent last point.
 """
 
 from __future__ import annotations
@@ -91,7 +91,8 @@ def tangent_parameters(q: np.ndarray, p: SupportFunction, grid: tuple):
     ts, cos, sin, pv = grid
 
     def fn(ts, row):
-        return q[row, 0] * np.cos(ts) + q[row, 1] * np.sin(ts) - p.eval(ts)
+        (p0, p1), cos, sin = p.derivatives(ts, 2), np.cos(ts), np.sin(ts)
+        return q[row, 0] * cos + q[row, 1] * sin - p0, q[row, 1] * cos - q[row, 0] * sin - p1
 
     return _circle_roots(fn, p.domain_length, ts, q[:, :1] * cos + q[:, 1:] * sin - pv)
 
@@ -131,8 +132,9 @@ def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple
     L = K.domain_length
 
     def line_fn(ts, row):
-        pts = K.positions(ts)
-        return pts[:, 0] * ux[row] + pts[:, 1] * uy[row] - pv[row]
+        pts, vel = K.jet_many(ts, 1)
+        return (pts[:, 0] * ux[row] + pts[:, 1] * uy[row] - pv[row],
+                vel[:, 0] * ux[row] + vel[:, 1] * uy[row])
 
     row, hit, line_errors = _circle_roots(line_fn, L, tk, kpts[:, 0] * ux[:, None]
                                           + kpts[:, 1] * uy[:, None] - pv[:, None])

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import jets
 from .circlemaps import CircleDiffeo, TorsionMap, identity, orbit
 from .envelope import check_coincidences, check_steps, orbit_zeros
 from .equiangular import ConstructionError, Walk, Walked
@@ -30,11 +31,10 @@ from .support import (PlaneCurve, SupportFunction, curve_from_position, curve_fr
                       vertex_position_fn)
 
 
-def _advances(g: np.ndarray) -> np.ndarray:
-    """orbit_zeros rows sin(g_i - g_{i-1}), one per step of the orbit g, the
-    closing step included; a value below 1e-9 counts as a zero."""
-    s = np.sin(np.diff(g, axis=0))
-    return np.where(np.abs(s) < 1e-9, 0.0, s)
+def _advances(g):
+    """orbit_zeros rows sin(g_i - g_{i-1}) on the orbit g (an array or a Jet),
+    one per step, the closing step included; values below 1e-9 count as 0."""
+    return jets.sin(g[1:] - g[:-1])
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def vertex_from_envelope(envelope: SupportFunction, step: TorsionMap) -> VertexR
 
     ts = np.linspace(0.0, L, GRID, endpoint=False)
     # the second row, of the step back, is minus the first
-    gaps = orbit_zeros((f,), [ts, f.lift(ts), ts], _advances)[1][:8]
+    gaps = orbit_zeros((f,), [ts, f.lift(ts), ts], _advances, 1e-9)[1][:8]
     if len(gaps):
         raise ConstructionError(
             "transversality <u'(phi), u(f(phi))> = sin(f(phi) - phi) vanishes near "
@@ -103,7 +103,7 @@ def clan_from_envelope(envelope: SupportFunction,
     steps = check_steps(steps, L)
     ts = np.linspace(0.0, L, GRID, endpoint=False)
     G = orbit(steps, ts)
-    r, gaps = orbit_zeros(steps, G + [ts], _advances)
+    r, gaps = orbit_zeros(steps, G + [ts], _advances, 1e-9)
     if len(gaps):
         # K_i (i < n) is parametrized by g_{i-1} of the start, K_n by the start
         params = np.mod(orbit(steps, gaps[:8])[r], L) if r < len(steps) else gaps[:8]

@@ -5,7 +5,7 @@ dataclasses.replace and expect verification to fail; its tracer wraps
 library entry points by name and counts points from given arguments. A
 refactor that broke either would not fail a benchmark run: it would make
 the controls pass or a per-layer metric read zero. These tests pin both,
-and the root solver that the tracer is to wrap in the modules that call it.
+and the root solvers that the tracer is to wrap in the modules that call them.
 The verifier reaches a curve's derivatives only through jet_many, at the
 order it reads, and never passes a Jet to position_fn, so the controls'
 array-only replacements are all it sees.
@@ -214,30 +214,34 @@ def _fixed_point_clan():
             "support": _support(1.0), "steps": [{"c": 2.0}, _fourier(-2.0, 1, sin=0.3)]}))
 
 
-# each module that solves brackets, with calls that reach its solver: the
-# periodic scan in roots serves the oracle and every construction
-# precondition, and verify solves the side contacts of parametric envelopes
+# each module that solves brackets, the solver it looks up and calls that
+# reach it: the periodic scan in roots refines by Newton for the oracle and
+# every construction precondition, circlemaps inverts lifts with the same
+# Newton loop, and verify solves the side contacts of parametric envelopes
 SOLVER_USERS = {
-    "poncelet.roots-oracle": (roots, lambda: _config("wankel").verify(probes=8)),
-    "poncelet.roots-clan": (roots, _fixed_point_clan),
-    "poncelet.roots-from_fourier": (roots, lambda: cm.from_fourier(
+    "poncelet.roots-oracle": (roots, "newton_roots", lambda: _config("wankel").verify(probes=8)),
+    "poncelet.roots-clan": (roots, "newton_roots", _fixed_point_clan),
+    "poncelet.roots-from_fourier": (roots, "newton_roots", lambda: cm.from_fourier(
         TWO_PI, 0.3, (cm.FourierTerm(1, 0.3, 0.0), cm.FourierTerm(2, 0.0, 0.36)))),
-    "poncelet.verify": (verify, lambda: _config("iterated_square").verify(probes=8)),
+    "poncelet.circlemaps": (cm, "newton_roots", lambda: cm.from_fourier(
+        TWO_PI, 0.3, (cm.FourierTerm(1, 0.05, 0.02),)).inverse().lift(np.linspace(0.0, 1.0, 5))),
+    "poncelet.verify": (verify, "bracketed_roots",
+                        lambda: _config("iterated_square").verify(probes=8)),
 }
 
 
 @pytest.mark.parametrize("user", list(SOLVER_USERS))
 def test_solver_is_looked_up_as_a_module_attribute(monkeypatch, user):
     # a wrapper set on the module, as the tracer sets one, sees every call
-    module, call = SOLVER_USERS[user]
-    assert module.bracketed_roots is roots.bracketed_roots
+    module, name, call = SOLVER_USERS[user]
+    assert getattr(module, name) is getattr(roots, name)
     calls = []
-    solve = roots.bracketed_roots
+    solve = getattr(roots, name)
 
     def wrapper(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(module, "bracketed_roots", wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     call()
     assert calls

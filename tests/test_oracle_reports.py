@@ -45,7 +45,17 @@ absolute, and most closure_error and max_tangency_gap values fell. The
 forced pair's errors kept their order and text but for 21 full-precision
 parameters (such as K(2.688352463462516) to K(2.688352463462515)), each
 within 1e-12 relative, which the tool now counts as moves. No checks,
-passed, mode, oracle_direction or probe count changed."""
+passed, mode, oracle_direction or probe count changed.
+
+It was rewritten by tests/rewrite_goldens.py when the oracle's circle scans
+began to refine their brackets by safeguarded Newton on the slopes their
+functions give, from each cell's secant point to a Newton step below
+1e-15 max(1, |t|). 45 floats moved, each by at most 3.3e-14 absolute (the
+hexagon's closure_error at 64 probes, 4.3e-14 to 7.6e-14), in eight of the
+nine cases; wankel at 24 probes did not move. The forced pair's errors kept
+their order and text but for 13 full-precision parameters, each within
+1e-12 relative. No checks, passed, errors, mode, oracle_direction or probe
+count changed."""
 
 import dataclasses
 import json

@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poncelet import roots, verify
-from poncelet.roots import bracketed_roots
+from poncelet.circlemaps import FourierTerm, from_fourier
+from poncelet.jets import Jet
+from poncelet.roots import bracketed_roots, newton_roots
 from poncelet.scene import load_scene
 
 REPO = Path(__file__).resolve().parent.parent
@@ -142,29 +144,37 @@ def test_no_brackets():
     assert roots.size == 0 and open_.size == 0
 
 
-@pytest.mark.parametrize("name", ["wankel", "equiangular_hexagon", "iterated_square"])
-def test_verify_brackets_end_at_the_rounding_floor(monkeypatch, name):
-    # without the minimum step a bracket whose function reached its rounding
-    # floor went on near-bisecting to the width test: 29-38 iterations per
-    # call; with Illinois halving instead of Anderson-Bjorck scaling,
-    # iterated_square needed 10
-    iterations = []
-
-    def counting(fn, lo, hi, *args):
+def counting(solve, counts: list):
+    """solve, appending the number of fn calls of each solve to counts."""
+    def counted_solve(fn, *args, **kwargs):
         calls = [0]
 
         def counted(t, idx):
             calls[0] += 1
             return fn(t, idx)
 
-        out = bracketed_roots(counted, lo, hi, *args)
-        iterations.append(calls[0])     # one call per iteration, none for the ends
+        out = solve(counted, *args, **kwargs)
+        counts.append(calls[0])         # one call per iteration, none for the ends
         return out
 
-    for module in (roots, verify):      # the oracle's circle scans, the contact solves
-        monkeypatch.setattr(module, "bracketed_roots", counting)
-    assert load_scene(str(REPO / "configs" / f"{name}.json")).verify().passed
-    assert iterations and max(iterations) <= 9
+    return counted_solve
+
+
+@pytest.mark.parametrize("name", ["wankel", "equiangular_hexagon", "iterated_square"])
+def test_verify_brackets_end_at_the_rounding_floor(monkeypatch, name):
+    # the oracle's circle scans take Newton steps from their secant points,
+    # 3.1 evaluations per scan on the oracle-convex benchmark scenes where
+    # Anderson-Bjorck took 5.3; without the minimum step a contact bracket
+    # whose function reached its rounding floor went on near-bisecting to
+    # the width test: 29-38 iterations per call; with Illinois halving
+    # instead of Anderson-Bjorck scaling, iterated_square needed 10
+    scans, contacts = [], []
+    monkeypatch.setattr(roots, "newton_roots", counting(roots.newton_roots, scans))
+    monkeypatch.setattr(verify, "bracketed_roots", counting(bracketed_roots, contacts))
+    scene = load_scene(str(REPO / "configs" / f"{name}.json"))
+    assert scene.verify().passed
+    assert scans if scene.configuration.mode == "oracle" else contacts
+    assert max(scans, default=0) <= 5 and max(contacts, default=0) <= 9
 
 
 ORACLE_CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("*.json")
@@ -173,23 +183,49 @@ ORACLE_CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("*.json")
 
 @pytest.mark.parametrize("name", ORACLE_CONFIGS)
 def test_oracle_verify_solves_sign_changes_from_the_callers_end_values(monkeypatch, name):
+    # every scan bracket is a grid cell whose ends differ in sign as `rising`
+    # says; the solver starts inside and evaluates no end
     brackets = []
+    solve = roots.newton_roots
 
-    def checking(fn, lo, hi, flo, fhi, *args):
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        flo, fhi = np.asarray(flo, dtype=float), np.asarray(fhi, dtype=float)
-        assert np.all((np.sign(flo) * np.sign(fhi) < 0) | (flo == 0.0) | (fhi == 0.0))
+    def checking(fn, x, lo, hi, rising, *args, **kwargs):
+        every = np.arange(len(lo))
+        flo, fhi = fn(lo, every)[0], fn(hi, every)[0]
+        assert np.all(np.where(rising, (flo < 0) & (fhi > 0), (flo > 0) & (fhi < 0)))
 
         def at_no_end(t, idx):
             assert not np.any((t == lo[idx]) | (t == hi[idx]))
             return fn(t, idx)
 
-        brackets.append(lo.size)
-        return bracketed_roots(at_no_end, lo, hi, flo, fhi, *args)
+        brackets.append(len(lo))
+        return solve(at_no_end, x, lo, hi, rising, *args, **kwargs)
 
-    monkeypatch.setattr(roots, "bracketed_roots", checking)
+    monkeypatch.setattr(roots, "newton_roots", checking)
     assert load_scene(str(REPO / "configs" / f"{name}.json")).verify().passed
     assert sum(brackets) > 0
+
+
+def test_newton_that_stalls_inside_its_bracket_bisects():
+    # started at x = y, these Newton points stay inside the bracket y -+
+    # bound without closing in, and used up all 100 steps (residual -0.0269)
+    # when only a point outside the bracket bisected
+    h = from_fourier(2 * math.pi, 16.116380134874426, (
+        FourierTerm(-49, -0.0129262852, 0.0094827001),
+        FourierTerm(10, 0.0045132623, 0.0075645639),
+        FourierTerm(-9, 0.0123151140, 0.0065097033)))
+    y = np.array([-9.96751532475281])
+    bound = h.displacement_bound + 2 * math.pi
+    calls = []
+
+    def residual(x, idx):
+        calls.append(1)
+        jet = h.lift(Jet.variable(x, 1))
+        return jet.v - y[idx], jet.d[0]
+
+    x, open_ = newton_roots(residual, y, y - bound, y + bound, True, ftol=1e-12 * 2 * math.pi)
+    assert not open_.any()
+    assert abs(h.lift(x)[0] - y[0]) < 1e-12 * 2 * math.pi
+    assert len(calls) < 20
 
 
 def trig_slopes(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:

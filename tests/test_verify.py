@@ -16,7 +16,7 @@ from poncelet.circlemaps import circle_distance
 from poncelet.equiangular import (ConstructionError, PonceletPolygon, equiangular_vertex_curve,
                                   equilateral_pair, rigid_walk)
 from poncelet.geometry import radians
-from poncelet.roots import bracketed_roots
+from poncelet.roots import bracketed_roots, newton_roots
 from poncelet.scene import SchemaError, build_scene, load_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
 from poncelet.verify import (OracleError, PonceletConfiguration, VerificationReport,
@@ -355,9 +355,10 @@ class TestPerturbedSequencePolygons:
 class TestNonConvergence:
     @pytest.fixture
     def one_step_solver(self, monkeypatch):
-        for module in (roots, verify):  # the oracle's circle scans, the contact solves
-            monkeypatch.setattr(module, "bracketed_roots",
-                                functools.partial(bracketed_roots, iters=1))
+        # the oracle's circle scans refine by Newton, the contact solves by
+        # Anderson-Bjorck
+        monkeypatch.setattr(roots, "newton_roots", functools.partial(newton_roots, steps=1))
+        monkeypatch.setattr(verify, "bracketed_roots", functools.partial(bracketed_roots, iters=1))
 
     def test_unconverged_contact_brackets_are_errors(self, iterated_square, one_step_solver):
         rep = verify_pair(iterated_square, probes=8)
