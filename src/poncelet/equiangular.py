@@ -92,8 +92,9 @@ def assemble(walk: Walk, vertex_curves, envelopes) -> PonceletPolygon:
     v = pts[:, :-1]
     d = np.roll(v, -1, axis=1) - v
     r = x - v
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # a zero-length side gives a NaN chord, which fails the report
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # a zero-length side gives a NaN chord, and a huge one an inf or
+        # NaN chord, which fail the report
         chords = ((r[..., 0] * d[..., 0] + r[..., 1] * d[..., 1])
                   / (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]))
     gap = pts[:, -1] - v[:, 0]

@@ -28,13 +28,15 @@ the closure error is how far the step after vertex n - 1 lands from vertex
 
 Envelopes without a support function are checked by recovering each side's
 contact from the envelope's parametrization: every side of every probe's
-polygon that touches such an envelope is solved in lockstep, with one
-batched jet evaluation per solver iteration for all sides together. The
-oracle's circle scans are poncelet.roots.circle_roots: Newton steps from
-each cell's secant point on the slope that one evaluation gives with the
-value (C's derivatives, K's order-1 jet); the contact brackets go through
-the Anderson-Bjorck solver. A bracket that does not converge is a report
-error, never a silent last point.
+polygon that touches such an envelope is solved in lockstep, from one
+order-2 jet of the envelope on the grid and one batched jet evaluation per
+solver iteration for all sides together. Every bracket is refined by
+poncelet.roots.newton_roots, Newton steps from each cell's secant point on
+the slope that one evaluation gives with the value: C's derivatives and
+K's order-1 jet in the oracle's circle scans, the envelope's order-2 jet
+in the contact solves, and the secant through the last two points where
+the slope would need an order-3 jet (roots.secant_roots). A bracket that
+does not converge is a report error, never a silent last point.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .circlemaps import circle_distance
 from .equiangular import PonceletPolygon, Walk, assemble
-from .roots import GRID, bracketed_roots, circle_roots
+from .roots import GRID, circle_roots, newton_roots, secant_point, secant_roots, sign_change
 from .support import PlaneCurve, SupportFunction
 
 
@@ -154,55 +156,66 @@ def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple
 
 
 def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
-                             grid_ts: np.ndarray, grid_pts: np.ndarray,
+                             grid_ts: np.ndarray, grid_jet: tuple,
                              dist_tol: float) -> tuple[list[list[float]], np.ndarray]:
     """Parameters where the curve is tangent to each side line through a[k], b[k].
 
     Tangency means a simple zero of g' = d/dt <X(t) - a, n>, the derivative
     of the signed distance g to the line; transversal crossings have no
-    such zero at their distance minimum and drop out automatically. Every
-    side is solved in lockstep: its (at most 8) nearest local distance
-    minima on the grid give cells, those where g' changes sign are
-    refined together, and refined points farther than dist_tol from their
-    line are dropped. By Rolle's theorem a cell where g' keeps its sign at
-    both ends can still hold two zeros of g' (next to a near-cusp of the
-    curve) only if g'' = <X'', n> changes sign in it; such a cell is split
-    at the zero of g'', and each half where g' changes sign is refined.
-    Returns the recovered parameters of each side, nearest minimum first,
-    and the number of each side's brackets that did not converge.
+    such zero at their distance minimum and drop out automatically. grid_jet
+    is the curve's order-2 jet (X, X', X'') on grid_ts, equispaced over its
+    domain. Every side is solved in lockstep: its (at most 8) nearest local
+    distance minima on the grid give cells from the grid point before to
+    the one after, those where g' changes sign are refined together by
+    newton_roots on the slope g'' = <X'', n> of the same jets, and refined
+    points farther than dist_tol from their line are dropped. By Rolle's
+    theorem a cell where g' keeps its sign at both ends can still hold two
+    zeros of g' (next to a near-cusp of the curve) only if g'' changes sign
+    in it; such a cell is split at the zero of g'', which secant_roots
+    finds (its slope would need an order-3 jet), and each half where g'
+    changes sign is refined. Returns the recovered parameters of each side,
+    nearest minimum first, and the number of each side's brackets that did
+    not converge.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     d = np.asarray(b, dtype=float).reshape(-1, 2) - a
     nrm = np.hypot(d[:, 0], d[:, 1])
     nx, ny = -d[:, 1] / nrm, d[:, 0] / nrm
+    grid_pts, grid_vel, grid_acc = grid_jet
     side, cand = _distance_minima(a, nx, ny, grid_pts)
     L = curve.domain_length
     step = L / len(grid_ts)
     ends = grid_ts[cand] + np.array([[-step], [step]])     # each cell's [lo, hi]
+    at = (cand + np.array([[-1], [1]])) % len(grid_ts)     # their grid points
 
     def normal(x, k):
-        return x[:, 0] * nx[k] + x[:, 1] * ny[k]
+        return x[..., 0] * nx[k] + x[..., 1] * ny[k]
 
-    def derivative(order, sides):
-        """g' (order 1) or g'' (order 2) of bracket i's side line, for bracketed_roots."""
-        return lambda t, i: normal(curve.jet_many(t, order)[order], sides[i])
-
-    _, vel, acc = curve.jet_many(ends.ravel())
-    both = np.concatenate([side, side])
-    g1, g2 = normal(vel, both).reshape(2, -1), normal(acc, both).reshape(2, -1)
-    signed = ~(g1[0] * g1[1] > 0)
-    cells, mid, gmid = np.flatnonzero(~signed & (g2[0] * g2[1] < 0)), np.empty(0), np.empty(0)
+    g1, g2 = normal(grid_vel[at], side), normal(grid_acc[at], side)
+    signed = sign_change(*g1)
+    # g' of one strict sign at both ends, g'' changing sign
+    cells, mid, gmid = np.flatnonzero(sign_change(g1[0], -g1[1]) & sign_change(*g2)), [], []
     if cells.size:   # a jet evaluation costs about as much on no points as on one
         # any split point is sound: the halves' brackets are checked below
-        mid = bracketed_roots(derivative(2, side[cells]), *ends[:, cells], *g2[:, cells])[0]
+        mid = secant_roots(lambda t, i: normal(curve.jet_many(t)[2], side[cells[i]]),
+                           *ends[:, cells], *g2[:, cells])[0]
         gmid = normal(curve.jet_many(mid, 1)[1], side[cells])
-        turn = ~(gmid * g1[0, cells] > 0)
+        turn = sign_change(gmid, g1[0, cells])
         cells, mid, gmid = cells[turn], mid[turn], gmid[turn]
     order = np.argsort(np.concatenate([np.flatnonzero(signed), cells, cells]), kind="stable")
     side = np.concatenate([side[signed], side[cells], side[cells]])[order]
-    ends = np.concatenate([ends[:, signed], [ends[0, cells], mid], [mid, ends[1, cells]]], axis=1)
-    g1 = np.concatenate([g1[:, signed], [g1[0, cells], gmid], [gmid, g1[1, cells]]], axis=1)
-    roots, open_ = bracketed_roots(derivative(1, side), *ends[:, order], *g1[:, order])
+    lo, hi = np.concatenate([ends[:, signed], [ends[0, cells], mid], [mid, ends[1, cells]]],
+                            axis=1)[:, order]
+    flo, fhi = np.concatenate([g1[:, signed], [g1[0, cells], gmid], [gmid, g1[1, cells]]],
+                              axis=1)[:, order]
+
+    def derivatives(t, i):
+        """g' and its slope g'' at t of bracket i's side line."""
+        _, vel, acc = curve.jet_many(t)
+        return normal(vel, side[i]), normal(acc, side[i])
+
+    roots, open_ = newton_roots(derivatives, secant_point(lo, hi, flo, fhi), lo, hi, flo < 0,
+                                xtol=1e-15)
     done = np.nonzero(~open_)[0]
     pts = curve.positions(roots[done])
     s = side[done]
@@ -414,8 +427,9 @@ def _polygon_metrics(report: VerificationReport, config, poly: PonceletPolygon, 
         report.side_length_spread = float(np.max(np.abs(side - e) / e))
     if turns is not None:
         prev = np.roll(d, 1, axis=1)
-        turn = np.arctan2(prev[..., 0] * d[..., 1] - prev[..., 1] * d[..., 0],
-                          prev[..., 0] * d[..., 0] + prev[..., 1] * d[..., 1])
+        with np.errstate(over="ignore", invalid="ignore"):    # huge sides: a NaN turn fails
+            turn = np.arctan2(prev[..., 0] * d[..., 1] - prev[..., 1] * d[..., 0],
+                              prev[..., 0] * d[..., 0] + prev[..., 1] * d[..., 1])
         dev = np.mod(turn - np.resize(turns, count) + math.pi, 2.0 * math.pi) - math.pi
         report.max_angle_deviation = float(np.max(np.abs(dev)))
     report.max_tangency_gap = 0.0
@@ -505,8 +519,7 @@ def _verify_sequence(config, starts, tol, report):
                                    sup.period)
         else:
             grid_ts = np.linspace(0.0, curve.domain_length, GRID, endpoint=False)
-            found, stuck = parametric_side_contacts(a, b, curve, grid_ts,
-                                                    curve.positions(grid_ts),
+            found, stuck = parametric_side_contacts(a, b, curve, grid_ts, curve.jet_many(grid_ts),
                                                     dist_tol=max(tol, 1e-8))
             hits = np.array([len(f) for f in found])
             near = np.full(len(at), np.inf)
@@ -558,8 +571,8 @@ def regularity_scan(curve: PlaneCurve, samples: int = 1024) -> RegularityScan:
 
     lo, hi = low - L / samples, low + L / samples
     ends = slope(np.concatenate([lo, hi]), None).reshape(2, -1)
-    signed = ~(ends[0] * ends[1] > 0)
-    roots, open_ = bracketed_roots(slope, lo[signed], hi[signed], *ends[:, signed])
+    signed = ~sign_change(ends[0], -ends[1])     # all but the ends of one strict sign
+    roots, open_ = secant_roots(slope, lo[signed], hi[signed], *ends[:, signed])
     if open_.any():
         raise RuntimeError("speed minimum refinement did not converge near t = "
                            + ", ".join(f"{t:.6f}" for t in roots[open_] % L))

@@ -108,7 +108,8 @@ def test_scan_refines_one_root_per_sign_change_to_the_bisection_root(rows):
     coeffs = np.array(rows)
     vals = np.array([trig(np.repeat(c[None], GRID, axis=0), TS)[0] for c in coeffs])
     assume(not (vals == 0.0).any())                 # exact grid zeros are roots as they are
-    r, c = np.nonzero(vals * np.roll(vals, -1, axis=1) < 0)
+    # sign bits: a product of tiny neighbours would underflow to 0
+    r, c = np.nonzero(np.signbit(vals) != np.signbit(np.roll(vals, -1, axis=1)))
     ref = bisected(coeffs[r], TS[c], np.append(TS[1:], L)[c])
     # simple roots, one per sign-change cell: a slope at least 0.1 (so rounding
     # moves no root by 1e-12) and one sign change on 16 points inside the cell
@@ -135,3 +136,22 @@ def test_scan_refines_one_root_per_sign_change_to_the_bisection_root(rows):
     assert np.all(np.abs(x1 - ref)[~open1] <= 1e-12)
     assert set(errors) == set(row1[open1].tolist())
     assert not set(kept.tolist()) & set(errors)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_roots_do_not_change_when_the_row_is_scaled():
+    # scaling by a power of 2 is exact, and Newton steps and secant points
+    # are ratios, so every root keeps its bits; a product of neighbouring
+    # values would underflow to 0 at the small scale (no sign change found)
+    # and overflow at the large one
+    ts = np.linspace(0.0, L, 8, endpoint=False)
+
+    def scaled(s):
+        row, x, open_ = roots.circle_roots(
+            lambda t, _: (s * np.sin(t + 0.1), s * np.cos(t + 0.1)), L, ts,
+            s * np.sin(ts + 0.1)[None])
+        assert not open_.any() and row.tolist() == [0, 0]
+        return x.tolist()
+
+    assert scaled(1.0) == pytest.approx([math.pi - 0.1, L - 0.1], abs=1e-15)
+    assert scaled(2.0 ** -660) == scaled(2.0 ** 660) == scaled(1.0)

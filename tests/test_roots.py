@@ -9,62 +9,10 @@ from hypothesis import strategies as st
 from poncelet import roots, verify
 from poncelet.circlemaps import FourierTerm, from_fourier
 from poncelet.jets import Jet
-from poncelet.roots import bracketed_roots, newton_roots
+from poncelet.roots import newton_roots, secant_roots, sign_change
 from poncelet.scene import load_scene
 
 REPO = Path(__file__).resolve().parent.parent
-
-
-def anderson_bjorck(fn, lo: float, hi: float, iters: int = 60):
-    """Scalar Anderson-Bjorck iteration on one bracket: the reference for
-    the lockstep solver. Each secant point keeps a step of tol inside the
-    bracket, the kept end's value is scaled by 1 - f(new)/f(replaced) (1/2
-    when that is not positive) when the same end moves twice in a row, the
-    width is tested after every update, and a bracket closed by width
-    returns the secant point of its unscaled |f| at the ends (its end with
-    the smaller |f| when that is not finite). Returns (root, converged)."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo, True
-    if fhi == 0.0:
-        return hi, True
-    alo, ahi = abs(flo), abs(fhi)
-
-    def closed():
-        return hi - lo < 1e-15 * max(1.0, abs(hi))
-
-    def close():
-        x = lo + (hi - lo) * alo / (alo + ahi)
-        return x if math.isfinite(x) else (lo if alo < ahi else hi)
-
-    if closed():
-        return close(), True
-    side = 0
-    for _ in range(iters):
-        tol = 0.5e-15 * max(1.0, abs(hi))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mid = float(np.float64(hi) - fhi * (hi - lo) / np.float64(fhi - flo))
-        if math.isnan(mid):
-            mid = 0.5 * (lo + hi)
-        mid = min(max(mid, lo + tol), hi - tol)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid, True
-        if np.signbit(flo) != np.signbit(fm):
-            scale = 1.0 - fm / fhi
-            hi, fhi, ahi = mid, fm, abs(fm)
-            if side == -1:
-                flo *= scale if scale > 0.0 else 0.5
-            side = -1
-        else:
-            scale = 1.0 - fm / flo
-            lo, flo, alo = mid, fm, abs(fm)
-            if side == 1:
-                fhi *= scale if scale > 0.0 else 0.5
-            side = 1
-        if closed():
-            return close(), True
-    return 0.5 * (lo + hi), False
 
 
 def trig_values(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -82,25 +30,29 @@ bracket = st.tuples(st.lists(coefficient, min_size=7, max_size=7),
 
 @settings(max_examples=150)
 @given(st.lists(bracket, min_size=1, max_size=12))
-def test_lockstep_roots_match_scalar_anderson_bjorck(brackets):
+def test_lockstep_roots_match_one_bracket_at_a_time(brackets):
+    # the solver's state holds only the live brackets; compacting it must
+    # not change any bracket's arithmetic
     coeffs = np.array([c for c, _, _ in brackets])
     lo = np.array([a for _, a, _ in brackets])
     hi = lo + np.array([w for _, _, w in brackets])
     ends = trig_values(np.concatenate([coeffs, coeffs]), np.concatenate([lo, hi]))
-    keep = ends[:len(lo)] * ends[len(lo):] <= 0      # brackets with a sign change
+    # a sign change or a zero end; a product of the ends would underflow
+    keep = ~sign_change(ends[:len(lo)], -ends[len(lo):])
     assume(keep.any())
     coeffs, lo, hi = coeffs[keep], lo[keep], hi[keep]
 
     flo, fhi = trig_values(coeffs, lo), trig_values(coeffs, hi)
-    roots, open_ = bracketed_roots(lambda t, idx: trig_values(coeffs[idx], t), lo, hi, flo, fhi)
+    roots, open_ = secant_roots(lambda t, idx: trig_values(coeffs[idx], t), lo, hi, flo, fhi)
 
     assert roots.shape == open_.shape == lo.shape
     for i in range(len(lo)):
-        ref, converged = anderson_bjorck(
-            lambda t: float(trig_values(coeffs[i:i + 1], np.array([t]))[0]), lo[i], hi[i])
+        one = coeffs[i:i + 1]
+        ref, ref_open = secant_roots(lambda t, idx: trig_values(one[idx], t), lo[i:i + 1],
+                                     hi[i:i + 1], flo[i:i + 1], fhi[i:i + 1])
         assert lo[i] <= roots[i] <= hi[i]
-        assert roots[i] == ref
-        assert open_[i] == (not converged)
+        assert roots[i] == ref[0]
+        assert open_[i] == ref_open[0]
 
 
 def test_exact_zero_at_an_end_returns_that_end():
@@ -110,7 +62,7 @@ def test_exact_zero_at_an_end_returns_that_end():
         calls.append(len(t))
         return t - 1.0
 
-    roots, open_ = bracketed_roots(fn, [1.0, 0.0], [2.0, 1.0], [0.0, -1.0], [1.0, 0.0])
+    roots, open_ = secant_roots(fn, [1.0, 0.0], [2.0, 1.0], [0.0, -1.0], [1.0, 0.0])
     assert roots.tolist() == [1.0, 1.0]
     assert not open_.any()
     assert calls == []          # the caller's end values settle both brackets
@@ -123,24 +75,27 @@ def test_each_iteration_evaluates_only_live_brackets():
         calls.append(idx.tolist())
         return np.where(idx == 0, t - 0.5, np.cos(t))
 
-    roots, open_ = bracketed_roots(fn, [0.0, 1.0], [1.0, 2.0], [-0.5, math.cos(1.0)],
-                                   [0.5, math.cos(2.0)])
+    roots, open_ = secant_roots(fn, [0.0, 1.0], [1.0, 2.0], [-0.5, math.cos(1.0)],
+                                [0.5, math.cos(2.0)])
     assert not open_.any()
-    assert roots[0] == 0.5                      # linear: the first secant step lands on it
+    assert roots[0] == 0.5                      # linear: its secant start is the root
     assert roots[1] == pytest.approx(math.pi / 2, abs=1e-15)
     assert calls[0] == [0, 1]
     assert all(c == [1] for c in calls[1:])
 
 
 def test_iteration_limit_flags_the_bracket():
-    roots, open_ = bracketed_roots(lambda t, _: np.tan(t - 1.0), [0.0, 0.5], [1.5, 2.0],
-                                   np.tan([-1.0, -0.5]), np.tan([0.5, 1.0]), iters=2)
+    roots, open_ = secant_roots(lambda t, _: np.tan(t - 1.0), [0.0, 0.5], [1.5, 2.0],
+                                np.tan([-1.0, -0.5]), np.tan([0.5, 1.0]), steps=1)
     assert open_.all()
     assert np.all((roots > [0.0, 0.5]) & (roots < [1.5, 2.0]))
 
 
 def test_no_brackets():
-    roots, open_ = bracketed_roots(lambda t, idx: pytest.fail("called"), [], [], [], [])
+    roots, open_ = secant_roots(lambda t, idx: pytest.fail("called"), [], [], [], [])
+    assert roots.size == 0 and open_.size == 0
+    empty = np.empty(0)
+    roots, open_ = newton_roots(lambda t, idx: pytest.fail("called"), empty, empty, empty, empty)
     assert roots.size == 0 and open_.size == 0
 
 
@@ -162,19 +117,22 @@ def counting(solve, counts: list):
 
 @pytest.mark.parametrize("name", ["wankel", "equiangular_hexagon", "iterated_square"])
 def test_verify_brackets_end_at_the_rounding_floor(monkeypatch, name):
-    # the oracle's circle scans take Newton steps from their secant points,
-    # 3.1 evaluations per scan on the oracle-convex benchmark scenes where
-    # Anderson-Bjorck took 5.3; without the minimum step a contact bracket
-    # whose function reached its rounding floor went on near-bisecting to
-    # the width test: 29-38 iterations per call; with Illinois halving
-    # instead of Anderson-Bjorck scaling, iterated_square needed 10
-    scans, contacts = [], []
+    # every solve is Newton from its cell's secant point, and stops when its
+    # step reaches the rounding floor: the oracle's circle scans take 3.1
+    # evaluations per scan on the oracle-convex benchmark scenes where
+    # Anderson-Bjorck took 5.3; iterated_square's contact solve takes at
+    # most 7 Newton steps on the slope g'' where Anderson-Bjorck took 9,
+    # and its Rolle split at most 9 secant-slope steps
+    scans, contacts, splits = [], [], []
     monkeypatch.setattr(roots, "newton_roots", counting(roots.newton_roots, scans))
-    monkeypatch.setattr(verify, "bracketed_roots", counting(bracketed_roots, contacts))
+    monkeypatch.setattr(verify, "newton_roots", counting(newton_roots, contacts))
+    monkeypatch.setattr(verify, "secant_roots", counting(secant_roots, splits))
     scene = load_scene(str(REPO / "configs" / f"{name}.json"))
     assert scene.verify().passed
-    assert scans if scene.configuration.mode == "oracle" else contacts
-    assert max(scans, default=0) <= 5 and max(contacts, default=0) <= 9
+    if scene.configuration.mode == "oracle":
+        assert scans and max(scans) <= 5
+    else:               # the splits' Newton loop is roots.newton_roots too
+        assert contacts and max(contacts) <= 7 and max(splits, default=0) <= 9
 
 
 ORACLE_CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("*.json")
@@ -265,7 +223,7 @@ def test_simple_roots_match_bisection(c, r, left, right):
 
     assume(f(lo) * f(hi) < 0)
     ref = bisection(f, lo, hi)
-    roots, open_ = bracketed_roots(lambda t, idx: trig_values(coeffs[idx], t), [lo], [hi],
-                                   [f(lo)], [f(hi)])
+    roots, open_ = secant_roots(lambda t, idx: trig_values(coeffs[idx], t), [lo], [hi],
+                                [f(lo)], [f(hi)])
     assert not open_[0]
     assert abs(roots[0] - ref) <= 1e-13

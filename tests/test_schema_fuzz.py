@@ -86,3 +86,16 @@ def eight_probes():
 def test_edited_config_verifies_or_exits_with_a_documented_code(path, eight_probes, doc):
     path.write_text(json.dumps(doc))
     assert main(["verify", str(path)]) in (0, 1, 2, 3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_huge_support_term_fails_verification_without_a_warning(path, eight_probes, capsys):
+    # an edit the verify fuzz above makes: the polygons' chords and exterior
+    # angles overflow to inf or NaN, which fail their checks, so computing
+    # them must not warn as well
+    doc = json.loads(json.dumps(DOCS["equiangular_hexagon"]))
+    doc["parameters"]["support"]["terms"][0]["sin"] = -1.7044454708483944e+227
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert not report["checks"]["closure"] and not report["checks"]["equiangular"]

@@ -16,7 +16,7 @@ from poncelet.circlemaps import circle_distance
 from poncelet.equiangular import (ConstructionError, PonceletPolygon, equiangular_vertex_curve,
                                   equilateral_pair, rigid_walk)
 from poncelet.geometry import radians
-from poncelet.roots import bracketed_roots, newton_roots
+from poncelet.roots import newton_roots, secant_roots
 from poncelet.scene import SchemaError, build_scene, load_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
 from poncelet.verify import (OracleError, PonceletConfiguration, VerificationReport,
@@ -213,7 +213,7 @@ def iterated_square():
 class TestParametricSideContacts:
     def grid(self, env):
         ts = np.linspace(0.0, env.domain_length, 512, endpoint=False)
-        return ts, env.positions(ts)
+        return ts, env.jet_many(ts)
 
     def test_bitangent_line_recovers_both_contacts_and_far_line_none(self, iterated_square):
         env = iterated_square.envelopes[0]
@@ -225,7 +225,7 @@ class TestParametricSideContacts:
             return env.jet_many(t, 1)[1][:, 0]
 
         lo, hi = guess - 0.01, guess + 0.01
-        tops, open_ = bracketed_roots(x_speed, lo, hi, x_speed(lo), x_speed(hi))
+        tops, open_ = secant_roots(x_speed, lo, hi, x_speed(lo), x_speed(hi))
         assert not open_.any()
         x_max = float(np.mean(env.positions(tops)[:, 0]))
         a = np.array([[x_max, -3.0], [x_max + 1.0, -3.0]])
@@ -355,10 +355,9 @@ class TestPerturbedSequencePolygons:
 class TestNonConvergence:
     @pytest.fixture
     def one_step_solver(self, monkeypatch):
-        # the oracle's circle scans refine by Newton, the contact solves by
-        # Anderson-Bjorck
+        # the oracle's circle scans and the contact solves refine by Newton
         monkeypatch.setattr(roots, "newton_roots", functools.partial(newton_roots, steps=1))
-        monkeypatch.setattr(verify, "bracketed_roots", functools.partial(bracketed_roots, iters=1))
+        monkeypatch.setattr(verify, "newton_roots", functools.partial(newton_roots, steps=1))
 
     def test_unconverged_contact_brackets_are_errors(self, iterated_square, one_step_solver):
         rep = verify_pair(iterated_square, probes=8)
@@ -545,7 +544,13 @@ class TestRegularityScan:
         assert params == pytest.approx([3 * math.pi / 4, 15 * math.pi / 4], abs=1e-9)
 
     def test_unconverged_minimum_raises_with_parameter(self, monkeypatch):
-        monkeypatch.setattr(verify, "bracketed_roots", functools.partial(bracketed_roots, iters=1))
+        # the bracket is symmetric about each cusp, so its first secant point
+        # is the root: flag every bracket instead of capping the steps
+        def unconverged(*args, **kwargs):
+            found, open_ = secant_roots(*args, **kwargs)
+            return found, np.ones_like(open_)
+
+        monkeypatch.setattr(verify, "secant_roots", unconverged)
         p = SupportFunction(-2 / 3, (SupportTerm(Fraction(2, 3), 1.0),), 3)
         K = equiangular_vertex_curve(p, Fraction(1, 2), 4)
         with pytest.raises(RuntimeError, match=r"did not converge near t = 2\.3\d+, 11\.7\d+$"):
