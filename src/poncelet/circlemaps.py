@@ -1,9 +1,8 @@
 """Orientation-preserving circle diffeomorphisms via monotone lifts.
 
 A map f of a circle with circumference L is stored as a lift F with
-F(x + L) = F(x) + L. Rotation numbers, torsion maps (f^n = id with n
-minimal) and the explicit conjugator H = (1/n) sum F^j to the rigid
-rotation are provided.
+F(x + L) = F(x) + L. Torsion maps (f^n = id with n minimal) and the
+explicit conjugator H = (1/n) sum F^j to the rigid rotation are provided.
 """
 
 from __future__ import annotations
@@ -71,15 +70,8 @@ class CircleDiffeo:
     rotation_amount: float | None = None  # set iff the map is a rigid rotation
     displacement_bound: float = 0.0  # bound for |lift(x) - x|
 
-    def __call__(self, x):
-        return np.mod(self.lift(np.asarray(x, dtype=float)), self.circumference)
-
     def derivative(self, x):
         return self.lift(Jet.variable(x, 1)).d[0]
-
-    def min_derivative(self, samples: int = 1024) -> float:
-        xs = np.linspace(0.0, self.circumference, samples, endpoint=False)
-        return float(np.min(self.derivative(xs)))
 
     @property
     def is_rotation(self) -> bool:
@@ -209,14 +201,6 @@ def circle_distance(a, b, L: float):
     return np.minimum(d, L - d)
 
 
-def rotation_number(f: CircleDiffeo, iterations: int = 1000) -> float:
-    """Poincare rotation number estimate (F^k(0) - 0) / k, scaled into [0, 1)."""
-    if iterations < 1:
-        raise CircleMapError("iterations must be >= 1")
-    x = orbit((f,) * iterations, np.asarray(0.0))[-1]
-    return float(np.mod(x / iterations, f.circumference) / f.circumference)
-
-
 @dataclass(frozen=True)
 class TorsionReport:
     period: int
@@ -252,10 +236,6 @@ class TorsionMap:
         if not report.passed:
             raise CircleMapError(f"map failed torsion certification: {report}")
 
-    @property
-    def circumference(self) -> float:
-        return self.map.circumference
-
 
 def make_torsion(h: CircleDiffeo, m: int, n: int) -> TorsionMap:
     """The torsion map f = h^-1 o r_{mL/n} o h of period n."""
@@ -268,15 +248,13 @@ def make_torsion(h: CircleDiffeo, m: int, n: int) -> TorsionMap:
 
 
 def conjugator_to_rotation(f: TorsionMap) -> CircleDiffeo:
-    """H = (1/n) sum_{j<n} F^j, which satisfies H o F = R_{mL/n} o H.
-
-    The returned map is strictly increasing (report its min derivative via
-    min_derivative()).
-    """
+    """H = (1/n) sum_{j<n} F^j, which satisfies H o F = R_{mL/n} o H: the
+    paper's explicit conjugator of a torsion map to the rigid rotation. H is
+    strictly increasing, as a mean of increasing lifts."""
     n = f.period
 
     def lift(x):
         x, *rest = orbit((f.map,) * (n - 1), x)
         return sum(rest, x) / n
 
-    return CircleDiffeo(f.circumference, lift, displacement_bound=f.map.displacement_bound * n)
+    return CircleDiffeo(f.map.circumference, lift, displacement_bound=f.map.displacement_bound * n)

@@ -5,10 +5,11 @@ side family (1-s) Y + s (Y o f) has the envelope
 
     X = Y - <Y', J D> / <D', J D> * D,         D = Y o f - Y,
 
-and the chord parameter s lies in (0, 1) exactly when the contact point
-falls inside the polygon side. The formula holds in any parametrization,
-so the envelope is parametrized by the vertex parameter t: side t joins
-Y(t) and Y(f(t)) and touches the envelope at X(t). A clan's envelope C_i
+and the chord parameter s (a polygon's `chords`, as equiangular.assemble
+measures them) lies in (0, 1) exactly when the contact point falls inside
+the polygon side. The formula holds in any parametrization, so the
+envelope is parametrized by the vertex parameter t: side t joins Y(t) and
+Y(f(t)) and touches the envelope at X(t). A clan's envelope C_i
 (i < n) is the pair envelope of its own step f_i; only the closing C_n, of
 the sides from Y(g_{n-1}(t)) to Y(t), is parametrized by the start t. All
 are built by `side_envelope`, which refuses a side family whose
@@ -28,7 +29,6 @@ import numpy as np
 from . import jets
 from .circlemaps import CircleDiffeo, TorsionMap, orbit
 from .equiangular import ConstructionError, Walk, Walked
-from .geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
 from .roots import GRID, circle_roots
 from .jets import Jet, chain, stack
 from .support import PlaneCurve, curve_from_position
@@ -96,7 +96,7 @@ def check_coincidences(steps: tuple[CircleDiffeo, ...], G: list[np.ndarray]) -> 
 
 def _chord_envelope(a: Jet, b: Jet, order: int = 0):
     """Envelope point X = A + s D of the chord lines from A to B, D = B - A,
-    and s = -<A', J D> / <D', J D>, from jets a and b of A and B in t. X is a
+    s = -<A', J D> / <D', J D>, from jets a and b of A and B in t. X is a
     jet of the given order (plain arrays at order 0), one below a and b,
     since X involves A'.
     """
@@ -104,7 +104,7 @@ def _chord_envelope(a: Jet, b: Jet, order: int = 0):
     delta = b.truncated(order) - z
     jd = _J(delta)
     s = -_dot(zp, jd) / _dot(b.derivative() - zp, jd)
-    return z + s[:, None] * delta, s
+    return z + s[:, None] * delta
 
 
 def _chord_envelope_position(first: Callable, second: Callable) -> Callable:
@@ -112,7 +112,7 @@ def _chord_envelope_position(first: Callable, second: Callable) -> Callable:
     second(t); first and second take Jets of t."""
     def derivs(ts, order):
         t = Jet.variable(ts, order + 1)
-        x = _chord_envelope(first(t), second(t), order)[0]
+        x = _chord_envelope(first(t), second(t), order)
         return [x.v, *x.d] if order else [x]
 
     return lambda ts: chain(ts, derivs)
@@ -161,15 +161,6 @@ class EnvelopeResult(Walked):
     vertex_curves = property(lambda self: (self.vertex_curve,))
     envelopes = property(lambda self: (self.curve,))
 
-    def stepped(self, ts):
-        """Y o f at ts (an array or a Jet): the far end of side t."""
-        return self.vertex_curve.positions(self.step.map.lift(ts))
-
-    def s(self, ts) -> np.ndarray:
-        """Chord parameter of the contact on side t."""
-        t = Jet.variable(np.atleast_1d(ts), 1)
-        return _chord_envelope(self.vertex_curve.positions(t), self.stepped(t))[1]
-
     def walk(self, starts: np.ndarray) -> Walk:
         f = self.step
         ts = np.stack(orbit((f.map,) * f.period, starts), axis=1)
@@ -177,93 +168,14 @@ class EnvelopeResult(Walked):
 
 
 def envelope_from_vertex(vertex_curve: PlaneCurve, step: TorsionMap) -> EnvelopeResult:
-    """Envelope of the polygon side lines, with the chord parameter s, both
-    in the vertex parameter. A vanishing denominator is reported with the
-    offending parameters."""
+    """Envelope of the polygon side lines, in the vertex parameter. A
+    vanishing denominator is reported with the offending parameters."""
     L = vertex_curve.domain_length
     check_steps((step.map,) * (step.period - 1), L)
     Y = vertex_curve.positions
     curve = side_envelope(Y, lambda ts: Y(step.map.lift(ts)), L, "C",
                           np.linspace(0.0, L, GRID, endpoint=False))
     return EnvelopeResult(vertex_curve, step, curve)
-
-
-def _side_jets(result: EnvelopeResult) -> tuple[np.ndarray, tuple, tuple]:
-    """GRID equispaced ts and the (position, velocity, acceleration) of Y and
-    of Y o f at them."""
-    ts = np.linspace(0.0, result.vertex_curve.domain_length, GRID, endpoint=False)
-    t = Jet.variable(ts, 2)
-    a, b = result.vertex_curve.positions(t), result.stepped(t)
-    return ts, (a.v, *a.d), (b.v, *b.d)
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    min_abs_det: float
-    det_sign_changes: tuple[float, ...]
-    curvature_sign_consistent: bool
-    samples: int
-
-    @property
-    def regular(self) -> bool:
-        return len(self.det_sign_changes) == 0 and self.min_abs_det > 0.0
-
-
-def envelope_regularity(result: EnvelopeResult) -> RegularityReport:
-    """Regularity determinant of the envelope, with B = Y o f, at GRID points.
-
-    Rows: (<Y',JD>, <B',JD>) and (<Y'',JD> + 2<Y',JD'>, <B'',JD> + 2<B',JD'>).
-    Cross-check: sign of <X'', J X'> must match sign of <D', J D>. A
-    reparametrization t = h(tau) multiplies both by powers of h' > 0, so
-    their signs do not depend on the parameter.
-    """
-    ts, (p0, v0, a0), (p1, v1, a1) = _side_jets(result)
-    delta, ddelta = p1 - p0, v1 - v0
-    jd, jdd = _J(delta), _J(ddelta)
-    row1a, row1b = _dot(v0, jd), _dot(v1, jd)
-    row2a = _dot(a0, jd) + 2 * _dot(v0, jdd)
-    row2b = _dot(a1, jd) + 2 * _dot(v1, jdd)
-    det = row1a * row2b - row1b * row2a
-
-    flips = np.nonzero(np.sign(det) * np.sign(np.roll(det, -1)) < 0)[0]
-    changes = tuple(float(ts[i]) for i in flips[:16])
-
-    _, xv, xa = result.curve.jet_many(ts)
-    lhs = xa[:, 0] * (-xv[:, 1]) + xa[:, 1] * xv[:, 0]   # <X'', J X'>
-    rhs = _dot(ddelta, jd)
-    consistent = bool(np.all(np.sign(lhs) == np.sign(rhs)))
-    return RegularityReport(float(np.min(np.abs(det))), changes, consistent, GRID)
-
-
-@dataclass(frozen=True)
-class InteriorityReport:
-    self_intersecting: bool
-    convexity_first_min: float    # min <D, J Y'>
-    convexity_second_min: float   # min <-D, J (Y o f)'>
-    s_min: float
-    s_max: float
-    samples: int
-
-    @property
-    def contacts_interior(self) -> bool:
-        return 0.0 < self.s_min and self.s_max < 1.0
-
-    @property
-    def passed(self) -> bool:
-        return (self.convexity_first_min > 0 and self.convexity_second_min > 0
-                and self.contacts_interior)
-
-
-def interiority_check(result: EnvelopeResult) -> InteriorityReport:
-    """Convexity inequalities and 0 < s < 1 at GRID points."""
-    ts, (p0, v0, _), (p1, v1, _) = _side_jets(result)
-    delta = p1 - p0
-    c1 = _dot(delta, _J(v0))
-    c2 = _dot(-delta, _J(v1))
-    s = result.s(ts)
-    selfx = polyline_self_intersects(result.vertex_curve.sample(SELF_INTERSECTION_SAMPLES))
-    return InteriorityReport(selfx, float(np.min(c1)), float(np.min(c2)),
-                             float(np.min(s)), float(np.max(s)), GRID)
 
 
 @dataclass(frozen=True)

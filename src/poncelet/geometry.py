@@ -33,8 +33,7 @@ def closure_steps(step: Fraction, total: Fraction) -> int:
     return abs((step / total).denominator)
 
 
-# Sample count of the vertex-curve scans that decide oracle mode and
-# envelope interiority.
+# Sample count of the vertex-curve scan that decides oracle mode.
 SELF_INTERSECTION_SAMPLES = 1024
 
 # Candidate segment pairs tested per block; bounds the scan's working memory.
@@ -50,12 +49,13 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def polyline_self_intersects(points, closed: bool = True) -> bool:
-    """True iff any two non-adjacent segments of the polyline intersect.
+def polyline_self_intersects(points) -> bool:
+    """True iff any two non-adjacent segments of the closed polyline
+    intersect.
 
-    Adjacency wraps across the end when closed. Touching endpoints of
-    adjacent segments never count; any contact between non-adjacent
-    segments does. Orientation signs use eps = 1e-12 on cross products.
+    Adjacency wraps across the end. Touching endpoints of adjacent segments
+    never count; any contact between non-adjacent segments does.
+    Orientation signs use eps = 1e-12 on cross products.
 
     Candidates come from a sort-and-sweep over x: the segments are sorted by
     the low end of their x-interval, and each is paired with the later ones
@@ -67,19 +67,13 @@ def polyline_self_intersects(points, closed: bool = True) -> bool:
     O(n + PAIR_BLOCK) memory, whatever the shape.
     """
     pts, eps = _as_points(points), 1e-12
-    npts = len(pts)
-    if npts < 3:
+    nseg = len(pts)
+    if nseg < 3:
         raise GeometryError("need at least 3 points")
-    if closed:
-        seg_a = pts
-        seg_b = np.roll(pts, -1, axis=0)
-    else:
-        seg_a = pts[:-1]
-        seg_b = pts[1:]
+    seg_a, seg_b = pts, np.roll(pts, -1, axis=0)
     if np.any(np.all(seg_a == seg_b, axis=1)):
         raise GeometryError("repeated consecutive points")
 
-    nseg = len(seg_a)
     lo = np.minimum(seg_a, seg_b)
     hi = np.maximum(seg_a, seg_b)
     order = np.argsort(lo[:, 0], kind="stable")
@@ -94,9 +88,7 @@ def polyline_self_intersects(points, closed: bool = True) -> bool:
         q = k - (last[p] - counts[p]) + p + 1
         i = np.minimum(order[p], order[q])
         j = np.maximum(order[p], order[q])
-        keep = j - i > 1
-        if closed:
-            keep &= ~((i == 0) & (j == nseg - 1))
+        keep = (j - i > 1) & ~((i == 0) & (j == nseg - 1))
         if _pairs_intersect(seg_a, seg_b, lo, hi, i[keep], j[keep], eps):
             return True
     return False

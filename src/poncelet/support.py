@@ -137,11 +137,6 @@ class PlaneCurve:
         ts = np.linspace(0.0, self.domain_length, n, endpoint=False)
         return self.positions(ts)
 
-    def closure_gap(self) -> float:
-        p0 = self.positions([0.0])[0]
-        p1 = self.positions([self.domain_length])[0]
-        return float(np.hypot(*(p1 - p0)))
-
     def min_speed(self) -> float:
         ts = np.linspace(0.0, self.domain_length, 1024, endpoint=False)
         vel = self.jet_many(ts, 1)[1]
@@ -195,20 +190,3 @@ def vertex_position_fn(p: SupportFunction, a: Callable, b: Callable) -> Callable
         return p0[:, None] * jets.stack([c, s]) + q[:, None] * jets.stack([-s, c])
 
     return pos
-
-
-def constant_width_check(p: SupportFunction) -> bool:
-    """True iff p(phi) + p(phi + pi) == 2a within 1e-10 on 720 points (k = 1)."""
-    if p.sheets != 1:
-        raise SupportError("constant width is defined for k = 1 curves only")
-    phi = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
-    width = p.eval(phi) + p.eval(phi + math.pi)
-    return float(np.max(np.abs(width - 2.0 * p.constant))) < 1e-10
-
-
-def signed_area(curve: PlaneCurve) -> float:
-    """Shoelace area of the closed polygon of 4096 curve samples."""
-    pts = curve.sample(4096)
-    x, y = pts[:, 0], pts[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - y * xn))

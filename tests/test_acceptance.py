@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from poncelet import circlemaps as cm
-from poncelet.envelope import envelope_from_vertex, interiority_check
+from poncelet.envelope import envelope_from_vertex
 from poncelet.equiangular import equiangular_pair, equilateral_pair
 from poncelet.geometry import polyline_self_intersects
 from poncelet.render import render_svg
 from poncelet.scene import load_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
 from poncelet.verify import verify_pair
+from test_circlemaps import rotation_number
+from test_envelope import chords
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -81,7 +83,7 @@ def test_criterion_04_rotation_number_and_conjugator():
     h = cm.from_fourier(TWO_PI, 0.0, (cm.FourierTerm(1, 0.09, -0.03),
                                       cm.FourierTerm(2, 0.0, 0.04)))
     f = cm.make_torsion(h, 2, 5)
-    tau = cm.rotation_number(f.map, 10**4)
+    tau = rotation_number(f.map, 10**4)
     H = cm.conjugator_to_rotation(f)
     xs = np.linspace(0.0, TWO_PI, 256, endpoint=False)
     conj_err = float(np.max(np.abs(H.lift(f.map.lift(xs)) - H.lift(xs) - 2 * TWO_PI / 5)))
@@ -102,7 +104,7 @@ def test_criterion_05_envelope_chord_specialization():
         res = envelope_from_vertex(curve_from_support(p), f)
         ts = np.linspace(0.0, L, 256, endpoint=False)
         closed = 0.5 * (1 + (1 / math.tan(math.pi / float(l))) * p.eval(ts, 1) / p.eval(ts))
-        worst = max(worst, float(np.max(np.abs(res.s(ts) - closed))))
+        worst = max(worst, float(np.max(np.abs(chords(res, ts) - closed))))
     _report(5, "chord parameter matches (1 + cot(pi/l) p'/p)/2 at 1e-10", worst < 1e-10,
             f"max deviation {worst:.2e}")
 
@@ -123,11 +125,11 @@ def test_criterion_06_interiority_randomized():
                             (cm.FourierTerm(1, float(rng.uniform(-0.06, 0.06)),
                                             float(rng.uniform(-0.06, 0.06))),))
         f = cm.make_torsion(h, 1, n)
-        rep = interiority_check(envelope_from_vertex(Y, f))
-        worst_lo = min(worst_lo, rep.s_min)
-        worst_hi = max(worst_hi, rep.s_max)
+        s = chords(envelope_from_vertex(Y, f), np.linspace(0.0, TWO_PI, 512, endpoint=False))
+        worst_lo = min(worst_lo, float(s.min()))
+        worst_hi = max(worst_hi, float(s.max()))
     ok = 0.0 < worst_lo and worst_hi < 1.0
-    _report(6, "contacts interior for 10 random convex pairs (512 samples each)",
+    _report(6, "contacts interior for 10 random convex pairs (512 starts each)",
             ok, f"s range [{worst_lo:.4f}, {worst_hi:.4f}]")
 
 

@@ -61,6 +61,23 @@ def _config(name):
     return load_scene(str(REPO / "configs" / f"{name}.json"))
 
 
+# the documents of the scenes below that no config holds
+DOCUMENTS = {
+    "envelope-from-vertex (conjugated)": _doc(
+        "envelope-from-vertex", {"support": _support(1.0, (2, 0.05), (3, -0.03)),
+                                 "step": {"m": 1, "n": 4, "h": _fourier(0.7, 1, 0.04, -0.03)}}),
+    "vertex-from-envelope": _doc(
+        "vertex-from-envelope", {"support": _support(2.0),
+                                 "step": {"m": 1, "n": 5, "h": _fourier(0.1, 1, 0.08, 0.03)}}),
+    "clan-from-vertex": _doc(
+        "clan-from-vertex", {"support": _support(1.0, (2, 0.04)),
+                             "steps": [_fourier(TWO_PI / 3, 1, sin=0.03),
+                                       _fourier(TWO_PI / 3, 2, cos=0.02)]}),
+    "clan-from-envelope": _doc(
+        "clan-from-envelope", {"support": _support(2.0),
+                               "steps": [_fourier(2.0, 1, sin=0.05), _fourier(2.4, 2, cos=0.04)]}),
+}
+
 # one scene per construction kind and verifier mode
 SCENES = {
     "equiangular-pair": lambda: _config("equiangular_triangle"),
@@ -68,19 +85,7 @@ SCENES = {
     "equilateral (sequence)": lambda: _config("equilateral_a85"),
     "equiangular-clan": lambda: _config("clan"),
     "envelope-from-vertex": lambda: _config("iterated_square"),
-    "envelope-from-vertex (conjugated)": lambda: build_scene(_doc(
-        "envelope-from-vertex", {"support": _support(1.0, (2, 0.05), (3, -0.03)),
-                                 "step": {"m": 1, "n": 4, "h": _fourier(0.7, 1, 0.04, -0.03)}})),
-    "vertex-from-envelope": lambda: build_scene(_doc(
-        "vertex-from-envelope", {"support": _support(2.0),
-                                 "step": {"m": 1, "n": 5, "h": _fourier(0.1, 1, 0.08, 0.03)}})),
-    "clan-from-vertex": lambda: build_scene(_doc(
-        "clan-from-vertex", {"support": _support(1.0, (2, 0.04)),
-                             "steps": [_fourier(TWO_PI / 3, 1, sin=0.03),
-                                       _fourier(TWO_PI / 3, 2, cos=0.02)]})),
-    "clan-from-envelope": lambda: build_scene(_doc(
-        "clan-from-envelope", {"support": _support(2.0),
-                               "steps": [_fourier(2.0, 1, sin=0.05), _fourier(2.4, 2, cos=0.04)]})),
+    **{name: (lambda doc=doc: build_scene(doc)) for name, doc in DOCUMENTS.items()},
 }
 
 

@@ -16,18 +16,28 @@ def perturbed(L=TWO_PI, c=0.0, a1=0.1, seed_terms=()):
     return cm.from_fourier(L, c, terms)
 
 
+def rotation_number(f: cm.CircleDiffeo, iterations: int) -> float:
+    """Poincare rotation number estimate F^k(0) / k, scaled into [0, 1)."""
+    x = cm.orbit((f,) * iterations, np.asarray(0.0))[-1]
+    return float(np.mod(x / iterations, f.circumference) / f.circumference)
+
+
+def min_slope(f: cm.CircleDiffeo, samples: int = 1024) -> float:
+    return float(f.derivative(np.linspace(0.0, f.circumference, samples, endpoint=False)).min())
+
+
 class TestRotationNumber:
     def test_rigid_rotation_two_fifths(self):
         f = cm.rotation(TWO_PI, TWO_PI * 2 / 5)
-        assert cm.rotation_number(f, 1000) == pytest.approx(0.4, abs=1e-12)
+        assert rotation_number(f, 1000) == pytest.approx(0.4, abs=1e-12)
 
     def test_identity_is_zero(self):
-        assert cm.rotation_number(cm.identity(TWO_PI), 500) == 0.0
+        assert rotation_number(cm.identity(TWO_PI), 500) == 0.0
 
     def test_conjugated_rotation_recovers_two_fifths(self):
         h = perturbed(a1=0.09, seed_terms=(cm.FourierTerm(2, 0.0, 0.04),))
         f = cm.make_torsion(h, 2, 5)
-        tau = cm.rotation_number(f.map, 10**4)
+        tau = rotation_number(f.map, 10**4)
         assert abs(tau - 0.4) < 1e-3
 
     def test_conjugacy_invariance(self):
@@ -38,8 +48,8 @@ class TestRotationNumber:
             f = cm.rotation(TWO_PI, amount)
             h = perturbed(a1=float(rng.uniform(0.02, 0.12)))
             conj = h.inverse().compose(f).compose(h)
-            t1 = cm.rotation_number(f, iterations)
-            t2 = cm.rotation_number(conj, iterations)
+            t1 = rotation_number(f, iterations)
+            t2 = rotation_number(conj, iterations)
             assert abs(t1 - t2) < 2.0 / iterations
 
 
@@ -106,7 +116,7 @@ class TestConjugator:
         xs = np.linspace(0, TWO_PI, 256, endpoint=False)
         err = np.abs(H.lift(f.map.lift(xs)) - H.lift(xs) - TWO_PI / 3)
         assert np.max(err) < 1e-8
-        assert H.min_derivative() > 0
+        assert min_slope(H) > 0
 
     def test_identity_map_has_identity_conjugator(self):
         f = cm.make_torsion(cm.identity(TWO_PI), 0, 1)
@@ -137,7 +147,7 @@ class TestLiftMechanics:
         f = cm.make_torsion(h, 1, 4)
         H = cm.conjugator_to_rotation(f)
         for g in (f.map, h.inverse().compose(h), H):
-            assert g.min_derivative(1024) > 0
+            assert min_slope(g) > 0
 
     def test_inversion_without_a_preimage_raises(self):
         # an increasing degree-one lift with slope 1 - 0.5 / 2 pi that jumps
@@ -164,7 +174,7 @@ class TestLiftMechanics:
         # the torsion-map section works on circumference 1 as well as 2*pi
         h = cm.from_fourier(1.0, 0.0, (cm.FourierTerm(1, 0.02, 0.0),))
         f = cm.make_torsion(h, 2, 5)
-        assert cm.rotation_number(f.map, 2000) == pytest.approx(0.4, abs=1e-3)
+        assert rotation_number(f.map, 2000) == pytest.approx(0.4, abs=1e-3)
 
 
 class TestMonotonicityCertificate:
@@ -191,7 +201,7 @@ class TestMonotonicityCertificate:
         # 1 - (0.6 + 0.6) < 0, yet F' = 1 + 0.6 cos x + 0.6 cos 2x >= 0.325
         terms = (cm.FourierTerm(1, 0.6, 0.0), cm.FourierTerm(2, 0.3, 0.0))
         f = cm.from_fourier(TWO_PI, 0.0, terms)
-        assert f.min_derivative(4096) == pytest.approx(0.325, abs=1e-6)
+        assert min_slope(f, 4096) == pytest.approx(0.325, abs=1e-6)
 
     def test_harmonic_above_the_cap_is_refused(self):
         with pytest.raises(cm.CircleMapError, match="4096"):

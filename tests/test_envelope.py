@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poncelet import circlemaps as cm
-from poncelet.envelope import (EnvelopeSingularity, clan_from_vertex, envelope_from_vertex,
-                               envelope_regularity, interiority_check)
-from poncelet.equiangular import ConstructionError
+from poncelet.envelope import EnvelopeSingularity, clan_from_vertex, envelope_from_vertex
+from poncelet.equiangular import ConstructionError, assemble
 from poncelet.geometry import polyline_self_intersects
 from poncelet.jets import Jet
 from poncelet.scene import build_scene
 from poncelet.support import PlaneCurve, SupportFunction, SupportTerm, curve_from_support
+from poncelet.verify import regularity_scan
 from poncelet.vertex import clan_from_envelope, vertex_from_envelope
 
 TWO_PI = 2 * math.pi
@@ -56,11 +56,21 @@ def cos_support(a, l, k=1):
     return SupportFunction(a, (SupportTerm(Fraction(l), 1.0),), k)
 
 
+def chords(res, ts) -> np.ndarray:
+    """Chord parameter s of the contact on side t, from Y(t) to Y(f(t)), for
+    each t in ts: where the polygon from t touches its first side."""
+    return assemble(res.walk(np.atleast_1d(ts)), res.vertex_curves, res.envelopes).chords[:, 0]
+
+
+def grid(res) -> np.ndarray:
+    return np.linspace(0.0, res.vertex_curve.domain_length, 512, endpoint=False)
+
+
 class TestEnvelopeFromVertex:
     def test_circle_with_rotation_gives_inner_circle_and_half(self):
         res = rot_pair(SupportFunction(1.0, (), 1), 1, 5)
         ts = np.linspace(0, TWO_PI, 128, endpoint=False)
-        assert np.max(np.abs(res.s(ts) - 0.5)) < 1e-12
+        assert np.max(np.abs(chords(res, ts) - 0.5)) < 1e-12
         radii = np.hypot(*res.curve.positions(ts).T)
         assert np.allclose(radii, math.cos(math.pi / 5), atol=1e-10)
 
@@ -73,7 +83,7 @@ class TestEnvelopeFromVertex:
             res = rot_pair(p, 1, n)   # rotation by L/n = 2*pi/l
             ts = np.linspace(0.05, p.domain_length, 256, endpoint=False)
             closed = 0.5 * (1 + (1 / math.tan(math.pi / float(l))) * p.eval(ts, 1) / p.eval(ts))
-            assert np.max(np.abs(res.s(ts) - closed)) < 1e-10
+            assert np.max(np.abs(chords(res, ts) - closed)) < 1e-10
 
     def test_chord_parameter_against_raw_finite_differences(self):
         # independent route: s from definition via FD derivatives of Y only
@@ -91,7 +101,7 @@ class TestEnvelopeFromVertex:
 
         res = rot_pair(p, 1, 3)
         for t in np.linspace(0.1, TWO_PI, 16):
-            assert res.s(np.array([t]))[0] == pytest.approx(s_fd(t), abs=1e-7)
+            assert chords(res, t)[0] == pytest.approx(s_fd(t), abs=1e-7)
 
     def test_tangency_identity(self):
         # side t, from Y(t) to Y(f(t)), is tangent to the envelope at X(t)
@@ -171,40 +181,42 @@ class TestEnvelopeFromVertex:
 
 
 class TestRegularity:
-    def test_circle_determinant_bounded_away_from_zero(self):
-        rep = envelope_regularity(rot_pair(SupportFunction(1.0, (), 1), 1, 4))
-        assert rep.regular
-        assert rep.min_abs_det > 0.1
+    def test_circle_envelope_speed_bounded_away_from_zero(self):
+        rep = regularity_scan(rot_pair(SupportFunction(1.0, (), 1), 1, 4).curve)
+        assert rep.near_zeros == ()
+        assert rep.min_speed > 0.1
 
     def test_positive_envelope_curvature_above_threshold(self):
         # a > max(2*l^2 - 1, 1) keeps the envelope curvature positive
-        rep = envelope_regularity(rot_pair(cos_support(17.3, 3), 1, 3))
-        assert rep.regular
-        assert rep.curvature_sign_consistent
+        pair = rot_pair(cos_support(17.3, 3), 1, 3)
+        assert regularity_scan(pair.curve).near_zeros == ()
+        _, v, a = pair.curve.jet_many(grid(pair))
+        assert np.all(v[:, 0] * a[:, 1] - v[:, 1] * a[:, 0] > 0)
 
     def test_curvature_sign_change_below_threshold(self):
-        rep = envelope_regularity(rot_pair(cos_support(16.7, 3), 1, 3))
-        assert len(rep.det_sign_changes) > 0
+        # below a = 2*l^2 - 1 the envelope's curvature changes sign: six
+        # cusps, where its speed vanishes
+        rep = regularity_scan(rot_pair(cos_support(16.7, 3), 1, 3).curve)
+        assert len(rep.near_zeros) == 6
+        assert all(speed < 1e-6 for _, speed in rep.near_zeros)
 
 
 class TestInteriority:
     def test_convex_pair_has_interior_contacts(self):
-        rep = interiority_check(rot_pair(cos_support(17.3, 3), 1, 3))
-        assert not rep.self_intersecting
-        assert rep.passed
-        assert 0.0 < rep.s_min and rep.s_max < 1.0
+        pair = rot_pair(cos_support(17.3, 3), 1, 3)
+        assert not polyline_self_intersects(pair.vertex_curve.sample(1024))
+        s = chords(pair, grid(pair))
+        assert 0.0 < s.min() and s.max() < 1.0
 
     def test_circle_contacts_at_midpoints(self):
-        rep = interiority_check(rot_pair(SupportFunction(1.0, (), 1), 2, 5))
-        assert rep.s_min == pytest.approx(0.5, abs=1e-10)
-        assert rep.s_max == pytest.approx(0.5, abs=1e-10)
+        pair = rot_pair(SupportFunction(1.0, (), 1), 2, 5)
+        assert np.max(np.abs(chords(pair, grid(pair)) - 0.5)) < 1e-10
 
     def test_winding_vertex_curve_breaks_interiority(self):
         p = cos_support(53 / 45, Fraction(4, 3), k=3)
         pair = rot_pair(p, 1, 4)
-        rep = interiority_check(pair)
-        assert rep.self_intersecting
-        assert rep.s_min < 0.0 and rep.s_max > 1.0
+        s = chords(pair, grid(pair))
+        assert s.min() < 0.0 and s.max() > 1.0
         assert polyline_self_intersects(pair.vertex_curve.sample(1024))
 
 
@@ -214,8 +226,8 @@ class TestIteratedFamily:
             a = max(interior_contact_bound(l), float(l * l) - 1) + 0.5
             p = cos_support(a, l, k=l.denominator)
             pair = rot_pair(p, 1, l.numerator)   # rotation by 2*pi/l
-            rep = interiority_check(pair)
-            assert 0.0 <= rep.s_min and rep.s_max <= 1.0
+            s = chords(pair, grid(pair))
+            assert 0.0 <= s.min() and s.max() <= 1.0
 
     def test_integer_l_bound_below_curvature_threshold(self):
         for l in (3, 4, 5, 6):

@@ -79,11 +79,11 @@ float_loops = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
 class TestPolylineSelfIntersection:
     def test_square_is_simple(self):
         square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-        assert polyline_self_intersects(square, closed=True) is False
+        assert polyline_self_intersects(square) is False
 
     def test_bowtie_crosses(self):
         bowtie = [(0, 0), (1, 1), (1, 0), (0, 1)]
-        assert polyline_self_intersects(bowtie, closed=True) is True
+        assert polyline_self_intersects(bowtie) is True
 
     def test_singular_figure_envelope_self_intersects(self):
         # envelope of the cusped rectangle example: x(t) = (5cos(t/3) - 4cos t + cos(5t/3))/6
@@ -92,7 +92,7 @@ class TestPolylineSelfIntersection:
         pts = curve.sample(1024)
         x_expected = (5 * np.cos(0.7 / 3) - 4 * np.cos(0.7) + np.cos(5 * 0.7 / 3)) / 6
         assert curve.positions([0.7])[0][0] == pytest.approx(x_expected, abs=1e-12)
-        assert polyline_self_intersects(pts, closed=True) is True
+        assert polyline_self_intersects(pts) is True
 
     def test_brute_force_agreement_on_random_loops(self):
         def brute(pts):
@@ -110,18 +110,18 @@ class TestPolylineSelfIntersection:
         for _ in range(30):
             m = int(rng.integers(4, 9))
             pts = [(float(x), float(y)) for x, y in rng.uniform(-1, 1, (m, 2))]
-            assert polyline_self_intersects(pts, closed=True) == brute(pts)
+            assert polyline_self_intersects(pts) == brute(pts)
 
     def test_invariance_under_rotation_of_list_and_rigid_motion(self):
         rng = np.random.default_rng(13)
         pts = [(float(x), float(y)) for x, y in rng.uniform(-1, 1, (7, 2))]
-        base = polyline_self_intersects(pts, closed=True)
+        base = polyline_self_intersects(pts)
         for shift in range(1, 7):
             rolled = pts[shift:] + pts[:shift]
-            assert polyline_self_intersects(rolled, closed=True) == base
+            assert polyline_self_intersects(rolled) == base
         c, s = math.cos(0.83), math.sin(0.83)
         moved = [(c * x - s * y + 5.0, s * x + c * y - 2.0) for x, y in pts]
-        assert polyline_self_intersects(moved, closed=True) == base
+        assert polyline_self_intersects(moved) == base
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(GeometryError):
@@ -130,29 +130,30 @@ class TestPolylineSelfIntersection:
             polyline_self_intersects([(0, 0), (0, 0), (1, 1)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_non_finite_points_rejected(self, bad, closed):
+    def test_non_finite_points_rejected(self, bad):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [bad, 1.0], [0.0, 1.0]])
         with pytest.raises(GeometryError, match="non-finite"):
-            polyline_self_intersects(pts, closed=closed)
+            polyline_self_intersects(pts)
         with pytest.raises(GeometryError, match="non-finite"):
-            polyline_self_intersects([tuple(p) for p in pts[::-1]], closed=closed)
+            polyline_self_intersects([tuple(p) for p in pts[::-1]])
 
     @pytest.mark.parametrize("gap, expected", [(5e-13, True), (1e-9, False)])
     def test_contact_within_eps_across_an_x_gap(self, gap, expected):
-        # the last segment ends `gap` to the right of the corner (1, 0)
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, -1.0], [2.0, -1.0], [1.0 + gap, 0.0]])
-        assert polyline_self_intersects(pts, closed=False) is expected
-        assert _all_pairs_self_intersects(pts, closed=False) is expected
+        # two segments end `gap` to the right of the corner (1, 0), whose
+        # segments' x-intervals end at 1; the loop closes above them
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, -1.0], [2.0, -1.0], [1.0 + gap, 0.0],
+                        [1.5, 1.0]])
+        assert polyline_self_intersects(pts) is expected
+        assert _all_pairs_self_intersects(pts) is expected
 
     @settings(max_examples=300)
-    @given(st.one_of(lattice_loops, float_loops), st.booleans())
+    @given(st.one_of(lattice_loops, float_loops))
     # a segment so short that |ab|^2 underflows to 0
-    @example([(0.0, 0.0), (0.0, 8.695129490408271e-204), (0.0, 0.0), (0.0, 1.0)], False)
-    def test_sweep_matches_all_pairs_reference(self, loop, closed):
+    @example([(0.0, 0.0), (0.0, 8.695129490408271e-204), (0.0, 0.0), (0.0, 1.0)])
+    def test_sweep_matches_all_pairs_reference(self, loop):
         pts = np.array(loop, dtype=float)
-        assert (_outcome(polyline_self_intersects, pts, closed)
-                == _outcome(_all_pairs_self_intersects, pts, closed))
+        assert (_outcome(polyline_self_intersects, pts)
+                == _outcome(_all_pairs_self_intersects, pts))
 
     def test_sweep_matches_all_pairs_reference_on_support_curves(self):
         rng = np.random.default_rng(17)
@@ -166,23 +167,21 @@ class TestPolylineSelfIntersection:
         answers = []
         for support in supports:
             pts = curve_from_support(support).sample(SELF_INTERSECTION_SAMPLES)
-            for closed in (True, False):
-                got = polyline_self_intersects(pts, closed=closed)
-                assert got == _all_pairs_self_intersects(pts, closed=closed)
-                answers.append(got)
+            got = polyline_self_intersects(pts)
+            assert got == _all_pairs_self_intersects(pts)
+            answers.append(got)
         assert True in answers and False in answers
 
-    @pytest.mark.parametrize("closed", [True, False])
-    def test_memory_bounded_for_any_shape(self, closed):
+    def test_memory_bounded_for_any_shape(self):
         t = np.linspace(0.0, 2 * math.pi, SELF_INTERSECTION_SAMPLES, endpoint=False)
         convex = np.column_stack([2.0 * np.cos(t), np.sin(t)])
         # zigzag whose segments all span the same x-interval: every pair is a candidate
         comb = np.column_stack([np.arange(SELF_INTERSECTION_SAMPLES) % 2,
                                 np.arange(SELF_INTERSECTION_SAMPLES) * 1e-3]).astype(float)
-        for pts, expected in ((convex, False), (comb, closed)):
+        for pts, expected in ((convex, False), (comb, True)):
             tracemalloc.start()
             try:
-                got = polyline_self_intersects(pts, closed=closed)
+                got = polyline_self_intersects(pts)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -190,33 +189,27 @@ class TestPolylineSelfIntersection:
             assert peak < 8 * 2**20
 
 
-def _outcome(scan, pts, closed):
+def _outcome(scan, pts):
     try:
-        return scan(pts, closed=closed)
+        return scan(pts)
     except GeometryError as exc:
         return str(exc)
 
 
-def _all_pairs_self_intersects(pts, closed=True, eps=1e-12):
-    """Reference: every non-adjacent segment pair tested at once."""
+def _all_pairs_self_intersects(pts, eps=1e-12):
+    """Reference: every non-adjacent segment pair of the closed polyline
+    tested at once."""
     pts = np.asarray(pts, dtype=float)
-    npts = len(pts)
-    if npts < 3:
+    nseg = len(pts)
+    if nseg < 3:
         raise GeometryError("need at least 3 points")
-    if closed:
-        seg_a = pts
-        seg_b = np.roll(pts, -1, axis=0)
-    else:
-        seg_a = pts[:-1]
-        seg_b = pts[1:]
+    seg_a, seg_b = pts, np.roll(pts, -1, axis=0)
     if np.any(np.all(seg_a == seg_b, axis=1)):
         raise GeometryError("repeated consecutive points")
 
-    nseg = len(seg_a)
     i_idx, j_idx = np.triu_indices(nseg, k=2)
-    if closed:
-        keep = ~((i_idx == 0) & (j_idx == nseg - 1))
-        i_idx, j_idx = i_idx[keep], j_idx[keep]
+    keep = ~((i_idx == 0) & (j_idx == nseg - 1))
+    i_idx, j_idx = i_idx[keep], j_idx[keep]
     if len(i_idx) == 0:
         return False
 

@@ -1,18 +1,14 @@
 """Golden polygons: every checked-in config's polygon at its render starts
-and at 8 equispaced starts, as the constructions built them before they
-shared one polygon assembler (tests/data/polygons.json). Each field must
-match to 1e-12 relative to the largest magnitude of that field.
+and at 8 equispaced starts (tests/data/polygons.json, written by
+`tests/rewrite_goldens.py polygons --write` from the one polygon assembler,
+so the current code reproduces it bit for bit). Each field must match to
+1e-12 relative to the largest magnitude of that field.
 
 Beside the goldens, every construction kind's contacts must agree with the
 envelopes they name: the envelope at the contact parameter is the contact
 point, and that point lies on its side line. A walk from no starts
 assembles to stacks with no rows.
-
-Since the equiangular vertex curves use the general tangent-meet formula,
-the clan, equiangular_hexagon and equiangular_triangle polygons differ from
-this file by at most 1.8e-14 (tests/rewrite_goldens.py polygons), well
-inside the tolerance, so the file still holds the older constructions'
-output."""
+"""
 
 import json
 from pathlib import Path
