@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .jets import Jet, chain
+from .jets import Jet, chain, series
 from .roots import GRID, circle_roots, newton_roots
 
 
@@ -162,20 +162,13 @@ def from_fourier(L: float, c: float, terms: tuple[FourierTerm, ...]) -> CircleDi
     if any(abs(t.j) > MAX_HARMONIC for t in terms):
         raise CircleMapError(f"Fourier lift harmonics are limited to |j| <= {MAX_HARMONIC}")
     w = 2.0 * math.pi / L
+    table = tuple((np.float64(w * t.j), t.cos_coeff, t.sin_coeff) for t in terms)
 
     def derivs(x, order):
         out = [x + c]
         if order:
             out += [np.ones_like(x)] + [np.zeros_like(x) for _ in range(order - 1)]
-        for t in terms:
-            k = w * t.j
-            sn, cs = np.sin(k * x), np.cos(k * x)
-            a, b = t.sin_coeff, t.cos_coeff
-            out[0] = out[0] + a * sn + b * cs
-            for n in range(1, order + 1):   # each derivative turns (a, b) by a quarter period
-                a, b = -b, a
-                out[n] = out[n] + k ** n * (a * sn + b * cs)
-        return out
+        return series(x, table, out)
 
     bound = abs(c) + sum(abs(t.sin_coeff) + abs(t.cos_coeff) for t in terms)
     f = CircleDiffeo(L, lambda x: chain(x, derivs), displacement_bound=bound)

@@ -2,7 +2,8 @@
 2nd ed., ch. 13). A Jet holds a value v and its derivatives d = (d1, ..., dK)
 along one parameter t as numpy arrays ((n,) for scalars, (n, 2) for points);
 results have the lower order of their operands. Every lift and position
-function of the library takes a plain array or a Jet."""
+function takes a plain array or a Jet; series differentiates the finite
+trigonometric sums of support functions and Fourier lifts."""
 
 from __future__ import annotations
 
@@ -104,6 +105,19 @@ def chain(x, derivs: Callable[[np.ndarray, int], list]):
     if isinstance(x, Jet):
         return x.compose(derivs(x.v, x.order))
     return derivs(np.asarray(x, dtype=float), 0)[0]
+
+
+def series(x: np.ndarray, terms: Sequence, out: list) -> list:
+    """Add the k-th derivative of sum (c cos(w x) + s sin(w x)) over the rows
+    (w, c, s) of terms to out[k] for each k < len(out); return out. Each term's
+    cos and sin are taken once; w is an np.float64, so w ** k overflows to inf."""
+    for w, c, s in terms:
+        cos, sin = np.cos(w * x), np.sin(w * x)
+        for k in range(len(out)):
+            a, b = ((c, s), (s, -c), (-c, -s), (-s, c))[k % 4]   # d/dx: (c, s) -> w (s, -c)
+            term = a * cos + b * sin
+            out[k] = out[k] + (w ** k * term if k else term)
+    return out
 
 
 def _trig(x, shift: int):

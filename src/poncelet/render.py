@@ -33,6 +33,13 @@ class RenderError(ValueError):
     pass
 
 
+def _unsigned_zero(a: np.ndarray) -> np.ndarray:
+    """a, with each value that prints as -0.000000 (-0.0 and the negatives
+    down to -5e-7) set to 0.0 in place, so that no digest sees the sign."""
+    a[(a <= 0.0) & (a >= -5e-7)] = 0.0
+    return a
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
@@ -82,7 +89,8 @@ def render_svg(envelopes: list[tuple[str, PlaneCurve]],
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     pad = margin * max(x1 - x0, y1 - y0, 1e-9)
-    vb = (x0 - pad, y0 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad)
+    vb = np.array([x0 - pad, y0 - pad, (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad])
+    vb = _unsigned_zero(vb).tolist()
     stroke = max(vb[2], vb[3]) / 400.0
 
     lines = [
@@ -91,7 +99,7 @@ def render_svg(envelopes: list[tuple[str, PlaneCurve]],
         f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} {_fmt(vb[3])}">',
     ]
     for name, color, pts, fill in paths:
-        d = "M" + _format_rows("L%.6f %.6f", pts * (1.0, -1.0))[1:]
+        d = "M" + _format_rows("L%.6f %.6f", _unsigned_zero(pts * (1.0, -1.0)))[1:]
         if fill is not None:
             d += "Z"
             attrs = f'fill="black" fill-opacity="{fill}" stroke="{color}"'

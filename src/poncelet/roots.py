@@ -86,7 +86,8 @@ def newton_roots(fn: Callable[[np.ndarray, np.ndarray], tuple], x, lo, hi, risin
     Where rising is True the function is negative at lo, else positive; each
     evaluation moves the end of its sign there. A bracket converges when
     |f| < ftol if ftol is given, else when its Newton step |f / f'| < xtol
-    max(1, |x|), and returns the Newton update. Else it steps to that update,
+    max(1, |x|), and returns the Newton update clipped into its bracket, which
+    holds the root where the update may not. Else it steps to that update,
     or to its midpoint if the update is not inside or the step not smaller
     than half the step before last (both start as the width), and a midpoint
     step below xtol max(1, |x|) returns the midpoint. A bracket open after
@@ -106,7 +107,7 @@ def newton_roots(fn: Callable[[np.ndarray, np.ndarray], tuple], x, lo, hi, risin
             small = xtol and xtol * np.maximum(1.0, np.abs(x))
             near = np.abs(f) < ftol if ftol else np.abs(newton) < small
             if k == steps or np.count_nonzero(near) == near.size:
-                roots[live[near]] = xn[near]
+                roots[live[near]] = np.clip(xn[near], lo[near], hi[near])
                 live, x = live[~near], x[~near]
                 break
             s = np.sign(f) * sense
@@ -117,7 +118,7 @@ def newton_roots(fn: Callable[[np.ndarray, np.ndarray], tuple], x, lo, hi, risin
             done = near | (step < small)
             state = [live, xn, lo, hi, sense, step, last]
             if np.count_nonzero(done):
-                roots[live[done]] = xn[done]
+                roots[live[done]] = np.clip(xn[done], lo[done], hi[done])
                 state = [v[~done] if np.ndim(v) else v for v in state]
     roots[live] = x
     open_ = np.zeros(roots.size, dtype=bool)

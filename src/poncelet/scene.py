@@ -260,11 +260,10 @@ class Scene:
         polys = eq.assemble(c.walk(starts), c.vertex_curves, c.envelopes)
         return [polys[i] for i in range(len(starts))]
 
-    def verify(self, probes: int | None = None, tol: float | None = None) -> VerificationReport:
+    def verify(self, probes: int | None = None) -> VerificationReport:
         opts = self.verify_options
         return verify_pair(self.configuration,
-                           probes=probes if probes is not None else opts.probes,
-                           tol=tol if tol is not None else opts.tol)
+                           probes=probes if probes is not None else opts.probes, tol=opts.tol)
 
 
 def _oracle_capable(vertex_curve: PlaneCurve, envelope_support: SupportFunction | None) -> bool:

@@ -41,8 +41,8 @@ class SupportFunction:
     constant: float
     terms: tuple[SupportTerm, ...] = ()
     sheets: int = 1
-    # each term's frequency as a float, converted once
-    _frequencies: tuple = field(init=False, repr=False, compare=False)
+    # the (l, c, s) rows of jets.series, l converted to np.float64 once
+    _series: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sheets < 1:
@@ -56,8 +56,8 @@ class SupportFunction:
                     f"frequency {t.frequency} is not periodic on {self.sheets} sheets "
                     f"(l*k = {t.frequency * self.sheets} is not an integer)"
                 )
-        # np.float64, so that l ** order overflows to inf, not an error
-        object.__setattr__(self, "_frequencies", tuple(np.float64(t.frequency) for t in self.terms))
+        rows = tuple((np.float64(t.frequency), t.cos_coeff, t.sin_coeff) for t in self.terms)
+        object.__setattr__(self, "_series", rows)
 
     @property
     def domain_length(self) -> float:
@@ -86,17 +86,13 @@ class SupportFunction:
         """p, p', ..., p^(count - 1) at phi, each term's cos and sin taken once."""
         phi = self._reduce(np.asarray(phi, dtype=float))
         out = [np.full_like(phi, self.constant if i == 0 else 0.0) for i in range(count)]
-        for t, l in zip(self.terms, self._frequencies):
-            arg = l * phi
-            cos, sin = np.cos(arg), np.sin(arg)
-            c, s = t.cos_coeff, t.sin_coeff
-            for order in range(count):
-                a, b = ((c, s), (s, -c), (-c, -s), (-s, c))[order % 4]
-                out[order] = out[order] + (l ** order) * (a * cos + b * sin)
-        return out
+        return jets.series(phi, self._series, out)
 
     def min_curvature_radius(self) -> float:
-        phi = np.linspace(0.0, self.domain_length, 2048, endpoint=False)
+        """min (p + p'') over 2048 points of the domain, or 8 per period of the
+        highest term when that is more: its l k periods must not alias."""
+        turns = round(max((l for l, _, _ in self._series), default=0.0) * self.sheets)
+        phi = np.linspace(0.0, self.domain_length, max(2048, 8 * turns), endpoint=False)
         p = self.derivatives(phi, 3)
         return float(np.min(p[0] + p[2]))
 

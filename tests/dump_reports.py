@@ -27,8 +27,9 @@ two commits, unpack the older one and dump both with this file:
     python tests/dump_reports.py --compare old.txt new.txt
 
 `--compare OLD NEW` reads two such dumps. It prints how many reports are
-identical, how many floats moved and the largest move, and then every other
-difference: a changed `checks`, `passed`, `errors`, `mode`,
+identical, how many floats moved and the largest move, then each case whose
+floats or CSV digests moved, with how many and its largest move, and then
+every other difference: a changed `checks`, `passed`, `errors`, `mode`,
 `oracle_direction`, `probes` or SVG digest, or a case only one dump holds. A
 curve's CSV digest that moved counts as moved floats when its strided
 samples moved, each by less than SAMPLE_MOVE, and the largest such move is
@@ -94,21 +95,25 @@ def compare(old_path: str, new_path: str) -> int:
     old, new = _dump(old_path), _dump(new_path)
     moves: list[float] = []
     digests: list[float] = []
+    moved: list[str] = []
     changes = [f"{case}: only in {new_path if case in new else old_path}"
                for case in sorted(old.keys() ^ new.keys())]
     both = [case for case in old if case in new]
     for case in both:
         a, b = json.loads(old[case]), json.loads(new[case])
-        if case.endswith("@render"):
-            _walk_render(a, b, case, digests, changes)
-        else:
-            _walk(a, b, case, moves, changes)
+        walk, pool, what = ((_walk_render, digests, "CSV digests") if case.endswith("@render")
+                            else (_walk, moves, "floats"))
+        here: list[float] = []
+        walk(a, b, case, here, changes)
+        pool += here
+        if here:
+            moved.append(f"{case}: {len(here)} {what} moved, largest {max(here):.3g}")
     same = sum(old[case] == new[case] for case in both)
     print(f"{same} of {len(both)} lines identical; {len(moves)} floats moved, "
           f"largest {max(moves, default=0.0):.3g}; {len(digests)} CSV digests moved with "
           f"their strided samples, largest {max(digests, default=0.0):.3g}; "
           f"{len(changes)} changes")
-    for line in changes:
+    for line in moved + changes:
         print("  " + line)
     return 1 if changes else 0
 

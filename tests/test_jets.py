@@ -85,6 +85,48 @@ class TestArithmetic:
             jets.sin(Jet.variable(TS, 4))
 
 
+# --- the trigonometric-series kernel ----------------------------------------------
+
+# (w, c, s) rows; lifts pass negative and zero w, supports positive w only
+SERIES_ROWS = [(np.float64(w), c, s) for w, c, s in
+               [(3.0, 0.4, -0.25), (-2.5, 0.1, 0.7), (0.0, 1.5, -0.3), (0.5, 0.0, 2.0)]]
+
+
+@pytest.mark.parametrize("row", SERIES_ROWS, ids=lambda row: f"w={row[0]}")
+def test_series_matches_the_closed_form_to_order_five(row):
+    # d^n/dx^n (c cos wx + s sin wx) = w^n (c cos(wx + n pi/2) + s sin(wx + n pi/2))
+    w, c, s = row
+    got = jets.series(TS, [row], [np.zeros_like(TS) for _ in range(6)])
+    for n, d in enumerate(got):
+        arg = w * TS + n * math.pi / 2
+        want = w ** n * (c * np.cos(arg) + s * np.sin(arg))
+        assert np.allclose(d, want, rtol=0, atol=1e-13 * max(1.0, abs(w)) ** n), n
+
+
+def test_series_adds_every_row_to_what_out_holds():
+    got = jets.series(TS, SERIES_ROWS, [np.full_like(TS, n) for n in range(6)])
+    for n, d in enumerate(got):
+        want = n + sum(jets.series(TS, [row], [np.zeros_like(TS)] * (n + 1))[n]
+                       for row in SERIES_ROWS)
+        assert np.allclose(d, want, rtol=0, atol=1e-12), n
+
+
+def test_lift_terms_of_negative_and_zero_harmonic_follow_the_written_out_sum():
+    terms = (cm.FourierTerm(-2, 0.03, -0.02), cm.FourierTerm(0, 0.1, 0.2),
+             cm.FourierTerm(1, 0.01, 0.04))
+    for got, want in zip(jet_of(cm.from_fourier(TWO_PI, 0.3, terms).lift, TS),
+                         fourier_derivs(0.3, terms, TWO_PI, TS)):
+        assert np.allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_lift_derivative_of_a_huge_harmonic_overflows_to_infinity():
+    # w = 2 pi / L is about 6.3e150, so w ** 3 is past the float range
+    h = cm.from_fourier(1e-150, 0.0, (cm.FourierTerm(1, 1e-200),))
+    with np.errstate(over="ignore"):
+        v, d1, d2, d3 = jet_of(h.lift, np.array([0.3e-150]))
+    assert np.isfinite([v, d1, d2]).all() and np.isinf(d3).all()
+
+
 # --- circle maps -----------------------------------------------------------------
 
 def fourier_derivs(c, terms, L, x):

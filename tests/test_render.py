@@ -15,6 +15,12 @@ curves began to use the general tangent-meet formula: vertex-1 to vertex-3
 of clan.json and the vertex curve of equiangular_hexagon.json and of
 equiangular_triangle.json. Their sample values moved by at most 1.1e-14
 absolute. Every SVG hash and every other CSV hash stayed as it was.
+
+Seven SVG hashes were rewritten by that tool when coordinates that round to
+zero began to print as 0.000000 instead of -0.000000: every config's but
+equiangular_hexagon.json's, whose SVG held no such coordinate. Each new SVG
+is the old one with every -0.000000 token replaced by 0.000000; every CSV
+hash stayed as it was.
 """
 
 import dataclasses
@@ -119,6 +125,35 @@ def test_format_rows_matches_per_value_formatting(pool, n, seed):
 
 def test_format_rows_of_empty_table():
     assert _format_rows("%.6f", np.zeros((0, 1))) == ""
+
+
+def _unsigned(text: str) -> str:
+    return "0.000000" if text == "-0.000000" else text
+
+
+def _svg_of_points(points) -> str:
+    curve = PlaneCurve(1.0, label="fixed", position_fn=lambda ts: np.array(points, dtype=float))
+    return render_svg([("envelope", curve)], [], [], samples=len(points), margin=0.0)
+
+
+def test_svg_coordinates_that_round_to_zero_print_unsigned():
+    # -0.0 and the negatives down to -5e-7 print as 0.000000, every other
+    # value as on its own; the y flip makes every y = 0.0 such a -0.0
+    near = [0.0, -0.0, 5e-7, -5e-7, -4.999999999999999e-7, -5.000000000000001e-7,
+            -5e-324, 1.5e-6, -2.5e-6, 3.0]
+    table = [(x, y) for x in near for y in near]
+    d = re.search(r' d="M([^"]*)"', _svg_of_points(table)).group(1)
+    assert d == "L".join(f"{_unsigned(f'{x:.6f}')} {_unsigned(f'{-y:.6f}')}"
+                         for x, y in table + table[:1])
+    view = re.search(r'viewBox="([^"]*)"', _svg_of_points([(-1e-7, 1e-7), (3.0, -3.0)])).group(1)
+    assert view == "0.000000 0.000000 3.000000 3.000000"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN["configs"]))
+def test_config_svg_holds_no_negative_zero(name):
+    scene = load_scene(str(CONFIGS / name))
+    opts = scene.render_options
+    assert "-0.000000" not in _svg(scene, samples=opts.samples, margin=opts.margin)
 
 
 CIRCLE = curve_from_support(SupportFunction(1.0, (), 1))

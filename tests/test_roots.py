@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poncelet import roots, verify
@@ -30,6 +30,8 @@ bracket = st.tuples(st.lists(coefficient, min_size=7, max_size=7),
 
 @settings(max_examples=150)
 @given(st.lists(bracket, min_size=1, max_size=12))
+# sin 3t on [-1.9e-124, 0.5]: the converged secant update, -2.5e-16, lies outside
+@example([([0.0] * 6 + [1.0], -1.8538887726799102e-124, 0.5)])
 def test_lockstep_roots_match_one_bracket_at_a_time(brackets):
     # the solver's state holds only the live brackets; compacting it must
     # not change any bracket's arithmetic

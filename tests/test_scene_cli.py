@@ -113,6 +113,21 @@ class TestCheckedInConfigs:
         assert config.envelope_supports[0].min_curvature_radius() < 0
         assert config.mode == "sequence"
 
+    @pytest.mark.parametrize("l, s", [(1024, 2e-6), (2048, 1e-6), (4096, 1e-6)])
+    def test_cusps_of_a_high_frequency_term_are_not_aliased_away(self, l, s):
+        # p = 1 + s sin(l phi) has rho = 1 - (l^2 - 1) s sin(l phi), negative
+        # somewhere; 2048 samples of a whole number of periods of sin(l phi)
+        # with l a multiple of 1024 all read 0 and would report rho = 1
+        doc = {"construction": "equiangular-pair",
+               "parameters": {"support": {"a": 1.0, "terms": [{"l_num": l, "l_den": 1, "sin": s}]},
+                              "angle": {"num": 2, "den": 3}}}
+        scene = build_scene(doc)
+        config = scene.configuration
+        assert config.envelope_supports[0].min_curvature_radius() == pytest.approx(
+            1.0 - (l * l - 1) * s, rel=1e-12)
+        assert config.mode == "sequence"
+        assert scene.verify().passed
+
     def test_self_intersecting_vertex_curve_is_not_oracle_capable(self):
         circle = SupportFunction(1.0)
         cusped = curve_from_support(
