@@ -12,7 +12,12 @@ inversion, and the verifier's contact solves. A function whose jet would
 need one order more than its caller's curves give takes `secant_roots`:
 the same loop, with the slope of the secant through each bracket's last
 two points, which converges superlinearly (order 1.618) as the secant
-method does, and bisects where that step would not.
+method does, and bisects where that step would not. A solve to a step
+tolerance stops as soon as the error of its next update is below that
+tolerance: the step itself, or the a-posteriori estimate that two Newton
+steps in a row give for an iteration of order p (C. T. Kelley, *Solving
+Nonlinear Equations with Newton's Method*, SIAM 2003, on terminating the
+iteration), so it does not spend an evaluation on a root it already holds.
 """
 
 from __future__ import annotations
@@ -34,11 +39,12 @@ def circle_roots(fn: Callable[[np.ndarray, np.ndarray], tuple], L: float, ts: np
     grid value of exactly 0 is a root (so a caller's rounding-level rule
     sets such samples to 0), and every sign change between neighbours, last
     and first included, is a bracket (see sign_change); one newton_roots
-    call refines them all from their secant points to a step below 1e-15
-    max(1, |t|). Returns the row-sorted arrays (row, root, open), each
-    row's roots ascending; open marks the last points of brackets that did
-    not converge. A root within 1e-9 L of its predecessor in the row, or of
-    the row's first root across the seam, is dropped.
+    call refines them all from their secant points until a step, or the
+    estimated error of the update, is below 1e-15 max(1, |t|). Returns the
+    row-sorted arrays (row, root, open), each row's roots ascending; open
+    marks the last points of brackets that did not converge. A root within
+    1e-9 L of its predecessor in the row, or of the row's first root across
+    the seam, is dropped.
     """
     after = np.concatenate([vals[:, 1:], vals[:, :1]], axis=1)
     row, col = np.nonzero(sign_change(vals, after))
@@ -78,34 +84,44 @@ def secant_point(lo, hi, flo, fhi) -> np.ndarray:
 
 
 def newton_roots(fn: Callable[[np.ndarray, np.ndarray], tuple], x, lo, hi, rising,
-                 ftol: float = 0.0, xtol: float = 0.0,
-                 steps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+                 ftol: float = 0.0, xtol: float = 0.0, steps: int = 100,
+                 _order: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
     """Roots of fn in the brackets [lo[i], hi[i]] by safeguarded Newton from
     x[i] (arrays), and a not-converged mask. fn(x, idx) gives the values and
     slopes at x[j] of bracket idx[j]'s function, for the live brackets only.
     Where rising is True the function is negative at lo, else positive; each
     evaluation moves the end of its sign there. A bracket converges when
-    |f| < ftol if ftol is given, else when its Newton step |f / f'| < xtol
-    max(1, |x|), and returns the Newton update clipped into its bracket, which
-    holds the root where the update may not. Else it steps to that update,
-    or to its midpoint if the update is not inside or the step not smaller
-    than half the step before last (both start as the width), and a midpoint
-    step below xtol max(1, |x|) returns the midpoint. A bracket open after
-    `steps` steps returns its last point and is flagged.
+    |f| < ftol if ftol is given, else when its Newton step a = |f / f'| is
+    below xtol max(1, |x|), or when its last step was a Newton step too, of
+    length last > 2 a, and the estimated error of this update, a (a /
+    last)**_order, is below that bound. _order is the iteration's order: 2
+    for slopes that fn computes, 1.618 for secant_roots' secant slopes. A
+    converged bracket returns the Newton update clipped into its bracket,
+    which holds the root where the update may not. Else it steps to that
+    update, or to its midpoint if the update is not inside or the step not
+    smaller than half the step before last (both start as the width), and a
+    midpoint step below xtol max(1, |x|) returns the midpoint. A bracket
+    open after `steps` steps returns its last point and is flagged.
     """
     roots = np.empty(x.size)
-    # index, point, ends, 1 where f < 0 at lo, the last step and the one before
-    state = [np.arange(x.size), x, lo, hi, np.where(rising, 1.0, -1.0), hi - lo, hi - lo]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # index, point, ends, 1 where f < 0 at lo, the last step and the one
+    # before, and whether the last step was a Newton step
+    state = [np.arange(x.size), x, lo, hi, np.where(rising, 1.0, -1.0), hi - lo, hi - lo,
+             np.zeros(x.size, dtype=bool)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k in range(steps + 1):
-            live, x, lo, hi, sense, last, before = state
+            live, x, lo, hi, sense, last, before, newt = state
             if not live.size:
                 break
             f, d = fn(x, live)
             newton = f / d
             xn = x - newton
             small = xtol and xtol * np.maximum(1.0, np.abs(x))
-            near = np.abs(f) < ftol if ftol else np.abs(newton) < small
+            if ftol:
+                near = np.abs(f) < ftol
+            else:
+                a = np.abs(newton)
+                near = (a < small) | newt & (a < 0.5 * last) & (a * (a / last) ** _order < small)
             if k == steps or np.count_nonzero(near) == near.size:
                 roots[live[near]] = np.clip(xn[near], lo[near], hi[near])
                 live, x = live[~near], x[~near]
@@ -116,7 +132,7 @@ def newton_roots(fn: Callable[[np.ndarray, np.ndarray], tuple], x, lo, hi, risin
             xn = np.where(take, xn, 0.5 * (lo + hi))
             step = np.abs(xn - x)
             done = near | (step < small)
-            state = [live, xn, lo, hi, sense, step, last]
+            state = [live, xn, lo, hi, sense, step, last, take]
             if np.count_nonzero(done):
                 roots[live[done]] = np.clip(xn[done], lo[done], hi[done])
                 state = [v[~done] if np.ndim(v) else v for v in state]
@@ -134,7 +150,9 @@ def secant_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, flo
     holds; a bracket with an end value of exactly 0 returns that end, and
     every other bracket is one of newton_roots' (xtol 1e-15), from its
     secant point, with the slope of the secant through its last two
-    points, the first of them its hi end.
+    points, the first of them its hi end. Its error estimate takes the
+    secant method's order, 1.618: the square law of Newton would predict
+    too small an error and stop it early.
     """
     lo, hi, flo, fhi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, flo, fhi))
     out, open_ = np.where(flo == 0.0, lo, hi), np.zeros(lo.size, dtype=bool)
@@ -149,5 +167,6 @@ def secant_roots(fn: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, flo
 
     lo, hi, flo, fhi = lo[solve], hi[solve], flo[solve], fhi[solve]
     out[solve], open_[solve] = newton_roots(value_and_secant, secant_point(lo, hi, flo, fhi),
-                                            lo, hi, flo < 0, xtol=1e-15, steps=steps)
+                                            lo, hi, flo < 0, xtol=1e-15, steps=steps,
+                                            _order=1.618)
     return out, open_

@@ -36,7 +36,8 @@ the slope that one evaluation gives with the value: C's derivatives and
 K's order-1 jet in the oracle's circle scans, the envelope's order-2 jet
 in the contact solves, and the secant through the last two points where
 the slope would need an order-3 jet (roots.secant_roots). A bracket that
-does not converge is a report error, never a silent last point.
+does not converge is a report error, never a silent last point, and so is
+a recovered contact that misses the walk's.
 """
 
 from __future__ import annotations
@@ -501,7 +502,10 @@ def _verify_oracle(config, starts, tol, report):
 def _verify_sequence(config, starts, tol, report):
     """Measure the polygons of every probe's walk, assembled on the
     configuration's curves, and recover each side's contact on its envelope
-    independently of the construction's contact parameter."""
+    independently of the construction's contact parameter. A side whose
+    recovered contact (the one nearest the walk's, if several) misses the
+    walk's contact parameter by tol or more is a report error that names
+    both parameters."""
     poly = assemble(config.walk(starts), config.vertex_curves, config.envelopes)
     _polygon_metrics(report, config, poly, config.expected_turns)
     mismatch = 0.0
@@ -515,18 +519,21 @@ def _verify_sequence(config, starts, tol, report):
             flat = np.all(a == b, axis=1)
             errors.extend(((int(probe[i]), int(side[i])), f"side {side[i]} on envelope {k} has "
                            "zero length") for i in np.flatnonzero(flat))
-            near = circle_distance(side_contact_recover(a[~flat], b[~flat], sup)[0], at[~flat],
-                                   sup.period)
+            kept = np.flatnonzero(~flat)
+            got = side_contact_recover(a[kept], b[kept], sup)[0]
+            near = circle_distance(got, at[kept], sup.period)
         else:
             grid_ts = np.linspace(0.0, curve.domain_length, GRID, endpoint=False)
             found, stuck = parametric_side_contacts(a, b, curve, grid_ts, curve.jet_many(grid_ts),
                                                     dist_tol=max(tol, 1e-8))
             hits = np.array([len(f) for f in found])
-            near = np.full(len(at), np.inf)
+            kept = np.flatnonzero(hits)
+            # each side's recovered parameter nearest its walk parameter
             owner = np.repeat(np.arange(len(at)), hits)
-            np.minimum.at(near, owner, circle_distance(
-                np.array([t for f in found for t in f]), at[owner], curve.domain_length))
-            near = near[hits > 0]
+            got = np.array([t for f in found for t in f])
+            dist = circle_distance(got, at[owner], curve.domain_length)
+            nearest = np.lexsort((dist, owner))[np.cumsum(hits[kept]) - hits[kept]]
+            got, near = got[nearest], dist[nearest]
             for i in np.nonzero(stuck | (hits == 0))[0]:
                 where = (int(probe[i]), int(side[i]))
                 if stuck[i]:
@@ -536,6 +543,12 @@ def _verify_sequence(config, starts, tol, report):
                 if not hits[i]:
                     errors.append((where, f"no tangency of side {where[1]} recovered on "
                                           f"envelope {k} near t = {at[i]:.6f}"))
+        for i in np.flatnonzero(~(near < tol)):
+            j = kept[i]
+            errors.append(((int(probe[j]), int(side[j])), (
+                f"start {starts[probe[j]]:.6f}: contact of side {side[j]} on envelope {k} "
+                f"recovered at t = {got[i]:.6f}, not at the walk's t = {at[j]:.6f} "
+                f"(mismatch {near[i]:.6g})")))
         if near.size:
             mismatch = float(np.maximum(mismatch, np.max(near)))
     report.errors.extend(msg for _, msg in sorted(errors, key=lambda e: e[0]))

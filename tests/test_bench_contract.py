@@ -230,7 +230,7 @@ def test_positions_of_a_jet_count_its_points():
 
 def test_root_solver_signature():
     assert list(inspect.signature(roots.newton_roots).parameters) == [
-        "fn", "x", "lo", "hi", "rising", "ftol", "xtol", "steps"]
+        "fn", "x", "lo", "hi", "rising", "ftol", "xtol", "steps", "_order"]
     assert list(inspect.signature(roots.secant_roots).parameters) == ["fn", "lo", "hi", "flo",
                                                                        "fhi", "steps"]
 

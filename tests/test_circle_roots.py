@@ -126,9 +126,10 @@ def test_scan_refines_one_root_per_sign_change_to_the_bisection_root(rows):
     assert not open_.any() and np.array_equal(row, r)
     assert np.all(np.abs(x - ref) <= 1e-12)
 
-    # a one-step cap leaves brackets open, and the oracle's adapter returns
-    # no root of a row with an open bracket
-    with mock.patch.object(roots, "newton_roots", functools.partial(newton_roots, steps=1)):
+    # a cap of no step leaves brackets open (one step can already converge on
+    # the error estimate), and the oracle's adapter returns no root of a row
+    # with an open bracket
+    with mock.patch.object(roots, "newton_roots", functools.partial(newton_roots, steps=0)):
         row1, x1, open1 = roots.circle_roots(fn, L, TS, vals)
         kept, root, errors = verify._circle_roots(fn, L, TS, vals)
     assert np.array_equal(row1, r)

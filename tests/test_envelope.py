@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -392,10 +393,12 @@ def conjugated_steps(draw, fractions):
     return support, {"c": draw(st.floats(0.0, TWO_PI)), "terms": terms}, m, n
 
 
-def conjugated_scene(support: dict, h: dict, m: int, n: int):
+def conjugated_scene(support: dict, h: dict | None, m: int, n: int):
+    """The envelope-from-vertex scene of the step m/n, conjugated by h if given."""
+    step = {"m": m, "n": n} if h is None else {"m": m, "n": n, "h": h}
     return build_scene({
         "construction": "envelope-from-vertex",
-        "parameters": {"support": support, "step": {"m": m, "n": n, "h": h}},
+        "parameters": {"support": support, "step": step},
         "verify": {"probes": 8, "tol": None, "expect_interior": True}})
 
 
@@ -438,6 +441,41 @@ def test_star_step_envelope_verifies():
     support = workloads._convex_support(random.Random(0))
     report = conjugated_scene(support, {"c": 0.0, "terms": [{"j": 1}]}, 2, 5).verify()
     assert report.passed, report.errors
+
+
+MISSED_CONTACT = re.compile(r"start (\d+\.\d+): contact of side (\d+) on envelope 0 recovered "
+                            r"at t = (\d+\.\d+), not at the walk's t = (\d+\.\d+) "
+                            r"\(mismatch (\S+)\)")
+
+
+@pytest.mark.parametrize("c2, c3, h", [
+    (-0.0585017, 0.0347434, None),
+    (0.0551075, 0.0257954, {"c": 2.64253, "terms": [{"j": 1, "sin": -0.02893, "cos": 0.00135297}]}),
+], ids=["seed-1", "seed-0-with-h"])
+def test_a_contact_recovered_off_the_walk_is_an_error(c2, c3, h):
+    # two draws of the seeded m/n = 2/5 sweep (random.Random(seed), support
+    # from the benchmark's _convex_support, then h): each construction
+    # closes and is tangent to rounding, but the independent contact
+    # recovery picks a tangency about 0.012 from the walk's contact on one
+    # side, next to a near-cusp; such a miss fails contact_recovery, and the
+    # report must name it (the side, its probe start, both parameters and
+    # the mismatch) rather than fail with no error
+    support = {"a": 1.0, "k": 1, "terms": [{"l_num": 2, "l_den": 1, "cos": c2, "sin": 0.0},
+                                           {"l_num": 3, "l_den": 1, "cos": c3, "sin": 0.0}]}
+    report = conjugated_scene(support, h, 2, 5).verify(64)
+    assert all(ok for check, ok in report.checks.items() if check != "contact_recovery")
+    misses = [MISSED_CONTACT.fullmatch(e) for e in report.errors]
+    assert report.checks["contact_recovery"] == (not report.errors)
+    assert all(misses)
+    starts = np.linspace(0.0, TWO_PI, 64, endpoint=False) + 0.05 * TWO_PI / 64
+    worst = 0.0
+    for miss in misses:
+        start, got, want, mismatch = (float(miss[i]) for i in (1, 3, 4, 5))
+        assert np.min(np.abs(starts - start)) < 1e-6 and 0 <= int(miss[2]) < 5
+        assert mismatch >= report.tol
+        assert mismatch == pytest.approx(float(cm.circle_distance(got, want, TWO_PI)), abs=2e-6)
+        worst = max(worst, mismatch)
+    assert worst == pytest.approx(report.max_step_mismatch, rel=1e-5)
 
 
 # every torsion construction from the step maps of an n-gon on the circle of

@@ -55,7 +55,15 @@ hexagon's closure_error at 64 probes, 4.3e-14 to 7.6e-14), in eight of the
 nine cases; wankel at 24 probes did not move. The forced pair's errors kept
 their order and text but for 13 full-precision parameters, each within
 1e-12 relative. No checks, passed, errors, mode, oracle_direction or probe
-count changed."""
+count changed.
+
+It was rewritten by tests/rewrite_goldens.py when a Newton solve began to
+stop on the estimated error of its update as well as on its step, one
+evaluation sooner. 29 floats moved, each by at most 3.6e-14 absolute (the
+hexagon's min_premature_closure at 64 probes), seven s_range pairs moved in
+their last bits, and the forced pair's errors kept their order and text
+but for 15 full-precision parameters, each within 1e-12 relative. No
+checks, passed, mode, oracle_direction or probe count changed."""
 
 import dataclasses
 import json

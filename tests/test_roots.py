@@ -119,12 +119,13 @@ def counting(solve, counts: list):
 
 @pytest.mark.parametrize("name", ["wankel", "equiangular_hexagon", "iterated_square"])
 def test_verify_brackets_end_at_the_rounding_floor(monkeypatch, name):
-    # every solve is Newton from its cell's secant point, and stops when its
-    # step reaches the rounding floor: the oracle's circle scans take 3.1
-    # evaluations per scan on the oracle-convex benchmark scenes where
-    # Anderson-Bjorck took 5.3; iterated_square's contact solve takes at
-    # most 7 Newton steps on the slope g'' where Anderson-Bjorck took 9,
-    # and its Rolle split at most 9 secant-slope steps
+    # every solve is Newton from its cell's secant point, and stops when the
+    # estimated error of its update reaches the rounding floor: the oracle's
+    # circle scans take 2.0 evaluations per scan on the oracle-convex
+    # benchmark scenes where Anderson-Bjorck took 5.3 and a stop on the step
+    # alone 3.1; iterated_square's contact solve takes at most 5 Newton
+    # steps on the slope g'' (9 for Anderson-Bjorck, 7 for the step alone),
+    # and its Rolle split at most 4 secant-slope steps (5 for the step alone)
     scans, contacts, splits = [], [], []
     monkeypatch.setattr(roots, "newton_roots", counting(roots.newton_roots, scans))
     monkeypatch.setattr(verify, "newton_roots", counting(newton_roots, contacts))
@@ -132,9 +133,19 @@ def test_verify_brackets_end_at_the_rounding_floor(monkeypatch, name):
     scene = load_scene(str(REPO / "configs" / f"{name}.json"))
     assert scene.verify().passed
     if scene.configuration.mode == "oracle":
-        assert scans and max(scans) <= 5
+        assert scans and max(scans) <= 3
     else:               # the splits' Newton loop is roots.newton_roots too
-        assert contacts and max(contacts) <= 7 and max(splits, default=0) <= 9
+        assert contacts and max(contacts) <= 5 and max(splits, default=0) <= 4
+
+
+def test_every_oracle_scan_of_wankel_stops_after_two_evaluations(monkeypatch):
+    # the first Newton step from the secant point is followed by one whose
+    # estimated error is below the rounding floor; a stop on the step alone
+    # took a third evaluation to see that step fall below 1e-15
+    scans = []
+    monkeypatch.setattr(roots, "newton_roots", counting(roots.newton_roots, scans))
+    assert load_scene(str(REPO / "configs" / "wankel.json")).verify(probes=8).passed
+    assert scans and scans == [2] * len(scans)
 
 
 ORACLE_CONFIGS = sorted(p.stem for p in (REPO / "configs").glob("*.json")
@@ -229,3 +240,81 @@ def test_simple_roots_match_bisection(c, r, left, right):
                                 [f(lo)], [f(hi)])
     assert not open_[0]
     assert abs(roots[0] - ref) <= 1e-13
+
+
+def solve_one(f, df, lo: float, hi: float, x: float) -> tuple[float, int]:
+    """newton_roots on the one bracket [lo, hi] of f with slope df from x:
+    the converged root and the number of evaluations."""
+    calls = []
+
+    def fn(t, idx):
+        calls.append(1)
+        return f(t), df(t)
+
+    root, open_ = newton_roots(fn, np.array([x]), np.array([lo]), np.array([hi]),
+                               np.array([f(lo) < 0]), xtol=1e-15)
+    assert not open_[0]
+    return root[0], len(calls)
+
+
+@pytest.mark.parametrize("start", [-1.9, -0.5, 0.5, 2.9])
+def test_error_estimate_waits_for_the_quadratic_phase(start):
+    # atan(50 (t - r)) is flat far from r: Newton steps from there leave the
+    # bracket and bisect, or shrink by less than the square law, and the
+    # estimate must not stop them before the update is at the rounding floor
+    r, lo, hi = 0.3, -2.0, 3.0
+
+    def f(t):
+        return np.arctan(50.0 * (t - r))
+
+    def df(t):
+        return 50.0 / (1.0 + (50.0 * (t - r)) ** 2)
+
+    ref = bisection(f, lo, hi)
+    root, _ = solve_one(f, df, lo, hi, start)
+    assert abs(root - ref) <= 1e-12
+    secant, open_ = secant_roots(lambda t, idx: f(t), [lo], [hi], [f(lo)], [f(hi)])
+    assert not open_[0] and abs(secant[0] - ref) <= 1e-12
+
+
+def test_error_estimate_needs_a_newton_step_before_it():
+    # exp(t - r) - 1 from the bracket's left end: the Newton update lands far
+    # outside, so the solver bisects to r + 1e-5, and the next Newton step
+    # (1e-5) is so much smaller than that midpoint step (3) that the estimate
+    # 1e-5 (1e-5 / 3)^2 would read 1e-16; the update's true error is about
+    # 5e-11, since a midpoint says nothing of the convergence rate
+    r, lo, hi = 0.25, -2.75, 3.25 + 2e-5
+
+    def f(t):
+        return np.expm1(t - r)
+
+    def df(t):
+        return np.exp(t - r)
+
+    ref = bisection(f, lo, hi)
+    root, calls = solve_one(f, df, lo, hi, lo)
+    assert abs(root - ref) <= 1e-12
+    assert calls == 3       # the start, the midpoint and the first Newton point
+
+
+@pytest.mark.parametrize("slope", [0.0, math.nan])
+@pytest.mark.parametrize("bad", [1, 2, 3])
+def test_error_estimate_ignores_a_slope_of_zero_or_nan(slope, bad):
+    # a slope of 0 or NaN at the bad-th evaluation makes a Newton step of inf
+    # or NaN, which must neither stop the bracket nor count as the Newton
+    # step that a later estimate divides by
+    r, lo, hi = 0.7, 0.0, 2.0
+    seen = []
+
+    def f(t):
+        return np.sin(t - r) + 0.5 * (t - r) ** 2
+
+    def df(t):
+        seen.append(1)
+        d = np.cos(t - r) + (t - r)
+        return np.full_like(d, slope) if len(seen) == bad else d
+
+    ref = bisection(f, lo, hi)
+    root, calls = solve_one(f, df, lo, hi, 1.9)
+    assert abs(root - ref) <= 1e-12
+    assert calls > bad      # the bad slope came before the stop
