@@ -1,12 +1,17 @@
-"""Render output: golden hashes, the blocked row formatter, non-finite
-samples and the memory bound of CSV output.
+"""Render output: golden hashes, the formatting kernel against `%` on each
+value, non-finite samples and the memory bound of CSV output.
 
 tests/data/render_golden.json holds the SHA-256 of `render_svg` and of every
 `sample_points` CSV of each checked-in config at its own `render.samples`,
 and of `sample_points` on the equilateral_a85 vertex curve at counts on
-both sides of ROW_BLOCK. It was written by the per-coordinate formatter
-that came before blocked formatting, so it pins the bytes, not only their
-stability. The hashes depend on the exact floats numpy's trigonometry
+both sides of ROW_BLOCK (2047 to 2049 for the blocked `%` formatter's 2048
+rows, 191 to 193 for the kernel's 192; all hashed with `%`, never with the
+kernel). It was written by the per-coordinate formatter that came before
+blocked formatting, so it pins the bytes, not only their stability. The
+kernel is also checked against `%` on a million values chosen to reach
+every rounding case (test_kernel_matches_per_value_formatting_on_a_million
+_values); dropping its tie-to-even step or Dekker's error term fails that
+test. The hashes depend on the exact floats numpy's trigonometry
 returns; a numpy build that rounds differently needs the fixture rewritten
 (tests/rewrite_goldens.py render --write).
 
@@ -101,11 +106,15 @@ def test_sample_counts_match_golden():
         assert _sha(sample_points(curve, n)) == GOLDEN["sample_counts"][str(n)], n
 
 
+# the ends of the kernel's exact range (%.17g: 1e-5 to 1e16, %.6f: below 1e12)
+RANGE_EDGES = [x for edge in (1e-5, 1e12, 1e16)
+               for x in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
 EDGE_VALUES = [
     0.0, -0.0, 5e-7, -5e-7, 4.999999999999999e-7, -4.999999999999999e-7,
     5.000000000000001e-7, 1.5e-6, -2.5e-6, 1.0000005, -0.0000125,
     5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
-    1.0, -3.0, 2.0 ** 53, 1e22, 0.1, math.pi,
+    1.0, -3.0, 2.0 ** 53, 1e22, 0.1, math.pi, 9.9999999999999995e-5,
+    *RANGE_EDGES, *(-x for x in RANGE_EDGES),
 ]
 values = st.one_of(st.sampled_from(EDGE_VALUES),
                    st.floats(allow_nan=False, allow_infinity=False))
@@ -121,6 +130,47 @@ def test_format_rows_matches_per_value_formatting(pool, n, seed):
         f"L{x:.6f} {y:.6f}" for x, y, _ in rows)
     assert _format_rows("%.17g,%.17g,%.17g\n", table) == "".join(
         f"{t:.17g},{x:.17g},{y:.17g}\n" for t, x, y in rows)
+
+
+def _exactness_values() -> np.ndarray:
+    """A million doubles, half of them negated: random finite bit patterns,
+    every decade from 1e-7 to 1e18, the range edges and their neighbours,
+    exact ties of the 17th significant digit (odd m * 2**-j whose decimal
+    expansion has 18 digits) and of the 6th decimal (odd r / 128), the
+    doubles nearest to (m + 1/2) 1e-6 and their neighbours, values that
+    round up to a power of ten, and EDGE_VALUES."""
+    rng = np.random.default_rng(30)
+    bits = rng.integers(-2 ** 63, 2 ** 63 - 1, 30_000, dtype=np.int64).view(np.float64)
+    decades = 10.0 ** (np.repeat(np.arange(-7.0, 18.0), 20_000) + rng.random(500_000))
+    ties17 = []
+    for j in range(2, 26):   # m * 5**j in [1e17, 1e18): m * 2**-j has 18 significant digits
+        lo, hi = -(-10 ** 17 // 5 ** j), min(10 ** 18 // 5 ** j, 2 ** 53)
+        m = rng.integers(lo // 2, (hi - 1) // 2, 4_000, endpoint=True) * 2 + 1
+        ties17.append(np.ldexp(m[(m >= lo) & (m < hi)].astype(np.float64), -j))
+    halves = (2.0 * rng.integers(0, 2 * 10 ** 13, 100_000) + 1) / 2e6   # nearest to (m + 1/2) 1e-6
+    carries = np.concatenate([(2.0 * 10.0 ** np.arange(1, 18) - 1) / 2e6,
+                              10.0 ** np.arange(-7.0, 19.0)])
+    values = np.concatenate([bits[np.isfinite(bits)], decades, *ties17,
+                             (2.0 * rng.integers(0, 2 ** 40, 100_000) + 1) / 128,
+                             halves, carries, np.array(EDGE_VALUES)])
+    values = np.concatenate([values, np.nextafter(halves, 0.0), np.nextafter(halves, np.inf),
+                             np.nextafter(carries, 0.0), np.nextafter(carries, np.inf)])
+    values[rng.random(len(values)) < 0.5] *= -1.0
+    return values
+
+
+@pytest.mark.parametrize("spec", ["%.17g", "%.6f"])
+def test_kernel_matches_per_value_formatting_on_a_million_values(spec):
+    values = _exactness_values()
+    values = values[:len(values) // 8 * 8]
+    assert len(values) >= 10 ** 6
+    row = (spec + "\n") * 8   # eight values a row, 8 ROW_BLOCK values a pass
+    got = _format_rows(row, values.reshape(-1, 8))
+    chunks = (values[i:i + 2 ** 16].tolist() for i in range(0, len(values), 2 ** 16))
+    want = "".join((spec + "\n") * len(chunk) % tuple(chunk) for chunk in chunks)
+    if got != want:
+        lines = zip(values.tolist(), got.split("\n"), want.split("\n"))
+        raise AssertionError([line for line in lines if line[1] != line[2]][:10])
 
 
 def test_format_rows_of_empty_table():
@@ -147,6 +197,18 @@ def test_svg_coordinates_that_round_to_zero_print_unsigned():
                          for x, y in table + table[:1])
     view = re.search(r'viewBox="([^"]*)"', _svg_of_points([(-1e-7, 1e-7), (3.0, -3.0)])).group(1)
     assert view == "0.000000 0.000000 3.000000 3.000000"
+
+
+def test_svg_path_ends_with_a_value_that_percent_formats():
+    # |y| >= 1e12 goes through `%` on its own; the first point closes the
+    # path, so such a y ends the first path just before the second begins
+    first = [(1.0, -2e12), (0.5, 0.25), (3.0, 1e13)]
+    curve = PlaneCurve(1.0, label="far", position_fn=lambda ts: np.array(first))
+    svg = render_svg([("envelope", curve), ("envelope-2", CIRCLE)], [], [], samples=3, margin=0.0)
+    second = CIRCLE.positions(np.linspace(0.0, CIRCLE.domain_length, 3, endpoint=False)).tolist()
+    assert re.findall(r' d="M([^"]*)"', svg) == [
+        "L".join(f"{_unsigned(f'{x:.6f}')} {_unsigned(f'{-y:.6f}')}" for x, y in pts + pts[:1])
+        for pts in (first, second)]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["configs"]))
@@ -204,6 +266,33 @@ def test_csv_memory_stays_within_three_times_the_output():
     finally:
         tracemalloc.stop()
     assert peak < 3 * len(csv), (peak, len(csv))
+
+
+def _format_overhead(row: str, table: np.ndarray) -> int:
+    """Bytes traced above twice the text (its pieces and their join) while
+    `_format_rows` formats the table."""
+    _format_rows(row, table[:1])
+    tracemalloc.start()
+    try:
+        text = _format_rows(row, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - 2 * len(text)
+
+
+def test_working_set_is_the_text_and_one_pass():
+    # the 16384-sample CSV and SVG path data of equilateral_a85: beyond the
+    # text, formatting holds the arrays of one pass of ROW_BLOCK rows, at
+    # most 600 bytes a value (slot and mask rows, the pass's text, the pair
+    # indices and the rounding's temporaries), and no array of all rows
+    scene = load_scene(str(CONFIGS / "equilateral_a85.json"))
+    ts = np.linspace(0.0, scene.curve("vertex").domain_length, 16384, endpoint=False)
+    csv = np.column_stack([ts, scene.curve("vertex").positions(ts)])
+    svg = np.vstack([scene.curve(name).positions(ts) for name in ("envelope", "vertex")])
+    for row, table in (("%.17g,%.17g,%.17g\n", csv), ("L%.6f %.6f", svg)):
+        overhead = _format_overhead(row, table)
+        assert overhead < 600 * ROW_BLOCK * table.shape[1], (row, overhead)
 
 
 @pytest.mark.parametrize("command", [("render",), ("sample", "--curve", "vertex", "-n", "8")])
