@@ -188,8 +188,8 @@ def equilateral_pair(k: int, l: Fraction, a: float) -> EquiangularClan:
     nf = float(n)
 
     def pos(ts):
-        return jets.stack([amp * jets.cos(ts) + sign * jets.cos(nf * ts),
-                           amp * jets.sin(ts) + sign * jets.sin(nf * ts)])
+        (c1, s1), (cn, sn) = jets.cis(ts), jets.cis(nf * ts)
+        return jets.stack([amp * c1 + sign * cn, amp * s1 + sign * sn])
 
     vertex = curve_from_position(p.domain_length, pos, label="K")
     # in the shifted parametrization the side [Y(t), Y(t+a)] touches at t+a/2

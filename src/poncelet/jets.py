@@ -3,7 +3,8 @@
 along one parameter t as numpy arrays ((n,) for scalars, (n, 2) for points);
 results have the lower order of their operands. Every lift and position
 function takes a plain array or a Jet; series differentiates the finite
-trigonometric sums of support functions and Fourier lifts."""
+trigonometric sums of support functions and Fourier lifts. Jet.variable's
+(t, 1, 0, 0) composes as the identity; cis takes one cos and one sin."""
 
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ class Jet:
     def __init__(self, v, d: Sequence):
         self.v, self.d = v, tuple(d)
 
-    @classmethod
-    def variable(cls, ts, order: int) -> Jet:
+    @staticmethod
+    def variable(ts, order: int) -> Jet:
         """The parameter itself to the given order: t' = 1 (none at order 0), t'' = ... = 0."""
         ts = np.asarray(ts, dtype=float)
-        return cls(ts, [np.ones_like(ts) if i == 0 else np.zeros_like(ts) for i in range(order)])
+        return _Variable(ts, [np.zeros_like(ts) if i else np.ones_like(ts) for i in range(order)])
 
     @property
     def order(self) -> int:
@@ -47,6 +48,8 @@ class Jet:
         to order 3; f may be vector valued ((n, 2) against this jet's (n,))."""
         if self.order > 3:
             raise ValueError(f"composition is implemented to order 3, not {self.order}")
+        if type(self) is _Variable:     # t' = 1 and t'' = t''' = 0: f's own jet
+            return Jet(f[0], f[1:self.order + 1])
         x = self.d
         if np.ndim(f[0]) > np.ndim(self.v):
             x = tuple(c[..., None] for c in x)
@@ -99,6 +102,12 @@ class Jet:
         return Jet(q[0], q[1:])
 
 
+class _Variable(Jet):
+    """The jet of Jet.variable, which compose takes as the identity; arithmetic,
+    slicing and truncation give plain Jets, which take the chain rule."""
+    __slots__ = ()
+
+
 def chain(x, derivs: Callable[[np.ndarray, int], list]):
     """f(x) for an array or Jet x, where derivs(v, order) lists
     f(v), f'(v), ..., f^(order)(v) at a float array v."""
@@ -120,19 +129,20 @@ def series(x: np.ndarray, terms: Sequence, out: list) -> list:
     return out
 
 
-def _trig(x, shift: int):
-    if not isinstance(x, Jet):
-        return (np.sin, np.cos)[shift](x)
-    s, c = np.sin(x.v), np.cos(x.v)
-    return x.compose([s, c, -s, -c, s][shift:shift + x.order + 1])
-
-
 def sin(x):
-    return _trig(x, 0)
+    if not isinstance(x, Jet):
+        return np.sin(x)
+    s, c = np.sin(x.v), np.cos(x.v)
+    return x.compose([s, c, -s, -c][:x.order + 1])
 
 
-def cos(x):
-    return _trig(x, 1)
+def cis(x):
+    """(cos x, sin x) of an array or Jet x, from one cos and one sin of its value."""
+    if not isinstance(x, Jet):
+        return np.cos(x), np.sin(x)
+    s, c = np.sin(x.v), np.cos(x.v)
+    table = [s, c, -s, -c, s][:x.order + 2]     # sin's derivatives; cos's from c on
+    return x.compose(table[1:]), x.compose(table[:-1])
 
 
 def stack(items: Sequence, axis: int = 1):

@@ -181,8 +181,8 @@ def vertex_position_fn(p: SupportFunction, a: Callable, b: Callable) -> Callable
         phi, fphi = a(ts), b(ts)
         adv = fphi - phi
         p0 = p.eval(phi)
-        q = (p.eval(fphi) - p0 * jets.cos(adv)) / jets.sin(adv)
-        c, s = jets.cos(phi), jets.sin(phi)
+        (ca, sa), (c, s) = jets.cis(adv), jets.cis(phi)
+        q = (p.eval(fphi) - p0 * ca) / sa
         return p0[:, None] * jets.stack([c, s]) + q[:, None] * jets.stack([-s, c])
 
     return pos

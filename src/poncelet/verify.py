@@ -122,7 +122,8 @@ def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple
                                          "point inside the envelope?"))
     # forward tangents: the contact X(psi) lies ahead of K(t1) along the
     # envelope, <X(psi) - K(t1), u'(psi)> = p'(psi) + x sin(psi) - y cos(psi) > 0
-    ahead = (C.eval(psi, 1) + q[owner, 0] * np.sin(psi) - q[owner, 1] * np.cos(psi)) > 0.0
+    (pv, dp), cos, sin = C.derivatives(psi, 2), np.cos(psi), np.sin(psi)
+    ahead = (dp + q[owner, 0] * sin - q[owner, 1] * cos) > 0.0
     fwd = np.bincount(owner[ahead], minlength=n)
     for i in set(np.flatnonzero(fwd != 1).tolist()) - errors.keys():
         t = float(t1s[i])
@@ -131,7 +132,7 @@ def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple
                                 + ", ".join(f"{x:.6f}" for x in psi[ahead & (owner == i)]) + ")")
     picks = np.flatnonzero(ahead & (fwd[owner] == 1))
     lines = owner[picks]
-    ux, uy, pv = np.cos(psi[picks]), np.sin(psi[picks]), C.eval(psi[picks])
+    ux, uy, pv = cos[picks], sin[picks], pv[picks]
     L = K.domain_length
 
     def line_fn(ts, row):

@@ -48,7 +48,7 @@ class TestArithmetic:
 
     def test_trig_and_composition(self):
         t = Jet.variable(TS, 3)
-        y = jets.sin(2.0 * t) * jets.cos(t)
+        y = jets.sin(2.0 * t) * jets.cis(t)[0]
         # sin 2t cos t = (sin 3t + sin t) / 2
         want = [(np.sin(3 * TS) + np.sin(TS)) / 2, (3 * np.cos(3 * TS) + np.cos(TS)) / 2,
                 (-9 * np.sin(3 * TS) - np.sin(TS)) / 2, (-27 * np.cos(3 * TS) - np.cos(TS)) / 2]
@@ -81,8 +81,72 @@ class TestArithmetic:
         assert jets.sin(t).order == order
 
     def test_composition_beyond_order_three_is_refused(self):
-        with pytest.raises(ValueError, match="order 3"):
-            jets.sin(Jet.variable(TS, 4))
+        t = Jet.variable(TS, 4)
+        for compose in (jets.sin, jets.cis, lambda t: t.compose([TS] * 5)):
+            with pytest.raises(ValueError, match="order 3"):
+                compose(t)
+
+
+# --- the parameter's own jet and cis ------------------------------------------------
+
+def _components(x):
+    return [np.asarray(a).tobytes() for a in (x.v,) + x.d]
+
+
+def _separate_trig(x, shift):
+    """The sine (shift 0) and cosine (shift 1) of the Jet x, each from its own
+    np.sin and np.cos."""
+    s, c = np.sin(x.v), np.cos(x.v)
+    return x.compose([s, c, -s, -c, s][shift:shift + x.order + 1])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_composing_through_the_variable_returns_f_as_given(order):
+    t = Jet.variable(TS, order)
+    scalar = [np.sin((k + 1) * TS) for k in range(4)]      # f may hold more than t reads
+    for f in (scalar, [np.stack([a, -a], axis=1) for a in scalar]):
+        y = t.compose(f)
+        assert y.order == order and y.v is f[0]
+        assert all(d is a for d, a in zip(y.d, f[1:]))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_cis_equals_separate_cos_and_sin_bit_for_bit(order):
+    c, s = jets.cis(TS)
+    assert c.tobytes() == np.cos(TS).tobytes() and s.tobytes() == np.sin(TS).tobytes()
+    t = Jet.variable(TS, order)
+    c, s = np.cos(TS), np.sin(TS)
+    got = jets.cis(t)
+    assert _components(got[0]) == [a.tobytes() for a in (c, -s, -c, s)[:order + 1]]
+    assert _components(got[1]) == [a.tobytes() for a in (s, c, -s, -c)[:order + 1]]
+    assert _components(jets.sin(t)) == _components(got[1])
+    x = 3.0 * t + jets.sin(t) * t       # a jet whose composition takes the chain rule
+    cos, sin = jets.cis(x)
+    assert _components(cos) == _components(_separate_trig(x, 1))
+    assert _components(sin) == _components(_separate_trig(x, 0))
+    assert _components(jets.sin(x)) == _components(sin)
+
+
+DERIVED = {"t + 1.0": lambda t: t + 1.0, "2.0 * t": lambda t: 2.0 * t, "-t": lambda t: -t,
+           "t[1:]": lambda t: t[1:], "t.truncated(2)": lambda t: t.truncated(2),
+           "t.truncated(1)": lambda t: t.truncated(1)}
+
+
+@pytest.mark.parametrize("derive", DERIVED.values(), ids=DERIVED.keys())
+def test_jets_derived_from_the_variable_take_the_chain_rule(derive):
+    # f' = inf at the first point and f'' = -0.0 at the second, where f' > 0:
+    # the chain rule gives f'' t'^2 + f' t'' = nan and +0.0 there even at
+    # t' = 1, t'' = 0, while the identity would give f' and f'' as they are;
+    # at order 1 the two agree on every value, so the type tells them apart
+    x = derive(Jet.variable(TS, 3))
+    assert type(x) is Jet
+    f = [np.cos((k + 1) * x.v) + 2.0 for k in range(4)]
+    f[1][0], f[2][1] = np.inf, -0.0
+    g = list((x.v,) + x.d) + [np.zeros_like(x.v)] * (3 - x.order)
+    with np.errstate(invalid="ignore"):
+        got = x.compose(f)
+        want = chain_rule(f, g)[:x.order + 1]
+    assert _components(got) == [a.tobytes() for a in want]
 
 
 # --- the trigonometric-series kernel ----------------------------------------------
@@ -285,7 +349,7 @@ def test_envelope_of_a_reparametrized_circle(n, R):
 
     def position(ts):
         phi = h.lift(ts)
-        return R * jets.stack([jets.cos(phi), jets.sin(phi)])
+        return R * jets.stack(jets.cis(phi))
 
     Y = curve_from_position(TWO_PI, position, label="K")
     result = envelope_from_vertex(Y, cm.make_torsion(h, 1, n))
