@@ -130,10 +130,6 @@ def orbit(maps: Sequence[CircleDiffeo], xs) -> list:
     return out
 
 
-def identity(L: float) -> CircleDiffeo:
-    return rotation(L, 0.0)
-
-
 def rotation(L: float, amount: float) -> CircleDiffeo:
     return CircleDiffeo(
         L,

@@ -193,7 +193,7 @@ def _torsion(doc, L: float, where: str) -> cm.TorsionMap:
     _check_keys(doc, {"m", "n", "h"}, where, ("m", "n"))
     m = _exact(doc["m"], f"{where}.m")
     n = _vertices(_integer(doc["n"], f"{where}.n"), f"{where}.n")
-    h = _fourier(doc["h"], L, f"{where}.h") if "h" in doc else cm.identity(L)
+    h = _fourier(doc["h"], L, f"{where}.h") if "h" in doc else cm.rotation(L, 0.0)
     return cm.make_torsion(h, m, n)
 
 

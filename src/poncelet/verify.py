@@ -158,37 +158,38 @@ def _oracle_step(K: PlaneCurve, C: SupportFunction, t1s: np.ndarray, grid: tuple
 
 
 def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
-                             grid_ts: np.ndarray, grid_jet: tuple,
-                             dist_tol: float) -> tuple[list[list[float]], np.ndarray]:
+                             dist_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parameters where the curve is tangent to each side line through a[k], b[k].
 
     Tangency means a simple zero of g' = d/dt <X(t) - a, n>, the derivative
     of the signed distance g to the line; transversal crossings have no
-    such zero at their distance minimum and drop out automatically. grid_jet
-    is the curve's order-2 jet (X, X', X'') on grid_ts, equispaced over its
-    domain. Every side is solved in lockstep: its (at most 8) nearest local
-    distance minima on the grid give cells from the grid point before to
-    the one after, those where g' changes sign are refined together by
-    newton_roots on the slope g'' = <X'', n> of the same jets, and refined
-    points farther than dist_tol from their line are dropped. By Rolle's
-    theorem a cell where g' keeps its sign at both ends can still hold two
-    zeros of g' (next to a near-cusp of the curve) only if g'' changes sign
-    in it; such a cell is split at the zero of g'', which secant_roots
-    finds (its slope would need an order-3 jet), and each half where g'
-    changes sign is refined. Returns the recovered parameters of each side,
-    nearest minimum first, and the number of each side's brackets that did
-    not converge.
+    such zero at their distance minimum and drop out automatically. The
+    curve's order-2 jet (X, X', X'') is taken once on GRID points,
+    equispaced over its domain. Every side is solved in lockstep: its (at
+    most 8) nearest local distance minima on the grid give cells from the
+    grid point before to the one after, those where g' changes sign are
+    refined together by newton_roots on the slope g'' = <X'', n> of the same
+    jets, and refined points farther than dist_tol from their line are
+    dropped. By Rolle's theorem a cell where g' keeps its sign at both ends
+    can still hold two zeros of g' (next to a near-cusp of the curve) only
+    if g'' changes sign in it; such a cell is split at the zero of g'',
+    which secant_roots finds (its slope would need an order-3 jet), and each
+    half where g' changes sign is refined. Returns the candidates as two
+    arrays (side, t), t reduced mod the domain length, in ascending side
+    order and nearest minimum first within a side, and the number of each
+    side's brackets that did not converge.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     d = np.asarray(b, dtype=float).reshape(-1, 2) - a
     nrm = np.hypot(d[:, 0], d[:, 1])
     nx, ny = -d[:, 1] / nrm, d[:, 0] / nrm
-    grid_pts, grid_vel, grid_acc = grid_jet
-    side, cand = _distance_minima(a, nx, ny, grid_pts)
     L = curve.domain_length
-    step = L / len(grid_ts)
+    grid_ts = np.linspace(0.0, L, GRID, endpoint=False)
+    grid_pts, grid_vel, grid_acc = curve.jet_many(grid_ts)
+    side, cand = _distance_minima(a, nx, ny, grid_pts)
+    step = L / GRID
     ends = grid_ts[cand] + np.array([[-step], [step]])     # each cell's [lo, hi]
-    at = (cand + np.array([[-1], [1]])) % len(grid_ts)     # their grid points
+    at = (cand + np.array([[-1], [1]])) % GRID             # their grid points
 
     def normal(x, k):
         return x[..., 0] * nx[k] + x[..., 1] * ny[k]
@@ -218,15 +219,10 @@ def parametric_side_contacts(a: np.ndarray, b: np.ndarray, curve: PlaneCurve,
 
     roots, open_ = newton_roots(derivatives, secant_point(lo, hi, flo, fhi), lo, hi, flo < 0,
                                 xtol=1e-15)
-    done = np.nonzero(~open_)[0]
-    pts = curve.positions(roots[done])
-    s = side[done]
-    dist = (pts[:, 0] - a[s, 0]) * nx[s] + (pts[:, 1] - a[s, 1]) * ny[s]
-    out: list[list[float]] = [[] for _ in range(len(a))]
-    for k, t, dk in zip(s, roots[done], dist):
-        if abs(dk) < dist_tol:
-            out[k].append(float(t) % L)
-    return out, np.bincount(side[open_], minlength=len(a))
+    t, s = roots[~open_], side[~open_]
+    pts = curve.positions(t)
+    near = np.abs((pts[:, 0] - a[s, 0]) * nx[s] + (pts[:, 1] - a[s, 1]) * ny[s]) < dist_tol
+    return s[near], t[near] % L, np.bincount(side[open_], minlength=len(a))
 
 
 # sides per block of the contact scans: bounds their (sides x grid) and
@@ -238,7 +234,7 @@ def _distance_minima(a: np.ndarray, nx: np.ndarray, ny: np.ndarray,
                      grid_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(side, grid index) of the 8 smallest local minima of each side line's
     distance over the grid points, nearest first within a side."""
-    sides, idx = [], []
+    sides, idx = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]     # for no sides at all
     for k0 in range(0, len(a), _SIDE_BLOCK):
         k = slice(k0, k0 + _SIDE_BLOCK)
         signed = ((grid_pts[None, :, 0] - a[k, 0, None]) * nx[k, None]
@@ -445,10 +441,11 @@ def _polygon_metrics(report: VerificationReport, config, poly: PonceletPolygon, 
             # the contact must lie on the side line, tangent to it
             vel = curve.jet_many(at, 1)[1]
             dk, r, length = d[probe, i], poly.contacts[probe, i] - a, side[probe, i]
-            sin = (vel[:, 0] * dk[:, 1] - vel[:, 1] * dk[:, 0]) / (
-                np.hypot(vel[:, 0], vel[:, 1]) * length)
-            gap = np.maximum(np.abs(dk[:, 0] * r[:, 1] - dk[:, 1] * r[:, 0]) / length,
-                             np.abs(np.arcsin(np.clip(sin, -1.0, 1.0))))
+            with np.errstate(divide="ignore", invalid="ignore"):   # zero length: a NaN gap fails
+                sin = (vel[:, 0] * dk[:, 1] - vel[:, 1] * dk[:, 0]) / (
+                    np.hypot(vel[:, 0], vel[:, 1]) * length)
+                gap = np.maximum(np.abs(dk[:, 0] * r[:, 1] - dk[:, 1] * r[:, 0]) / length,
+                                 np.abs(np.arcsin(np.clip(sin, -1.0, 1.0))))
         report.max_tangency_gap = float(np.maximum(report.max_tangency_gap, np.max(gap)))
 
 
@@ -503,55 +500,53 @@ def _verify_oracle(config, starts, tol, report):
 def _verify_sequence(config, starts, tol, report):
     """Measure the polygons of every probe's walk, assembled on the
     configuration's curves, and recover each side's contact on its envelope
-    independently of the construction's contact parameter. A side whose
-    recovered contact (the one nearest the walk's, if several) misses the
-    walk's contact parameter by tol or more is a report error that names
-    both parameters."""
+    independently of the construction's contact parameter. One rule holds
+    for both kinds of envelope: a side whose ends coincide has no line to
+    recover a contact from and is a zero-length error; every other side goes
+    to its envelope's recoverer (side_contact_recover, one candidate per
+    side, for a support function, else parametric_side_contacts), whose
+    candidates are (side, parameter) arrays; each side keeps the candidate
+    nearest the walk's contact. A side with unconverged brackets, with no
+    candidate, or whose kept candidate misses the walk's contact parameter
+    by tol or more is a report error; a miss names both parameters."""
     poly = assemble(config.walk(starts), config.vertex_curves, config.envelopes)
     _polygon_metrics(report, config, poly, config.expected_turns)
     mismatch = 0.0
     errors = []                        # ((probe, side), message)
     for k, (curve, sup) in enumerate(zip(config.envelopes, config.envelope_supports)):
         probe, side, a, b, at = _envelope_sides(poly, k)
-        if not probe.size:
-            continue
+        flat = np.all(a == b, axis=1)
+        kept = np.flatnonzero(~flat)
+        stuck = np.zeros(len(at), dtype=int)
         if sup is not None:
-            # a side whose ends coincide has no line to recover a contact from
-            flat = np.all(a == b, axis=1)
-            errors.extend(((int(probe[i]), int(side[i])), f"side {side[i]} on envelope {k} has "
-                           "zero length") for i in np.flatnonzero(flat))
-            kept = np.flatnonzero(~flat)
-            got = side_contact_recover(a[kept], b[kept], sup)[0]
-            near = circle_distance(got, at[kept], sup.period)
+            owner, got = kept, side_contact_recover(a[kept], b[kept], sup)[0]
+            period = sup.period
         else:
-            grid_ts = np.linspace(0.0, curve.domain_length, GRID, endpoint=False)
-            found, stuck = parametric_side_contacts(a, b, curve, grid_ts, curve.jet_many(grid_ts),
-                                                    dist_tol=max(tol, 1e-8))
-            hits = np.array([len(f) for f in found])
-            kept = np.flatnonzero(hits)
-            # each side's recovered parameter nearest its walk parameter
-            owner = np.repeat(np.arange(len(at)), hits)
-            got = np.array([t for f in found for t in f])
-            dist = circle_distance(got, at[owner], curve.domain_length)
-            nearest = np.lexsort((dist, owner))[np.cumsum(hits[kept]) - hits[kept]]
-            got, near = got[nearest], dist[nearest]
-            for i in np.nonzero(stuck | (hits == 0))[0]:
-                where = (int(probe[i]), int(side[i]))
-                if stuck[i]:
-                    errors.append((where, f"{stuck[i]} contact bracket(s) of side {where[1]} "
-                                          f"on envelope {k} near t = {at[i]:.6f} "
-                                          "did not converge"))
-                if not hits[i]:
-                    errors.append((where, f"no tangency of side {where[1]} recovered on "
-                                          f"envelope {k} near t = {at[i]:.6f}"))
-        for i in np.flatnonzero(~(near < tol)):
-            j = kept[i]
-            errors.append(((int(probe[j]), int(side[j])), (
-                f"start {starts[probe[j]]:.6f}: contact of side {side[j]} on envelope {k} "
-                f"recovered at t = {got[i]:.6f}, not at the walk's t = {at[j]:.6f} "
-                f"(mismatch {near[i]:.6g})")))
-        if near.size:
-            mismatch = float(np.maximum(mismatch, np.max(near)))
+            owner, got, stuck[kept] = parametric_side_contacts(a[kept], b[kept], curve,
+                                                              dist_tol=max(tol, 1e-8))
+            owner, period = kept[owner], curve.domain_length
+        dist = circle_distance(got, at[owner], period)
+        order = np.lexsort((dist, owner))
+        pick = np.full(len(at), -1)        # each side's nearest candidate; none: -1, near inf
+        has, first = np.unique(owner[order], return_index=True)
+        pick[has] = order[first]
+        near = np.append(dist, np.inf)[pick]
+        if has.size:
+            mismatch = float(np.maximum(mismatch, np.max(near[has])))
+        for i in np.flatnonzero((stuck > 0) | ~(near < tol)):
+            where, j = (int(probe[i]), int(side[i])), pick[i]
+            if stuck[i]:
+                errors.append((where, f"{stuck[i]} contact bracket(s) of side {side[i]} on "
+                                      f"envelope {k} near t = {at[i]:.6f} did not converge"))
+            if flat[i]:
+                errors.append((where, f"side {side[i]} on envelope {k} has zero length"))
+            elif j < 0:
+                errors.append((where, f"no tangency of side {side[i]} recovered on "
+                                      f"envelope {k} near t = {at[i]:.6f}"))
+            elif not near[i] < tol:
+                errors.append((where, f"start {starts[probe[i]]:.6f}: contact of side {side[i]} "
+                                      f"on envelope {k} recovered at t = {got[j]:.6f}, not at "
+                                      f"the walk's t = {at[i]:.6f} (mismatch {near[i]:.6g})"))
     report.errors.extend(msg for _, msg in sorted(errors, key=lambda e: e[0]))
 
     report.max_step_mismatch = mismatch

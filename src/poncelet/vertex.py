@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import jets
-from .circlemaps import CircleDiffeo, TorsionMap, identity, orbit
+from .circlemaps import CircleDiffeo, TorsionMap, orbit
 from .envelope import check_coincidences, check_steps, orbit_zeros
 from .equiangular import ConstructionError, Walk, Walked
 from .roots import GRID
@@ -68,7 +68,7 @@ def vertex_from_envelope(envelope: SupportFunction, step: TorsionMap) -> VertexR
             "transversality <u'(phi), u(f(phi))> = sin(f(phi) - phi) vanishes near "
             + ", ".join(f"{t:.6f}" for t in gaps))
 
-    curve = curve_from_position(L, vertex_position_fn(envelope, identity(L).lift, f.lift),
+    curve = curve_from_position(L, vertex_position_fn(envelope, lambda ts: ts, f.lift),
                                 label="K")
     return VertexResult(step, curve_from_support(envelope, label="C"), curve)
 
@@ -111,8 +111,8 @@ def clan_from_envelope(envelope: SupportFunction,
                                 + ", ".join(f"{t:.6f}" for t in params))
     check_coincidences(steps, G)
 
-    same = identity(L).lift
-    lifts = [(same, f.lift) for f in steps] + [(lambda ts: orbit(steps, ts)[-1], same)]
+    lifts = [(lambda ts: ts, f.lift) for f in steps]
+    lifts.append((lambda ts: orbit(steps, ts)[-1], lambda ts: ts))
     curves = tuple(curve_from_position(L, vertex_position_fn(envelope, a, b), f"K{i}")
                    for i, (a, b) in enumerate(lifts, 1))
     return EnvelopeClan(envelope, curve_from_support(envelope, label="C"), curves, steps)

@@ -32,7 +32,7 @@ class TestRotationNumber:
         assert rotation_number(f, 1000) == pytest.approx(0.4, abs=1e-12)
 
     def test_identity_is_zero(self):
-        assert rotation_number(cm.identity(TWO_PI), 500) == 0.0
+        assert rotation_number(cm.rotation(TWO_PI, 0.0), 500) == 0.0
 
     def test_conjugated_rotation_recovers_two_fifths(self):
         h = perturbed(a1=0.09, seed_terms=(cm.FourierTerm(2, 0.0, 0.04),))
@@ -55,7 +55,7 @@ class TestRotationNumber:
 
 class TestMakeTorsion:
     def test_identity_conjugator_quarter_turn(self):
-        f = cm.make_torsion(cm.identity(TWO_PI), 1, 4)
+        f = cm.make_torsion(cm.rotation(TWO_PI, 0.0), 1, 4)
         xs = np.linspace(0, TWO_PI, 64, endpoint=False)
         assert np.max(np.abs(cm.orbit((f.map,) * 4, xs)[-1] - xs - TWO_PI)) < 1e-12
 
@@ -68,7 +68,7 @@ class TestMakeTorsion:
 
     def test_non_coprime_rejected(self):
         with pytest.raises(cm.CircleMapError):
-            cm.make_torsion(cm.identity(TWO_PI), 2, 4)
+            cm.make_torsion(cm.rotation(TWO_PI, 0.0), 2, 4)
 
 
 class TestVerifyTorsion:
@@ -95,7 +95,7 @@ class TestVerifyTorsion:
     def test_torsion_map_certifies_itself(self):
         assert cm.TorsionMap(cm.rotation(TWO_PI, TWO_PI / 3), 3).period == 3
         for f, n in [(cm.rotation(TWO_PI, 0.3), 3), (cm.rotation(TWO_PI, TWO_PI / 3), 6),
-                     (cm.identity(TWO_PI), 0)]:
+                     (cm.rotation(TWO_PI, 0.0), 0)]:
             with pytest.raises(cm.CircleMapError):
                 cm.TorsionMap(f, n)
 
@@ -103,7 +103,7 @@ class TestVerifyTorsion:
 class TestConjugator:
     def test_rigid_rotation_averages_to_shifted_identity(self):
         m, n = 2, 5
-        f = cm.make_torsion(cm.identity(TWO_PI), m, n)
+        f = cm.make_torsion(cm.rotation(TWO_PI, 0.0), m, n)
         H = cm.conjugator_to_rotation(f)
         xs = np.linspace(0, TWO_PI, 64)
         shift = (m / n) * TWO_PI * (n - 1) / 2
@@ -119,7 +119,7 @@ class TestConjugator:
         assert min_slope(H) > 0
 
     def test_identity_map_has_identity_conjugator(self):
-        f = cm.make_torsion(cm.identity(TWO_PI), 0, 1)
+        f = cm.make_torsion(cm.rotation(TWO_PI, 0.0), 0, 1)
         H = cm.conjugator_to_rotation(f)
         xs = np.linspace(0, TWO_PI, 32)
         assert np.max(np.abs(H.lift(xs) - xs)) == 0.0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from poncelet.scene import build_scene
 from poncelet.verify import verify_pair
+from test_bench_contract import gate
 
 PROBES = 8
 
@@ -37,15 +38,6 @@ convex_pairs = st.one_of(
     st.builds(equilateral, st.just(3), st.floats(8.5, 12.0)))
 
 
-def moved(curve, shift):
-    def jet_fn(ts):
-        pos, vel, acc = curve.jet_many(ts)
-        return pos + shift, vel, acc
-
-    return dataclasses.replace(curve, jet_fn=jet_fn,
-                               position_fn=lambda ts: curve.positions(ts) + shift)
-
-
 @settings(max_examples=40, deadline=None)
 @given(doc=convex_pairs, bump=st.booleans(), eps=st.floats(1e-4, 1e-2),
        theta=st.floats(0.0, 2 * math.pi))
@@ -60,5 +52,6 @@ def test_perturbed_convex_pair_never_passes(doc, bump, eps, theta):
     else:
         [K] = config.vertex_curves
         shift = eps * np.array([math.cos(theta), math.sin(theta)])
-        config = dataclasses.replace(config, vertex_curves=(moved(K, shift),))
+        config = dataclasses.replace(config, vertex_curves=(
+            gate._moved_curve(K, lambda ts, pos: shift),))
     assert not verify_pair(config, probes=PROBES).passed

@@ -211,10 +211,6 @@ def iterated_square():
 
 
 class TestParametricSideContacts:
-    def grid(self, env):
-        ts = np.linspace(0.0, env.domain_length, 512, endpoint=False)
-        return ts, env.jet_many(ts)
-
     def test_bitangent_line_recovers_both_contacts_and_far_line_none(self, iterated_square):
         env = iterated_square.envelopes[0]
         # the two rightmost points are mirror images: the line x = max x
@@ -230,25 +226,25 @@ class TestParametricSideContacts:
         x_max = float(np.mean(env.positions(tops)[:, 0]))
         a = np.array([[x_max, -3.0], [x_max + 1.0, -3.0]])
         b = np.array([[x_max, 3.0], [x_max + 1.0, 3.0]])
-        found, unconverged = parametric_side_contacts(a, b, env, *self.grid(env), 1e-8)
+        side, found, unconverged = parametric_side_contacts(a, b, env, 1e-8)
         assert unconverged.tolist() == [0, 0]
-        assert found[1] == []
-        assert len(found[0]) == 2
+        assert found[side == 1].tolist() == []
+        assert len(found[side == 0]) == 2
         for t in tops:
-            assert min(circle_distance(f, t, env.domain_length) for f in found[0]) < 1e-9
+            assert min(circle_distance(f, t, env.domain_length) for f in found[side == 0]) < 1e-9
 
     def test_sides_are_solved_independently(self, iterated_square):
         env = iterated_square.envelopes[0]
         poly = iterated_square.polygon(0.7)
         a = poly.vertices
         b = np.roll(a, -1, axis=0)
-        together, _ = parametric_side_contacts(a, b, env, *self.grid(env), 1e-8)
+        side, together, _ = parametric_side_contacts(a, b, env, 1e-8)
         for i in range(len(a)):
-            alone, _ = parametric_side_contacts(a[i:i + 1], b[i:i + 1], env,
-                                                *self.grid(env), 1e-8)
-            assert together[i] == alone[0]
+            one, alone, _ = parametric_side_contacts(a[i:i + 1], b[i:i + 1], env, 1e-8)
+            assert one.tolist() == [0] * len(alone)
+            assert together[side == i].tolist() == alone.tolist()
             assert min(circle_distance(t, poly.contact_parameters[i], env.domain_length)
-                       for t in alone[0]) < 1e-7
+                       for t in alone) < 1e-7
 
 
 @pytest.mark.parametrize("probes", [8, 128, 200, 256, 512, 1000, 1024])
@@ -258,20 +254,6 @@ def test_iterated_square_verifies_at_every_probe_count(iterated_square, probes):
     # 128 probes missed 32 tangencies
     report = verify_pair(iterated_square, probes=probes)
     assert report.passed, report.errors[:3]
-
-
-def _parallel(curve, eps):
-    """Parallel curve at distance eps, like bumping a support constant."""
-    def offset(ts):
-        vel = curve.jet_many(ts)[1]
-        return eps * np.stack([vel[:, 1], -vel[:, 0]], axis=1) / np.hypot(*vel.T)[:, None]
-
-    def jet_fn(ts):
-        pos, vel, acc = curve.jet_many(ts)
-        return pos + offset(ts), vel, acc
-
-    return dataclasses.replace(curve, jet_fn=jet_fn,
-                               position_fn=lambda ts: curve.positions(ts) + offset(ts))
 
 
 class TestImplicitEnvelopeControls:
@@ -294,7 +276,8 @@ class TestImplicitEnvelopeControls:
 
     def test_envelope_bump_fails_on_every_side(self, iterated_square):
         env = iterated_square.envelopes[0]
-        bumped = dataclasses.replace(iterated_square, envelopes=(_parallel(env, 1e-3),))
+        bumped = dataclasses.replace(iterated_square,
+                                     envelopes=(gate._offset_along_normal(env, 1e-3),))
         rep = verify_pair(bumped, probes=self.PROBES)
         assert not rep.passed
         assert rep.errors == self.expected_errors(iterated_square)
@@ -335,21 +318,22 @@ class TestPerturbedSequencePolygons:
         assert not verify_pair(dataclasses.replace(config, walk=moved), probes=8).passed
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("name", ["equilateral_a85", "pentagram"])
+    @pytest.mark.parametrize("name", ["equilateral_a85", "pentagram", "iterated_square"])
     def test_coincident_vertices_are_an_error(self, name):
         # a support term of 8e93 rounds two vertices of a walk onto one point;
-        # its side has no line, and the report says so instead of raising
+        # its side has no line, and the report says so instead of raising. With
+        # every vertex on one point no side is left to recover a contact on.
         config = _sequence_config(name)
+        for pinch in (slice(1, 2), slice(1, None)):
+            def pinched(starts):
+                walk = config.walk(starts)
+                params = walk.vertex_params.copy()
+                params[:, pinch] = params[:, :1]
+                return dataclasses.replace(walk, vertex_params=params)
 
-        def pinched(starts):
-            walk = config.walk(starts)
-            params = walk.vertex_params.copy()
-            params[:, 1] = params[:, 0]
-            return dataclasses.replace(walk, vertex_params=params)
-
-        rep = verify_pair(dataclasses.replace(config, walk=pinched), probes=8)
-        assert not rep.passed
-        assert rep.errors.count("side 0 on envelope 0 has zero length") == 8
+            rep = verify_pair(dataclasses.replace(config, walk=pinched), probes=8)
+            assert not rep.passed
+            assert rep.errors.count("side 0 on envelope 0 has zero length") == 8
 
 
 class TestNonConvergence:
