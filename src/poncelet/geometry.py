@@ -41,7 +41,7 @@ PAIR_BLOCK = 32768
 
 
 def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
+    pts = np.ascontiguousarray(points, dtype=float)     # viewed as complex x + iy
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise GeometryError("points must be a sequence of 2d points")
     if not np.all(np.isfinite(pts)):
@@ -65,6 +65,14 @@ def polyline_self_intersects(points) -> bool:
     `PAIR_BLOCK`, stopping at the first block with a contact. For n segments
     and k x-overlapping pairs this costs O(n log n + k) time and
     O(n + PAIR_BLOCK) memory, whatever the shape.
+
+    Before the sweep, a certificate answers False: with O the vertices' mean,
+    if all cross(P_i - O, P_{i+1} - O) share a strict sign and the turns about
+    O sum to 2 pi, non-adjacent sides lie a whole sector apart, no closer than
+    rho sin(min(gamma, pi/2)) (rho: least distance from O to a side's line;
+    gamma: least turn). Above eps / (shortest side) + 1e-6 max |P_i - O|, that
+    beats the sweep's contact tolerances (eps on cross products, eps max(1,
+    |ab|) / |ab| in `_segments_touch`) and either test's rounding.
     """
     pts, eps = _as_points(points), 1e-12
     nseg = len(pts)
@@ -73,6 +81,18 @@ def polyline_self_intersects(points) -> bool:
     seg_a, seg_b = pts, np.roll(pts, -1, axis=0)
     if np.any(np.all(seg_a == seg_b, axis=1)):
         raise GeometryError("repeated consecutive points")
+    z = pts.view(complex)[:, 0] - pts.view(complex).mean()     # x + iy about O
+    radius = np.max(np.abs(z))
+    w = z / radius                     # no product of two w overflows
+    q = np.concatenate((w[1:], w[:1])) * w.conj()      # dot + i cross of consecutive w
+    if abs(np.sum(np.sign(q.imag))) == nseg:
+        d = seg_b - seg_a
+        turn, length = np.abs(np.angle(q)), np.abs(d.view(complex)[:, 0])
+        rho = np.abs((z.conj() * (d / length[:, None]).view(complex)[:, 0]).imag)
+        gap = np.min(rho) * math.sin(min(turn.min(), math.pi / 2))
+        if abs(turn.sum() - 2.0 * math.pi) < math.pi \
+                and gap > eps / float(length.min()) + 1e-6 * radius:
+            return False
 
     lo = np.minimum(seg_a, seg_b)
     hi = np.maximum(seg_a, seg_b)

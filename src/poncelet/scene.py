@@ -266,10 +266,13 @@ class Scene:
                            probes=probes if probes is not None else opts.probes, tol=opts.tol)
 
 
-def _oracle_capable(vertex_curve: PlaneCurve, envelope_support: SupportFunction | None) -> bool:
-    if envelope_support is None or envelope_support.sheets != 1:
+def _oracle_capable(vertex_curve: PlaneCurve, support: SupportFunction | None) -> bool:
+    """A one-sheet envelope support of positive sampled curvature radius and a
+    simple sampled vertex loop. Closed-form certificates (curvature_radius_bound,
+    the star test of polyline_self_intersects) answer where the scans agree."""
+    if support is None or support.sheets != 1:
         return False
-    if envelope_support.min_curvature_radius() <= 0:
+    if support.curvature_radius_bound() <= 0 and support.min_curvature_radius() <= 0:
         return False
     return not polyline_self_intersects(vertex_curve.sample(SELF_INTERSECTION_SAMPLES))
 

@@ -88,6 +88,12 @@ class SupportFunction:
         out = [np.full_like(phi, self.constant if i == 0 else 0.0) for i in range(count)]
         return jets.series(phi, self._series, out)
 
+    def curvature_radius_bound(self) -> float:
+        """A lower bound of min_curvature_radius(): a - sum |1 - l^2| hypot(c, s),
+        less 1e-9 (|a| + sum (1 + l^2) hypot(c, s)) for the sampled sums' rounding."""
+        a, h = self.constant, [(l * l, math.hypot(c, s)) for l, c, s in self._series]
+        return float(a - 1e-9 * abs(a) - sum((abs(1 - l2) + 1e-9 * (1 + l2)) * x for l2, x in h))
+
     def min_curvature_radius(self) -> float:
         """min (p + p'') over 2048 points of the domain, or 8 per period of the
         highest term when that is more: its l k periods must not alias."""

@@ -391,8 +391,9 @@ def _judge(report: VerificationReport, config, tol: float):
         spread = report.side_length_spread
         report.checks["equilateral"] = spread is not None and spread < 1e-9
     if config.expect_interior is not None:
-        interior = report.s_min is not None and 0.0 < report.s_min and report.s_max < 1.0
-        report.checks["interiority"] = interior == config.expect_interior
+        lo, hi = report.s_min, report.s_max
+        known = lo is not None and not math.isnan(lo) and not math.isnan(hi)
+        report.checks["interiority"] = known and (0.0 < lo and hi < 1.0) == config.expect_interior
 
 
 def _envelope_sides(poly: PonceletPolygon, k: int):
@@ -550,7 +551,7 @@ def _verify_sequence(config, starts, tol, report):
     report.errors.extend(msg for _, msg in sorted(errors, key=lambda e: e[0]))
 
     report.max_step_mismatch = mismatch
-    report.checks["contact_recovery"] = mismatch < tol
+    report.checks["contact_recovery"] = mismatch < tol and not errors
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,26 @@ float_loops = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                        min_size=4, max_size=64)
 
 
+@st.composite
+def star_loops(draw):
+    """Loops star-shaped about an offset centre: 4 to 1024 vertices at random
+    radii and increasing angles, in either orientation, scaled by 10^s for s
+    in [-9, 10]. One angle step is 10^g of the others' sum, g in [-9, 0], so
+    that some loops sit near the certificate's margin, where the least turn
+    about the vertices' mean times the least distance to a side's line is
+    about 1e-6 of the loop's radius."""
+    n = draw(st.integers(4, 1024))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.uniform(0.05, 1.0, n)
+    steps[0] = 10.0 ** draw(st.floats(-9.0, 0.0)) * steps[1:].sum()
+    theta = np.cumsum(steps) * (2.0 * math.pi / steps.sum())
+    r = rng.uniform(draw(st.floats(0.01, 1.0)), 1.0, n)
+    cx, cy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    pts = np.column_stack([cx + r * np.cos(theta), cy + r * np.sin(theta)])
+    pts *= 10.0 ** draw(st.floats(-9.0, 10.0))
+    return pts[::-1] if draw(st.booleans()) else pts
+
+
 class TestPolylineSelfIntersection:
     def test_square_is_simple(self):
         square = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -150,10 +170,30 @@ class TestPolylineSelfIntersection:
     @given(st.one_of(lattice_loops, float_loops))
     # a segment so short that |ab|^2 underflows to 0
     @example([(0.0, 0.0), (0.0, 8.695129490408271e-204), (0.0, 0.0), (0.0, 1.0)])
+    # two vertices that coincide once the vertices' mean is subtracted
+    @example([(5e-07, 0.0), (5e-07, 1.3351464730388205e-160), (0.0, 0.0), (0.0, 0.75)])
+    # a side of subnormal length, whose direction must not overflow
+    @example([(1.0, 0.0), (1.0, 5e-324), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
     def test_sweep_matches_all_pairs_reference(self, loop):
         pts = np.array(loop, dtype=float)
         assert (_outcome(polyline_self_intersects, pts)
                 == _outcome(_all_pairs_self_intersects, pts))
+
+    @settings(max_examples=80, deadline=None)
+    @given(star_loops())
+    # a simple loop of 1e-9 scale: eps on cross products and eps / |ab| in
+    # _segments_touch exceed its size, and the sweep confirms a contact
+    @example(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [-0.3, -0.2], [0.0, -1.0]]) * 1e-9)
+    def test_certified_loops_match_all_pairs_reference(self, pts):
+        assert (_outcome(polyline_self_intersects, pts)
+                == _outcome(_all_pairs_self_intersects, pts))
+
+    @pytest.mark.parametrize("scale", [1e153, 1e300])
+    def test_huge_simple_loop_is_certified_without_overflow(self, scale):
+        # the certificate's products of two vertices would overflow unscaled
+        t = np.linspace(0.0, 2 * math.pi, SELF_INTERSECTION_SAMPLES, endpoint=False)
+        ellipse = np.column_stack([0.6 + 2.0 * np.cos(t), np.sin(t)]) * scale
+        assert polyline_self_intersects(ellipse) is False
 
     def test_sweep_matches_all_pairs_reference_on_support_curves(self):
         rng = np.random.default_rng(17)

@@ -45,6 +45,9 @@ KEPT = {
         "np.size of a Jet, with which perfbench/tracer.py counts the points of a call",
     "geometry._segments_touch":
         "confirms a contact of two segments, which runs only when two segments touch",
+    "geometry._pairs_intersect":
+        "the general case of the public polyline_self_intersects: every vertex curve that "
+        "the command line builds is settled by its star-shaped certificate",
 }
 
 

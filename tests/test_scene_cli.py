@@ -8,12 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from poncelet import scene as scene_module
 from poncelet.cli import main
 from poncelet.geometry import SELF_INTERSECTION_SAMPLES, polyline_self_intersects
 from poncelet.render import RenderError, render_svg, sample_points
-from poncelet.scene import MAX_TERMS, SchemaError, _oracle_capable, build_scene, load_scene
+from poncelet.scene import (MAX_TERMS, SchemaError, _oracle_capable, build_scene, load_scene,
+                            parse_config)
 from poncelet.support import SupportFunction, SupportTerm, curve_from_support
 from poncelet.verify import MAX_PROBES, MAX_SHEETS, MAX_VERTICES
+from test_bench_contract import SCENES
+from test_envelope import workloads
+from test_geometry import _all_pairs_self_intersects
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -135,6 +140,36 @@ class TestCheckedInConfigs:
         assert polyline_self_intersects(cusped.sample(SELF_INTERSECTION_SAMPLES))
         assert not _oracle_capable(cusped, circle)
         assert _oracle_capable(curve_from_support(SupportFunction(2.0)), circle)
+
+    def test_certified_mode_is_the_scanned_mode(self, monkeypatch):
+        # every config, every bench-contract scene and every benchmark case at
+        # seeds 1 and 7: the certificates never change the scans' answer
+        def parses(doc):
+            try:
+                parse_config(doc)
+            except (SchemaError, ValueError, KeyError, TypeError):
+                return False
+            return True
+
+        docs = {json.dumps(case.doc, sort_keys=True): case.doc
+                for name in workloads.WORKLOADS for seed in (1, 7)
+                for case in workloads.build_workload(name, seed, CONFIGS, parses).cases}
+        builds = [*(lambda p=p: load_scene(str(p)) for p in ALL_CONFIGS), *SCENES.values(),
+                  *(lambda d=d: build_scene(d) for d in docs.values())]
+        calls = []
+
+        def record(curve, sup):
+            calls.append((curve, sup))
+            return _oracle_capable(curve, sup)
+
+        monkeypatch.setattr(scene_module, "_oracle_capable", record)
+        for build in builds:
+            build()
+        assert sum(sup is not None for _, sup in calls) >= 20
+        for curve, sup in calls:
+            scanned = (sup is not None and sup.sheets == 1 and sup.min_curvature_radius() > 0
+                       and not _all_pairs_self_intersects(curve.sample(SELF_INTERSECTION_SAMPLES)))
+            assert _oracle_capable(curve, sup) == scanned
 
     @pytest.mark.parametrize("path", ALL_CONFIGS, ids=lambda p: p.stem)
     def test_config_builds_and_verifies(self, path):

@@ -46,7 +46,15 @@ vertex-shift and clan@16 and @64 under both controls), which failed
 contact_recovery with no error, took their new contact-miss errors; the
 tool refuses a changed error list, so a script checked that only those
 lists changed, each only by such errors, and that every report kept its
-checks and failed as before."""
+checks and failed as before.
+
+It was rewritten once more when contact_recovery began to fail on any
+side error, not only on a contact mismatch. tests/rewrite_goldens.py
+reported exactly four changes and no moved value: iterated_square at 16
+and 64 probes under envelope-bump and vertex-shift, whose reports already
+failed on their "no tangency" errors, now fail contact_recovery too; the
+tool refuses a changed check, so its recomputed document was written after
+a script checked that those four were its only differences."""
 
 import json
 from pathlib import Path

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from poncelet.jets import Jet
 from poncelet.support import (PlaneCurve, SupportError, SupportFunction, SupportTerm,
@@ -77,6 +79,20 @@ class TestSheetValidation:
         assert not np.allclose(curve.positions(ts + p.period / 2), curve.positions(ts))
 
 
+@st.composite
+def supports(draw):
+    """Up to four terms on 1 to 3 sheets, with a either drawn from [-1, 3] or
+    within a relative 1e-6 of sum |1 - l^2| hypot(c, s), where the bound of
+    the radius of curvature is tight."""
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(st.integers(1, 12).map(lambda j: Fraction(j, k)),
+                                   st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), max_size=4))
+    tight = sum(abs(1 - float(l) ** 2) * math.hypot(c, s) for l, c, s in rows)
+    a = draw(st.one_of(st.floats(-1.0, 3.0),
+                       st.floats(-1e-12, 1e-6).map(lambda e: tight * (1.0 + e))))
+    return SupportFunction(a, tuple(SupportTerm(*row) for row in rows), k)
+
+
 class TestCurveFromSupport:
     def test_constant_support_gives_circle(self):
         p = SupportFunction(2.5, (), 1)
@@ -98,6 +114,17 @@ class TestCurveFromSupport:
         v, _, d2 = jet(p, 0.0)
         assert v + d2 == pytest.approx(8.1 + 1 - 9, abs=1e-12)
         assert p.min_curvature_radius() > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(supports())
+    # rho = a - 3 cos 2phi with a one ulp above 3: the bound without its
+    # rounding margin is 4.4e-16, but the sampled a + cos - 4 cos reads 0
+    @example(SupportFunction(3.0000000000000004, (SupportTerm(Fraction(2), 1.0),)))
+    def test_curvature_radius_bound_is_below_the_sampled_minimum(self, p):
+        bound, sampled = p.curvature_radius_bound(), p.min_curvature_radius()
+        if bound > 0:
+            assert sampled > 0
+        assert sampled >= bound
 
     def test_jets_match_central_differences(self):
         p = cos_poly(9.0, (2, 0.9), (5, -2 / 9))

@@ -323,6 +323,8 @@ class TestPerturbedSequencePolygons:
         # a support term of 8e93 rounds two vertices of a walk onto one point;
         # its side has no line, and the report says so instead of raising. With
         # every vertex on one point no side is left to recover a contact on.
+        # The chord range is then NaN, which fails interiority whatever is
+        # expected, and the side errors fail contact recovery.
         config = _sequence_config(name)
         for pinch in (slice(1, 2), slice(1, None)):
             def pinched(starts):
@@ -334,6 +336,9 @@ class TestPerturbedSequencePolygons:
             rep = verify_pair(dataclasses.replace(config, walk=pinched), probes=8)
             assert not rep.passed
             assert rep.errors.count("side 0 on envelope 0 has zero length") == 8
+            assert math.isnan(rep.s_min)
+            assert rep.checks["interiority"] is False
+            assert rep.checks["contact_recovery"] is False
 
 
 class TestNonConvergence:
